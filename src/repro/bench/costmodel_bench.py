@@ -1,8 +1,8 @@
 """The ``costmodel.*`` / ``replay.*`` bench family: the v2 feedback loop.
 
-Three self-gating cases back the cost-model v2 acceptance criteria
-(ROADMAP item 3), all deterministic — virtual-clock and model
-quantities only, so the committed expectations hold on any host:
+Three measured, self-gating cases back the cost-model v2 acceptance
+criteria, all deterministic — virtual-clock and model quantities only,
+so the gates hold on any host:
 
 * ``costmodel.refit_loop`` — the headline feedback loop on a real
   workload (TX PageRank on 8 GPUs): run under the shipped model,
@@ -18,35 +18,22 @@ quantities only, so the committed expectations hold on any host:
   under their original model. Gate: bit-identical virtual-time totals
   and all three byte-level invariants.
 
-``repro costmodel bench`` runs the suite, writes
-``BENCH_costmodel.json``, and exits 1 on any violation.
+``repro bench --filter costmodel --filter replay`` runs them (CI
+writes ``BENCH_costmodel.json``) and exits 1 on any violation.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
-from typing import Callable, Dict, List, Optional
 
+from repro.bench.perfharness import BENCH_CASES, BenchCase
 from repro.core.costmodel import (
     MODEL_FAMILIES,
     pretrained_default,
     rmsre,
 )
-from repro.errors import ReproError
 
-__all__ = [
-    "COSTMODEL_BENCH_SCHEMA",
-    "COSTMODEL_CASES",
-    "REFERENCE_RUNS",
-    "run_costmodel_suite",
-    "write_costmodel_report",
-    "load_costmodel_report",
-    "format_costmodel_report",
-    "report_violations",
-]
-
-COSTMODEL_BENCH_SCHEMA = "repro-costmodel-bench/1"
+__all__ = ["REFERENCE_RUNS"]
 
 #: The committed reference recordings the fit/replay cases feed on.
 REFERENCE_RUNS = (
@@ -101,6 +88,13 @@ def _case_refit_loop() -> dict:
             f"{result['fitted_total_ms']:.4f} ms)"
         )
     result["violations"] = violations
+    result["summary"] = (
+        f"{result['workload']} {result['default_total_ms']:.4f} -> "
+        f"{result['fitted_total_ms']:.4f} ms "
+        f"({result['delta_ms']:+.4f} ms), RMSRE "
+        f"{result['shipped_rmsre']:.4f} -> {result['fitted_rmsre']:.4f} "
+        f"({result['family']}, {result['samples']} samples)"
+    )
     return result
 
 
@@ -129,6 +123,12 @@ def _case_fit_reference() -> dict:
             f"{outcome.baseline.cv_rmsre:.4f}"
         )
     result["violations"] = violations
+    result["summary"] = (
+        f"{result['family']} held-out RMSRE "
+        f"{result['holdout_rmsre']:.4f} vs shipped "
+        f"{result['shipped_rmsre']:.4f} ({result['samples']} samples, "
+        f"{len(REFERENCE_RUNS)} reference runs)"
+    )
     return result
 
 
@@ -156,102 +156,20 @@ def _case_replay_bit_identity() -> dict:
                 f"replay of {ref} under the original model is not "
                 f"bit-identical (failed: {failed or 'total mismatch'})"
             )
-    return {"runs": runs, "violations": violations}
+    summary = ", ".join(
+        f"{run['ref'].rsplit('/', 1)[-1]}="
+        f"{'ok' if run['bit_identical'] else 'FAIL'}"
+        for run in runs
+    )
+    return {"runs": runs, "violations": violations, "summary": summary}
 
 
-COSTMODEL_CASES: Dict[str, Callable[[], dict]] = {
-    "costmodel.refit_loop": _case_refit_loop,
-    "costmodel.fit_reference": _case_fit_reference,
-    "replay.bit_identity": _case_replay_bit_identity,
-}
-
-
-def run_costmodel_suite(
-    names: Optional[List[str]] = None,
-) -> dict:
-    """Run (a filtered subset of) the suite; returns the report dict."""
-    if names:
-        selected = sorted(
-            case for case in COSTMODEL_CASES
-            if any(fragment in case for fragment in names)
-        )
-        if not selected:
-            raise ReproError(
-                f"no costmodel bench case matches {names!r}; known: "
-                + ", ".join(sorted(COSTMODEL_CASES))
-            )
-    else:
-        selected = sorted(COSTMODEL_CASES)
-    return {
-        "schema": COSTMODEL_BENCH_SCHEMA,
-        "cases": {name: COSTMODEL_CASES[name]() for name in selected},
-    }
-
-
-def report_violations(report: dict) -> List[str]:
-    """Flattened ``case: violation`` lines (empty = gate passes)."""
-    lines = []
-    for name in sorted(report.get("cases", {})):
-        for violation in report["cases"][name].get("violations", []):
-            lines.append(f"{name}: {violation}")
-    return lines
-
-
-def write_costmodel_report(report: dict, path) -> None:
-    """Write the report as stable JSON."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_costmodel_report(path) -> dict:
-    """Read a report back (schema-checked)."""
-    with open(path) as handle:
-        report = json.load(handle)
-    if report.get("schema") != COSTMODEL_BENCH_SCHEMA:
-        raise ReproError(
-            f"{path}: unsupported costmodel bench schema "
-            f"{report.get('schema')!r} "
-            f"(expected {COSTMODEL_BENCH_SCHEMA!r})"
-        )
-    return report
-
-
-def format_costmodel_report(report: dict) -> str:
-    """Human-readable suite summary."""
-    lines = []
-    cases = report.get("cases", {})
-    if "costmodel.refit_loop" in cases:
-        case = cases["costmodel.refit_loop"]
-        lines.append(
-            f"costmodel.refit_loop    : {case['workload']} "
-            f"{case['default_total_ms']:.4f} -> "
-            f"{case['fitted_total_ms']:.4f} ms "
-            f"({case['delta_ms']:+.4f} ms), RMSRE "
-            f"{case['shipped_rmsre']:.4f} -> {case['fitted_rmsre']:.4f} "
-            f"({case['family']}, {case['samples']} samples)"
-        )
-    if "costmodel.fit_reference" in cases:
-        case = cases["costmodel.fit_reference"]
-        lines.append(
-            f"costmodel.fit_reference : {case['family']} held-out "
-            f"RMSRE {case['holdout_rmsre']:.4f} vs shipped "
-            f"{case['shipped_rmsre']:.4f} "
-            f"({case['samples']} samples, "
-            f"{len(case['refs'])} reference runs)"
-        )
-    if "replay.bit_identity" in cases:
-        case = cases["replay.bit_identity"]
-        verdicts = ", ".join(
-            f"{run['ref'].rsplit('/', 1)[-1]}="
-            f"{'ok' if run['bit_identical'] else 'FAIL'}"
-            for run in case["runs"]
-        )
-        lines.append(f"replay.bit_identity     : {verdicts}")
-    violations = report_violations(report)
-    if violations:
-        lines.append("violations:")
-        lines.extend(f"  {line}" for line in violations)
-    else:
-        lines.append(f"gate: ok ({len(cases)} case(s))")
-    return "\n".join(lines)
+for _name, _case in (
+    ("costmodel.refit_loop", _case_refit_loop),
+    ("costmodel.fit_reference", _case_fit_reference),
+    ("replay.bit_identity", _case_replay_bit_identity),
+):
+    BENCH_CASES[_name] = BenchCase(
+        name=_name, setup=lambda case=_case: case,
+        meta={"on_demand": True}, timed=False,
+    )

@@ -1,22 +1,32 @@
-"""Microbenchmark harness for the per-iteration hot path.
+"""The bench harness: one registry, one report, one gate.
 
 The GUM decision layer is only viable if it stays off the critical
-path (Table IV charges its latency every superstep), so this module
-pins the host-side hot paths with repeatable microbenchmarks:
+path (Table IV charges its latency every superstep), so the repo gates
+its host-side cost. A case is a callable returning named measurements
+plus the violations it found in them, and comes in two kinds:
 
-* FSteal solver solve latency, by backend and problem size,
-* LP/MILP constraint assembly in isolation,
-* the engine's vectorized plan-pricing path (8 GPUs x 64 fragments),
-* one full BFS / PageRank engine iteration,
-* cost-model predict throughput.
+* **timed** cases (the default, defined in this module) pin per-call
+  latency of a hot path — FSteal solves, LP/MILP constraint assembly,
+  vectorized plan pricing, full BFS / PageRank engine iterations,
+  cost-model inference, the decision path, observability self-cost,
+  the execution backends. The harness wraps their callable in
+  :func:`time_callable` and *normalizes* the timing by a fixed numpy
+  calibration workload measured in the same process, so a baseline
+  recorded on one machine transfers to another: a 30% regression gate
+  on the normalized score tracks "slower relative to this host's numpy
+  throughput", not absolute nanoseconds.
+* **measured** cases (``timed=False``) run once and return their own
+  report entry with the ``violations`` of their invariants: the
+  out-of-core ``scale.*`` family (:mod:`repro.bench.scale`) and the
+  ``costmodel.*`` / ``replay.*`` feedback-loop family
+  (:mod:`repro.bench.costmodel_bench`). They run whole workloads
+  (seconds to minutes), so they are ``on_demand``: only a ``--filter``
+  naming them runs them.
 
-``run_suite`` produces a machine-readable report (the committed schema
-is ``repro-bench/1``); ``compare_reports`` flags regressions against a
-committed baseline. Timings are additionally *normalized* by a fixed
-numpy calibration workload measured in the same process, so a baseline
-recorded on one machine transfers to another: a 30% regression gate on
-the normalized score tracks "slower relative to this host's numpy
-throughput", not absolute nanoseconds.
+``run_suite`` produces a machine-readable report (schema
+``repro-bench/1``); ``compare_reports`` gates it: every case's own
+violations, its declared ``deterministic`` fields against the
+committed baseline, and timing regressions behind a noise guard.
 
 CLI: ``python -m repro bench`` (see ``docs/performance.md``).
 """
@@ -30,19 +40,23 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.documents import load_document
 from repro.errors import ReproError
 
 __all__ = [
     "SCHEMA",
     "DEFAULT_THRESHOLD",
+    "VIRTUAL_TOLERANCE",
     "BenchCase",
     "BenchTiming",
     "Regression",
     "BENCH_CASES",
     "bench_case",
     "time_callable",
+    "select_cases",
     "run_suite",
     "compare_reports",
+    "confirm_regressions",
     "write_report",
     "load_report",
     "format_report",
@@ -54,18 +68,34 @@ SCHEMA = "repro-bench/1"
 #: Fail the gate when a normalized score regresses by more than this.
 DEFAULT_THRESHOLD = 0.30
 
+#: Relative band of a case's ``deterministic`` fields. They are
+#: virtual-clock quantities, so the band only guards float
+#: printing/platform noise, not real variance.
+VIRTUAL_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One registered microbenchmark.
+    """One registered benchmark case.
 
-    ``setup`` builds the workload once (outside the timed region) and
-    returns the zero-argument callable that gets timed.
+    ``setup`` builds the workload once (outside any timed region) and
+    returns a zero-argument callable. The harness times the callable
+    of a timed case; it calls a measured case's (``timed=False``) once
+    and takes the returned dict as the report entry: named
+    measurements, the ``violations`` found in them (a list of
+    strings), and optionally a one-line ``summary`` for the table.
+
+    ``meta`` travels into the report. The harness reads three keys:
+    ``bench_threshold`` widens a noisy case's timing band,
+    ``deterministic`` lists entry fields that must match the baseline
+    within :data:`VIRTUAL_TOLERANCE`, and ``on_demand`` keeps a case
+    out of unfiltered runs.
     """
 
     name: str
     setup: Callable[[], Callable[[], object]]
     meta: Dict[str, object] = field(default_factory=dict)
+    timed: bool = True
 
 
 @dataclass(frozen=True)
@@ -80,24 +110,28 @@ class BenchTiming:
 
 @dataclass(frozen=True)
 class Regression:
-    """One gate violation: a case slower than baseline allows."""
+    """One gate failure of one case.
+
+    ``timing`` marks a wall-clock regression, the only kind host noise
+    can fake and therefore the only kind worth re-measuring.
+    """
 
     name: str
-    baseline_score: float
-    current_score: float
-    ratio: float
+    message: str
+    timing: bool = False
 
 
 BENCH_CASES: Dict[str, BenchCase] = {}
 
 
-def bench_case(name: str, **meta):
+def bench_case(name: str, timed: bool = True, **meta):
     """Register a benchmark case (decorator on its setup function)."""
 
     def register(setup: Callable[[], Callable[[], object]]):
         if name in BENCH_CASES:
             raise ReproError(f"duplicate benchmark case {name!r}")
-        BENCH_CASES[name] = BenchCase(name=name, setup=setup, meta=meta)
+        BENCH_CASES[name] = BenchCase(name=name, setup=setup, meta=meta,
+                                      timed=timed)
         return setup
 
     return register
@@ -833,44 +867,70 @@ for _backend in ("serial", "shmem"):
 # ----------------------------------------------------------------------
 # Suite driver / report IO
 # ----------------------------------------------------------------------
-def run_suite(
-    names: Optional[Sequence[str]] = None,
-    repeats: int = 5,
-    min_seconds: float = 0.02,
-) -> dict:
-    """Run (a filtered subset of) the registered cases; return a report.
+def select_cases(names: Optional[Sequence[str]] = None) -> List[BenchCase]:
+    """The cases a run with ``names`` filters executes, sorted by name.
 
-    ``names`` entries match case names by substring. The report maps
-    each case to raw per-call ``seconds`` and a machine-normalized
-    ``score`` (seconds / calibration seconds).
+    ``names`` entries match case names by substring and reach every
+    family; without them the selection is every case not marked
+    ``on_demand``.
     """
-    selected = [
-        case for name, case in sorted(BENCH_CASES.items())
-        if not names or any(token in name for token in names)
-    ]
+    if names:
+        selected = [
+            case for name, case in sorted(BENCH_CASES.items())
+            if any(token in name for token in names)
+        ]
+    else:
+        selected = [
+            case for __, case in sorted(BENCH_CASES.items())
+            if not case.meta.get("on_demand")
+        ]
     if not selected:
         raise ReproError(
             f"no benchmark case matches {list(names or [])!r}; "
             f"known: {sorted(BENCH_CASES)}"
         )
-    calibration = measure_calibration(repeats=repeats)
-    benchmarks = {}
+    return selected
+
+
+def run_suite(
+    names: Optional[Sequence[str]] = None,
+    repeats: int = 5,
+    min_seconds: float = 0.02,
+) -> dict:
+    """Run the cases :func:`select_cases` picks; return a report.
+
+    A timed case's entry holds raw per-call ``seconds`` and a
+    machine-normalized ``score`` (seconds / calibration seconds); a
+    measured case's entry is whatever the case returned.
+    """
+    selected = select_cases(names)
+    report: dict = {"schema": SCHEMA, "benchmarks": {}}
+    if any(case.timed for case in selected):
+        report["calibration_seconds"] = measure_calibration(repeats=repeats)
     for case in selected:
         fn = case.setup()
-        timing = time_callable(fn, repeats=repeats,
-                               min_seconds=min_seconds)
-        benchmarks[case.name] = {
-            "seconds": timing.seconds,
-            "score": timing.seconds / calibration,
-            "calls": timing.calls,
-            "repeats": timing.repeats,
-            "meta": dict(case.meta),
-        }
-    return {
-        "schema": SCHEMA,
-        "calibration_seconds": calibration,
-        "benchmarks": benchmarks,
-    }
+        if case.timed:
+            timing = time_callable(fn, repeats=repeats,
+                                   min_seconds=min_seconds)
+            entry = {
+                "seconds": timing.seconds,
+                "score": timing.seconds / report["calibration_seconds"],
+                "calls": timing.calls,
+                "repeats": timing.repeats,
+            }
+        else:
+            entry = dict(fn())
+        entry["meta"] = dict(case.meta)
+        report["benchmarks"][case.name] = entry
+    return report
+
+
+def _baseline_value(base: dict, name: str, key: str) -> float:
+    if key not in base:
+        raise ReproError(
+            f"baseline entry {name!r} has no {key!r} to gate against"
+        )
+    return base[key]
 
 
 def compare_reports(
@@ -878,41 +938,64 @@ def compare_reports(
     baseline: dict,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> List[Regression]:
-    """Normalized-score regressions of ``current`` against ``baseline``.
+    """Gate failures of ``current``, by itself and against ``baseline``.
 
-    Cases present only on one side are ignored (new benchmarks must be
-    committable without a flag day).  A case regresses only when BOTH
-    its machine-normalized score AND its raw per-call seconds exceed
-    the baseline by more than ``threshold``: the score ratio transfers
-    the committed baseline across hosts of different speed, while the
-    seconds ratio filters out calibration jitter (a noisy calibration
-    run inflates every score by the same factor without any benchmark
-    actually slowing down).
+    Three checks per case. Its own ``violations`` always fail. Cases
+    present only on one side are otherwise ignored (new benchmarks
+    must be committable without a flag day). Fields the case declares
+    ``deterministic`` must match the baseline within
+    :data:`VIRTUAL_TOLERANCE`; measured wall-clock fields are
+    host-local and are never compared across reports. A timed case
+    regresses only when BOTH its machine-normalized score AND its raw
+    per-call seconds exceed the baseline by more than ``threshold``:
+    the score ratio transfers the committed baseline across hosts of
+    different speed, while the seconds ratio filters out calibration
+    jitter (a noisy calibration run inflates every score by the same
+    factor without any benchmark actually slowing down).
     """
     for report in (current, baseline):
         if report.get("schema") != SCHEMA:
             raise ReproError(
                 f"unsupported bench report schema {report.get('schema')!r}"
             )
-    regressions = []
+    failures = []
     for name, entry in sorted(current["benchmarks"].items()):
+        failures.extend(
+            Regression(name, violation)
+            for violation in entry.get("violations", ())
+        )
         base = baseline["benchmarks"].get(name)
         if base is None:
             continue
-        ratio = entry["score"] / max(base["score"], 1e-12)
-        raw_ratio = entry["seconds"] / max(base["seconds"], 1e-12)
+        meta = entry.get("meta", {})
+        for key in meta.get("deterministic", ()):
+            expected = _baseline_value(base, name, key)
+            if abs(entry[key] - expected) > VIRTUAL_TOLERANCE * max(
+                abs(expected), 1e-30
+            ):
+                failures.append(Regression(
+                    name,
+                    f"{key} {entry[key]!r} deviates from the "
+                    f"committed baseline {expected!r}",
+                ))
+        if "score" not in entry:
+            continue
+        base_score = _baseline_value(base, name, "score")
+        ratio = entry["score"] / max(base_score, 1e-12)
+        raw_ratio = entry["seconds"] / max(
+            _baseline_value(base, name, "seconds"), 1e-12
+        )
         # A case may widen its own band via ``bench_threshold`` meta
         # (e.g. BLAS-bound cases with large run-to-run variance).
-        bar = max(threshold,
-                  float(entry.get("meta", {}).get("bench_threshold", 0.0)))
+        bar = max(threshold, float(meta.get("bench_threshold", 0.0)))
         if ratio > 1.0 + bar and raw_ratio > 1.0 + bar:
-            regressions.append(Regression(
-                name=name,
-                baseline_score=base["score"],
-                current_score=entry["score"],
-                ratio=ratio,
+            failures.append(Regression(
+                name,
+                f"normalized score {base_score:.3f} -> "
+                f"{entry['score']:.3f}  ({ratio:.2f}x)",
+                timing=True,
             ))
-    return regressions
+    return failures
 
 
 def confirm_regressions(
@@ -922,23 +1005,23 @@ def confirm_regressions(
     repeats: int = 5,
     min_seconds: float = 0.02,
 ) -> List[Regression]:
-    """Re-measure regressed cases and keep only reproducible ones.
+    """Re-measure timing regressions and keep only reproducible ones.
 
     Wall-clock microbenchmarks on shared hosts see transient >30%
     swings from CPU contention and frequency scaling.  A real code
     regression reproduces on a fresh measurement (including a fresh
     calibration run); a noise spike almost never does.  The gate
-    therefore re-runs only the offending cases and confirms each
-    regression before failing.
+    therefore re-runs only the offending timed cases and confirms each
+    regression before failing. Violations and deterministic-field
+    mismatches are not noise and pass through untouched.
     """
-    if not regressions:
-        return []
-    retry = run_suite(
-        names=[reg.name for reg in regressions],
-        repeats=repeats,
-        min_seconds=min_seconds,
-    )
-    return compare_reports(retry, baseline, threshold=threshold)
+    confirmed = [reg for reg in regressions if not reg.timing]
+    noisy = [reg.name for reg in regressions if reg.timing]
+    if noisy:
+        retry = run_suite(names=noisy, repeats=repeats,
+                          min_seconds=min_seconds)
+        confirmed += compare_reports(retry, baseline, threshold=threshold)
+    return confirmed
 
 
 def write_report(report: dict, path) -> None:
@@ -949,40 +1032,58 @@ def write_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    """Read a report written by :func:`write_report`."""
-    with open(path) as handle:
-        return json.load(handle)
+    """Read a report written by :func:`write_report` (validated)."""
+    report = load_document(path, SCHEMA, ReproError, "bench report")
+    benchmarks = report.get("benchmarks")
+    if not isinstance(benchmarks, dict) or not all(
+        isinstance(entry, dict) for entry in benchmarks.values()
+    ):
+        raise ReproError(
+            f"{path}: bench report has no 'benchmarks' object of "
+            "per-case entries"
+        )
+    return report
 
 
 def format_report(report: dict) -> str:
-    """Human-readable table of one report."""
-    lines = [
-        f"{'case':34s} {'per call':>12s} {'score':>10s} {'calls':>6s}",
-    ]
+    """Human-readable table of one report.
+
+    Timed cases share the latency columns; a measured case prints the
+    one-line ``summary`` it supplied.
+    """
+    timed, measured = [], []
     for name, entry in sorted(report["benchmarks"].items()):
+        if "seconds" not in entry:
+            measured.append(f"{name:34s} {entry.get('summary', '-')}")
+            continue
         seconds = entry["seconds"]
         unit = (
             f"{seconds * 1e6:10.1f} us" if seconds < 1e-3
             else f"{seconds * 1e3:10.2f} ms"
         )
-        lines.append(
+        timed.append(
             f"{name:34s} {unit:>12s} {entry['score']:10.3f} "
             f"{entry['calls']:6d}"
         )
-    lines.append(
-        f"calibration: {report['calibration_seconds'] * 1e3:.3f} ms/call"
-    )
-    return "\n".join(lines)
+    if timed:
+        timed.insert(
+            0, f"{'case':34s} {'per call':>12s} {'score':>10s} {'calls':>6s}"
+        )
+        timed.append(
+            f"calibration: {report['calibration_seconds'] * 1e3:.3f} ms/call"
+        )
+    return "\n".join(timed + measured)
 
 
 def format_regressions(regressions: Sequence[Regression]) -> str:
-    """Human-readable regression list (empty string when clean)."""
+    """Human-readable gate-failure list (empty string when clean)."""
     if not regressions:
         return ""
-    lines = ["benchmark regressions (normalized score vs baseline):"]
-    for reg in regressions:
-        lines.append(
-            f"  {reg.name}: {reg.baseline_score:.3f} -> "
-            f"{reg.current_score:.3f}  ({reg.ratio:.2f}x)"
-        )
+    lines = ["benchmark gate failures:"]
+    lines.extend(f"  {reg.name}: {reg.message}" for reg in regressions)
     return "\n".join(lines)
+
+
+# The measured families register themselves on import; they import this
+# module's registry, so this must stay the last statement.
+from repro.bench import costmodel_bench, scale  # noqa: E402,F401

@@ -1,63 +1,57 @@
 """Out-of-core multi-node scale benchmarks: the ``scale.*`` family.
 
-The microbenchmarks in :mod:`repro.bench.perfharness` pin per-call
-hot-path latency; this suite pins the *capacity* story instead: a
-generated rmat20-class graph is sharded to disk, opened under a
-resident-byte budget at most ``1/8`` of its CSR payload, and driven
-through full BFS / PageRank runs on single-node and multi-node
-(hierarchical two-level stealing) shapes. Each case scores
+The timed cases in :mod:`repro.bench.perfharness` pin per-call
+hot-path latency; this family of measured cases pins the *capacity*
+story instead: a generated rmat20-class graph is sharded to disk,
+opened under a resident-byte budget at most ``1/8`` of its CSR
+payload, and driven through full BFS / PageRank runs on single-node
+and multi-node (hierarchical two-level stealing) shapes. Each case
+reports and gates
 
-* virtual ``ms_per_edge`` — deterministic, so the committed baseline
-  gates it tightly across hosts;
+* virtual ``ms_per_edge`` — deterministic, so the harness matches it
+  against the committed ``benchmarks/scale/baseline.json`` across
+  hosts;
 * ``peak_resident_bytes`` — the shard cache's high-water mark, which
   must stay under the budget;
 * wall-clock ``ms_per_edge`` for the sharded run relative to the
-  in-core run — the out-of-core overhead, gated at 25%;
+  in-core run on the same host — the out-of-core overhead, gated at
+  25%;
 * bit-identity of results and virtual time between the in-core and
   sharded runs (the equivalence contract, re-checked on the real
   workload);
 * ``inter_node_stolen_edges`` on multi-node shapes, proving the
   hierarchy actually engaged.
 
-CLI: ``python -m repro scale`` (see ``docs/performance.md``); CI runs
-the ``scale.bfs.2x4`` smoke case and uploads ``BENCH_scale.json``.
+CLI: ``python -m repro bench --filter scale`` (see
+``docs/performance.md``); CI runs the ``scale.bfs.2x4`` smoke case and
+uploads ``BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
 import functools
-import json
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.bench.perfharness import BENCH_CASES, BenchCase
 
 __all__ = [
-    "SCALE_SCHEMA",
     "WALL_OVERHEAD_THRESHOLD",
-    "VIRTUAL_TOLERANCE",
+    "MIN_CAPACITY_RATIO",
     "ScaleCase",
     "SCALE_CASES",
     "run_scale_case",
-    "run_scale_suite",
-    "compare_scale_reports",
-    "write_scale_report",
-    "load_scale_report",
-    "format_scale_report",
+    "scale_violations",
+    "scale_summary",
 ]
-
-SCALE_SCHEMA = "repro-scale/1"
 
 #: Sharded wall-clock ms-per-edge may exceed in-core by at most this.
 WALL_OVERHEAD_THRESHOLD = 0.25
-
-#: Virtual ms-per-edge is deterministic; the band only guards float
-#: printing/platform noise, not real variance.
-VIRTUAL_TOLERANCE = 1e-6
 
 #: The CSR payload must be at least this many times the shard budget,
 #: so the benchmark genuinely exercises out-of-core paging.
@@ -108,21 +102,18 @@ def _scale_graph(graph_scale: int, edge_factor: int):
     )
 
 
-_SHARD_DIRS: Dict[tuple, Path] = {}
-
-
-def _shard_dir(graph, num_shards: int, workdir: Path) -> Path:
-    """Shard ``graph`` under ``workdir`` once per (graph, shards)."""
+@functools.lru_cache(maxsize=None)
+def _shard_dir(graph_scale: int, edge_factor: int, num_shards: int) -> Path:
+    """Shard the input to a temp directory once per (graph, shards)."""
     from repro.graph.io_npz import save_graph_sharded
 
-    key = (id(graph), num_shards)
-    if key not in _SHARD_DIRS:
-        _SHARD_DIRS[key] = save_graph_sharded(
-            graph,
-            workdir / f"{graph.name}-{num_shards}.shards",
-            num_shards=num_shards,
-        )
-    return _SHARD_DIRS[key]
+    graph = _scale_graph(graph_scale, edge_factor)
+    workdir = Path(tempfile.mkdtemp(prefix="repro-scale-"))
+    return save_graph_sharded(
+        graph,
+        workdir / f"{graph.name}-{num_shards}.shards",
+        num_shards=num_shards,
+    )
 
 
 def _case_params(case: ScaleCase, graph) -> dict:
@@ -166,13 +157,15 @@ def _timed_run(graph, case: ScaleCase, topology, params):
     return result, time.perf_counter() - started
 
 
-def run_scale_case(case: ScaleCase, workdir: Path) -> dict:
+def run_scale_case(case: ScaleCase) -> dict:
     """In-core vs sharded run of one case; returns its report entry."""
     from repro.graph.io_npz import open_graph_sharded
     from repro.hardware.topology import cluster
 
     graph = _scale_graph(case.graph_scale, case.edge_factor)
-    shard_path = _shard_dir(graph, case.num_shards, workdir)
+    shard_path = _shard_dir(
+        case.graph_scale, case.edge_factor, case.num_shards
+    )
     csr_bytes = int(graph.indptr.nbytes + graph.indices.nbytes)
     budget = csr_bytes // MIN_CAPACITY_RATIO
     topology = cluster(case.num_nodes, case.gpus_per_node)
@@ -198,7 +191,7 @@ def run_scale_case(case: ScaleCase, workdir: Path) -> dict:
             for entry in sharded.ledger.entries
         )
     edges = graph.num_edges
-    return {
+    entry = {
         "algorithm": case.algorithm,
         "nodes": case.num_nodes,
         "gpus_per_node": case.gpus_per_node,
@@ -221,128 +214,58 @@ def run_scale_case(case: ScaleCase, workdir: Path) -> dict:
         "bit_identical": bit_identical,
         "inter_node_stolen_edges": inter_node,
     }
+    entry["violations"] = scale_violations(entry)
+    entry["summary"] = scale_summary(entry)
+    return entry
 
 
-def run_scale_suite(
-    names: Optional[Sequence[str]] = None,
-    workdir: Optional[Path] = None,
-) -> dict:
-    """Run (a filtered subset of) the scale cases; return a report."""
-    import tempfile
-
-    selected = [
-        case for name, case in sorted(SCALE_CASES.items())
-        if not names or any(token in name for token in names)
-    ]
-    if not selected:
-        raise ReproError(
-            f"no scale case matches {list(names or [])!r}; "
-            f"known: {sorted(SCALE_CASES)}"
-        )
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="repro-scale-"))
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    return {
-        "schema": SCALE_SCHEMA,
-        "cases": {
-            case.name: run_scale_case(case, workdir)
-            for case in selected
-        },
-    }
+def scale_summary(entry: dict) -> str:
+    """The case's line in the ``repro bench`` table."""
+    peak = entry["peak_resident_bytes"] / max(
+        1, entry["resident_budget_bytes"]
+    )
+    return (
+        f"v-ms/Medge {entry['virtual_ms_per_edge'] * 1e6:.4f}, "
+        f"wall ovhd {entry['wall_overhead']:.1%}, "
+        f"peak/budget {peak:.0%}, "
+        f"inter-steal {entry['inter_node_stolen_edges']}"
+    )
 
 
-def _case_violations(name: str, entry: dict) -> List[str]:
+def scale_violations(entry: dict) -> List[str]:
     """Self-contained gate: the invariants every fresh run must hold."""
     problems = []
     if not entry["bit_identical"]:
-        problems.append(
-            f"{name}: sharded run is not bit-identical to in-core"
-        )
+        problems.append("sharded run is not bit-identical to in-core")
     if entry["peak_resident_bytes"] > entry["resident_budget_bytes"]:
         problems.append(
-            f"{name}: peak shard-cache bytes "
-            f"{entry['peak_resident_bytes']} exceed the "
-            f"{entry['resident_budget_bytes']}-byte budget"
+            f"peak shard-cache bytes {entry['peak_resident_bytes']} "
+            f"exceed the {entry['resident_budget_bytes']}-byte budget"
         )
     if entry["capacity_ratio"] < MIN_CAPACITY_RATIO:
         problems.append(
-            f"{name}: CSR is only {entry['capacity_ratio']:.1f}x the "
+            f"CSR is only {entry['capacity_ratio']:.1f}x the "
             f"resident budget (need >= {MIN_CAPACITY_RATIO}x)"
         )
     if entry["wall_overhead"] > WALL_OVERHEAD_THRESHOLD:
         problems.append(
-            f"{name}: sharded wall-clock ms-per-edge is "
+            "sharded wall-clock ms-per-edge is "
             f"{entry['wall_overhead']:.0%} over in-core "
             f"(threshold {WALL_OVERHEAD_THRESHOLD:.0%})"
         )
     if entry["nodes"] > 1 and entry["inter_node_stolen_edges"] == 0:
         problems.append(
-            f"{name}: multi-node run recorded no inter-node stolen "
-            "edges; two-level stealing never engaged"
+            "multi-node run recorded no inter-node stolen edges; "
+            "two-level stealing never engaged"
         )
     return problems
 
 
-def compare_scale_reports(current: dict, baseline: dict) -> List[str]:
-    """Violations of ``current`` against invariants and ``baseline``.
-
-    Virtual ms-per-edge is deterministic, so it must match the
-    committed baseline to within float-printing noise; wall-clock
-    fields are host-local and are gated against *this* run's in-core
-    arm, never against the baseline's hardware.
-    """
-    for report in (current, baseline):
-        if report.get("schema") != SCALE_SCHEMA:
-            raise ReproError(
-                f"unsupported scale report schema {report.get('schema')!r}"
-            )
-    problems: List[str] = []
-    for name, entry in sorted(current["cases"].items()):
-        problems.extend(_case_violations(name, entry))
-        base = baseline["cases"].get(name)
-        if base is None:
-            continue
-        expected = base["virtual_ms_per_edge"]
-        actual = entry["virtual_ms_per_edge"]
-        if abs(actual - expected) > VIRTUAL_TOLERANCE * max(
-            abs(expected), 1e-30
-        ):
-            problems.append(
-                f"{name}: virtual ms-per-edge {actual!r} deviates from "
-                f"the committed baseline {expected!r}"
-            )
-    return problems
-
-
-def write_scale_report(report: dict, path) -> None:
-    """Write a report as indented JSON (trailing newline included)."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_scale_report(path) -> dict:
-    """Read a report written by :func:`write_scale_report`."""
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def format_scale_report(report: dict) -> str:
-    """Human-readable table of one scale report."""
-    lines = [
-        f"{'case':18s} {'v-ms/Medge':>11s} {'wall ovhd':>10s} "
-        f"{'peak/budget':>12s} {'inter-steal':>11s}",
-    ]
-    for name, entry in sorted(report["cases"].items()):
-        peak = entry["peak_resident_bytes"] / max(
-            1, entry["resident_budget_bytes"]
-        )
-        lines.append(
-            f"{name:18s} "
-            f"{entry['virtual_ms_per_edge'] * 1e6:11.4f} "
-            f"{entry['wall_overhead']:>9.1%} "
-            f"{peak:>11.0%} "
-            f"{entry['inter_node_stolen_edges']:11d}"
-        )
-    return "\n".join(lines)
+for _case in SCALE_CASES.values():
+    BENCH_CASES[_case.name] = BenchCase(
+        name=_case.name,
+        setup=lambda case=_case: lambda: run_scale_case(case),
+        meta={"on_demand": True,
+              "deterministic": ["virtual_ms_per_edge"]},
+        timed=False,
+    )

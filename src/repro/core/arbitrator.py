@@ -64,6 +64,17 @@ from repro.runtime.scheduler import (
 
 __all__ = ["GumConfig", "GumScheduler"]
 
+#: Relative quantization width of the plan-cache and z(m) fingerprints
+#: (see ``repro.core.decision_cache.quantize``): inputs within 5% of
+#: each other share a cached decision.
+AMORTIZE_TOLERANCE = 0.05
+
+#: LRU bound on cached FSteal plans.
+PLAN_CACHE_SIZE = 64
+
+#: Seed of the simulated bandwidth micro-benchmark.
+BANDWIDTH_SEED = 0
+
 
 @dataclass
 class GumConfig:
@@ -106,12 +117,6 @@ class GumConfig:
         is the exact-mode escape hatch — every decision is recomputed
         from scratch and virtual-time results are bit-identical to the
         pre-amortization code path.
-    amortize_tolerance:
-        Relative quantization width of the plan-cache fingerprints
-        (see ``repro.core.decision_cache.quantize``); ``0`` keeps the
-        cache but only ever reuses bit-identical instances.
-    plan_cache_size:
-        LRU bound on cached plans.
     ledger:
         Record the per-decision explainability ledger (default on):
         one ``repro-ledger/1`` entry per arbitrator decision with the
@@ -123,8 +128,6 @@ class GumConfig:
         ``"modeled"`` (deterministic cost estimate — default, keeps
         runs reproducible), ``"measured"`` (charge the real wall time
         of the decision code), or ``"none"``.
-    bandwidth_seed:
-        Seed of the simulated bandwidth micro-benchmark.
     """
 
     fsteal: bool = True
@@ -141,11 +144,8 @@ class GumConfig:
     t4_hub_in_degree: int = 128
     osteal_cooldown: int = 10
     amortize: bool = True
-    amortize_tolerance: float = 0.05
-    plan_cache_size: int = 64
     ledger: bool = True
     overhead_mode: str = "modeled"
-    bandwidth_seed: int = 0
 
     def resolve_cost_model(self) -> CostModel:
         """Materialize the configured cost model."""
@@ -330,7 +330,7 @@ class GumScheduler(Scheduler):
         comm_cost = measure_comm_cost_matrix(
             topology,
             repro_config.BYTES_PER_EDGE,
-            seed=self._config.bandwidth_seed,
+            seed=BANDWIDTH_SEED,
         )
         hub_cache = (
             HubCache(context.graph, self._config.t4_hub_in_degree,
@@ -357,8 +357,8 @@ class GumScheduler(Scheduler):
             group_size=topology.num_gpus,
             plan_cache=(
                 PlanCache(
-                    max_entries=self._config.plan_cache_size,
-                    tolerance=self._config.amortize_tolerance,
+                    max_entries=PLAN_CACHE_SIZE,
+                    tolerance=AMORTIZE_TOLERANCE,
                 )
                 if self._config.amortize
                 else None
@@ -377,9 +377,7 @@ class GumScheduler(Scheduler):
                         )
                     ),
                     amortize=self._config.amortize,
-                    fingerprint_tolerance=(
-                        self._config.amortize_tolerance
-                    ),
+                    fingerprint_tolerance=AMORTIZE_TOLERANCE,
                 )
                 if self._config.ledger
                 else None
@@ -720,7 +718,7 @@ class GumScheduler(Scheduler):
         # z(m) reuse is sound only while the decision inputs are the
         # same up to tolerance: fingerprint the workload vector, the
         # per-fragment cost-model coefficients, and the sync estimate.
-        tol = self._config.amortize_tolerance
+        tol = AMORTIZE_TOLERANCE
         g_values = np.array([
             0.0 if f.total_edges == 0
             else cost_model.edge_cost_seconds(f)
@@ -1007,7 +1005,7 @@ class GumScheduler(Scheduler):
             state.comm_cost = measure_comm_cost_matrix(
                 topology,
                 repro_config.BYTES_PER_EDGE,
-                seed=self._config.bandwidth_seed,
+                seed=BANDWIDTH_SEED,
             )
         alive = chaos.alive_workers()
         if len(alive) == topology.num_gpus:

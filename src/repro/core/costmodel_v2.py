@@ -54,6 +54,7 @@ from repro.core.costmodel import (
     pretrained_default,
     rmsre,
 )
+from repro.documents import load_document
 from repro.errors import CostModelError
 from repro.obs.ledger import Ledger
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -572,24 +573,9 @@ def load_artifact(path) -> CostModel:
     ``artifact_label`` attributes, so ledgers and workload
     fingerprints can name it stably.
     """
-    try:
-        with open(path) as handle:
-            artifact = json.load(handle)
-    except OSError as exc:
-        raise CostModelError(
-            f"cannot read cost-model artifact {path}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise CostModelError(
-            f"{path}: corrupt cost-model artifact ({exc.msg})"
-        ) from exc
-    if not isinstance(artifact, dict) or \
-            artifact.get("schema") != COSTMODEL_SCHEMA:
-        raise CostModelError(
-            f"{path}: unsupported cost-model artifact schema "
-            f"{artifact.get('schema') if isinstance(artifact, dict) else None!r} "
-            f"(expected {COSTMODEL_SCHEMA!r})"
-        )
+    artifact = load_document(
+        path, COSTMODEL_SCHEMA, CostModelError, "cost-model artifact"
+    )
     family = artifact.get("family")
     params = artifact.get("parameters")
     if not isinstance(params, dict):

@@ -274,27 +274,47 @@ def _diff_bench_kind(
         raise RunRegistryError(
             "bench manifest without an embedded report cannot be diffed"
         )
-    regressions = {
-        reg.name: reg
-        for reg in perfharness.compare_reports(
+    regressed = {
+        reg.name for reg in perfharness.compare_reports(
             cur_report, base_report, threshold=threshold
         )
     }
     deltas = []
-    names = sorted(
-        set(base_report.get("benchmarks", {}))
-        & set(cur_report.get("benchmarks", {}))
-    )
-    for name in names:
-        deltas.append(MetricDelta(
-            name=f"bench.{name}.score",
-            base=float(base_report["benchmarks"][name]["score"]),
-            current=float(cur_report["benchmarks"][name]["score"]),
-            gated=True,
-            regressed=name in regressions,
-            note="machine-normalized score",
-        ))
+    base_cases = base_report.get("benchmarks", {})
+    for name, entry in sorted(cur_report.get("benchmarks", {}).items()):
+        if name not in base_cases:
+            continue
+        before = _bench_metrics(base_cases[name])
+        for key, (after, note) in _bench_metrics(entry).items():
+            if key in before:
+                deltas.append(MetricDelta(
+                    name=f"bench.{name}.{key}",
+                    base=before[key][0],
+                    current=after,
+                    gated=True,
+                    regressed=name in regressed,
+                    note=note,
+                ))
     return deltas
+
+
+def _bench_metrics(entry: Dict) -> Dict[str, tuple]:
+    """``{key: (value, note)}`` one bench report entry contributes.
+
+    A timed case diffs its score; a measured one the fields it declares
+    deterministic plus how many of its invariants it violated.
+    """
+    if "score" in entry:
+        return {"score": (float(entry["score"]),
+                          "machine-normalized score")}
+    metrics = {
+        key: (float(entry[key]), "deterministic")
+        for key in entry.get("meta", {}).get("deterministic", ())
+        if key in entry
+    }
+    metrics["violations"] = (float(len(entry.get("violations", ()))),
+                             "invariant violations")
+    return metrics
 
 
 def diff_manifests(

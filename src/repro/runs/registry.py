@@ -37,7 +37,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import __version__, config
+from repro.documents import load_document
 from repro.errors import RunRegistryError
+from repro.obs.ledger import LEDGER_SCHEMA
 from repro.runtime.metrics import RunResult
 from repro.runtime.trace import load_trace, save_trace
 
@@ -287,11 +289,12 @@ class RunRegistry:
             if not manifest_path.is_file():
                 continue
             try:
-                manifest = json.loads(manifest_path.read_text())
-            except json.JSONDecodeError:
+                loaded.append(load_document(
+                    manifest_path, RUN_SCHEMA, RunRegistryError,
+                    "manifest",
+                ))
+            except RunRegistryError:
                 continue
-            if manifest.get("schema") == RUN_SCHEMA:
-                loaded.append(manifest)
         loaded.sort(key=lambda m: (m.get("created_unix", 0.0),
                                    m.get("id", "")))
         return loaded
@@ -336,19 +339,10 @@ class RunRegistry:
 
     def load_manifest(self, ref: str) -> Dict:
         """Manifest of one run (see :meth:`resolve` for references)."""
-        manifest_path = self.resolve(ref) / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise RunRegistryError(
-                f"{manifest_path}: corrupt manifest ({exc.msg})"
-            ) from exc
-        if manifest.get("schema") != RUN_SCHEMA:
-            raise RunRegistryError(
-                f"{manifest_path}: unsupported manifest schema "
-                f"{manifest.get('schema')!r} (expected {RUN_SCHEMA})"
-            )
-        return manifest
+        return load_document(
+            self.resolve(ref) / MANIFEST_NAME, RUN_SCHEMA,
+            RunRegistryError, "manifest",
+        )
 
     def load_run_trace(self, ref: str) -> Tuple[Dict, List[Dict]]:
         """``(header, iteration_records)`` of a recorded run's trace."""
@@ -392,12 +386,9 @@ class RunRegistry:
                 f"({LEDGER_NAME} missing — stateless policy or "
                 f"recording disabled)"
             )
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise RunRegistryError(
-                f"{path}: corrupt ledger ({exc.msg})"
-            ) from exc
+        return load_document(
+            path, LEDGER_SCHEMA, RunRegistryError, "ledger"
+        )
 
     # -- maintenance ----------------------------------------------------
     def gc(self, keep: int = 20, dry_run: bool = False) -> List[str]:

@@ -13,6 +13,16 @@ def test_bench_list_cases(capsys):
     names = capsys.readouterr().out.split()
     assert names == sorted(names)
     assert set(names) == set(perfharness.BENCH_CASES)
+    # the measured families are listed next to the timed cases ...
+    for family in ("scale.bfs.2x4", "costmodel.refit_loop",
+                   "replay.bit_identity"):
+        assert family in names
+    # ... but an unfiltered run is exactly the timed set the committed
+    # hot-path baseline was recorded over
+    baseline = perfharness.load_report("benchmarks/perf/baseline.json")
+    assert {case.name for case in perfharness.select_cases()} == \
+        set(baseline["benchmarks"])
+    assert all(case.timed for case in perfharness.select_cases())
     # the ISSUE-4 decision-path cases are registered
     assert "decision.iteration.cold.tailTX.8gpu" in names
     assert "decision.iteration.amortized.tailTX.8gpu" in names
@@ -53,6 +63,35 @@ def test_bench_filter_unknown_substring_errors(tmp_path, capsys):
     ])
     assert code == 2
     assert "no benchmark case" in capsys.readouterr().err
+
+
+def test_bench_measured_case_gates_on_its_own_violations(
+    tmp_path, capsys, monkeypatch
+):
+    entry = {"answer": 42, "violations": [], "summary": "answer 42"}
+    monkeypatch.setitem(
+        perfharness.BENCH_CASES, "stub.measured",
+        perfharness.BenchCase(
+            name="stub.measured", setup=lambda: lambda: entry,
+            meta={"on_demand": True}, timed=False,
+        ),
+    )
+    argv = [
+        "bench", "--filter", "stub.measured",
+        "--out", str(tmp_path / "bench.json"),
+        "--baseline", str(tmp_path / "absent.json"),
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "answer 42" in out and "calibration" not in out
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["benchmarks"]["stub.measured"]["answer"] == 42
+    # a violated invariant is exit 1 even with nothing committed to
+    # compare against (the costmodel.*/replay.* gates work this way)
+    entry["violations"] = ["the answer is wrong"]
+    assert main(argv) == 1
+    assert "stub.measured: the answer is wrong" in \
+        capsys.readouterr().err
 
 
 def test_run_json_reports_decision_cache(capsys):

@@ -144,6 +144,12 @@ def test_corrupt_manifest_rejected(registry, recorded):
     path.write_text("{not json")
     with pytest.raises(RunRegistryError, match="corrupt"):
         registry.load_manifest(str(registry.root / recorded))
+    # valid JSON that is not an object is just as unusable, and a
+    # listing skips it like any other broken manifest
+    path.write_text("[]")
+    with pytest.raises(RunRegistryError, match="JSON object"):
+        registry.load_manifest(str(registry.root / recorded))
+    assert registry.manifests() == []
 
 
 def test_wrong_schema_rejected(registry, recorded):
@@ -256,6 +262,20 @@ def test_diff_bench_kind_uses_perfharness_guards(registry):
     # identical bench reports are clean
     assert diff_manifests(registry.load_manifest(base_id),
                           registry.load_manifest(base_id)).ok
+    # a measured case diffs on its deterministic fields and violations
+    report["benchmarks"]["scale.x"] = {
+        "virtual_ms_per_edge": 1e-3, "wall_overhead": 0.1,
+        "violations": [], "meta": {
+            "deterministic": ["virtual_ms_per_edge"]}}
+    base_id = registry.record_bench(report)
+    drifted = copy.deepcopy(report)
+    drifted["benchmarks"]["scale.x"]["virtual_ms_per_edge"] = 1.1e-3
+    drifted["benchmarks"]["scale.x"]["violations"] = ["lost identity"]
+    diff = diff_manifests(registry.load_manifest(base_id), registry.
+                          load_manifest(registry.record_bench(drifted)))
+    assert [d.name for d in diff.regressions] == [
+        "bench.scale.x.virtual_ms_per_edge", "bench.scale.x.violations",
+    ]
 
 
 def test_diff_as_dict_is_json(registry, recorded):

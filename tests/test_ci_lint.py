@@ -4,8 +4,10 @@ Workflow jobs are copy-paste-prone: a job that omits
 ``timeout-minutes`` hangs for GitHub's six-hour default, and a job
 that hand-rolls the setup preamble instead of using the
 ``.github/actions/setup-repro`` composite action drifts away from the
-others. These tests prove the checker detects both failure modes and
-that the committed workflows are currently clean.
+others, and a step that invokes a ``python -m repro`` subcommand the
+CLI no longer defines only fails once the job runs. These tests prove
+the checker detects all three failure modes and that the committed
+workflows are currently clean.
 """
 
 import pathlib
@@ -122,6 +124,39 @@ def test_both_violations_report_separately(tmp_path):
         tmp_path,
     )
     assert len(violations) == 2
+
+
+def test_bench_is_the_only_bench_verb():
+    # scale.* and costmodel.* are `repro bench` case families now
+    from repro.cli import build_parser
+
+    verbs = check_ci._subcommands(build_parser())
+    assert "bench" in verbs and "scale" not in verbs
+    assert set(check_ci._subcommands(verbs["costmodel"])) == {"fit"}
+
+
+def test_removed_cli_verb_is_flagged(tmp_path):
+    violations = _check(
+        """
+        jobs:
+          stale:
+            runs-on: ubuntu-latest
+            timeout-minutes: 10
+            steps:
+              - uses: actions/checkout@v4
+              - uses: ./.github/actions/setup-repro
+              - run: |
+                  python -m repro bench --filter scale.bfs.2x4 \\
+                    --out BENCH_scale.json
+                  python -m repro scale --filter scale.bfs.2x4
+                  python -m repro runs diff a b
+              - run: python -m repro costmodel bench --out B.json
+        """,
+        tmp_path,
+    )
+    assert [v[1] for v in violations] == ["stale", "stale"]
+    assert "'repro scale'" in violations[0][2]
+    assert "'repro costmodel bench'" in violations[1][2]
 
 
 def test_unparseable_workflow_is_a_violation(tmp_path):

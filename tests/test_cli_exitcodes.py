@@ -18,6 +18,22 @@ REFERENCE_RUN = str(
     / "benchmarks" / "reference" / "tx-bfs-4gpu"
 )
 
+
+def _file(path, text):
+    """Write a malformed input file; returns its path as an argv word."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return str(path)
+
+
+def _bench_against(baseline):
+    return [
+        "bench", "--filter", "assembly.dense", "--repeats", "1",
+        "--out", str(Path(baseline).with_name("bench.json")),
+        "--baseline", baseline,
+    ]
+
+
 # each entry: (id, argv builder taking the tmp registry dir)
 CASES = [
     ("run-chaos-missing", lambda d: [
@@ -37,6 +53,15 @@ CASES = [
         "bench", "--filter", "zzz-no-such-case",
         "--out", str(d / "bench.json"), "--no-compare",
     ]),
+    ("bench-baseline-truncated", lambda d: _bench_against(
+        _file(d / "base.json", '{"schema": "repro-bench/1", "benchm')
+    )),
+    ("bench-baseline-not-an-object", lambda d: _bench_against(
+        _file(d / "base.json", "[]")
+    )),
+    ("bench-baseline-without-benchmarks", lambda d: _bench_against(
+        _file(d / "base.json", '{"schema": "repro-bench/1"}')
+    )),
     ("runs-record-chaos-missing", lambda d: [
         "runs", "record", "--graph", "TX", "--algorithm", "bfs",
         "--gpus", "2", "--runs-dir", str(d),
@@ -44,6 +69,10 @@ CASES = [
     ]),
     ("runs-show-unknown-ref", lambda d: [
         "runs", "show", "zzz-unknown", "--runs-dir", str(d),
+    ]),
+    ("runs-show-manifest-not-an-object", lambda d: [
+        "runs", "show", _file(d / "run" / "manifest.json", "[]"),
+        "--runs-dir", str(d),
     ]),
     ("runs-analyze-unknown-ref", lambda d: [
         "runs", "analyze", "zzz-unknown", "--runs-dir", str(d),

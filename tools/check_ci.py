@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the CI workflows on the shared rails.
 
-Two failure modes creep into GitHub Actions workflows as jobs are
+Three failure modes creep into GitHub Actions workflows as jobs are
 copy-pasted and then drift:
 
 * a job without ``timeout-minutes`` hangs for GitHub's six-hour
@@ -11,11 +11,16 @@ copy-pasted and then drift:
   pip cache, install) instead of using the shared
   ``.github/actions/setup-repro`` composite action silently diverges —
   a Python bump or an install-flag fix lands in four jobs and misses
-  the fifth.
+  the fifth;
+* a step that still runs ``python -m repro <verb>`` after the verb was
+  folded into another one only fails once the job runs, on someone
+  else's PR.
 
 This checker parses every workflow under ``.github/workflows`` and
-requires each job to declare ``timeout-minutes`` and each job that
-defines steps to invoke the composite action. ``reusable-workflow``
+requires each job to declare ``timeout-minutes``, each job that
+defines steps to invoke the composite action, and every
+``python -m repro ...`` invocation in a ``run:`` script to name
+subcommands ``repro.cli.build_parser()`` defines. ``reusable-workflow``
 jobs (``uses:`` at the job level, no ``steps``) only need the
 timeout where GitHub allows one, so they are exempt from the action
 requirement.
@@ -26,11 +31,19 @@ Usage: ``python tools/check_ci.py [workflow.yml ...]`` (defaults to
 
 from __future__ import annotations
 
+import argparse
+import functools
 import pathlib
+import re
 import sys
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import yaml
+
+# the lint runs from a bare checkout too, not only an installed one
+sys.path.insert(
+    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
+)
 
 #: the shared preamble every step-defining job must run
 SETUP_ACTION = "./.github/actions/setup-repro"
@@ -50,6 +63,48 @@ def _job_uses_action(job: dict, action: str = SETUP_ACTION) -> bool:
         if isinstance(uses, str) and uses.split("@")[0] == action:
             return True
     return False
+
+
+def _subcommands(
+    parser: argparse.ArgumentParser,
+) -> Optional[Dict[str, argparse.ArgumentParser]]:
+    """``{verb: sub-parser}`` of a parser, or None if it has no verbs."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _cli_parser() -> argparse.ArgumentParser:
+    from repro.cli import build_parser
+
+    return build_parser()
+
+
+_REPRO_CALL = re.compile(r"python3?\s+-m\s+repro[ \t]+([^|;&\n]*)")
+
+
+def unknown_cli_verbs(script: str) -> List[str]:
+    """``repro`` invocations in a ``run:`` script the CLI would reject.
+
+    Follows each ``python -m repro`` call down the sub-parser tree
+    (``runs diff``, ``costmodel fit``) and returns the offending
+    command prefixes, e.g. ``["repro costmodel bench"]``.
+    """
+    unknown = []
+    for call in _REPRO_CALL.findall(script.replace("\\\n", " ")):
+        verbs = _subcommands(_cli_parser())
+        path = ["repro"]
+        for word in call.split():
+            if verbs is None or word.startswith("-"):
+                break
+            path.append(word)
+            if word not in verbs:
+                unknown.append(" ".join(path))
+                break
+            verbs = _subcommands(verbs[word])
+    return unknown
 
 
 def check_workflow(path: pathlib.Path) -> List[Violation]:
@@ -85,6 +140,14 @@ def check_workflow(path: pathlib.Path) -> List[Violation]:
                 "(shared setup preamble; see "
                 ".github/actions/setup-repro/action.yml)",
             ))
+        for step in job.get("steps") or []:
+            script = step.get("run") if isinstance(step, dict) else None
+            for command in unknown_cli_verbs(script or ""):
+                violations.append((
+                    path, name,
+                    f"runs {command!r}, which is not a subcommand "
+                    "repro.cli.build_parser() defines",
+                ))
     return violations
 
 
