@@ -1,29 +1,25 @@
 """Workload preparation for the benchmark harness.
 
-Centralizes everything the experiment scripts share: engine factories,
-per-algorithm graph preparation (symmetrize for WCC, weights for SSSP),
-deterministic source selection, and partition caching — so every
-experiment compares the same inputs across systems, as the paper does.
+Centralizes everything the experiment scripts share: the engine table
+(:func:`repro.facade.make_engine`, re-exported here), per-algorithm
+graph preparation (symmetrize for WCC, weights for SSSP), deterministic
+source selection, and partition caching — so every experiment compares
+the same inputs across systems, as the paper does.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.algorithms import ALGORITHMS, make_algorithm
-from repro.baselines import GrouteEngine, GunrockEngine, PeekStealScheduler
-from repro.core import GumConfig, GumEngine
 from repro.errors import EngineError
+from repro.facade import make_engine
 from repro.graph import datasets, symmetrize, with_random_weights
 from repro.graph.csr import CSRGraph
-from repro.hardware import Topology, dgx1
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.partition import Partition, make_partition
-from repro.runtime import BSPEngine, EngineOptions
 
 __all__ = [
     "prepare_graph",
@@ -96,73 +92,3 @@ def algorithm_params(algorithm: str, abbr: str) -> dict:
     if algorithm not in ALGORITHMS:
         raise EngineError(f"unknown algorithm {algorithm!r}")
     return {}
-
-
-def make_engine(
-    name: str,
-    num_gpus: int = 8,
-    gum_config: Optional[GumConfig] = None,
-    options: Optional[EngineOptions] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    chaos=None,
-    topology: Optional[Topology] = None,
-):
-    """Engine factory for the benchmark matrix.
-
-    Names: ``gum``, ``gunrock``, ``groute``, plus the ablation arms
-    ``gum-nosteal`` (GUM plumbing, stealing off) and ``bsp`` (plain
-    static BSP engine without any Gunrock algorithm tricks). A tracer
-    and/or metrics registry attaches to any of them; a
-    :class:`~repro.chaos.ChaosController` attaches to every BSP-based
-    engine (Groute's asynchronous runtime has no superstep boundary to
-    inject at, so it rejects chaos). An explicit ``topology`` (e.g. a
-    :func:`repro.hardware.cluster` preset) replaces the default
-    ``num_gpus``-GPU DGX-1 sub-topology; its GPU count must equal
-    ``num_gpus`` since the partition is built for that many workers.
-    """
-    if topology is None:
-        topology = dgx1(num_gpus)
-    elif topology.num_gpus != num_gpus:
-        raise EngineError(
-            f"topology {topology.name!r} carries {topology.num_gpus} "
-            f"GPUs but the benchmark cell asks for {num_gpus}"
-        )
-    obs = {"tracer": tracer, "metrics": metrics}
-    if chaos is not None:
-        if name == "groute":
-            raise EngineError(
-                "fault injection requires a BSP-style engine; "
-                "groute's asynchronous runtime is not supported"
-            )
-        obs["chaos"] = chaos
-    if name == "gum":
-        return GumEngine(topology, config=gum_config, options=options,
-                         **obs)
-    if name == "gum-nosteal":
-        config = gum_config or GumConfig()
-        config = GumConfig(
-            fsteal=False, osteal=False, hub_cache=False,
-            cost_model="uniform", solver=config.solver,
-        )
-        return GumEngine(topology, config=config, options=options, **obs)
-    if name == "gunrock":
-        return GunrockEngine(topology, options=options, **obs)
-    if name == "groute":
-        if options is not None and options.backend != "serial":
-            raise EngineError(
-                "execution backends require a BSP-style engine; "
-                "groute's asynchronous runtime is not supported"
-            )
-        return GrouteEngine(topology, **obs)
-    if name == "bsp":
-        return BSPEngine(topology, options=options, name="bsp", **obs)
-    if name == "peeksteal":
-        return BSPEngine(
-            topology, scheduler=PeekStealScheduler(), options=options,
-            name="peeksteal", **obs,
-        )
-    raise EngineError(
-        f"unknown engine {name!r}; known: "
-        f"{ENGINE_NAMES + ('gum-nosteal', 'bsp', 'peeksteal')}"
-    )

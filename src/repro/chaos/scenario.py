@@ -55,11 +55,11 @@ Fault kinds
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.documents import load_json
 from repro.errors import FaultInjectionError
 
 __all__ = ["FaultSpec", "ChaosScenario", "SCHEMA_VERSION", "FAULT_KINDS"]
@@ -250,18 +250,7 @@ class ChaosScenario:
     def from_file(cls, path: Union[str, Path]) -> "ChaosScenario":
         """Load a scenario JSON file; schema errors name the file."""
         path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise FaultInjectionError(
-                f"cannot read chaos scenario {path}: {exc}"
-            ) from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultInjectionError(
-                f"chaos scenario {path} is not valid JSON: {exc}"
-            ) from exc
+        payload = load_json(path, FaultInjectionError, "chaos scenario")
         try:
             scenario = cls.from_dict(payload)
         except FaultInjectionError as exc:

@@ -13,8 +13,9 @@ GUM. Each iteration it:
 
 The arbitrator estimates the synchronization parameter ``p`` from
 observed iterations and charges its own decision latency into the
-virtual clock (``overhead_mode``: a deterministic model by default,
-the measured wall time of the decision code if requested, or nothing).
+virtual clock from a deterministic model (Table IV); the host time the
+decision really took is reported beside it as
+``real_decision_seconds`` and never enters virtual time.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.decision_cache import (
 )
 from repro.core.hubcache import HubCache
 from repro.core.milp import FStealProblem, FStealSolution, make_solver
-from repro.core.osteal import plan_osteal
+from repro.core.osteal import OStealDecision, plan_osteal
 from repro.core.reduction_tree import ReductionTree, make_reduction_tree
 from repro.errors import EngineError
 from repro.hardware.microbench import measure_comm_cost_matrix
@@ -124,10 +125,6 @@ class GumConfig:
         predicted-vs-measured cost audit. Entries hold virtual-clock
         and model quantities only, so recording never perturbs
         simulated time; ``repro explain`` renders the result.
-    overhead_mode:
-        ``"modeled"`` (deterministic cost estimate — default, keeps
-        runs reproducible), ``"measured"`` (charge the real wall time
-        of the decision code), or ``"none"``.
     """
 
     fsteal: bool = True
@@ -145,7 +142,6 @@ class GumConfig:
     osteal_cooldown: int = 10
     amortize: bool = True
     ledger: bool = True
-    overhead_mode: str = "modeled"
 
     def resolve_cost_model(self) -> CostModel:
         """Materialize the configured cost model."""
@@ -214,6 +210,8 @@ class _RunState:
     # --- decision ledger ----------------------------------------------
     ledger: Optional[Ledger] = None
     ledger_instruments: Optional[tuple] = None
+    # whether anything reads the prediction audit (ledger or metrics)
+    audit: bool = False
     # --- hierarchical two-level stealing ------------------------------
     # GPU -> node assignment and per-node representative ids, set only
     # on multi-node topologies; None keeps single-node planning
@@ -301,6 +299,58 @@ class _PredictionMemo:
         return getattr(self._model, name)
 
 
+@dataclass(slots=True)
+class _Decision:
+    """One ``plan`` call's working record, filled stage by stage.
+
+    ``solution`` is the ``X`` that gets realized (``None`` means
+    owner-local processing); ``solved`` is what FSteal priced before
+    the gate, kept so the ledger can show a rejected plan.
+    ``samples`` and the host-clock ``*_host_seconds`` fields exist for
+    :meth:`GumScheduler._record` alone.
+    """
+
+    iteration: int
+    workloads: np.ndarray
+    features: list
+    cost_model: _PredictionMemo
+    overhead: float  # modeled decision seconds charged so far
+    samples: List[tuple] = field(default_factory=list)
+    osteal: Optional[OStealDecision] = None
+    prev_group_size: int = 0
+    osteal_host_seconds: float = 0.0
+    solution: Optional[FStealSolution] = None
+    solved: Optional[FStealSolution] = None
+    fsteal_host_seconds: Optional[float] = None
+    fsteal_overhead: float = 0.0
+    static_makespan: Optional[float] = None
+    gain: Optional[float] = None
+    chunks: List[WorkChunk] = field(default_factory=list)
+    stolen_edges: int = 0
+    migrated: int = 0
+    inter_node_stolen: int = 0
+
+
+#: Run-summary key -> live counter name of each amortization counter.
+_DECISION_COUNTERS = {
+    "warm_accepts": "decision.warm.accepts",
+    "osteal_z_reused": "decision.osteal.z_reused",
+    "osteal_z_evaluated": "decision.osteal.z_evaluated",
+    "osteal_invalidations": "decision.osteal.invalidations",
+    "hits": "decision.cache.hits",
+    "misses": "decision.cache.misses",
+    "invalidations": "decision.cache.invalidations",
+    "evictions": "decision.cache.evictions",
+}
+
+
+def _raise_counter(counter, total) -> None:
+    """Bring a monotone registry counter up to a cumulative ``total``."""
+    delta = float(total) - counter.value()
+    if delta > 0:
+        counter.inc(delta)
+
+
 class GumScheduler(Scheduler):
     """The GUM coordinator policy (OSteal before FSteal, Section V)."""
 
@@ -382,6 +432,7 @@ class GumScheduler(Scheduler):
                 if self._config.ledger
                 else None
             ),
+            audit=self._config.ledger or context.metrics.enabled,
         )
         if topology.num_nodes > 1:
             self._state.worker_nodes = np.asarray(
@@ -403,255 +454,374 @@ class GumScheduler(Scheduler):
         workloads: np.ndarray,
         context: RunContext,
     ) -> IterationPlan:
-        """Produce this iteration's work assignment."""
+        """Produce this iteration's work assignment.
+
+        Five stages fill one :class:`_Decision`: :meth:`_audit` →
+        :meth:`_decide_osteal` → :meth:`_decide_fsteal` →
+        :meth:`_realize` → :meth:`_record`. Only the last one talks to
+        the run's observers, so nothing recorded can steer a decision.
+        """
         state = self._state
         if state is None:
             raise EngineError("scheduler used before begin_run")
-        tracer, metrics = context.tracer, context.metrics
         started = time.perf_counter()
-        modeled_overhead = 0.0
-        num_workers = context.num_workers
+        d = self._audit(iteration, fragment_frontiers, workloads, context)
+        self._decide_osteal(d, context)
+        self._decide_fsteal(d, context)
+        if context.chaos is not None:
+            # each injected solver timeout burned the abandoned solve's
+            # budget before a fallback backend could take over
+            d.overhead += (
+                SOLVER_TIMEOUT_SECONDS
+                * context.chaos.drain_timeout_charges()
+            )
+        d.chunks = self._realize(
+            context, fragment_frontiers, workloads, d.solution
+        )
+        real_elapsed = time.perf_counter() - started
+        self._record(d, context)
+        return IterationPlan(
+            chunks=d.chunks,
+            active_workers=list(state.active),
+            decision_seconds=d.overhead,
+            real_decision_seconds=real_elapsed,
+            fsteal_applied=d.solution is not None,
+            osteal_group_size=state.group_size,
+            stolen_edges=d.stolen_edges,
+            migrated_vertices=d.migrated,
+        )
+
+    # --- stage 1: features + prediction audit -------------------------
+    def _audit(
+        self,
+        iteration: int,
+        fragment_frontiers: Sequence[Frontier],
+        workloads: np.ndarray,
+        context: RunContext,
+    ) -> _Decision:
+        """Open the decision: frontier features and the model audit.
+
+        The audit scores the learned ``g`` against ground truth, one
+        sample per fragment with active edges — exactly the granularity
+        the FSteal coefficients use, so the running RMSRE is the
+        deployment-time counterpart of Table V's training loss. It
+        runs only when something will read it (``state.audit``); the
+        samples are kept in feed order so the ledger's final RMSRE
+        reconstructs bit-identically from its entries.
+        """
+        state = self._state
         # memoized on the frontier objects: the engine prices the plan
         # from these same features, so the scan happens exactly once
         features = [
             frontier.features(context.graph)
             for frontier in fragment_frontiers
         ]
-        # feature extraction is a scan over active vertices (Exp-3)
-        total_frontier = int(sum(f.size for f in features))
-        modeled_overhead += 2.5e-8 * total_frontier
+        d = _Decision(
+            iteration=iteration,
+            workloads=workloads,
+            features=features,
+            cost_model=_PredictionMemo(self._cost_model),
+            # feature extraction is a scan over active vertices (Exp-3)
+            overhead=2.5e-8 * int(sum(f.size for f in features)),
+        )
+        if not state.audit:
+            return d
+        device = context.timing.device_model
+        for fragment, feats in enumerate(features):
+            if workloads[fragment] == 0 or feats.total_edges == 0:
+                continue
+            predicted = d.cost_model.edge_cost_seconds(feats)
+            actual = device.true_edge_cost(feats)
+            state.online_rmsre.update(predicted, actual)
+            # the worker is read now: OSteal may re-own the fragment
+            d.samples.append((
+                fragment, int(context.fragment_worker[fragment]),
+                feats, predicted, actual,
+            ))
+        return d
 
-        cost_model = _PredictionMemo(self._cost_model)
+    # --- stage 2: ownership stealing ----------------------------------
+    def _decide_osteal(self, d: _Decision, context: RunContext) -> None:
+        """Re-evaluate the group size when the long-tail trigger fires."""
+        state = self._state
+        cooldown = self._config.osteal_cooldown
+        total_workload = int(d.workloads.sum())
+        if not (self._config.osteal and self._osteal_triggered(
+            d.iteration, state, total_workload
+        )):
+            return
+        d.prev_group_size = state.group_size
+        with context.tracer.span(
+            "gum.osteal", track="coordinator", cat="osteal",
+            iteration=d.iteration, workload=total_workload,
+        ) as span:
+            solve_started = time.perf_counter()
+            pick = d.osteal = self._plan_osteal(d, context)
+            span.set(
+                group_size=pick.group_size,
+                prev_group_size=d.prev_group_size,
+                estimated_cost=pick.estimated_cost,
+                estimated_kernel=pick.estimated_kernel,
+                p_estimate=state.p_estimate,
+            )
+            d.osteal_host_seconds = time.perf_counter() - solve_started
+        if self._config.amortize:
+            # charge only the solves actually performed: the bracket
+            # search + z-cache makes most sizes free
+            d.overhead += self._OSTEAL_EVAL_SECONDS * pick.evaluated_sizes
+        else:
+            d.overhead += self._modeled_osteal_seconds(context.num_workers)
+        state.last_osteal_iteration = d.iteration
+        state.workload_at_decision = total_workload
+        if pick.group_size != state.group_size:
+            state.osteal_backoff = cooldown
+        else:
+            # stable decision: back off exponentially so long tails are
+            # not charged an enumeration every few iterations
+            state.osteal_backoff = min(
+                max(state.osteal_backoff, cooldown) * 2, 8 * cooldown
+            )
+        state.group_size = pick.group_size
+        state.active = pick.active_workers
+        context.fragment_worker[:] = pick.ownership
+        d.solution = pick.fsteal
+
+    # --- stage 3: frontier stealing -----------------------------------
+    def _decide_fsteal(self, d: _Decision, context: RunContext) -> None:
+        """Solve (or adopt OSteal's) ``X`` and pass it through the gate."""
+        state = self._state
+        if not (self._config.fsteal and self._fsteal_triggered(
+            d.workloads, context, state
+        )):
+            # FSteal is off or its thresholds are unmet: owner-local
+            # processing, even when OSteal just enumerated an X
+            d.solution = None
+            return
+        costs = None
+        if d.solution is None:
+            with context.tracer.span(
+                "gum.fsteal.milp", track="coordinator", cat="fsteal",
+                iteration=d.iteration,
+                solver=getattr(state.solver, "name",
+                               type(state.solver).__name__),
+            ) as span:
+                solve_started = time.perf_counter()
+                costs = build_cost_matrix(
+                    state.comm_cost,
+                    d.features,
+                    d.cost_model,
+                    context.fragment_home,
+                    allowed_workers=state.active,
+                    worker_nodes=state.worker_nodes,
+                    node_representatives=state.node_reps,
+                )
+                d.solution = self._solve(FStealProblem(costs, d.workloads))
+                span.set(
+                    objective=d.solution.objective,
+                    solver=d.solution.solver,
+                    warm_started=d.solution.warm_started,
+                )
+                d.fsteal_host_seconds = time.perf_counter() - solve_started
+        d.solved = d.solution
+        modeled = (
+            self._modeled_fsteal_cache_seconds
+            if d.solved.solver == "plan-cache"
+            else self._modeled_fsteal_seconds
+        )
+        d.fsteal_overhead = modeled(context.num_workers)
+        d.overhead += d.fsteal_overhead
+        # cost-based gate (Example 5's spirit, made quantitative):
+        # commit only when the predicted makespan gain covers the
+        # decision overhead — near-balanced iterations stay put
+        if costs is not None:
+            d.static_makespan = self._static_makespan(
+                costs, d.workloads, context.fragment_worker
+            )
+            d.gain = d.static_makespan - d.solved.objective
+            if d.gain <= d.fsteal_overhead:
+                d.solution = None
+
+    # --- stage 4: realize the decision as engine chunks ---------------
+    def _realize(
+        self,
+        context: RunContext,
+        fragment_frontiers: Sequence[Frontier],
+        workloads: np.ndarray,
+        solution: Optional[FStealSolution],
+    ) -> List[WorkChunk]:
+        """Turn the decided ``X`` into engine chunks.
+
+        Without a solution every fragment is one whole assignment to
+        the worker that currently owns it; with one, each quota row is
+        sliced by Algorithm 1. Either way a chunk is built the same.
+        """
+        chunks: List[WorkChunk] = []
+        for fragment, frontier in enumerate(fragment_frontiers):
+            load = int(workloads[fragment])
+            if not frontier and load == 0:
+                continue
+            if solution is None:
+                items = [VertexAssignment(
+                    owner=fragment,
+                    worker=int(context.fragment_worker[fragment]),
+                    vertices=frontier.vertices,
+                    edges=load,
+                )]
+            else:
+                items = self._fragment_assignments(
+                    context.graph, fragment, frontier,
+                    solution.assignment[fragment], load,
+                )
+            for item in items:
+                chunks.append(WorkChunk(
+                    owner=item.owner,
+                    worker=item.worker,
+                    vertices=item.vertices,
+                    edges=item.edges,
+                    hub_edges=self._hub_edges(
+                        context, item.owner, item.worker, item.vertices
+                    ),
+                ))
+        return chunks
+
+    # --- stage 5: the one place observers are fed ---------------------
+    def _record(self, d: _Decision, context: RunContext) -> None:
+        """Feed the finished decision to the metrics and the ledger.
+
+        The only stage that touches ``context.metrics`` or the ledger's
+        recording protocol (``begin`` → samples → ``record_osteal`` →
+        ``record_fsteal`` → ``commit``, the order ``reconstruct_rmsre``
+        relies on). Steal totals are derived from the realized chunks.
+        """
+        state = self._state
         ledger = state.ledger
+        metrics = context.metrics if context.metrics.enabled else None
+        self._tally_steals(d, context, metrics)
         if ledger is not None:
             ledger.begin(
-                iteration,
-                workloads,
-                fingerprint=self._ledger_fingerprint(features, workloads),
+                d.iteration,
+                d.workloads,
+                fingerprint=self._ledger_fingerprint(
+                    d.features, d.workloads
+                ),
             )
-        if metrics.enabled or ledger is not None:
-            self._observe_cost_model(
-                context, features, workloads, cost_model
-            )
-
-        fsteal_solution = None
-
-        # --- Step 2: ownership stealing -------------------------------
-        total_workload = int(workloads.sum())
-        if self._config.osteal and self._osteal_triggered(
-            iteration, state, total_workload
-        ):
-            with tracer.span(
-                "gum.osteal", track="coordinator", cat="osteal",
-                iteration=iteration, workload=total_workload,
-            ) as osteal_span:
-                solve_started = time.perf_counter()
-                decision = self._plan_osteal(
-                    features, workloads, context, tracer, cost_model
-                )
-                osteal_span.set(
-                    group_size=decision.group_size,
-                    prev_group_size=state.group_size,
-                    estimated_cost=decision.estimated_cost,
-                    estimated_kernel=decision.estimated_kernel,
-                    p_estimate=state.p_estimate,
-                )
-            if ledger is not None:
-                candidates = num_workers
-                if (context.chaos is not None
-                        and context.chaos.dead_workers):
-                    candidates = len(context.chaos.alive_workers())
+            for sample in d.samples:
+                ledger.record_sample(*sample)
+            if d.osteal is not None:
                 ledger.record_osteal(
-                    group_size=decision.group_size,
-                    prev_group_size=state.group_size,
-                    candidates=candidates,
-                    evaluated_sizes=decision.evaluated_sizes,
-                    reused_sizes=decision.reused_sizes,
-                    estimated_cost=decision.estimated_cost,
-                    estimated_kernel=decision.estimated_kernel,
+                    group_size=d.osteal.group_size,
+                    prev_group_size=d.prev_group_size,
+                    candidates=len(self._candidate_sizes(context)),
+                    evaluated_sizes=d.osteal.evaluated_sizes,
+                    reused_sizes=d.osteal.reused_sizes,
+                    estimated_cost=d.osteal.estimated_cost,
+                    estimated_kernel=d.osteal.estimated_kernel,
                     p_estimate=state.p_estimate,
                 )
-            if metrics.enabled:
-                metrics.counter("osteal.evaluations").inc()
-                metrics.histogram(
-                    "osteal.solve_seconds",
-                    "host wall time of Algorithm 2 enumerations",
-                ).observe(time.perf_counter() - solve_started)
-                if decision.group_size != state.group_size:
-                    metrics.counter("osteal.group_changes").inc()
-            if self._config.amortize:
-                # charge only the solves actually performed: the
-                # bracket search + z-cache makes most sizes free
-                modeled_overhead += (
-                    self._OSTEAL_EVAL_SECONDS * decision.evaluated_sizes
-                )
-            else:
-                modeled_overhead += self._modeled_osteal_seconds(
-                    num_workers
-                )
-            state.last_osteal_iteration = iteration
-            state.workload_at_decision = total_workload
-            if decision.group_size != state.group_size:
-                state.osteal_backoff = self._config.osteal_cooldown
-            else:
-                # stable decision: back off exponentially so long tails
-                # are not charged an enumeration every few iterations
-                state.osteal_backoff = min(
-                    max(state.osteal_backoff,
-                        self._config.osteal_cooldown) * 2,
-                    8 * self._config.osteal_cooldown,
-                )
-            state.group_size = decision.group_size
-            state.active = decision.active_workers
-            context.fragment_worker[:] = decision.ownership
-            fsteal_solution = decision.fsteal
-
-        # --- Step 3: frontier stealing --------------------------------
-        fsteal_applied = False
-        if self._config.fsteal and self._fsteal_triggered(
-            workloads, context, state
-        ):
-            costs_used = None
-            static = gain = None
-            if fsteal_solution is None:
-                with tracer.span(
-                    "gum.fsteal.milp", track="coordinator", cat="fsteal",
-                    iteration=iteration,
-                    solver=getattr(state.solver, "name",
-                                   type(state.solver).__name__),
-                ) as fsteal_span:
-                    solve_started = time.perf_counter()
-                    costs_used = build_cost_matrix(
-                        state.comm_cost,
-                        features,
-                        cost_model,
-                        context.fragment_home,
-                        allowed_workers=state.active,
-                        worker_nodes=state.worker_nodes,
-                        node_representatives=state.node_reps,
-                    )
-                    problem = FStealProblem(costs_used, workloads)
-                    if self._config.amortize:
-                        fsteal_solution = self._amortized_solve(problem)
-                    else:
-                        fsteal_solution = state.solver.solve(problem)
-                    fsteal_span.set(
-                        objective=fsteal_solution.objective,
-                        solver=fsteal_solution.solver,
-                        warm_started=fsteal_solution.warm_started,
-                    )
-                if metrics.enabled:
-                    metrics.histogram(
-                        "fsteal.solve_seconds",
-                        "host wall time of the FSteal MILP",
-                    ).observe(time.perf_counter() - solve_started)
-            solved = fsteal_solution
-            cache_hit = (
-                fsteal_solution is not None
-                and fsteal_solution.solver == "plan-cache"
-            )
-            if self._config.amortize and cache_hit:
-                fsteal_overhead = self._modeled_fsteal_cache_seconds(
-                    num_workers
-                )
-            else:
-                fsteal_overhead = self._modeled_fsteal_seconds(
-                    num_workers, total_frontier
-                )
-            modeled_overhead += fsteal_overhead
-            # cost-based gate (Example 5's spirit, made quantitative):
-            # commit only when the predicted makespan gain covers the
-            # decision overhead — near-balanced iterations stay put
-            if costs_used is not None:
-                static = self._static_makespan(
-                    costs_used, workloads, context.fragment_worker
-                )
-                gain = static - fsteal_solution.objective
-                if metrics.enabled:
-                    metrics.histogram(
-                        "fsteal.makespan_gain_seconds",
-                        "predicted static-minus-stolen makespan gap",
-                    ).observe(gain)
-                if gain <= fsteal_overhead:
-                    if metrics.enabled:
-                        metrics.counter("fsteal.rejected_by_gate").inc()
-                    fsteal_solution = None
-            if ledger is not None and solved is not None:
+            if d.solved is not None:
                 ledger.record_fsteal(
-                    solver=solved.solver,
-                    cache_status=self._cache_status(solved),
-                    objective=solved.objective,
-                    warm_started=solved.warm_started,
-                    static_makespan=static,
-                    gain=gain,
-                    modeled_overhead=fsteal_overhead,
-                    rejected_by_gate=fsteal_solution is None,
+                    solver=d.solved.solver,
+                    cache_status=self._cache_status(d.solved),
+                    objective=d.solved.objective,
+                    warm_started=d.solved.warm_started,
+                    static_makespan=d.static_makespan,
+                    gain=d.gain,
+                    modeled_overhead=d.fsteal_overhead,
+                    rejected_by_gate=d.solution is None,
                 )
-            if fsteal_solution is not None:
-                fsteal_applied = True
-        elif not self._config.fsteal:
-            fsteal_solution = None
-        elif fsteal_solution is not None and not self._fsteal_triggered(
-            workloads, context, state
-        ):
-            # OSteal ran but FSteal thresholds are not met: fall back to
-            # owner-local processing instead of the enumerated X.
-            fsteal_solution = None
-
-        chunks, stolen_edges, migrated, inter_node_stolen = self._realize(
-            context, fragment_frontiers, workloads, fsteal_solution
-        )
-
-        if context.chaos is not None:
-            # each injected solver timeout burned the abandoned solve's
-            # budget before a fallback backend could take over
-            modeled_overhead += (
-                SOLVER_TIMEOUT_SECONDS
-                * context.chaos.drain_timeout_charges()
-            )
-
-        real_elapsed = time.perf_counter() - started
-        mode = self._config.overhead_mode
-        if mode == "modeled":
-            decision_seconds = modeled_overhead
-        elif mode == "measured":
-            decision_seconds = real_elapsed
-        elif mode == "none":
-            decision_seconds = 0.0
-        else:
-            raise EngineError(f"unknown overhead mode {mode!r}")
-
-        if metrics.enabled and self._config.amortize:
-            self._publish_decision_metrics(metrics, state)
-
-        if ledger is not None:
-            # committed after the host-clock measurement above so
-            # measured-overhead runs stay unperturbed by recording
             ledger.commit(
                 group_size=state.group_size,
                 active_workers=state.active,
-                fsteal_applied=fsteal_applied,
-                stolen_edges=stolen_edges,
-                migrated_vertices=migrated,
-                inter_node_stolen_edges=inter_node_stolen,
+                fsteal_applied=d.solution is not None,
+                stolen_edges=d.stolen_edges,
+                migrated_vertices=d.migrated,
+                inter_node_stolen_edges=d.inter_node_stolen,
             )
-            if metrics.enabled:
-                self._publish_ledger_metrics(metrics, ledger, iteration)
+        if metrics is not None:
+            self._publish_metrics(metrics, d)
 
-        return IterationPlan(
-            chunks=chunks,
-            active_workers=list(state.active),
-            decision_seconds=decision_seconds,
-            real_decision_seconds=real_elapsed,
-            fsteal_applied=fsteal_applied,
-            osteal_group_size=state.group_size,
-            stolen_edges=stolen_edges,
-            migrated_vertices=migrated,
-        )
+    def _tally_steals(self, d: _Decision, context: RunContext,
+                      metrics) -> None:
+        """Derive the steal totals (and counters) from ``d.chunks``."""
+        nodes = self._state.worker_nodes
+        if metrics is not None:
+            pairs = metrics.counter(
+                "steal.edges_by_pair",
+                "edges stolen, labelled by (home GPU, executing GPU)",
+            )
+            remote = metrics.counter(
+                "hubcache.remote_edges",
+                "stolen edges that would cross NVLink without caching",
+            )
+            hub_hits = metrics.counter(
+                "hubcache.hit_edges",
+                "stolen edges served from the local hub cache",
+            )
+            if nodes is not None:
+                inter_node = metrics.counter(
+                    "steal.inter_node_edges",
+                    "stolen edges crossing the inter-node fabric",
+                )
+        for chunk in d.chunks:
+            home = int(context.fragment_home[chunk.owner])
+            if chunk.worker == home:
+                continue
+            crosses = (nodes is not None
+                       and nodes[home] != nodes[chunk.worker])
+            d.stolen_edges += chunk.edges
+            d.migrated += chunk.vertices.size
+            if crosses:
+                d.inter_node_stolen += chunk.edges
+            if metrics is not None:
+                pairs.inc(chunk.edges, home=home, worker=chunk.worker)
+                remote.inc(chunk.edges)
+                hub_hits.inc(chunk.hub_edges)
+                if crosses:
+                    inter_node.inc(chunk.edges)
+
+    def _publish_metrics(self, metrics, d: _Decision) -> None:
+        """Mirror one recorded decision into the live registry."""
+        state = self._state
+        if state.online_rmsre.count:
+            metrics.gauge(
+                "costmodel.rmsre_online",
+                "running RMSRE of the learned g vs ground truth",
+            ).set(state.online_rmsre.value)
+            metrics.gauge("costmodel.samples").set(state.online_rmsre.count)
+            metrics.gauge(
+                "costmodel.samples_skipped",
+                "RMSRE updates dropped for non-positive actual cost",
+            ).set(state.online_rmsre.skipped)
+        if d.osteal is not None:
+            metrics.counter("osteal.evaluations").inc()
+            metrics.histogram(
+                "osteal.solve_seconds",
+                "host wall time of Algorithm 2 enumerations",
+            ).observe(d.osteal_host_seconds)
+            if d.osteal.group_size != d.prev_group_size:
+                metrics.counter("osteal.group_changes").inc()
+        if d.fsteal_host_seconds is not None:
+            metrics.histogram(
+                "fsteal.solve_seconds",
+                "host wall time of the FSteal MILP",
+            ).observe(d.fsteal_host_seconds)
+        if d.gain is not None:
+            metrics.histogram(
+                "fsteal.makespan_gain_seconds",
+                "predicted static-minus-stolen makespan gap",
+            ).observe(d.gain)
+            if d.solution is None:
+                metrics.counter("fsteal.rejected_by_gate").inc()
+        if self._config.amortize:
+            counters = self._counters()
+            for key, name in _DECISION_COUNTERS.items():
+                _raise_counter(metrics.counter(name), counters[key])
+        if state.ledger is not None:
+            self._publish_ledger_metrics(metrics, state.ledger, d.iteration)
 
     # --- decision amortization ----------------------------------------
-    def _amortized_solve(self, problem: FStealProblem) -> FStealSolution:
-        """Solve one FSteal instance through the amortization layer.
+    def _solve(self, problem: FStealProblem) -> FStealSolution:
+        """Solve one FSteal instance, amortized unless in exact mode.
 
         Order of attack: (1) plan cache — a fingerprint hit returns the
         repaired, re-validated previous plan priced against the *live*
@@ -683,99 +853,79 @@ class GumScheduler(Scheduler):
         state.warm_assignment = solution.assignment
         return solution
 
-    def _plan_osteal(
-        self,
-        features: Sequence,
-        workloads: np.ndarray,
-        context: RunContext,
-        tracer,
-        cost_model: Optional[_PredictionMemo] = None,
-    ):
+    def _candidate_sizes(self, context: RunContext) -> range:
+        """Group sizes Algorithm 2 may pick: ``1..`` surviving workers."""
+        survivors = context.num_workers
+        if context.chaos is not None and context.chaos.dead_workers:
+            survivors = len(context.chaos.alive_workers())
+        return range(1, survivors + 1)
+
+    def _plan_osteal(self, d: _Decision, context: RunContext):
         """Run Algorithm 2 — amortized (bracket + z-cache) or exact."""
         state = self._state
-        if cost_model is None:
-            cost_model = _PredictionMemo(self._cost_model)
-        # only survivors can appear in a group once workers have been
-        # evicted; on healthy runs the enumeration stays 1..n untouched
-        sizes = None
-        if context.chaos is not None and context.chaos.dead_workers:
-            sizes = range(1, len(context.chaos.alive_workers()) + 1)
-        if not self._config.amortize:
-            return plan_osteal(
-                state.tree,
-                state.comm_cost,
-                features,
-                workloads,
-                context.fragment_home,
-                cost_model,
-                state.solver,
-                state.p_estimate,
-                candidate_sizes=sizes,
-                tracer=tracer,
-                worker_nodes=state.worker_nodes,
-                node_representatives=state.node_reps,
+        amortized = {}
+        if self._config.amortize:
+            # z(m) reuse is sound only while the decision inputs are
+            # the same up to tolerance: fingerprint the workload
+            # vector, the per-fragment cost-model coefficients, and the
+            # sync estimate.
+            tol = AMORTIZE_TOLERANCE
+            g_values = np.array([
+                0.0 if f.total_edges == 0
+                else d.cost_model.edge_cost_seconds(f)
+                for f in d.features
+            ])
+            fp = (
+                quantize(np.asarray(d.workloads, dtype=np.float64), tol),
+                quantize(g_values, tol),
+                quantize(np.array([state.p_estimate]), tol),
             )
-        # z(m) reuse is sound only while the decision inputs are the
-        # same up to tolerance: fingerprint the workload vector, the
-        # per-fragment cost-model coefficients, and the sync estimate.
-        tol = AMORTIZE_TOLERANCE
-        g_values = np.array([
-            0.0 if f.total_edges == 0
-            else cost_model.edge_cost_seconds(f)
-            for f in features
-        ])
-        fp = (
-            quantize(np.asarray(workloads, dtype=np.float64), tol),
-            quantize(g_values, tol),
-            quantize(np.array([state.p_estimate]), tol),
-        )
-        if state.osteal_last_fp is not None and fp != state.osteal_last_fp:
-            state.osteal_invalidations += 1
-        state.osteal_last_fp = fp
-        z_cache = state.osteal_z.get_or_create(fp, dict)
-        decision = plan_osteal(
+            if (state.osteal_last_fp is not None
+                    and fp != state.osteal_last_fp):
+                state.osteal_invalidations += 1
+            state.osteal_last_fp = fp
+            amortized = dict(
+                search="bracket",
+                z_cache=state.osteal_z.get_or_create(fp, dict),
+                start_size=state.group_size or None,
+                solve=self._solve,
+            )
+        pick = plan_osteal(
             state.tree,
             state.comm_cost,
-            features,
-            workloads,
+            d.features,
+            d.workloads,
             context.fragment_home,
-            cost_model,
+            d.cost_model,
             state.solver,
             state.p_estimate,
-            candidate_sizes=sizes,
-            tracer=tracer,
-            search="bracket",
-            z_cache=z_cache,
-            start_size=state.group_size or None,
-            solve=self._amortized_solve,
+            candidate_sizes=self._candidate_sizes(context),
+            tracer=context.tracer,
             worker_nodes=state.worker_nodes,
             node_representatives=state.node_reps,
+            **amortized,
         )
-        state.osteal_z_reused += decision.reused_sizes
-        state.osteal_z_evaluated += decision.evaluated_sizes
-        return decision
+        if self._config.amortize:
+            state.osteal_z_reused += pick.reused_sizes
+            state.osteal_z_evaluated += pick.evaluated_sizes
+        return pick
 
-    def _publish_decision_metrics(self, metrics, state: _RunState) -> None:
-        """Mirror cumulative amortization counters into the registry."""
-        values = {
-            "decision.warm.accepts": state.warm_accepts,
-            "decision.osteal.z_reused": state.osteal_z_reused,
-            "decision.osteal.z_evaluated": state.osteal_z_evaluated,
-            "decision.osteal.invalidations": state.osteal_invalidations,
+    def _counters(self) -> Dict[str, int]:
+        """Cumulative amortization counters, by run-summary key."""
+        state = self._state
+        cache = (
+            state.plan_cache.stats() if state.plan_cache is not None
+            else dict.fromkeys(
+                ("hits", "misses", "invalidations", "evictions",
+                 "entries"), 0)
+        )
+        return {
+            "warm_accepts": int(state.warm_accepts),
+            "osteal_z_reused": int(state.osteal_z_reused),
+            "osteal_z_evaluated": int(state.osteal_z_evaluated),
+            "osteal_invalidations": int(state.osteal_invalidations),
+            **cache,
         }
-        if state.plan_cache is not None:
-            stats = state.plan_cache.stats()
-            values.update({
-                "decision.cache.hits": stats["hits"],
-                "decision.cache.misses": stats["misses"],
-                "decision.cache.invalidations": stats["invalidations"],
-                "decision.cache.evictions": stats["evictions"],
-            })
-        for name, total in values.items():
-            counter = metrics.counter(name)
-            delta = float(total) - counter.value()
-            if delta > 0:
-                counter.inc(delta)
 
     # --- decision ledger ----------------------------------------------
     @staticmethod
@@ -842,12 +992,8 @@ class GumScheduler(Scheduler):
                 ),
             )
         samples, skipped, entries, drift, rmsre_series = instruments
-        delta = float(ledger.samples) - samples.value()
-        if delta > 0:
-            samples.inc(delta)
-        delta = float(ledger.skipped_samples) - skipped.value()
-        if delta > 0:
-            skipped.inc(delta)
+        _raise_counter(samples, ledger.samples)
+        _raise_counter(skipped, ledger.skipped_samples)
         entries.set(ledger.num_entries)
         drift.set(ledger.last_drift_z())
         rmsre = ledger.last_rmsre_online()
@@ -862,16 +1008,8 @@ class GumScheduler(Scheduler):
             return None
         stats: Dict[str, float] = {
             "amortize": bool(self._config.amortize),
-            "warm_accepts": int(state.warm_accepts),
-            "osteal_z_reused": int(state.osteal_z_reused),
-            "osteal_z_evaluated": int(state.osteal_z_evaluated),
-            "osteal_invalidations": int(state.osteal_invalidations),
+            **self._counters(),
         }
-        if state.plan_cache is not None:
-            stats.update(state.plan_cache.stats())
-        else:
-            stats.update({"hits": 0, "misses": 0, "invalidations": 0,
-                          "evictions": 0, "entries": 0})
         if state.ledger is not None:
             state.ledger.seal(
                 (
@@ -881,54 +1019,6 @@ class GumScheduler(Scheduler):
                 skipped=state.online_rmsre.skipped,
             )
         return stats
-
-    # ------------------------------------------------------------------
-    def _observe_cost_model(
-        self,
-        context: RunContext,
-        features: Sequence,
-        workloads: np.ndarray,
-        cost_model: Optional[_PredictionMemo] = None,
-    ) -> None:
-        """Score the learned ``g`` against ground truth, online.
-
-        One sample per fragment with active edges, exactly the
-        granularity the FSteal coefficients use — the running RMSRE is
-        the deployment-time counterpart of Table V's training loss.
-        Runs when a metrics registry or the decision ledger is
-        attached; the ledger records every sample in feed order so the
-        final RMSRE reconstructs bit-identically from its entries.
-        """
-        state = self._state
-        metrics = context.metrics
-        ledger = state.ledger
-        device = context.timing.device_model
-        if cost_model is None:
-            cost_model = _PredictionMemo(self._cost_model)
-        for fragment, feats in enumerate(features):
-            if workloads[fragment] == 0 or feats.total_edges == 0:
-                continue
-            predicted = cost_model.edge_cost_seconds(feats)
-            actual = device.true_edge_cost(feats)
-            state.online_rmsre.update(predicted, actual)
-            if ledger is not None:
-                ledger.record_sample(
-                    fragment,
-                    int(context.fragment_worker[fragment]),
-                    feats,
-                    predicted,
-                    actual,
-                )
-        if metrics.enabled and state.online_rmsre.count:
-            metrics.gauge(
-                "costmodel.rmsre_online",
-                "running RMSRE of the learned g vs ground truth",
-            ).set(state.online_rmsre.value)
-            metrics.gauge("costmodel.samples").set(state.online_rmsre.count)
-            metrics.gauge(
-                "costmodel.samples_skipped",
-                "RMSRE updates dropped for non-positive actual cost",
-            ).set(state.online_rmsre.skipped)
 
     # ------------------------------------------------------------------
     def observe(self, record: IterationRecord, context: RunContext) -> None:
@@ -1072,110 +1162,6 @@ class GumScheduler(Scheduler):
             and gap >= self._config.t2_imbalance_ratio * heaviest
         )
 
-    def _realize(
-        self,
-        context: RunContext,
-        fragment_frontiers: Sequence[Frontier],
-        workloads: np.ndarray,
-        fsteal_solution,
-    ) -> tuple[List[WorkChunk], int, int, int]:
-        """Turn the decision into engine chunks; count stolen work."""
-        graph = context.graph
-        state = self._state
-        metrics = context.metrics
-        steal_pairs = remote_edges = hub_hits = inter_counter = None
-        if metrics.enabled:
-            steal_pairs = metrics.counter(
-                "steal.edges_by_pair",
-                "edges stolen, labelled by (home GPU, executing GPU)",
-            )
-            remote_edges = metrics.counter(
-                "hubcache.remote_edges",
-                "stolen edges that would cross NVLink without caching",
-            )
-            hub_hits = metrics.counter(
-                "hubcache.hit_edges",
-                "stolen edges served from the local hub cache",
-            )
-            if state.worker_nodes is not None:
-                inter_counter = metrics.counter(
-                    "steal.inter_node_edges",
-                    "stolen edges crossing the inter-node fabric",
-                )
-        worker_nodes = state.worker_nodes
-        chunks: List[WorkChunk] = []
-        stolen_edges = 0
-        migrated = 0
-        inter_node_stolen = 0
-        if fsteal_solution is None:
-            for fragment, frontier in enumerate(fragment_frontiers):
-                if not frontier and workloads[fragment] == 0:
-                    continue
-                worker = int(context.fragment_worker[fragment])
-                hub = self._hub_edges(context, fragment, worker,
-                                      frontier.vertices)
-                chunks.append(
-                    WorkChunk(
-                        owner=fragment,
-                        worker=worker,
-                        vertices=frontier.vertices,
-                        edges=int(workloads[fragment]),
-                        hub_edges=hub,
-                    )
-                )
-                home = int(context.fragment_home[fragment])
-                if worker != home:
-                    stolen_edges += int(workloads[fragment])
-                    migrated += frontier.size
-                    if (worker_nodes is not None
-                            and worker_nodes[home]
-                            != worker_nodes[worker]):
-                        inter_node_stolen += int(workloads[fragment])
-                        if inter_counter is not None:
-                            inter_counter.inc(int(workloads[fragment]))
-                    if steal_pairs is not None:
-                        steal_pairs.inc(int(workloads[fragment]),
-                                        home=home, worker=worker)
-                        remote_edges.inc(int(workloads[fragment]))
-                        hub_hits.inc(hub)
-            return chunks, stolen_edges, migrated, inter_node_stolen
-
-        for fragment, frontier in enumerate(fragment_frontiers):
-            if not frontier and workloads[fragment] == 0:
-                continue
-            for item in self._fragment_assignments(
-                graph, fragment, frontier,
-                fsteal_solution.assignment[fragment],
-                int(workloads[fragment]),
-            ):
-                hub = self._hub_edges(context, item.owner, item.worker,
-                                      item.vertices)
-                chunks.append(
-                    WorkChunk(
-                        owner=item.owner,
-                        worker=item.worker,
-                        vertices=item.vertices,
-                        edges=item.edges,
-                        hub_edges=hub,
-                    )
-                )
-                home = int(context.fragment_home[item.owner])
-                if item.worker != home:
-                    stolen_edges += item.edges
-                    migrated += item.vertices.size
-                    if (worker_nodes is not None
-                            and worker_nodes[home]
-                            != worker_nodes[item.worker]):
-                        inter_node_stolen += item.edges
-                        if inter_counter is not None:
-                            inter_counter.inc(item.edges)
-                    if steal_pairs is not None:
-                        steal_pairs.inc(item.edges, home=home,
-                                        worker=item.worker)
-                        remote_edges.inc(item.edges)
-                        hub_hits.inc(hub)
-        return chunks, stolen_edges, migrated, inter_node_stolen
-
     @staticmethod
     def _fragment_assignments(
         graph,
@@ -1220,14 +1206,12 @@ class GumScheduler(Scheduler):
 
     # --- deterministic decision-cost model -----------------------------
     @staticmethod
-    def _modeled_fsteal_seconds(num_workers: int, frontier_size: int) -> float:
+    def _modeled_fsteal_seconds(num_workers: int) -> float:
         """FSteal decision latency: solver + policy broadcast.
 
         Independent of the frontier size — feature extraction is
-        charged separately per scanned vertex (``frontier_size`` is
-        kept in the signature for that call-site symmetry).
+        charged separately per scanned vertex.
         """
-        del frontier_size
         return 1.2e-4 + 1e-6 * num_workers * num_workers
 
     @staticmethod

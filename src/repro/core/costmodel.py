@@ -345,40 +345,6 @@ class PolynomialSGDModel(CostModel):
         # costs are physically positive; clamp runaway extrapolations
         return np.maximum(raw, 0.01) / _NS
 
-    # ------------------------------------------------------------------
-    # Persistence: a trained polynomial is three arrays + a degree
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Write the fitted model as a compressed ``.npz`` archive."""
-        if self._weights is None:
-            raise CostModelError("cannot save an unfitted model")
-        np.savez_compressed(
-            path,
-            format_version=np.array([1]),
-            degree=np.array([self._degree]),
-            weights=self._weights,
-            scaler_mean=self._scaler.mean,
-            scaler_std=self._scaler.std,
-            design_mean=self._design_scaler.mean,
-            design_std=self._design_scaler.std,
-        )
-
-    @classmethod
-    def load(cls, path) -> "PolynomialSGDModel":
-        """Read a model written by :meth:`save`."""
-        with np.load(path, allow_pickle=False) as data:
-            if "format_version" not in data or int(
-                data["format_version"][0]
-            ) != 1:
-                raise CostModelError(f"{path}: unsupported model archive")
-            model = cls(degree=int(data["degree"][0]))
-            model._weights = data["weights"]
-            model._scaler.mean = data["scaler_mean"]
-            model._scaler.std = data["scaler_std"]
-            model._design_scaler.mean = data["design_mean"]
-            model._design_scaler.std = data["design_std"]
-        return model
-
 
 class LinearSGDModel(PolynomialSGDModel):
     """Linear regression under the same SGD/RMSRE training loop."""

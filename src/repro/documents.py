@@ -1,20 +1,78 @@
-"""Loading versioned ``repro-*/1`` JSON documents.
+"""Loading the JSON files this package reads back.
 
-Every artifact this package writes is a JSON object carrying a
-``schema`` string. The files come back from disk, from CI artifacts,
-and from hand edits, so each loader has to turn the same three
-failures — unreadable or truncated JSON, a non-object payload, a
-foreign schema — into its subsystem's typed error naming the file.
+Every artifact this package writes is JSON (or JSON lines), most of
+them an object carrying a ``schema`` string. The files come back from
+disk, from CI artifacts, and from hand edits, so each loader has to
+turn the same failures — a missing, binary or truncated file, a
+non-object payload, a foreign schema — into its subsystem's typed
+error naming the file.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Type
+from typing import List, Type
 
 from repro.errors import ReproError
 
-__all__ = ["load_document"]
+__all__ = ["load_document", "load_json", "load_json_lines", "read_text"]
+
+
+def read_text(path, error_cls: Type[ReproError], what: str) -> str:
+    """The text stored at ``path``; unreadable or binary is ``error_cls``."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise error_cls(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError: a binary file
+        raise error_cls(f"{path}: {what} is not text ({exc})") from exc
+
+
+def _parse(text: str, where, error_cls: Type[ReproError], what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise error_cls(f"{where}: malformed {what} ({exc})") from exc
+
+
+def load_json(path, error_cls: Type[ReproError], what: str):
+    """The JSON value stored at ``path``.
+
+    ``what`` names the file kind in messages ("manifest", "chaos
+    scenario", ...). A missing, unreadable, binary or truncated file
+    raises ``error_cls`` naming the path, never a raw
+    ``OSError``/``ValueError``.
+    """
+    return _parse(read_text(path, error_cls, what), path, error_cls, what)
+
+
+def load_json_lines(
+    path, error_cls: Type[ReproError], what: str,
+    drop_partial_tail: bool = False,
+) -> List[dict]:
+    """The objects of the JSON-lines file at ``path``, blank lines skipped.
+
+    Failures raise ``error_cls`` with ``path:lineno``.
+    ``drop_partial_tail`` ignores a final line that has no newline yet
+    — the producer of a live stream may still be writing it.
+    """
+    lines = read_text(path, error_cls, what).split("\n")
+    if drop_partial_tail:
+        lines = lines[:-1]
+    objects: List[dict] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        parsed = _parse(line, where, error_cls, f"{what} line")
+        if not isinstance(parsed, dict):
+            raise error_cls(
+                f"{where}: expected a JSON object, got "
+                f"{type(parsed).__name__}"
+            )
+        objects.append(parsed)
+    return objects
 
 
 def load_document(
@@ -22,17 +80,10 @@ def load_document(
 ) -> dict:
     """The ``schema``-versioned JSON object stored at ``path``.
 
-    ``what`` names the document kind in messages ("manifest", "bench
-    report", ...). Any failure raises ``error_cls`` with the path in
-    the message, never a raw ``OSError``/``ValueError``/``KeyError``.
+    Any failure raises ``error_cls`` with the path in the message,
+    never a raw ``OSError``/``ValueError``/``KeyError``.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise error_cls(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise error_cls(f"{path}: corrupt {what} ({exc})") from exc
+    payload = load_json(path, error_cls, what)
     if not isinstance(payload, dict):
         raise error_cls(
             f"{path}: {what} must be a JSON object, "

@@ -20,12 +20,12 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.algorithms import GASAlgorithm, make_algorithm
 from repro.backend import BACKEND_NAMES
-from repro.baselines import GrouteEngine, GunrockEngine
+from repro.baselines import GrouteEngine, GunrockEngine, PeekStealScheduler
 from repro.core import GumConfig, GumEngine
 from repro.errors import EngineError
 from repro.graph.builders import symmetrize
 from repro.graph.csr import CSRGraph
-from repro.hardware.topology import Topology, parse_topology
+from repro.hardware.topology import Topology, dgx1, parse_topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.partition.partitioners import make_partition
@@ -34,7 +34,7 @@ from repro.runtime import BSPEngine, EngineOptions, RunResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.costmodel import CostModel
 
-__all__ = ["run"]
+__all__ = ["run", "make_engine"]
 
 
 def run(
@@ -64,7 +64,9 @@ def run(
         Registered name (``bfs``/``sssp``/``wcc``/``pr``/``dpr``) or an
         instance.
     engine:
-        ``gum`` (default), ``gunrock``, ``groute``, or ``bsp``.
+        ``gum`` (default), ``gunrock``, ``groute``, or an ablation arm
+        (``gum-nosteal``, ``bsp``, ``peeksteal``) — every name
+        :func:`make_engine`, and so the CLI's ``--engine``, accepts.
     num_gpus:
         Virtual GPU count (1..8, DGX-1 sub-topology).
     partitioner:
@@ -125,38 +127,81 @@ def run(
         # ignored (its default of 8 can't be told apart from a request)
         topology = parse_topology(topology)
         num_gpus = topology.num_gpus
-    partition = make_partition(partitioner, graph, num_gpus, seed=seed)
-    obs = {"tracer": tracer, "metrics": metrics}
-    if chaos is not None:
-        if engine == "groute":
-            raise EngineError(
-                "fault injection requires a BSP-style engine; "
-                "groute's asynchronous runtime is not supported"
-            )
-        obs["chaos"] = chaos
     if backend not in BACKEND_NAMES:
         raise EngineError(
             f"unknown execution backend {backend!r}; known: "
             + ", ".join(BACKEND_NAMES)
         )
-    if backend != "serial":
-        if engine == "groute":
-            raise EngineError(
-                "execution backends require a BSP-style engine; "
-                "groute's asynchronous runtime is not supported"
-            )
-        obs["options"] = EngineOptions(backend=backend)
-    if engine == "gum":
-        runner = GumEngine(topology, config=gum_config, **obs)
-    elif engine == "gunrock":
-        runner = GunrockEngine(topology, **obs)
-    elif engine == "groute":
-        runner = GrouteEngine(topology, **obs)
-    elif engine == "bsp":
-        runner = BSPEngine(topology, name="bsp", **obs)
-    else:
-        raise EngineError(
-            f"unknown engine {engine!r}; "
-            "known: gum, gunrock, groute, bsp"
-        )
+    runner = make_engine(
+        engine, num_gpus, gum_config=gum_config,
+        options=(
+            EngineOptions(backend=backend) if backend != "serial" else None
+        ),
+        tracer=tracer, metrics=metrics, chaos=chaos, topology=topology,
+    )
+    partition = make_partition(partitioner, graph, num_gpus, seed=seed)
     return runner.run(graph, partition, algorithm, **params)
+
+
+def make_engine(
+    name: str,
+    num_gpus: int = 8,
+    gum_config: Optional[GumConfig] = None,
+    options: Optional[EngineOptions] = None,
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    chaos=None,
+    topology: Optional[Topology] = None,
+):
+    """The one engine table: :func:`run`, the CLI and the bench matrix.
+
+    Names: ``gum``, ``gunrock``, ``groute``, plus the ablation arms
+    ``gum-nosteal`` (GUM plumbing, stealing off), ``bsp`` (plain static
+    BSP engine without any Gunrock algorithm tricks) and ``peeksteal``
+    (BSP under the PeekSteal policy). A tracer and/or metrics registry
+    attaches to any of them; a :class:`~repro.chaos.ChaosController`
+    and a non-serial execution backend attach to every BSP-based
+    engine (Groute's asynchronous runtime has no superstep boundary to
+    inject at or fan out from, so it rejects both). An explicit
+    ``topology`` (e.g. a :func:`repro.hardware.cluster` preset)
+    replaces the default ``num_gpus``-GPU DGX-1 sub-topology; its GPU
+    count must equal ``num_gpus`` since the partition is built for
+    that many workers.
+    """
+    if topology is None:
+        topology = dgx1(num_gpus)
+    elif topology.num_gpus != num_gpus:
+        raise EngineError(
+            f"topology {topology.name!r} carries {topology.num_gpus} "
+            f"GPUs but {num_gpus} were asked for"
+        )
+    obs = {"tracer": tracer, "metrics": metrics}
+    if name == "groute":
+        if chaos is not None or (
+            options is not None and options.backend != "serial"
+        ):
+            raise EngineError(
+                "fault injection and execution backends require a "
+                "BSP-style engine; groute's asynchronous runtime is "
+                "not supported"
+            )
+        return GrouteEngine(topology, **obs)
+    obs.update(options=options, chaos=chaos)
+    if name == "gum":
+        return GumEngine(topology, config=gum_config, **obs)
+    if name == "gum-nosteal":
+        solver = (gum_config or GumConfig()).solver
+        config = GumConfig(
+            fsteal=False, osteal=False, hub_cache=False,
+            cost_model="uniform", solver=solver,
+        )
+        return GumEngine(topology, config=config, **obs)
+    if name == "gunrock":
+        return GunrockEngine(topology, **obs)
+    if name in ("bsp", "peeksteal"):
+        scheduler = PeekStealScheduler() if name == "peeksteal" else None
+        return BSPEngine(topology, scheduler=scheduler, name=name, **obs)
+    raise EngineError(
+        f"unknown engine {name!r}; known: gum, gunrock, groute, "
+        "gum-nosteal, bsp, peeksteal"
+    )

@@ -54,6 +54,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.documents import load_json_lines
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, capture_light, render_light
 from repro.obs.tracer import Sink, SpanRecord
@@ -333,28 +334,9 @@ def iter_stream_lines(path: Union[str, Path]) -> Iterator[Dict]:
     Tolerates a truncated final line (the producer may still be
     writing); raises :class:`ReproError` on anything else malformed.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise ReproError(f"cannot read stream {path}: {exc}") from exc
-    lines = raw.split("\n")
-    complete = lines[:-1]  # a trailing fragment has no newline yet
-    for lineno, line in enumerate(complete, start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"{path}:{lineno}: malformed stream line ({exc.msg})"
-            ) from exc
-        if not isinstance(event, dict):
-            raise ReproError(
-                f"{path}:{lineno}: expected a JSON object, got "
-                f"{type(event).__name__}"
-            )
-        yield event
+    return iter(load_json_lines(
+        path, ReproError, "stream", drop_partial_tail=True
+    ))
 
 
 def read_stream_events(path: Union[str, Path]) -> List[Dict]:

@@ -47,12 +47,12 @@ prints one line per rule and converts into its exit code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.documents import load_json, read_text
 from repro.errors import ReproError, SloConfigError
 from repro.obs.metrics import quantile
 
@@ -238,12 +238,6 @@ def policy_from_dict(
 def load_policy(path: Union[str, Path]) -> SloPolicy:
     """Load and validate a ``repro-slo/1`` YAML or JSON rule file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SloConfigError(
-            f"cannot read SLO rules {path}: {exc}"
-        ) from exc
     if path.suffix.lower() in (".yaml", ".yml"):
         try:
             import yaml
@@ -252,6 +246,7 @@ def load_policy(path: Union[str, Path]) -> SloPolicy:
                 f"{path}: PyYAML is not installed; use a .json rule "
                 "file instead"
             ) from None
+        text = read_text(path, SloConfigError, "SLO rules")
         try:
             payload = yaml.safe_load(text)
         except yaml.YAMLError as exc:
@@ -259,12 +254,7 @@ def load_policy(path: Union[str, Path]) -> SloPolicy:
                 f"{path}: malformed YAML ({exc})"
             ) from exc
     else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SloConfigError(
-                f"{path}: malformed JSON ({exc.msg})"
-            ) from exc
+        payload = load_json(path, SloConfigError, "SLO rules")
     return policy_from_dict(payload, source=str(path))
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import __version__, config
-from repro.documents import load_document
+from repro.documents import load_document, load_json
 from repro.errors import RunRegistryError
 from repro.obs.ledger import LEDGER_SCHEMA
 from repro.runtime.metrics import RunResult
@@ -362,12 +362,7 @@ class RunRegistry:
             raise RunRegistryError(
                 f"{self.resolve(ref).name}: no archived timeseries"
             )
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise RunRegistryError(
-                f"{path}: corrupt timeseries ({exc.msg})"
-            ) from exc
+        return load_json(path, RunRegistryError, "timeseries")
 
     def load_ledger(self, ref: str) -> Dict:
         """Archived decision-ledger payload of a recorded run.

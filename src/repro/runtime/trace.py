@@ -23,6 +23,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.documents import load_json_lines
 from repro.errors import TraceFormatError
 from repro.obs.export import gpu_track, result_to_spans
 from repro.runtime.metrics import RunResult
@@ -84,28 +85,11 @@ def load_trace(path: Union[str, Path]) -> tuple[Dict, List[Dict]]:
     Raises
     ------
     TraceFormatError
-        If the file is empty, a line is not valid JSON (truncated
-        writes included), or a line is not a JSON object. The message
-        carries the file and 1-based line number.
+        If the file is missing, binary or empty, a line is not valid
+        JSON (truncated writes included), or a line is not a JSON
+        object. The message carries the file and 1-based line number.
     """
-    lines: List[Dict] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: malformed trace line "
-                    f"({exc.msg}): {line.strip()[:80]!r}"
-                ) from exc
-            if not isinstance(parsed, dict):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected a JSON object, "
-                    f"got {type(parsed).__name__}"
-                )
-            lines.append(parsed)
+    lines = load_json_lines(path, TraceFormatError, "trace")
     if not lines:
         raise TraceFormatError(f"{path}: empty trace")
     return lines[0], lines[1:]

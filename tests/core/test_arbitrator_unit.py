@@ -1,13 +1,21 @@
-"""Focused unit tests for arbitrator internals (gate, backoff, makespan)."""
+"""Focused unit tests for arbitrator internals (gate, backoff, makespan,
+and the stages of ``plan``)."""
 
 import numpy as np
 import pytest
 
+from repro.bench.workloads import pick_source, prepare_graph
 from repro.core import GumConfig, GumEngine, GumScheduler
 from repro.core.arbitrator import GumScheduler as _Sched
+from repro.core.milp import FStealSolution
 from repro.graph import erdos_renyi, from_edge_arrays, with_random_weights
-from repro.hardware import dgx1
+from repro.hardware import TimingModel, dgx1
+from repro.hardware.topology import parse_topology
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import InMemorySink, Tracer
 from repro.partition import random_partition, segmented_partition
+from repro.runtime import BSPEngine, Frontier
+from repro.runtime.scheduler import RunContext
 
 
 def test_static_makespan():
@@ -100,6 +108,125 @@ def test_modeled_overhead_scales_with_workers():
     assert GumScheduler._modeled_osteal_seconds(8) == pytest.approx(
         2 * GumScheduler._modeled_osteal_seconds(4)
     )
-    assert GumScheduler._modeled_fsteal_seconds(8, 0) > (
-        GumScheduler._modeled_fsteal_seconds(2, 0)
+    assert GumScheduler._modeled_fsteal_seconds(8) > (
+        GumScheduler._modeled_fsteal_seconds(2)
     )
+
+
+# ----------------------------------------------------------------------
+# plan() stages: _realize, the FSteal fallback rule, observer isolation
+# ----------------------------------------------------------------------
+class _RecordingScheduler(GumScheduler):
+    """GumScheduler that keeps every plan it hands the engine."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.plans = []
+        self.ownership = []
+
+    def plan(self, iteration, fragment_frontiers, workloads, context):
+        plan = super().plan(iteration, fragment_frontiers, workloads,
+                            context)
+        self.plans.append(plan)
+        self.ownership.append(context.fragment_worker.copy())
+        return plan
+
+
+def _chunk_tuple(chunk):
+    return (chunk.owner, chunk.worker, chunk.vertices.tolist(),
+            chunk.edges, chunk.hub_edges)
+
+
+@pytest.mark.parametrize("shape", ["flat", "nodes=2x2"])
+def test_realize_whole_fragment_solution_equals_no_solution(
+    skewed_graph, shape
+):
+    """The no-steal case *is* the steal case with one whole-fragment
+    assignment per fragment: an X that leaves every fragment on its
+    current worker must realize chunk for chunk like no X at all."""
+    topology = dgx1(4) if shape == "flat" else parse_topology(shape)
+    partition = random_partition(skewed_graph, 4, seed=0)
+    context = RunContext(
+        graph=skewed_graph,
+        partition=partition,
+        timing=TimingModel(topology),
+        fragment_home=np.arange(4, dtype=np.int64),
+        # fragments 1 and 3 are processed away from home, so the hub
+        # cache is consulted; fragment 2 crosses nodes on the 2x2 shape
+        fragment_worker=np.array([0, 0, 0, 2], dtype=np.int64),
+    )
+    scheduler = GumScheduler(
+        GumConfig(cost_model="oracle", t4_hub_in_degree=8)
+    )
+    scheduler.begin_run(context)
+    frontiers = [
+        Frontier.from_sorted(part)
+        for part in partition.split_frontier(np.arange(0, 900, 3))
+    ]
+    workloads = np.array([f.work(skewed_graph) for f in frontiers])
+    whole = np.zeros((4, 4), dtype=np.int64)
+    whole[np.arange(4), context.fragment_worker] = workloads
+    solution = FStealSolution(assignment=whole, objective=0.0,
+                              solver="test")
+    plain = scheduler._realize(context, frontiers, workloads, None)
+    stolen = scheduler._realize(context, frontiers, workloads, solution)
+    assert len(plain) == 4
+    assert any(chunk.hub_edges > 0 for chunk in plain)
+    assert [_chunk_tuple(c) for c in stolen] == [
+        _chunk_tuple(c) for c in plain
+    ]
+
+
+def test_osteal_without_fsteal_trigger_stays_owner_local(road_graph):
+    """OSteal enumerates an X for the group it picks; while the t1/t2
+    gates are unmet that X is dropped for owner-local processing."""
+    graph = with_random_weights(road_graph, seed=2)
+    partition = random_partition(graph, 8, seed=0)
+    scheduler = _RecordingScheduler(
+        GumConfig(cost_model="oracle", t1_min_edges=10**9)
+    )
+    BSPEngine(dgx1(8), scheduler=scheduler, name="gum").run(
+        graph, partition, "sssp", source=0
+    )
+    entries = scheduler.ledger.entries
+    folded = [
+        i for i, entry in enumerate(entries)
+        if entry["osteal"] is not None
+        and entry["osteal"]["group_size"] < 8
+    ]
+    assert folded  # the long tail did fold the group
+    for i in folded:
+        plan, owner_of = scheduler.plans[i], scheduler.ownership[i]
+        assert not plan.fsteal_applied
+        assert entries[i]["fsteal"] is None
+        assert len({chunk.owner for chunk in plan.chunks}) == len(
+            plan.chunks
+        )
+        for chunk in plan.chunks:
+            assert chunk.worker == owner_of[chunk.owner]
+
+
+def test_observers_never_steer():
+    """Tracer, metrics and ledger only watch: the plan sequence of a
+    USA/sssp@8 run is identical with all three on and all three off."""
+    graph = prepare_graph("USA", "sssp")
+    partition = random_partition(graph, 8, seed=0)
+
+    def plans(observed):
+        scheduler = _RecordingScheduler(GumConfig(ledger=observed))
+        BSPEngine(
+            dgx1(8), scheduler=scheduler, name="gum",
+            tracer=Tracer(sinks=[InMemorySink()]) if observed else None,
+            metrics=MetricsRegistry() if observed else None,
+        ).run(graph, partition, "sssp", source=pick_source("USA"))
+        return [
+            ([_chunk_tuple(c) for c in plan.chunks], plan.decision_seconds,
+             plan.osteal_group_size, plan.active_workers,
+             plan.fsteal_applied, plan.stolen_edges,
+             plan.migrated_vertices)
+            for plan in scheduler.plans
+        ]
+
+    watched, alone = plans(True), plans(False)
+    assert len(watched) > 100
+    assert watched == alone

@@ -146,7 +146,7 @@ def test_wrong_schema_is_rejected(tmp_path):
 def test_corrupt_json_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{not json")
-    with pytest.raises(CostModelError, match="corrupt"):
+    with pytest.raises(CostModelError, match="malformed"):
         load_artifact(path)
 
 

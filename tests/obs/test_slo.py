@@ -114,7 +114,7 @@ def test_load_policy_missing_file(tmp_path):
 def test_load_policy_malformed_json(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text("{nope")
-    with pytest.raises(SloConfigError, match="malformed JSON"):
+    with pytest.raises(SloConfigError, match="malformed SLO rules"):
         load_policy(path)
 
 

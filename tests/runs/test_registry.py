@@ -142,7 +142,7 @@ def test_empty_registry(registry):
 def test_corrupt_manifest_rejected(registry, recorded):
     path = registry.root / recorded / "manifest.json"
     path.write_text("{not json")
-    with pytest.raises(RunRegistryError, match="corrupt"):
+    with pytest.raises(RunRegistryError, match="malformed"):
         registry.load_manifest(str(registry.root / recorded))
     # valid JSON that is not an object is just as unusable, and a
     # listing skips it like any other broken manifest

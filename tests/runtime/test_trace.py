@@ -60,6 +60,15 @@ def test_load_empty_trace_rejected(tmp_path):
         load_trace(path)
 
 
+def test_load_missing_or_binary_trace_is_a_trace_format_error(tmp_path):
+    with pytest.raises(TraceFormatError, match="cannot read"):
+        load_trace(tmp_path / "absent.jsonl")
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\x93NUMPY\xff\xfe\x00\x80")
+    with pytest.raises(TraceFormatError, match="not text"):
+        load_trace(path)
+
+
 def test_load_malformed_trace_raises_trace_format_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"engine": "gum"}\n{"iteration": 0, "wall_')

@@ -1,4 +1,5 @@
-"""The CI workflow lint guard (tools/check_ci.py).
+"""The CI lint guards: tools/check_ci.py and, at the end of the file,
+the function-length ratchet tools/check_function_length.py.
 
 Workflow jobs are copy-paste-prone: a job that omits
 ``timeout-minutes`` hangs for GitHub's six-hour default, and a job
@@ -11,6 +12,7 @@ workflows are currently clean.
 """
 
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -19,6 +21,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 import check_ci  # noqa: E402
+import check_function_length  # noqa: E402
 
 
 def _check(source: str, tmp_path):
@@ -197,3 +200,84 @@ def test_cli_exit_codes(tmp_path):
     )
     assert bad.returncode == 1
     assert "bad" in bad.stdout
+
+
+# ----------------------------------------------------------------------
+# tools/check_function_length.py: the function-length ratchet
+# ----------------------------------------------------------------------
+def _function(lines: int) -> str:
+    """Source of a method ``Planner.plan`` exactly ``lines`` lines long."""
+    body = "".join(f"        x{i} = {i}\n" for i in range(lines - 1))
+    return f"class Planner:\n    def plan(self):\n{body}"
+
+
+def _tree_with(tmp_path, lines: int):
+    """A repo-shaped temp tree holding one function of ``lines`` lines."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "long.py").write_text(_function(lines))
+    return tmp_path
+
+
+def test_committed_tree_passes_the_length_ratchet():
+    assert check_function_length.check_tree(REPO) == []
+
+
+def test_arbitrator_functions_stay_short():
+    """The staged decision path: ``plan`` reads in one screen and no
+    arbitrator function needs (or has) an allow-list entry."""
+    lengths = dict(check_function_length.function_lengths(
+        REPO / "src" / "repro" / "core" / "arbitrator.py"
+    ))
+    assert lengths["GumScheduler.plan"] <= 60
+    assert max(lengths.values()) <= 80
+    assert not any("arbitrator" in key
+                   for key in check_function_length.ALLOWED)
+
+
+def test_overlong_function_is_flagged(tmp_path):
+    limit = check_function_length.LIMIT
+    assert check_function_length.check_tree(
+        _tree_with(tmp_path / "ok", limit), allowed={}
+    ) == []
+    violations = check_function_length.check_tree(
+        _tree_with(tmp_path / "long", limit + 1), allowed={}
+    )
+    assert len(violations) == 1
+    assert "src/repro/long.py::Planner.plan" in violations[0]
+    assert f"{limit + 1} lines" in violations[0]
+
+
+def test_listed_function_may_not_grow_and_listings_go_stale(tmp_path):
+    root = _tree_with(tmp_path, 150)
+    key = "src/repro/long.py::Planner.plan"
+    check = check_function_length.check_tree
+    assert check(root, allowed={key: 150}) == []
+    assert "grew from 140 to 150" in check(root, allowed={key: 140})[0]
+    assert "lower it from 160" in check(root, allowed={key: 160})[0]
+    gone = check(root, allowed={key: 150, "src/repro/x.py::f": 130})
+    assert gone == ["src/repro/x.py::f: stale listing, no such function"]
+    short = _tree_with(tmp_path / "short", 30)
+    assert "drop it" in check(short, allowed={key: 150})[0]
+
+
+def test_length_ratchet_cli_exit_codes(tmp_path):
+    """Exit 0 on the checkout; non-zero once a copy of it gains one
+    function a single line over the limit."""
+    script = REPO / "tools" / "check_function_length.py"
+    ok = subprocess.run([sys.executable, str(script)],
+                        capture_output=True, cwd=tmp_path)
+    assert ok.returncode == 0
+    shutil.copytree(REPO / "src" / "repro", tmp_path / "src" / "repro")
+    (tmp_path / "src" / "repro" / "long.py").write_text(
+        _function(check_function_length.LIMIT + 1)
+    )
+    bad = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert bad.returncode == 1
+    assert bad.stdout.splitlines() == [
+        "src/repro/long.py::Planner.plan: 121 lines (limit 120); "
+        "split it into named stages"
+    ]

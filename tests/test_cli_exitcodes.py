@@ -26,6 +26,24 @@ def _file(path, text):
     return str(path)
 
 
+#: not UTF-8, not JSON: what a mis-pasted ``.npz`` or ``.gz`` looks like
+BINARY = b"\x93NUMPY\xff\xfe\x00\x80"
+
+
+def _binary(path):
+    """Write a binary file where a text input is expected."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(BINARY)
+    return str(path)
+
+
+def _run_dir_with_binary_trace(path):
+    """A run directory whose manifest is fine but whose trace is not."""
+    _file(path / "manifest.json", "{}")
+    _binary(path / "trace.jsonl")
+    return str(path)
+
+
 def _bench_against(baseline):
     return [
         "bench", "--filter", "assembly.dense", "--repeats", "1",
@@ -39,6 +57,10 @@ CASES = [
     ("run-chaos-missing", lambda d: [
         "run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "2",
         "--chaos", str(d / "absent-scenario.json"),
+    ]),
+    ("run-chaos-binary", lambda d: [
+        "run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "2",
+        "--chaos", _binary(d / "scenario.json"),
     ]),
     ("compare-chaos-missing", lambda d: [
         "compare", "--graph", "TX", "--algorithm", "bfs", "--gpus", "2",
@@ -77,6 +99,10 @@ CASES = [
     ("runs-analyze-unknown-ref", lambda d: [
         "runs", "analyze", "zzz-unknown", "--runs-dir", str(d),
     ]),
+    ("runs-analyze-binary-trace", lambda d: [
+        "runs", "analyze", _run_dir_with_binary_trace(d / "run"),
+        "--runs-dir", str(d),
+    ]),
     ("runs-diff-unknown-refs", lambda d: [
         "runs", "diff", "zzz-base", "zzz-current",
         "--runs-dir", str(d),
@@ -89,6 +115,15 @@ CASES = [
     ]),
     ("top-no-ref-no-stream", lambda d: [
         "top", "--no-ansi", "--runs-dir", str(d),
+    ]),
+    ("top-stream-binary", lambda d: [
+        "top", "--stream", _binary(d / "live.jsonl"), "--no-ansi",
+        "--runs-dir", str(d),
+    ]),
+    ("slo-check-binary-rules", lambda d: [
+        "slo", "check", REFERENCE_RUN,
+        "--rules", _binary(d / "rules.json"),
+        "--runs-dir", str(d),
     ]),
     ("slo-check-missing-rules", lambda d: [
         "slo", "check", "latest",

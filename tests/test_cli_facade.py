@@ -30,11 +30,15 @@ def test_facade_symmetrizes_for_wcc(skewed_graph, oracle_config):
     assert result.values.min() == 0.0
 
 
-@pytest.mark.parametrize("engine", ["gunrock", "groute", "bsp"])
+@pytest.mark.parametrize(
+    "engine", ["gunrock", "groute", "bsp", "gum-nosteal", "peeksteal"]
+)
 def test_facade_engines(engine, skewed_graph, source):
+    """The facade and the CLI share one engine table."""
     result = repro.run(skewed_graph, "bfs", engine=engine,
                        num_gpus=4, source=source)
     assert result.converged
+    assert result.engine == ("gum" if engine == "gum-nosteal" else engine)
 
 
 def test_facade_partitioner_and_errors(skewed_graph, source,

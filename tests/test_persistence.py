@@ -1,11 +1,14 @@
-"""Round-trip tests for binary persistence (graphs, partitions, models)."""
+"""Round-trip tests for persistence: binary graphs and partitions, and
+cost models as ``repro-costmodel/1`` artifacts (their one format; the
+per-family and digest cases live in ``tests/core/test_costmodel_v2.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.core import PolynomialSGDModel, collect_training_data
+from repro.core.costmodel_v2 import load_artifact, save_artifact
 from repro.errors import CostModelError, GraphError, PartitionError
-from repro.graph import rmat, road_network, with_random_weights
+from repro.graph import rmat, road_network
 from repro.graph.io_npz import (
     load_graph,
     load_partition,
@@ -73,40 +76,27 @@ def small_training_set():
 
 
 def test_cost_model_roundtrip(tmp_path, small_training_set):
+    """A non-default hyper-parameter (the degree) survives the artifact."""
     features, costs = small_training_set
     model = PolynomialSGDModel(degree=2, epochs=30)
     model.fit(features, costs)
-    path = tmp_path / "model.npz"
-    model.save(path)
-    loaded = PolynomialSGDModel.load(path)
-    assert np.allclose(loaded.predict(features), model.predict(features))
+    path = tmp_path / "model.json"
+    save_artifact(model, path)
+    loaded = load_artifact(path)
+    assert np.array_equal(loaded.predict(features), model.predict(features))
     assert loaded._degree == 2
 
 
 def test_cost_model_save_requires_fit(tmp_path):
+    path = tmp_path / "x.json"
     with pytest.raises(CostModelError, match="unfitted"):
-        PolynomialSGDModel().save(tmp_path / "x.npz")
+        save_artifact(PolynomialSGDModel(), path)
+    assert not path.exists()
 
 
 def test_cost_model_bad_archive(tmp_path):
+    """An ``.npz`` (the retired binary format) is not an artifact."""
     path = tmp_path / "bogus.npz"
     np.savez(path, junk=np.zeros(3))
-    with pytest.raises(CostModelError, match="unsupported"):
-        PolynomialSGDModel.load(path)
-
-
-def test_loaded_model_usable_in_engine(tmp_path, small_training_set):
-    import repro
-
-    features, costs = small_training_set
-    model = PolynomialSGDModel(degree=2, epochs=30)
-    model.fit(features, costs)
-    path = tmp_path / "model.npz"
-    model.save(path)
-    loaded = PolynomialSGDModel.load(path)
-    graph = with_random_weights(rmat(9, 6, seed=3), seed=4)
-    result = repro.run(
-        graph, "sssp", num_gpus=4, source=0,
-        gum_config=repro.GumConfig(cost_model=loaded),
-    )
-    assert result.converged
+    with pytest.raises(CostModelError, match="bogus.npz"):
+        load_artifact(path)
