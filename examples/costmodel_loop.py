@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The cost-model v2 feedback loop, end to end.
+"""The cost-model feedback loop, end to end.
 
 Run a workload under the shipped cost model and record it, harvest the
 run's own decision ledger into a training corpus, fit candidate model
@@ -15,12 +15,8 @@ import tempfile
 from pathlib import Path
 
 import repro
-from repro.core.costmodel_v2 import (
-    fit_candidates,
-    harvest,
-    load_artifact,
-    save_artifact,
-)
+from repro.core.costmodel import load_artifact, save_artifact
+from repro.core.costmodel_fit import fit_candidates, harvest
 from repro.replay import format_replay_result, replay_run
 from repro.runs import RunRegistry, workload_fingerprint
 

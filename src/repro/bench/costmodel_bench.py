@@ -1,6 +1,6 @@
-"""The ``costmodel.*`` / ``replay.*`` bench family: the v2 feedback loop.
+"""The ``costmodel.*`` / ``replay.*`` bench family: the refit feedback loop.
 
-Three measured, self-gating cases back the cost-model v2 acceptance
+Three measured, self-gating cases back the refit loop's acceptance
 criteria, all deterministic — virtual-clock and model quantities only,
 so the gates hold on any host:
 
@@ -100,7 +100,7 @@ def _case_refit_loop() -> dict:
 
 def _case_fit_reference() -> dict:
     """Held-out fit quality over the committed reference corpus."""
-    from repro.core.costmodel_v2 import fit_candidates, harvest
+    from repro.core.costmodel_fit import fit_candidates, harvest
 
     corpus = harvest(_registry(), refs=REFERENCE_RUNS)
     outcome = fit_candidates(corpus, model="auto", folds=5, seed=0)

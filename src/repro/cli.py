@@ -37,7 +37,14 @@ from repro import __version__
 from repro.algorithms import ALGORITHMS
 from repro.bench import Cell, run_cell
 from repro.bench.workloads import ENGINE_NAMES
-from repro.core import GumConfig, pretrained_default
+from repro.core import GumConfig
+from repro.core.costmodel import (
+    CostModel,
+    artifact_label,
+    model_label,
+    resolve_cost_model,
+    save_artifact,
+)
 from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.properties import degree_summary, pseudo_diameter
@@ -128,13 +135,20 @@ def _chaos_from_args(args: argparse.Namespace):
     return ChaosController(ChaosScenario.from_file(path))
 
 
+def _cost_model_from_args(args: argparse.Namespace) -> CostModel:
+    """``--cost-model`` resolved once per invocation: every engine of
+    a ``compare`` and the workload fingerprint share the instance."""
+    args.cost_model = resolve_cost_model(args.cost_model)
+    return args.cost_model
+
+
 def _gum_config_from_args(args: argparse.Namespace) -> GumConfig:
     return GumConfig(
         fsteal=not args.no_fsteal,
         osteal=not args.no_osteal,
         hub_cache=not args.no_hub_cache,
         solver=args.solver,
-        cost_model=args.cost_model,
+        cost_model=_cost_model_from_args(args),
         amortize=not args.no_amortize,
     )
 
@@ -268,20 +282,6 @@ def _registry_from_args(args: argparse.Namespace):
     return RunRegistry(root)
 
 
-def _cost_model_label(spec: str) -> str:
-    """Workload-fingerprint label of a ``--cost-model`` operand.
-
-    Artifact paths fingerprint as their content-addressed
-    ``artifact:<family>@<digest>`` label, so the same fitted model
-    recorded from two checkouts stays comparable.
-    """
-    if spec in ("default", "oracle", "uniform"):
-        return spec
-    from repro.core.costmodel_v2 import load_artifact
-
-    return load_artifact(spec).artifact_label
-
-
 def _workload_from_args(args: argparse.Namespace, engine: str) -> dict:
     from repro.runs import workload_fingerprint
 
@@ -293,7 +293,7 @@ def _workload_from_args(args: argparse.Namespace, engine: str) -> dict:
         num_gpus=args.gpus,
         partitioner=args.partitioner,
         solver=args.solver,
-        cost_model=_cost_model_label(args.cost_model),
+        cost_model=model_label(_cost_model_from_args(args)),
         amortize=not args.no_amortize,
         chaos=chaos.scenario.name if chaos is not None else "none",
         topology=getattr(args, "topology", None) or "default",
@@ -478,10 +478,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.jsonl:
         tracer.add_sink(JsonlSink(_trace_path(args.jsonl), meta=meta))
     metrics = MetricsRegistry()
-    if args.cost_model == "default":
-        # warm the cached model inside the trace so a cold run shows
-        # its dominant host cost (corpus replay + SGD fit) as spans
-        pretrained_default(tracer=tracer)
     result = _run_one(args, args.engine, tracer=tracer, metrics=metrics)
     tracer.close()
     run_id = _maybe_record(args, args.engine, result, metrics)
@@ -609,12 +605,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_costmodel_fit(args: argparse.Namespace) -> int:
-    """Fit cost-model v2 from recorded runs; emit an artifact."""
-    from repro.core.costmodel_v2 import (
-        fit_candidates,
-        harvest,
-        save_artifact,
-    )
+    """Fit a cost model from recorded runs; emit an artifact."""
+    from repro.core.costmodel_fit import fit_candidates, harvest
 
     registry = _registry_from_args(args)
     corpus = harvest(registry, refs=args.from_runs or None)
@@ -636,9 +628,7 @@ def _cmd_costmodel_fit(args: argparse.Namespace) -> int:
     if args.json:
         payload = dict(report)
         payload["artifact"] = args.out
-        payload["artifact_label"] = (
-            f"artifact:{artifact['family']}@{artifact['digest'][:8]}"
-        )
+        payload["artifact_label"] = artifact_label(artifact)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         corpus_info = report["corpus"]
@@ -1145,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_costmodel = sub.add_parser(
         "costmodel",
-        help="cost-model v2: fit from recorded runs, emit "
+        help="cost model: fit from recorded runs, emit "
              "repro-costmodel/1 artifacts",
     )
     costmodel_sub = p_costmodel.add_subparsers(

@@ -20,7 +20,6 @@ decision really took is reported beside it as
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -32,9 +31,8 @@ from repro.chaos.controller import SOLVER_TIMEOUT_SECONDS, FaultEvent
 from repro.core.costmodel import (
     CostModel,
     OnlineRMSRE,
-    OracleCostModel,
-    UniformCostModel,
-    pretrained_default,
+    model_label,
+    resolve_cost_model,
 )
 from repro.core.fsteal import (
     VertexAssignment,
@@ -142,27 +140,6 @@ class GumConfig:
     osteal_cooldown: int = 10
     amortize: bool = True
     ledger: bool = True
-
-    def resolve_cost_model(self) -> CostModel:
-        """Materialize the configured cost model."""
-        if isinstance(self.cost_model, CostModel):
-            return self.cost_model
-        if self.cost_model == "default":
-            return pretrained_default()
-        if self.cost_model == "oracle":
-            return OracleCostModel()
-        if self.cost_model == "uniform":
-            return UniformCostModel()
-        if os.path.isfile(self.cost_model):
-            # a repro-costmodel/1 artifact from `repro costmodel fit`
-            from repro.core.costmodel_v2 import load_artifact
-
-            return load_artifact(self.cost_model)
-        raise EngineError(
-            f"unknown cost model {self.cost_model!r}; expected "
-            "'default', 'oracle', 'uniform', a CostModel instance, or "
-            "a path to a repro-costmodel/1 artifact"
-        )
 
     def resolve_solver(self):
         """Materialize the configured FSteal solver."""
@@ -358,7 +335,7 @@ class GumScheduler(Scheduler):
 
     def __init__(self, config: Optional[GumConfig] = None) -> None:
         self._config = config or GumConfig()
-        self._cost_model = self._config.resolve_cost_model()
+        self._cost_model = resolve_cost_model(self._config.cost_model)
         self._solver = self._config.resolve_solver()
         self._state: Optional[_RunState] = None
 
@@ -415,17 +392,7 @@ class GumScheduler(Scheduler):
             ),
             ledger=(
                 Ledger(
-                    # artifact-backed models carry a content-addressed
-                    # label that stays stable across filesystem paths
-                    model=(
-                        getattr(self._cost_model, "artifact_label",
-                                None)
-                        or (
-                            self._config.cost_model
-                            if isinstance(self._config.cost_model, str)
-                            else type(self._cost_model).__name__
-                        )
-                    ),
+                    model=model_label(self._cost_model),
                     amortize=self._config.amortize,
                     fingerprint_tolerance=AMORTIZE_TOLERANCE,
                 )

@@ -1,8 +1,11 @@
 """Learned per-edge compute-cost models (Section III-B, Table V).
 
 The FSteal cost coefficient is ``c_ij = 1/B_ij + g(W_i)``; this module
-learns ``g`` from running logs — pairs of (Table-I frontier features,
-observed per-edge cost). Four model families match the paper's Exp-7:
+is the run-time side of ``g`` — everything the arbitrator, the replay
+simulator and the CLI need to *have* a model, none of what fits one
+from a corpus (that is :mod:`repro.core.costmodel_fit`, offline).
+
+Four model families match the paper's Exp-7:
 
 * :class:`LinearSGDModel` — linear regression (degree-1 polynomial),
 * :class:`PolynomialSGDModel` — the paper's choice: degree-4 polynomial
@@ -16,30 +19,34 @@ All models share :class:`CostModel`'s contract: ``fit`` on seconds,
 ``predict`` seconds, report training wall-time and train RMSRE. Targets
 are converted to nanoseconds internally for numerical conditioning.
 
-Training data comes from :func:`collect_training_data`, which replays
-GAS algorithms over a corpus of generated graphs and logs per-fragment
-frontier features with ground-truth costs — the reproduction of the
-paper's "624 graphs from network repository" corpus at laptop scale.
+A fitted model persists as a versioned, digest-checked
+``repro-costmodel/1`` JSON artifact (:func:`save_artifact` /
+:func:`load_artifact`). There is one way to obtain a model from a
+``cost_model=`` / ``--cost-model`` operand, :func:`resolve_cost_model`,
+and one name for it in ledgers and fingerprints, :func:`model_label`;
+the shipped default (:func:`pretrained_default`) is itself a packaged
+artifact, loaded, never retrained.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
+import hashlib
 import itertools
+import json
+import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms import make_algorithm
-from repro.errors import CostModelError
-from repro.graph import generators
-from repro.graph.csr import CSRGraph
-from repro.graph.features import FrontierFeatures, frontier_features
+from repro.documents import load_document
+from repro.errors import CostModelError, EngineError
+from repro.graph.features import FrontierFeatures
 from repro.hardware.device import DeviceModel
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.partition.partitioners import random_partition
 
 __all__ = [
     "rmsre",
@@ -53,10 +60,19 @@ __all__ = [
     "UniformCostModel",
     "OracleCostModel",
     "MODEL_FAMILIES",
-    "collect_training_data",
-    "default_training_corpus",
+    "COSTMODEL_SCHEMA",
+    "model_to_params",
+    "model_from_params",
+    "save_artifact",
+    "load_artifact",
+    "artifact_label",
+    "DEFAULT_ARTIFACT",
     "pretrained_default",
+    "resolve_cost_model",
+    "model_label",
 ]
+
+COSTMODEL_SCHEMA = "repro-costmodel/1"
 
 _NS = 1e9  # targets are scaled to nanoseconds for conditioning
 
@@ -205,6 +221,8 @@ class CostModel(abc.ABC):
     """Estimator of per-edge compute cost from frontier features."""
 
     name: str = "abstract"
+    #: set by :func:`load_artifact`; what :func:`model_label` prefers
+    artifact_label: Optional[str] = None
 
     @abc.abstractmethod
     def fit(self, features: np.ndarray, costs: np.ndarray) -> FitReport:
@@ -637,112 +655,246 @@ MODEL_FAMILIES: dict[str, Callable[[], CostModel]] = {
 
 
 # ----------------------------------------------------------------------
-# Training-log collection
+# The repro-costmodel/1 artifact
 # ----------------------------------------------------------------------
-def collect_training_data(
-    graphs: Sequence[CSRGraph],
-    algorithms: Sequence[str] = ("bfs", "sssp", "wcc", "pr"),
-    num_fragments: int = 8,
-    device: Optional[DeviceModel] = None,
-    seed: int = 0,
-    max_iterations: int = 300,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay algorithms over graphs and log (features, observed cost).
-
-    Each iteration of each algorithm on each graph contributes one
-    sample per fragment with a non-empty frontier, exactly as the paper
-    treats "the running log of each iteration as independent training
-    samples". Observed cost is the device model's ground truth —
-    including its measurement pseudo-noise.
-    """
-    device = device or DeviceModel()
-    rows: List[np.ndarray] = []
-    targets: List[float] = []
-    for graph in graphs:
-        weighted = (
-            graph
-            if graph.is_weighted
-            else generators.with_random_weights(graph, seed=seed)
+def _require(params: dict, *keys: str) -> list:
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise CostModelError(
+            f"cost-model artifact parameters missing {missing}"
         )
-        partition = random_partition(weighted, num_fragments, seed=seed)
-        for algorithm_name in algorithms:
-            algorithm = make_algorithm(algorithm_name)
-            state = algorithm.init(weighted)
-            while state.frontier and state.iteration < max_iterations:
-                per_fragment = state.frontier.split_by_owner(
-                    partition.owner, num_fragments
-                )
-                for fragment in per_fragment:
-                    if not fragment:
-                        continue
-                    feats = frontier_features(weighted, fragment.vertices)
-                    rows.append(feats.vector())
-                    targets.append(device.true_edge_cost(feats))
-                state.frontier = algorithm.step(weighted, state)
-                state.iteration += 1
-    if not rows:
-        raise CostModelError("training corpus produced no samples")
-    return np.stack(rows), np.asarray(targets)
+    return [params[key] for key in keys]
 
 
-def default_training_corpus(seed: int = 7) -> List[CSRGraph]:
-    """A small, diverse generator zoo standing in for the paper's
-    624-graph training corpus.
+def model_to_params(model: CostModel) -> Tuple[str, dict]:
+    """``(family, parameters)`` of a fitted model, JSON-ready."""
+    if isinstance(model, PolynomialSGDModel):  # LinearSGD subclasses it
+        if model._weights is None:
+            raise CostModelError("cannot serialize an unfitted model")
+        family = "linear" if model._degree == 1 else "polynomial"
+        return family, {
+            "degree": int(model._degree),
+            "weights": model._weights.tolist(),
+            "scaler_mean": model._scaler.mean.tolist(),
+            "scaler_std": model._scaler.std.tolist(),
+            "design_mean": model._design_scaler.mean.tolist(),
+            "design_std": model._design_scaler.std.tolist(),
+        }
+    if isinstance(model, DecisionTreeModel):
+        if not model._nodes:
+            raise CostModelError("cannot serialize an unfitted model")
+        if model._node_feature is None:
+            model._columnize()
+        return "tree", {
+            "node_feature": model._node_feature.tolist(),
+            "node_value": model._node_value.tolist(),
+            "node_left": model._node_left.tolist(),
+            "node_right": model._node_right.tolist(),
+        }
+    if isinstance(model, KernelRidgeModel):
+        if model._coef is None or model._support is None:
+            raise CostModelError("cannot serialize an unfitted model")
+        return "svr", {
+            "support": model._support.tolist(),
+            "coef": model._coef.tolist(),
+            "gamma": float(model._gamma),
+            "scaler_mean": model._scaler.mean.tolist(),
+            "scaler_std": model._scaler.std.tolist(),
+        }
+    if isinstance(model, UniformCostModel):
+        return "uniform", {"cost_seconds": float(model._cost)}
+    raise CostModelError(
+        f"cannot serialize a {type(model).__name__} into a "
+        f"{COSTMODEL_SCHEMA} artifact"
+    )
 
-    Spans the three benchmark domains *including benchmark-scale
-    instances* — training only on tiny graphs would leave deployment
-    frontiers out of distribution, which degrades interpolating
-    models (kernel methods especially) far more than their held-out
-    RMSRE suggests.
+
+def model_from_params(family: str, params: dict) -> CostModel:
+    """Rebuild a fitted model from artifact parameters."""
+    if family in ("polynomial", "linear"):
+        (degree, weights, scaler_mean, scaler_std, design_mean,
+         design_std) = _require(
+            params, "degree", "weights", "scaler_mean", "scaler_std",
+            "design_mean", "design_std",
+        )
+        model = (LinearSGDModel() if int(degree) == 1
+                 else PolynomialSGDModel(degree=int(degree)))
+        model._weights = np.asarray(weights, dtype=np.float64)
+        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
+        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
+        model._design_scaler.mean = np.asarray(
+            design_mean, dtype=np.float64
+        )
+        model._design_scaler.std = np.asarray(
+            design_std, dtype=np.float64
+        )
+        return model
+    if family == "tree":
+        feature, value, left, right = _require(
+            params, "node_feature", "node_value", "node_left",
+            "node_right",
+        )
+        model = DecisionTreeModel()
+        model._node_feature = np.asarray(feature, dtype=np.int64)
+        model._node_value = np.asarray(value, dtype=np.float64)
+        model._node_left = np.asarray(left, dtype=np.int64)
+        model._node_right = np.asarray(right, dtype=np.int64)
+        model._nodes = [
+            (int(f), float(v), int(lo), int(hi))
+            for f, v, lo, hi in zip(
+                model._node_feature, model._node_value,
+                model._node_left, model._node_right,
+            )
+        ]
+        return model
+    if family == "svr":
+        support, coef, gamma, scaler_mean, scaler_std = _require(
+            params, "support", "coef", "gamma", "scaler_mean",
+            "scaler_std",
+        )
+        model = KernelRidgeModel()
+        model._support = np.asarray(support, dtype=np.float64)
+        model._coef = np.asarray(coef, dtype=np.float64)
+        model._gamma = float(gamma)
+        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
+        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
+        return model
+    if family == "uniform":
+        (cost_seconds,) = _require(params, "cost_seconds")
+        return UniformCostModel(cost_seconds=float(cost_seconds))
+    raise CostModelError(
+        f"unsupported cost-model artifact family {family!r}"
+    )
+
+
+def _params_digest(family: str, params: dict) -> str:
+    payload = json.dumps(
+        {"family": family, "parameters": params}, sort_keys=True
+    )
+    return hashlib.sha1(payload.encode()).hexdigest()
+
+
+def artifact_label(artifact: dict) -> str:
+    """Stable identity string: ``artifact:<family>@<digest8>``.
+
+    Derived from the serialized parameters only — two machines that
+    fit the same model get the same label, and the label (not the
+    filesystem path) joins a run's workload fingerprint so recorded
+    runs stay comparable across checkouts.
     """
-    return [
-        generators.rmat(10, 8, seed=seed),
-        generators.rmat(11, 16, seed=seed + 1, a=0.62,
-                        b=0.19 / 1.1, c=0.19 / 1.1),
-        generators.rmat(12, 4, seed=seed + 2),
-        generators.rmat(13, 10, seed=seed + 10),
-        generators.rmat(14, 6, seed=seed + 11, a=0.6,
-                        b=0.2, c=0.15),
-        generators.erdos_renyi(3000, 24000, seed=seed + 3),
-        generators.web_graph(4000, 10, seed=seed + 4),
-        generators.web_graph(8000, 6, locality=0.95, window=64,
-                             seed=seed + 5),
-        generators.web_graph(20000, 12, seed=seed + 12),
-        generators.road_network(40, 40, seed=seed + 6),
-        generators.road_network(80, 25, seed=seed + 7),
-        generators.road_network(8, 300, seed=seed + 13),
-        generators.small_world(4000, k=4, seed=seed + 8),
-        generators.star(2000),
-        generators.grid_2d(50, 40, seed=seed + 9),
-    ]
+    return (
+        f"artifact:{artifact['family']}"
+        f"@{artifact['digest'][:8]}"
+    )
 
 
-_PRETRAINED: Optional[PolynomialSGDModel] = None
+def save_artifact(model: CostModel, path,
+                  provenance: Optional[dict] = None) -> dict:
+    """Write a fitted model as a ``repro-costmodel/1`` JSON artifact.
+
+    Returns the artifact dict that was written. ``provenance`` is an
+    arbitrary JSON block (``FitOutcome.report()`` in the CLI flow).
+    """
+    family, params = model_to_params(model)
+    artifact = {
+        "schema": COSTMODEL_SCHEMA,
+        "family": family,
+        "digest": _params_digest(family, params),
+        "parameters": params,
+        "provenance": dict(provenance or {}),
+    }
+    with open(path, "w") as handle:
+        json.dump(artifact, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return artifact
 
 
-def pretrained_default(
-    force_retrain: bool = False,
-    tracer: Tracer = NULL_TRACER,
-) -> PolynomialSGDModel:
+def load_artifact(path) -> CostModel:
+    """Load a ``repro-costmodel/1`` artifact into a usable model.
+
+    The returned model carries ``artifact`` (the full payload) and
+    ``artifact_label`` attributes, so ledgers and workload
+    fingerprints can name it stably.
+    """
+    artifact = load_document(
+        path, COSTMODEL_SCHEMA, CostModelError, "cost-model artifact"
+    )
+    family = artifact.get("family")
+    params = artifact.get("parameters")
+    if not isinstance(params, dict):
+        raise CostModelError(
+            f"{path}: cost-model artifact has no parameters object"
+        )
+    digest = artifact.get("digest")
+    expected = _params_digest(family, params)
+    if digest != expected:
+        raise CostModelError(
+            f"{path}: artifact digest mismatch (stored {digest!r}, "
+            f"parameters hash to {expected!r}) — corrupted or "
+            "hand-edited artifact"
+        )
+    model = model_from_params(family, params)
+    model.artifact = artifact
+    model.artifact_label = artifact_label(artifact)
+    return model
+
+
+# ----------------------------------------------------------------------
+# Obtaining a model
+# ----------------------------------------------------------------------
+#: The packaged default, written by ``costmodel_fit.train_default``
+#: (``docs/costmodel.md`` has the regeneration one-liner).
+DEFAULT_ARTIFACT = Path(__file__).with_name("default_costmodel.json")
+
+
+@functools.cache
+def pretrained_default() -> CostModel:
     """The library's default learned ``g``: degree-4 polynomial, cached.
 
-    Trains once per process on :func:`default_training_corpus`
-    (a couple of seconds); later calls reuse the cached model. Pass a
-    tracer to span the corpus replay and the SGD fit — by far the
-    largest host-time cost of a cold first run.
+    Loaded (digest-checked) from the packaged ``default_costmodel.json``
+    — the committed output of
+    :func:`repro.core.costmodel_fit.train_default`. It is labelled by
+    role rather than by digest, so ledgers and workload fingerprints
+    of default-model runs stay comparable when the file is regenerated.
     """
-    global _PRETRAINED
-    if _PRETRAINED is None or force_retrain:
-        with tracer.span("costmodel.collect", cat="costmodel"):
-            features, costs = collect_training_data(
-                default_training_corpus()
-            )
-        model = PolynomialSGDModel()
-        with tracer.span("costmodel.fit", cat="costmodel",
-                         model=model.name,
-                         samples=int(costs.size)) as fit_span:
-            report = model.fit(features, costs)
-            fit_span.set(train_rmsre=report.train_rmsre,
-                         train_seconds=report.train_seconds)
-        _PRETRAINED = model
-    return _PRETRAINED
+    model = load_artifact(DEFAULT_ARTIFACT)
+    model.artifact_label = "default"
+    return model
+
+
+def resolve_cost_model(spec: Union[str, CostModel]) -> CostModel:
+    """The model a ``cost_model=`` / ``--cost-model`` operand names.
+
+    ``"default"`` (the shipped polynomial), ``"oracle"`` (ground truth
+    — Exp-7's upper bound), ``"uniform"`` (bandwidth only), a
+    :class:`CostModel` instance (returned as is), or a path to a
+    ``repro-costmodel/1`` artifact. An operand that looks like a path
+    (a separator, a dot, or something that exists) goes to
+    :func:`load_artifact`, so a missing file says so; any other name
+    is an :class:`EngineError` listing what is accepted.
+    """
+    if isinstance(spec, CostModel):
+        return spec
+    if spec == "default":
+        return pretrained_default()
+    if spec == "oracle":
+        return OracleCostModel()
+    if spec == "uniform":
+        return UniformCostModel()
+    spec = os.fspath(spec)
+    if os.sep in spec or "." in spec or os.path.exists(spec):
+        return load_artifact(spec)
+    raise EngineError(
+        f"unknown cost model {spec!r}; expected 'default', 'oracle', "
+        "'uniform', a CostModel instance, or a path to a "
+        "repro-costmodel/1 artifact"
+    )
+
+
+def model_label(model: CostModel) -> str:
+    """What ledgers, fingerprints and replay reports call ``model``.
+
+    Artifact-backed models carry a content-addressed label that stays
+    stable across filesystem paths; anything else is its family name.
+    """
+    return model.artifact_label or model.name

@@ -1,33 +1,25 @@
-"""Cost-model v2: train ``g`` from the run registry's own ledgers.
+"""Offline production of cost models: everything that *fits* ``g``.
 
-The paper trains its cost model once, offline, on a synthetic corpus
-(:func:`repro.core.costmodel.collect_training_data`). This module
-closes the stronger feedback loop: every GUM run already records one
-prediction-audit sample per fragment per iteration in its decision
-ledger — ``(frontier features, predicted, measured per-edge cost)`` in
-exact RMSRE feed order — so a registry of recorded runs *is* a
-training corpus for the workloads actually being run.
+The run-time side (:mod:`repro.core.costmodel`) only ever evaluates a
+model; this module is where models come from, in the paper's order:
 
-Three pieces:
-
-* :func:`harvest` walks the run registry (or an explicit list of run
-  references, including the committed ``benchmarks/reference``
-  directories), extracts every positive-actual ledger sample with its
-  per-run / per-iteration / per-GPU provenance, and deduplicates runs
-  with byte-identical *workload fingerprints* — the virtual clock is
-  deterministic given the fingerprint, so a second run of the same
-  workload contributes byte-identical samples and would only bias the
-  fit. Runs with *different* fingerprints are pooled, never merged:
-  each keeps its own provenance row.
-* :func:`fit_candidates` trains candidate model families (the shipped
-  polynomial, the CART tree, RBF kernel ridge) with k-fold held-out
-  RMSRE reporting, always scoring the shipped pretrained polynomial on
-  the *same* held-out folds as the baseline to beat.
-* :func:`save_artifact` / :func:`load_artifact` package a fitted model
-  as a versioned ``repro-costmodel/1`` JSON artifact — weights plus
-  fit provenance — loadable anywhere a cost model is accepted:
-  ``repro.run(cost_model="model.json")``, ``--cost-model model.json``,
-  or ``GumConfig(cost_model=...)``.
+* :func:`default_training_corpus` / :func:`collect_training_data` /
+  :func:`train_default` — replay GAS algorithms over a generator zoo
+  and fit the degree-4 polynomial on the logs (Section III-B). Its
+  output is the committed ``default_costmodel.json`` artifact that
+  :func:`repro.core.costmodel.pretrained_default` loads; nothing at
+  run time calls it.
+* :func:`harvest` — every GUM run records one prediction-audit sample
+  per fragment per iteration in its decision ledger, so a registry of
+  recorded runs (or the committed ``benchmarks/reference``
+  directories) *is* a training corpus for the workloads actually being
+  run. Runs with byte-identical *workload fingerprints* are
+  deduplicated — the virtual clock is deterministic, so a second run
+  contributes byte-identical samples and would only bias the fit;
+  distinct fingerprints are pooled, never merged.
+* :func:`fit_candidates` — k-fold held-out RMSRE over the candidate
+  families, always scoring the shipped model on the *same* folds as
+  the baseline to beat.
 
 The CLI wrapper is ``repro costmodel fit --from-runs``; the validation
 counterpart (re-execute a recorded trace under a candidate model) is
@@ -36,49 +28,137 @@ counterpart (re-execute a recorded trace under a candidate model) is
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms import make_algorithm
 from repro.core.costmodel import (
     MODEL_FAMILIES,
     CostModel,
-    DecisionTreeModel,
-    KernelRidgeModel,
-    LinearSGDModel,
     PolynomialSGDModel,
-    UniformCostModel,
     pretrained_default,
     rmsre,
 )
-from repro.documents import load_document
 from repro.errors import CostModelError
+from repro.graph import generators
+from repro.graph.csr import CSRGraph
+from repro.graph.features import frontier_features
+from repro.hardware.device import DeviceModel
 from repro.obs.ledger import Ledger
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.partition.partitioners import random_partition
 
 __all__ = [
-    "COSTMODEL_SCHEMA",
     "CANDIDATE_FAMILIES",
     "CorpusRun",
     "HarvestedCorpus",
     "CandidateReport",
     "FitOutcome",
+    "collect_training_data",
+    "default_training_corpus",
+    "train_default",
     "harvest",
     "fit_candidates",
-    "model_to_params",
-    "model_from_params",
-    "save_artifact",
-    "load_artifact",
-    "artifact_label",
 ]
-
-COSTMODEL_SCHEMA = "repro-costmodel/1"
 
 #: Families ``--model auto`` tries, in evaluation order.
 CANDIDATE_FAMILIES = ("polynomial", "tree", "svr")
+
+
+# ----------------------------------------------------------------------
+# The synthetic corpus behind the shipped default
+# ----------------------------------------------------------------------
+def collect_training_data(
+    graphs: Sequence[CSRGraph],
+    algorithms: Sequence[str] = ("bfs", "sssp", "wcc", "pr"),
+    num_fragments: int = 8,
+    device: Optional[DeviceModel] = None,
+    seed: int = 0,
+    max_iterations: int = 300,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay algorithms over graphs and log (features, observed cost).
+
+    Each iteration of each algorithm on each graph contributes one
+    sample per fragment with a non-empty frontier, exactly as the paper
+    treats "the running log of each iteration as independent training
+    samples". Observed cost is the device model's ground truth —
+    including its measurement pseudo-noise.
+    """
+    device = device or DeviceModel()
+    rows: List[np.ndarray] = []
+    targets: List[float] = []
+    for graph in graphs:
+        weighted = (
+            graph
+            if graph.is_weighted
+            else generators.with_random_weights(graph, seed=seed)
+        )
+        partition = random_partition(weighted, num_fragments, seed=seed)
+        for algorithm_name in algorithms:
+            algorithm = make_algorithm(algorithm_name)
+            state = algorithm.init(weighted)
+            while state.frontier and state.iteration < max_iterations:
+                per_fragment = state.frontier.split_by_owner(
+                    partition.owner, num_fragments
+                )
+                for fragment in per_fragment:
+                    if not fragment:
+                        continue
+                    feats = frontier_features(weighted, fragment.vertices)
+                    rows.append(feats.vector())
+                    targets.append(device.true_edge_cost(feats))
+                state.frontier = algorithm.step(weighted, state)
+                state.iteration += 1
+    if not rows:
+        raise CostModelError("training corpus produced no samples")
+    return np.stack(rows), np.asarray(targets)
+
+
+def default_training_corpus(seed: int = 7) -> List[CSRGraph]:
+    """A small, diverse generator zoo standing in for the paper's
+    624-graph training corpus.
+
+    Spans the three benchmark domains *including benchmark-scale
+    instances* — training only on tiny graphs would leave deployment
+    frontiers out of distribution, which degrades interpolating
+    models (kernel methods especially) far more than their held-out
+    RMSRE suggests.
+    """
+    return [
+        generators.rmat(10, 8, seed=seed),
+        generators.rmat(11, 16, seed=seed + 1, a=0.62,
+                        b=0.19 / 1.1, c=0.19 / 1.1),
+        generators.rmat(12, 4, seed=seed + 2),
+        generators.rmat(13, 10, seed=seed + 10),
+        generators.rmat(14, 6, seed=seed + 11, a=0.6,
+                        b=0.2, c=0.15),
+        generators.erdos_renyi(3000, 24000, seed=seed + 3),
+        generators.web_graph(4000, 10, seed=seed + 4),
+        generators.web_graph(8000, 6, locality=0.95, window=64,
+                             seed=seed + 5),
+        generators.web_graph(20000, 12, seed=seed + 12),
+        generators.road_network(40, 40, seed=seed + 6),
+        generators.road_network(80, 25, seed=seed + 7),
+        generators.road_network(8, 300, seed=seed + 13),
+        generators.small_world(4000, k=4, seed=seed + 8),
+        generators.star(2000),
+        generators.grid_2d(50, 40, seed=seed + 9),
+    ]
+
+
+def train_default() -> PolynomialSGDModel:
+    """Fit the shipped default: degree-4 polynomial on the default corpus.
+
+    Deterministic; ``docs/costmodel.md`` has the one-liner that writes
+    its result over ``default_costmodel.json``.
+    """
+    features, costs = collect_training_data(default_training_corpus())
+    model = PolynomialSGDModel()
+    model.fit(features, costs)
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -250,14 +330,19 @@ class CandidateReport:
     family: str
     fold_rmsre: Tuple[float, ...]
     cv_rmsre: float
+    #: artifact digest of an already-fitted model (the shipped baseline)
+    digest: Optional[str] = None
 
     def as_dict(self) -> dict:
         """JSON-friendly view."""
-        return {
+        view = {
             "family": self.family,
             "fold_rmsre": [float(v) for v in self.fold_rmsre],
             "cv_rmsre": float(self.cv_rmsre),
         }
+        if self.digest is not None:
+            view["digest"] = self.digest
+        return view
 
 
 @dataclass
@@ -349,7 +434,8 @@ def fit_candidates(
     to pick the family with the lowest held-out RMSRE. The shipped
     pretrained polynomial is always evaluated (without refitting) on
     the identical held-out folds, so ``outcome.beats_shipped`` is an
-    apples-to-apples verdict.
+    apples-to-apples verdict; the baseline block names it by artifact
+    digest.
     """
     if model == "auto":
         families = list(CANDIDATE_FAMILIES)
@@ -389,6 +475,7 @@ def fit_candidates(
         family="shipped-polynomial",
         fold_rmsre=tuple(baseline_folds),
         cv_rmsre=float(np.mean(baseline_folds)),
+        digest=shipped.artifact["digest"],
     )
     winner = min(candidates, key=lambda name: candidates[name].cv_rmsre)
     final = MODEL_FAMILIES[winner]()
@@ -409,188 +496,3 @@ def fit_candidates(
         seed=seed,
         corpus=corpus,
     )
-
-
-# ----------------------------------------------------------------------
-# The repro-costmodel/1 artifact
-# ----------------------------------------------------------------------
-def _require(params: dict, *keys: str) -> list:
-    missing = [key for key in keys if key not in params]
-    if missing:
-        raise CostModelError(
-            f"cost-model artifact parameters missing {missing}"
-        )
-    return [params[key] for key in keys]
-
-
-def model_to_params(model: CostModel) -> Tuple[str, dict]:
-    """``(family, parameters)`` of a fitted model, JSON-ready."""
-    if isinstance(model, PolynomialSGDModel):  # LinearSGD subclasses it
-        if model._weights is None:
-            raise CostModelError("cannot serialize an unfitted model")
-        family = "linear" if model._degree == 1 else "polynomial"
-        return family, {
-            "degree": int(model._degree),
-            "weights": model._weights.tolist(),
-            "scaler_mean": model._scaler.mean.tolist(),
-            "scaler_std": model._scaler.std.tolist(),
-            "design_mean": model._design_scaler.mean.tolist(),
-            "design_std": model._design_scaler.std.tolist(),
-        }
-    if isinstance(model, DecisionTreeModel):
-        if not model._nodes:
-            raise CostModelError("cannot serialize an unfitted model")
-        if model._node_feature is None:
-            model._columnize()
-        return "tree", {
-            "node_feature": model._node_feature.tolist(),
-            "node_value": model._node_value.tolist(),
-            "node_left": model._node_left.tolist(),
-            "node_right": model._node_right.tolist(),
-        }
-    if isinstance(model, KernelRidgeModel):
-        if model._coef is None or model._support is None:
-            raise CostModelError("cannot serialize an unfitted model")
-        return "svr", {
-            "support": model._support.tolist(),
-            "coef": model._coef.tolist(),
-            "gamma": float(model._gamma),
-            "scaler_mean": model._scaler.mean.tolist(),
-            "scaler_std": model._scaler.std.tolist(),
-        }
-    if isinstance(model, UniformCostModel):
-        return "uniform", {"cost_seconds": float(model._cost)}
-    raise CostModelError(
-        f"cannot serialize a {type(model).__name__} into a "
-        f"{COSTMODEL_SCHEMA} artifact"
-    )
-
-
-def model_from_params(family: str, params: dict) -> CostModel:
-    """Rebuild a fitted model from artifact parameters."""
-    if family in ("polynomial", "linear"):
-        (degree, weights, scaler_mean, scaler_std, design_mean,
-         design_std) = _require(
-            params, "degree", "weights", "scaler_mean", "scaler_std",
-            "design_mean", "design_std",
-        )
-        model = (LinearSGDModel() if int(degree) == 1
-                 else PolynomialSGDModel(degree=int(degree)))
-        model._weights = np.asarray(weights, dtype=np.float64)
-        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
-        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
-        model._design_scaler.mean = np.asarray(
-            design_mean, dtype=np.float64
-        )
-        model._design_scaler.std = np.asarray(
-            design_std, dtype=np.float64
-        )
-        return model
-    if family == "tree":
-        feature, value, left, right = _require(
-            params, "node_feature", "node_value", "node_left",
-            "node_right",
-        )
-        model = DecisionTreeModel()
-        model._node_feature = np.asarray(feature, dtype=np.int64)
-        model._node_value = np.asarray(value, dtype=np.float64)
-        model._node_left = np.asarray(left, dtype=np.int64)
-        model._node_right = np.asarray(right, dtype=np.int64)
-        model._nodes = [
-            (int(f), float(v), int(lo), int(hi))
-            for f, v, lo, hi in zip(
-                model._node_feature, model._node_value,
-                model._node_left, model._node_right,
-            )
-        ]
-        return model
-    if family == "svr":
-        support, coef, gamma, scaler_mean, scaler_std = _require(
-            params, "support", "coef", "gamma", "scaler_mean",
-            "scaler_std",
-        )
-        model = KernelRidgeModel()
-        model._support = np.asarray(support, dtype=np.float64)
-        model._coef = np.asarray(coef, dtype=np.float64)
-        model._gamma = float(gamma)
-        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
-        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
-        return model
-    if family == "uniform":
-        (cost_seconds,) = _require(params, "cost_seconds")
-        return UniformCostModel(cost_seconds=float(cost_seconds))
-    raise CostModelError(
-        f"unsupported cost-model artifact family {family!r}"
-    )
-
-
-def _params_digest(family: str, params: dict) -> str:
-    payload = json.dumps(
-        {"family": family, "parameters": params}, sort_keys=True
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()
-
-
-def artifact_label(artifact: dict) -> str:
-    """Stable identity string: ``artifact:<family>@<digest8>``.
-
-    Derived from the serialized parameters only — two machines that
-    fit the same model get the same label, and the label (not the
-    filesystem path) joins a run's workload fingerprint so recorded
-    runs stay comparable across checkouts.
-    """
-    return (
-        f"artifact:{artifact['family']}"
-        f"@{artifact['digest'][:8]}"
-    )
-
-
-def save_artifact(model: CostModel, path,
-                  provenance: Optional[dict] = None) -> dict:
-    """Write a fitted model as a ``repro-costmodel/1`` JSON artifact.
-
-    Returns the artifact dict that was written. ``provenance`` is an
-    arbitrary JSON block (``FitOutcome.report()`` in the CLI flow).
-    """
-    family, params = model_to_params(model)
-    artifact = {
-        "schema": COSTMODEL_SCHEMA,
-        "family": family,
-        "digest": _params_digest(family, params),
-        "parameters": params,
-        "provenance": dict(provenance or {}),
-    }
-    with open(path, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return artifact
-
-
-def load_artifact(path) -> CostModel:
-    """Load a ``repro-costmodel/1`` artifact into a usable model.
-
-    The returned model carries ``artifact`` (the full payload) and
-    ``artifact_label`` attributes, so ledgers and workload
-    fingerprints can name it stably.
-    """
-    artifact = load_document(
-        path, COSTMODEL_SCHEMA, CostModelError, "cost-model artifact"
-    )
-    family = artifact.get("family")
-    params = artifact.get("parameters")
-    if not isinstance(params, dict):
-        raise CostModelError(
-            f"{path}: cost-model artifact has no parameters object"
-        )
-    digest = artifact.get("digest")
-    expected = _params_digest(family, params)
-    if digest != expected:
-        raise CostModelError(
-            f"{path}: artifact digest mismatch (stored {digest!r}, "
-            f"parameters hash to {expected!r}) — corrupted or "
-            "hand-edited artifact"
-        )
-    model = model_from_params(family, params)
-    model.artifact = artifact
-    model.artifact_label = artifact_label(artifact)
-    return model

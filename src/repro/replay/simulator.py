@@ -2,12 +2,12 @@
 
 PR 3's what-if analytics (:mod:`repro.obs.analysis`) re-simulate a
 run's span DAG under *hardware* hypotheticals. This module generalizes
-that to the quantities cost-model v2 cares about: re-execute a recorded
-run's decision sequence under a **modified cost model** (an artifact
-from ``repro costmodel fit``) and/or a **modified topology**, and
-attribute per-iteration virtual-time error — the model's predicted
-critical compute against the ledger-measured one — per superstep and
-per GPU.
+that to the quantities the cost-model refit loop cares about:
+re-execute a recorded run's decision sequence under a **modified cost
+model** (an artifact from ``repro costmodel fit``) and/or a **modified
+topology**, and attribute per-iteration virtual-time error — the
+model's predicted critical compute against the ledger-measured one —
+per superstep and per GPU.
 
 The replay is a pure function of the archived run (trace + ledger), so
 it is deterministic, and it is *anchored*: each iteration's replayed
@@ -39,7 +39,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.costmodel import CostModel, pretrained_default
+from repro.core.costmodel import (
+    CostModel,
+    model_label,
+    resolve_cost_model,
+)
 from repro.errors import ReproError, TopologyError
 from repro.hardware.topology import Topology, parse_topology
 from repro.obs import analysis
@@ -64,36 +68,18 @@ class ReplayError(ReproError):
 
 
 def resolve_replay_model(spec: Union[str, CostModel]) -> CostModel:
-    """A usable cost model from a CLI ``--cost-model`` operand.
+    """:func:`resolve_cost_model` minus what a replay cannot evaluate.
 
-    Accepts a fitted :class:`CostModel`, ``"default"`` (the shipped
-    pretrained polynomial), ``"uniform"``, or a path to a
-    ``repro-costmodel/1`` artifact. ``"oracle"`` is rejected — the
-    oracle reads the simulated device, which a replay does not have.
+    ``"oracle"`` is rejected — the oracle reads the simulated device,
+    which a replay does not have.
     """
-    if isinstance(spec, CostModel):
-        return spec
-    if spec == "default":
-        return pretrained_default()
-    if spec == "uniform":
-        from repro.core.costmodel import UniformCostModel
-
-        return UniformCostModel()
     if spec == "oracle":
         raise ReplayError(
             "the oracle model reads the simulated device and cannot "
             "be replayed offline; use 'default', 'uniform', or a "
             "repro-costmodel/1 artifact path"
         )
-    from repro.core.costmodel_v2 import load_artifact
-
-    return load_artifact(spec)
-
-
-def _model_label(model: Optional[CostModel]) -> Optional[str]:
-    if model is None:
-        return None
-    return getattr(model, "artifact_label", None) or model.name
+    return resolve_cost_model(spec)
 
 
 @dataclass
@@ -459,7 +445,7 @@ def replay_run(
         return ReplayRunResult(
             ref=str(ref),
             run_id=run_id,
-            model_label=_model_label(model),
+            model_label=None if model is None else model_label(model),
             topology_label=topology_label,
             recorded_total_ms=recorded_total,
             replayed_total_ms=replayed_total,

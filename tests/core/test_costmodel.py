@@ -1,8 +1,13 @@
-"""Unit tests for cost-model training and inference."""
+"""Unit tests for cost-model training, inference and resolution."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.cli import main as cli_main
 from repro.core import (
     MODEL_FAMILIES,
     DecisionTreeModel,
@@ -14,10 +19,23 @@ from repro.core import (
     collect_training_data,
     rmsre,
 )
-from repro.core.costmodel import _polynomial_expand
-from repro.errors import CostModelError
+from repro.core import costmodel, costmodel_fit
+from repro.core.costmodel import (
+    DEFAULT_ARTIFACT,
+    COSTMODEL_SCHEMA,
+    _polynomial_expand,
+    artifact_label,
+    load_artifact,
+    model_label,
+    pretrained_default,
+    resolve_cost_model,
+    save_artifact,
+)
+from repro.errors import CostModelError, EngineError
 from repro.graph import rmat, road_network, web_graph
 from repro.graph.features import FrontierFeatures
+from repro.replay import resolve_replay_model
+from repro.runs import RunRegistry
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +223,90 @@ def test_tree_predict_batch_matches_single_rows(training_set):
         float(model.predict(features[i:i + 1])[0]) for i in range(64)
     ])
     assert np.array_equal(batch, singles)
+
+
+# ----------------------------------------------------------------------
+# Obtaining a model: the shipped default, one resolver, one label
+# ----------------------------------------------------------------------
+def test_shipped_default_is_a_digest_checked_artifact():
+    model = pretrained_default()
+    assert model is pretrained_default()  # cached
+    assert model.artifact["schema"] == COSTMODEL_SCHEMA
+    assert model.artifact["family"] == "polynomial"
+    # named by role: a default-model run's ledger and fingerprint say
+    # "default", not the artifact digest
+    assert model_label(model) == "default"
+
+
+def test_tampered_copy_of_the_shipped_default_is_rejected(tmp_path):
+    artifact = json.loads(DEFAULT_ARTIFACT.read_text())
+    artifact["parameters"]["weights"][3] += 1e-9
+    path = tmp_path / "default_costmodel.json"
+    path.write_text(json.dumps(artifact))
+    with pytest.raises(CostModelError, match="digest mismatch"):
+        load_artifact(path)
+
+
+def test_training_is_unreachable_from_the_run_time_path(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the run-time path must not train")
+
+    monkeypatch.setattr(costmodel_fit, "collect_training_data",
+                        no_training)
+    monkeypatch.setattr(costmodel_fit, "train_default", no_training)
+    pretrained_default.cache_clear()  # a cold process, not a warm cache
+    result = repro.run(repro.datasets.load("TX"), "bfs", num_gpus=4)
+    assert result.ledger.model == "default"
+    reference = (Path(__file__).resolve().parents[2]
+                 / "benchmarks" / "reference" / "tx-bfs-4gpu")
+    assert cli_main(["replay", str(reference),
+                     "--cost-model", "default"]) == 0
+
+
+def test_resolver_names_and_instances():
+    assert resolve_cost_model("default") is pretrained_default()
+    assert isinstance(resolve_cost_model("oracle"), OracleCostModel)
+    assert isinstance(resolve_cost_model("uniform"), UniformCostModel)
+    instance = DecisionTreeModel()
+    assert resolve_cost_model(instance) is instance
+    assert [model_label(resolve_cost_model(name))
+            for name in ("default", "oracle", "uniform")] == \
+        ["default", "oracle", "uniform"]
+
+
+@pytest.mark.parametrize("resolve",
+                         [resolve_cost_model, resolve_replay_model])
+def test_one_error_for_one_mistake(resolve, tmp_path):
+    # a path-looking operand that does not exist says so ...
+    for operand in (str(tmp_path / "model.jsno"), "model.jsno"):
+        with pytest.raises(CostModelError, match="cannot read"):
+            resolve(operand)
+    with pytest.raises(CostModelError, match="cannot read"):
+        resolve(str(tmp_path))  # a directory
+    # ... and a bare unknown name lists the accepted ones
+    with pytest.raises(EngineError, match="expected 'default'"):
+        resolve("magic")
+
+
+def test_cli_record_loads_the_artifact_once(training_set, tmp_path,
+                                            monkeypatch):
+    features, costs = training_set
+    model = DecisionTreeModel()
+    model.fit(features, costs)
+    path = tmp_path / "model.json"
+    artifact = save_artifact(model, path)
+    loads = []
+    real_load = costmodel.load_artifact
+    monkeypatch.setattr(
+        costmodel, "load_artifact",
+        lambda p: loads.append(p) or real_load(p),
+    )
+    assert cli_main([
+        "run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "2",
+        "--cost-model", str(path), "--record",
+        "--runs-dir", str(tmp_path / "runs"),
+    ]) == 0
+    assert loads == [str(path)]
+    manifest = RunRegistry(tmp_path / "runs").load_manifest("latest")
+    assert manifest["fingerprint"]["workload"]["cost_model"] == \
+        artifact_label(artifact)

@@ -160,7 +160,7 @@ def test_scheduler_requires_begin_run(skewed_partition):
 
 def test_config_validation():
     with pytest.raises(EngineError, match="cost model"):
-        GumConfig(cost_model="magic").resolve_cost_model()
+        GumScheduler(GumConfig(cost_model="magic"))
 
 
 def test_hub_cache_reduces_remote_cost(skewed_weighted, source):

@@ -16,8 +16,11 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.core.costmodel import MODEL_FAMILIES, UniformCostModel
-from repro.core.costmodel_v2 import save_artifact
+from repro.core.costmodel import (
+    MODEL_FAMILIES,
+    UniformCostModel,
+    save_artifact,
+)
 from repro.errors import ReproError
 from repro.hardware import dgx1
 from repro.partition import random_partition

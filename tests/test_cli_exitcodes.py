@@ -52,6 +52,11 @@ def _bench_against(baseline):
     ]
 
 
+def _tx_bfs(*verb_and_flags):
+    return [*verb_and_flags,
+            "--graph", "TX", "--algorithm", "bfs", "--gpus", "2"]
+
+
 # each entry: (id, argv builder taking the tmp registry dir)
 CASES = [
     ("run-chaos-missing", lambda d: [
@@ -70,6 +75,27 @@ CASES = [
         "profile", "--graph", "TX", "--algorithm", "bfs", "--gpus", "2",
         "--out", str(d / "trace.json"),
         "--chaos", str(d / "absent-scenario.json"),
+    ]),
+    ("run-cost-model-missing", lambda d: _tx_bfs(
+        "run", "--cost-model", str(d / "model.jsno"),
+    )),
+    ("run-cost-model-directory", lambda d: _tx_bfs(
+        "run", "--cost-model", str(d),
+    )),
+    ("run-cost-model-unknown-name", lambda d: _tx_bfs(
+        "run", "--cost-model", "magic",
+    )),
+    ("profile-cost-model-missing", lambda d: _tx_bfs(
+        "profile", "--out", str(d / "trace.json"),
+        "--cost-model", str(d / "model.jsno"),
+    )),
+    ("runs-record-cost-model-missing", lambda d: _tx_bfs(
+        "runs", "record", "--runs-dir", str(d),
+        "--cost-model", str(d / "model.jsno"),
+    )),
+    ("replay-cost-model-missing", lambda d: [
+        "replay", REFERENCE_RUN, "--runs-dir", str(d),
+        "--cost-model", str(d / "model.jsno"),
     ]),
     ("bench-filter-matches-nothing", lambda d: [
         "bench", "--filter", "zzz-no-such-case",
@@ -146,6 +172,23 @@ def test_bad_input_exits_2_with_one_line_error(
     ]
     assert len(error_lines) == 1
     assert "Traceback" not in err
+
+
+def test_missing_cost_model_is_one_error_on_every_verb(tmp_path, capsys):
+    """``run`` and ``replay`` resolve ``--cost-model`` the same way."""
+    missing = str(tmp_path / "model.jsno")
+    messages = []
+    for argv in (
+        _tx_bfs("run", "--cost-model", missing),
+        ["replay", REFERENCE_RUN, "--cost-model", missing],
+    ):
+        assert main(argv) == 2
+        messages.append(capsys.readouterr().err.strip())
+    assert messages[0] == messages[1]
+    assert "cannot read cost-model artifact" in messages[0]
+    assert "No such file" in messages[0]
+    assert main(_tx_bfs("run", "--cost-model", "magic")) == 2
+    assert "expected 'default', 'oracle'" in capsys.readouterr().err
 
 
 def test_gate_exit_codes_stay_distinct(tmp_path):

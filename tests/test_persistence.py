@@ -1,12 +1,12 @@
 """Round-trip tests for persistence: binary graphs and partitions, and
 cost models as ``repro-costmodel/1`` artifacts (their one format; the
-per-family and digest cases live in ``tests/core/test_costmodel_v2.py``)."""
+per-family and digest cases live under ``tests/core``)."""
 
 import numpy as np
 import pytest
 
 from repro.core import PolynomialSGDModel, collect_training_data
-from repro.core.costmodel_v2 import load_artifact, save_artifact
+from repro.core.costmodel import load_artifact, save_artifact
 from repro.errors import CostModelError, GraphError, PartitionError
 from repro.graph import rmat, road_network
 from repro.graph.io_npz import (
