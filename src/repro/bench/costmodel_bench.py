@@ -16,7 +16,7 @@ so the gates hold on any host:
   folds (the ``repro costmodel fit --from-runs`` CI assertion).
 * ``replay.bit_identity`` — ``repro replay`` of both reference runs
   under their original model. Gate: bit-identical virtual-time totals
-  and all three byte-level invariants.
+  and all four byte-level invariants.
 
 ``repro bench --filter costmodel --filter replay`` runs them (CI
 writes ``BENCH_costmodel.json``) and exits 1 on any violation.

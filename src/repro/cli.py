@@ -57,68 +57,11 @@ from repro.obs import (
 )
 from repro.backend import BACKEND_NAMES
 from repro.partition.partitioners import PARTITIONERS
+from repro.runs import result_summary
 from repro.runtime import EngineOptions, RunResult
-from repro.runtime.trace import render_timeline, utilization_report
+from repro.runtime.trace import render_timeline
 
 __all__ = ["main", "build_parser", "result_summary"]
-
-
-def result_summary(result: RunResult) -> dict:
-    """JSON-friendly summary of a run (used by ``--json``)."""
-    from repro.obs.metrics import quantile
-    from repro.obs.slo import slo_indicators
-
-    group_sizes = result.group_size_series()
-    wall_ms = [rec.wall_seconds * 1e3 for rec in result.iterations]
-    summary = {
-        "engine": result.engine,
-        "algorithm": result.algorithm,
-        "graph": result.graph_name,
-        "num_gpus": result.num_gpus,
-        "total_ms": result.total_ms,
-        "iterations": result.num_iterations,
-        "converged": result.converged,
-        "stall_fraction": result.stall_fraction(),
-        "breakdown_ms": result.breakdown.scaled_ms(),
-        "stolen_edges": int(
-            sum(r.stolen_edges for r in result.iterations)
-        ),
-        "min_group_size": (
-            min(group_sizes) if result.iterations else result.num_gpus
-        ),
-        "real_decision_ms": result.real_decision_seconds * 1e3,
-        "fsteal_iterations": int(
-            sum(1 for r in result.iterations if r.fsteal_applied)
-        ),
-        "mean_group_size": (
-            float(np.mean(group_sizes))
-            if result.iterations else float(result.num_gpus)
-        ),
-        "per_gpu_utilization": utilization_report(
-            result
-        )["per_gpu_utilization"],
-        "decision_cache": dict(result.decision_stats),
-        # virtual per-iteration latency distribution (deterministic)
-        "iteration_ms": {
-            "p50": quantile(wall_ms, 0.50),
-            "p90": quantile(wall_ms, 0.90),
-            "p99": quantile(wall_ms, 0.99),
-            "max": max(wall_ms) if wall_ms else None,
-        },
-        # host clock: what fraction of run() wall time was spent inside
-        # span/metric emission (None for runs recorded before
-        # self-measurement existed)
-        "obs_overhead_pct": result.obs_overhead_pct(),
-    } | ({"chaos": dict(result.chaos)} if result.chaos else {}) \
-        | ({"backend": dict(result.backend_stats)}
-           if result.backend_stats else {})
-    ledger = getattr(result, "ledger", None)
-    if ledger is not None:
-        # prediction-audit rollup (entry/sample counts, final RMSRE,
-        # drift, cache mix) — the SLO indicators below read it
-        summary["ledger"] = ledger.summary()
-    summary["slo"] = slo_indicators(summary, result.timeseries())
-    return summary
 
 
 def _chaos_from_args(args: argparse.Namespace):
@@ -753,7 +696,9 @@ def _cmd_runs_analyze(args: argparse.Namespace) -> int:
     """Critical-path attribution (and optional what-if) of a run."""
     from repro.obs import analysis
 
-    source = _registry_from_args(args).load_run_trace(args.ref)
+    source = analysis.iteration_costs(
+        _registry_from_args(args).load_run_trace(args.ref)
+    )
     whatif = analysis.WhatIf(
         gpu_compute_scale=dict(args.scale_gpu or []),
         compute_scale=args.scale_compute,
@@ -832,7 +777,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Terminal dashboard: tail a live stream or replay a recorded run."""
-    from repro.obs.top import follow_stream, replay_run
+    from repro.obs.top import follow_stream, play_back
 
     ansi = not args.no_ansi and sys.stdout.isatty()
     if args.stream:
@@ -851,7 +796,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             "--stream PATH to tail"
         )
     header, records = _registry_from_args(args).load_run_trace(args.ref)
-    replay_run(
+    play_back(
         header,
         records,
         sys.stdout.write,

@@ -42,7 +42,7 @@ from repro.core.costmodel import (
     pretrained_default,
     rmsre,
 )
-from repro.errors import CostModelError
+from repro.errors import CostModelError, ReproError
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.features import frontier_features
@@ -281,9 +281,10 @@ def harvest(registry, refs: Optional[Sequence[str]] = None,
             try:
                 ledger = Ledger.from_dict(registry.load_ledger(ref))
                 samples = ledger.export_samples()
-            except Exception:
-                # no archived ledger (stateless policy) or an empty
-                # one (model never consulted): nothing to harvest
+            except ReproError:
+                # no archived ledger (stateless policy), a malformed
+                # one, or an empty one (model never consulted):
+                # nothing to harvest
                 empty_runs.append(run_id)
                 continue
             seen[key] = run_id

@@ -46,9 +46,11 @@ __all__ = [
     "CriticalPathReport",
     "WhatIf",
     "ReplayReport",
+    "iteration_costs",
     "build_dag",
     "analyze",
     "replay",
+    "replay_walls",
     "format_report",
     "format_replay",
 ]
@@ -60,6 +62,7 @@ AnalysisSource = Union[
     RunResult,
     Tuple[Dict, List[Dict]],
     Sequence[Dict],
+    Tuple[Dict, List["IterationCost"]],
 ]
 
 
@@ -86,16 +89,6 @@ def _normalize(source: AnalysisSource) -> Tuple[Dict, List[Dict]]:
         f"cannot analyze {type(source).__name__}: expected a RunResult, "
         "a (header, records) pair from load_trace, or a record list"
     )
-
-
-def _record_field(record: Dict, key: str, iteration: int):
-    try:
-        return record[key]
-    except (KeyError, TypeError):
-        raise TraceFormatError(
-            f"iteration record {iteration} is missing {key!r}; "
-            "not a repro trace?"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +124,7 @@ class IterationCost:
     fsteal: bool = False
     stolen_edges: int = 0
     frontier_edges: int = 0
+    frontier_size: int = 0
     group_size: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -151,10 +145,9 @@ class IterationCost:
 
 
 def _iteration_cost(record: Dict, position: int) -> IterationCost:
+    """Parse one trace record — the only reader of its raw keys."""
     iteration = int(record.get("iteration", position))
-    busy = np.asarray(
-        _record_field(record, "busy_ms", iteration), dtype=float
-    )
+    busy = np.asarray(record["busy_ms"], dtype=float)
     stall = np.asarray(record.get("stall_ms", np.zeros_like(busy)),
                        dtype=float)
     if stall.shape != busy.shape:
@@ -162,7 +155,7 @@ def _iteration_cost(record: Dict, position: int) -> IterationCost:
             f"iteration record {iteration}: busy_ms has "
             f"{busy.size} workers but stall_ms has {stall.size}"
         )
-    wall = float(_record_field(record, "wall_ms", iteration))
+    wall = float(record["wall_ms"])
     active = [int(a) for a in record.get("active_workers",
                                          range(busy.size))]
     if any(not 0 <= a < busy.size for a in active):
@@ -221,16 +214,42 @@ def _iteration_cost(record: Dict, position: int) -> IterationCost:
         fsteal=bool(record.get("fsteal", False)),
         stolen_edges=int(record.get("stolen_edges", 0) or 0),
         frontier_edges=int(record.get("frontier_edges", 0) or 0),
+        frontier_size=int(record.get("frontier_size", 0) or 0),
         group_size=record.get("group_size"),
     )
 
 
-def _costs(source: AnalysisSource) -> Tuple[Dict, List[IterationCost]]:
+def iteration_costs(
+    source: AnalysisSource,
+) -> Tuple[Dict, List[IterationCost]]:
+    """``(header, per-superstep costs)`` — the one trace-record parser.
+
+    The result is itself an accepted source (parsed costs pass through
+    untouched), so a command parses its trace once and hands the pair
+    to :func:`analyze`, :func:`replay`, :func:`repro.replay.replay_run`
+    and the dashboard playback alike. Anything malformed in a record
+    is a :class:`TraceFormatError`.
+    """
     header, records = _normalize(source)
-    return header, [
-        _iteration_cost(record, position)
-        for position, record in enumerate(records)
-    ]
+    costs = []
+    for position, record in enumerate(records):
+        try:
+            costs.append(
+                record if isinstance(record, IterationCost)
+                else _iteration_cost(record, position)
+            )
+        except TraceFormatError:
+            raise
+        except KeyError as exc:
+            raise TraceFormatError(
+                f"iteration record {position} is missing {exc}; "
+                "not a repro trace?"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"iteration record {position}: malformed value ({exc})"
+            ) from None
+    return header, costs
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +279,6 @@ class SpanDag:
     def __init__(self, meta: Optional[Dict] = None) -> None:
         self.meta: Dict = dict(meta or {})
         self.nodes: Dict[str, DagNode] = {}
-        self._successors: Dict[str, List[str]] = {}
         self._predecessors: Dict[str, List[str]] = {}
 
     def add_node(self, node: DagNode) -> DagNode:
@@ -268,7 +286,6 @@ class SpanDag:
         if node.id in self.nodes:
             raise TraceFormatError(f"duplicate DAG node {node.id!r}")
         self.nodes[node.id] = node
-        self._successors[node.id] = []
         self._predecessors[node.id] = []
         return node
 
@@ -277,16 +294,7 @@ class SpanDag:
         for node_id in (src, dst):
             if node_id not in self.nodes:
                 raise TraceFormatError(f"unknown DAG node {node_id!r}")
-        self._successors[src].append(dst)
         self._predecessors[dst].append(src)
-
-    def successors(self, node_id: str) -> List[str]:
-        """Outgoing edges of one node."""
-        return list(self._successors[node_id])
-
-    def predecessors(self, node_id: str) -> List[str]:
-        """Incoming edges of one node."""
-        return list(self._predecessors[node_id])
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -333,7 +341,7 @@ def build_dag(source: AnalysisSource) -> SpanDag:
     transfer, serialization, sync, and decision overhead — i.e.
     ``wall(k) - max_j busy(k, j)``.
     """
-    header, costs = _costs(source)
+    header, costs = iteration_costs(source)
     dag = SpanDag(meta=header)
     previous = dag.add_node(DagNode(id="source", kind="source",
                                     duration_ms=0.0))
@@ -424,9 +432,15 @@ class CriticalPathReport:
 
 def analyze(source: AnalysisSource) -> CriticalPathReport:
     """Critical-path attribution of a run (see module docstring)."""
-    header, costs = _costs(source)
-    num_gpus = int(header.get("num_gpus",
-                              costs[0].busy_ms.size if costs else 0))
+    header, costs = iteration_costs(source)
+    try:
+        num_gpus = int(header.get(
+            "num_gpus", costs[0].busy_ms.size if costs else 0
+        ))
+    except (TypeError, ValueError):
+        raise TraceFormatError(
+            f"trace header: num_gpus is {header['num_gpus']!r}"
+        ) from None
     busy = np.zeros(num_gpus)
     stall = np.zeros(num_gpus)
     on_critical = np.zeros(num_gpus)
@@ -445,7 +459,7 @@ def analyze(source: AnalysisSource) -> CriticalPathReport:
             straggled[cost.straggler] += 1
     # the DAG's longest path is sum(critical + tail) = sum(wall);
     # computed through the DAG so the invariant holds by construction
-    critical_path_ms, __ = build_dag(source).longest_path()
+    critical_path_ms, __ = build_dag((header, costs)).longest_path()
     return CriticalPathReport(
         total_ms=total,
         num_gpus=num_gpus,
@@ -546,6 +560,73 @@ class ReplayReport:
         }
 
 
+def replay_walls(
+    costs: Sequence[IterationCost],
+    deltas: Sequence[Sequence[float]],
+    floors: Optional[Sequence[float]] = None,
+) -> List[float]:
+    """The anchoring rule of every replay, written once.
+
+    ``deltas`` holds one per-superstep series of wall-time deltas (ms)
+    per hypothetical: ``wall'(k) = wall(k) + sum_h deltas[h][k]``,
+    never below ``floors[k]`` (default zero). The recorded wall is the
+    anchor, so deltas that are all ``0.0`` reproduce it bit for bit —
+    the no-op invariant :func:`replay` and
+    :func:`repro.replay.replay_run` both pin.
+    """
+    walls = []
+    for k, cost in enumerate(costs):
+        wall = cost.wall_ms
+        for series in deltas:
+            wall = wall + series[k]
+        walls.append(max(wall, floors[k] if floors else 0.0))
+    return walls
+
+
+def _scale_compute(cost: IterationCost, whatif: WhatIf) -> np.ndarray:
+    """Per-GPU busy time under the scenario's compute scales."""
+    scales = dict(whatif.gpu_compute_scale)
+    if whatif.compute_scale != 1.0:
+        for gpu in cost.active:
+            scales[gpu] = scales.get(gpu, 1.0) * whatif.compute_scale
+    scales = {gpu: x for gpu, x in scales.items() if x != 1.0}
+    if not scales:
+        return cost.busy_ms
+    busy = cost.busy_ms.copy()
+    if cost.mean_busy_ms > 0:
+        # only the compute share of busy scales; the trace carries
+        # the group's mean compute fraction, so use that
+        compute = cost.breakdown_ms.get("compute", cost.mean_busy_ms)
+        fraction = min(max(compute / cost.mean_busy_ms, 0.0), 1.0)
+        for gpu, x in scales.items():
+            if 0 <= gpu < busy.size:
+                busy[gpu] *= 1.0 + (x - 1.0) * fraction
+    return busy
+
+
+def _undo_fsteal(cost: IterationCost, busy: np.ndarray) -> np.ndarray:
+    """``busy`` with FSteal's stolen edges charged back to the
+    straggler at the group's mean cost per edge."""
+    if not (cost.fsteal and cost.stolen_edges):
+        return busy
+    busy = busy.copy()
+    if cost.frontier_edges > 0 and cost.straggler is not None:
+        per_edge = float(busy[cost.active].sum()) / cost.frontier_edges
+        busy[cost.straggler] += cost.stolen_edges * per_edge
+    return busy
+
+
+def _whatif_critical(cost: IterationCost, whatif: WhatIf) -> float:
+    """The superstep's barrier (max busy over the active group) under
+    the scenario; the recorded one when nothing touches busy."""
+    busy = _scale_compute(cost, whatif)
+    if whatif.drop_fsteal:
+        busy = _undo_fsteal(cost, busy)
+    if busy is cost.busy_ms or not cost.active:
+        return cost.critical_ms
+    return float(busy[np.asarray(cost.active)].max())
+
+
 def replay(source: AnalysisSource,
            whatif: Optional[WhatIf] = None) -> ReplayReport:
     """Re-simulate the run's DAG with scaled durations.
@@ -553,48 +634,29 @@ def replay(source: AnalysisSource,
     Per superstep the replay recomputes the barrier time (max scaled
     busy over the active group) and shifts the recorded wall time by
     the barrier delta; the coordinator tail rides along unchanged
-    unless the scenario zeroes the decision overhead. A no-op scenario
-    therefore returns the original per-superstep walls bit-exactly.
+    unless the scenario zeroes the decision overhead, and then never
+    shrinks below the barrier. A no-op scenario therefore returns the
+    original per-superstep walls bit-exactly.
     """
     whatif = whatif or WhatIf()
-    __, costs = _costs(source)
-    walls: List[float] = []
+    __, costs = iteration_costs(source)
+    barriers = [_whatif_critical(cost, whatif) for cost in costs]
+    deltas = [[
+        barrier - cost.critical_ms
+        for barrier, cost in zip(barriers, costs)
+    ]]
+    if whatif.zero_decision_overhead:
+        deltas.append([
+            -float(cost.breakdown_ms.get("overhead", 0.0))
+            for cost in costs
+        ])
+    walls = replay_walls(
+        costs, deltas,
+        floors=barriers if whatif.zero_decision_overhead else None,
+    )
     baseline = 0.0
     for cost in costs:
         baseline += cost.wall_ms
-        busy = cost.busy_ms
-        scaled = False
-        scales = dict(whatif.gpu_compute_scale)
-        if whatif.compute_scale != 1.0:
-            for gpu in cost.active:
-                scales[gpu] = scales.get(gpu, 1.0) * whatif.compute_scale
-        scales = {gpu: x for gpu, x in scales.items() if x != 1.0}
-        if scales or (whatif.drop_fsteal and cost.fsteal
-                      and cost.stolen_edges):
-            busy = busy.copy()
-            scaled = True
-        if scales and cost.mean_busy_ms > 0:
-            # only the compute share of busy scales; the trace carries
-            # the group's mean compute fraction, so use that
-            compute = cost.breakdown_ms.get("compute", cost.mean_busy_ms)
-            fraction = min(max(compute / cost.mean_busy_ms, 0.0), 1.0)
-            for gpu, x in scales.items():
-                if 0 <= gpu < busy.size:
-                    busy[gpu] *= 1.0 + (x - 1.0) * fraction
-        if whatif.drop_fsteal and cost.fsteal and cost.stolen_edges \
-                and cost.frontier_edges > 0 and cost.straggler is not None:
-            group_busy = float(busy[cost.active].sum())
-            per_edge = group_busy / cost.frontier_edges
-            busy[cost.straggler] += cost.stolen_edges * per_edge
-        if scaled and cost.active:
-            new_critical = float(busy[np.asarray(cost.active)].max())
-        else:
-            new_critical = cost.critical_ms
-        wall = cost.wall_ms + (new_critical - cost.critical_ms)
-        if whatif.zero_decision_overhead:
-            overhead = float(cost.breakdown_ms.get("overhead", 0.0))
-            wall = max(wall - overhead, new_critical)
-        walls.append(wall)
     return ReplayReport(
         scenario=whatif,
         baseline_ms=baseline,

@@ -22,17 +22,26 @@ training pairs a ``costmodel fit --from-runs`` harvester needs, and
 :func:`reconstruct_rmsre` replays the arbitrator's online RMSRE
 bit-identically from the entries alone — ``repro explain`` checks that
 equality on every render.
+
+The fold over audit samples lives here once, for every reader of a
+recorded run (analytics, ``from_dict``, ``repro explain``,
+:mod:`repro.replay`): :func:`relative_error` is the skip rule,
+:func:`counted_errors` walks a sample list with it,
+:func:`predicted_critical_seconds` is the fold behind an entry's
+``predicted_seconds``, :func:`error_attribution` the per-key roll-up,
+and the running RMSRE is the arbitrator's own ``OnlineRMSRE``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import (
-    Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
 
+from repro.core.costmodel import OnlineRMSRE
 from repro.core.decision_cache import bucketize
 from repro.errors import ReproError
 from repro.obs.metrics import quantile
@@ -44,8 +53,12 @@ __all__ = [
     "Ledger",
     "LedgerError",
     "LedgerSamples",
+    "counted_errors",
+    "error_attribution",
     "explain_lines",
+    "predicted_critical_seconds",
     "reconstruct_rmsre",
+    "relative_error",
 ]
 
 LEDGER_SCHEMA = "repro-ledger/1"
@@ -82,27 +95,176 @@ class LedgerSamples(NamedTuple):
     gpus: np.ndarray
 
 
+def relative_error(predicted: float, actual: float) -> Optional[float]:
+    """``(predicted - actual) / actual`` of one audit sample; ``None``
+    for a non-positive actual, which every accuracy statistic skips
+    (the rule :class:`repro.core.costmodel.OnlineRMSRE` applies)."""
+    if actual <= 0:
+        return None
+    return (predicted - actual) / actual
+
+
+def counted_errors(
+    samples: Sequence[dict], predictions: Optional[Sequence[float]] = None
+) -> Iterator[Tuple[dict, float]]:
+    """``(sample, relative error)`` of every counted sample, in feed
+    order; ``predictions`` (aligned with ``samples``) substitutes a
+    candidate model's for the stored ones."""
+    for position, sample in enumerate(samples):
+        rel = relative_error(
+            sample["predicted"] if predictions is None
+            else float(predictions[position]),
+            sample["actual"],
+        )
+        if rel is not None:
+            yield sample, rel
+
+
+def predicted_critical_seconds(
+    samples: Sequence[dict], predictions: Optional[Sequence[float]] = None
+) -> Optional[float]:
+    """Max over per-worker sums of ``predicted * edges``: the model's
+    predicted critical compute under the ownership it was consulted
+    with. The stored predictions reproduce an entry's
+    ``predicted_seconds`` bit for bit; ``predictions`` substitutes a
+    candidate model's."""
+    per_worker: Dict[int, float] = {}
+    for position, sample in enumerate(samples):
+        predicted = (
+            sample["predicted"] if predictions is None
+            else float(predictions[position])
+        )
+        worker = sample["worker"]
+        per_worker[worker] = (
+            per_worker.get(worker, 0.0) + predicted * sample["edges"]
+        )
+    if not per_worker:
+        return None
+    return float(max(per_worker.values()))
+
+
+def error_attribution(groups: Dict[int, List[float]]) -> Dict[str, dict]:
+    """Per-key error statistics (keys stringified for JSON stability)."""
+    out = {}
+    for key in sorted(groups):
+        rels = groups[key]
+        out[str(key)] = {
+            "count": len(rels),
+            "rmsre": float(
+                math.sqrt(sum(r * r for r in rels) / len(rels))
+            ),
+            "mean_abs_rel_error": float(
+                sum(abs(r) for r in rels) / len(rels)
+            ),
+        }
+    return out
+
+
+def _replay_online(entries: Sequence[dict]) -> OnlineRMSRE:
+    """The arbitrator's accuracy tracker, re-fed from ledger entries."""
+    online = OnlineRMSRE()
+    for entry in entries:
+        for sample in entry["samples"]:
+            online.update(sample["predicted"], sample["actual"])
+    return online
+
+
 def reconstruct_rmsre(entries: Sequence[dict]) -> Optional[float]:
     """Replay the arbitrator's online RMSRE from ledger entries alone.
 
-    Accumulates ``((predicted - actual) / actual) ** 2`` over every
-    positive-actual sample in recorded order — the exact update
-    :class:`repro.core.costmodel.OnlineRMSRE` performs — so the result
-    is bit-identical to the arbitrator's final value. ``None`` when no
+    Feeds every sample, in recorded order, to the same
+    :class:`repro.core.costmodel.OnlineRMSRE` the arbitrator runs, so
+    the result is bit-identical to its final value. ``None`` when no
     sample was counted.
     """
-    sum_sq = 0.0
-    count = 0
-    for entry in entries:
-        for sample in entry.get("samples", ()):
-            actual = sample["actual"]
-            if actual <= 0:
-                continue
-            sum_sq += ((sample["predicted"] - actual) / actual) ** 2
-            count += 1
-    if count == 0:
+    online = _replay_online(entries)
+    return online.value if online.count else None
+
+
+def _opt_float(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+#: Nested objects of a ``repro-ledger/1`` entry as ``(key, cast)`` in
+#: the order the ``record_*`` calls take them: what ``_materialize``
+#: writes and ``from_dict`` checks.
+_OSTEAL = (
+    ("group_size", int), ("prev_group_size", int), ("candidates", int),
+    ("evaluated_sizes", int), ("reused_sizes", int),
+    ("estimated_cost", float), ("estimated_kernel", float),
+    ("p_estimate", float),
+)
+_FSTEAL = (
+    ("solver", str), ("cache_status", str), ("objective", float),
+    ("warm_started", bool), ("static_makespan", _opt_float),
+    ("gain", _opt_float), ("modeled_overhead", float),
+    ("rejected_by_gate", bool),
+)
+_MEASURED = (
+    ("wall_seconds", float), ("critical_busy_seconds", float),
+    ("compute_seconds", float), ("num_active", int),
+)
+_NESTED_KEYS = {
+    name: frozenset(key for key, __ in schema)
+    for name, schema in (
+        ("osteal", _OSTEAL), ("fsteal", _FSTEAL), ("measured", _MEASURED),
+    )
+}
+_ENTRY_KEYS = frozenset((
+    "iteration", "fingerprint", "workloads", "osteal", "fsteal",
+    "cache_status", "samples", "skipped", "predicted_seconds",
+    "rmsre_iteration", "rmsre_online", "drift_z", "group_size",
+    "active_workers", "fsteal_applied", "stolen_edges",
+    "migrated_vertices", "measured", "decision_error",
+))
+_SAMPLE_KEYS = frozenset((
+    "fragment", "worker", "edges", "features", "predicted", "actual",
+))
+_SAMPLE_NUMBERS = ("fragment", "worker", "edges", "predicted", "actual")
+_FAULT_KEYS = frozenset(("iteration", "kind", "worker", "heir"))
+
+
+def _typed(schema, values: Optional[tuple]) -> Optional[dict]:
+    """The schema dict of one recorded tuple (``None`` stays ``None``)."""
+    if values is None:
         return None
-    return float(np.sqrt(sum_sq / count))
+    return {key: cast(value) for (key, cast), value in zip(schema, values)}
+
+
+def _checked(obj, keys, where: str, numeric: Sequence[str] = ()) -> dict:
+    """``obj`` if it is a JSON object carrying ``keys``, with numbers
+    under the ``numeric`` ones; a :class:`LedgerError` otherwise."""
+    if not isinstance(obj, dict):
+        raise LedgerError(f"{where} is not a JSON object")
+    if not obj.keys() >= keys:
+        missing = ", ".join(sorted(key for key in keys if key not in obj))
+        raise LedgerError(f"{where} is missing {missing}")
+    for key in numeric:
+        if type(obj[key]) not in (int, float):  # bool is not a number
+            raise LedgerError(
+                f"{where}: {key} is not a number: {obj[key]!r}"
+            )
+    return obj
+
+
+def _checked_entry(entry, position: int) -> dict:
+    """A copy of one stored entry once its shape is known good, so a
+    hand-edited or truncated ledger fails here and not inside a reader."""
+    where = f"ledger entry {position}"
+    _checked(entry, _ENTRY_KEYS, where)
+    _checked(entry, _ENTRY_KEYS, where, ["iteration"] + [
+        key for key in ("predicted_seconds", "drift_z", "decision_error")
+        if entry[key] is not None
+    ])
+    for key, nested_keys in _NESTED_KEYS.items():
+        if entry[key] is not None:
+            _checked(entry[key], nested_keys, f"{where}: {key}")
+    if not isinstance(entry["samples"], list):
+        raise LedgerError(f"{where}: samples is not a list")
+    sample_where = f"{where}: sample"
+    for sample in entry["samples"]:
+        _checked(sample, _SAMPLE_KEYS, sample_where, _SAMPLE_NUMBERS)
+    return dict(entry)
 
 
 class _RawEntry:
@@ -160,16 +322,13 @@ class Ledger:
         self.amortize = bool(amortize)
         self.fingerprint_tolerance = float(fingerprint_tolerance)
         self.faults: List[dict] = []
-        self.skipped_samples = 0
         self.final_rmsre: Optional[float] = None
         self._open: Optional[_RawEntry] = None
         self._raw: List[_RawEntry] = []
         self._entries: Optional[List[dict]] = None
-        self._by_iteration: Dict[int, object] = {}
-        # online-RMSRE mirror (same accumulation order as the source)
-        self._sum_sq = 0.0
-        self._counted = 0
-        self._last_rmsre: Optional[float] = None
+        self._by_iteration: Dict[int, _RawEntry] = {}
+        # the arbitrator's own tracker, fed the same samples in order
+        self._online = OnlineRMSRE()
         # current iteration's signed relative-error accumulator
         self._it_signed = 0.0
         self._it_nsigned = 0
@@ -214,13 +373,12 @@ class Ledger:
         entry.samples.append(
             (fragment, worker, features, predicted, actual)
         )
-        if actual <= 0:
+        self._online.update(predicted, actual)
+        rel = relative_error(predicted, actual)
+        if rel is None:
             entry.skipped += 1
-            self.skipped_samples += 1
             return
-        self._sum_sq += ((predicted - actual) / actual) ** 2
-        self._counted += 1
-        self._it_signed += (predicted - actual) / actual
+        self._it_signed += rel
         self._it_nsigned += 1
 
     def record_osteal(self, group_size: int, prev_group_size: int,
@@ -271,12 +429,8 @@ class Ledger:
             group_size, tuple(active_workers), fsteal_applied,
             stolen_edges, migrated_vertices, inter_node_stolen_edges,
         )
-        if self._counted:
-            # math.sqrt == np.sqrt bit for bit (both correctly rounded)
-            entry.rmsre_online = float(
-                math.sqrt(self._sum_sq / self._counted)
-            )
-            self._last_rmsre = entry.rmsre_online
+        if self._online.count:
+            entry.rmsre_online = self._online.value
         if self._it_nsigned:
             entry.drift_z = self._drift_update(
                 self._it_signed / self._it_nsigned
@@ -312,26 +466,11 @@ class Ledger:
         entry = self._by_iteration.get(int(iteration))
         if entry is None:
             return
-        if type(entry) is _RawEntry:
-            entry.measured = (
-                wall_seconds, critical_busy_seconds, compute_seconds,
-                num_active,
-            )
-            self._entries = None
-            return
-        # deserialized (already materialized) entry
-        critical = float(critical_busy_seconds)
-        entry["measured"] = {
-            "wall_seconds": float(wall_seconds),
-            "critical_busy_seconds": critical,
-            "compute_seconds": float(compute_seconds),
-            "num_active": int(num_active),
-        }
-        predicted = entry["predicted_seconds"]
-        if predicted is not None and critical > 0:
-            entry["decision_error"] = float(
-                (predicted - critical) / critical
-            )
+        entry.measured = (
+            wall_seconds, critical_busy_seconds, compute_seconds,
+            num_active,
+        )
+        self._entries = None
 
     def record_fault(self, iteration: Optional[int], kind: str,
                      worker: Optional[int],
@@ -378,107 +517,50 @@ class Ledger:
             self._entries = entries
         return self._entries
 
-    @entries.setter
-    def entries(self, value: Sequence[dict]) -> None:
-        self._entries = list(value)
-        self._raw = []
-
     def _materialize(
         self, raw: _RawEntry, deferred: List[Tuple[dict, np.ndarray]]
     ) -> dict:
         """Schema dict of one raw entry (same arithmetic, same order,
         as recording inline would have produced — the bit-identity the
         determinism tests pin)."""
-        samples: List[dict] = []
-        per_worker: Dict[int, float] = {}
+        samples = [
+            {
+                "fragment": int(fragment),
+                "worker": int(worker),
+                "edges": int(features.total_edges),
+                "features": features.vector().tolist(),
+                "predicted": float(predicted),
+                "actual": float(actual),
+            }
+            for fragment, worker, features, predicted, actual
+            in raw.samples
+        ]
+        predicted_seconds = predicted_critical_seconds(samples)
         sq_sum = 0.0
         sq_n = 0
-        for fragment, worker, features, predicted, actual in raw.samples:
-            predicted = float(predicted)
-            actual = float(actual)
-            worker = int(worker)
-            edges = int(features.total_edges)
-            samples.append({
-                "fragment": int(fragment),
-                "worker": worker,
-                "edges": edges,
-                "features": features.vector().tolist(),
-                "predicted": predicted,
-                "actual": actual,
-            })
-            per_worker[worker] = (
-                per_worker.get(worker, 0.0) + predicted * edges
-            )
-            if actual <= 0:
-                continue
-            rel = (predicted - actual) / actual
+        for __, rel in counted_errors(samples):
             sq_sum += rel * rel
             sq_n += 1
-        # the model's predicted critical compute under the ownership it
-        # was consulted with
-        predicted_seconds = (
-            float(max(per_worker.values())) if per_worker else None
-        )
-        osteal = None
-        if raw.osteal is not None:
-            (group_size, prev_group_size, candidates, evaluated_sizes,
-             reused_sizes, estimated_cost, estimated_kernel,
-             p_estimate) = raw.osteal
-            osteal = {
-                "group_size": int(group_size),
-                "prev_group_size": int(prev_group_size),
-                "candidates": int(candidates),
-                "evaluated_sizes": int(evaluated_sizes),
-                "reused_sizes": int(reused_sizes),
-                "estimated_cost": float(estimated_cost),
-                "estimated_kernel": float(estimated_kernel),
-                "p_estimate": float(p_estimate),
-            }
-        fsteal = None
-        cache_status = None
-        if raw.fsteal is not None:
-            (solver, cache_status, objective, warm_started,
-             static_makespan, gain, modeled_overhead,
-             rejected_by_gate) = raw.fsteal
-            cache_status = str(cache_status)
-            fsteal = {
-                "solver": str(solver),
-                "cache_status": cache_status,
-                "objective": float(objective),
-                "warm_started": bool(warm_started),
-                "static_makespan": (
-                    None if static_makespan is None
-                    else float(static_makespan)
-                ),
-                "gain": None if gain is None else float(gain),
-                "modeled_overhead": float(modeled_overhead),
-                "rejected_by_gate": bool(rejected_by_gate),
-            }
-        (group_size, active_workers, fsteal_applied, stolen_edges,
-         migrated_vertices, inter_node_stolen) = raw.commit_args
-        measured = None
+        fsteal = _typed(_FSTEAL, raw.fsteal)
+        measured = _typed(_MEASURED, raw.measured)
         decision_error = None
-        if raw.measured is not None:
-            (wall_seconds, critical, compute_seconds,
-             num_active) = raw.measured
-            critical = float(critical)
-            measured = {
-                "wall_seconds": float(wall_seconds),
-                "critical_busy_seconds": critical,
-                "compute_seconds": float(compute_seconds),
-                "num_active": int(num_active),
-            }
-            if predicted_seconds is not None and critical > 0:
+        if measured is not None and predicted_seconds is not None:
+            critical = measured["critical_busy_seconds"]
+            if critical > 0:
                 decision_error = float(
                     (predicted_seconds - critical) / critical
                 )
+        (group_size, active_workers, fsteal_applied, stolen_edges,
+         migrated_vertices, inter_node_stolen) = raw.commit_args
         entry = {
             "iteration": raw.iteration,
             "fingerprint": None,
             "workloads": [int(w) for w in raw.workloads],
-            "osteal": osteal,
+            "osteal": _typed(_OSTEAL, raw.osteal),
             "fsteal": fsteal,
-            "cache_status": cache_status,
+            "cache_status": (
+                None if fsteal is None else fsteal["cache_status"]
+            ),
             "samples": samples,
             "skipped": raw.skipped,
             "predicted_seconds": predicted_seconds,
@@ -544,7 +626,12 @@ class Ledger:
     @property
     def samples(self) -> int:
         """Counted (positive-actual) audit samples so far."""
-        return self._counted
+        return self._online.count
+
+    @property
+    def skipped_samples(self) -> int:
+        """Recorded samples the accuracy statistics skip."""
+        return self._online.skipped
 
     @property
     def num_entries(self) -> int:
@@ -554,8 +641,8 @@ class Ledger:
         return len(self._entries) if self._entries is not None else 0
 
     def last_rmsre_online(self) -> Optional[float]:
-        """Online RMSRE after the latest committed decision."""
-        return self._last_rmsre
+        """Online RMSRE over the samples so far (``None`` before one)."""
+        return self._online.value if self._online.count else None
 
     def last_drift_z(self) -> float:
         """Most recent drift z-score (0.0 before any sample)."""
@@ -581,22 +668,17 @@ class Ledger:
         to re-derive feed order from entry position. Non-positive
         actuals are excluded.
         """
-        features: List[List[float]] = []
-        costs: List[float] = []
-        iterations: List[int] = []
-        gpus: List[int] = []
-        for entry in self.entries:
-            for sample in entry["samples"]:
-                if sample["actual"] <= 0:
-                    continue
-                features.append(sample["features"])
-                costs.append(sample["actual"])
-                iterations.append(entry["iteration"])
-                gpus.append(sample["worker"])
-        if not features:
+        rows = [
+            (sample["features"], sample["actual"], entry["iteration"],
+             sample["worker"])
+            for entry in self.entries
+            for sample, __ in counted_errors(entry["samples"])
+        ]
+        if not rows:
             raise LedgerError(
                 "ledger holds no positive-cost samples to export"
             )
+        features, costs, iterations, gpus = zip(*rows)
         return LedgerSamples(
             features=np.asarray(features, dtype=np.float64),
             costs=np.asarray(costs, dtype=np.float64),
@@ -606,19 +688,12 @@ class Ledger:
 
     def analytics(self) -> dict:
         """Derived accuracy analytics over the whole run (JSON-ready)."""
-        attribution_fragment: Dict[int, List[float]] = {}
-        attribution_gpu: Dict[int, List[float]] = {}
+        by_fragment: Dict[int, List[float]] = {}
+        by_gpu: Dict[int, List[float]] = {}
         for entry in self.entries:
-            for sample in entry["samples"]:
-                actual = sample["actual"]
-                if actual <= 0:
-                    continue
-                rel = (sample["predicted"] - actual) / actual
-                for acc, key in (
-                    (attribution_fragment, sample["fragment"]),
-                    (attribution_gpu, sample["worker"]),
-                ):
-                    acc.setdefault(key, []).append(rel)
+            for sample, rel in counted_errors(entry["samples"]):
+                by_fragment.setdefault(sample["fragment"], []).append(rel)
+                by_gpu.setdefault(sample["worker"], []).append(rel)
         errors = [
             abs(entry["decision_error"]) for entry in self.entries
             if entry["decision_error"] is not None
@@ -636,8 +711,8 @@ class Ledger:
             "drift_z_series": [e["drift_z"] for e in self.entries],
             "max_model_drift": max(drift) if drift else 0.0,
             "final_rmsre": reconstruct_rmsre(self.entries),
-            "samples": int(self._counted),
-            "skipped_samples": int(self.skipped_samples),
+            "samples": self.samples,
+            "skipped_samples": self.skipped_samples,
             "cache_status_counts": self.cache_status_counts(),
             "decision_error": {
                 "p50": quantile(errors, 0.50),
@@ -646,31 +721,24 @@ class Ledger:
                 "max": max(errors) if errors else None,
                 "count": len(errors),
             },
-            "by_fragment": _attribution(attribution_fragment),
-            "by_gpu": _attribution(attribution_gpu),
+            "by_fragment": error_attribution(by_fragment),
+            "by_gpu": error_attribution(by_gpu),
         }
 
     def summary(self) -> dict:
         """Compact block for ``result_summary`` / SLO indicators."""
-        counts = self.cache_status_counts()
-        errors = [
-            abs(entry["decision_error"]) for entry in self.entries
-            if entry["decision_error"] is not None
-        ]
-        drift = [
-            abs(entry["drift_z"]) for entry in self.entries
-            if entry["drift_z"] is not None
-        ]
+        analytics = self.analytics()
+        counts = analytics["cache_status_counts"]
         return {
             "entries": len(self.entries),
-            "samples": int(self._counted),
-            "skipped_samples": int(self.skipped_samples),
+            "samples": analytics["samples"],
+            "skipped_samples": analytics["skipped_samples"],
             "live": counts["live"],
             "warm": counts["warm"],
             "cached": counts["cached"],
-            "final_rmsre": reconstruct_rmsre(self.entries),
-            "max_model_drift": max(drift) if drift else 0.0,
-            "decision_error_p99": quantile(errors, 0.99),
+            "final_rmsre": analytics["final_rmsre"],
+            "max_model_drift": analytics["max_model_drift"],
+            "decision_error_p99": analytics["decision_error"]["p99"],
             "faults": len(self.faults),
         }
 
@@ -682,7 +750,7 @@ class Ledger:
             "model": self.model,
             "amortize": self.amortize,
             "final_rmsre": self.final_rmsre,
-            "skipped_samples": int(self.skipped_samples),
+            "skipped_samples": self.skipped_samples,
             "entries": [dict(entry) for entry in self.entries],
             "faults": [dict(fault) for fault in self.faults],
             "analytics": self.analytics(),
@@ -706,41 +774,23 @@ class Ledger:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise LedgerError("ledger payload has no entries list")
-        ledger.entries = [dict(entry) for entry in entries]
-        ledger.faults = [dict(f) for f in payload.get("faults", [])]
+        faults = payload.get("faults", [])
+        if not isinstance(faults, list):
+            raise LedgerError("ledger payload's faults is not a list")
+        ledger._entries = [
+            _checked_entry(entry, position)
+            for position, entry in enumerate(entries)
+        ]
+        ledger.faults = [
+            dict(_checked(fault, _FAULT_KEYS, f"ledger fault {position}"))
+            for position, fault in enumerate(faults)
+        ]
         ledger.final_rmsre = payload.get("final_rmsre")
+        ledger._online = _replay_online(ledger.entries)
         for entry in ledger.entries:
-            ledger._by_iteration[entry["iteration"]] = entry
-            if entry.get("drift_z") is not None:
+            if entry["drift_z"] is not None:
                 ledger._last_z = float(entry["drift_z"])
-            if entry.get("rmsre_online") is not None:
-                ledger._last_rmsre = float(entry["rmsre_online"])
-            for sample in entry.get("samples", ()):
-                actual = sample["actual"]
-                if actual <= 0:
-                    ledger.skipped_samples += 1
-                    continue
-                rel = (sample["predicted"] - actual) / actual
-                ledger._sum_sq += rel * rel
-                ledger._counted += 1
         return ledger
-
-
-def _attribution(groups: Dict[int, List[float]]) -> Dict[str, dict]:
-    """Per-key error statistics (keys stringified for JSON stability)."""
-    out = {}
-    for key in sorted(groups):
-        rels = groups[key]
-        out[str(key)] = {
-            "count": len(rels),
-            "rmsre": float(
-                math.sqrt(sum(r * r for r in rels) / len(rels))
-            ),
-            "mean_abs_rel_error": float(
-                sum(abs(r) for r in rels) / len(rels)
-            ),
-        }
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -817,16 +867,12 @@ def _sample_lines(entry: dict) -> List[str]:
         "   rel.err",
     ]
     for sample in entry["samples"]:
-        actual = sample["actual"]
-        rel = (
-            (sample["predicted"] - actual) / actual if actual > 0
-            else None
-        )
-        flag = "" if actual > 0 else "  (skipped)"
+        rel = relative_error(sample["predicted"], sample["actual"])
+        flag = "" if rel is not None else "  (skipped)"
         lines.append(
             f"    {sample['fragment']:>8d} {sample['worker']:>4d} "
             f"{sample['edges']:>10d} {sample['predicted']:>13.3e} "
-            f"{actual:>13.3e} {_fmt_pct(rel):>9s}{flag}"
+            f"{sample['actual']:>13.3e} {_fmt_pct(rel):>9s}{flag}"
         )
     return lines
 

@@ -311,7 +311,7 @@ def slo_indicators(
 ) -> Dict[str, Optional[float]]:
     """Named SLO indicators of one run.
 
-    ``summary`` is a :func:`repro.cli.result_summary` dict (live or
+    ``summary`` is a :func:`repro.runs.result_summary` dict (live or
     from a recorded manifest); ``timeseries`` is the matching
     :meth:`RunResult.timeseries` arrays (quantiles and recovery need
     the per-iteration shape — without it those indicators are

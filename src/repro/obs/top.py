@@ -10,12 +10,12 @@ frame. Two drivers feed it:
 * :func:`follow_stream` tails a live stream file, redrawing as span
   events arrive (the producer is a concurrently-running engine with a
   :class:`~repro.obs.live.StreamingSink`);
-* :func:`replay_run` reconstructs the same event sequence from a
+* :func:`play_back` reconstructs the same event sequence from a
   recorded registry run's archived trace and plays it back, optionally
   paced at a multiple of the run's virtual time — the flight-recorder
   view of a run that already happened.
 
-Both drivers share one model, so the live view and the replay of the
+Both drivers share one model, so the live view and the playback of the
 same run show identical numbers.
 """
 
@@ -25,11 +25,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.analysis import iteration_costs
+
 __all__ = [
     "TopModel",
     "render_frame",
     "follow_stream",
-    "replay_run",
+    "play_back",
     "trace_record_events",
 ]
 
@@ -248,59 +250,46 @@ def render_frame(model: TopModel, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def trace_record_events(
-    header: Dict, records: List[Dict]
-) -> List[Dict]:
-    """Rebuild a run's stream events from its archived trace records.
+def _span(name: str, track: str, cat: str, start: float, dur: float,
+          attrs: Dict) -> Dict:
+    return {"event": "span", "name": name, "track": track, "cat": cat,
+            "virtual_start": start, "virtual_dur": dur, "attrs": attrs}
 
-    The replay equivalent of what a :class:`StreamingSink` saw live:
-    a header, then per iteration the ``busy``/``stall`` worker spans
-    and the ``superstep`` span (superstep last, mirroring live
-    emission order closely enough for the dashboard — per-iteration
-    ordering within a superstep does not change any rendered number).
+
+def trace_record_events(header: Dict, records: List) -> List[Dict]:
+    """Rebuild a run's stream events from its archived trace.
+
+    ``records`` are raw trace records or parsed ``IterationCost`` s
+    (:func:`repro.obs.analysis.iteration_costs` reads them either
+    way). The result is what a :class:`StreamingSink` saw live: a
+    header, then per iteration the ``busy``/``stall`` worker spans and
+    the ``superstep`` span — superstep last; ordering within a
+    superstep does not change any rendered number.
     """
-    events: List[Dict] = [{
-        "format": "repro-live", "version": 1, **header,
-    }]
+    header, costs = iteration_costs((header, records))
+    events = [{"format": "repro-live", "version": 1, **header}]
     clock = 0.0
-    for record in records:
-        wall = float(record.get("wall_ms", 0.0)) / 1e3
-        busy_ms = record.get("busy_ms") or []
-        stall_ms = record.get("stall_ms") or []
-        for gpu in record.get("active_workers") or []:
-            busy = float(busy_ms[gpu]) / 1e3 if gpu < len(busy_ms) else 0.0
-            stall = (
-                float(stall_ms[gpu]) / 1e3 if gpu < len(stall_ms) else 0.0
-            )
+    for cost in costs:
+        for gpu in cost.active:
+            attrs = {"iteration": cost.iteration, "gpu": gpu}
+            busy = float(cost.busy_ms[gpu]) / 1e3
+            stall = float(cost.stall_ms[gpu]) / 1e3
             if busy > 0:
-                events.append({
-                    "event": "span", "name": "busy",
-                    "track": f"gpu{gpu}", "cat": "worker",
-                    "virtual_start": clock, "virtual_dur": busy,
-                    "attrs": {"iteration": record.get("iteration"),
-                              "gpu": gpu},
-                })
+                events.append(_span("busy", f"gpu{gpu}", "worker",
+                                    clock, busy, attrs))
             if stall > 0:
-                events.append({
-                    "event": "span", "name": "stall",
-                    "track": f"gpu{gpu}", "cat": "worker",
-                    "virtual_start": clock + busy, "virtual_dur": stall,
-                    "attrs": {"iteration": record.get("iteration"),
-                              "gpu": gpu},
-                })
-        events.append({
-            "event": "span", "name": "superstep",
-            "track": "coordinator", "cat": "superstep",
-            "virtual_start": clock, "virtual_dur": wall,
-            "attrs": {
-                "iteration": record.get("iteration"),
-                "frontier_size": record.get("frontier_size"),
-                "frontier_edges": record.get("frontier_edges"),
-                "fsteal": record.get("fsteal"),
-                "group_size": record.get("group_size"),
-                "stolen_edges": record.get("stolen_edges"),
-            },
-        })
+                events.append(_span("stall", f"gpu{gpu}", "worker",
+                                    clock + busy, stall, attrs))
+        wall = cost.wall_ms / 1e3
+        events.append(_span(
+            "superstep", "coordinator", "superstep", clock, wall,
+            {"iteration": cost.iteration,
+             "frontier_size": cost.frontier_size,
+             "frontier_edges": cost.frontier_edges,
+             "fsteal": cost.fsteal,
+             "group_size": cost.group_size,
+             "stolen_edges": cost.stolen_edges},
+        ))
         clock += wall
     events.append({"event": "end", "spans": len(events) - 1})
     return events
@@ -316,15 +305,15 @@ def _emit_frame(
         write(frame + "\n\n")
 
 
-def replay_run(
+def play_back(
     header: Dict,
-    records: List[Dict],
+    records: List,
     write: Callable[[str], None],
     speed: float = 0.0,
     frames: Optional[int] = None,
     ansi: bool = True,
 ) -> TopModel:
-    """Replay archived trace records into dashboard frames.
+    """Play an archived trace (raw or parsed) back as dashboard frames.
 
     ``speed`` paces playback at that multiple of the run's virtual
     time (0 = as fast as possible); ``frames`` caps the number of

@@ -10,44 +10,56 @@ model's predicted critical compute against the ledger-measured one —
 per superstep and per GPU.
 
 The replay is a pure function of the archived run (trace + ledger), so
-it is deterministic, and it is *anchored*: each iteration's replayed
-wall is the recorded wall with the original model's predicted critical
-compute substituted for the candidate model's,
+it is deterministic, and it is *anchored* by the one rule both replays
+share (:func:`repro.obs.analysis.replay_walls`): each iteration's
+replayed wall is the recorded wall plus one delta per override,
 
     replayed_wall(k) = wall(k) + predicted_ms(candidate, k)
                                - predicted_ms(original, k)
+                               + communication_ms(k) * (ratio - 1)
 
-where ``predicted_ms(original, k)`` is recomputed from the ledger's
-*stored* per-sample predictions with the exact accumulation the
-arbitrator used. Under the original model the substitution term is
-identically zero term by term, so the replayed per-iteration walls —
-and their total — are **bit-identical** to the recording. That is the
-pinned invariant (``repro replay --check``), alongside two more
-byte-level checks: the no-op span-DAG replay reproduces the recorded
-walls, and the ledger's sealed online RMSRE reconstructs exactly.
+where ``predicted_ms`` is :func:`repro.obs.ledger.predicted_critical_seconds`
+over the ledger's samples — the stored predictions for the original
+model, recomputed with the exact accumulation the arbitrator used — and
+``ratio`` is the mean effective interconnect bandwidth of the recorded
+machine over the hypothetical one's (exactly 1.0 for an identical
+topology). Without an override every delta is identically zero, so the
+replayed walls — and their total — are **bit-identical** to the
+recording. That is the pinned invariant (``repro replay --check``),
+alongside four byte-level checks of the recording itself: the no-op
+span-DAG replay reproduces the recorded walls, every stored
+``predicted_seconds`` and the sealed online RMSRE reconstruct exactly,
+and the trace is complete — it holds as many supersteps as the
+manifest counts and one for every ledger entry.
 
-A topology override scales each iteration's communication attribution
-by the ratio of mean effective interconnect bandwidth (recorded
-machine over hypothetical machine); an identical topology yields a
-ratio of exactly 1.0 and changes nothing.
+:func:`replay_run` reads as its stages: load, candidate predictions in
+one batch, per-decision predicted critical compute, the anchored
+walls, invariants, roll-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.costmodel import (
     CostModel,
+    OnlineRMSRE,
     model_label,
     resolve_cost_model,
 )
 from repro.errors import ReproError, TopologyError
 from repro.hardware.topology import Topology, parse_topology
 from repro.obs import analysis
-from repro.obs.ledger import Ledger, reconstruct_rmsre
+from repro.obs.ledger import (
+    Ledger,
+    counted_errors,
+    error_attribution,
+    predicted_critical_seconds,
+    reconstruct_rmsre,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
@@ -109,25 +121,7 @@ class ReplayIteration:
 
     def as_dict(self) -> dict:
         """JSON-friendly view."""
-        return {
-            "iteration": self.iteration,
-            "recorded_wall_ms": float(self.recorded_wall_ms),
-            "replayed_wall_ms": float(self.replayed_wall_ms),
-            "delta_ms": float(self.delta_ms),
-            "original_predicted_ms": _opt(self.original_predicted_ms),
-            "model_predicted_ms": _opt(self.model_predicted_ms),
-            "measured_ms": _opt(self.measured_ms),
-            "recorded_error": _opt(self.recorded_error),
-            "model_error": _opt(self.model_error),
-            "samples": int(self.samples),
-            "communication_delta_ms": float(
-                self.communication_delta_ms
-            ),
-        }
-
-
-def _opt(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(value)
+        return {**asdict(self), "delta_ms": self.delta_ms}
 
 
 @dataclass
@@ -171,40 +165,14 @@ class ReplayRunResult:
             "delta_ms": float(self.delta_ms),
             "bit_identical": bool(self.bit_identical),
             "checks": {k: bool(v) for k, v in self.checks.items()},
-            "recorded_rmsre": _opt(self.recorded_rmsre),
-            "model_rmsre": _opt(self.model_rmsre),
+            "recorded_rmsre": self.recorded_rmsre,
+            "model_rmsre": self.model_rmsre,
             "by_gpu": {
                 str(gpu): dict(stats)
                 for gpu, stats in sorted(self.by_gpu.items())
             },
             "iterations": [it.as_dict() for it in self.iterations],
         }
-
-
-def _predicted_critical_seconds(
-    samples: List[dict], predictions: Optional[np.ndarray] = None
-) -> Optional[float]:
-    """Max over per-worker sums of ``predicted * edges``.
-
-    With ``predictions=None`` the stored per-sample predictions are
-    used, accumulated in the exact order
-    :meth:`repro.obs.ledger.Ledger._materialize` uses — so the result
-    is bit-identical to the entry's stored ``predicted_seconds``.
-    """
-    per_worker: Dict[int, float] = {}
-    for position, sample in enumerate(samples):
-        predicted = (
-            float(sample["predicted"]) if predictions is None
-            else float(predictions[position])
-        )
-        worker = int(sample["worker"])
-        per_worker[worker] = (
-            per_worker.get(worker, 0.0)
-            + predicted * int(sample["edges"])
-        )
-    if not per_worker:
-        return None
-    return float(max(per_worker.values()))
 
 
 def _mean_offdiag_bandwidth(topology: Topology) -> float:
@@ -254,6 +222,160 @@ def _topology_factor(
     return float(factor), hypothetical.name
 
 
+def _load(registry, ref: str):
+    """``(manifest, costs, ledger)`` of a recorded run, parsed once."""
+    manifest = registry.load_manifest(ref)
+    __, costs = analysis.iteration_costs(registry.load_run_trace(ref))
+    try:
+        ledger = Ledger.from_dict(registry.load_ledger(ref))
+    except ReproError as exc:
+        raise ReplayError(
+            f"run {manifest.get('id', ref)} has no decision ledger to "
+            f"replay ({exc}); replay needs a GUM run recorded with the "
+            "ledger enabled"
+        ) from exc
+    return manifest, costs, ledger
+
+
+def _candidate_predictions(
+    model: Optional[CostModel], entries: Dict[int, dict]
+) -> Dict[int, np.ndarray]:
+    """The candidate model's prediction for every recorded sample, in
+    one batch, addressed back by iteration (empty without a model)."""
+    if model is None:
+        return {}
+    rows: List[List[float]] = []
+    spans: List[Tuple[int, int, int]] = []
+    for iteration, entry in entries.items():
+        start = len(rows)
+        rows.extend(sample["features"] for sample in entry["samples"])
+        spans.append((iteration, start, len(rows)))
+    if not rows:
+        return {}
+    predicted = model.predict(np.asarray(rows, dtype=np.float64))
+    return {
+        iteration: predicted[start:stop]
+        for iteration, start, stop in spans if stop > start
+    }
+
+
+def _predicted_critical(
+    entries: Dict[int, dict], predictions: Dict[int, np.ndarray]
+) -> Dict[int, Tuple[Optional[float], Optional[float]]]:
+    """``(original, candidate)`` predicted critical seconds of every
+    decision; the candidate's is ``None`` without a candidate."""
+    return {
+        iteration: (
+            predicted_critical_seconds(entry["samples"]),
+            predicted_critical_seconds(
+                entry["samples"], predictions[iteration]
+            ) if iteration in predictions else None,
+        )
+        for iteration, entry in entries.items()
+    }
+
+
+def _swap_model(costs, critical: Dict[int, Tuple]) -> List[float]:
+    """Wall deltas (ms) when the candidate model's predicted critical
+    compute replaces the original's — all zero without a candidate."""
+    deltas = []
+    for cost in costs:
+        original, candidate = critical.get(cost.iteration, (None, None))
+        deltas.append(
+            0.0 if candidate is None else (candidate - original) * 1e3
+        )
+    return deltas
+
+
+def _swap_topology(costs, comm_factor: float) -> List[float]:
+    """Wall deltas (ms) when communication and barrier wait rescale by
+    the bandwidth ratio — all zero at a ratio of exactly 1."""
+    if comm_factor == 1.0:
+        return [0.0] * len(costs)
+    return [
+        (cost.attribution_ms["communication"]
+         + cost.attribution_ms["stall"]) * (comm_factor - 1.0)
+        for cost in costs
+    ]
+
+
+def _replayed_iteration(
+    cost: analysis.IterationCost, wall_ms: float, entry: Optional[dict],
+    critical: Tuple, communication_delta_ms: float,
+) -> ReplayIteration:
+    """One superstep, recorded vs replayed, errors against the
+    ledger-measured critical compute."""
+    original, candidate = critical
+    measured = recorded_error = model_error = None
+    if entry is not None and entry["measured"] is not None:
+        busy = entry["measured"]["critical_busy_seconds"]
+        measured = busy * 1e3
+        if original is not None and busy > 0:
+            recorded_error = (original - busy) / busy
+            if candidate is not None:
+                model_error = (candidate - busy) / busy
+    return ReplayIteration(
+        iteration=cost.iteration,
+        recorded_wall_ms=cost.wall_ms,
+        replayed_wall_ms=wall_ms,
+        original_predicted_ms=None if original is None else original * 1e3,
+        model_predicted_ms=None if candidate is None else candidate * 1e3,
+        measured_ms=measured,
+        recorded_error=recorded_error,
+        model_error=model_error,
+        samples=0 if entry is None else len(entry["samples"]),
+        communication_delta_ms=communication_delta_ms,
+    )
+
+
+def _invariants(manifest: dict, costs, ledger: Ledger,
+                entries: Dict[int, dict],
+                critical: Dict[int, Tuple]) -> Dict[str, bool]:
+    """The byte-level checks of a recording, override or not."""
+    recorded = {cost.iteration for cost in costs}
+    return {
+        # the span-DAG no-op replay reproduces the recorded walls
+        "noop_walls": (
+            analysis.replay(({}, costs)).wall_ms_series
+            == [cost.wall_ms for cost in costs]
+        ),
+        # stored predicted_seconds reconstructs from the samples
+        "predicted_seconds": all(
+            critical[iteration][0] == entry["predicted_seconds"]
+            for iteration, entry in entries.items()
+        ),
+        # the sealed online RMSRE reconstructs from the entries
+        "final_rmsre": (
+            reconstruct_rmsre(ledger.entries) == ledger.final_rmsre
+        ),
+        # the trace holds every superstep the run and its ledger name
+        "complete": (
+            manifest.get("summary", {}).get("iterations") == len(costs)
+            and all(iteration in recorded for iteration in entries)
+        ),
+    }
+
+
+def _candidate_accuracy(
+    entries: Dict[int, dict], predictions: Dict[int, np.ndarray]
+) -> Tuple[Optional[float], Dict[int, dict]]:
+    """The candidate model's RMSRE against the ledger's actuals,
+    overall and per GPU (``None`` / empty without a candidate)."""
+    online = OnlineRMSRE()
+    by_gpu: Dict[int, List[float]] = {}
+    for iteration, predicted in predictions.items():
+        samples = entries[iteration]["samples"]
+        for sample, value in zip(samples, predicted):
+            online.update(float(value), sample["actual"])
+        for sample, rel in counted_errors(samples, predicted):
+            by_gpu.setdefault(sample["worker"], []).append(rel)
+    return (
+        online.value if online.count else None,
+        {int(gpu): stats
+         for gpu, stats in error_attribution(by_gpu).items()},
+    )
+
+
 def replay_run(
     registry,
     ref: str,
@@ -282,180 +404,53 @@ def replay_run(
     recordings raise :class:`ReplayError`.
     """
     with tracer.span("replay.simulate", cat="replay", ref=str(ref)):
-        manifest = registry.load_manifest(ref)
-        run_id = str(manifest.get("id", ref))
-        source = registry.load_run_trace(ref)
-        try:
-            ledger = Ledger.from_dict(registry.load_ledger(ref))
-        except ReproError as exc:
-            raise ReplayError(
-                f"run {run_id} has no decision ledger to replay "
-                f"({exc}); replay needs a GUM run recorded with the "
-                "ledger enabled"
-            ) from exc
+        manifest, costs, ledger = _load(registry, ref)
+        entries = {entry["iteration"]: entry for entry in ledger.entries}
         model = (
             None if cost_model is None
             else resolve_replay_model(cost_model)
         )
-        comm_factor = 1.0
-        topology_label = None
-        if topology is not None:
-            comm_factor, topology_label = _topology_factor(
-                manifest, topology
+        comm_factor, topology_label = (
+            (1.0, None) if topology is None
+            else _topology_factor(manifest, topology)
+        )
+        predictions = _candidate_predictions(model, entries)
+        critical = _predicted_critical(entries, predictions)
+        communication = _swap_topology(costs, comm_factor)
+        walls = analysis.replay_walls(
+            costs, [_swap_model(costs, critical), communication]
+        )
+        iterations = [
+            _replayed_iteration(
+                cost, wall, entries.get(cost.iteration),
+                critical.get(cost.iteration, (None, None)), comm_delta,
             )
-
-        __, costs = analysis._costs(source)
-        noop = analysis.replay(source)
-        entries = {
-            entry["iteration"]: entry for entry in ledger.entries
-        }
-
-        # candidate-model predictions over every recorded sample, in
-        # one batch, addressed back by (iteration, position)
-        predictions_by_iteration: Dict[int, np.ndarray] = {}
-        if model is not None:
-            rows: List[List[float]] = []
-            spans: List[Tuple[int, int, int]] = []
-            for iteration, entry in entries.items():
-                start = len(rows)
-                rows.extend(
-                    sample["features"] for sample in entry["samples"]
-                )
-                spans.append((iteration, start, len(rows)))
-            if rows:
-                predicted = model.predict(
-                    np.asarray(rows, dtype=np.float64)
-                )
-                for iteration, start, stop in spans:
-                    predictions_by_iteration[iteration] = (
-                        predicted[start:stop]
-                    )
-
-        iterations: List[ReplayIteration] = []
-        predicted_consistent = True
-        sq_sum = 0.0
-        sq_n = 0
-        by_gpu_rel: Dict[int, List[float]] = {}
-        for position, cost in enumerate(costs):
-            entry = entries.get(cost.iteration)
-            samples = entry["samples"] if entry is not None else []
-            original_pred = _predicted_critical_seconds(samples)
-            if entry is not None and \
-                    original_pred != entry["predicted_seconds"]:
-                predicted_consistent = False
-            model_pred = None
-            model_error = None
-            if model is not None and samples:
-                predicted = predictions_by_iteration[cost.iteration]
-                model_pred = _predicted_critical_seconds(
-                    samples, predicted
-                )
-                for sample, value in zip(samples, predicted):
-                    actual = sample["actual"]
-                    if actual <= 0:
-                        continue
-                    rel = (float(value) - actual) / actual
-                    sq_sum += rel * rel
-                    sq_n += 1
-                    by_gpu_rel.setdefault(
-                        int(sample["worker"]), []
-                    ).append(rel)
-            measured = None
-            recorded_error = None
-            if entry is not None and entry["measured"] is not None:
-                critical = entry["measured"]["critical_busy_seconds"]
-                measured = critical * 1e3
-                if original_pred is not None and critical > 0:
-                    recorded_error = (
-                        (original_pred - critical) / critical
-                    )
-                    if model_pred is not None:
-                        model_error = (
-                            (model_pred - critical) / critical
-                        )
-            wall = cost.wall_ms
-            # model substitution: candidate predicted critical compute
-            # replaces the original's; identically zero with no override
-            if model_pred is not None and original_pred is not None:
-                wall = wall + (model_pred - original_pred) * 1e3
-            comm_delta = 0.0
-            if comm_factor != 1.0:
-                comm = (
-                    cost.attribution_ms["communication"]
-                    + cost.attribution_ms["stall"]
-                )
-                comm_delta = comm * (comm_factor - 1.0)
-                wall = wall + comm_delta
-            iterations.append(ReplayIteration(
-                iteration=cost.iteration,
-                recorded_wall_ms=cost.wall_ms,
-                replayed_wall_ms=max(wall, 0.0),
-                original_predicted_ms=(
-                    None if original_pred is None
-                    else original_pred * 1e3
-                ),
-                model_predicted_ms=(
-                    None if model_pred is None else model_pred * 1e3
-                ),
-                measured_ms=measured,
-                recorded_error=recorded_error,
-                model_error=model_error,
-                samples=len(samples),
-                communication_delta_ms=comm_delta,
-            ))
-
+            for cost, wall, comm_delta in zip(costs, walls, communication)
+        ]
+        checks = _invariants(manifest, costs, ledger, entries, critical)
         recorded_total = float(
             sum(it.recorded_wall_ms for it in iterations)
         )
         replayed_total = float(
             sum(it.replayed_wall_ms for it in iterations)
         )
-        recorded_rmsre = reconstruct_rmsre(ledger.entries)
-        checks = {
-            # the span-DAG no-op replay reproduces the recorded walls
-            "noop_walls": (
-                noop.wall_ms_series
-                == [c.wall_ms for c in costs]
-            ),
-            # stored predicted_seconds reconstructs from the samples
-            "predicted_seconds": predicted_consistent,
-            # the sealed online RMSRE reconstructs from the entries
-            "final_rmsre": (
-                recorded_rmsre == ledger.final_rmsre
-            ),
-        }
-        overridden = model is not None or topology is not None
-        bit_identical = (
-            not overridden
-            and all(checks.values())
-            and replayed_total == recorded_total
-        )
-        by_gpu = {
-            gpu: {
-                "count": len(rels),
-                "rmsre": float(np.sqrt(
-                    sum(r * r for r in rels) / len(rels)
-                )),
-                "mean_abs_rel_error": float(
-                    sum(abs(r) for r in rels) / len(rels)
-                ),
-            }
-            for gpu, rels in by_gpu_rel.items()
-        }
+        model_rmsre, by_gpu = _candidate_accuracy(entries, predictions)
         return ReplayRunResult(
             ref=str(ref),
-            run_id=run_id,
+            run_id=str(manifest.get("id", ref)),
             model_label=None if model is None else model_label(model),
             topology_label=topology_label,
             recorded_total_ms=recorded_total,
             replayed_total_ms=replayed_total,
             iterations=iterations,
             checks=checks,
-            bit_identical=bit_identical,
-            recorded_rmsre=recorded_rmsre,
-            model_rmsre=(
-                float(np.sqrt(sq_sum / sq_n)) if sq_n else None
+            bit_identical=(
+                model is None and topology is None
+                and all(checks.values())
+                and replayed_total == recorded_total
             ),
+            recorded_rmsre=reconstruct_rmsre(ledger.entries),
+            model_rmsre=model_rmsre,
             by_gpu=by_gpu,
         )
 

@@ -17,6 +17,7 @@ from repro.runs.registry import (
     RunRegistry,
     environment_info,
     provenance_fingerprint,
+    result_summary,
     workload_fingerprint,
 )
 from repro.runs.diff import (
@@ -32,6 +33,7 @@ __all__ = [
     "RUN_SCHEMA",
     "DEFAULT_RUNS_ROOT",
     "RunRegistry",
+    "result_summary",
     "workload_fingerprint",
     "provenance_fingerprint",
     "environment_info",

@@ -36,17 +36,22 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro import __version__, config
 from repro.documents import load_document, load_json
 from repro.errors import RunRegistryError
 from repro.obs.ledger import LEDGER_SCHEMA
+from repro.obs.metrics import quantile
+from repro.obs.slo import slo_indicators
 from repro.runtime.metrics import RunResult
-from repro.runtime.trace import load_trace, save_trace
+from repro.runtime.trace import load_trace, save_trace, utilization_report
 
 __all__ = [
     "RUN_SCHEMA",
     "DEFAULT_RUNS_ROOT",
     "RunRegistry",
+    "result_summary",
     "workload_fingerprint",
     "provenance_fingerprint",
     "environment_info",
@@ -135,7 +140,6 @@ def workload_fingerprint(
 
 def provenance_fingerprint() -> Dict[str, str]:
     """The provenance half: where these numbers came from."""
-    import numpy
     try:
         import scipy
         scipy_version = scipy.__version__
@@ -145,7 +149,7 @@ def provenance_fingerprint() -> Dict[str, str]:
         "git_sha": _git_sha(),
         "repro": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy_version,
     }
 
@@ -157,6 +161,62 @@ def environment_info() -> Dict[str, str]:
         "machine": platform.machine(),
         "executable": sys.executable,
     }
+
+
+def result_summary(result: RunResult) -> dict:
+    """JSON-friendly summary of a run: a manifest's ``summary`` block,
+    and what the CLI prints under ``--json``."""
+    group_sizes = result.group_size_series()
+    wall_ms = [rec.wall_seconds * 1e3 for rec in result.iterations]
+    summary = {
+        "engine": result.engine,
+        "algorithm": result.algorithm,
+        "graph": result.graph_name,
+        "num_gpus": result.num_gpus,
+        "total_ms": result.total_ms,
+        "iterations": result.num_iterations,
+        "converged": result.converged,
+        "stall_fraction": result.stall_fraction(),
+        "breakdown_ms": result.breakdown.scaled_ms(),
+        "stolen_edges": int(
+            sum(r.stolen_edges for r in result.iterations)
+        ),
+        "min_group_size": (
+            min(group_sizes) if result.iterations else result.num_gpus
+        ),
+        "real_decision_ms": result.real_decision_seconds * 1e3,
+        "fsteal_iterations": int(
+            sum(1 for r in result.iterations if r.fsteal_applied)
+        ),
+        "mean_group_size": (
+            float(np.mean(group_sizes))
+            if result.iterations else float(result.num_gpus)
+        ),
+        "per_gpu_utilization": utilization_report(
+            result
+        )["per_gpu_utilization"],
+        "decision_cache": dict(result.decision_stats),
+        # virtual per-iteration latency distribution (deterministic)
+        "iteration_ms": {
+            "p50": quantile(wall_ms, 0.50),
+            "p90": quantile(wall_ms, 0.90),
+            "p99": quantile(wall_ms, 0.99),
+            "max": max(wall_ms) if wall_ms else None,
+        },
+        # host clock: what fraction of run() wall time was spent inside
+        # span/metric emission (None for runs recorded before
+        # self-measurement existed)
+        "obs_overhead_pct": result.obs_overhead_pct(),
+    } | ({"chaos": dict(result.chaos)} if result.chaos else {}) \
+        | ({"backend": dict(result.backend_stats)}
+           if result.backend_stats else {})
+    ledger = getattr(result, "ledger", None)
+    if ledger is not None:
+        # prediction-audit rollup (entry/sample counts, final RMSRE,
+        # drift, cache mix) — the SLO indicators below read it
+        summary["ledger"] = ledger.summary()
+    summary["slo"] = slo_indicators(summary, result.timeseries())
+    return summary
 
 
 def _json_stable(payload: dict) -> str:
@@ -194,8 +254,6 @@ class RunRegistry:
         ``workload`` should come from :func:`workload_fingerprint`;
         ``metrics`` is a :meth:`MetricsRegistry.snapshot` (optional).
         """
-        from repro.cli import result_summary  # local: cli imports runs
-
         files = [MANIFEST_NAME, TRACE_NAME, TIMESERIES_NAME]
         ledger = getattr(result, "ledger", None)
         if ledger is not None:

@@ -13,6 +13,7 @@ The contract under test, end to end:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.obs.ledger import (
     Ledger,
     LedgerError,
     explain_lines,
+    predicted_critical_seconds,
     reconstruct_rmsre,
 )
 from repro.obs.slo import slo_indicators
@@ -108,6 +110,72 @@ def test_from_dict_rejects_unknown_schema(recorded):
     payload = recorded.ledger.as_dict()
     payload["schema"] = "repro-ledger/999"
     with pytest.raises(LedgerError):
+        Ledger.from_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# one fold over audit samples: what recording stored, reading reproduces
+
+REFERENCES = Path(__file__).resolve().parents[2] / "benchmarks" / "reference"
+
+
+def _kill_one_worker():
+    return ChaosController(ChaosScenario(
+        faults=(FaultSpec("kill_worker", 1, {"worker": 2}),), seed=0,
+    ))
+
+
+LEDGER_SOURCES = {
+    "reference-tx-bfs": lambda graph, source: Ledger.from_dict(
+        json.loads((REFERENCES / "tx-bfs-4gpu" / "ledger.json").read_text())
+    ),
+    "reference-tx-sssp": lambda graph, source: Ledger.from_dict(
+        json.loads((REFERENCES / "tx-sssp-4gpu" / "ledger.json").read_text())
+    ),
+    "fresh": lambda graph, source: run_bfs(graph, source).ledger,
+    "chaos": lambda graph, source: run_bfs(
+        graph, source, config=GumConfig(cost_model="oracle"),
+        chaos=_kill_one_worker(),
+    ).ledger,
+    "no-amortize": lambda graph, source: run_bfs(
+        graph, source, config=GumConfig(amortize=False),
+    ).ledger,
+}
+
+
+@pytest.mark.parametrize("which", sorted(LEDGER_SOURCES))
+def test_the_reader_fold_reproduces_the_recorded_numbers(
+    which, skewed_graph, source
+):
+    """``_materialize`` and every offline reader share one fold, so the
+    stored ``predicted_seconds`` recomputes exactly and a ledger
+    survives serialization with every derived number intact."""
+    ledger = LEDGER_SOURCES[which](skewed_graph, source)
+    assert ledger.entries
+    for entry in ledger.entries:
+        assert predicted_critical_seconds(entry["samples"]) == \
+            entry["predicted_seconds"]
+    payload = ledger.as_dict()
+    revived = Ledger.from_dict(json.loads(json.dumps(payload)))
+    assert revived.as_dict() == payload
+    assert revived.summary() == ledger.summary()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda payload: payload.update(entries=[1]),
+    lambda payload: payload["entries"][0].pop("iteration"),
+    lambda payload: payload["entries"][0].update(samples=None),
+    lambda payload: payload["entries"][0]["samples"][0].pop("actual"),
+    lambda payload: payload["entries"][0]["samples"][0].update(actual="x"),
+    lambda payload: payload["entries"][0].update(measured={}),
+    lambda payload: payload.update(faults=[1]),
+], ids=["entry-not-object", "no-iteration", "samples-null",
+        "no-actual", "actual-not-number", "measured-empty",
+        "fault-not-object"])
+def test_from_dict_rejects_malformed_entries(recorded, damage):
+    payload = json.loads(json.dumps(recorded.ledger.as_dict()))
+    damage(payload)
+    with pytest.raises(LedgerError, match="ledger (entry|fault) 0"):
         Ledger.from_dict(payload)
 
 

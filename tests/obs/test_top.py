@@ -5,8 +5,8 @@ import pytest
 from repro.obs.top import (
     TopModel,
     follow_stream,
+    play_back,
     render_frame,
-    replay_run,
     trace_record_events,
 )
 
@@ -167,8 +167,8 @@ def test_trace_record_events_shape():
 def test_replay_matches_fed_model():
     """Replay and a hand-fed model agree — the shared-model invariant."""
     frames = []
-    model = replay_run(TRACE_HEADER, TRACE_RECORDS, frames.append,
-                       ansi=False)
+    model = play_back(TRACE_HEADER, TRACE_RECORDS, frames.append,
+                      ansi=False)
     assert model.ended
     assert model.supersteps == 2
     assert model.fsteal_iterations == 1
@@ -182,15 +182,56 @@ def test_replay_matches_fed_model():
 
 def test_replay_frames_cap():
     frames = []
-    replay_run(TRACE_HEADER, TRACE_RECORDS, frames.append, frames=1,
-               ansi=False)
+    play_back(TRACE_HEADER, TRACE_RECORDS, frames.append, frames=1,
+              ansi=False)
     assert len(frames) == 2  # capped redraw + guaranteed final frame
 
 
 def test_replay_ansi_clears_screen():
     frames = []
-    replay_run(TRACE_HEADER, TRACE_RECORDS, frames.append, ansi=True)
+    play_back(TRACE_HEADER, TRACE_RECORDS, frames.append, ansi=True)
     assert frames[0].startswith("\x1b[2J\x1b[H")
+
+
+def test_play_back_agrees_with_the_live_stream(tmp_path):
+    """The flight recorder and the live view are one model: the
+    reference run's archived trace, played back, and the live stream of
+    the same workload fold to the same numbers. (The stream's metrics
+    panels are not in an archived trace, so compare the model, not the
+    frame; the trace rounds per-GPU times to the nanosecond.)"""
+    from pathlib import Path
+
+    from repro.bench import Cell, run_cell
+    from repro.core import GumConfig
+    from repro.obs import MetricsRegistry, StreamingSink, Tracer
+    from repro.runtime.trace import load_trace
+
+    reference = (Path(__file__).resolve().parents[2]
+                 / "benchmarks" / "reference" / "tx-bfs-4gpu")
+    played = play_back(*load_trace(reference / "trace.jsonl"),
+                       lambda frame: None, ansi=False)
+
+    stream = tmp_path / "live.jsonl"
+    metrics = MetricsRegistry()
+    tracer = Tracer(sinks=[StreamingSink(stream, metrics=metrics)])
+    run_cell(Cell("gum", "bfs", "TX", 4, "random"),
+             gum_config=GumConfig(cost_model="oracle", amortize=False),
+             tracer=tracer, metrics=metrics)
+    tracer.close()
+    live = follow_stream(stream, lambda frame: None, ansi=False)
+
+    assert played.ended and live.ended
+    assert played.supersteps == live.supersteps == 137
+    assert played.stolen_edges == live.stolen_edges
+    assert played.fsteal_iterations == live.fsteal_iterations
+    assert played.virtual_seconds == pytest.approx(
+        live.virtual_seconds, rel=1e-9
+    )
+    assert sorted(played.gpus) == sorted(live.gpus)
+    for gpu, state in live.gpus.items():
+        assert played.gpus[gpu].busy == pytest.approx(state.busy, abs=1e-7)
+        assert played.gpus[gpu].stall == pytest.approx(state.stall,
+                                                        abs=1e-7)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 The headline contract: replaying a recorded run under its **original**
 model is bit-identical — every per-iteration wall and the end-to-end
-total equal the recording exactly, and all three byte-level checks
+total equal the recording exactly, and all four byte-level checks
 (no-op span-DAG replay, stored-prediction reconstruction, sealed RMSRE
-reconstruction) pass. Model and topology overrides perturb virtual
+reconstruction, trace completeness) pass. Model and topology overrides perturb virtual
 time deterministically, and degenerate overrides (same topology,
 oracle model, mismatched GPU counts) behave as documented.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -187,6 +188,26 @@ def test_cli_check_passes_on_reference(capsys):
     assert main(["replay", REFERENCE_RUNS[0], "--check"]) == 0
     out = capsys.readouterr().out
     assert "bit-identical" in out
+
+
+def test_cli_check_fails_on_a_truncated_trace(tmp_path, capsys):
+    """The fourth invariant: an incomplete recording is not identical.
+
+    Every superstep that *is* in a cut-short trace still replays to its
+    own wall, so without ``complete`` the gate would pass on 4 of the
+    reference's 137 supersteps.
+    """
+    run_dir = tmp_path / "tx-bfs-4gpu"
+    shutil.copytree(REFERENCE_RUNS[0], run_dir)
+    lines = (run_dir / "trace.jsonl").read_text().splitlines(True)
+    (run_dir / "trace.jsonl").write_text("".join(lines[:5]))
+    outcome = replay_run(RunRegistry(tmp_path / "runs"), str(run_dir))
+    assert not outcome.bit_identical
+    assert outcome.checks["complete"] is False
+    assert all(passed for name, passed in outcome.checks.items()
+               if name != "complete")
+    assert main(["replay", str(run_dir), "--check"]) == 1
+    assert "complete=FAIL" in capsys.readouterr().out
 
 
 def test_cli_check_fails_under_an_override(capsys):

@@ -12,6 +12,7 @@ workflows are currently clean.
 """
 
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -221,6 +222,30 @@ def _tree_with(tmp_path, lines: int):
 
 def test_committed_tree_passes_the_length_ratchet():
     assert check_function_length.check_tree(REPO) == []
+
+
+def test_allow_list_is_down_to_the_parser_and_the_engine_loop():
+    """Replay and ledger materialization left the list; what remains
+    is ROADMAP item 3's CLI table and item 2's engine loop."""
+    assert set(check_function_length.ALLOWED) == {
+        "src/repro/cli.py::build_parser",
+        "src/repro/runtime/bsp.py::BSPEngine.run",
+    }
+
+
+def test_only_the_entry_point_imports_the_cli():
+    """``repro.cli`` is the top layer: library code that needs what it
+    prints (the manifest ``summary``) imports it from ``repro.runs``."""
+    pattern = re.compile(
+        r"^\s*(from repro\.cli\b|import repro\.cli\b"
+        r"|from repro import .*\bcli\b)", re.MULTILINE,
+    )
+    offenders = [
+        path.relative_to(REPO).as_posix()
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if path.name != "__main__.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
 
 
 def test_arbitrator_functions_stay_short():

@@ -7,6 +7,8 @@ scripts branch on. Each case below forces a ReproError through a
 different subcommand's code path.
 """
 
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,42 @@ def _run_dir_with_binary_trace(path):
     _file(path / "manifest.json", "{}")
     _binary(path / "trace.jsonl")
     return str(path)
+
+
+def _run_dir_with(path, edit_ledger=None, edit_trace_record=None):
+    """A copy of the reference run with one JSON value damaged.
+
+    ``edit_ledger`` mutates the parsed ``ledger.json``;
+    ``edit_trace_record`` the first superstep record of ``trace.jsonl``.
+    """
+    shutil.copytree(REFERENCE_RUN, path)
+    if edit_ledger is not None:
+        ledger = json.loads((path / "ledger.json").read_text())
+        edit_ledger(ledger)
+        (path / "ledger.json").write_text(json.dumps(ledger))
+    if edit_trace_record is not None:
+        lines = (path / "trace.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        edit_trace_record(record)
+        lines[1] = json.dumps(record)
+        (path / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+#: hand-damaged ``ledger.json`` shapes, each a traceback before
+#: ``Ledger.from_dict`` validated entries and samples
+BAD_LEDGERS = {
+    "entries-not-objects": lambda led: led.update(entries=[1]),
+    "entry-without-iteration":
+        lambda led: led["entries"][0].pop("iteration"),
+    "samples-null": lambda led: led["entries"][0].update(samples=None),
+    "sample-without-actual":
+        lambda led: led["entries"][0]["samples"][0].pop("actual"),
+}
+
+
+def _bad_busy(record):
+    record["busy_ms"] = "oops"
 
 
 def _bench_against(baseline):
@@ -145,6 +183,27 @@ CASES = [
     ("top-stream-binary", lambda d: [
         "top", "--stream", _binary(d / "live.jsonl"), "--no-ansi",
         "--runs-dir", str(d),
+    ]),
+    *[
+        (f"{verb}-ledger-{name}", lambda d, verb=verb, edit=edit: [
+            verb, _run_dir_with(d / "run", edit_ledger=edit),
+            "--runs-dir", str(d),
+        ])
+        for name, edit in BAD_LEDGERS.items()
+        for verb in ("explain", "replay")
+    ],
+    ("runs-analyze-malformed-busy", lambda d: [
+        "runs", "analyze",
+        _run_dir_with(d / "run", edit_trace_record=_bad_busy),
+        "--runs-dir", str(d),
+    ]),
+    ("replay-malformed-busy", lambda d: [
+        "replay", _run_dir_with(d / "run", edit_trace_record=_bad_busy),
+        "--runs-dir", str(d),
+    ]),
+    ("top-malformed-busy", lambda d: [
+        "top", _run_dir_with(d / "run", edit_trace_record=_bad_busy),
+        "--no-ansi", "--frames", "1", "--runs-dir", str(d),
     ]),
     ("slo-check-binary-rules", lambda d: [
         "slo", "check", REFERENCE_RUN,

@@ -32,8 +32,6 @@ LIMIT = 120
 #: Shrink a function and lower (or drop) its entry; never raise one.
 ALLOWED = {
     "src/repro/cli.py::build_parser": 498,
-    "src/repro/obs/ledger.py::Ledger._materialize": 129,
-    "src/repro/replay/simulator.py::replay_run": 204,
     "src/repro/runtime/bsp.py::BSPEngine.run": 131,
 }
 
