@@ -134,3 +134,86 @@ def naive_price_chunks(engine, plan, fragment_features, context,
         compute_part[chunk.worker] += compute
         comm_part[chunk.worker] += comm
     return busy, compute_part, comm_part
+
+
+# ----------------------------------------------------------------------
+# ISSUE-19: the per-superstep kernels' plain forms — hash ``np.unique``
+# vertex sets, one feature scan per fragment, one prediction per row.
+# ----------------------------------------------------------------------
+def naive_message_count(graph, partition, frontier, aggregate, context):
+    """The legacy count: a ``V``-long worker-of-vertex array and a
+    hash ``np.unique`` over the cross edges' destinations."""
+    sources, destinations, __ = frontier.gather(graph)
+    if sources.size == 0:
+        return 0
+    worker_of = context.fragment_worker[partition.owner]
+    cross = worker_of[sources] != worker_of[destinations]
+    if not np.any(cross):
+        return 0
+    if aggregate:
+        return int(np.unique(destinations[cross]).size)
+    return int(np.count_nonzero(cross))
+
+
+def naive_frontier_features(graph, vertices):
+    """One fragment's Table-I features, each statistic on its own."""
+    from repro.graph.features import FrontierFeatures
+    from repro.graph.properties import degree_entropy, gini_coefficient
+
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.size == 0:
+        return FrontierFeatures.empty()
+    out_deg = graph.out_degrees(vertices)
+    in_deg = graph.in_degrees()[vertices]
+    return FrontierFeatures(
+        avg_in_degree=float(in_deg.mean()),
+        avg_out_degree=float(out_deg.mean()),
+        in_degree_range=float(in_deg.max() - in_deg.min()),
+        out_degree_range=float(out_deg.max() - out_deg.min()),
+        gini=gini_coefficient(out_deg),
+        entropy=degree_entropy(out_deg),
+        size=int(vertices.size),
+        total_edges=int(out_deg.sum()),
+    )
+
+
+def naive_polynomial_expand(matrix, degree):
+    """Polynomial basis, row by row, one left-to-right product per
+    monomial (``1*a``, ``(1*a)*b``, ...)."""
+    import itertools
+
+    n, d = matrix.shape
+    combos = [
+        combo
+        for deg in range(1, degree + 1)
+        for combo in itertools.combinations_with_replacement(range(d), deg)
+    ]
+    out = np.empty((n, len(combos) + 1))
+    for index in range(n):
+        row = matrix[index]
+        values = [1.0]
+        for combo in combos:
+            value = 1.0
+            for feature in combo:
+                value = value * row[feature]
+            values.append(value)
+        out[index] = values
+    return out
+
+
+def naive_edge_costs(model, frontiers):
+    """The legacy audit loop over a polynomial model: one frontier at
+    a time through the model's own preprocessing, the plain expansion,
+    and a ``(1, N) @ w`` product (which reduces as a dot)."""
+    costs = []
+    for features in frontiers:
+        row = features.vector()[None, :]
+        scaled = np.clip(
+            model._scaler.transform(model._squash(row)), -4.0, 4.0
+        )
+        design = model._design_scaler.transform(
+            naive_polynomial_expand(scaled, model._degree)
+        )
+        raw = design @ model._weights
+        costs.append(float((np.maximum(raw, 0.01) / 1e9)[0]))
+    return costs

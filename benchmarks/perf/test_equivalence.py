@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from conftest import naive_assembly, naive_price_chunks, naive_tree_predict
+from conftest import (
+    naive_assembly,
+    naive_edge_costs,
+    naive_frontier_features,
+    naive_message_count,
+    naive_polynomial_expand,
+    naive_price_chunks,
+    naive_tree_predict,
+)
 from repro.bench import perfharness
 from repro.core.milp import (
     HiGHSSolver,
@@ -189,3 +197,92 @@ def test_amortization_preserves_results_within_tolerance():
     # the virtual clock stays within tolerance of the exact path
     ratio = amortized.total_seconds / exact.total_seconds
     assert 0.85 <= ratio <= 1.15
+
+
+# ----------------------------------------------------------------------
+# ISSUE-19: the per-superstep kernels against their plain forms in
+# ``conftest`` — the bitmap message count vs a ``V``-long worker array
+# plus hash ``np.unique``, segmented Table-I features vs one scan per
+# fragment, batched ``g`` vs one prediction per row. (The kernels'
+# reference-free pins — ``distinct_vertices == np.unique``, the seeded
+# split, every resolvable model, why the batch takes per-row dots —
+# are tier-1 tests under ``tests/``.)
+# ----------------------------------------------------------------------
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    num_vertices=st.integers(1, 700),
+    edge_factor=st.integers(0, 6),
+    frontier_share=st.floats(0.0, 1.0),
+    num_fragments=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segmented_features_equal_per_fragment_scans(
+    num_vertices, edge_factor, frontier_share, num_fragments, seed
+):
+    from repro.graph import from_edge_arrays
+    from repro.graph.features import frontier_features
+
+    rng = np.random.default_rng(seed)
+    num_edges = edge_factor * num_vertices
+    # squared uniforms skew the degrees; high ids stay sinks
+    src = (rng.random(num_edges) ** 2 * num_vertices * 0.8).astype(np.int64)
+    dst = rng.integers(0, num_vertices, size=num_edges)
+    graph = from_edge_arrays(src, dst, num_vertices=num_vertices)
+    vertices = np.flatnonzero(rng.random(num_vertices) < frontier_share)
+    owners = rng.integers(0, num_fragments, size=vertices.size)
+    order = np.argsort(owners, kind="stable")
+    boundaries = np.searchsorted(
+        owners[order], np.arange(num_fragments + 1)
+    )
+    ordered = vertices[order]
+    segmented = frontier_features(graph, ordered, boundaries)
+    assert len(segmented) == num_fragments
+    for index, got in enumerate(segmented):
+        part = ordered[boundaries[index]: boundaries[index + 1]]
+        # frozen dataclasses: every field, bit for bit
+        assert got == naive_frontier_features(graph, part)
+
+
+def test_message_count_matches_plain_form():
+    from repro.runtime.frontier import Frontier
+
+    session, frontier, context = perfharness._message_count_fixture()
+    graph, partition = context.graph, context.partition
+    rng = np.random.default_rng(2)
+    frontiers = [frontier, Frontier(np.array([7])), Frontier.empty()] + [
+        Frontier(rng.integers(0, graph.num_vertices, size=size))
+        for size in (3, 500, 20000)
+    ]
+    # a folded group: two workers own all four fragments
+    context.fragment_worker[:] = [0, 0, 2, 2]
+    for active in frontiers:
+        for aggregate in (True, False):
+            assert session.message_count(
+                0, active, aggregate, context
+            ) == naive_message_count(
+                graph, partition, active, aggregate, context
+            )
+    assert not session._seen.any()
+
+
+@pytest.mark.parametrize("rows", [1, 8, 127, 128, 129, 300])
+def test_polynomial_expand_bit_identical(rows):
+    from repro.core.costmodel import _polynomial_expand
+
+    matrix = np.random.default_rng(rows).normal(size=(rows, 6))
+    for degree in (1, 2, 4):
+        assert np.array_equal(
+            _polynomial_expand(matrix, degree),
+            naive_polynomial_expand(matrix, degree),
+        )
+
+
+def test_batched_g_equals_the_plain_audit_loop():
+    model, features = perfharness._audit_fixture()
+    assert len(features) > 1
+    assert model.edge_costs_seconds(features) == naive_edge_costs(
+        model, features
+    )

@@ -17,6 +17,8 @@ import pytest
 from conftest import (
     BASELINE_PATH,
     naive_assembly,
+    naive_edge_costs,
+    naive_message_count,
     naive_price_chunks,
     naive_tree_predict,
 )
@@ -140,4 +142,32 @@ def test_plan_cache_hit_beats_cold_solve():
     ].setup()
     ratio = _speedup(cold, cached)
     print(f"\nplan-cache hit speedup: {ratio:.1f}x")
+    assert ratio >= SPEEDUP_FLOOR
+
+
+# ----------------------------------------------------------------------
+# ISSUE-19: one pass per superstep — the bitmap vertex-set kernel under
+# the message count, and one batched prediction per decision, each
+# against its plain form in the same process.
+# ----------------------------------------------------------------------
+def test_message_count_speedup():
+    session, frontier, context = perfharness._message_count_fixture()
+    graph, partition = context.graph, context.partition
+    ratio = _speedup(
+        lambda: naive_message_count(
+            graph, partition, frontier, True, context
+        ),
+        lambda: session.message_count(0, frontier, True, context),
+    )
+    print(f"\nmessage count speedup: {ratio:.1f}x")
+    assert ratio >= SPEEDUP_FLOOR
+
+
+def test_batched_audit_speedup():
+    model, features = perfharness._audit_fixture()
+    ratio = _speedup(
+        lambda: naive_edge_costs(model, features),
+        lambda: model.edge_costs_seconds(features),
+    )
+    print(f"\nbatched audit speedup: {ratio:.1f}x")
     assert ratio >= SPEEDUP_FLOOR

@@ -100,8 +100,8 @@ class GASAlgorithm(abc.ABC):
         graph: CSRGraph,
         values: np.ndarray,
         vertices: np.ndarray,
-        scratch: np.ndarray = None,
-        edges: "tuple[np.ndarray, np.ndarray]" = None,
+        aux: dict = None,
+        edges: "tuple[np.ndarray, np.ndarray, np.ndarray]" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Stateless partial superstep over one fragment's frontier slice.
 
@@ -114,9 +114,13 @@ class GASAlgorithm(abc.ABC):
         associative (``supports_fragment_step``), so the merged result
         is bit-identical to :meth:`step` on the whole frontier.
 
-        ``edges`` optionally passes the caller's already-computed
-        ``(sources, positions)`` gather of ``vertices`` — workers share
-        one adjacency walk between the message-cost scan and the relax,
+        ``aux`` is the calling worker's counterpart of
+        :attr:`AlgorithmState.aux`: a dict the algorithm may keep
+        reusable buffers in between tasks. ``edges`` optionally passes
+        the caller's already-gathered ``(sources, destinations,
+        weights)`` out-edges of ``vertices``
+        (:func:`~repro.graph.gather.gather_edges`) — workers share one
+        adjacency walk between the message-cost scan and the relax,
         like the frontier memo does in-process.
         """
         raise NotImplementedError(

@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
+from repro.algorithms.minprop import MinScatter
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.gather import gather_edges
@@ -108,16 +109,8 @@ class DeltaSteppingSSSP(GASAlgorithm):
                 if weights is None:
                     weights = np.ones(destinations.size)
                 cand = state.values[sources] + weights
-                scratch = aux.get("scratch")
-                if scratch is None:
-                    scratch = np.full(graph.num_vertices, np.inf)
-                    aux["scratch"] = scratch
-                touched = np.unique(destinations)
-                np.minimum.at(scratch, destinations, cand)
-                improved = touched[
-                    scratch[touched] < state.values[touched]
-                ]
-                state.values[improved] = scratch[improved]
-                scratch[touched] = np.inf
+                improved = MinScatter.of(graph, aux).relax(
+                    state.values, destinations, cand
+                )
                 aux["pending"][improved] = True
         return self._current_bucket_frontier(state)

@@ -17,10 +17,61 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edge_positions
+from repro.graph.gather import distinct_vertices, gather_edges
 from repro.runtime.frontier import Frontier
 
-__all__ = ["MinPropagation"]
+__all__ = ["MinPropagation", "MinScatter"]
+
+
+class MinScatter:
+    """Per-destination minimum of edge candidates, buffers reused.
+
+    Holds the two ``V``-sized scratch arrays one min-reduction needs —
+    the ``inf``-filled minima and the :func:`distinct_vertices` bitmap
+    — and restores both where they were touched before returning, so
+    one instance serves every superstep of a run (or every task of a
+    worker) at O(edges) per call.
+    """
+
+    __slots__ = ("_minima", "_seen")
+
+    def __init__(self, num_vertices: int) -> None:
+        self._minima = np.full(num_vertices, np.inf)
+        self._seen = np.zeros(num_vertices, dtype=bool)
+
+    @staticmethod
+    def of(graph: CSRGraph, aux: dict) -> "MinScatter":
+        """The instance kept in ``aux`` (created on first use)."""
+        scatter = aux.get("scatter")
+        if scatter is None:
+            scatter = aux["scatter"] = MinScatter(graph.num_vertices)
+        return scatter
+
+    def reduce(
+        self, destinations: np.ndarray, candidates: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(touched, minima)``: sorted distinct destinations and the
+        smallest candidate each one was offered."""
+        minima = self._minima
+        touched = distinct_vertices(destinations, minima.size, self._seen)
+        np.minimum.at(minima, destinations, candidates)
+        mins = minima[touched]
+        minima[touched] = np.inf  # reset for the next call
+        return touched, mins
+
+    def relax(
+        self,
+        values: np.ndarray,
+        destinations: np.ndarray,
+        candidates: np.ndarray,
+    ) -> np.ndarray:
+        """Lower ``values`` to the offered minima; return the (sorted)
+        vertices whose value improved."""
+        touched, mins = self.reduce(destinations, candidates)
+        better = mins < values[touched]
+        improved = touched[better]
+        values[improved] = mins[better]
+        return improved
 
 
 class MinPropagation(GASAlgorithm):
@@ -46,81 +97,59 @@ class MinPropagation(GASAlgorithm):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _scratch(self, graph: CSRGraph, state: AlgorithmState) -> np.ndarray:
-        scratch = state.aux.get("scratch")
-        if scratch is None:
-            scratch = np.full(graph.num_vertices, np.inf)
-            state.aux["scratch"] = scratch
-        return scratch
-
     def _relax(
         self,
         graph: CSRGraph,
         state: AlgorithmState,
         sources: np.ndarray,
-        positions: np.ndarray,
+        destinations: np.ndarray,
+        weights: Optional[np.ndarray],
     ) -> Frontier:
         """Apply min-relaxation along the given edges; return activated."""
         if sources.size == 0:
             return Frontier.empty()
-        destinations = graph.indices[positions]
-        weights = (
-            graph.weights[positions] if graph.weights is not None else None
-        )
         cand = self.candidates(state.values, sources, weights)
-        scratch = self._scratch(graph, state)
-        touched = np.unique(destinations)
-        np.minimum.at(scratch, destinations, cand)
-        improved = touched[scratch[touched] < state.values[touched]]
-        state.values[improved] = scratch[improved]
-        scratch[touched] = np.inf  # reset for the next call
-        return Frontier.from_sorted(improved)
+        return Frontier.from_sorted(
+            MinScatter.of(graph, state.aux).relax(
+                state.values, destinations, cand
+            )
+        )
 
     # ------------------------------------------------------------------
     def step(self, graph: CSRGraph, state: AlgorithmState) -> Frontier:
         """Relax all out-edges of the frontier.
 
         The gather is memoized on the frontier, so when the engine's
-        message-cost model already expanded this frontier the adjacency
-        walk is not repeated.
+        message-cost model already expanded this frontier neither the
+        adjacency walk nor the edge-array lookups are repeated.
         """
-        sources, positions = state.frontier.edge_positions(graph)
-        return self._relax(graph, state, sources, positions)
+        return self._relax(graph, state, *state.frontier.gather(graph))
 
     def fragment_step(
         self,
         graph: CSRGraph,
         values: np.ndarray,
         vertices: np.ndarray,
-        scratch: np.ndarray = None,
-        edges: "tuple[np.ndarray, np.ndarray]" = None,
+        aux: dict = None,
+        edges: "tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Per-fragment partial relax: ``(touched, partial minima)``.
 
         Pure with respect to ``values`` — safe against a shared mapping
-        read concurrently by other workers. ``scratch`` is the caller's
-        reusable ``inf``-filled buffer (restored before returning).
+        read concurrently by other workers. ``aux`` is the caller's
+        per-worker dict; the reusable :class:`MinScatter` lives in it.
         """
         if edges is None:
-            edges = gather_edge_positions(graph, vertices)
-        sources, positions = edges
+            edges = gather_edges(graph, vertices)
+        sources, destinations, weights = edges
         if sources.size == 0:
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        destinations = graph.indices[positions]
-        weights = (
-            graph.weights[positions] if graph.weights is not None else None
-        )
         cand = self.candidates(values, sources, weights)
-        if scratch is None:
-            scratch = np.full(graph.num_vertices, np.inf)
-        touched = np.unique(destinations)
-        np.minimum.at(scratch, destinations, cand)
-        mins = scratch[touched].copy()
-        scratch[touched] = np.inf  # restore for the next task
-        return touched, mins
+        scatter = MinScatter.of(graph, {} if aux is None else aux)
+        return scatter.reduce(destinations, cand)
 
     def merge_fragment_rows(
         self,
@@ -147,9 +176,13 @@ class MinPropagation(GASAlgorithm):
         allowed_mask: np.ndarray,
     ) -> Frontier:
         """Relax only edges selected by ``allowed_mask`` (CSR order)."""
-        sources, positions = frontier.edge_positions(graph)
+        __, positions = frontier.edge_positions(graph)
         keep = allowed_mask[positions]
-        return self._relax(graph, state, sources[keep], positions[keep])
+        sources, destinations, weights = frontier.gather(graph)
+        return self._relax(
+            graph, state, sources[keep], destinations[keep],
+            None if weights is None else weights[keep],
+        )
 
     # ------------------------------------------------------------------
     def _initial_state(

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.backend.base import ExecutionBackend, ExecutionSession
+from repro.graph.gather import distinct_vertices
 from repro.runtime.frontier import Frontier
 
 if TYPE_CHECKING:
@@ -31,6 +32,8 @@ class SerialSession(ExecutionSession):
     def __init__(self, graph: "CSRGraph", partition: "Partition") -> None:
         self._graph = graph
         self._partition = partition
+        #: distinct_vertices' reusable bitmap, one per run
+        self._seen = np.zeros(graph.num_vertices, dtype=bool)
 
     def message_count(
         self,
@@ -39,17 +42,35 @@ class SerialSession(ExecutionSession):
         aggregate: bool,
         context: "RunContext",
     ) -> int:
-        """Cross-worker message count from the memoized frontier gather."""
-        sources, destinations, __ = frontier.gather(self._graph)
-        if sources.size == 0:
+        """Cross-worker message count from the memoized frontier gather.
+
+        One pass over the frontier's edges: endpoints are mapped
+        vertex → fragment → worker by indexing (never a ``V``-long
+        worker-of-vertex array, so a one-vertex tail superstep costs
+        its own edges) — the sources once per frontier vertex, repeated
+        over its out-edges as the gather lays them out. Under
+        ``aggregate`` the distinct remote destinations are counted with
+        the same bitmap kernel the algorithm step uses
+        (:func:`~repro.graph.gather.distinct_vertices`) — the question
+        the shmem workers answer with packed bitmaps.
+        """
+        graph = self._graph
+        __, destinations, __ = frontier.gather(graph)
+        if destinations.size == 0:
             return 0
-        worker_of = context.fragment_worker[self._partition.owner]
-        cross = worker_of[sources] != worker_of[destinations]
-        if not np.any(cross):
-            return 0
-        if aggregate:
-            return int(np.unique(destinations[cross]).size)
-        return int(np.count_nonzero(cross))
+        owner = self._partition.owner
+        worker = context.fragment_worker
+        vertices = frontier.vertices
+        source_worker = np.repeat(
+            worker[owner[vertices]], graph.out_degrees(vertices)
+        )
+        cross = source_worker != worker[owner[destinations]]
+        if not aggregate:
+            return int(np.count_nonzero(cross))
+        # np.compress: ~3x faster than boolean-mask indexing here
+        return int(distinct_vertices(
+            np.compress(cross, destinations), self._seen.size, self._seen
+        ).size)
 
     def step(
         self,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.backend.shared import SharedArraySpec, attach_shared_array
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edge_positions
+from repro.graph.gather import gather_edges
 
 __all__ = ["WorkerSpec", "WorkerTask", "worker_main"]
 
@@ -119,7 +119,8 @@ class _WorkerRuntime:
         )
         self._num_fragments = spec.num_fragments
         self._algorithm = spec.algorithm
-        self._scratch = None
+        #: the algorithm's reusable buffers, kept between tasks
+        self._aux: dict = {}
         #: vertices this worker last scattered into each fragment's
         #: shared partial row; reset lazily at the next task so the
         #: coordinator reads settled rows between dispatches
@@ -142,14 +143,13 @@ class _WorkerRuntime:
         vertices = np.array(
             self._frontier_buf[task.offset: task.offset + task.count]
         )
-        edges = gather_edge_positions(self._graph, vertices)
-        sources, positions = edges
+        edges = gather_edges(self._graph, vertices)
+        destinations = edges[1]
         num_fragments = self._num_fragments
         num_vertices = self._graph.num_vertices
         edge_counts = np.zeros(num_fragments, dtype=np.int64)
         dest_bits = None
-        if sources.size:
-            destinations = self._graph.indices[positions]
+        if destinations.size:
             dest_fragment = self._owner[destinations]
             edge_counts = np.bincount(
                 dest_fragment, minlength=num_fragments
@@ -169,11 +169,9 @@ class _WorkerRuntime:
             previous = self._row_touched.get(task.fragment)
             if previous is not None and previous.size:
                 row[previous] = np.inf
-            if self._scratch is None:
-                self._scratch = np.full(num_vertices, np.inf)
             touched, mins = self._algorithm.fragment_step(
                 self._graph, self._values, vertices,
-                scratch=self._scratch, edges=edges,
+                aux=self._aux, edges=edges,
             )
             row[touched] = mins
             self._row_touched[task.fragment] = touched

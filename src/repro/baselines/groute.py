@@ -186,40 +186,46 @@ class GrouteEngine:
 
     def _ring_comm_seconds(
         self,
-        partition: Partition,
-        sources: np.ndarray,
-        destinations: np.ndarray,
+        source_fragment: np.ndarray,
+        destination_fragment: np.ndarray,
     ) -> float:
-        """Time for cross messages to traverse the ring.
+        """Time for the edges' cross messages to traverse the ring.
 
-        Each message travels the shorter arc between its endpoint ring
-        positions; the round's communication time is the byte load of
-        the most congested ring link divided by that link's bandwidth.
+        Takes the owning fragment of each edge's endpoints. Each
+        message travels the shorter arc between its endpoint ring
+        positions (an edge inside one fragment travels no link); the
+        round's communication time is the byte load of the most
+        congested ring link divided by that link's bandwidth.
         """
         n = len(self._ring)
-        if n <= 1 or sources.size == 0:
+        if n <= 1 or source_fragment.size == 0:
             return 0.0
         position = np.empty(self._topology.num_gpus, dtype=np.int64)
         for idx, gpu in enumerate(self._ring):
             position[gpu] = idx
-        src_pos = position[partition.owner[sources]]
-        dst_pos = position[partition.owner[destinations]]
-        link_bytes = np.zeros(n)
+        # a message's route depends only on its endpoints' ring
+        # positions: histogram the messages over the n*n position pairs
+        # once, then route pairs instead of messages
+        messages = np.bincount(
+            position[source_fragment] * n + position[destination_fragment],
+            minlength=n * n,
+        )
+        src_pos, dst_pos = np.divmod(np.arange(n * n), n)
         forward = (dst_pos - src_pos) % n
         backward = (src_pos - dst_pos) % n
         go_forward = forward <= backward
         hops = np.where(go_forward, forward, backward)
-        msg_bytes = float(repro_config.BYTES_PER_MESSAGE)
-        # accumulate per-link loads, vectorized over messages; the hop
-        # count is at most n/2, so this is a handful of passes
-        for step in range(int(hops.max(initial=0))):
+        link_messages = np.zeros(n, dtype=np.int64)
+        for step in range(n // 2):
             live = hops > step
             links = np.where(
                 go_forward[live],
                 (src_pos[live] + step) % n,
                 (src_pos[live] - step - 1) % n,
             )
-            np.add.at(link_bytes, links, msg_bytes)
+            np.add.at(link_messages, links, messages[live])
+        # integer counts times the integer-valued message size: exact
+        link_bytes = link_messages * float(repro_config.BYTES_PER_MESSAGE)
         with np.errstate(divide="ignore"):
             times = link_bytes / (self._ring_bandwidth * 1e9)
         return float(times.max())
@@ -257,7 +263,7 @@ class GrouteEngine:
             busy = np.zeros(num_workers)
             updated_parts: List[np.ndarray] = []
             per_fragment = round_frontier.split_by_owner(
-                partition.owner, num_workers
+                partition.owner, num_workers, graph
             )
             features = [
                 part.features(graph) for part in per_fragment
@@ -292,11 +298,11 @@ class GrouteEngine:
             # --- phase 2: push cross edges over the ring --------------
             all_updated = Frontier(np.concatenate(updated_parts))
             sources, destinations, __ = all_updated.gather(graph)
-            cross = (
-                partition.owner[sources] != partition.owner[destinations]
-            )
+            source_fragment = partition.owner[sources]
+            destination_fragment = partition.owner[destinations]
+            cross = source_fragment != destination_fragment
             comm = self._ring_comm_seconds(
-                partition, sources[cross], destinations[cross]
+                source_fragment, destination_fragment
             )
             # the cross relaxations themselves run on the receiving
             # side; deferred local work resumes next round
@@ -395,15 +401,13 @@ class GrouteEngine:
         while state.frontier and state.iteration < limit:
             frontier = state.frontier
             per_fragment = frontier.split_by_owner(
-                partition.owner, num_workers
+                partition.owner, num_workers, graph
             )
             busy = np.zeros(num_workers)
             for fragment, part in enumerate(per_fragment):
                 if not part:
                     continue
-                edges = int(
-                    graph.out_degrees(part.vertices).sum() * self._pr_extra
-                )
+                edges = int(part.work(graph) * self._pr_extra)
                 feats = part.features(graph)
                 busy[fragment] += (
                     self._timing.compute_seconds(edges, feats)
@@ -413,11 +417,11 @@ class GrouteEngine:
                     + self._timing.kernel_launch_seconds(2)
                 )
             sources, destinations, __ = frontier.gather(graph)
-            cross = (
-                partition.owner[sources] != partition.owner[destinations]
-            )
+            source_fragment = partition.owner[sources]
+            destination_fragment = partition.owner[destinations]
+            cross = source_fragment != destination_fragment
             comm = self._ring_comm_seconds(
-                partition, sources[cross], destinations[cross]
+                source_fragment, destination_fragment
             ) * self._pr_extra
             serialization = self._timing.serialization_seconds(
                 int(np.count_nonzero(cross))

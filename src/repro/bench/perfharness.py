@@ -341,6 +341,28 @@ BENCH_CASES["engine.pr.TX.8gpu"] = BenchCase(
 )
 
 
+def _message_count_fixture():
+    """``(session, frontier, context)`` with the gather already
+    memoized: the count alone, not the adjacency walk it shares with
+    the algorithm step."""
+    from repro.backend import make_backend
+
+    graph, partition, algorithm, state, context = _rmat16_workload()
+    session = make_backend("serial").open(
+        graph, partition, algorithm, state, context
+    )
+    state.frontier.gather(graph)
+    return session, state.frontier, context
+
+
+@bench_case("engine.message_count.rmat16", graph="rmat16x12-sym",
+            workers=4,
+            unit="seconds per aggregated cross-worker message count")
+def _message_count_case():
+    session, frontier, context = _message_count_fixture()
+    return lambda: session.message_count(0, frontier, True, context)
+
+
 def _predict_case(family: str, rows: int = 4096):
     def setup():
         from repro.core.costmodel import MODEL_FAMILIES
@@ -480,6 +502,28 @@ def _decision_cold():
             unit="seconds per arbitrator decision")
 def _decision_amortized():
     return _decision_fixture(amortize=True)
+
+
+def _audit_fixture(n_gpus: int = 8):
+    """``(model, features)``: the shipped cost model and the Table-I
+    features of one tail level's fragments that hold active edges."""
+    from repro.core.costmodel import pretrained_default
+    from repro.partition.partitioners import random_partition
+    from repro.runtime.frontier import Frontier
+
+    graph, levels = _road_tail_levels()
+    partition = random_partition(graph, n_gpus, seed=0)
+    level = max(levels, key=len)
+    frags = Frontier(level).split_by_owner(partition.owner, n_gpus, graph)
+    features = [f.features(graph) for f in frags]
+    return pretrained_default(), [f for f in features if f.total_edges]
+
+
+@bench_case("decision.audit.batched.8gpu", graph="TX", workers=8,
+            unit="seconds per decision's batched g predictions")
+def _audit_batched():
+    model, features = _audit_fixture()
+    return lambda: model.edge_costs_seconds(features)
 
 
 def _osteal_fixture():
@@ -779,6 +823,31 @@ def _obs_ledger_analytics():
 # answer; ``benchmarks/perf/test_backend.py`` turns the pair into a
 # speedup floor on multi-core hosts.
 # ----------------------------------------------------------------------
+def _rmat16_workload(workers: int = 4):
+    """``(graph, partition, algorithm, state, context)``: WCC's first
+    superstep over a symmetrized rmat16 — every vertex active."""
+    from repro.algorithms import make_algorithm
+    from repro.graph.builders import symmetrize
+    from repro.graph.generators import rmat
+    from repro.partition.partitioners import make_partition
+    from repro.runtime.scheduler import RunContext
+
+    graph = symmetrize(
+        rmat(16, edge_factor=12, seed=1)
+    ).with_name("rmat16")
+    partition = make_partition("random", graph, workers, seed=0)
+    algorithm = make_algorithm("wcc")
+    state = algorithm.init(graph)
+    context = RunContext(
+        graph=graph, partition=partition, timing=None,
+        fragment_home=np.arange(workers, dtype=np.int64),
+        fragment_worker=np.arange(workers, dtype=np.int64),
+        algorithm_name=algorithm.name,
+        extras={"aggregate_messages": True},
+    )
+    return graph, partition, algorithm, state, context
+
+
 def _backend_fixture(backend: str, workers: int = 4):
     """``(session, superstep)`` over the big-graph backend workload.
 
@@ -788,29 +857,14 @@ def _backend_fixture(backend: str, workers: int = 4):
     round through the session — exactly the engine's per-iteration
     session protocol. The caller owns closing the session.
     """
-    from repro.algorithms import make_algorithm
     from repro.backend import make_backend
-    from repro.graph.builders import symmetrize
-    from repro.graph.generators import rmat
-    from repro.partition.partitioners import make_partition
     from repro.runtime.frontier import Frontier
-    from repro.runtime.scheduler import RunContext
 
-    graph = symmetrize(
-        rmat(16, edge_factor=12, seed=1)
-    ).with_name("rmat16")
-    partition = make_partition("random", graph, workers, seed=0)
-    algorithm = make_algorithm("wcc")
-    state = algorithm.init(graph)
+    graph, partition, algorithm, state, context = _rmat16_workload(
+        workers
+    )
     init_values = np.array(state.values)
     active = np.array(state.frontier.vertices)
-    context = RunContext(
-        graph=graph, partition=partition, timing=None,
-        fragment_home=np.arange(workers, dtype=np.int64),
-        fragment_worker=np.arange(workers, dtype=np.int64),
-        algorithm_name=algorithm.name,
-        extras={"aggregate_messages": True},
-    )
     session = make_backend(backend).open(
         graph, partition, algorithm, state, context
     )

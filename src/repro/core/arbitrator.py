@@ -255,21 +255,35 @@ class _PredictionMemo:
 
     The prediction audit, OSteal's fingerprint coefficients, and the
     FSteal cost matrix all ask for ``g`` of the *same* per-fragment
-    feature objects within a single ``plan`` call; this wrapper makes
-    the (bit-identical) single-row prediction once per object. Scoped
-    to one decision, so a refit model can never serve stale values.
+    feature objects within a single ``plan`` call. The first of them
+    to ask primes the memo: one batched
+    :meth:`~repro.core.costmodel.CostModel.edge_costs_seconds` over
+    every fragment of the decision with active edges (bit-identical to
+    single-frontier predictions by that method's contract), so the
+    others hit it whether or not the audit ran. Scoped to one decision,
+    so a refit model can never serve stale values.
     """
 
-    def __init__(self, model: CostModel) -> None:
+    def __init__(self, model: CostModel, features: Sequence) -> None:
         self._model = model
-        self._memo: Dict[int, tuple] = {}
+        self._features = features
+        self._memo: Optional[Dict[int, float]] = None
+
+    def prime(self) -> None:
+        """Predict ``g`` for every live fragment of the decision."""
+        live = [f for f in self._features if f.total_edges != 0]
+        self._memo = dict(zip(
+            map(id, live), self._model.edge_costs_seconds(live)
+        ))
 
     def edge_cost_seconds(self, features) -> float:
-        hit = self._memo.get(id(features))
-        if hit is not None and hit[0] is features:
-            return hit[1]
-        value = self._model.edge_cost_seconds(features)
-        self._memo[id(features)] = (features, value)
+        if self._memo is None:
+            self.prime()
+        # the decision's own feature objects stay alive in
+        # ``_features``, so their ids cannot be recycled under the memo
+        value = self._memo.get(id(features))
+        if value is None:
+            value = self._model.edge_cost_seconds(features)
         return value
 
     def __getattr__(self, name):
@@ -487,7 +501,7 @@ class GumScheduler(Scheduler):
             iteration=iteration,
             workloads=workloads,
             features=features,
-            cost_model=_PredictionMemo(self._cost_model),
+            cost_model=_PredictionMemo(self._cost_model, features),
             # feature extraction is a scan over active vertices (Exp-3)
             overhead=2.5e-8 * int(sum(f.size for f in features)),
         )

@@ -39,7 +39,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,30 +161,46 @@ class _Standardizer:
         return (matrix - self.mean) / self.std
 
 
-#: (num_features, degree) -> ((parent column, feature), ...) recurrences.
-_EXPAND_PLANS: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+#: (num_features, degree) -> per-degree (first column, parent columns,
+#: features) recurrences.
+_EXPAND_PLANS: Dict[Tuple[int, int], Tuple[tuple, ...]] = {}
 
 
-def _expand_plan(d: int, degree: int) -> Tuple[Tuple[int, int], ...]:
-    """Column recurrences of the polynomial basis, in emission order.
+def _expand_plan(d: int, degree: int) -> Tuple[tuple, ...]:
+    """Column recurrences of the polynomial basis, one entry per degree.
 
     Every monomial of degree ``k`` extends a degree ``k-1`` prefix by
     its last feature, so column ``j`` is ``column[parent] * feature``
     — the same left-to-right multiplication chain the naive
     ``combinations_with_replacement`` loop performs, term for term.
+    Columns are emitted degree by degree, so a whole degree's parents
+    already exist when it is computed.
     """
     plan = _EXPAND_PLANS.get((d, degree))
     if plan is None:
         index: Dict[Tuple[int, ...], int] = {(): 0}
-        steps = []
+        levels = []
         for deg in range(1, degree + 1):
+            first = len(index)
+            parents, features = [], []
             for combo in itertools.combinations_with_replacement(
                 range(d), deg
             ):
-                index[combo] = len(steps) + 1
-                steps.append((index[combo[:-1]], combo[-1]))
-        plan = _EXPAND_PLANS[(d, degree)] = tuple(steps)
+                index[combo] = len(index)
+                parents.append(index[combo[:-1]])
+                features.append(combo[-1])
+            levels.append((
+                first,
+                np.array(parents, dtype=np.int64),
+                np.array(features, dtype=np.int64),
+            ))
+        plan = _EXPAND_PLANS[(d, degree)] = tuple(levels)
     return plan
+
+
+#: Rows expanded together: a block's gathered parent columns stay
+#: cache-resident (level-wise beats column-at-a-time below ~190 rows).
+_EXPAND_BLOCK_ROWS = 128
 
 
 def _polynomial_expand(matrix: np.ndarray, degree: int) -> np.ndarray:
@@ -194,25 +210,22 @@ def _polynomial_expand(matrix: np.ndarray, degree: int) -> np.ndarray:
     feature — the identical IEEE-754 operation sequence (``1*a``,
     ``(1*a)*b``, ...) the combination-by-combination rebuild performs,
     so results are bit-identical while each product is computed once.
-    Single rows (the scheduler's per-frontier predictions) run the
-    recurrence on scalars instead of 1-element arrays.
+    A degree's columns are one gathered multiply per block of rows
+    (``degree`` NumPy calls for a decision's handful of fragments),
+    which is what makes one batch cheaper than row-at-a-time expansion.
     """
-    n, d = matrix.shape
-    plan = _expand_plan(d, degree)
-    out = np.empty((n, len(plan) + 1))
-    if n == 1:
-        row = matrix[0]
-        values = [1.0]
-        append = values.append
-        for parent, feature in plan:
-            append(values[parent] * row[feature])
-        out[0] = values
-        return out
+    plan = _expand_plan(matrix.shape[1], degree)
+    first, parents, __ = plan[-1]
+    out = np.empty((matrix.shape[0], first + parents.size))
     out[:, 0] = 1.0
-    for column, (parent, feature) in enumerate(plan, start=1):
-        np.multiply(
-            out[:, parent], matrix[:, feature], out=out[:, column]
-        )
+    for lo in range(0, matrix.shape[0], _EXPAND_BLOCK_ROWS):
+        block = out[lo: lo + _EXPAND_BLOCK_ROWS]
+        rows = matrix[lo: lo + _EXPAND_BLOCK_ROWS]
+        for first, parents, features in plan:
+            np.multiply(
+                block.take(parents, axis=1), rows.take(features, axis=1),
+                out=block[:, first: first + parents.size],
+            )
     return out
 
 
@@ -235,6 +248,19 @@ class CostModel(abc.ABC):
     def edge_cost_seconds(self, features: FrontierFeatures) -> float:
         """Predict for one frontier (convenience for the scheduler)."""
         return float(self.predict(features.vector()[None, :])[0])
+
+    def edge_costs_seconds(
+        self, frontiers: Sequence[FrontierFeatures]
+    ) -> List[float]:
+        """:meth:`edge_cost_seconds` of every frontier of one decision.
+
+        The contract is bit-identity with the one-at-a-time calls — a
+        batch may only be cheaper, never different, because FSteal's
+        coefficients and the ledger's audit are built from these
+        numbers. Families whose batched arithmetic provably keeps that
+        (see :class:`PolynomialSGDModel`) override this loop.
+        """
+        return [self.edge_cost_seconds(f) for f in frontiers]
 
     def _check_training_set(
         self, features: np.ndarray, costs: np.ndarray
@@ -362,6 +388,27 @@ class PolynomialSGDModel(CostModel):
         raw = self._design(features) @ self._weights
         # costs are physically positive; clamp runaway extrapolations
         return np.maximum(raw, 0.01) / _NS
+
+    def edge_costs_seconds(
+        self, frontiers: Sequence[FrontierFeatures]
+    ) -> List[float]:
+        """One design matrix for the decision, one dot per row.
+
+        Every step of :meth:`_design` is elementwise, so the ``(F, N)``
+        design matrix holds exactly the rows single-frontier calls
+        build. The final product is *not* batched: ``(F, N) @ w`` is a
+        BLAS matrix-vector kernel whose summation order differs from
+        the dot product a ``(1, N) @ w`` reduces to (most rows differ
+        in the last bits), so each row takes its own ``row @ w``.
+        """
+        if self._weights is None:
+            raise CostModelError("model used before fit")
+        if not frontiers:
+            return []
+        design = self._design(np.stack([f.vector() for f in frontiers]))
+        weights = self._weights
+        raw = np.array([row @ weights for row in design])
+        return (np.maximum(raw, 0.01) / _NS).tolist()
 
 
 class LinearSGDModel(PolynomialSGDModel):

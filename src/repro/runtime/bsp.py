@@ -438,8 +438,10 @@ class BSPEngine:
         num_workers = context.num_workers
 
         # --- distribute the frontier to its data homes ---------------
+        # (one segmented pass seeds every fragment's work and Table-I
+        # features, which the plan and the pricing below both read)
         fragment_frontiers = frontier.split_by_owner(
-            partition.owner, partition.num_fragments
+            partition.owner, partition.num_fragments, graph
         )
         workloads = np.array(
             [f.work(graph) for f in fragment_frontiers], dtype=np.int64

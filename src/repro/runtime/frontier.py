@@ -16,15 +16,14 @@ cost instead of a per-consumer one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+# features imports nothing from runtime; cycle-safe
+from repro.graph.features import FrontierFeatures, frontier_features
 from repro.graph.gather import gather_edge_positions
-
-if TYPE_CHECKING:  # features imports nothing from runtime; cycle-safe
-    from repro.graph.features import FrontierFeatures
 
 __all__ = ["Frontier"]
 
@@ -134,16 +133,17 @@ class Frontier:
             lambda: int(graph.out_degrees(self._vertices).sum()),
         )
 
-    def features(self, graph: CSRGraph) -> "FrontierFeatures":
+    def features(self, graph: CSRGraph) -> FrontierFeatures:
         """Table-I features of this frontier, computed at most once.
 
         The arbitrator prices FSteal coefficients from these and the
-        engine prices the resulting plan from the *same* objects — one
-        feature scan per fragment per superstep, as Exp-3's overhead
-        budget requires.
+        engine prices the resulting plan from the *same* objects. A
+        fragment frontier produced by ``split_by_owner(..., graph)``
+        arrives with this memo already seeded from the split's single
+        segmented pass — one feature scan per *superstep*, inside
+        Exp-3's overhead budget; any other frontier scans itself here,
+        as the one-segment case of the same function.
         """
-        from repro.graph.features import frontier_features
-
         return self._memo(
             "features", graph,
             lambda: frontier_features(graph, self._vertices),
@@ -211,25 +211,42 @@ class Frontier:
         )
 
     def split_by_owner(
-        self, owner: np.ndarray, num_fragments: int
+        self,
+        owner: np.ndarray,
+        num_fragments: int,
+        graph: Optional[CSRGraph] = None,
     ) -> List["Frontier"]:
         """Partition the frontier by an ownership array.
 
         Returns one frontier per fragment; their disjoint union equals
         ``self``. This produces the distributed frontier the engines
         and stealing policies operate on.
+
+        The split sorts the frontier by owner anyway, so given the
+        ``graph`` every part's :meth:`work` and :meth:`features` memos
+        are seeded from one segmented pass over that sorted array
+        (:func:`~repro.graph.features.frontier_features` with
+        boundaries) instead of one scan per part later.
         """
         if self.size == 0:
             return [Frontier.empty() for __ in range(num_fragments)]
         owners = owner[self._vertices]
+        # stable: each owner's run keeps the frontier's ascending order
         order = np.argsort(owners, kind="stable")
         sorted_vertices = self._vertices[order]
         boundaries = np.searchsorted(
             owners[order], np.arange(num_fragments + 1)
         )
-        return [
+        parts = [
             Frontier.from_sorted(
-                np.sort(sorted_vertices[boundaries[i]: boundaries[i + 1]])
+                sorted_vertices[boundaries[i]: boundaries[i + 1]]
             )
             for i in range(num_fragments)
         ]
+        if graph is not None:
+            for part, features in zip(parts, frontier_features(
+                graph, sorted_vertices, boundaries
+            )):
+                part._cache["work"] = (graph, features.total_edges)
+                part._cache["features"] = (graph, features)
+        return parts

@@ -79,3 +79,40 @@ def test_unknown_backend_rejected():
     graph = datasets.load("TX")
     with pytest.raises(EngineError, match="unknown execution backend"):
         repro.run(graph, "bfs", backend="cuda", source=0)
+
+
+def test_serial_message_count_equals_the_plain_count():
+    """The bitmap kernel and the per-endpoint worker lookup count what
+    a ``V``-long worker-of-vertex array and ``np.unique`` count."""
+    from repro.backend.serial import SerialSession
+    from repro.partition import random_partition
+    from repro.runtime import Frontier
+    from repro.runtime.scheduler import RunContext
+
+    graph = datasets.load("TX")
+    partition = random_partition(graph, 4, seed=0)
+    session = SerialSession(graph, partition)
+    rng = np.random.default_rng(0)
+    frontiers = [Frontier.full(graph.num_vertices), Frontier([5]),
+                 Frontier.empty()] + [
+        Frontier(rng.integers(0, graph.num_vertices, size=size))
+        for size in (2, 40, 400)
+    ]
+    # identity mapping, then an OSteal-folded group (two workers)
+    for mapping in ([0, 1, 2, 3], [0, 0, 3, 3]):
+        context = RunContext(
+            graph=graph, partition=partition, timing=None,
+            fragment_home=np.arange(4, dtype=np.int64),
+            fragment_worker=np.array(mapping, dtype=np.int64),
+        )
+        worker_of = context.fragment_worker[partition.owner]
+        for frontier in frontiers:
+            sources, destinations, __ = frontier.gather(graph)
+            cross = worker_of[sources] != worker_of[destinations]
+            assert session.message_count(
+                0, frontier, False, context
+            ) == int(np.count_nonzero(cross))
+            assert session.message_count(
+                0, frontier, True, context
+            ) == np.unique(destinations[cross]).size
+    assert not session._seen.any()

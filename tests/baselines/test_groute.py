@@ -128,3 +128,16 @@ def test_breakdown_populated(skewed_weighted, source):
     assert result.total_seconds == pytest.approx(
         sum(r.wall_seconds for r in result.iterations)
     )
+
+
+def test_ring_load_pinned_on_cf_wcc():
+    """The ring's per-link load is a histogram over (source, destination)
+    ring-position pairs; this cell's virtual time pins it to what adding
+    one message at a time produced."""
+    import repro
+    from repro.bench.workloads import prepare_graph
+
+    result = repro.run(prepare_graph("CF", "wcc"), "wcc", engine="groute",
+                       num_gpus=8, seed=0)
+    assert result.total_ms == 8924.428545225062
+    assert result.num_iterations == 4

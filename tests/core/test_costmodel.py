@@ -310,3 +310,87 @@ def test_cli_record_loads_the_artifact_once(training_set, tmp_path,
     manifest = RunRegistry(tmp_path / "runs").load_manifest("latest")
     assert manifest["fingerprint"]["workload"]["cost_model"] == \
         artifact_label(artifact)
+
+
+# ----------------------------------------------------------------------
+# one decision, one batch: edge_costs_seconds == one-at-a-time calls
+# ----------------------------------------------------------------------
+def _decision_features(seed: int = 0, fragments: int = 8):
+    """Table-I features of one owner-split frontier (live fragments)."""
+    from repro.graph.features import frontier_features
+
+    rng = np.random.default_rng(seed)
+    graph = rmat(9, 8, seed=seed)
+    vertices = np.flatnonzero(rng.random(graph.num_vertices) < 0.4)
+    owners = rng.integers(0, fragments, size=vertices.size)
+    order = np.argsort(owners, kind="stable")
+    boundaries = np.searchsorted(owners[order], np.arange(fragments + 1))
+    return [
+        f for f in frontier_features(graph, vertices[order], boundaries)
+        if f.total_edges
+    ]
+
+
+def test_batched_edge_costs_equal_single_row_for_every_resolvable_model(
+    training_set, tmp_path
+):
+    # everything resolve_cost_model can return: the three names, and
+    # an artifact of each family this module defines
+    models = {
+        name: resolve_cost_model(name)
+        for name in ("default", "oracle", "uniform")
+    }
+    for family, factory in MODEL_FAMILIES.items():
+        model = factory()
+        model.fit(*training_set)
+        save_artifact(model, tmp_path / f"{family}.json")
+        models[family] = resolve_cost_model(str(tmp_path / f"{family}.json"))
+    features = _decision_features(0) + _decision_features(1, fragments=3)
+    assert len(features) > 8
+    for label, model in models.items():
+        batched = model.edge_costs_seconds(features)
+        single = [model.edge_cost_seconds(f) for f in features]
+        assert batched == single, label  # floats compared bit for bit
+        assert all(type(value) is float for value in batched), label
+        assert model.edge_costs_seconds([]) == [], label
+
+
+def test_batch_takes_per_row_dots_because_matvec_rounds_differently():
+    """Why ``PolynomialSGDModel.edge_costs_seconds`` loops ``row @ w``.
+
+    A single-row prediction's ``(1, N) @ w`` reduces as a dot product,
+    and so does ``design[i] @ w`` — bit-identical. ``(F, N) @ w`` runs
+    a matrix-vector kernel whose summation order is free to differ (it
+    does on most rows under OpenBLAS), which would move FSteal's
+    coefficients and the ledger's RMSRE in the last bits.
+    """
+    model = pretrained_default()
+    rows = np.random.default_rng(4).uniform(0.0, 300.0, size=(512, 6))
+    design = model._design(rows)
+    weights = model._weights
+    single = [float((design[i:i + 1] @ weights)[0]) for i in range(512)]
+    per_row = [float(design[i] @ weights) for i in range(512)]
+    assert per_row == single
+    # the batched product agrees numerically — it is only not the same
+    # bits, so it cannot stand in for the audit's predictions
+    np.testing.assert_allclose(design @ weights, single,
+                               rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("rows", [1, 8, 128, 129])
+def test_polynomial_expand_is_the_left_to_right_monomial_product(rows):
+    import itertools
+
+    matrix = np.random.default_rng(rows).normal(size=(rows, 6))
+    expanded = _polynomial_expand(matrix, 3)
+    column = 1
+    for degree in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(
+            range(6), degree
+        ):
+            product = np.ones(rows)
+            for feature in combo:
+                product = product * matrix[:, feature]
+            assert np.array_equal(expanded[:, column], product), combo
+            column += 1
+    assert column == expanded.shape[1]

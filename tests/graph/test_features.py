@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.graph import from_edge_arrays
+from repro.graph.properties import degree_entropy, gini_coefficient
 from repro.graph.features import (
     FEATURE_NAMES,
     FrontierFeatures,
@@ -64,3 +67,78 @@ def test_features_bounded(skewed_graph):
         assert 0.0 <= feats.gini <= 1.0
         assert 0.0 <= feats.entropy <= 1.0 + 1e-9
         assert feats.total_edges >= 0
+
+
+# ----------------------------------------------------------------------
+# segmented form: every fragment of a superstep in one pass
+# ----------------------------------------------------------------------
+def _plain_features(graph, vertices):
+    """Each Table-I statistic computed on its own, one fragment."""
+    if vertices.size == 0:
+        return FrontierFeatures.empty()
+    out_deg = graph.out_degrees(vertices)
+    in_deg = graph.in_degrees()[vertices]
+    return FrontierFeatures(
+        avg_in_degree=float(in_deg.mean()),
+        avg_out_degree=float(out_deg.mean()),
+        in_degree_range=float(in_deg.max() - in_deg.min()),
+        out_degree_range=float(out_deg.max() - out_deg.min()),
+        gini=gini_coefficient(out_deg),
+        entropy=degree_entropy(out_deg),
+        size=int(vertices.size),
+        total_edges=int(out_deg.sum()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_vertices=st.integers(1, 500),
+    edge_factor=st.integers(0, 5),
+    num_fragments=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segmented_features_equal_one_fragment_at_a_time(
+    num_vertices, edge_factor, num_fragments, seed
+):
+    rng = np.random.default_rng(seed)
+    num_edges = edge_factor * num_vertices
+    # skewed sources; the high ids keep zero out-degree
+    src = (rng.random(num_edges) ** 2 * num_vertices * 0.8).astype(np.int64)
+    dst = rng.integers(0, num_vertices, size=num_edges)
+    graph = from_edge_arrays(src, dst, num_vertices=num_vertices)
+    vertices = np.flatnonzero(rng.random(num_vertices) < rng.random())
+    owners = rng.integers(0, num_fragments, size=vertices.size)
+    order = np.argsort(owners, kind="stable")
+    boundaries = np.searchsorted(
+        owners[order], np.arange(num_fragments + 1)
+    )
+    ordered = vertices[order]
+    segmented = frontier_features(graph, ordered, boundaries)
+    assert len(segmented) == num_fragments
+    for index, got in enumerate(segmented):
+        part = ordered[boundaries[index]: boundaries[index + 1]]
+        # frozen dataclasses compare field by field, bit for bit
+        assert got == frontier_features(graph, part)
+        assert got == _plain_features(graph, part)
+        assert type(got.gini) is float and type(got.size) is int
+
+
+def test_segmented_features_empty_single_equal_and_long_segments():
+    ring = from_edge_arrays(
+        np.arange(300), (np.arange(300) + 1) % 300, num_vertices=300
+    )  # all-equal degrees
+    star = from_edge_arrays(
+        np.zeros(299, dtype=np.int64), np.arange(1, 300), num_vertices=300
+    )  # one hub and 299 zero-out-degree vertices
+    everyone = np.arange(300, dtype=np.int64)
+    # empty, one vertex, 199 (> one 128-wide pairwise-sum block),
+    # empty, the rest
+    boundaries = np.array([0, 0, 1, 200, 200, 300])
+    for graph in (ring, star):
+        got = frontier_features(graph, everyone, boundaries)
+        for index in range(5):
+            part = everyone[boundaries[index]: boundaries[index + 1]]
+            assert got[index] == _plain_features(graph, part)
+    no_edges = frontier_features(star, everyone[1:], np.array([0, 299]))[0]
+    assert no_edges.total_edges == 0
+    assert no_edges.gini == 0.0 and no_edges.entropy == 0.0

@@ -1,9 +1,12 @@
 """Unit tests for vectorized adjacency expansion."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import rmat, with_random_weights
 from repro.graph.gather import (
+    SPARSE_DIVISOR,
+    distinct_vertices,
     expand_indices,
     gather_edge_positions,
     gather_edges,
@@ -78,3 +81,49 @@ def test_gather_edge_positions_consistency(skewed_graph):
     )
     degrees = skewed_graph.out_degrees(frontier)
     assert np.array_equal(sources, np.repeat(frontier, degrees))
+
+
+# ----------------------------------------------------------------------
+# distinct_vertices: np.unique for vertex ids, on a reusable bitmap
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(
+    num_vertices=st.integers(1, 200),
+    size=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_vertices_matches_np_unique(num_vertices, size, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, num_vertices, size=size)
+    scratch = np.zeros(num_vertices, dtype=bool)
+    got = distinct_vertices(ids, num_vertices, scratch)
+    want = np.unique(ids)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert not scratch.any()
+    assert np.array_equal(distinct_vertices(ids, num_vertices), want)
+
+
+def test_distinct_vertices_corner_cases():
+    num_vertices = 64
+    scratch = np.zeros(num_vertices, dtype=bool)
+    empty = distinct_vertices(np.empty(0, dtype=np.int64), num_vertices,
+                              scratch)
+    assert empty.size == 0 and empty.dtype == np.int64
+    last = np.full(50, num_vertices - 1)  # all duplicates, id V-1
+    assert distinct_vertices(last, num_vertices, scratch).tolist() == [63]
+    both = np.array([63, 0, 63, 0])
+    assert distinct_vertices(both, num_vertices, scratch).tolist() == [0, 63]
+    assert not scratch.any()
+
+
+def test_distinct_vertices_sparse_sets_never_touch_the_bitmap():
+    # a set far smaller than the vertex range is sorted instead: a
+    # one-vertex tail superstep must not pay an O(V) scan
+    num_vertices = 1000
+    poisoned = np.ones(num_vertices, dtype=bool)  # would corrupt a scan
+    ids = np.array([7, 3, 7, 999])
+    assert ids.size * SPARSE_DIVISOR < num_vertices
+    assert distinct_vertices(ids, num_vertices, poisoned).tolist() == \
+        [3, 7, 999]
+    assert poisoned.all()

@@ -94,3 +94,26 @@ def test_repr_truncates():
     text = repr(Frontier(range(100)))
     assert "size=100" in text
     assert "..." in text
+
+
+def test_split_by_owner_with_graph_seeds_work_and_features(skewed_graph):
+    from repro.graph.features import frontier_features
+
+    rng = np.random.default_rng(3)
+    owner = rng.integers(0, 4, size=skewed_graph.num_vertices)
+    owner[owner == 2] = 3  # fragment 2 owns nothing
+    frontier = Frontier(rng.integers(0, skewed_graph.num_vertices, size=80))
+    seeded = frontier.split_by_owner(owner, 4, skewed_graph)
+    plain = frontier.split_by_owner(owner, 4)
+    assert [p.vertices.tolist() for p in seeded] == \
+        [p.vertices.tolist() for p in plain]
+    for part in seeded:
+        # the memo is already there: no per-part scan happens later
+        assert part._cache["features"][0] is skewed_graph
+        assert part.features(skewed_graph) == frontier_features(
+            skewed_graph, part.vertices
+        )
+        assert part.work(skewed_graph) == int(
+            skewed_graph.out_degrees(part.vertices).sum()
+        )
+    assert not seeded[2] and seeded[2].work(skewed_graph) == 0

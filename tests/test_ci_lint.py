@@ -248,6 +248,24 @@ def test_only_the_entry_point_imports_the_cli():
     assert offenders == []
 
 
+def test_per_superstep_modules_do_not_call_np_unique():
+    """Vertex-id sets de-duplicate through the bitmap kernel
+    (``graph.gather.distinct_vertices``), not hash ``np.unique`` —
+    57 % of ``dense-social``'s wall before it was replaced. One-time
+    uses (``Frontier.__init__``, generators, partitioners, tree
+    thresholds) live outside these modules and stay legal."""
+    source = REPO / "src" / "repro"
+    files = [source / "runtime" / "bsp.py"]
+    for package in ("backend", "algorithms", "baselines"):
+        files.extend(sorted((source / package).rglob("*.py")))
+    pattern = re.compile(r"\b(np|numpy)\.unique\b")
+    offenders = [
+        path.relative_to(REPO).as_posix()
+        for path in files if pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
 def test_arbitrator_functions_stay_short():
     """The staged decision path: ``plan`` reads in one screen and no
     arbitrator function needs (or has) an allow-list entry."""
