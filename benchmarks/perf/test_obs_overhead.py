@@ -1,16 +1,28 @@
-"""Observability self-cost budget: streaming must stay under 3%.
+"""Observability self-cost budget: an absolute one, per superstep.
 
 The live-telemetry tentpole makes observability default-on for any
 instrumented run, which is only tenable if the instruments pay for
-themselves: the engine self-measures the host seconds spent inside
-span/metric emission (``RunResult.obs_seconds``) and reports it as
-``obs_overhead_pct`` of run wall time. This suite pins that number
-under the 3% budget and proves the virtual clock is untouched — a
-streamed run and a silent run must charge bit-identical simulated
+themselves: every engine's run envelope self-measures the host seconds
+spent inside span/metric emission (``RunResult.obs_seconds``) and
+reports them as ``obs_overhead_pct`` of run wall time. The streaming
+gate is stated in **microseconds of ``obs_seconds`` per instrumented
+superstep**, not as that percentage: the ratio's denominator is the
+run wall, so making the engine faster used to fail it (the same
+emission cost read 2.4-2.5 % of a 170 ms TX/bfs@4 run and 3.1-3.5 %
+once the run took 80-140 ms). Measured on the 2-core reference VM,
+TX/bfs@4 under ``gum``, 137 supersteps, in-memory sink + streaming
+sink + metrics registry, seven best-of-3 rounds: 19.1-22.5 us per
+superstep, median 20.2 (2.6-3.1 ms per run; 3.3-3.5 % of the run
+wall, reported below, not gated). The budget is 2x that median. It
+**excludes the prediction audit**: the audit runs inside the
+arbitrator's ``plan`` and is part of the decision's host cost, not of
+``obs_seconds``. The suite also proves the virtual clock is untouched:
+a streamed run and a silent run must charge bit-identical simulated
 time, or observability would perturb the physics it observes.
 
-Overhead is measured best-of-N (noise only ever inflates the
-percentage, never deflates it), mirroring ``time_callable``.
+Cost is measured best-of-N (noise only ever inflates it, never
+deflates it), mirroring ``time_callable``. The ledger-recording gate
+further down is still a ratio of two paired walls.
 """
 
 from __future__ import annotations
@@ -29,6 +41,10 @@ from repro.bench.workloads import (
 from repro.core import GumConfig
 from repro.obs import InMemorySink, MetricsRegistry, StreamingSink, Tracer
 
+#: host microseconds of span/metric emission per instrumented
+#: superstep: 2x the 20.2 us median measured on the reference VM
+STREAMING_BUDGET_US_PER_SUPERSTEP = 40.0
+#: ledger recording, as a share of the recording-off run's wall
 OVERHEAD_BUDGET_PCT = 3.0
 BEST_OF = 3
 
@@ -55,15 +71,16 @@ def _run_tx_bfs(stream: bool):
 
 
 def test_streaming_overhead_within_budget():
-    """obs_overhead_pct < 3% with live streaming + metrics attached."""
+    """Emission costs < 40 us per superstep with streaming + metrics."""
     _run_tx_bfs(stream=True)  # warm caches outside the measurement
-    best = min(
-        _run_tx_bfs(stream=True).obs_overhead_pct()
-        for _ in range(BEST_OF)
-    )
-    print(f"\nstreaming obs overhead (best of {BEST_OF}): {best:.2f}%")
-    assert best is not None
-    assert best < OVERHEAD_BUDGET_PCT
+    runs = [_run_tx_bfs(stream=True) for _ in range(BEST_OF)]
+    best = min(runs, key=lambda result: result.obs_seconds)
+    per_superstep_us = 1e6 * best.obs_seconds / best.num_iterations
+    print(f"\nstreaming obs cost (best of {BEST_OF}): "
+          f"{per_superstep_us:.1f} us/superstep over "
+          f"{best.num_iterations} supersteps "
+          f"({best.obs_overhead_pct():.2f}% of run wall, not gated)")
+    assert 0.0 < per_superstep_us < STREAMING_BUDGET_US_PER_SUPERSTEP
 
 
 def test_untraced_run_reports_zero_overhead():

@@ -43,10 +43,10 @@ from repro.graph.csr import CSRGraph
 from repro.hardware.spec import MachineSpec
 from repro.hardware.timing import TimingModel
 from repro.hardware.topology import Topology
-from repro.obs.export import emit_iteration
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.partition.base import Partition
+from repro.runtime.envelope import RunEnvelope
 from repro.runtime.frontier import Frontier
 from repro.runtime.metrics import IterationRecord, RunResult, TimeBreakdown
 
@@ -165,11 +165,31 @@ class GrouteEngine:
             raise EngineError(
                 "partition fragment count does not match the machine"
             )
-        if algorithm.monotonic:
-            return self._run_monotonic(graph, partition, algorithm,
-                                       max_iterations, **params)
-        return self._run_synchronous(graph, partition, algorithm,
-                                     max_iterations, **params)
+        limit = max_iterations or self._max_rounds
+        # monotone algorithms run local fixed points over the intra /
+        # cross edge split; PageRank takes the synchronous path
+        masks = (
+            self._edge_masks(graph, partition) if algorithm.monotonic
+            else None
+        )
+        state = algorithm.init(graph, **params)
+        envelope = RunEnvelope(
+            "groute", algorithm, graph, self._topology.num_gpus, state,
+            self._tracer, self._metrics,
+        )
+        with envelope.span():
+            while state.frontier and envelope.rounds < limit:
+                if masks is None:
+                    record = self._synchronous_round(
+                        graph, partition, algorithm, state
+                    )
+                else:
+                    record = self._monotonic_round(
+                        graph, partition, algorithm, state,
+                        envelope.rounds, *masks,
+                    )
+                envelope.fold(record)
+        return envelope.close()
 
     # ------------------------------------------------------------------
     def _edge_masks(
@@ -231,235 +251,151 @@ class GrouteEngine:
         return float(times.max())
 
     # ------------------------------------------------------------------
-    def _run_monotonic(
+    def _monotonic_round(
         self,
         graph: CSRGraph,
         partition: Partition,
         algorithm,
-        max_iterations: Optional[int],
-        **params,
-    ) -> RunResult:
-        limit = max_iterations or self._max_rounds
+        state,
+        round_index: int,
+        intra_mask: np.ndarray,
+        cross_mask: np.ndarray,
+    ) -> IterationRecord:
+        """One asynchronous round: local fixed points, then the ring."""
         num_workers = self._topology.num_gpus
-        intra_mask, cross_mask = self._edge_masks(graph, partition)
-        state = algorithm.init(graph, **params)
-        result = RunResult(
-            engine="groute",
-            algorithm=algorithm.name,
-            graph_name=graph.name,
-            num_gpus=num_workers,
-            values=state.values,
-        )
-        rounds = 0
-        virtual_clock = 0.0
-        run_span = self._tracer.span(
-            "run", cat="engine", engine="groute",
-            algorithm=algorithm.name, graph=graph.name,
-            num_gpus=num_workers,
-        )
-        run_span.__enter__()
-        while state.frontier and rounds < limit:
-            round_frontier: Frontier = state.frontier
-            busy = np.zeros(num_workers)
-            updated_parts: List[np.ndarray] = []
-            per_fragment = round_frontier.split_by_owner(
+        round_frontier: Frontier = state.frontier
+        busy = np.zeros(num_workers)
+        features = [
+            part.features(graph)
+            for part in round_frontier.split_by_owner(
                 partition.owner, num_workers, graph
             )
-            features = [
-                part.features(graph) for part in per_fragment
-            ]
-            # --- phase 1: local relaxation waves ----------------------
-            # Weighted relaxation can speculate past the values remote
-            # corrections will deliver (redundant work), so it runs
-            # under the soft-priority substep cap; unweighted monotone
-            # propagation (BFS levels, WCC labels) settles to its true
-            # local fixed point.
-            substep_cap = (
-                self._local_substeps
-                if algorithm.needs_weights
-                else self._max_rounds
-            )
-            frontier = round_frontier
-            local_edges = 0
-            substep = 0
-            while frontier and substep < substep_cap:
-                updated_parts.append(frontier.vertices)
-                self._charge_local(graph, partition, frontier, features,
-                                   busy)
-                local_edges += frontier.work(graph)
-                frontier = algorithm.local_step(
-                    graph, state, frontier, intra_mask
-                )
-                substep += 1
-            deferred = frontier
-            if deferred:
-                # soft-priority cutoff: defer the rest to the next round
-                updated_parts.append(deferred.vertices)
-            # --- phase 2: push cross edges over the ring --------------
-            all_updated = Frontier(np.concatenate(updated_parts))
-            sources, destinations, __ = all_updated.gather(graph)
-            source_fragment = partition.owner[sources]
-            destination_fragment = partition.owner[destinations]
-            cross = source_fragment != destination_fragment
-            comm = self._ring_comm_seconds(
-                source_fragment, destination_fragment
-            )
-            # the cross relaxations themselves run on the receiving
-            # side; deferred local work resumes next round
-            next_frontier = algorithm.local_step(
-                graph, state, all_updated, cross_mask
-            ).union(deferred)
-            cross_count = int(np.count_nonzero(cross))
-            serialization = self._timing.serialization_seconds(cross_count)
-            sync = (
-                self._timing.sync_seconds(num_workers) * self._async_sync
-            )
-            critical = float(busy.max()) if busy.size else 0.0
-            stall = np.where(busy > 0, critical - busy, 0.0)
-            breakdown = TimeBreakdown(
-                compute=float(busy.mean()),
-                communication=comm + float(stall.mean()),
-                serialization=serialization,
-                sync=sync,
-                overhead=0.0,
-            )
-            record = IterationRecord(
-                iteration=rounds,
-                frontier_size=round_frontier.size,
-                frontier_edges=local_edges + cross_count,
-                active_workers=list(range(num_workers)),
-                busy_seconds=busy,
-                stall_seconds=stall,
-                wall_seconds=breakdown.total,
-                breakdown=breakdown,
-            )
-            result.iterations.append(record)
-            result.breakdown.add(breakdown)
-            virtual_clock = emit_iteration(
-                self._tracer, self._metrics, record, virtual_clock,
-                None, engine="groute",
-            )
-            state.frontier = next_frontier
-            rounds += 1
-        run_span.set(iterations=rounds, virtual_total_ms=virtual_clock * 1e3)
-        run_span.__exit__(None, None, None)
-        result.values = state.values
-        result.converged = not state.frontier
-        return result
-
-    def _charge_local(
-        self,
-        graph: CSRGraph,
-        partition: Partition,
-        frontier: Frontier,
-        features,
-        busy: np.ndarray,
-    ) -> None:
-        """Charge one local sub-step's compute to each fragment owner."""
-        per_fragment = frontier.split_by_owner(
-            partition.owner, self._topology.num_gpus
+        ]
+        # --- phase 1: local relaxation waves --------------------------
+        # Weighted relaxation can speculate past the values remote
+        # corrections will deliver (redundant work), so it runs under
+        # the soft-priority substep cap; unweighted monotone
+        # propagation (BFS levels, WCC labels) settles to its true
+        # local fixed point.
+        substep_cap = (
+            self._local_substeps
+            if algorithm.needs_weights
+            else self._max_rounds
         )
-        for fragment, part in enumerate(per_fragment):
-            if not part:
-                continue
-            edges = int(graph.out_degrees(part.vertices).sum())
-            busy[fragment] += (
-                self._timing.compute_seconds(edges, features[fragment])
-                + edges * self._timing.comm_seconds_per_edge(
-                    fragment, fragment
-                )
-                + self._timing.kernel_launch_seconds(1)
-            )
-
-    # ------------------------------------------------------------------
-    def _run_synchronous(
-        self,
-        graph: CSRGraph,
-        partition: Partition,
-        algorithm,
-        max_iterations: Optional[int],
-        **params,
-    ) -> RunResult:
-        """Non-monotone path (PageRank): sync rounds + async work tax."""
-        limit = max_iterations or self._max_rounds
-        num_workers = self._topology.num_gpus
-        state = algorithm.init(graph, **params)
-        result = RunResult(
-            engine="groute",
-            algorithm=algorithm.name,
-            graph_name=graph.name,
-            num_gpus=num_workers,
-            values=state.values,
-        )
-        virtual_clock = 0.0
-        run_span = self._tracer.span(
-            "run", cat="engine", engine="groute",
-            algorithm=algorithm.name, graph=graph.name,
-            num_gpus=num_workers,
-        )
-        run_span.__enter__()
-        while state.frontier and state.iteration < limit:
-            frontier = state.frontier
-            per_fragment = frontier.split_by_owner(
-                partition.owner, num_workers, graph
-            )
-            busy = np.zeros(num_workers)
-            for fragment, part in enumerate(per_fragment):
-                if not part:
-                    continue
-                edges = int(part.work(graph) * self._pr_extra)
-                feats = part.features(graph)
-                busy[fragment] += (
-                    self._timing.compute_seconds(edges, feats)
-                    + edges * self._timing.comm_seconds_per_edge(
-                        fragment, fragment
+        updated_parts: List[np.ndarray] = []
+        frontier = round_frontier
+        local_edges = 0
+        substep = 0
+        while frontier and substep < substep_cap:
+            updated_parts.append(frontier.vertices)
+            parts = frontier.split_by_owner(partition.owner, num_workers)
+            for fragment, part in enumerate(parts):
+                if part:
+                    busy[fragment] += self._local_seconds(
+                        fragment,
+                        int(graph.out_degrees(part.vertices).sum()),
+                        features[fragment], launches=1,
                     )
-                    + self._timing.kernel_launch_seconds(2)
-                )
-            sources, destinations, __ = frontier.gather(graph)
-            source_fragment = partition.owner[sources]
-            destination_fragment = partition.owner[destinations]
-            cross = source_fragment != destination_fragment
-            comm = self._ring_comm_seconds(
-                source_fragment, destination_fragment
-            ) * self._pr_extra
-            serialization = self._timing.serialization_seconds(
-                int(np.count_nonzero(cross))
+            local_edges += frontier.work(graph)
+            frontier = algorithm.local_step(
+                graph, state, frontier, intra_mask
             )
-            sync = (
-                self._timing.sync_seconds(num_workers) * self._async_sync
-            )
-            critical = float(busy.max()) if busy.size else 0.0
-            stall = np.where(busy > 0, critical - busy, 0.0)
-            breakdown = TimeBreakdown(
-                compute=float(busy.mean()),
-                communication=comm + float(stall.mean()),
-                serialization=serialization,
-                sync=sync,
-                overhead=0.0,
-            )
-            record = IterationRecord(
-                iteration=state.iteration,
-                frontier_size=frontier.size,
-                frontier_edges=int(frontier.work(graph)),
-                active_workers=list(range(num_workers)),
-                busy_seconds=busy,
-                stall_seconds=stall,
-                wall_seconds=breakdown.total,
-                breakdown=breakdown,
-            )
-            result.iterations.append(record)
-            result.breakdown.add(breakdown)
-            virtual_clock = emit_iteration(
-                self._tracer, self._metrics, record, virtual_clock,
-                None, engine="groute",
-            )
-            state.frontier = algorithm.step(graph, state)
-            state.iteration += 1
-        run_span.set(
-            iterations=state.iteration, virtual_total_ms=virtual_clock * 1e3
+            substep += 1
+        deferred = frontier
+        if deferred:
+            # soft-priority cutoff: defer the rest to the next round
+            updated_parts.append(deferred.vertices)
+        # --- phase 2: push cross edges over the ring ------------------
+        all_updated = Frontier(np.concatenate(updated_parts))
+        comm, cross_count = self._ring_exchange(
+            graph, partition, all_updated
         )
-        run_span.__exit__(None, None, None)
-        result.values = state.values
-        result.converged = not state.frontier
-        return result
+        # the cross relaxations themselves run on the receiving side;
+        # deferred local work resumes next round
+        state.frontier = algorithm.local_step(
+            graph, state, all_updated, cross_mask
+        ).union(deferred)
+        return self._round_record(
+            round_index, round_frontier.size, local_edges + cross_count,
+            busy, comm, cross_count,
+        )
+
+    def _synchronous_round(
+        self, graph: CSRGraph, partition: Partition, algorithm, state
+    ) -> IterationRecord:
+        """Non-monotone path (PageRank): sync rounds + async work tax."""
+        num_workers = self._topology.num_gpus
+        frontier: Frontier = state.frontier
+        busy = np.zeros(num_workers)
+        parts = frontier.split_by_owner(partition.owner, num_workers, graph)
+        for fragment, part in enumerate(parts):
+            if part:
+                busy[fragment] += self._local_seconds(
+                    fragment, int(part.work(graph) * self._pr_extra),
+                    part.features(graph), launches=2,
+                )
+        comm, cross_count = self._ring_exchange(graph, partition, frontier)
+        record = self._round_record(
+            state.iteration, frontier.size, int(frontier.work(graph)),
+            busy, comm * self._pr_extra, cross_count,
+        )
+        state.frontier = algorithm.step(graph, state)
+        state.iteration += 1
+        return record
+
+    def _local_seconds(
+        self, fragment: int, edges: int, features, launches: int
+    ) -> float:
+        """One fragment's kernel(s) over ``edges`` of its own edges."""
+        return (
+            self._timing.compute_seconds(edges, features)
+            + edges * self._timing.comm_seconds_per_edge(fragment, fragment)
+            + self._timing.kernel_launch_seconds(launches)
+        )
+
+    def _ring_exchange(
+        self, graph: CSRGraph, partition: Partition, frontier: Frontier
+    ) -> tuple[float, int]:
+        """Ring seconds and cross-fragment message count of pushing
+        every out-edge of ``frontier``."""
+        sources, destinations, __ = frontier.gather(graph)
+        source_fragment = partition.owner[sources]
+        destination_fragment = partition.owner[destinations]
+        return (
+            self._ring_comm_seconds(source_fragment, destination_fragment),
+            int(np.count_nonzero(source_fragment != destination_fragment)),
+        )
+
+    def _round_record(
+        self,
+        iteration: int,
+        frontier_size: int,
+        frontier_edges: int,
+        busy: np.ndarray,
+        comm: float,
+        cross_count: int,
+    ) -> IterationRecord:
+        """Price one round from per-GPU busy seconds, ring seconds and
+        the cross-message count: every GPU takes part, stall is the wait
+        for the slowest, and a lightweight coordination charge stands
+        in for the BSP barrier."""
+        num_workers = busy.size
+        critical = float(busy.max()) if busy.size else 0.0
+        stall = np.where(busy > 0, critical - busy, 0.0)
+        breakdown = TimeBreakdown(
+            compute=float(busy.mean()),
+            communication=comm + float(stall.mean()),
+            serialization=self._timing.serialization_seconds(cross_count),
+            sync=self._timing.sync_seconds(num_workers) * self._async_sync,
+            overhead=0.0,
+        )
+        return IterationRecord(
+            iteration=iteration,
+            frontier_size=frontier_size,
+            frontier_edges=frontier_edges,
+            active_workers=list(range(num_workers)),
+            busy_seconds=busy,
+            stall_seconds=stall,
+            wall_seconds=breakdown.total,
+            breakdown=breakdown,
+        )

@@ -64,6 +64,131 @@ from repro.runtime.trace import render_timeline
 __all__ = ["main", "build_parser", "result_summary"]
 
 
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """Attach the shared workload arguments."""
+    p.add_argument("--graph", required=True,
+                   choices=list(datasets.DATASETS))
+    p.add_argument("--algorithm", required=True,
+                   choices=sorted(ALGORITHMS))
+    p.add_argument("--gpus", type=int, default=8,
+                   choices=range(1, 9))
+    p.add_argument("--partitioner", default="random",
+                   choices=sorted(PARTITIONERS))
+    p.add_argument("--solver", default="greedy",
+                   choices=("greedy", "lp", "bnb", "highs"))
+    p.add_argument(
+        "--cost-model", default="default", metavar="NAME|PATH",
+        help="cost model: 'default' (shipped polynomial), "
+             "'oracle', 'uniform', or a path to a "
+             "repro-costmodel/1 artifact from "
+             "'repro costmodel fit' (see docs/costmodel.md)",
+    )
+    p.add_argument("--no-fsteal", action="store_true")
+    p.add_argument("--no-osteal", action="store_true")
+    p.add_argument("--no-hub-cache", action="store_true")
+    p.add_argument(
+        "--no-amortize", action="store_true",
+        help="disable decision amortization (plan cache, warm "
+             "starts, incremental OSteal) for exact-mode "
+             "reproduction of paper figures",
+    )
+    p.add_argument(
+        "--backend", default="serial", choices=BACKEND_NAMES,
+        help="execution backend: 'serial' (in-process, default) or "
+             "'shmem' (one worker process per virtual GPU over "
+             "shared-memory buffers); never changes results or "
+             "virtual time (see docs/performance.md)",
+    )
+    p.add_argument(
+        "--topology", metavar="SPEC", default=None,
+        help="machine shape: 'nodes=NxG' (e.g. nodes=2x4) for an "
+             "N-node cluster of G-GPU servers with two-level "
+             "hierarchical stealing; default is the --gpus DGX-1 "
+             "sub-topology. When given, the worker count is N*G "
+             "and --gpus is ignored",
+    )
+    p.add_argument("--json", action="store_true",
+                   help="emit a JSON summary")
+    p.add_argument(
+        "--chaos", metavar="SCENARIO.json", default=None,
+        help="inject faults from a chaos scenario file "
+             "(see docs/robustness.md and benchmarks/scenarios/)",
+    )
+
+
+def _add_obs_args(p: argparse.ArgumentParser) -> None:
+    """Attach the shared observability arguments."""
+    p.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="record the run: *.jsonl for raw span records, "
+             "anything else for Chrome trace_event JSON",
+    )
+    p.add_argument(
+        "--metrics", action="store_true",
+        help="collect and print the run's metrics snapshot",
+    )
+    p.add_argument(
+        "--stream", metavar="TARGET", default=None,
+        help="stream live telemetry as repro-live JSON lines to a "
+             "file path, fd://N, or unix://SOCKET (tail it with "
+             "'repro top --stream PATH --follow')",
+    )
+    p.add_argument(
+        "--stream-every", type=int, default=10, metavar="N",
+        help="metrics-snapshot cadence on the live stream, in "
+             "supersteps (default %(default)s; 0 disables "
+             "periodic snapshots)",
+    )
+    p.add_argument(
+        "--prom", metavar="PATH", default=None,
+        help="write the run's final metrics snapshot in Prometheus "
+             "text exposition format",
+    )
+
+
+def _add_runs_dir_arg(p: argparse.ArgumentParser) -> None:
+    """Attach the registry-location argument."""
+    p.add_argument(
+        "--runs-dir", metavar="DIR", default=None,
+        help="run registry directory (default: $REPRO_RUNS_DIR "
+             "or .repro/runs)",
+    )
+
+
+def _add_record_args(p: argparse.ArgumentParser) -> None:
+    """Attach the run-registry recording arguments."""
+    p.add_argument(
+        "--record", action="store_true",
+        help="archive this run (manifest + trace + timeseries) "
+             "in the run registry",
+    )
+    _add_runs_dir_arg(p)
+
+
+def _add_engine_arg(p: argparse.ArgumentParser) -> None:
+    """Attach the engine choice of the single-engine verbs."""
+    p.add_argument("--engine", default="gum",
+                   choices=ENGINE_NAMES + ("gum-nosteal", "bsp"))
+
+
+#: the ``ref`` help of the verbs that default to the latest run
+_LATEST_REF_HELP = (
+    "run reference (default: latest; also accepts a run "
+    "directory path such as benchmarks/reference/tx-bfs-4gpu)"
+)
+
+
+def _add_ref_arg(p: argparse.ArgumentParser, help: str,
+                 optional: bool = False,
+                 default: Optional[str] = None) -> None:
+    """Attach the recorded-run positional; an optional one falls back
+    to ``default``."""
+    if optional:
+        p.add_argument("ref", nargs="?", default=default, help=help)
+    else:
+        p.add_argument("ref", help=help)
+
+
 def _chaos_from_args(args: argparse.Namespace):
     """Build a fresh fault controller from ``--chaos`` (else None).
 
@@ -110,11 +235,29 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _register_datasets(sub) -> None:
+    p_datasets = sub.add_parser(
+        "datasets", help="list the bundled Table-II graph stand-ins"
+    )
+    p_datasets.add_argument("--domain", choices=("SN", "WG", "RN"),
+                            default="")
+    p_datasets.set_defaults(func=_cmd_datasets)
+
+
 def _cmd_calibration(args: argparse.Namespace) -> int:
     from repro.bench.calibration import format_calibration
 
     print(format_calibration(dgx1(args.gpus)))
     return 0
+
+
+def _register_calibration(sub) -> None:
+    p_calibration = sub.add_parser(
+        "calibration", help="show the virtual machine's timing constants"
+    )
+    p_calibration.add_argument("--gpus", type=int, default=8,
+                               choices=range(1, 9))
+    p_calibration.set_defaults(func=_cmd_calibration)
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -128,6 +271,15 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     ring = topology.find_ring()
     print(f"NVLink ring: {ring if ring else 'none (odd sub-topology)'}")
     return 0
+
+
+def _register_topology(sub) -> None:
+    p_topology = sub.add_parser(
+        "topology", help="show the virtual NVLink topology"
+    )
+    p_topology.add_argument("--gpus", type=int, default=8,
+                            choices=range(1, 9))
+    p_topology.set_defaults(func=_cmd_topology)
 
 
 def _trace_meta(args: argparse.Namespace, engine: str) -> dict:
@@ -197,10 +349,6 @@ def _make_observers(
         ))
     tracer = Tracer(sinks=sinks, meta=meta) if sinks else None
     return tracer, metrics
-
-
-def _stream_target(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "stream", None)
 
 
 def _maybe_prom(
@@ -300,7 +448,7 @@ def _run_one(
 def _cmd_run(args: argparse.Namespace) -> int:
     _topology_from_args(args)  # fix args.gpus before the trace meta
     tracer, metrics = _make_observers(
-        args, args.engine, args.trace, stream_target=_stream_target(args)
+        args, args.engine, args.trace, stream_target=args.stream
     )
     result = _run_one(args, args.engine, tracer=tracer, metrics=metrics)
     if tracer is not None:
@@ -325,7 +473,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  {bucket:13s}: {ms:10.2f} ms")
     if args.trace:
         print(f"  trace        : {args.trace}")
-    if _stream_target(args):
+    if args.stream:
         print(f"  stream       : {args.stream}")
     if prom_path:
         print(f"  prometheus   : {prom_path}")
@@ -335,6 +483,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("metrics:")
         print(json.dumps(metrics.snapshot(), indent=2))
     return 0
+
+
+def _register_run(sub) -> None:
+    p_run = sub.add_parser("run", help="run one engine on one workload")
+    _add_run_args(p_run)
+    _add_obs_args(p_run)
+    _add_record_args(p_run)
+    _add_engine_arg(p_run)
+    p_run.set_defaults(func=_cmd_run)
 
 
 def _engine_trace_path(base: str, engine: str) -> str:
@@ -360,7 +517,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if "groute" in ENGINE_NAMES and getattr(args, "chaos", None) is None:
             print("note: skipping groute (execution backends require a "
                   "BSP-style engine)", file=sys.stderr)
-    stream_base = _stream_target(args)
+    stream_base = args.stream
     prom_base = getattr(args, "prom", None)
     for engine in engines:
         trace_path = (
@@ -410,6 +567,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for engine, run_id in run_ids.items():
         print(f"  recorded: {engine} -> {run_id}")
     return 0
+
+
+def _register_compare(sub) -> None:
+    p_compare = sub.add_parser(
+        "compare", help="run all three engines on one workload"
+    )
+    _add_run_args(p_compare)
+    _add_obs_args(p_compare)
+    _add_record_args(p_compare)
+    p_compare.set_defaults(func=_cmd_compare)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -480,6 +647,35 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _register_profile(sub) -> None:
+    p_profile = sub.add_parser(
+        "profile",
+        help="run one workload fully instrumented and export a "
+             "Perfetto-loadable Chrome trace",
+    )
+    _add_run_args(p_profile)
+    _add_engine_arg(p_profile)
+    p_profile.add_argument(
+        "--out", required=True, metavar="PATH",
+        help="Chrome trace_event JSON output file",
+    )
+    p_profile.add_argument(
+        "--jsonl", metavar="PATH", default=None,
+        help="also stream raw span records as JSON lines",
+    )
+    p_profile.add_argument(
+        "--timeline", action="store_true",
+        help="also print the ASCII per-GPU timeline",
+    )
+    p_profile.add_argument(
+        "--prom", metavar="PATH", default=None,
+        help="also write the metrics snapshot in Prometheus text "
+             "exposition format",
+    )
+    _add_record_args(p_profile)
+    p_profile.set_defaults(func=_cmd_profile)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run benchmark cases; gate them against the baseline.
 
@@ -547,6 +743,54 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _register_bench(sub) -> None:
+    p_bench = sub.add_parser(
+        "bench",
+        help="run benchmark cases (the hot-path microbenchmarks; "
+             "scale.*, costmodel.*, replay.* via --filter) and gate "
+             "them against the committed baseline",
+    )
+    p_bench.add_argument(
+        "--out", metavar="PATH", default="BENCH_hotpath.json",
+        help="machine-readable report output (default: %(default)s)",
+    )
+    p_bench.add_argument(
+        "--baseline", metavar="PATH",
+        default="benchmarks/perf/baseline.json",
+        help="committed baseline to gate against (default: %(default)s)",
+    )
+    p_bench.add_argument(
+        "--threshold", type=float, default=None,
+        help="normalized-score regression tolerance "
+             "(default: 0.30 = fail on >30%% regression)",
+    )
+    p_bench.add_argument(
+        "--filter", action="append", default=None, metavar="SUBSTR",
+        help="only run cases whose name contains SUBSTR (repeatable)",
+    )
+    p_bench.add_argument(
+        "--list-cases", action="store_true",
+        help="print the registered case names and exit",
+    )
+    p_bench.add_argument(
+        "--repeats", type=int, default=5,
+        help="timing repeats per case (best-of; default %(default)s)",
+    )
+    p_bench.add_argument(
+        "--update-baseline", action="store_true",
+        help="write the fresh report over --baseline instead of "
+             "comparing against it",
+    )
+    p_bench.add_argument(
+        "--no-compare", action="store_true",
+        help="measure and write the report without gating",
+    )
+    p_bench.add_argument("--json", action="store_true",
+                         help="print the report JSON instead of a table")
+    _add_record_args(p_bench)
+    p_bench.set_defaults(func=_cmd_bench)
+
+
 def _cmd_costmodel_fit(args: argparse.Namespace) -> int:
     """Fit a cost model from recorded runs; emit an artifact."""
     from repro.core.costmodel_fit import fit_candidates, harvest
@@ -602,482 +846,7 @@ def _cmd_costmodel_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded run, optionally under modified physics."""
-    from repro.replay import format_replay_result, replay_run
-
-    result = replay_run(
-        _registry_from_args(args),
-        args.ref,
-        cost_model=args.cost_model,
-        topology=args.topology,
-    )
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_replay_result(result))
-    if args.check and not result.bit_identical:
-        print("replay check: not bit-identical to the recording",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_runs_record(args: argparse.Namespace) -> int:
-    """Run one workload fully instrumented and archive it."""
-    metrics = MetricsRegistry()
-    result = _run_one(args, args.engine, metrics=metrics)
-    registry = _registry_from_args(args)
-    run_id = registry.record_result(
-        result,
-        _workload_from_args(args, args.engine),
-        metrics=metrics.snapshot(),
-    )
-    if args.json:
-        payload = result_summary(result)
-        payload["run_id"] = run_id
-        payload["runs_dir"] = str(registry.root)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"recorded {run_id} "
-              f"({result.total_ms:.2f} ms, "
-              f"{result.num_iterations} iterations) "
-              f"under {registry.root}")
-    return 0
-
-
-def _cmd_runs_list(args: argparse.Namespace) -> int:
-    registry = _registry_from_args(args)
-    manifests = registry.manifests()
-    if args.json:
-        print(json.dumps(
-            [{"id": m.get("id"), "kind": m.get("kind"),
-              "created": m.get("created"),
-              "total_ms": m.get("summary", {}).get("total_ms")}
-             for m in manifests],
-            indent=2,
-        ))
-        return 0
-    if not manifests:
-        print(f"no runs recorded under {registry.root}")
-        return 0
-    print(f"{'id':48s} {'kind':5s} {'total':>12s}  created")
-    for manifest in manifests:
-        total = manifest.get("summary", {}).get("total_ms")
-        total_text = f"{total:9.2f} ms" if total is not None else "-"
-        print(f"{manifest.get('id', '?'):48s} "
-              f"{manifest.get('kind', '?'):5s} "
-              f"{total_text:>12s}  {manifest.get('created', '?')}")
-    return 0
-
-
-def _cmd_runs_show(args: argparse.Namespace) -> int:
-    manifest = _registry_from_args(args).load_manifest(args.ref)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return 0
-
-
-def _gpu_scale_pair(text: str) -> Tuple[int, float]:
-    """Parse a ``GPU=FACTOR`` what-if operand (``0=0.5``)."""
-    key, sep, value = text.replace(":", "=").partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(
-            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
-        )
-    try:
-        return int(key), float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
-        ) from exc
-
-
-def _cmd_runs_analyze(args: argparse.Namespace) -> int:
-    """Critical-path attribution (and optional what-if) of a run."""
-    from repro.obs import analysis
-
-    source = analysis.iteration_costs(
-        _registry_from_args(args).load_run_trace(args.ref)
-    )
-    whatif = analysis.WhatIf(
-        gpu_compute_scale=dict(args.scale_gpu or []),
-        compute_scale=args.scale_compute,
-        zero_decision_overhead=args.zero_overhead,
-        drop_fsteal=args.drop_fsteal,
-    )
-    report = analysis.analyze(source)
-    payload = {"analysis": report.as_dict()}
-    if not whatif.is_noop():
-        outcome = analysis.replay(source, whatif)
-        payload["whatif"] = outcome.as_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(analysis.format_report(report))
-    if not whatif.is_noop():
-        print(analysis.format_replay(outcome))
-    return 0
-
-
-def _cmd_runs_diff(args: argparse.Namespace) -> int:
-    """Exit 1 when a gated metric regressed beyond the threshold."""
-    from repro.bench import perfharness
-    from repro.runs import diff_manifests, format_diff
-
-    registry = _registry_from_args(args)
-    base = registry.load_manifest(args.base)
-    current = registry.load_manifest(args.current)
-    threshold = (
-        perfharness.DEFAULT_THRESHOLD
-        if args.threshold is None else args.threshold
-    )
-    diff = diff_manifests(base, current, threshold=threshold,
-                          force=args.force)
-    if args.json:
-        print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_diff(diff, verbose=not args.quiet))
-    return 0 if diff.ok else 1
-
-
-def _cmd_runs_gc(args: argparse.Namespace) -> int:
-    registry = _registry_from_args(args)
-    removed = registry.gc(keep=args.keep, dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    for run_id in removed:
-        print(f"{verb} {run_id}")
-    print(f"{verb} {len(removed)} run(s); keeping newest {args.keep}")
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    """Explain a recorded run's decisions from its archived ledger."""
-    from repro.obs.ledger import Ledger, LedgerError, explain_lines
-
-    payload = _registry_from_args(args).load_ledger(args.ref)
-    ledger = Ledger.from_dict(payload)
-    if args.json:
-        if args.iteration is not None:
-            matches = [entry for entry in ledger.entries
-                       if entry["iteration"] == args.iteration]
-            if not matches:
-                raise LedgerError(
-                    f"no ledger entry for iteration {args.iteration} "
-                    f"(recorded: "
-                    f"{[e['iteration'] for e in ledger.entries]})"
-                )
-            print(json.dumps(matches[0], indent=2, sort_keys=True))
-        else:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    for line in explain_lines(ledger, iteration=args.iteration):
-        print(line)
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Terminal dashboard: tail a live stream or replay a recorded run."""
-    from repro.obs.top import follow_stream, play_back
-
-    ansi = not args.no_ansi and sys.stdout.isatty()
-    if args.stream:
-        follow_stream(
-            args.stream,
-            sys.stdout.write,
-            follow=args.follow,
-            ansi=ansi,
-            timeout=args.timeout,
-            frames=args.frames,
-        )
-        return 0
-    if not args.ref:
-        raise ReproError(
-            "repro top needs a run reference to replay or "
-            "--stream PATH to tail"
-        )
-    header, records = _registry_from_args(args).load_run_trace(args.ref)
-    play_back(
-        header,
-        records,
-        sys.stdout.write,
-        speed=args.speed,
-        frames=args.frames,
-        ansi=ansi,
-    )
-    return 0
-
-
-def _slo_history(registry, manifest: dict) -> List[dict]:
-    """Prior comparable run summaries (same workload, oldest first)."""
-    workload = manifest.get("fingerprint", {}).get("workload")
-    created = manifest.get("created_unix", float("inf"))
-    run_id = manifest.get("id")
-    history = []
-    for other in registry.manifests():
-        if other.get("id") == run_id or other.get("kind") != "run":
-            continue
-        if other.get("fingerprint", {}).get("workload") != workload:
-            continue
-        if other.get("created_unix", 0.0) >= created:
-            continue
-        history.append(other.get("summary") or {})
-    return history
-
-
-def _cmd_slo_check(args: argparse.Namespace) -> int:
-    """Evaluate a rule file against a recorded run; exit 1 on violation."""
-    from repro.obs.slo import evaluate, load_policy
-
-    policy = load_policy(args.rules)
-    registry = _registry_from_args(args)
-    manifest = registry.load_manifest(args.ref)
-    summary = manifest.get("summary") or {}
-    try:
-        timeseries = registry.load_timeseries(args.ref)
-    except ReproError:
-        timeseries = {}  # rules needing series degrade per-rule
-    report = evaluate(
-        policy,
-        summary,
-        timeseries,
-        history=_slo_history(registry, manifest),
-        subject=str(manifest.get("id") or args.ref),
-    )
-    for line in report.lines():
-        print(line)
-    if args.report:
-        path = Path(_trace_path(args.report))
-        path.write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report: {path}")
-    if args.prom:
-        from repro.obs.prom import write_prom
-
-        write_prom(args.prom, manifest.get("metrics") or {})
-        print(f"prometheus: {args.prom}")
-    return report.exit_code
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The repro CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="GUM reproduction: multi-GPU graph processing with "
-                    "remote work stealing, on a simulated machine.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_datasets = sub.add_parser(
-        "datasets", help="list the bundled Table-II graph stand-ins"
-    )
-    p_datasets.add_argument("--domain", choices=("SN", "WG", "RN"),
-                            default="")
-    p_datasets.set_defaults(func=_cmd_datasets)
-
-    p_topology = sub.add_parser(
-        "topology", help="show the virtual NVLink topology"
-    )
-    p_topology.add_argument("--gpus", type=int, default=8,
-                            choices=range(1, 9))
-    p_topology.set_defaults(func=_cmd_topology)
-
-    p_calibration = sub.add_parser(
-        "calibration", help="show the virtual machine's timing constants"
-    )
-    p_calibration.add_argument("--gpus", type=int, default=8,
-                               choices=range(1, 9))
-    p_calibration.set_defaults(func=_cmd_calibration)
-
-    def add_run_args(p: argparse.ArgumentParser) -> None:
-        """Attach the shared workload arguments."""
-        p.add_argument("--graph", required=True,
-                       choices=list(datasets.DATASETS))
-        p.add_argument("--algorithm", required=True,
-                       choices=sorted(ALGORITHMS))
-        p.add_argument("--gpus", type=int, default=8,
-                       choices=range(1, 9))
-        p.add_argument("--partitioner", default="random",
-                       choices=sorted(PARTITIONERS))
-        p.add_argument("--solver", default="greedy",
-                       choices=("greedy", "lp", "bnb", "highs"))
-        p.add_argument(
-            "--cost-model", default="default", metavar="NAME|PATH",
-            help="cost model: 'default' (shipped polynomial), "
-                 "'oracle', 'uniform', or a path to a "
-                 "repro-costmodel/1 artifact from "
-                 "'repro costmodel fit' (see docs/costmodel.md)",
-        )
-        p.add_argument("--no-fsteal", action="store_true")
-        p.add_argument("--no-osteal", action="store_true")
-        p.add_argument("--no-hub-cache", action="store_true")
-        p.add_argument(
-            "--no-amortize", action="store_true",
-            help="disable decision amortization (plan cache, warm "
-                 "starts, incremental OSteal) for exact-mode "
-                 "reproduction of paper figures",
-        )
-        p.add_argument(
-            "--backend", default="serial", choices=BACKEND_NAMES,
-            help="execution backend: 'serial' (in-process, default) or "
-                 "'shmem' (one worker process per virtual GPU over "
-                 "shared-memory buffers); never changes results or "
-                 "virtual time (see docs/performance.md)",
-        )
-        p.add_argument(
-            "--topology", metavar="SPEC", default=None,
-            help="machine shape: 'nodes=NxG' (e.g. nodes=2x4) for an "
-                 "N-node cluster of G-GPU servers with two-level "
-                 "hierarchical stealing; default is the --gpus DGX-1 "
-                 "sub-topology. When given, the worker count is N*G "
-                 "and --gpus is ignored",
-        )
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON summary")
-        p.add_argument(
-            "--chaos", metavar="SCENARIO.json", default=None,
-            help="inject faults from a chaos scenario file "
-                 "(see docs/robustness.md and benchmarks/scenarios/)",
-        )
-
-    def add_obs_args(p: argparse.ArgumentParser) -> None:
-        """Attach the shared observability arguments."""
-        p.add_argument(
-            "--trace", metavar="PATH", default=None,
-            help="record the run: *.jsonl for raw span records, "
-                 "anything else for Chrome trace_event JSON",
-        )
-        p.add_argument(
-            "--metrics", action="store_true",
-            help="collect and print the run's metrics snapshot",
-        )
-        p.add_argument(
-            "--stream", metavar="TARGET", default=None,
-            help="stream live telemetry as repro-live JSON lines to a "
-                 "file path, fd://N, or unix://SOCKET (tail it with "
-                 "'repro top --stream PATH --follow')",
-        )
-        p.add_argument(
-            "--stream-every", type=int, default=10, metavar="N",
-            help="metrics-snapshot cadence on the live stream, in "
-                 "supersteps (default %(default)s; 0 disables "
-                 "periodic snapshots)",
-        )
-        p.add_argument(
-            "--prom", metavar="PATH", default=None,
-            help="write the run's final metrics snapshot in Prometheus "
-                 "text exposition format",
-        )
-
-    def add_runs_dir_arg(p: argparse.ArgumentParser) -> None:
-        """Attach the registry-location argument."""
-        p.add_argument(
-            "--runs-dir", metavar="DIR", default=None,
-            help="run registry directory (default: $REPRO_RUNS_DIR "
-                 "or .repro/runs)",
-        )
-
-    def add_record_args(p: argparse.ArgumentParser) -> None:
-        """Attach the run-registry recording arguments."""
-        p.add_argument(
-            "--record", action="store_true",
-            help="archive this run (manifest + trace + timeseries) "
-                 "in the run registry",
-        )
-        add_runs_dir_arg(p)
-
-    p_run = sub.add_parser("run", help="run one engine on one workload")
-    add_run_args(p_run)
-    add_obs_args(p_run)
-    add_record_args(p_run)
-    p_run.add_argument("--engine", default="gum",
-                       choices=ENGINE_NAMES + ("gum-nosteal", "bsp"))
-    p_run.set_defaults(func=_cmd_run)
-
-    p_compare = sub.add_parser(
-        "compare", help="run all three engines on one workload"
-    )
-    add_run_args(p_compare)
-    add_obs_args(p_compare)
-    add_record_args(p_compare)
-    p_compare.set_defaults(func=_cmd_compare)
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="run one workload fully instrumented and export a "
-             "Perfetto-loadable Chrome trace",
-    )
-    add_run_args(p_profile)
-    p_profile.add_argument("--engine", default="gum",
-                           choices=ENGINE_NAMES + ("gum-nosteal", "bsp"))
-    p_profile.add_argument(
-        "--out", required=True, metavar="PATH",
-        help="Chrome trace_event JSON output file",
-    )
-    p_profile.add_argument(
-        "--jsonl", metavar="PATH", default=None,
-        help="also stream raw span records as JSON lines",
-    )
-    p_profile.add_argument(
-        "--timeline", action="store_true",
-        help="also print the ASCII per-GPU timeline",
-    )
-    p_profile.add_argument(
-        "--prom", metavar="PATH", default=None,
-        help="also write the metrics snapshot in Prometheus text "
-             "exposition format",
-    )
-    add_record_args(p_profile)
-    p_profile.set_defaults(func=_cmd_profile)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run benchmark cases (the hot-path microbenchmarks; "
-             "scale.*, costmodel.*, replay.* via --filter) and gate "
-             "them against the committed baseline",
-    )
-    p_bench.add_argument(
-        "--out", metavar="PATH", default="BENCH_hotpath.json",
-        help="machine-readable report output (default: %(default)s)",
-    )
-    p_bench.add_argument(
-        "--baseline", metavar="PATH",
-        default="benchmarks/perf/baseline.json",
-        help="committed baseline to gate against (default: %(default)s)",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None,
-        help="normalized-score regression tolerance "
-             "(default: 0.30 = fail on >30%% regression)",
-    )
-    p_bench.add_argument(
-        "--filter", action="append", default=None, metavar="SUBSTR",
-        help="only run cases whose name contains SUBSTR (repeatable)",
-    )
-    p_bench.add_argument(
-        "--list-cases", action="store_true",
-        help="print the registered case names and exit",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per case (best-of; default %(default)s)",
-    )
-    p_bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the fresh report over --baseline instead of "
-             "comparing against it",
-    )
-    p_bench.add_argument(
-        "--no-compare", action="store_true",
-        help="measure and write the report without gating",
-    )
-    p_bench.add_argument("--json", action="store_true",
-                         help="print the report JSON instead of a table")
-    add_record_args(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
-
+def _register_costmodel(sub) -> None:
     p_costmodel = sub.add_parser(
         "costmodel",
         help="cost model: fit from recorded runs, emit "
@@ -1132,19 +901,42 @@ def build_parser() -> argparse.ArgumentParser:
              "polynomial held out (the CI assertion)",
     )
     p_fit.add_argument("--json", action="store_true")
-    add_runs_dir_arg(p_fit)
+    _add_runs_dir_arg(p_fit)
     p_fit.set_defaults(func=_cmd_costmodel_fit)
 
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    """Replay a recorded run, optionally under modified physics."""
+    from repro.replay import format_replay_result, replay_run
+
+    result = replay_run(
+        _registry_from_args(args),
+        args.ref,
+        cost_model=args.cost_model,
+        topology=args.topology,
+    )
+    if args.json:
+        print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
+    else:
+        print(format_replay_result(result))
+    if args.check and not result.bit_identical:
+        print("replay check: not bit-identical to the recording",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def _register_replay(sub) -> None:
     p_replay = sub.add_parser(
         "replay",
         help="replay a recorded run's decision sequence, optionally "
              "under a different cost model or topology, with "
              "per-iteration error attribution",
     )
-    p_replay.add_argument(
-        "ref",
-        help="run reference (id, prefix, 'latest', or a run directory "
-             "path such as benchmarks/reference/tx-bfs-4gpu)",
+    _add_ref_arg(
+        p_replay,
+        "run reference (id, prefix, 'latest', or a run directory "
+        "path such as benchmarks/reference/tx-bfs-4gpu)",
     )
     p_replay.add_argument(
         "--cost-model", metavar="NAME|PATH", default=None,
@@ -1164,47 +956,143 @@ def build_parser() -> argparse.ArgumentParser:
              "recording (original model, no overrides)",
     )
     p_replay.add_argument("--json", action="store_true")
-    add_runs_dir_arg(p_replay)
+    _add_runs_dir_arg(p_replay)
     p_replay.set_defaults(func=_cmd_replay)
 
-    p_runs = sub.add_parser(
-        "runs",
-        help="the persistent run registry: record, inspect, analyze, "
-             "and diff archived runs",
-    )
-    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
 
+def _cmd_runs_record(args: argparse.Namespace) -> int:
+    """Run one workload fully instrumented and archive it."""
+    metrics = MetricsRegistry()
+    result = _run_one(args, args.engine, metrics=metrics)
+    registry = _registry_from_args(args)
+    run_id = registry.record_result(
+        result,
+        _workload_from_args(args, args.engine),
+        metrics=metrics.snapshot(),
+    )
+    if args.json:
+        payload = result_summary(result)
+        payload["run_id"] = run_id
+        payload["runs_dir"] = str(registry.root)
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"recorded {run_id} "
+              f"({result.total_ms:.2f} ms, "
+              f"{result.num_iterations} iterations) "
+              f"under {registry.root}")
+    return 0
+
+
+def _register_runs_record(runs_sub) -> None:
     p_record = runs_sub.add_parser(
         "record", help="run one workload instrumented and archive it"
     )
-    add_run_args(p_record)
-    p_record.add_argument("--engine", default="gum",
-                          choices=ENGINE_NAMES + ("gum-nosteal", "bsp"))
-    add_runs_dir_arg(p_record)
+    _add_run_args(p_record)
+    _add_engine_arg(p_record)
+    _add_runs_dir_arg(p_record)
     p_record.set_defaults(func=_cmd_runs_record)
 
+
+def _cmd_runs_list(args: argparse.Namespace) -> int:
+    registry = _registry_from_args(args)
+    manifests = registry.manifests()
+    if args.json:
+        print(json.dumps(
+            [{"id": m.get("id"), "kind": m.get("kind"),
+              "created": m.get("created"),
+              "total_ms": m.get("summary", {}).get("total_ms")}
+             for m in manifests],
+            indent=2,
+        ))
+        return 0
+    if not manifests:
+        print(f"no runs recorded under {registry.root}")
+        return 0
+    print(f"{'id':48s} {'kind':5s} {'total':>12s}  created")
+    for manifest in manifests:
+        total = manifest.get("summary", {}).get("total_ms")
+        total_text = f"{total:9.2f} ms" if total is not None else "-"
+        print(f"{manifest.get('id', '?'):48s} "
+              f"{manifest.get('kind', '?'):5s} "
+              f"{total_text:>12s}  {manifest.get('created', '?')}")
+    return 0
+
+
+def _register_runs_list(runs_sub) -> None:
     p_list = runs_sub.add_parser("list", help="list recorded runs")
     p_list.add_argument("--json", action="store_true")
-    add_runs_dir_arg(p_list)
+    _add_runs_dir_arg(p_list)
     p_list.set_defaults(func=_cmd_runs_list)
 
+
+def _cmd_runs_show(args: argparse.Namespace) -> int:
+    manifest = _registry_from_args(args).load_manifest(args.ref)
+    print(json.dumps(manifest, indent=2, sort_keys=True))
+    return 0
+
+
+def _register_runs_show(runs_sub) -> None:
     p_show = runs_sub.add_parser(
         "show", help="print one run's manifest"
     )
-    p_show.add_argument(
-        "ref",
-        help="run id (or unique prefix), 'latest', or a path to a run "
-             "directory / manifest.json",
+    _add_ref_arg(
+        p_show,
+        "run id (or unique prefix), 'latest', or a path to a run "
+        "directory / manifest.json",
     )
-    add_runs_dir_arg(p_show)
+    _add_runs_dir_arg(p_show)
     p_show.set_defaults(func=_cmd_runs_show)
 
+
+def _gpu_scale_pair(text: str) -> Tuple[int, float]:
+    """Parse a ``GPU=FACTOR`` what-if operand (``0=0.5``)."""
+    key, sep, value = text.replace(":", "=").partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
+        )
+    try:
+        return int(key), float(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
+        ) from exc
+
+
+def _cmd_runs_analyze(args: argparse.Namespace) -> int:
+    """Critical-path attribution (and optional what-if) of a run."""
+    from repro.obs import analysis
+
+    source = analysis.iteration_costs(
+        _registry_from_args(args).load_run_trace(args.ref)
+    )
+    whatif = analysis.WhatIf(
+        gpu_compute_scale=dict(args.scale_gpu or []),
+        compute_scale=args.scale_compute,
+        zero_decision_overhead=args.zero_overhead,
+        drop_fsteal=args.drop_fsteal,
+    )
+    report = analysis.analyze(source)
+    payload = {"analysis": report.as_dict()}
+    if not whatif.is_noop():
+        outcome = analysis.replay(source, whatif)
+        payload["whatif"] = outcome.as_dict()
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    print(analysis.format_report(report))
+    if not whatif.is_noop():
+        print(analysis.format_replay(outcome))
+    return 0
+
+
+def _register_runs_analyze(runs_sub) -> None:
     p_analyze = runs_sub.add_parser(
         "analyze",
         help="critical-path attribution and what-if replay of a "
              "recorded run",
     )
-    p_analyze.add_argument("ref", help="run reference (see 'runs show')")
+    _add_ref_arg(p_analyze, "run reference (see 'runs show')")
     p_analyze.add_argument(
         "--scale-gpu", action="append", metavar="GPU=FACTOR",
         type=_gpu_scale_pair, default=None,
@@ -1226,9 +1114,32 @@ def build_parser() -> argparse.ArgumentParser:
              "straggler (undo FSteal, first-order)",
     )
     p_analyze.add_argument("--json", action="store_true")
-    add_runs_dir_arg(p_analyze)
+    _add_runs_dir_arg(p_analyze)
     p_analyze.set_defaults(func=_cmd_runs_analyze)
 
+
+def _cmd_runs_diff(args: argparse.Namespace) -> int:
+    """Exit 1 when a gated metric regressed beyond the threshold."""
+    from repro.bench import perfharness
+    from repro.runs import diff_manifests, format_diff
+
+    registry = _registry_from_args(args)
+    base = registry.load_manifest(args.base)
+    current = registry.load_manifest(args.current)
+    threshold = (
+        perfharness.DEFAULT_THRESHOLD
+        if args.threshold is None else args.threshold
+    )
+    diff = diff_manifests(base, current, threshold=threshold,
+                          force=args.force)
+    if args.json:
+        print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
+    else:
+        print(format_diff(diff, verbose=not args.quiet))
+    return 0 if diff.ok else 1
+
+
+def _register_runs_diff(runs_sub) -> None:
     p_diff = runs_sub.add_parser(
         "diff",
         help="compare two recorded runs; exit 1 on gated regressions",
@@ -1248,9 +1159,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="only show regressions and notes, not every metric",
     )
     p_diff.add_argument("--json", action="store_true")
-    add_runs_dir_arg(p_diff)
+    _add_runs_dir_arg(p_diff)
     p_diff.set_defaults(func=_cmd_runs_diff)
 
+
+def _cmd_runs_gc(args: argparse.Namespace) -> int:
+    registry = _registry_from_args(args)
+    removed = registry.gc(keep=args.keep, dry_run=args.dry_run)
+    verb = "would remove" if args.dry_run else "removed"
+    for run_id in removed:
+        print(f"{verb} {run_id}")
+    print(f"{verb} {len(removed)} run(s); keeping newest {args.keep}")
+    return 0
+
+
+def _register_runs_gc(runs_sub) -> None:
     p_gc = runs_sub.add_parser(
         "gc", help="delete all but the newest runs"
     )
@@ -1258,20 +1181,58 @@ def build_parser() -> argparse.ArgumentParser:
                       help="runs to keep (default %(default)s)")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be deleted, delete nothing")
-    add_runs_dir_arg(p_gc)
+    _add_runs_dir_arg(p_gc)
     p_gc.set_defaults(func=_cmd_runs_gc)
 
+
+def _register_runs(sub) -> None:
+    p_runs = sub.add_parser(
+        "runs",
+        help="the persistent run registry: record, inspect, analyze, "
+             "and diff archived runs",
+    )
+    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
+    for register in (
+        _register_runs_record, _register_runs_list, _register_runs_show,
+        _register_runs_analyze, _register_runs_diff, _register_runs_gc,
+    ):
+        register(runs_sub)
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """Explain a recorded run's decisions from its archived ledger."""
+    from repro.obs.ledger import Ledger, LedgerError, explain_lines
+
+    payload = _registry_from_args(args).load_ledger(args.ref)
+    ledger = Ledger.from_dict(payload)
+    if args.json:
+        if args.iteration is not None:
+            matches = [entry for entry in ledger.entries
+                       if entry["iteration"] == args.iteration]
+            if not matches:
+                raise LedgerError(
+                    f"no ledger entry for iteration {args.iteration} "
+                    f"(recorded: "
+                    f"{[e['iteration'] for e in ledger.entries]})"
+                )
+            print(json.dumps(matches[0], indent=2, sort_keys=True))
+        else:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    for line in explain_lines(ledger, iteration=args.iteration):
+        print(line)
+    return 0
+
+
+def _register_explain(sub) -> None:
     p_explain = sub.add_parser(
         "explain",
         help="explain a recorded run's stealing decisions from its "
              "archived ledger: per-decision audit, prediction error, "
              "model drift",
     )
-    p_explain.add_argument(
-        "ref", nargs="?", default="latest",
-        help="run reference (default: latest; also accepts a run "
-             "directory path such as benchmarks/reference/tx-bfs-4gpu)",
-    )
+    _add_ref_arg(p_explain, _LATEST_REF_HELP, optional=True,
+                 default="latest")
     p_explain.add_argument(
         "--iteration", type=int, default=None, metavar="N",
         help="drill into one iteration's decision: features, "
@@ -1282,18 +1243,53 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the raw repro-ledger/1 payload (or, with "
              "--iteration, that entry) instead of the report",
     )
-    add_runs_dir_arg(p_explain)
+    _add_runs_dir_arg(p_explain)
     p_explain.set_defaults(func=_cmd_explain)
 
+
+def _cmd_top(args: argparse.Namespace) -> int:
+    """Terminal dashboard: tail a live stream or replay a recorded run."""
+    from repro.obs.top import follow_stream, play_back
+
+    ansi = not args.no_ansi and sys.stdout.isatty()
+    if args.stream:
+        follow_stream(
+            args.stream,
+            sys.stdout.write,
+            follow=args.follow,
+            ansi=ansi,
+            timeout=args.timeout,
+            frames=args.frames,
+        )
+        return 0
+    if not args.ref:
+        raise ReproError(
+            "repro top needs a run reference to replay or "
+            "--stream PATH to tail"
+        )
+    header, records = _registry_from_args(args).load_run_trace(args.ref)
+    play_back(
+        header,
+        records,
+        sys.stdout.write,
+        speed=args.speed,
+        frames=args.frames,
+        ansi=ansi,
+    )
+    return 0
+
+
+def _register_top(sub) -> None:
     p_top = sub.add_parser(
         "top",
         help="terminal dashboard: tail a live telemetry stream or "
              "replay a recorded run",
     )
-    p_top.add_argument(
-        "ref", nargs="?", default=None,
-        help="recorded run to replay (id, prefix, 'latest', or a run "
-             "directory path); omit when tailing --stream",
+    _add_ref_arg(
+        p_top,
+        "recorded run to replay (id, prefix, 'latest', or a run "
+        "directory path); omit when tailing --stream",
+        optional=True,
     )
     p_top.add_argument(
         "--stream", metavar="PATH", default=None,
@@ -1322,9 +1318,63 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ansi", action="store_true",
         help="print frames sequentially instead of clearing the screen",
     )
-    add_runs_dir_arg(p_top)
+    _add_runs_dir_arg(p_top)
     p_top.set_defaults(func=_cmd_top)
 
+
+def _slo_history(registry, manifest: dict) -> List[dict]:
+    """Prior comparable run summaries (same workload, oldest first)."""
+    workload = manifest.get("fingerprint", {}).get("workload")
+    created = manifest.get("created_unix", float("inf"))
+    run_id = manifest.get("id")
+    history = []
+    for other in registry.manifests():
+        if other.get("id") == run_id or other.get("kind") != "run":
+            continue
+        if other.get("fingerprint", {}).get("workload") != workload:
+            continue
+        if other.get("created_unix", 0.0) >= created:
+            continue
+        history.append(other.get("summary") or {})
+    return history
+
+
+def _cmd_slo_check(args: argparse.Namespace) -> int:
+    """Evaluate a rule file against a recorded run; exit 1 on violation."""
+    from repro.obs.slo import evaluate, load_policy
+
+    policy = load_policy(args.rules)
+    registry = _registry_from_args(args)
+    manifest = registry.load_manifest(args.ref)
+    summary = manifest.get("summary") or {}
+    try:
+        timeseries = registry.load_timeseries(args.ref)
+    except ReproError:
+        timeseries = {}  # rules needing series degrade per-rule
+    report = evaluate(
+        policy,
+        summary,
+        timeseries,
+        history=_slo_history(registry, manifest),
+        subject=str(manifest.get("id") or args.ref),
+    )
+    for line in report.lines():
+        print(line)
+    if args.report:
+        path = Path(_trace_path(args.report))
+        path.write_text(
+            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        )
+        print(f"report: {path}")
+    if args.prom:
+        from repro.obs.prom import write_prom
+
+        write_prom(args.prom, manifest.get("metrics") or {})
+        print(f"prometheus: {args.prom}")
+    return report.exit_code
+
+
+def _register_slo(sub) -> None:
     p_slo = sub.add_parser(
         "slo",
         help="service-level objectives: check runs against "
@@ -1336,11 +1386,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a rule file against a recorded run; exit 1 on "
              "violation",
     )
-    p_slo_check.add_argument(
-        "ref", nargs="?", default="latest",
-        help="run reference (default: latest; also accepts a run "
-             "directory path such as benchmarks/reference/tx-bfs-4gpu)",
-    )
+    _add_ref_arg(p_slo_check, _LATEST_REF_HELP, optional=True,
+                 default="latest")
     p_slo_check.add_argument(
         "--rules", required=True, metavar="RULES.yaml",
         help="repro-slo/1 rule file (YAML or JSON)",
@@ -1354,8 +1401,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the run's archived metrics snapshot in "
              "Prometheus text format",
     )
-    add_runs_dir_arg(p_slo_check)
+    _add_runs_dir_arg(p_slo_check)
     p_slo_check.set_defaults(func=_cmd_slo_check)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The repro CLI argument parser: one registrar per verb, each
+    next to the handler it dispatches to."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="GUM reproduction: multi-GPU graph processing with "
+                    "remote work stealing, on a simulated machine.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"repro {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for register in (
+        _register_datasets, _register_topology, _register_calibration,
+        _register_run, _register_compare, _register_profile,
+        _register_bench, _register_costmodel, _register_replay,
+        _register_runs, _register_explain, _register_top, _register_slo,
+    ):
+        register(sub)
     return parser
 
 

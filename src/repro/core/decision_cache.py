@@ -1,13 +1,17 @@
 """Decision amortization: fingerprinted plan caching for the hot path.
 
 Table IV charges the arbitrator's decision latency into every
-superstep, so GUM only wins while deciding stays cheap. On long-tail
-road graphs the scheduler faces thousands of *near-identical* FSteal
-instances: the workload vector drifts slowly, the active-worker set is
-stable, and the cost coefficients change only when the cost model or
-the measured bandwidth does. Adaptive load balancers exploit exactly
-this stability by reusing decisions while the distribution holds
-(Jatala et al.); this module provides the machinery:
+superstep, so GUM only wins while deciding stays cheap. Adaptive load
+balancers reuse a decision while the distribution holds (Jatala et
+al.); this module provides the machinery to do that for FSteal
+instances that recur up to a tolerance. Where they recur is a measured
+fact, not the long-tail road graphs this was written for: there the
+active-worker set is stable but one of the quantized cost coefficients
+changes between nearly every pair of consecutive instances, so the
+plan cache hits 0 times in ``tail-road``'s 789 lookups and every hit
+across the 75-cell matrix is on PageRank, whose instances repeat bit
+for bit (numbers and method in docs/performance.md, "Measured
+traffic"). The pieces:
 
 * :func:`quantize` — log-bucket a nonnegative vector so that values
   within a relative ``tolerance`` of each other collapse into the same

@@ -204,8 +204,8 @@ def result_summary(result: RunResult) -> dict:
             "max": max(wall_ms) if wall_ms else None,
         },
         # host clock: what fraction of run() wall time was spent inside
-        # span/metric emission (None for runs recorded before
-        # self-measurement existed)
+        # span/metric emission; every engine's run envelope measures it
+        # (None only for a result that never went through run())
         "obs_overhead_pct": result.obs_overhead_pct(),
     } | ({"chaos": dict(result.chaos)} if result.chaos else {}) \
         | ({"backend": dict(result.backend_stats)}

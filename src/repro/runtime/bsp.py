@@ -42,10 +42,10 @@ from repro.graph.csr import CSRGraph
 from repro.hardware.spec import MachineSpec
 from repro.hardware.timing import TimingModel
 from repro.hardware.topology import Topology
-from repro.obs.export import emit_iteration
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.partition.base import Partition
+from repro.runtime.envelope import RunEnvelope
 from repro.runtime.frontier import Frontier
 from repro.runtime.metrics import IterationRecord, RunResult, TimeBreakdown
 from repro.runtime.scheduler import (
@@ -204,20 +204,65 @@ class BSPEngine:
             from repro.algorithms import make_algorithm
 
             algorithm = make_algorithm(algorithm)
-        if partition.graph is not graph:
-            raise EngineError("partition was built for a different graph")
-        if partition.num_fragments != self._topology.num_gpus:
-            raise EngineError(
-                f"partition has {partition.num_fragments} fragments but "
-                f"machine has {self._topology.num_gpus} GPUs"
-            )
         limit = (
             self._options.max_iterations
             if max_iterations is None
             else max_iterations
         )
-        num_workers = self._topology.num_gpus
+        context = self._open_context(graph, partition, algorithm)
+        state = algorithm.init(graph, **params)
+        envelope = RunEnvelope(
+            self._name, algorithm, graph, self._topology.num_gpus, state,
+            self._tracer, self._metrics,
+        )
+        result = envelope.result
+        # the session owns the run's execution resources (worker
+        # processes, shared mappings); the finally guarantees they are
+        # released even when an iteration raises mid-run
+        session = self._backend.open(
+            graph, partition, algorithm, state, context
+        )
+        try:
+            with envelope.span():
+                self._scheduler.begin_run(context)
+                while state.frontier and state.iteration < limit:
+                    if self._chaos is not None:
+                        events = self._chaos.advance(state.iteration)
+                        if events:
+                            result.obs_seconds += self._apply_faults(
+                                events, context, envelope.virtual_clock
+                            )
+                    envelope.fold(self._run_iteration(
+                        graph, partition, algorithm, state, context, session
+                    ))
+                    state.iteration += 1
+                decision_stats = self._scheduler.finish_run(context)
+                if decision_stats:
+                    result.decision_stats = dict(decision_stats)
+        finally:
+            session.close(state)
+        result.backend_stats = session.stats()
+        result.ledger = self._scheduler.ledger
+        if self._metrics.enabled and result.backend_stats:
+            obs_start = time.perf_counter()
+            self._publish_backend_metrics(result.backend_stats)
+            result.obs_seconds += time.perf_counter() - obs_start
+        if self._chaos is not None:
+            result.chaos = self._chaos.stats()
+        return envelope.close()
 
+    def _open_context(
+        self, graph: CSRGraph, partition: Partition, algorithm
+    ) -> RunContext:
+        """Check the partition fits the machine; the run's context."""
+        num_workers = self._topology.num_gpus
+        if partition.graph is not graph:
+            raise EngineError("partition was built for a different graph")
+        if partition.num_fragments != num_workers:
+            raise EngineError(
+                f"partition has {partition.num_fragments} fragments but "
+                f"machine has {num_workers} GPUs"
+            )
         if self._chaos is not None:
             self._chaos.begin_run(self._topology)
         context = RunContext(
@@ -231,97 +276,12 @@ class BSPEngine:
             metrics=self._metrics,
             chaos=self._chaos,
         )
-
         # backends need the engine's aggregation switch when deriving
         # message statistics away from the coordinator
         context.extras["aggregate_messages"] = (
             self._options.aggregate_messages
         )
-
-        state = algorithm.init(graph, **params)
-        result = RunResult(
-            engine=self._name,
-            algorithm=algorithm.name,
-            graph_name=graph.name,
-            num_gpus=num_workers,
-            values=state.values,
-        )
-
-        # observability self-measurement: host-clock cost of span and
-        # metric emission, so result_summary can report what fraction
-        # of the run's wall time observability itself consumed — the
-        # number the obs.* bench family holds under its <3% budget.
-        # Virtual time is never touched: emission happens after an
-        # iteration is priced, so streamed and silent runs charge
-        # identical virtual clocks.
-        run_wall_start = time.perf_counter()
-        # the session owns the run's execution resources (worker
-        # processes, shared mappings); the finally guarantees they are
-        # released even when an iteration raises mid-run
-        session = self._backend.open(
-            graph, partition, algorithm, state, context
-        )
-        measure_obs = self._tracer.enabled or self._metrics.enabled
-        try:
-            with self._tracer.span(
-                "run", cat="engine", engine=self._name,
-                algorithm=algorithm.name, graph=graph.name,
-                num_gpus=num_workers,
-            ) as run_span:
-                self._scheduler.begin_run(context)
-                virtual_clock = 0.0
-                prev_group: Optional[int] = None
-                while state.frontier and state.iteration < limit:
-                    if self._chaos is not None:
-                        events = self._chaos.advance(state.iteration)
-                        if events:
-                            result.obs_seconds += self._apply_faults(
-                                events, context, virtual_clock
-                            )
-                    record = self._run_iteration(
-                        graph, partition, algorithm, state, context, session
-                    )
-                    result.iterations.append(record)
-                    result.breakdown.add(record.breakdown)
-                    result.real_decision_seconds += (
-                        record.real_decision_seconds
-                    )
-                    if measure_obs:
-                        obs_start = time.perf_counter()
-                        virtual_clock = emit_iteration(
-                            self._tracer, self._metrics, record,
-                            virtual_clock, prev_group, engine=self._name,
-                        )
-                        result.obs_seconds += (
-                            time.perf_counter() - obs_start
-                        )
-                    else:
-                        virtual_clock = emit_iteration(
-                            self._tracer, self._metrics, record,
-                            virtual_clock, prev_group, engine=self._name,
-                        )
-                    if record.osteal_group_size is not None:
-                        prev_group = record.osteal_group_size
-                    state.iteration += 1
-                decision_stats = self._scheduler.finish_run(context)
-                if decision_stats:
-                    result.decision_stats = dict(decision_stats)
-                run_span.set(iterations=state.iteration,
-                             virtual_total_ms=virtual_clock * 1e3)
-        finally:
-            session.close(state)
-        result.backend_stats = session.stats()
-        result.ledger = self._scheduler.ledger
-        if self._metrics.enabled and result.backend_stats:
-            obs_start = time.perf_counter()
-            self._publish_backend_metrics(result.backend_stats)
-            result.obs_seconds += time.perf_counter() - obs_start
-        result.values = state.values
-        result.converged = not state.frontier
-        if self._chaos is not None:
-            result.chaos = self._chaos.stats()
-        result.run_wall_seconds = time.perf_counter() - run_wall_start
-        return result
+        return context
 
     def _publish_backend_metrics(self, stats: Dict[str, object]) -> None:
         """Register the backend's host-side stats as gauges.
@@ -434,85 +394,35 @@ class BSPEngine:
         context: RunContext,
         session,
     ) -> IterationRecord:
+        """One superstep: distribute → plan → price → exchange →
+        execute, then the record the run envelope folds."""
         frontier: Frontier = state.frontier
-        num_workers = context.num_workers
-
-        # --- distribute the frontier to its data homes ---------------
-        # (one segmented pass seeds every fragment's work and Table-I
-        # features, which the plan and the pricing below both read)
-        fragment_frontiers = frontier.split_by_owner(
-            partition.owner, partition.num_fragments, graph
+        iteration = state.iteration
+        fragment_frontiers, workloads = self._distribute(
+            graph, partition, algorithm, state
         )
-        workloads = np.array(
-            [f.work(graph) for f in fragment_frontiers], dtype=np.int64
-        )
-        workloads = self._effective_workloads(
-            graph, partition, algorithm, state, workloads
-        )
-
         # hand the distributed frontier to the execution backend now,
         # so a parallel backend's workers overlap with the plan/pricing
-        session.begin_iteration(state.iteration, fragment_frontiers,
-                                context)
-
-        # --- plan (the stealing arbitrator) ---------------------------
-        wall_start = time.perf_counter()
-        plan = self._scheduler.plan(
-            state.iteration, fragment_frontiers, workloads, context
-        )
-        plan.real_decision_seconds = max(
-            plan.real_decision_seconds, time.perf_counter() - wall_start
-        )
-        self._validate_plan(plan, workloads, num_workers,
-                            context.dead_workers)
-
-        # --- price the plan with ground-truth costs -------------------
-        # Compute cost is priced from the owning fragment's frontier
-        # features — the same W_i granularity the paper's c_ij uses.
-        # This keeps pricing identical across engines even when the
-        # effective workload is decoupled from the frontier (pull-mode
-        # BFS, near-far discounts). Features are memoized on the
-        # frontier objects, so the scheduler's own feature scan (the
-        # GUM arbitrator prices c_ij from the same fragments) is not
-        # repeated here.
-        fragment_features = [
-            f.features(graph) for f in fragment_frontiers
-        ]
+        session.begin_iteration(iteration, fragment_frontiers, context)
+        plan = self._plan(iteration, fragment_frontiers, workloads, context)
+        # price from each owning fragment's memoized features (the
+        # scheduler's own feature scan is not repeated)
         busy, compute_part, comm_part = self._price_chunks(
-            plan, fragment_features, context, num_workers,
-            iteration=state.iteration,
+            plan, [f.features(graph) for f in fragment_frontiers],
+            context, context.num_workers, iteration=iteration,
         )
-        if self._chaos is not None:
-            scale = self._chaos.compute_scale(state.iteration)
-            if scale is not None:
-                # a slowed worker's kernels stretch; everything else
-                # (transfers, sync) is unaffected
-                busy = busy + compute_part * (scale - 1.0)
-                compute_part = compute_part * scale
-
         active = sorted(set(plan.active_workers))
-        if not active:
-            raise EngineError("iteration plan has no active workers")
-        active_arr = np.asarray(active, dtype=np.int64)
-        critical = float(busy[active_arr].max()) if active else 0.0
-        stall = np.zeros(num_workers)
-        stall[active_arr] = critical - busy[active_arr]
-
-        # --- messages crossing worker boundaries ----------------------
         serialization, message_transfer = self._message_costs(
-            context, frontier, active, session, state.iteration
+            context, frontier, active, session, iteration
         )
+        sync = (context.timing.sync_seconds(len(active))
+                * self._sync_multiplier(algorithm, state))
+        # execute semantics (independent of the plan)
+        state.frontier = session.step(iteration, algorithm, graph, state)
 
-        sync = context.timing.sync_seconds(len(active)) * self._sync_multiplier(
-            algorithm, state
-        )
-        overhead = (
-            plan.decision_seconds
-            + frontier.size
-            * self._options.id_conversion_ns_per_vertex
-            * 1e-9
-        )
-
+        active_arr = np.asarray(active, dtype=np.int64)
+        stall = np.zeros(context.num_workers)
+        stall[active_arr] = busy[active_arr].max() - busy[active_arr]
         breakdown = TimeBreakdown(
             compute=float(compute_part[active_arr].mean()),
             communication=float(
@@ -520,15 +430,15 @@ class BSPEngine:
             ) + message_transfer,
             serialization=serialization,
             sync=sync,
-            overhead=overhead,
+            overhead=(
+                plan.decision_seconds
+                + frontier.size
+                * self._options.id_conversion_ns_per_vertex
+                * 1e-9
+            ),
         )
-
-        # --- execute semantics (independent of the plan) ---------------
-        state.frontier = session.step(state.iteration, algorithm, graph,
-                                      state)
-
         record = IterationRecord(
-            iteration=state.iteration,
+            iteration=iteration,
             frontier_size=frontier.size,
             frontier_edges=int(workloads.sum()),
             active_workers=active,
@@ -543,6 +453,46 @@ class BSPEngine:
         )
         self._scheduler.observe(record, context)
         return record
+
+    def _distribute(
+        self, graph: CSRGraph, partition: Partition, algorithm, state
+    ) -> tuple[list, np.ndarray]:
+        """Split the frontier over its data homes.
+
+        One segmented pass seeds every fragment's work and Table-I
+        features, which the plan and the pricing both read. Returns the
+        per-fragment frontiers and the edges each fragment processes.
+        """
+        fragment_frontiers = state.frontier.split_by_owner(
+            partition.owner, partition.num_fragments, graph
+        )
+        workloads = np.array(
+            [f.work(graph) for f in fragment_frontiers], dtype=np.int64
+        )
+        return fragment_frontiers, self._effective_workloads(
+            graph, partition, algorithm, state, workloads
+        )
+
+    def _plan(
+        self,
+        iteration: int,
+        fragment_frontiers: list,
+        workloads: np.ndarray,
+        context: RunContext,
+    ) -> IterationPlan:
+        """Ask the stealing arbitrator who processes what; check it."""
+        wall_start = time.perf_counter()
+        plan = self._scheduler.plan(
+            iteration, fragment_frontiers, workloads, context
+        )
+        plan.real_decision_seconds = max(
+            plan.real_decision_seconds, time.perf_counter() - wall_start
+        )
+        self._validate_plan(plan, workloads, context.num_workers,
+                            context.dead_workers)
+        if not plan.active_workers:
+            raise EngineError("iteration plan has no active workers")
+        return plan
 
     # ------------------------------------------------------------------
     def _price_chunks(
@@ -559,7 +509,11 @@ class BSPEngine:
         is the per-chunk recurrence from the module docstring; the
         ground-truth ``g*`` is evaluated once per *fragment* (it is a
         deterministic function of the fragment's features), then
-        broadcast over that fragment's chunks.
+        broadcast over that fragment's chunks. Pricing compute from the
+        owning fragment's features — the W_i granularity of the paper's
+        c_ij — keeps it identical across engines even when the
+        effective workload is decoupled from the frontier (pull-mode
+        BFS, near-far discounts).
         """
         busy = np.zeros(num_workers)
         compute_part = np.zeros(num_workers)
@@ -605,6 +559,15 @@ class BSPEngine:
         np.add.at(busy, workers, compute + comm)
         np.add.at(compute_part, workers, compute)
         np.add.at(comm_part, workers, comm)
+        scale = (
+            None if self._chaos is None
+            else self._chaos.compute_scale(iteration)
+        )
+        if scale is not None:
+            # a slowed worker's kernels stretch; everything else
+            # (transfers, sync) is unaffected
+            busy = busy + compute_part * (scale - 1.0)
+            compute_part = compute_part * scale
         return busy, compute_part, comm_part
 
     def _charge_flaky_retries(

@@ -144,8 +144,8 @@ class RunResult:
     def obs_overhead_pct(self) -> Optional[float]:
         """Observability overhead as a percentage of run wall time.
 
-        ``None`` when the run predates self-measurement (no wall time
-        recorded) — old archived manifests stay diffable.
+        ``None`` when no wall time was recorded (a hand-built result, a
+        manifest archived before self-measurement) — those stay diffable.
         """
         if self.run_wall_seconds <= 0.0:
             return None

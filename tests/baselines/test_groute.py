@@ -141,3 +141,29 @@ def test_ring_load_pinned_on_cf_wcc():
                        num_gpus=8, seed=0)
     assert result.total_ms == 8924.428545225062
     assert result.num_iterations == 4
+
+
+@pytest.mark.parametrize("algorithm", ["bfs", "pr"])
+def test_observability_self_measurement(skewed_graph, skewed_partition,
+                                        source, algorithm):
+    """Both Groute paths report the host-clock self-measurement every
+    engine's run envelope takes: a wall time always, observability
+    seconds only when an observer is attached."""
+    from repro.obs import InMemorySink, MetricsRegistry, Tracer
+
+    params = {"source": source} if algorithm == "bfs" else {}
+    silent = GrouteEngine(dgx1(8)).run(
+        skewed_graph, skewed_partition, algorithm, **params
+    )
+    assert silent.run_wall_seconds > 0.0
+    assert silent.obs_seconds == 0.0
+    assert silent.obs_overhead_pct() == 0.0
+
+    traced = GrouteEngine(
+        dgx1(8), tracer=Tracer(sinks=[InMemorySink()]),
+        metrics=MetricsRegistry(),
+    ).run(skewed_graph, skewed_partition, algorithm, **params)
+    assert traced.run_wall_seconds > 0.0
+    assert traced.obs_seconds > 0.0
+    assert traced.obs_overhead_pct() is not None
+    assert traced.total_ms == silent.total_ms

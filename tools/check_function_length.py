@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Ratchet on function length under ``src/repro``.
+"""Limit on function length under ``src/repro``.
 
 A function nobody can hold in their head is where decision logic,
 bookkeeping and observability end up interleaved — ``GumScheduler.plan``
-was 252 lines before it became five named stages. This checker keeps
-that from growing back: every function longer than :data:`LIMIT` lines
-fails unless it is on the allow-list below, and the list only ratchets
-down — a listed function whose length differs from its listing (it
-grew, or it shrank and the listing was not lowered), or a listing whose
-function is gone or now within the limit, fails too.
+was 252 lines before it became five named stages, ``build_parser`` 498
+before it became one registrar per verb. This checker keeps that from
+growing back: no function under ``src/repro`` may exceed :data:`LIMIT`
+lines, and there is no allow-list.
 
 Length is the ``def`` line through the last line of the body
 (docstring included, decorators excluded).
 
 Usage: ``python tools/check_function_length.py [repo-root]``
-(defaults to the checkout this file lives in). Exits non-zero on any
-violation.
+(defaults to the checkout this file lives in). Exits non-zero when a
+function is over the limit.
 """
 
 from __future__ import annotations
@@ -23,17 +21,10 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
-#: longest function allowed without a listing
+#: longest function allowed
 LIMIT = 120
-
-#: ``path::qualified.name`` -> current length of today's offenders.
-#: Shrink a function and lower (or drop) its entry; never raise one.
-ALLOWED = {
-    "src/repro/cli.py::build_parser": 498,
-    "src/repro/runtime/bsp.py::BSPEngine.run": 131,
-}
 
 
 def function_lengths(path: pathlib.Path) -> Iterator[Tuple[str, int]]:
@@ -57,35 +48,17 @@ def function_lengths(path: pathlib.Path) -> Iterator[Tuple[str, int]]:
     return visit(tree, "")
 
 
-def check_tree(root: pathlib.Path,
-               allowed: Dict[str, int] = ALLOWED) -> List[str]:
+def check_tree(root: pathlib.Path) -> List[str]:
     """Violation messages for the ``src/repro`` tree under ``root``."""
     violations: List[str] = []
-    seen = set()
     for file in sorted((root / "src" / "repro").rglob("*.py")):
         relative = file.relative_to(root).as_posix()
         for name, length in function_lengths(file):
-            key = f"{relative}::{name}"
-            listed = allowed.get(key)
-            if listed is not None:
-                seen.add(key)
-            if length > LIMIT and listed is None:
+            if length > LIMIT:
                 violations.append(
-                    f"{key}: {length} lines (limit {LIMIT}); split it "
-                    "into named stages"
+                    f"{relative}::{name}: {length} lines (limit {LIMIT}); "
+                    "split it into named stages"
                 )
-            elif listed is not None and length > listed:
-                violations.append(
-                    f"{key}: grew from {listed} to {length} lines"
-                )
-            elif listed is not None and length < listed:
-                violations.append(
-                    f"{key}: stale listing, now {length} lines — "
-                    + ("drop it" if length <= LIMIT
-                       else f"lower it from {listed}")
-                )
-    for key in sorted(set(allowed) - seen):
-        violations.append(f"{key}: stale listing, no such function")
     return violations
 
 
