@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from repro import __version__
 from repro.algorithms import ALGORITHMS
 from repro.bench import Cell, run_cell
 from repro.bench.workloads import ENGINE_NAMES
+from repro.chaos import ChaosController, ChaosScenario
 from repro.core import GumConfig
 from repro.core.costmodel import (
-    CostModel,
     artifact_label,
     model_label,
     resolve_cost_model,
@@ -48,16 +48,18 @@ from repro.core.costmodel import (
 from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.properties import degree_summary, pseudo_diameter
-from repro.hardware import dgx1
+from repro.hardware import Topology, dgx1, parse_topology
 from repro.obs import (
     ChromeTraceSink,
     JsonlSink,
     MetricsRegistry,
+    StreamingSink,
     Tracer,
+    write_prom,
 )
 from repro.backend import BACKEND_NAMES
 from repro.partition.partitioners import PARTITIONERS
-from repro.runs import result_summary
+from repro.runs import result_summary, workload_fingerprint
 from repro.runtime import EngineOptions, RunResult
 from repro.runtime.trace import render_timeline
 
@@ -189,38 +191,6 @@ def _add_ref_arg(p: argparse.ArgumentParser, help: str,
         p.add_argument("ref", help=help)
 
 
-def _chaos_from_args(args: argparse.Namespace):
-    """Build a fresh fault controller from ``--chaos`` (else None).
-
-    Fresh per call so each engine of a ``compare`` replays the same
-    scenario from a clean schedule.
-    """
-    path = getattr(args, "chaos", None)
-    if not path:
-        return None
-    from repro.chaos import ChaosController, ChaosScenario
-
-    return ChaosController(ChaosScenario.from_file(path))
-
-
-def _cost_model_from_args(args: argparse.Namespace) -> CostModel:
-    """``--cost-model`` resolved once per invocation: every engine of
-    a ``compare`` and the workload fingerprint share the instance."""
-    args.cost_model = resolve_cost_model(args.cost_model)
-    return args.cost_model
-
-
-def _gum_config_from_args(args: argparse.Namespace) -> GumConfig:
-    return GumConfig(
-        fsteal=not args.no_fsteal,
-        osteal=not args.no_osteal,
-        hub_cache=not args.no_hub_cache,
-        solver=args.solver,
-        cost_model=_cost_model_from_args(args),
-        amortize=not args.no_amortize,
-    )
-
-
 def _cmd_datasets(args: argparse.Namespace) -> int:
     print(f"{'abbr':5s} {'original':18s} {'domain':6s} "
           f"{'|V|':>8s} {'|E|':>9s} {'diam~':>6s} {'gini':>5s}")
@@ -282,16 +252,6 @@ def _register_topology(sub) -> None:
     p_topology.set_defaults(func=_cmd_topology)
 
 
-def _trace_meta(args: argparse.Namespace, engine: str) -> dict:
-    return {
-        "engine": engine,
-        "algorithm": args.algorithm,
-        "graph": args.graph,
-        "num_gpus": args.gpus,
-        "partitioner": args.partitioner,
-    }
-
-
 def _trace_path(path: str) -> str:
     """Fail fast on an unwritable trace path.
 
@@ -308,62 +268,6 @@ def _trace_path(path: str) -> str:
     return path
 
 
-def _make_observers(
-    args: argparse.Namespace,
-    engine: str,
-    trace_path: Optional[str],
-    stream_target: Optional[str] = None,
-) -> Tuple[Optional[Tracer], Optional[MetricsRegistry]]:
-    """Observers requested by ``--trace``/``--stream``/``--metrics``.
-
-    A ``.jsonl`` trace path streams raw span records; any other suffix
-    writes Chrome ``trace_event`` JSON for Perfetto / chrome://tracing.
-    ``--stream`` attaches a live :class:`StreamingSink` (path,
-    ``fd://N``, or ``unix://PATH``) that emits span events as the
-    engine iterates, with periodic metrics snapshots. ``--prom``
-    implies a metrics registry so there is a snapshot to render.
-    """
-    from repro.obs.live import StreamingSink
-
-    meta = _trace_meta(args, engine)
-    wants_metrics = (
-        getattr(args, "metrics", False)
-        or getattr(args, "prom", None)
-        or stream_target
-    )
-    metrics = MetricsRegistry() if wants_metrics else None
-    sinks = []
-    if trace_path:
-        trace_path = _trace_path(trace_path)
-        sinks.append(
-            JsonlSink(trace_path, meta=meta)
-            if trace_path.endswith(".jsonl")
-            else ChromeTraceSink(trace_path, meta=meta)
-        )
-    if stream_target:
-        sinks.append(StreamingSink(
-            stream_target,
-            meta=meta,
-            metrics=metrics,
-            snapshot_every=getattr(args, "stream_every", 10),
-        ))
-    tracer = Tracer(sinks=sinks, meta=meta) if sinks else None
-    return tracer, metrics
-
-
-def _maybe_prom(
-    args: argparse.Namespace, metrics: Optional[MetricsRegistry]
-) -> Optional[str]:
-    """Write the Prometheus snapshot when ``--prom`` was given."""
-    path = getattr(args, "prom", None)
-    if not path or metrics is None:
-        return None
-    from repro.obs.prom import write_prom
-
-    write_prom(path, metrics.snapshot())
-    return path
-
-
 def _registry_from_args(args: argparse.Namespace):
     """Registry at ``--runs-dir``, ``$REPRO_RUNS_DIR``, or the default."""
     from repro.runs import RunRegistry
@@ -373,92 +277,164 @@ def _registry_from_args(args: argparse.Namespace):
     return RunRegistry(root)
 
 
-def _workload_from_args(args: argparse.Namespace, engine: str) -> dict:
-    from repro.runs import workload_fingerprint
+class _Request(NamedTuple):
+    """What ``run`` / ``compare`` / ``profile`` / ``runs record`` were
+    asked to run, resolved once per invocation into plain values.
 
-    chaos = _chaos_from_args(args)
-    return workload_fingerprint(
-        engine=engine,
+    The cell, every trace and stream header and the recorded
+    fingerprint read ``num_gpus`` from here, so they cannot disagree
+    under ``--topology`` (which overrides ``--gpus``); every engine of
+    a ``compare`` shares the cost-model instance and the parsed
+    scenario.
+    """
+
+    algorithm: str
+    graph: str
+    num_gpus: int
+    partitioner: str
+    topology: Optional[Topology]  # None: the --gpus DGX-1 sub-topology
+    topology_spec: Optional[str]
+    gum_config: GumConfig
+    options: Optional[EngineOptions]
+    scenario: Optional[ChaosScenario]
+
+    def meta(self, engine: str) -> dict:
+        """Run-level annotations of every trace and stream header."""
+        return {
+            "engine": engine,
+            "algorithm": self.algorithm,
+            "graph": self.graph,
+            "num_gpus": self.num_gpus,
+            "partitioner": self.partitioner,
+        }
+
+    def workload(self, engine: str) -> dict:
+        """The identity half of a recorded run's fingerprint."""
+        config = self.gum_config
+        return workload_fingerprint(
+            **self.meta(engine),
+            solver=config.solver,
+            cost_model=model_label(config.cost_model),
+            amortize=config.amortize,
+            chaos=(self.scenario.name if self.scenario is not None
+                   else "none"),
+            topology=self.topology_spec or "default",
+        )
+
+
+def _request_from_args(args: argparse.Namespace) -> _Request:
+    """Resolve the ``_add_run_args`` options; ``args`` is only read."""
+    topology = (
+        parse_topology(args.topology) if args.topology is not None
+        else None
+    )
+    return _Request(
         algorithm=args.algorithm,
         graph=args.graph,
-        num_gpus=args.gpus,
+        num_gpus=topology.num_gpus if topology is not None else args.gpus,
         partitioner=args.partitioner,
-        solver=args.solver,
-        cost_model=model_label(_cost_model_from_args(args)),
-        amortize=not args.no_amortize,
-        chaos=chaos.scenario.name if chaos is not None else "none",
-        topology=getattr(args, "topology", None) or "default",
-    )
-
-
-def _maybe_record(
-    args: argparse.Namespace,
-    engine: str,
-    result: RunResult,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Optional[str]:
-    """Archive the run when ``--record`` was given; returns its id."""
-    if not getattr(args, "record", False):
-        return None
-    registry = _registry_from_args(args)
-    return registry.record_result(
-        result,
-        _workload_from_args(args, engine),
-        metrics=metrics.snapshot() if metrics is not None else None,
-    )
-
-
-def _topology_from_args(args: argparse.Namespace):
-    """Resolve ``--topology``; a cluster selector also sets the GPU
-    count (``args.gpus`` feeds the cell, fingerprint, and trace meta).
-    """
-    spec = getattr(args, "topology", None)
-    if spec is None:
-        return None
-    from repro.hardware import parse_topology
-
-    topology = parse_topology(spec)
-    args.gpus = topology.num_gpus
-    return topology
-
-
-def _run_one(
-    args: argparse.Namespace,
-    engine: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> RunResult:
-    backend = getattr(args, "backend", "serial")
-    options = (
-        EngineOptions(backend=backend) if backend != "serial" else None
-    )
-    topology = _topology_from_args(args)
-    return run_cell(
-        Cell(engine, args.algorithm, args.graph, args.gpus,
-             args.partitioner),
-        gum_config=_gum_config_from_args(args),
-        options=options,
-        tracer=tracer,
-        metrics=metrics,
-        chaos=_chaos_from_args(args),
         topology=topology,
+        topology_spec=args.topology,
+        gum_config=GumConfig(
+            fsteal=not args.no_fsteal,
+            osteal=not args.no_osteal,
+            hub_cache=not args.no_hub_cache,
+            solver=args.solver,
+            cost_model=resolve_cost_model(args.cost_model),
+            amortize=not args.no_amortize,
+        ),
+        options=(
+            EngineOptions(backend=args.backend)
+            if args.backend != "serial" else None
+        ),
+        scenario=(
+            ChaosScenario.from_file(args.chaos) if args.chaos else None
+        ),
     )
+
+
+def _trace_sinks(path: Optional[str]) -> dict:
+    """``--trace`` by suffix: ``*.jsonl`` streams raw span records,
+    anything else is Chrome ``trace_event`` JSON for Perfetto."""
+    if not path:
+        return {}
+    return {"jsonl": path} if path.endswith(".jsonl") else {"chrome": path}
+
+
+def _observed_run(
+    request: _Request,
+    engine: str,
+    *,
+    chrome: Optional[str] = None,
+    jsonl: Optional[str] = None,
+    stream: Optional[str] = None,
+    stream_every: int = 10,
+    prom: Optional[str] = None,
+    metrics: bool = False,
+    registry=None,
+) -> Tuple[RunResult, Optional[dict], Optional[str]]:
+    """Run ``engine`` on the requested workload under the observers
+    asked for; returns ``(result, metrics snapshot, run_id)``.
+
+    ``stream`` is a live :class:`StreamingSink` target (path,
+    ``fd://N`` or ``unix://PATH``); it and ``prom`` imply ``metrics``
+    so there is a snapshot to render. The sinks are closed
+    whether the run returns or raises, so a failed run still leaves
+    its Chrome trace written and its stream ended; the error
+    propagates to ``main()`` and nothing is written to ``prom`` or
+    archived in ``registry`` (``None``: do not record).
+    """
+    meta = request.meta(engine)
+    collected = MetricsRegistry() if (metrics or prom or stream) else None
+    with Tracer(meta=meta) as tracer:
+        if chrome:
+            tracer.add_sink(ChromeTraceSink(_trace_path(chrome), meta=meta))
+        if jsonl:
+            tracer.add_sink(JsonlSink(_trace_path(jsonl), meta=meta))
+        if stream:
+            tracer.add_sink(StreamingSink(
+                stream, meta=meta, metrics=collected,
+                snapshot_every=stream_every,
+            ))
+        result = run_cell(
+            Cell(engine, request.algorithm, request.graph,
+                 request.num_gpus, request.partitioner),
+            gum_config=request.gum_config,
+            options=request.options,
+            tracer=tracer if tracer.sinks else None,
+            metrics=collected,
+            # fresh per engine: each engine of a ``compare`` replays
+            # the scenario from a clean schedule
+            chaos=(ChaosController(request.scenario)
+                   if request.scenario is not None else None),
+            topology=request.topology,
+        )
+    snapshot = collected.snapshot() if collected is not None else None
+    if prom:
+        write_prom(prom, snapshot)
+    run_id = None
+    if registry is not None:
+        run_id = registry.record_result(
+            result, request.workload(engine), metrics=snapshot
+        )
+    return result, snapshot, run_id
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _topology_from_args(args)  # fix args.gpus before the trace meta
-    tracer, metrics = _make_observers(
-        args, args.engine, args.trace, stream_target=args.stream
+    result, metrics, run_id = _observed_run(
+        _request_from_args(args),
+        args.engine,
+        **_trace_sinks(args.trace),
+        stream=args.stream,
+        stream_every=args.stream_every,
+        prom=args.prom,
+        metrics=args.metrics,
+        registry=_registry_from_args(args) if args.record else None,
     )
-    result = _run_one(args, args.engine, tracer=tracer, metrics=metrics)
-    if tracer is not None:
-        tracer.close()
-    run_id = _maybe_record(args, args.engine, result, metrics)
-    prom_path = _maybe_prom(args, metrics)
     if args.json:
         payload = result_summary(result)
-        if args.metrics and metrics is not None:
-            payload["metrics"] = metrics.snapshot()
+        if args.metrics:
+            payload["metrics"] = metrics
         if run_id:
             payload["run_id"] = run_id
         print(json.dumps(payload, indent=2))
@@ -475,13 +451,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  trace        : {args.trace}")
     if args.stream:
         print(f"  stream       : {args.stream}")
-    if prom_path:
-        print(f"  prometheus   : {prom_path}")
+    if args.prom:
+        print(f"  prometheus   : {args.prom}")
     if run_id:
         print(f"  recorded     : {run_id}")
-    if args.metrics and metrics is not None:
+    if args.metrics:
         print("metrics:")
-        print(json.dumps(metrics.snapshot(), indent=2))
+        print(json.dumps(metrics, indent=2))
     return 0
 
 
@@ -494,8 +470,11 @@ def _register_run(sub) -> None:
     p_run.set_defaults(func=_cmd_run)
 
 
-def _engine_trace_path(base: str, engine: str) -> str:
-    """Per-engine trace file for ``compare`` (one run, one file)."""
+def _engine_trace_path(base: Optional[str], engine: str) -> Optional[str]:
+    """Per-engine artifact file for ``compare`` (one run, one file);
+    an artifact that was not asked for stays ``None``."""
+    if not base:
+        return None
     path = Path(base)
     return str(path.with_name(f"{path.stem}.{engine}{path.suffix}"))
 
@@ -517,31 +496,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if "groute" in ENGINE_NAMES and getattr(args, "chaos", None) is None:
             print("note: skipping groute (execution backends require a "
                   "BSP-style engine)", file=sys.stderr)
-    stream_base = args.stream
-    prom_base = getattr(args, "prom", None)
+    request = _request_from_args(args)
+    registry = _registry_from_args(args) if args.record else None
     for engine in engines:
-        trace_path = (
-            _engine_trace_path(args.trace, engine) if args.trace else None
-        )
-        stream_target = stream_base
-        if stream_base and not stream_base.startswith(("fd://", "unix://")):
+        stream = args.stream
+        if stream and not stream.startswith(("fd://", "unix://")):
             # one stream file per engine; fd/socket targets are shared
             # (the engines run sequentially, so events never interleave)
-            stream_target = _engine_trace_path(stream_base, engine)
-        tracer, metrics = _make_observers(
-            args, engine, trace_path, stream_target=stream_target
+            stream = _engine_trace_path(stream, engine)
+        result, metrics, run_id = _observed_run(
+            request,
+            engine,
+            **_trace_sinks(_engine_trace_path(args.trace, engine)),
+            stream=stream,
+            stream_every=args.stream_every,
+            prom=_engine_trace_path(args.prom, engine),
+            metrics=args.metrics,
+            registry=registry,
         )
-        result = _run_one(args, engine, tracer=tracer, metrics=metrics)
-        if tracer is not None:
-            tracer.close()
-        if prom_base and metrics is not None:
-            from repro.obs.prom import write_prom
-
-            write_prom(_engine_trace_path(prom_base, engine),
-                       metrics.snapshot())
-        if args.metrics and metrics is not None:
-            snapshots[engine] = metrics.snapshot()
-        run_id = _maybe_record(args, engine, result, metrics)
+        if args.metrics:
+            snapshots[engine] = metrics
         if run_id:
             run_ids[engine] = run_id
         rows.append((engine, result))
@@ -556,7 +530,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             payload[engine]["run_id"] = run_id
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"{args.algorithm} on {args.graph} ({args.gpus} GPUs):")
+    print(f"{args.algorithm} on {args.graph} ({request.num_gpus} GPUs):")
     for engine, result in rows:
         marker = "  <-- best" if engine == best else ""
         print(f"  {engine:8s}: {result.total_ms:10.2f} ms "
@@ -581,24 +555,22 @@ def _register_compare(sub) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """One instrumented run -> Chrome trace + metrics snapshot."""
-    meta = _trace_meta(args, args.engine)
-    tracer = Tracer(sinks=[ChromeTraceSink(_trace_path(args.out),
-                                           meta=meta)],
-                    meta=meta)
-    if args.jsonl:
-        tracer.add_sink(JsonlSink(_trace_path(args.jsonl), meta=meta))
-    metrics = MetricsRegistry()
-    result = _run_one(args, args.engine, tracer=tracer, metrics=metrics)
-    tracer.close()
-    run_id = _maybe_record(args, args.engine, result, metrics)
-    prom_path = _maybe_prom(args, metrics)
+    result, metrics, run_id = _observed_run(
+        _request_from_args(args),
+        args.engine,
+        chrome=args.out,
+        jsonl=args.jsonl,
+        prom=args.prom,
+        metrics=True,
+        registry=_registry_from_args(args) if args.record else None,
+    )
     summary = result_summary(result)
-    summary["metrics"] = metrics.snapshot()
+    summary["metrics"] = metrics
     summary["trace"] = args.out
     if args.jsonl:
         summary["trace_jsonl"] = args.jsonl
-    if prom_path:
-        summary["prometheus"] = prom_path
+    if args.prom:
+        summary["prometheus"] = args.prom
     if run_id:
         summary["run_id"] = run_id
     if args.json:
@@ -962,13 +934,10 @@ def _register_replay(sub) -> None:
 
 def _cmd_runs_record(args: argparse.Namespace) -> int:
     """Run one workload fully instrumented and archive it."""
-    metrics = MetricsRegistry()
-    result = _run_one(args, args.engine, metrics=metrics)
     registry = _registry_from_args(args)
-    run_id = registry.record_result(
-        result,
-        _workload_from_args(args, args.engine),
-        metrics=metrics.snapshot(),
+    result, _, run_id = _observed_run(
+        _request_from_args(args), args.engine,
+        metrics=True, registry=registry,
     )
     if args.json:
         payload = result_summary(result)
@@ -1201,23 +1170,16 @@ def _register_runs(sub) -> None:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Explain a recorded run's decisions from its archived ledger."""
-    from repro.obs.ledger import Ledger, LedgerError, explain_lines
+    from repro.obs.ledger import Ledger, explain_lines
 
     payload = _registry_from_args(args).load_ledger(args.ref)
     ledger = Ledger.from_dict(payload)
     if args.json:
-        if args.iteration is not None:
-            matches = [entry for entry in ledger.entries
-                       if entry["iteration"] == args.iteration]
-            if not matches:
-                raise LedgerError(
-                    f"no ledger entry for iteration {args.iteration} "
-                    f"(recorded: "
-                    f"{[e['iteration'] for e in ledger.entries]})"
-                )
-            print(json.dumps(matches[0], indent=2, sort_keys=True))
-        else:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+        shown = (
+            payload if args.iteration is None
+            else ledger.entry(args.iteration)
+        )
+        print(json.dumps(shown, indent=2, sort_keys=True))
         return 0
     for line in explain_lines(ledger, iteration=args.iteration):
         print(line)
@@ -1367,8 +1329,6 @@ def _cmd_slo_check(args: argparse.Namespace) -> int:
         )
         print(f"report: {path}")
     if args.prom:
-        from repro.obs.prom import write_prom
-
         write_prom(args.prom, manifest.get("metrics") or {})
         print(f"prometheus: {args.prom}")
     return report.exit_code

@@ -640,6 +640,22 @@ class Ledger:
             return len(self._raw)
         return len(self._entries) if self._entries is not None else 0
 
+    def entry(self, iteration: int) -> dict:
+        """The decision recorded for ``iteration``; the one lookup (and
+        the one miss message) behind ``repro explain --iteration``."""
+        entries = self.entries
+        for entry in entries:
+            if entry["iteration"] == iteration:
+                return entry
+        span = (
+            f", iterations {entries[0]['iteration']}.."
+            f"{entries[-1]['iteration']}" if entries else ""
+        )
+        raise LedgerError(
+            f"no ledger entry for iteration {iteration} "
+            f"(run has {len(entries)} decisions{span})"
+        )
+
     def last_rmsre_online(self) -> Optional[float]:
         """Online RMSRE over the samples so far (``None`` before one)."""
         return self._online.value if self._online.count else None
@@ -944,15 +960,7 @@ def explain_lines(ledger: Ledger,
         lines.append(f"  fault: {fault['kind']}{detail} at {where}")
 
     if iteration is not None:
-        entry = next(
-            (e for e in ledger.entries if e["iteration"] == iteration),
-            None,
-        )
-        if entry is None:
-            raise LedgerError(
-                f"no ledger entry for iteration {iteration} "
-                f"(run has {len(ledger.entries)} decisions)"
-            )
+        entry = ledger.entry(iteration)
         lines.append("")
         lines.append(_entry_line(entry))
         if entry["fingerprint"]:

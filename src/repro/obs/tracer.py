@@ -263,6 +263,14 @@ class Tracer:
         for sink in self._sinks:
             sink.close()
 
+    def __enter__(self) -> "Tracer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Close on every exit path: a run that raises still leaves
+        its trace written and its live stream ended."""
+        self.close()
+
 
 class _NullSpan:
     """Reusable no-op span handle."""

@@ -11,6 +11,7 @@ the checker detects all three failure modes and that the committed
 workflows are currently clean.
 """
 
+import ast
 import pathlib
 import re
 import shutil
@@ -278,6 +279,44 @@ def test_engine_loops_and_the_parser_stay_short():
     assert _lengths("cli.py")["build_parser"] <= 40
     for relative in ("cli.py", "runtime/bsp.py", "baselines/groute.py"):
         assert max(_lengths(relative).values()) <= 100, relative
+
+
+def test_cli_has_one_observed_run_path():
+    """``run`` / ``compare`` / ``profile`` / ``runs record`` share one
+    pipeline: one site manages the tracer's lifetime, each sink kind is
+    built once, one call records a run, and parsed arguments are
+    read-only (a value derived from them is returned, not written
+    back)."""
+    tree = ast.parse((REPO / "src" / "repro" / "cli.py").read_text())
+
+    def called(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    closes = [
+        c for c in calls if called(c) == "close"
+        and getattr(c.func.value, "id", None) == "tracer"
+    ]
+    managed = [
+        item for n in ast.walk(tree) if isinstance(n, ast.With)
+        for item in n.items
+        if isinstance(item.context_expr, ast.Call)
+        and called(item.context_expr) == "Tracer"
+    ]
+    assert len(closes) + len(managed) == 1
+    built = [called(c) for c in calls]
+    for once in ("Tracer", "StreamingSink", "JsonlSink",
+                 "ChromeTraceSink", "record_result"):
+        assert built.count(once) == 1, once
+    stores = [
+        ast.unparse(target)
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in getattr(n, "targets", None) or [n.target]
+        if isinstance(target, ast.Attribute)
+        and getattr(target.value, "id", None) == "args"
+    ]
+    assert stores == []
 
 
 def test_overlong_function_is_flagged(tmp_path):

@@ -7,8 +7,10 @@ scripts branch on. Each case below forces a ReproError through a
 different subcommand's code path.
 """
 
+import gc
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -210,12 +212,31 @@ CASES = [
         "--rules", _binary(d / "rules.json"),
         "--runs-dir", str(d),
     ]),
+    ("explain-iteration-miss", lambda d: [
+        "explain", REFERENCE_RUN, "--iteration", "9999",
+        "--runs-dir", str(d),
+    ]),
+    ("explain-iteration-miss-json", lambda d: [
+        "explain", REFERENCE_RUN, "--iteration", "9999", "--json",
+        "--runs-dir", str(d),
+    ]),
     ("slo-check-missing-rules", lambda d: [
         "slo", "check", "latest",
         "--rules", str(d / "absent-rules.yaml"),
         "--runs-dir", str(d),
     ]),
 ]
+
+
+def _the_one_error_line(capsys):
+    """The single ``error:`` line a failed verb prints; no traceback."""
+    err = capsys.readouterr().err
+    error_lines = [
+        line for line in err.splitlines() if line.startswith("error: ")
+    ]
+    assert len(error_lines) == 1
+    assert "Traceback" not in err
+    return error_lines[0]
 
 
 @pytest.mark.parametrize(
@@ -225,12 +246,67 @@ def test_bad_input_exits_2_with_one_line_error(
     argv_for, tmp_path, capsys
 ):
     assert main(argv_for(tmp_path)) == 2
-    err = capsys.readouterr().err
-    error_lines = [
-        line for line in err.splitlines() if line.startswith("error: ")
-    ]
-    assert len(error_lines) == 1
-    assert "Traceback" not in err
+    _the_one_error_line(capsys)
+
+
+def test_explain_iteration_miss_is_one_message(capsys):
+    """Text and ``--json`` share one lookup, so one miss message."""
+    messages = []
+    for flags in ([], ["--json"]):
+        assert main(["explain", REFERENCE_RUN,
+                     "--iteration", "9999", *flags]) == 2
+        messages.append(_the_one_error_line(capsys))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        "error: no ledger entry for iteration 9999 (run has "
+    )
+
+
+#: every backend of the fallback chain times out: the run raises
+SOLVER_EXHAUSTED = str(
+    Path(REFERENCE_RUN).parents[1] / "scenarios" / "solver-exhausted.json"
+)
+
+
+@pytest.mark.parametrize("argv, chrome, jsonl, stream", [
+    (["run", "--trace", "f.json", "--stream", "f.live"],
+     "f.json", None, "f.live"),
+    (["run", "--trace", "f.jsonl"], None, "f.jsonl", None),
+    (["profile", "--out", "p.json"], "p.json", None, None),
+    (["compare", "--trace", "c.json"], "c.gum.json", None, None),
+], ids=["run-chrome-stream", "run-jsonl", "profile", "compare"])
+def test_failed_run_still_closes_its_sinks(
+    argv, chrome, jsonl, stream, tmp_path, capsys, monkeypatch
+):
+    """A run that raises exits 2 with its one line *and* leaves the
+    trace written, the stream ended and nothing recorded."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(argv + [
+            "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",
+            "--chaos", SOLVER_EXHAUSTED,
+            "--record", "--runs-dir", "runs",
+        ])
+        gc.collect()  # an unclosed file warns when it is collected
+    assert code == 2
+    assert _the_one_error_line(capsys).startswith(
+        "error: all solver backends failed"
+    )
+    assert not (tmp_path / "runs").exists()
+    assert not [w for w in caught if w.category is ResourceWarning]
+    if chrome:
+        events = json.loads((tmp_path / chrome).read_text())["traceEvents"]
+        names = [event["name"] for event in events]
+        assert "run" in names and "chaos.solver_timeout" in names
+    if jsonl:
+        records = [json.loads(line) for line
+                   in (tmp_path / jsonl).read_text().splitlines()]
+        assert records[0]["format"] == "repro-trace"
+        assert records[-1]["name"] == "run"
+    if stream:
+        last = (tmp_path / stream).read_text().splitlines()[-1]
+        assert json.loads(last)["event"] == "end"
 
 
 def test_missing_cost_model_is_one_error_on_every_verb(tmp_path, capsys):

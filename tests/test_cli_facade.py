@@ -227,6 +227,51 @@ def test_cli_compare_writes_per_engine_traces(tmp_path, capsys):
         json.load(open(per_engine))
 
 
+def _header_num_gpus(path):
+    """``num_gpus`` as the artifact's own header states it."""
+    text = path.read_text()
+    if path.suffix == ".json":  # Chrome trace_event
+        return json.loads(text)["otherData"]["num_gpus"]
+    # repro-trace / repro-live: the header is the first line
+    return json.loads(text.splitlines()[0])["num_gpus"]
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["run", "--trace", "t.jsonl", "--stream", "s.live"],
+     ["t.jsonl", "s.live"]),
+    (["profile", "--out", "t.json", "--jsonl", "t.jsonl"],
+     ["t.json", "t.jsonl"]),
+    (["compare", "--trace", "t.jsonl"],
+     ["t.gum.jsonl", "t.gunrock.jsonl", "t.groute.jsonl"]),
+], ids=["run", "profile", "compare"])
+def test_cli_topology_sets_num_gpus_in_every_header(
+    argv, artifacts, tmp_path, capsys, monkeypatch
+):
+    """``--topology nodes=2x2`` overrides the ``--gpus`` default of 8:
+    the summary, every trace and stream header and the recorded
+    fingerprint all say 4."""
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + [
+        "--graph", "TX", "--algorithm", "bfs",
+        "--topology", "nodes=2x2",
+        "--json", "--record", "--runs-dir", "runs",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    summaries = payload.values() if argv[0] == "compare" else [payload]
+    manifests = sorted((tmp_path / "runs").glob("*/manifest.json"))
+    assert len(manifests) == len(summaries)
+    stated = {
+        "summary": [s["num_gpus"] for s in summaries],
+        "headers": [_header_num_gpus(tmp_path / a) for a in artifacts],
+        "fingerprints": [
+            json.loads(m.read_text())["fingerprint"]["workload"]["num_gpus"]
+            for m in manifests
+        ],
+    }
+    assert {n for values in stated.values() for n in values} == {4}, stated
+
+
 def test_parser_version():
     parser = build_parser()
     with pytest.raises(SystemExit):
