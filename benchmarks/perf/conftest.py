@@ -128,8 +128,7 @@ def naive_price_chunks(engine, plan, fragment_features, context,
                 home, chunk.worker,
                 chunk.vertices.size * config.BYTES_PER_VERTEX,
             )
-        if engine.options.kernel_per_chunk:
-            compute += timing.kernel_launch_seconds(1)
+        compute += timing.kernel_launch_seconds(1)
         busy[chunk.worker] += compute + comm
         compute_part[chunk.worker] += compute
         comm_part[chunk.worker] += comm

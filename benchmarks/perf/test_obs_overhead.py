@@ -11,14 +11,21 @@ run wall, so making the engine faster used to fail it (the same
 emission cost read 2.4-2.5 % of a 170 ms TX/bfs@4 run and 3.1-3.5 %
 once the run took 80-140 ms). Measured on the 2-core reference VM,
 TX/bfs@4 under ``gum``, 137 supersteps, in-memory sink + streaming
-sink + metrics registry, seven best-of-3 rounds: 19.1-22.5 us per
-superstep, median 20.2 (2.6-3.1 ms per run; 3.3-3.5 % of the run
-wall, reported below, not gated). The budget is 2x that median. It
-**excludes the prediction audit**: the audit runs inside the
-arbitrator's ``plan`` and is part of the decision's host cost, not of
-``obs_seconds``. The suite also proves the virtual clock is untouched:
-a streamed run and a silent run must charge bit-identical simulated
-time, or observability would perturb the physics it observes.
+sink + metrics registry, seven best-of-3 rounds: 48.5-57.5 us per
+superstep, median 51.5 (6.6-7.9 ms per run; 8.9-9.3 % of the run
+wall, reported below, not gated). The budget is 2x that median. The
+number covers emission, JSON encoding and the target write: the
+streaming sink does all three on the engine thread. Until PR 24 a
+writer thread did the last two outside the stopwatch, and the same
+rounds read 19.1-22.5 us, median 20.2 (22.8-27.6, median 25.7, when
+re-measured next to the figures above), under a 40 us budget - the
+run's wall was the same, two-thirds of the stream's cost was not
+counted. The budget still **excludes the prediction audit**: the audit
+runs inside the arbitrator's ``plan`` and is part of the decision's
+host cost, not of ``obs_seconds``. The suite also proves the virtual
+clock is untouched: a streamed run and a silent run must charge
+bit-identical simulated time, or observability would perturb the
+physics it observes.
 
 Cost is measured best-of-N (noise only ever inflates it, never
 deflates it), mirroring ``time_callable``. The ledger-recording gate
@@ -41,9 +48,10 @@ from repro.bench.workloads import (
 from repro.core import GumConfig
 from repro.obs import InMemorySink, MetricsRegistry, StreamingSink, Tracer
 
-#: host microseconds of span/metric emission per instrumented
-#: superstep: 2x the 20.2 us median measured on the reference VM
-STREAMING_BUDGET_US_PER_SUPERSTEP = 40.0
+#: host microseconds of emission + encoding + target write per
+#: instrumented superstep: 2x the 51.5 us median measured on the
+#: reference VM (40.0 = 2x 20.2 while a writer thread hid the last two)
+STREAMING_BUDGET_US_PER_SUPERSTEP = 100.0
 #: ledger recording, as a share of the recording-off run's wall
 OVERHEAD_BUDGET_PCT = 3.0
 BEST_OF = 3
@@ -71,7 +79,7 @@ def _run_tx_bfs(stream: bool):
 
 
 def test_streaming_overhead_within_budget():
-    """Emission costs < 40 us per superstep with streaming + metrics."""
+    """Streaming + metrics cost < 100 us of obs_seconds per superstep."""
     _run_tx_bfs(stream=True)  # warm caches outside the measurement
     runs = [_run_tx_bfs(stream=True) for _ in range(BEST_OF)]
     best = min(runs, key=lambda result: result.obs_seconds)

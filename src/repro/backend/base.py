@@ -50,9 +50,12 @@ class ExecutionSession(abc.ABC):
         self,
         iteration: int,
         fragment_frontiers: "Sequence[Frontier]",
-        context: "RunContext",
+        aggregate: bool,
     ) -> None:
         """Announce the iteration's distributed frontier.
+
+        ``aggregate`` is the switch :meth:`message_count` will be
+        asked with — workers need it to prepare their statistics.
 
         Called after the frontier split, before planning/pricing —
         a parallel backend dispatches work here so workers overlap

@@ -19,9 +19,9 @@ coordinator: the backend parallelizes the *numerical* work of a
 superstep, never the decisions — so virtual time and algorithm outputs
 are bit-identical to the serial backend (the equivalence tests pin
 this). Algorithms without an exact merge (floating-point *sums*, e.g.
-PageRank) fall back to the serial superstep in the coordinator while
-the session's workers stay idle; only min-style propagation currently
-parallelizes.
+PageRank) run the serial superstep in the coordinator, so the backend
+opens a serial session for them — no worker process, no shared block;
+only min-style propagation currently parallelizes.
 
 Lifecycle: sessions release every shared block and worker on
 ``close()`` — called from the engine's ``finally`` — and a
@@ -54,6 +54,32 @@ if TYPE_CHECKING:
 __all__ = ["SharedMemoryBackend", "SharedMemorySession"]
 
 
+def _idle_stats() -> dict:
+    """The ``backend_stats`` block before any work was dispatched."""
+    return {
+        "backend": "shmem",
+        "workers": 0,
+        "parallel_step": False,
+        "tasks": 0,
+        "startup_seconds": 0.0,
+        "dispatch_seconds": 0.0,
+        "collect_seconds": 0.0,
+    }
+
+
+class _SerialFallbackSession(SerialSession):
+    """``shmem`` for an algorithm with no exact merge: every superstep
+    is the coordinator's serial one, so nothing is spawned or mapped."""
+
+    def stats(self) -> dict:
+        """The shmem stats block, with no workers and no tasks."""
+        stats = _idle_stats()
+        shard = super().stats()
+        if shard is not None:
+            stats["shard_cache"] = shard["shard_cache"]
+        return stats
+
+
 class SharedMemorySession(ExecutionSession):
     """One run's worker pool plus its shared mappings."""
 
@@ -68,8 +94,6 @@ class SharedMemorySession(ExecutionSession):
     ) -> None:
         self._graph = graph
         self._partition = partition
-        self._serial = SerialSession(graph, partition)
-        self._parallel_step = bool(algorithm.supports_fragment_step)
         self._startup_timeout = startup_timeout
         self._task_timeout = task_timeout
         self._blocks: list = []
@@ -94,14 +118,9 @@ class SharedMemorySession(ExecutionSession):
         ]
         self._partials: dict = {}
         self._closed = False
-        self._stats = {
-            "backend": "shmem",
+        self._stats = _idle_stats() | {
             "workers": partition.num_fragments,
-            "parallel_step": self._parallel_step,
-            "tasks": 0,
-            "startup_seconds": 0.0,
-            "dispatch_seconds": 0.0,
-            "collect_seconds": 0.0,
+            "parallel_step": True,
         }
         try:
             self._start(graph, partition, algorithm, state)
@@ -131,21 +150,19 @@ class SharedMemorySession(ExecutionSession):
         self._frontier_view, frontier_spec = self._share(
             np.zeros(max(1, graph.num_vertices), dtype=np.int64)
         )
-        values_spec = partials_spec = None
-        if self._parallel_step:
-            # the coordinator's value array moves into shared memory so
-            # workers observe each merged superstep; copied back out in
-            # close() before the block is unlinked
-            self._values_view, values_spec = self._share(state.values)
-            state.values = self._values_view
-            # one partial row per fragment: workers scatter their relax
-            # minima here (inf = untouched) so the coordinator merges
-            # columns without partials ever crossing a pickle boundary
-            self._partials_view, partials_spec = self._share(
-                np.full(
-                    (partition.num_fragments, graph.num_vertices), np.inf
-                )
+        # the coordinator's value array moves into shared memory so
+        # workers observe each merged superstep; copied back out in
+        # close() before the block is unlinked
+        self._values_view, values_spec = self._share(state.values)
+        state.values = self._values_view
+        # one partial row per fragment: workers scatter their relax
+        # minima here (inf = untouched) so the coordinator merges
+        # columns without partials ever crossing a pickle boundary
+        self._partials_view, partials_spec = self._share(
+            np.full(
+                (partition.num_fragments, graph.num_vertices), np.inf
             )
+        )
         spec = WorkerSpec(
             indptr=indptr_spec,
             indices=indices_spec,
@@ -216,21 +233,18 @@ class SharedMemorySession(ExecutionSession):
         self,
         iteration: int,
         fragment_frontiers: "Sequence[Frontier]",
-        context: "RunContext",
+        aggregate: bool,
     ) -> None:
         """Dispatch this iteration's fragment tasks to the workers.
 
         Called before the scheduler plans, so the workers' adjacency
         walks overlap with the coordinator's decision and pricing.
         """
-        if not self._parallel_step:
-            return  # serial fallback computes everything in-process
         if self._pending:
             raise EngineError(
                 "shmem backend: previous iteration was never collected"
             )
         started = time.perf_counter()
-        aggregate = bool(context.extras.get("aggregate_messages", True))
         num_workers = len(self._task_queues)
         offset = 0
         pending = []
@@ -306,10 +320,6 @@ class SharedMemorySession(ExecutionSession):
         the fragment→worker mapping the scheduler settled on after
         dispatch (OSteal may have rewritten it).
         """
-        if not self._parallel_step:
-            return self._serial.message_count(
-                iteration, frontier, aggregate, context
-            )
         partials = self._collect(iteration)
         fragment_worker = context.fragment_worker
         total = 0
@@ -339,9 +349,7 @@ class SharedMemorySession(ExecutionSession):
         graph: "CSRGraph",
         state: "AlgorithmState",
     ) -> Frontier:
-        """Merge worker partials (or run the serial fallback step)."""
-        if not self._parallel_step:
-            return self._serial.step(iteration, algorithm, graph, state)
+        """Merge the workers' partial rows into the global state."""
         partials = self._collect(iteration)
         if not partials:
             return Frontier.empty()
@@ -421,8 +429,11 @@ class SharedMemoryBackend(ExecutionBackend):
         algorithm: "GASAlgorithm",
         state: "AlgorithmState",
         context: "RunContext",
-    ) -> SharedMemorySession:
-        """Map the graph, spawn workers, wait for the ready handshake."""
+    ) -> ExecutionSession:
+        """Map the graph, spawn workers, wait for the ready handshake —
+        when the algorithm's superstep can be merged from fragments."""
+        if not algorithm.supports_fragment_step:
+            return _SerialFallbackSession(graph, partition)
         return SharedMemorySession(
             graph, partition, algorithm, state,
             startup_timeout=30.0 * max(1, partition.num_fragments),

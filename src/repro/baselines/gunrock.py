@@ -54,11 +54,6 @@ class GunrockEngine(BSPEngine):
     ----------
     topology:
         Machine layout.
-    direction_optimized_bfs:
-        Enable the push/pull switch for BFS (default True).
-    bfs_alpha:
-        Pull mode engages when frontier out-edges exceed
-        ``|E| / bfs_alpha``.
     near_far_sssp:
         Enable the near-far bucket model for SSSP (default True).
     near_far_work_factor:

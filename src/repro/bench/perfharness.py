@@ -693,11 +693,13 @@ def _obs_stream_span():
     from repro.obs.live import StreamingSink
     from repro.obs.tracer import SpanRecord
 
-    sink = StreamingSink(open(os.devnull, "w"))
+    # every ``superstep`` span is a heartbeat at this cadence, so each
+    # emit encodes and writes its own line: the unbatched worst case
+    sink = StreamingSink(open(os.devnull, "w"), snapshot_every=1)
     record = SpanRecord(
-        name="busy", track="gpu3", cat="engine",
+        name="superstep", track="coordinator", cat="superstep",
         virtual_start=0.0071, virtual_dur=1.1e-4,
-        attrs={"iteration": 7, "gpu": 3},
+        attrs={"iteration": 7, "frontier_size": 4096},
     )
     return lambda: sink.emit(record)
 
@@ -843,7 +845,6 @@ def _rmat16_workload(workers: int = 4):
         fragment_home=np.arange(workers, dtype=np.int64),
         fragment_worker=np.arange(workers, dtype=np.int64),
         algorithm_name=algorithm.name,
-        extras={"aggregate_messages": True},
     )
     return graph, partition, algorithm, state, context
 
@@ -877,7 +878,7 @@ def _backend_fixture(backend: str, workers: int = 4):
         frontier = Frontier.from_sorted(active)
         state.frontier = frontier
         fragments = frontier.split_by_owner(partition.owner, workers)
-        session.begin_iteration(iteration, fragments, context)
+        session.begin_iteration(iteration, fragments, True)
         messages = session.message_count(iteration, frontier, True,
                                          context)
         return messages, session.step(

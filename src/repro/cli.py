@@ -25,6 +25,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -361,6 +362,23 @@ def _trace_sinks(path: Optional[str]) -> dict:
     return {"jsonl": path} if path.endswith(".jsonl") else {"chrome": path}
 
 
+class _Observed:
+    """What :func:`_observed_run` hands back for one engine: the
+    result, the metrics snapshot (``None`` with no registry attached),
+    the id it was recorded under (``None`` when it was not) and the
+    run's :func:`result_summary`, folded on first read and then kept —
+    the recorded manifest and ``--json`` print the same fold."""
+
+    def __init__(self, result: RunResult, metrics: Optional[dict]) -> None:
+        self.result = result
+        self.metrics = metrics
+        self.run_id: Optional[str] = None
+
+    @functools.cached_property
+    def summary(self) -> dict:
+        return result_summary(self.result)
+
+
 def _observed_run(
     request: _Request,
     engine: str,
@@ -372,9 +390,9 @@ def _observed_run(
     prom: Optional[str] = None,
     metrics: bool = False,
     registry=None,
-) -> Tuple[RunResult, Optional[dict], Optional[str]]:
+) -> _Observed:
     """Run ``engine`` on the requested workload under the observers
-    asked for; returns ``(result, metrics snapshot, run_id)``.
+    asked for.
 
     ``stream`` is a live :class:`StreamingSink` target (path,
     ``fd://N`` or ``unix://PATH``); it and ``prom`` imply ``metrics``
@@ -409,19 +427,21 @@ def _observed_run(
                    if request.scenario is not None else None),
             topology=request.topology,
         )
-    snapshot = collected.snapshot() if collected is not None else None
+    observed = _Observed(
+        result, collected.snapshot() if collected is not None else None
+    )
     if prom:
-        write_prom(prom, snapshot)
-    run_id = None
+        write_prom(prom, observed.metrics)
     if registry is not None:
-        run_id = registry.record_result(
-            result, request.workload(engine), metrics=snapshot
+        observed.run_id = registry.record_result(
+            result, request.workload(engine), metrics=observed.metrics,
+            summary=observed.summary,
         )
-    return result, snapshot, run_id
+    return observed
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result, metrics, run_id = _observed_run(
+    observed = _observed_run(
         _request_from_args(args),
         args.engine,
         **_trace_sinks(args.trace),
@@ -431,8 +451,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics=args.metrics,
         registry=_registry_from_args(args) if args.record else None,
     )
+    result, metrics, run_id = (
+        observed.result, observed.metrics, observed.run_id
+    )
     if args.json:
-        payload = result_summary(result)
+        payload = dict(observed.summary)
         if args.metrics:
             payload["metrics"] = metrics
         if run_id:
@@ -481,8 +504,6 @@ def _engine_trace_path(base: Optional[str], engine: str) -> Optional[str]:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
-    snapshots = {}
-    run_ids = {}
     engines = ENGINE_NAMES
     if getattr(args, "chaos", None):
         # groute's asynchronous runtime has no superstep boundary to
@@ -504,7 +525,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             # one stream file per engine; fd/socket targets are shared
             # (the engines run sequentially, so events never interleave)
             stream = _engine_trace_path(stream, engine)
-        result, metrics, run_id = _observed_run(
+        observed = _observed_run(
             request,
             engine,
             **_trace_sinks(_engine_trace_path(args.trace, engine)),
@@ -514,32 +535,30 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             metrics=args.metrics,
             registry=registry,
         )
-        if args.metrics:
-            snapshots[engine] = metrics
-        if run_id:
-            run_ids[engine] = run_id
-        rows.append((engine, result))
-    best = min(rows, key=lambda row: row[1].total_seconds)[0]
+        rows.append((engine, observed))
     if args.json:
-        payload = {
-            engine: result_summary(result) for engine, result in rows
-        }
-        for engine, snapshot in snapshots.items():
-            payload[engine]["metrics"] = snapshot
-        for engine, run_id in run_ids.items():
-            payload[engine]["run_id"] = run_id
+        payload = {}
+        for engine, observed in rows:
+            payload[engine] = dict(observed.summary)
+            if args.metrics:
+                payload[engine]["metrics"] = observed.metrics
+            if observed.run_id:
+                payload[engine]["run_id"] = observed.run_id
         print(json.dumps(payload, indent=2))
         return 0
+    best = min(rows, key=lambda row: row[1].result.total_seconds)[0]
     print(f"{args.algorithm} on {args.graph} ({request.num_gpus} GPUs):")
-    for engine, result in rows:
+    for engine, observed in rows:
+        result = observed.result
         marker = "  <-- best" if engine == best else ""
         print(f"  {engine:8s}: {result.total_ms:10.2f} ms "
               f"({result.num_iterations} iters){marker}")
     if args.trace:
         for engine, _ in rows:
             print(f"  trace: {_engine_trace_path(args.trace, engine)}")
-    for engine, run_id in run_ids.items():
-        print(f"  recorded: {engine} -> {run_id}")
+    for engine, observed in rows:
+        if observed.run_id:
+            print(f"  recorded: {engine} -> {observed.run_id}")
     return 0
 
 
@@ -555,7 +574,7 @@ def _register_compare(sub) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """One instrumented run -> Chrome trace + metrics snapshot."""
-    result, metrics, run_id = _observed_run(
+    observed = _observed_run(
         _request_from_args(args),
         args.engine,
         chrome=args.out,
@@ -564,8 +583,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         metrics=True,
         registry=_registry_from_args(args) if args.record else None,
     )
-    summary = result_summary(result)
-    summary["metrics"] = metrics
+    result, run_id = observed.result, observed.run_id
+    summary = dict(observed.summary)
+    summary["metrics"] = observed.metrics
     summary["trace"] = args.out
     if args.jsonl:
         summary["trace_jsonl"] = args.jsonl
@@ -935,12 +955,13 @@ def _register_replay(sub) -> None:
 def _cmd_runs_record(args: argparse.Namespace) -> int:
     """Run one workload fully instrumented and archive it."""
     registry = _registry_from_args(args)
-    result, _, run_id = _observed_run(
+    observed = _observed_run(
         _request_from_args(args), args.engine,
         metrics=True, registry=registry,
     )
+    result, run_id = observed.result, observed.run_id
     if args.json:
-        payload = result_summary(result)
+        payload = dict(observed.summary)
         payload["run_id"] = run_id
         payload["runs_dir"] = str(registry.root)
         print(json.dumps(payload, indent=2))

@@ -22,15 +22,15 @@ Stream format (``repro-live/1``) — one JSON object per line:
 
 Targets: a filesystem path, an open file object, ``fd://N`` (inherit a
 file descriptor — how a supervising process tails a child), or
-``unix://PATH`` (connect to a Unix domain socket). JSON encoding and
-target writes run on a dedicated writer thread so the engine's emit
-path never blocks on serialization (the dominant cost at the <3%
-observability budget the ``obs.*`` bench family enforces). Instants
-and metrics events hand off to the writer immediately — chaos fault
-markers additionally block until they are durable on the wire —
-while ordinary span lines batch until the ``snapshot_every``
-heartbeat (and close), so a tailing consumer lags a live run by at
-most one heartbeat.
+``unix://PATH`` (connect to a Unix domain socket). Encoding and the
+target write happen on the calling thread, inside the engine's
+``obs_seconds`` stopwatch, so the stream's whole cost is in the number
+the observability budget gates and a slow consumer pushes back on the
+run at the heartbeat. Instants and metrics events are written (and
+flushed) before ``emit`` returns — a chaos fault marker is on the wire
+even if the engine dies on the next statement — while ordinary span
+lines batch until the ``snapshot_every`` heartbeat (and close), so a
+tailing consumer lags a live run by at most one heartbeat.
 
 Periodic metrics events are **light** snapshots: timeseries
 instruments are summarized to ``count``/``last`` instead of shipping
@@ -48,15 +48,13 @@ did.
 from __future__ import annotations
 
 import json
-import queue
 import socket
-import threading
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.documents import load_json_lines
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry, capture_light, render_light
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Sink, SpanRecord
 
 __all__ = [
@@ -73,16 +71,6 @@ STREAM_VERSION = 1
 
 #: Default superstep cadence for full metrics snapshots.
 DEFAULT_SNAPSHOT_EVERY = 10
-
-
-class _DeferredSnapshot:
-    """A heartbeat's captured registry state, formatted by the writer."""
-
-    __slots__ = ("iteration", "captured")
-
-    def __init__(self, iteration, captured) -> None:
-        self.iteration = iteration
-        self.captured = captured
 
 
 class _SocketWriter:
@@ -185,89 +173,45 @@ class StreamingSink(Sink):
         self._encode = json.JSONEncoder(
             separators=(",", ":"), default=_coerce
         ).encode
-        # pending holds dict events (header, metrics, end) and raw
-        # SpanRecords; the writer thread turns records into span lines
+        # dict events (header, metrics, end) and raw SpanRecords, in
+        # wire order, until the next flush turns them into lines
         self._pending: List[object] = []
-        # serialization and target writes run on a dedicated writer
-        # thread: the engine's emit path only appends dicts and hands
-        # off batches, so JSON float formatting never blocks a
-        # superstep (the dominant cost at the <3% obs budget's scale)
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._writer_error: Optional[BaseException] = None
-        self._writer = threading.Thread(
-            target=self._drain, name="repro-stream-writer", daemon=True
-        )
-        self._writer.start()
         header = {"format": STREAM_FORMAT, "version": STREAM_VERSION}
         header.update(meta or {})
-        self._write(header)
+        self._pending.append(header)
+        self._flush()
 
-    def _drain(self) -> None:
-        """Writer-thread loop: encode and ship queued batches in order."""
-        while True:
-            kind, payload = self._queue.get()
-            if kind == "stop":
-                return
-            if kind == "barrier":
-                payload.set()
-                continue
-            try:
-                encode = self._encode
-                lines = []
-                for item in payload:
-                    if isinstance(item, SpanRecord):
-                        event = item.as_dict()
-                        event["event"] = "span"
-                        item = event
-                    elif isinstance(item, _DeferredSnapshot):
-                        item = {
-                            "event": "metrics",
-                            "iteration": item.iteration,
-                            "snapshot": render_light(item.captured),
-                        }
-                    lines.append(encode(item))
-                    lines.append("\n")
-                self._handle.write("".join(lines))
-                self._handle.flush()
-            except BaseException as exc:  # surfaced at the next barrier
-                self._writer_error = exc
+    def _flush(self) -> None:
+        """Encode the pending batch and write it to the target.
 
-    def _write(self, payload: Dict[str, object], flush: bool = True) -> None:
-        # batches hand off to the writer thread; ``flush`` additionally
-        # waits until the batch is on the wire (instants, header, close)
-        self._pending.append(payload)
-        if flush:
-            self._flush_pending(wait=True)
-
-    def _flush_pending(self, wait: bool = False) -> None:
-        if self._pending:
-            self._queue.put(("batch", self._pending))
-            self._pending = []
-        if wait:
-            barrier = threading.Event()
-            self._queue.put(("barrier", barrier))
-            barrier.wait()
-            if self._writer_error is not None:
-                error, self._writer_error = self._writer_error, None
-                raise error
+        A batch whose write raises is dropped, not retried: the error
+        belongs to the ``emit`` / ``close`` that hit it.
+        """
+        if not self._pending:
+            return
+        batch, self._pending = self._pending, []
+        encode = self._encode
+        lines = []
+        for item in batch:
+            if isinstance(item, SpanRecord):
+                event = item.as_dict()
+                event["event"] = "span"
+                item = event
+            lines.append(encode(item))
+            lines.append("\n")
+        self._handle.write("".join(lines))
+        self._handle.flush()
 
     def emit(self, record: SpanRecord) -> None:
         """Stream one completed record (and maybe a metrics snapshot).
 
-        The record itself is handed to the writer thread, which builds
-        the span event line — records are complete (never mutated
-        again) by the time a tracer emits them, so deferring the dict
-        view is safe and keeps the engine-side cost to a list append.
+        Instants are written at once, not held for the heartbeat;
+        ordinary span lines batch until the heartbeat cadence.
         """
-        # instants ship to the writer at once (not held for the
-        # heartbeat); chaos fault markers additionally *block* until
-        # they are on the wire — a fault must be durable even if the
-        # engine dies on the very next statement. Ordinary span lines
-        # batch until the heartbeat cadence.
         self._pending.append(record)
-        if record.kind == "instant":
-            self._flush_pending(wait=record.cat == "chaos")
         self._spans += 1
+        if record.kind == "instant":
+            self._flush()
         if record.name == "superstep":
             self._supersteps += 1
             every = self._snapshot_every or 1
@@ -276,7 +220,7 @@ class StreamingSink(Sink):
                     self.snapshot(iteration=record.attrs.get("iteration"),
                                   light=True)
                 else:  # no registry: still ship on the cadence
-                    self._flush_pending()
+                    self._flush()
 
     def snapshot(
         self, iteration: Optional[int] = None, light: bool = False
@@ -285,36 +229,29 @@ class StreamingSink(Sink):
 
         ``light`` summarizes timeseries instruments to their
         ``count``/``last`` fields — the periodic cadence must not ship
-        a run's whole per-iteration history on every beat. The registry
-        state is captured synchronously (at this instant); encoding and
-        the write happen on the writer thread.
+        a run's whole per-iteration history on every beat.
         """
         if self._metrics is None or self._closed:
             return
-        if light:
-            # capture the state now, format it on the writer thread
-            self._pending.append(_DeferredSnapshot(
-                iteration, capture_light(self._metrics)
-            ))
-        else:
-            self._pending.append({
-                "event": "metrics",
-                "iteration": iteration,
-                "snapshot": self._metrics.snapshot(light=False),
-            })
-        self._flush_pending()
+        self._pending.append({
+            "event": "metrics",
+            "iteration": iteration,
+            "snapshot": self._metrics.snapshot(light=light),
+        })
+        self._flush()
 
     def close(self) -> None:
         """Write a final snapshot + end marker, release the target."""
         if self._closed:
             return
-        self.snapshot()
-        self._write({"event": "end", "spans": self._spans})
-        self._closed = True
-        self._queue.put(("stop", None))
-        self._writer.join()
-        if self._owns_handle:
-            self._handle.close()
+        try:
+            self.snapshot()
+            self._pending.append({"event": "end", "spans": self._spans})
+            self._flush()
+        finally:
+            self._closed = True
+            if self._owns_handle:
+                self._handle.close()
 
 
 def _coerce(value):

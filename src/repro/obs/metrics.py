@@ -32,8 +32,6 @@ __all__ = [
     "NullMetrics",
     "NULL_METRICS",
     "quantile",
-    "capture_light",
-    "render_light",
 ]
 
 
@@ -298,86 +296,6 @@ class Timeseries:
         return out
 
 
-def capture_light(registry: "MetricsRegistry") -> List[tuple]:
-    """Point-in-time instrument state, deferred formatting.
-
-    The streaming heartbeat must capture registry state at the beat
-    *instant* but should not pay for building the JSON snapshot on the
-    engine thread. This grabs each instrument's mutable state (small
-    dict/list copies) for :func:`render_light` to format later —
-    ``render_light(capture_light(r))`` equals ``r.snapshot(light=True)``
-    exactly (a pinned test).
-    """
-    captured = []
-    for name in sorted(registry._instruments):
-        instrument = registry._instruments[name]
-        kind = instrument.kind
-        if kind == "counter":
-            state = dict(instrument._values)
-        elif kind == "gauge":
-            state = instrument._value
-        elif kind == "histogram":
-            state = (
-                instrument.count, instrument.sum, instrument.min,
-                instrument.max, dict(instrument._buckets),
-                list(instrument._samples),
-            )
-        else:  # timeseries — light view only needs count/last
-            values = instrument._values
-            state = (len(values), values[-1] if values else None)
-        captured.append((name, kind, state))
-    return captured
-
-
-def render_light(captured: List[tuple]) -> Dict[str, Dict[str, object]]:
-    """Format :func:`capture_light` output as ``snapshot(light=True)``."""
-    out: Dict[str, Dict[str, object]] = {}
-    for name, kind, state in captured:
-        if kind == "counter":
-            if len(state) == 1:
-                for key, value in state.items():
-                    value = float(value)
-                    out[name] = {
-                        "type": "counter",
-                        "total": value,
-                        "series": {_key_string(key): value},
-                    }
-            else:
-                out[name] = {
-                    "type": "counter",
-                    "total": float(sum(state.values())),
-                    "series": {
-                        _key_string(key): float(value)
-                        for key, value in sorted(state.items())
-                    },
-                }
-        elif kind == "gauge":
-            out[name] = {"type": "gauge", "value": state}
-        elif kind == "histogram":
-            count, total, low, high, buckets, samples = state
-            ordered = sorted(samples)
-            out[name] = {
-                "type": "histogram",
-                "count": int(count),
-                "sum": float(total),
-                "mean": float(total / count) if count else None,
-                "min": None if low is None else float(low),
-                "max": None if high is None else float(high),
-                "p50": _quantile_sorted(ordered, 0.50) if ordered else None,
-                "p90": _quantile_sorted(ordered, 0.90) if ordered else None,
-                "p99": _quantile_sorted(ordered, 0.99) if ordered else None,
-                "decade_buckets": {
-                    f"1e{exp}" if exp != -999 else "0": int(n)
-                    for exp, n in sorted(buckets.items())
-                },
-            }
-        else:
-            count, last = state
-            out[name] = {"type": "timeseries", "count": count,
-                         "last": last}
-    return out
-
-
 class MetricsRegistry:
     """Named instruments, get-or-create semantics.
 
@@ -530,7 +448,7 @@ class NullMetrics(MetricsRegistry):
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
 
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
+    def snapshot(self, light: bool = False) -> Dict[str, Dict[str, object]]:
         """Always empty."""
         return {}
 

@@ -259,9 +259,19 @@ class Tracer:
         return list(self._sinks)
 
     def close(self) -> None:
-        """Close every sink (idempotent)."""
+        """Close every sink (idempotent).
+
+        A sink whose close raises does not keep the others open: all
+        are tried, then the first error propagates.
+        """
+        first_error = None
         for sink in self._sinks:
-            sink.close()
+            try:
+                sink.close()
+            except Exception as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
 
     def __enter__(self) -> "Tracer":
         return self

@@ -248,11 +248,14 @@ class RunRegistry:
         workload: Dict[str, object],
         metrics: Optional[Dict] = None,
         notes: str = "",
+        summary: Optional[Dict] = None,
     ) -> str:
         """Archive one finished run; returns its registry id.
 
         ``workload`` should come from :func:`workload_fingerprint`;
-        ``metrics`` is a :meth:`MetricsRegistry.snapshot` (optional).
+        ``metrics`` is a :meth:`MetricsRegistry.snapshot` (optional);
+        ``summary`` is the run's :func:`result_summary` when the caller
+        has already folded it (computed here otherwise).
         """
         files = [MANIFEST_NAME, TRACE_NAME, TIMESERIES_NAME]
         ledger = getattr(result, "ledger", None)
@@ -268,7 +271,8 @@ class RunRegistry:
                 "provenance": provenance_fingerprint(),
             },
             "environment": environment_info(),
-            "summary": result_summary(result),
+            "summary": (result_summary(result) if summary is None
+                        else summary),
             "metrics": dict(metrics or {}),
             "files": files,
         }

@@ -61,6 +61,13 @@ if TYPE_CHECKING:  # avoid a runtime<->algorithms import cycle
 
 __all__ = ["EngineOptions", "BSPEngine"]
 
+#: Pull-mode threshold divisor of direction-optimized BFS: an
+#: iteration pulls when the frontier's out-edges exceed ``|E| / 8``.
+BFS_ALPHA = 8.0
+#: Global-to-local vertex id translation, charged per active frontier
+#: vertex into the ``overhead`` bucket.
+ID_CONVERSION_NS_PER_VERTEX = 2.0
+
 
 @dataclass
 class EngineOptions:
@@ -73,18 +80,10 @@ class EngineOptions:
         remote destination instead of one per cross edge.
     direction_optimized_bfs:
         Push/pull switching for BFS [Beamer]: when the frontier's
-        out-edges exceed ``|E| / bfs_alpha`` an iteration scans the
+        out-edges exceed ``|E| / BFS_ALPHA`` an iteration scans the
         in-edges of unvisited vertices instead. A *common* intra-GPU
         optimization in the paper's sense (both Gunrock and GUM enable
         it under "+opt").
-    bfs_alpha:
-        Pull-mode threshold divisor for direction optimization.
-    kernel_per_chunk:
-        Charge a kernel launch per work chunk (stolen chunks run in a
-        separate kernel — Section V, Step 4).
-    id_conversion_ns_per_vertex:
-        Global-to-local vertex id translation cost, charged per active
-        frontier vertex into the ``overhead`` bucket.
     max_iterations:
         Safety bound; exceeding it marks the run unconverged.
     backend:
@@ -95,9 +94,6 @@ class EngineOptions:
 
     aggregate_messages: bool = True
     direction_optimized_bfs: bool = True
-    bfs_alpha: float = 8.0
-    kernel_per_chunk: bool = True
-    id_conversion_ns_per_vertex: float = 2.0
     max_iterations: int = 200_000
     backend: str = "serial"
 
@@ -265,7 +261,7 @@ class BSPEngine:
             )
         if self._chaos is not None:
             self._chaos.begin_run(self._topology)
-        context = RunContext(
+        return RunContext(
             graph=graph,
             partition=partition,
             timing=self._timing,
@@ -276,12 +272,6 @@ class BSPEngine:
             metrics=self._metrics,
             chaos=self._chaos,
         )
-        # backends need the engine's aggregation switch when deriving
-        # message statistics away from the coordinator
-        context.extras["aggregate_messages"] = (
-            self._options.aggregate_messages
-        )
-        return context
 
     def _publish_backend_metrics(self, stats: Dict[str, object]) -> None:
         """Register the backend's host-side stats as gauges.
@@ -403,7 +393,9 @@ class BSPEngine:
         )
         # hand the distributed frontier to the execution backend now,
         # so a parallel backend's workers overlap with the plan/pricing
-        session.begin_iteration(iteration, fragment_frontiers, context)
+        session.begin_iteration(
+            iteration, fragment_frontiers, self._options.aggregate_messages
+        )
         plan = self._plan(iteration, fragment_frontiers, workloads, context)
         # price from each owning fragment's memoized features (the
         # scheduler's own feature scan is not repeated)
@@ -432,9 +424,7 @@ class BSPEngine:
             sync=sync,
             overhead=(
                 plan.decision_seconds
-                + frontier.size
-                * self._options.id_conversion_ns_per_vertex
-                * 1e-9
+                + frontier.size * ID_CONVERSION_NS_PER_VERTEX * 1e-9
             ),
         )
         record = IterationRecord(
@@ -554,8 +544,9 @@ class BSPEngine:
                     comm, np.flatnonzero(stolen), owners, workers,
                     migrate_seconds, iteration,
                 )
-        if self._options.kernel_per_chunk:
-            compute = compute + context.timing.kernel_launch_seconds(1)
+        # one kernel launch per chunk: stolen chunks run in a separate
+        # kernel (Section V, Step 4)
+        compute = compute + context.timing.kernel_launch_seconds(1)
         np.add.at(busy, workers, compute + comm)
         np.add.at(compute_part, workers, compute)
         np.add.at(comm_part, workers, comm)
@@ -635,7 +626,7 @@ class BSPEngine:
     ) -> np.ndarray:
         """Pull-mode workloads when cheaper than pushing the frontier."""
         push_edges = int(workloads.sum())
-        if push_edges <= graph.num_edges / self._options.bfs_alpha:
+        if push_edges <= graph.num_edges / BFS_ALPHA:
             return workloads
         unvisited = np.isinf(state.values)
         if not np.any(unvisited):

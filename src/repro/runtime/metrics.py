@@ -117,7 +117,6 @@ class RunResult:
     breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
     converged: bool = True
     real_decision_seconds: float = 0.0
-    extras: Dict[str, float] = field(default_factory=dict)
     #: Scheduler-reported run-level decision statistics (plan-cache
     #: hit counters, warm-start accepts, ...); empty for stateless
     #: policies.

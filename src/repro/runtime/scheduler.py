@@ -92,7 +92,6 @@ class RunContext:
     fragment_home: np.ndarray
     fragment_worker: np.ndarray
     algorithm_name: str = ""
-    extras: dict = field(default_factory=dict)
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = NULL_METRICS
     chaos: "Optional[ChaosController]" = None

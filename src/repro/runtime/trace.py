@@ -9,10 +9,10 @@ Figure 8 do:
   per iteration (the Figure 1 picture in a terminal);
 * :func:`utilization_report` — aggregate per-GPU busy/stall shares.
 
-The timeline and utilization views are computed from the span stream of
-:func:`repro.obs.export.result_to_spans` — the same records a live
-:class:`~repro.obs.tracer.Tracer` emits — so offline reports and
-interactive traces can never disagree about what an iteration did.
+The timeline and utilization views read each record's per-GPU
+``busy_seconds`` / ``stall_seconds`` over its ``active_workers`` — the
+durations :func:`repro.obs.export.iteration_spans` turns into the
+``busy`` / ``stall`` spans of a live trace.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.documents import load_json_lines
 from repro.errors import TraceFormatError
-from repro.obs.export import gpu_track, result_to_spans
 from repro.runtime.metrics import RunResult
 
 __all__ = [
@@ -95,28 +94,6 @@ def load_trace(path: Union[str, Path]) -> tuple[Dict, List[Dict]]:
     return lines[0], lines[1:]
 
 
-def _spans_by_iteration(result: RunResult) -> Dict[int, Dict]:
-    """Index the run's span stream: iteration -> its worker spans.
-
-    Returns ``{iteration: {"superstep": SpanRecord,
-    "workers": {gpu: {"busy": dur, "stall": dur}}}}``.
-    """
-    indexed: Dict[int, Dict] = {}
-    for span in result_to_spans(result):
-        iteration = span.attrs.get("iteration")
-        if iteration is None or span.kind != "span":
-            continue
-        entry = indexed.setdefault(iteration, {"superstep": None,
-                                               "workers": {}})
-        if span.name == "superstep":
-            entry["superstep"] = span
-        elif span.name in ("busy", "stall"):
-            gpu = span.attrs["gpu"]
-            entry["workers"].setdefault(gpu, {})[span.name] = \
-                span.virtual_dur
-    return indexed
-
-
 def render_timeline(
     result: RunResult,
     max_iterations: int = 30,
@@ -132,7 +109,6 @@ def render_timeline(
     """
     if not result.iterations:
         return "(empty run)"
-    indexed = _spans_by_iteration(result)
     step = max(1, result.num_iterations // max_iterations)
     lines = [
         f"{result.engine}/{result.algorithm} on {result.graph_name} — "
@@ -140,10 +116,10 @@ def render_timeline(
     ]
     for idx in range(0, result.num_iterations, step):
         record = result.iterations[idx]
-        entry = indexed.get(record.iteration, {"workers": {}})
-        workers = entry["workers"]
+        busy, stall = record.busy_seconds, record.stall_seconds
+        active = set(record.active_workers)
         critical = max(
-            (sum(spans.values()) for spans in workers.values()),
+            (float(busy[gpu]) + float(stall[gpu]) for gpu in active),
             default=0.0,
         )
         critical = max(critical, 1e-12)
@@ -151,18 +127,12 @@ def render_timeline(
             f"iter {idx:5d}  wall {record.wall_seconds * 1e3:8.3f} ms  "
             f"n={record.num_active}"
         )
-        active = set(record.active_workers)
         for gpu in range(result.num_gpus):
             if gpu not in active:
                 lines.append(f"  gpu{gpu}  " + "-" * width)
                 continue
-            spans = workers.get(gpu, {})
-            busy_cells = int(
-                round(width * spans.get("busy", 0.0) / critical)
-            )
-            stall_cells = int(
-                round(width * spans.get("stall", 0.0) / critical)
-            )
+            busy_cells = int(round(width * float(busy[gpu]) / critical))
+            stall_cells = int(round(width * float(stall[gpu]) / critical))
             stall_cells = min(stall_cells, width - busy_cells)
             lines.append(
                 f"  gpu{gpu}  " + "#" * busy_cells + "." * stall_cells
@@ -173,20 +143,16 @@ def render_timeline(
 def utilization_report(result: RunResult) -> Dict[str, object]:
     """Aggregate per-GPU utilization over the whole run.
 
-    Sums the ``busy``/``stall`` worker spans of the run's span stream —
-    identical numbers to a Chrome trace of the same run.
+    Sums each GPU's busy and stall seconds over the iterations it was
+    active in, in iteration order — identical numbers to summing the
+    ``busy``/``stall`` spans of a Chrome trace of the same run.
     """
     busy = np.zeros(result.num_gpus)
     stall = np.zeros(result.num_gpus)
-    tracks = {gpu_track(gpu): gpu for gpu in range(result.num_gpus)}
-    for span in result_to_spans(result):
-        gpu = tracks.get(span.track)
-        if gpu is None or span.kind != "span":
-            continue
-        if span.name == "busy":
-            busy[gpu] += span.virtual_dur
-        elif span.name == "stall":
-            stall[gpu] += span.virtual_dur
+    for record in result.iterations:
+        active = record.active_workers
+        busy[active] += record.busy_seconds[active]
+        stall[active] += record.stall_seconds[active]
     denom = np.maximum(busy + stall, 1e-12)
     return {
         "per_gpu_busy_ms": (busy * 1e3).round(3).tolist(),

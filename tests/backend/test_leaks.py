@@ -52,11 +52,38 @@ def test_midrun_exception_releases_blocks_and_workers(workload):
 
 
 def test_serial_fallback_exception_releases_blocks(workload):
-    # failure on the coordinator's serial-fallback step path: the shmem
-    # session has idle workers and shared blocks to reap regardless
+    # failure on the coordinator's serial-fallback step path
     run_failing(workload, FailingStepBFS(fail_at_iteration=3), "shmem")
     assert live_block_names() == ()
     assert no_backend_workers()
+
+
+def test_shmem_without_an_exact_merge_starts_nothing(workload):
+    """PageRank has no exact merge, so every superstep is the
+    coordinator's serial one: ``shmem`` must not spawn a pool or map
+    the graph for workers that would never get a task."""
+    from repro.obs import Sink, Tracer
+    from repro.runtime.bsp import EngineOptions
+
+    seen = []
+
+    class Probe(Sink):
+        def emit(self, record):
+            seen.append((multiprocessing.active_children(),
+                         live_block_names()))
+
+    graph, partition = workload
+    engine = BSPEngine(dgx1(2), name="bsp", tracer=Tracer(sinks=[Probe()]),
+                       options=EngineOptions(backend="shmem"))
+    result = engine.run(graph, partition, "pr", max_iterations=5)
+    assert len(seen) > 5  # probed inside the run, every superstep
+    assert all(children == [] and blocks == ()
+               for children, blocks in seen)
+    stats = result.backend_stats
+    assert stats["backend"] == "shmem"
+    assert stats["parallel_step"] is False
+    assert (stats["workers"], stats["tasks"]) == (0, 0)
+    assert stats["startup_seconds"] == 0.0
 
 
 def test_serial_backend_never_creates_blocks(workload):

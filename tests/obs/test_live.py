@@ -9,7 +9,8 @@ did.
 """
 
 import json
-import os
+import pathlib
+import threading
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.errors import ReproError
 from repro.obs import (
     InMemorySink,
     MetricsRegistry,
+    Sink,
     SpanRecord,
     StreamingSink,
     Tracer,
@@ -115,6 +117,101 @@ def test_snapshot_every_zero_disables_periodic(tmp_path):
     snapshots = [e for e in read_stream_events(path)
                  if e.get("event") == "metrics"]
     assert len(snapshots) == 1  # only the final full snapshot
+
+
+# ----------------------------------------------------------------------
+# The stream writes on the calling thread
+# ----------------------------------------------------------------------
+KILL_WORKER = (pathlib.Path(__file__).resolve().parents[2]
+               / "benchmarks" / "scenarios" / "kill-worker.json")
+
+
+class _After(Sink):
+    """Forwards to ``inner``, then calls ``probe(record)`` — what the
+    engine would see on the statement after ``emit``."""
+
+    def __init__(self, inner, probe):
+        self._inner, self._probe = inner, probe
+
+    def emit(self, record):
+        self._inner.emit(record)
+        self._probe(record)
+
+    def close(self):
+        self._inner.close()
+
+
+def test_chaos_marker_is_on_the_wire_when_emit_returns(
+        tmp_path, skewed_graph, source):
+    path = tmp_path / "run.stream"
+    on_wire = []
+
+    def read_back(record):
+        if record.cat == "chaos":
+            on_wire.append([e.get("name") for e in iter_stream_lines(path)])
+
+    with Tracer(sinks=[_After(StreamingSink(path), read_back)]) as tracer:
+        repro.run(
+            skewed_graph, "bfs", num_gpus=4, source=source,
+            gum_config=GumConfig(cost_model="oracle"), tracer=tracer,
+            chaos=ChaosController(ChaosScenario.from_file(KILL_WORKER)),
+        )
+    assert len(on_wire) == 1
+    assert on_wire[0][-1] == "chaos.kill_worker"
+
+
+def test_streamed_run_starts_no_thread(tmp_path, skewed_graph, source):
+    before = threading.active_count()
+    during = set()
+    sink = StreamingSink(tmp_path / "run.stream")
+    probe = _After(sink, lambda record: during.add(threading.active_count()))
+    with Tracer(sinks=[probe]) as tracer:
+        repro.run(skewed_graph, "bfs", num_gpus=4, source=source,
+                  gum_config=GumConfig(cost_model="oracle"), tracer=tracer)
+        during.add(threading.active_count())
+    assert during == {before}
+    assert threading.active_count() == before
+
+
+class _FailingTarget:
+    """A writable whose ``fail_on``-th write raises."""
+
+    def __init__(self, fail_on):
+        self.writes, self._fail_on = 0, fail_on
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self._fail_on:
+            raise OSError("disk full")
+
+    def flush(self):
+        pass
+
+
+def test_write_error_surfaces_from_the_emit_that_wrote_it():
+    # batch 1 is the header, 2 the first heartbeat, 3 the second
+    sink = StreamingSink(_FailingTarget(fail_on=3), snapshot_every=2)
+    for i in range(3):
+        sink.emit(_span(iteration=i))
+    with pytest.raises(OSError, match="disk full"):
+        sink.emit(_span(iteration=3))
+    sink.emit(_span(iteration=4))  # buffered: the target is not touched
+    sink.close()  # the target works again: buffered span, then end
+
+
+def test_write_error_on_close_still_closes_the_other_sinks(tmp_path):
+    closed = []
+
+    class Recording(InMemorySink):
+        def close(self):
+            closed.append(self)
+
+    first, last = Recording(), Recording()
+    failing = StreamingSink(_FailingTarget(fail_on=2))
+    with pytest.raises(OSError, match="disk full"):
+        with Tracer(sinks=[first, failing, last]) as tracer:
+            tracer.emit(_span())
+    assert closed == [first, last]
 
 
 # ----------------------------------------------------------------------

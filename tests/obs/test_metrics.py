@@ -144,31 +144,3 @@ def test_snapshot_is_json_stable():
     assert type(snap["m.histogram"]["sum"]) is float
     assert type(snap["t.series"]["values"][0]) is float
     assert type(snap["t.series"]["index"][0]) is int
-
-
-def test_capture_render_light_matches_snapshot():
-    """The streaming heartbeat's split capture/render path must format
-    byte-identically to ``snapshot(light=True)`` — the engine captures
-    state at the beat, the writer thread formats it later."""
-    from repro.obs.metrics import capture_light, render_light
-
-    registry = MetricsRegistry()
-    registry.counter("engine.iterations").inc()
-    registry.counter("engine.bucket_seconds").inc(0.5, bucket="compute")
-    registry.counter("engine.bucket_seconds").inc(0.25, bucket="sync")
-    registry.gauge("osteal.group_size").set(3)
-    registry.gauge("never.set")
-    hist = registry.histogram("engine.iteration_wall_seconds")
-    for value in (0.001, 0.01, 0.1, 0.0):
-        hist.observe(value)
-    registry.histogram("empty.histogram")
-    series = registry.timeseries("engine.wall_ms_series")
-    series.append(1.5, index=0)
-    series.append(2.5, index=4)
-    registry.timeseries("empty.series")
-
-    rendered = render_light(capture_light(registry))
-    expected = registry.snapshot(light=True)
-    assert json.dumps(rendered, sort_keys=True) == \
-        json.dumps(expected, sort_keys=True)
-    assert rendered == expected

@@ -178,3 +178,36 @@ def test_runs_gc(tmp_path, capsys):
     assert main(["runs", "list", "--json",
                  "--runs-dir", str(root)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 1
+
+
+@pytest.mark.parametrize("verb, engines", [
+    (["run", "--record", "--json"], 1),
+    (["profile", "--record", "--out", "{tmp}/p.trace.json"], 1),
+    (["runs", "record", "--json"], 1),
+    (["compare", "--record", "--json"], 3),
+], ids=["run", "profile", "runs-record", "compare"])
+def test_a_recorded_run_is_folded_once(verb, engines, tmp_path, capsys,
+                                       monkeypatch):
+    """The manifest and the printed summary are one ``result_summary``
+    fold per engine, not one each."""
+    import repro.cli
+    import repro.runs.registry
+
+    folded = []
+
+    def counting(result):
+        folded.append(result.engine)
+        return summarize(result)
+
+    summarize = repro.runs.registry.result_summary
+    monkeypatch.setattr(repro.runs.registry, "result_summary", counting)
+    monkeypatch.setattr(repro.cli, "result_summary", counting)
+    code = main([
+        *(part.format(tmp=tmp_path) for part in verb),
+        "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",
+        "--cost-model", "oracle", "--runs-dir", str(tmp_path / "runs"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(folded) == engines
+    assert len(list((tmp_path / "runs").iterdir())) == engines

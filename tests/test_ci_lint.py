@@ -164,6 +164,32 @@ def test_removed_cli_verb_is_flagged(tmp_path):
     assert "'repro costmodel bench'" in violations[1][2]
 
 
+def test_yaml_reading_job_needs_an_extra_that_installs_pyyaml(tmp_path):
+    assert check_ci.yaml_extras() == {"dev", "slo"}
+    job = """
+        jobs:
+          gate:
+            runs-on: ubuntu-latest
+            timeout-minutes: 10
+            steps:
+              - uses: actions/checkout@v4
+              - uses: ./.github/actions/setup-repro
+                with:
+                  python-version: "3.11"{extras}
+              - run: |
+                  python -m repro slo check benchmarks/reference/tx-bfs-4gpu \\
+                    --rules benchmarks/slo/reference.yaml
+    """
+    bare = _check(job.format(extras=""), tmp_path)
+    assert [v[1] for v in bare] == ["gate"]
+    assert "PyYAML" in bare[0][2]
+    for extras in ("slo", "dev"):
+        with_extra = job.format(
+            extras=f"\n                  extras: {extras}"
+        )
+        assert _check(with_extra, tmp_path) == []
+
+
 def test_unparseable_workflow_is_a_violation(tmp_path):
     file = tmp_path / "broken.yml"
     file.write_text("jobs: [this: {is: not\n")
@@ -317,6 +343,44 @@ def test_cli_has_one_observed_run_path():
         and getattr(target.value, "id", None) == "args"
     ]
     assert stores == []
+
+
+def test_obs_is_single_threaded_with_one_snapshot_formatter():
+    """Nothing under ``repro.obs`` starts a thread or owns a queue (the
+    live stream writes on the engine thread, inside ``obs_seconds``),
+    and each instrument kind's snapshot shape — a dict with a
+    ``"type"`` key — is written in that instrument's ``snapshot`` and
+    nowhere else."""
+    obs = REPO / "src" / "repro" / "obs"
+    imported = set()
+    for path in sorted(obs.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert not imported & {"threading", "queue", "concurrent",
+                           "multiprocessing", "_thread"}
+
+    def formatters(node, prefix=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{prefix}{child.name}"
+                shapes = [
+                    d for d in ast.walk(child) if isinstance(d, ast.Dict)
+                    and any(getattr(key, "value", None) == "type"
+                            for key in d.keys)
+                ]
+                if isinstance(child, ast.FunctionDef) and shapes:
+                    yield name
+                yield from formatters(child, f"{name}.")
+
+    tree = ast.parse((obs / "metrics.py").read_text())
+    assert sorted(formatters(tree)) == [
+        "Counter.snapshot", "Gauge.snapshot", "Histogram.snapshot",
+        "Timeseries.snapshot",
+    ]
 
 
 def test_overlong_function_is_flagged(tmp_path):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the CI workflows on the shared rails.
 
-Three failure modes creep into GitHub Actions workflows as jobs are
+Four failure modes creep into GitHub Actions workflows as jobs are
 copy-pasted and then drift:
 
 * a job without ``timeout-minutes`` hangs for GitHub's six-hour
@@ -14,13 +14,18 @@ copy-pasted and then drift:
   the fifth;
 * a step that still runs ``python -m repro <verb>`` after the verb was
   folded into another one only fails once the job runs, on someone
-  else's PR.
+  else's PR;
+* a step that reads a ``.yaml`` rule file in a job that installed no
+  extra providing PyYAML passes on a developer's machine and exits 2
+  on a clean runner.
 
 This checker parses every workflow under ``.github/workflows`` and
 requires each job to declare ``timeout-minutes``, each job that
-defines steps to invoke the composite action, and every
+defines steps to invoke the composite action, every
 ``python -m repro ...`` invocation in a ``run:`` script to name
-subcommands ``repro.cli.build_parser()`` defines. ``reusable-workflow``
+subcommands ``repro.cli.build_parser()`` defines, and every job with
+a YAML-reading step to pass ``setup-repro`` an ``extras`` group that
+``pyproject.toml`` says installs PyYAML. ``reusable-workflow``
 jobs (``uses:`` at the job level, no ``steps``) only need the
 timeout where GitHub allows one, so they are exempt from the action
 requirement.
@@ -40,10 +45,15 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli
+    import tomli as tomllib
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
 # the lint runs from a bare checkout too, not only an installed one
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+sys.path.insert(0, str(REPO / "src"))
 
 #: the shared preamble every step-defining job must run
 SETUP_ACTION = "./.github/actions/setup-repro"
@@ -54,15 +64,44 @@ WORKFLOWS_DIR = pathlib.Path(".github/workflows")
 Violation = Tuple[pathlib.Path, str, str]
 
 
-def _job_uses_action(job: dict, action: str = SETUP_ACTION) -> bool:
-    """True when some step invokes the composite setup action."""
-    for step in job.get("steps") or []:
-        uses = step.get("uses") if isinstance(step, dict) else None
+def _setup_steps(job: dict) -> List[dict]:
+    """The job's steps that invoke the composite setup action."""
+    return [
+        step for step in job.get("steps") or []
         # version pins ("@...") would be meaningless on a local path
         # action but tolerate them rather than miscount the job
-        if isinstance(uses, str) and uses.split("@")[0] == action:
-            return True
-    return False
+        if isinstance(step, dict) and isinstance(step.get("uses"), str)
+        and step["uses"].split("@")[0] == SETUP_ACTION
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def yaml_extras() -> frozenset:
+    """The ``pyproject.toml`` extras groups that install PyYAML."""
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())
+    return frozenset(
+        extra
+        for extra, requirements
+        in project["project"]["optional-dependencies"].items()
+        if any(re.match(r"pyyaml\b", r, re.IGNORECASE)
+               for r in requirements)
+    )
+
+
+#: a ``run:`` script that names a YAML file (an SLO rule file): the
+#: command it hands the file to will ``import yaml``
+_READS_YAML = re.compile(r"\S\.ya?ml\b")
+
+
+def _job_installs_yaml(job: dict) -> bool:
+    """True when the setup action is given a PyYAML-providing extra."""
+    return any(
+        yaml_extras() & {
+            extra.strip() for extra in
+            str((step.get("with") or {}).get("extras", "")).split(",")
+        }
+        for step in _setup_steps(job)
+    )
 
 
 def _subcommands(
@@ -133,21 +172,31 @@ def check_workflow(path: pathlib.Path) -> List[Violation]:
                 "missing timeout-minutes (GitHub's default is 6 "
                 "hours; every job must bound its own runtime)",
             ))
-        if not _job_uses_action(job):
+        if not _setup_steps(job):
             violations.append((
                 path, name,
                 f"does not use the {SETUP_ACTION} composite action "
                 "(shared setup preamble; see "
                 ".github/actions/setup-repro/action.yml)",
             ))
-        for step in job.get("steps") or []:
-            script = step.get("run") if isinstance(step, dict) else None
-            for command in unknown_cli_verbs(script or ""):
+        scripts = [
+            step.get("run") or "" for step in job.get("steps") or []
+            if isinstance(step, dict)
+        ]
+        for script in scripts:
+            for command in unknown_cli_verbs(script):
                 violations.append((
                     path, name,
                     f"runs {command!r}, which is not a subcommand "
                     "repro.cli.build_parser() defines",
                 ))
+        if (any(_READS_YAML.search(s) for s in scripts)
+                and not _job_installs_yaml(job)):
+            violations.append((
+                path, name,
+                "reads a YAML file but passes setup-repro no extras "
+                f"group that installs PyYAML ({sorted(yaml_extras())})",
+            ))
     return violations
 
 
