@@ -13,9 +13,11 @@ reports and gates
   hosts;
 * ``peak_resident_bytes`` — the shard cache's high-water mark, which
   must stay under the budget;
-* wall-clock ``ms_per_edge`` for the sharded run relative to the
-  in-core run on the same host — the out-of-core overhead, gated at
-  25%;
+* the out-of-core wall overhead per shard load — the sharded run's
+  extra wall seconds over the in-core run on the same host, divided
+  by the shard loads that caused them — gated at an absolute
+  :data:`WALL_SECONDS_PER_SHARD_LOAD` so the verdict does not depend
+  on how fast the host runs the in-core arm;
 * bit-identity of results and virtual time between the in-core and
   sharded runs (the equivalence contract, re-checked on the real
   workload);
@@ -41,7 +43,7 @@ import numpy as np
 from repro.bench.perfharness import BENCH_CASES, BenchCase
 
 __all__ = [
-    "WALL_OVERHEAD_THRESHOLD",
+    "WALL_SECONDS_PER_SHARD_LOAD",
     "MIN_CAPACITY_RATIO",
     "ScaleCase",
     "SCALE_CASES",
@@ -50,8 +52,14 @@ __all__ = [
     "scale_summary",
 ]
 
-#: Sharded wall-clock ms-per-edge may exceed in-core by at most this.
-WALL_OVERHEAD_THRESHOLD = 0.25
+#: Extra sharded wall seconds per shard load allowed over in-core.
+#: Measured on a 2-core VM: ``scale.bfs.2x4`` (90 loads) paid 1.18 and
+#: 1.57 ms in two back-to-back runs, where the old 25 % relative gate
+#: read 18.1 % and 24.3 %; the six cases of one ``--filter scale`` run
+#: paid 0.9-1.7 ms, and 1.9-2.4 ms with other processes on the cores.
+#: The committed baseline's host paid up to 4.3 ms. The bound is over
+#: 2x the slowest of those.
+WALL_SECONDS_PER_SHARD_LOAD = 10e-3
 
 #: The CSR payload must be at least this many times the shard budget,
 #: so the benchmark genuinely exercises out-of-core paging.
@@ -210,7 +218,9 @@ def run_scale_case(case: ScaleCase) -> dict:
         "virtual_ms_per_edge": in_core.total_ms / edges,
         "wall_seconds_in_core": wall_in_core,
         "wall_seconds_sharded": wall_sharded,
-        "wall_overhead": wall_sharded / max(1e-9, wall_in_core) - 1.0,
+        "wall_seconds_per_shard_load": (
+            (wall_sharded - wall_in_core) / max(1, cache["loads"])
+        ),
         "bit_identical": bit_identical,
         "inter_node_stolen_edges": inter_node,
     }
@@ -226,7 +236,7 @@ def scale_summary(entry: dict) -> str:
     )
     return (
         f"v-ms/Medge {entry['virtual_ms_per_edge'] * 1e6:.4f}, "
-        f"wall ovhd {entry['wall_overhead']:.1%}, "
+        f"wall {entry['wall_seconds_per_shard_load'] * 1e3:+.2f} ms/load, "
         f"peak/budget {peak:.0%}, "
         f"inter-steal {entry['inter_node_stolen_edges']}"
     )
@@ -247,11 +257,12 @@ def scale_violations(entry: dict) -> List[str]:
             f"CSR is only {entry['capacity_ratio']:.1f}x the "
             f"resident budget (need >= {MIN_CAPACITY_RATIO}x)"
         )
-    if entry["wall_overhead"] > WALL_OVERHEAD_THRESHOLD:
+    per_load = entry["wall_seconds_per_shard_load"]
+    if per_load > WALL_SECONDS_PER_SHARD_LOAD:
         problems.append(
-            "sharded wall-clock ms-per-edge is "
-            f"{entry['wall_overhead']:.0%} over in-core "
-            f"(threshold {WALL_OVERHEAD_THRESHOLD:.0%})"
+            f"sharded wall-clock is {per_load * 1e3:.2f} ms per shard "
+            f"load over in-core (limit "
+            f"{WALL_SECONDS_PER_SHARD_LOAD * 1e3:.0f} ms)"
         )
     if entry["nodes"] > 1 and entry["inter_node_stolen_edges"] == 0:
         problems.append(

@@ -48,7 +48,7 @@ from repro.core.decision_cache import (
 from repro.core.hubcache import HubCache
 from repro.core.milp import FStealProblem, FStealSolution, make_solver
 from repro.core.osteal import OStealDecision, plan_osteal
-from repro.core.reduction_tree import ReductionTree, make_reduction_tree
+from repro.core.reduction_tree import ReductionTree
 from repro.errors import EngineError
 from repro.hardware.microbench import measure_comm_cost_matrix
 from repro.obs.ledger import Ledger
@@ -189,65 +189,6 @@ class _RunState:
     ledger_instruments: Optional[tuple] = None
     # whether anything reads the prediction audit (ledger or metrics)
     audit: bool = False
-    # --- hierarchical two-level stealing ------------------------------
-    # GPU -> node assignment and per-node representative ids, set only
-    # on multi-node topologies; None keeps single-node planning
-    # bit-identical to the flat policy
-    worker_nodes: Optional[np.ndarray] = None
-    node_reps: Optional[List[int]] = None
-
-
-class _EvictedTree:
-    """Reduction tree over the survivors of worker eviction.
-
-    Presents the :class:`ReductionTree` interface (``ownership``,
-    ``active_workers``) in *original* GPU ids while folding only among
-    alive workers: the inner tree is built on ``topology.subset`` of
-    the survivors, and dead fragments chase the heir chain recorded at
-    eviction time. Group sizes beyond the survivor count clamp to it —
-    the degraded machine simply has fewer rungs to unfold.
-    """
-
-    def __init__(self, topology, alive: Sequence[int],
-                 heirs: Dict[int, int]) -> None:
-        self._alive = [int(w) for w in alive]
-        self._heirs = dict(heirs)
-        self._num_gpus = topology.num_gpus
-        self._local = {w: i for i, w in enumerate(self._alive)}
-        self._inner = make_reduction_tree(topology.subset(self._alive))
-
-    @property
-    def representatives(self) -> List[int]:
-        """Per-node representative ids in *original* numbering."""
-        inner_reps = getattr(self._inner, "representatives", None)
-        if inner_reps is None:
-            return []
-        return sorted(self._alive[int(r)] for r in inner_reps)
-
-    def _resolve(self, worker: int) -> int:
-        # death is monotone within a run, so the chain cannot cycle
-        while worker in self._heirs:
-            worker = self._heirs[worker]
-        return worker
-
-    def _clamp(self, group_size: int) -> int:
-        return max(1, min(int(group_size), len(self._alive)))
-
-    def active_workers(self, group_size: int) -> List[int]:
-        """Sorted surviving worker ids (original numbering)."""
-        local = self._inner.active_workers(self._clamp(group_size))
-        return [self._alive[w] for w in local]
-
-    def ownership(self, group_size: int) -> np.ndarray:
-        """Fragment -> worker vector ``O`` over all original fragments."""
-        inner_own = self._inner.ownership(self._clamp(group_size))
-        out = np.empty(self._num_gpus, dtype=inner_own.dtype)
-        for fragment in range(self._num_gpus):
-            holder = self._resolve(fragment)
-            out[fragment] = self._alive[
-                int(inner_own[self._local[holder]])
-            ]
-        return out
 
 
 class _PredictionMemo:
@@ -391,7 +332,7 @@ class GumScheduler(Scheduler):
             solver = FallbackSolver(self._solver, context.chaos)
         self._state = _RunState(
             comm_cost=comm_cost,
-            tree=make_reduction_tree(topology),
+            tree=ReductionTree(topology),
             hub_cache=hub_cache,
             solver=solver,
             active=list(range(topology.num_gpus)),
@@ -415,13 +356,6 @@ class GumScheduler(Scheduler):
             ),
             audit=self._config.ledger or context.metrics.enabled,
         )
-        if topology.num_nodes > 1:
-            self._state.worker_nodes = np.asarray(
-                topology.node_assignment, dtype=np.int64
-            )
-            self._state.node_reps = list(
-                getattr(self._state.tree, "representatives", [])
-            )
         # initial p guess: one sync with everyone, spread per worker
         self._state.p_estimate = context.timing.sync_seconds(
             topology.num_gpus
@@ -587,15 +521,13 @@ class GumScheduler(Scheduler):
                                type(state.solver).__name__),
             ) as span:
                 solve_started = time.perf_counter()
-                costs = build_cost_matrix(
+                costs = state.tree.restrict(build_cost_matrix(
                     state.comm_cost,
                     d.features,
                     d.cost_model,
                     context.fragment_home,
                     allowed_workers=state.active,
-                    worker_nodes=state.worker_nodes,
-                    node_representatives=state.node_reps,
-                )
+                ), context.fragment_home)
                 d.solution = self._solve(FStealProblem(costs, d.workloads))
                 span.set(
                     objective=d.solution.objective,
@@ -724,7 +656,8 @@ class GumScheduler(Scheduler):
     def _tally_steals(self, d: _Decision, context: RunContext,
                       metrics) -> None:
         """Derive the steal totals (and counters) from ``d.chunks``."""
-        nodes = self._state.worker_nodes
+        topology = self._state.tree.topology
+        nodes = topology.node_assignment
         if metrics is not None:
             pairs = metrics.counter(
                 "steal.edges_by_pair",
@@ -738,7 +671,7 @@ class GumScheduler(Scheduler):
                 "hubcache.hit_edges",
                 "stolen edges served from the local hub cache",
             )
-            if nodes is not None:
+            if topology.num_nodes > 1:
                 inter_node = metrics.counter(
                     "steal.inter_node_edges",
                     "stolen edges crossing the inter-node fabric",
@@ -747,8 +680,7 @@ class GumScheduler(Scheduler):
             home = int(context.fragment_home[chunk.owner])
             if chunk.worker == home:
                 continue
-            crosses = (nodes is not None
-                       and nodes[home] != nodes[chunk.worker])
+            crosses = nodes[home] != nodes[chunk.worker]
             d.stolen_edges += chunk.edges
             d.migrated += chunk.vertices.size
             if crosses:
@@ -882,8 +814,6 @@ class GumScheduler(Scheduler):
             state.p_estimate,
             candidate_sizes=self._candidate_sizes(context),
             tracer=context.tracer,
-            worker_nodes=state.worker_nodes,
-            node_representatives=state.node_reps,
             **amortized,
         )
         if self._config.amortize:
@@ -1078,16 +1008,9 @@ class GumScheduler(Scheduler):
                 repro_config.BYTES_PER_EDGE,
                 seed=BANDWIDTH_SEED,
             )
-        alive = chaos.alive_workers()
-        if len(alive) == topology.num_gpus:
-            state.tree = make_reduction_tree(topology)
-        else:
-            state.tree = _EvictedTree(topology, alive, state.heirs)
-        if state.worker_nodes is not None:
-            reps = getattr(state.tree, "representatives", None)
-            # a machine degraded to a single surviving node has no
-            # hierarchical fold left: every survivor may steal freely
-            state.node_reps = list(reps) if reps else list(alive)
+        state.tree = ReductionTree(
+            topology, chaos.alive_workers(), state.heirs
+        )
         # z(m) memos and the OSteal backoff price the *old* machine;
         # force a fresh evaluation at the next opportunity
         state.osteal_z = LruDict(16)

@@ -49,8 +49,6 @@ def build_cost_matrix(
     cost_model: CostModel,
     fragment_home: np.ndarray,
     allowed_workers: Optional[Sequence[int]] = None,
-    worker_nodes: Optional[np.ndarray] = None,
-    node_representatives: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """The paper's cost coefficients ``c_ij = 1/B_ij + g(W_i)``.
 
@@ -70,16 +68,8 @@ def build_cost_matrix(
     allowed_workers:
         Workers eligible to receive work; others get ``inf`` columns
         (how OSteal's evictions are enforced — Section V, Step 3).
-    worker_nodes:
-        Optional GPU -> node assignment of a hierarchical topology.
-        When given (with ``node_representatives``), the two-level
-        policy applies: a worker may steal across nodes only if it is
-        its node's representative; other cross-node pairings are
-        forbidden with ``inf``. Workers on the fragment's home node
-        steal freely.
-    node_representatives:
-        Per-node representative GPU ids (from the hierarchical
-        reduction tree); required when ``worker_nodes`` is given.
+        The two-level multi-node policy is applied on top by
+        :meth:`~repro.core.reduction_tree.ReductionTree.restrict`.
     """
     num_fragments = len(fragment_features)
     num_workers = comm_cost.shape[1]
@@ -98,21 +88,6 @@ def build_cost_matrix(
         g_i = cost_model.edge_cost_seconds(features)
         home = int(fragment_home[i])
         costs[i, allowed] = comm_cost[home, allowed] + g_i
-    if worker_nodes is not None:
-        if node_representatives is None:
-            raise SolverError(
-                "two-level masking needs node_representatives"
-            )
-        worker_nodes = np.asarray(worker_nodes, dtype=np.int64)
-        is_rep = np.zeros(num_workers, dtype=bool)
-        is_rep[np.asarray(list(node_representatives), dtype=np.int64)] = True
-        home_nodes = worker_nodes[
-            np.asarray(fragment_home[:num_fragments], dtype=np.int64)
-        ]
-        # forbid (fragment, worker) pairs that would haul the frontier
-        # across the IB fabric into a non-representative
-        cross = home_nodes[:, None] != worker_nodes[None, :]
-        costs[cross & ~is_rep[None, :]] = np.inf
     return costs
 
 

@@ -77,15 +77,14 @@ def plan_osteal(
     z_cache: Optional[MutableMapping[int, float]] = None,
     start_size: Optional[int] = None,
     solve: Optional[Callable[[FStealProblem], FStealSolution]] = None,
-    worker_nodes: Optional[np.ndarray] = None,
-    node_representatives: Optional[Sequence[int]] = None,
 ) -> OStealDecision:
     """Algorithm 2: enumerate group sizes, return the cheapest policy.
 
     Parameters
     ----------
     tree:
-        Reduction tree of the machine topology.
+        Reduction tree of the machine topology; its two-level policy
+        restricts inter-node steals in every ``z(m)`` evaluation.
     comm_cost:
         Measured seconds-per-edge matrix between GPUs.
     fragment_features:
@@ -123,11 +122,6 @@ def plan_osteal(
         (defaults to ``solver.solve``); the scheduler routes this
         through its plan cache so OSteal evaluations are amortized
         too.
-    worker_nodes / node_representatives:
-        Hierarchical two-level constraint, forwarded to
-        :func:`~repro.core.fsteal.build_cost_matrix`: inter-node
-        steals are restricted to per-node representatives in every
-        ``z(m)`` evaluation.
     """
     num_workers = comm_cost.shape[0]
     sizes = (
@@ -139,16 +133,13 @@ def plan_osteal(
         solve = solver.solve
 
     def solve_size(m: int) -> tuple[FStealSolution, np.ndarray]:
-        active = tree.active_workers(m)
-        costs = build_cost_matrix(
+        costs = tree.restrict(build_cost_matrix(
             comm_cost,
             fragment_features,
             cost_model,
             fragment_home,
-            allowed_workers=active,
-            worker_nodes=worker_nodes,
-            node_representatives=node_representatives,
-        )
+            allowed_workers=tree.active_workers(m),
+        ), fragment_home)
         return solve(FStealProblem(costs, workloads)), costs
 
     if search == "scan":

@@ -7,6 +7,11 @@ widest links, evict one of each pair, recurse on the survivors. The
 residual network keeps the largest aggregate bandwidth, and OSteal only
 has to choose *how far down the tree to fold* (the group size ``m``).
 
+One fold serves every machine. A single server is a one-node cluster:
+each node's survivors fold over NVLink, then the node representatives
+fold over the IB rails. A degraded machine is the same fold over its
+survivors, with dead fragments following their heirs.
+
 :class:`ReductionTree` precomputes the full merge sequence — a list of
 ``(victim, thief)`` events — so that ``ownership(m)`` and
 ``active_workers(m)`` are O(n) lookups at decision time.
@@ -14,32 +19,97 @@ has to choose *how far down the tree to fold* (the group size ``m``).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.hardware.topology import Topology
 
-__all__ = ["ReductionTree", "HierarchicalReductionTree", "make_reduction_tree"]
+__all__ = ["ReductionTree"]
 
 
 class ReductionTree:
-    """Bandwidth-greedy folding order for a topology.
+    """Bandwidth-greedy folding order for a (possibly degraded) machine.
 
     Levels are built by maximum-weight perfect matching on the direct
-    NVLink lane counts among survivors (brute force — at most 8 GPUs,
-    105 matchings). Within a level, pairs merge cheapest-loss first, so
-    intermediate group sizes (the 8 -> 6 -> 4 -> 1 walk of Figure 9)
-    also retain maximal bandwidth. In each merged pair the survivor is
-    the endpoint whose links to the other survivors are wider.
+    lane counts among survivors (brute force — at most 8 GPUs per
+    node, 105 matchings). Within a level, pairs merge cheapest-loss
+    first, so intermediate group sizes (the 8 -> 6 -> 4 -> 1 walk of
+    Figure 9) also retain maximal bandwidth. In each merged pair the
+    survivor is the endpoint whose links to the other survivors are
+    wider.
+
+    The fold is two-level: every node folds its survivors with
+    level-synchronous NVLink matchings (one round per level, nodes in
+    ascending order), so no pair is matched across the IB fabric; then
+    each node's last survivor — its *representative* — folds with the
+    others, weighted by the node pair's IB rail count.
+
+    Parameters
+    ----------
+    topology:
+        The machine, in original GPU ids.
+    alive:
+        Surviving workers (default: every GPU). Only survivors fold;
+        group sizes beyond the survivor count clamp to it — the
+        degraded machine simply has fewer rungs to unfold.
+    heirs:
+        Dead worker -> the survivor that inherited its fragments at
+        eviction time. Chains resolve through later deaths.
     """
 
-    def __init__(self, topology: Topology) -> None:
+    def __init__(
+        self,
+        topology: Topology,
+        alive: Optional[Sequence[int]] = None,
+        heirs: Optional[Dict[int, int]] = None,
+    ) -> None:
         self._topology = topology
-        self._n = topology.num_gpus
-        self._merges: List[Tuple[int, int]] = self._build()
-        # cache: group size m -> (ownership vector, active list)
+        self._n = n = topology.num_gpus
+        self._alive = (
+            list(range(n)) if alive is None else sorted(int(w) for w in alive)
+        )
+        heirs = heirs or {}
+        holders = []
+        for holder in range(n):
+            # death is monotone within a run, so the chain cannot cycle
+            while holder in heirs:
+                holder = heirs[holder]
+            holders.append(holder)
+        self._holders = np.asarray(holders, dtype=np.int64)
+        survivors = set(self._alive)
+        groups = [
+            [g for g in topology.node_members(node) if g in survivors]
+            for node in range(topology.num_nodes)
+        ]
+        groups = [group for group in groups if group]
+        self._merges: List[Tuple[int, int]] = _fold(
+            groups, topology.lane_matrix
+        )
+        # the fold consumed each group down to its node's representative
+        representatives = sorted(group[0] for group in groups)
+        nodes = topology.node_assignment
+        rep_lanes = np.zeros((n, n), dtype=np.int64)
+        rep_nodes = nodes[representatives]
+        rep_lanes[np.ix_(representatives, representatives)] = (
+            topology.inter_node_lane_matrix[np.ix_(rep_nodes, rep_nodes)]
+        )
+        self._merges += _fold([list(representatives)], rep_lanes)
+        # the two-level policy: while two or more nodes have survivors,
+        # only a representative may take another node's frontier; on a
+        # single surviving node every survivor steals freely
+        self._forbidden: Optional[np.ndarray] = None
+        if len(groups) > 1:
+            self._representatives = representatives
+            is_rep = np.zeros(n, dtype=bool)
+            is_rep[representatives] = True
+            self._forbidden = (
+                (nodes[:, None] != nodes[None, :]) & ~is_rep[None, :]
+            )
+        else:
+            self._representatives = list(self._alive)
+        # cache: clamped group size -> (ownership vector, active list)
         self._cache: dict[int, Tuple[np.ndarray, List[int]]] = {}
 
     @property
@@ -49,50 +119,38 @@ class ReductionTree:
 
     @property
     def merge_sequence(self) -> List[Tuple[int, int]]:
-        """``(victim, thief)`` events; applying the first ``n - m``
-        yields the group of size ``m``."""
+        """``(victim, thief)`` events over the survivors; applying the
+        first ``survivors - m`` yields the group of size ``m``."""
         return list(self._merges)
 
-    # ------------------------------------------------------------------
-    def _build(self) -> List[Tuple[int, int]]:
-        lanes = self._topology.lane_matrix
-        merges: List[Tuple[int, int]] = []
-        survivors = list(range(self._n))
-        while len(survivors) > 1:
-            pairs = _max_weight_matching(survivors, lanes)
-            # order pairs: losing the least residual bandwidth first
-            def loss(pair: Tuple[int, int]) -> int:
-                victim = self._pick_victim(pair, survivors, lanes)
-                return int(
-                    sum(lanes[victim, s] for s in survivors if s != victim)
-                )
+    @property
+    def representatives(self) -> List[int]:
+        """Workers allowed to steal across nodes, sorted: one per node
+        with survivors, or every survivor once a single node is left."""
+        return list(self._representatives)
 
-            for a, b in sorted(pairs, key=loss):
-                victim = self._pick_victim((a, b), survivors, lanes)
-                thief = b if victim == a else a
-                merges.append((victim, thief))
-                survivors.remove(victim)
-        return merges
+    def restrict(
+        self, costs: np.ndarray, fragment_home: np.ndarray
+    ) -> np.ndarray:
+        """Apply the two-level policy to a cost matrix, in place.
 
-    @staticmethod
-    def _pick_victim(
-        pair: Tuple[int, int], survivors: Sequence[int], lanes: np.ndarray
-    ) -> int:
-        """Evict the endpoint less connected to the other survivors."""
-        a, b = pair
-        a_bw = sum(lanes[a, s] for s in survivors if s not in pair)
-        b_bw = sum(lanes[b, s] for s in survivors if s not in pair)
-        if a_bw != b_bw:
-            return a if a_bw < b_bw else b
-        return max(a, b)  # tie: keep the lower id (it coordinates)
+        Sets ``inf`` on every (fragment, worker) pair that would haul
+        the frontier across the IB fabric into a non-representative;
+        workers on the fragment's home node steal freely. A no-op on
+        one node.
+        """
+        if self._forbidden is not None:
+            homes = np.asarray(fragment_home[: len(costs)], dtype=np.int64)
+            costs[self._forbidden[homes]] = np.inf
+        return costs
 
     # ------------------------------------------------------------------
     def ownership(self, group_size: int) -> np.ndarray:
         """Fragment -> worker vector ``O`` for a target group size.
 
-        Applying the first ``n - m`` merges; a victim's fragments chase
-        the thief's own final owner (thieves of one level can be
-        victims of a later one).
+        Dead fragments start at their heir; applying the first merges
+        then moves a victim's fragments to the thief's own final owner
+        (thieves of one level can be victims of a later one).
         """
         ownership, __ = self._resolve(group_size)
         return ownership.copy()
@@ -107,117 +165,52 @@ class ReductionTree:
             raise TopologyError(
                 f"group size {group_size} out of range 1..{self._n}"
             )
-        if group_size not in self._cache:
-            ownership = np.arange(self._n, dtype=np.int64)
-            active = set(range(self._n))
-            for victim, thief in self._merges[: self._n - group_size]:
+        size = min(group_size, len(self._alive))
+        if size not in self._cache:
+            ownership = self._holders.copy()
+            active = set(self._alive)
+            for victim, thief in self._merges[: len(self._alive) - size]:
                 ownership[ownership == victim] = thief
                 active.discard(victim)
-            self._cache[group_size] = (ownership, sorted(active))
-        return self._cache[group_size]
+            self._cache[size] = (ownership, sorted(active))
+        return self._cache[size]
 
 
-class HierarchicalReductionTree(ReductionTree):
-    """Two-level folding order for a multi-node cluster.
+def _fold(
+    groups: List[List[int]], lanes: np.ndarray
+) -> List[Tuple[int, int]]:
+    """Fold every group to one survivor; returns the merge events.
 
-    A flat fold at 16 GPUs would brute-force ~2M matchings per level
-    and let the greedy matcher pair GPUs across the (narrow) IB
-    fabric. The hierarchy avoids both: each node folds internally with
-    level-synchronous NVLink matchings (at most 8-GPU instances), then
-    the surviving per-node *representatives* fold over the inter-node
-    rails. The representative set is what the two-level FSteal policy
-    gates on — inter-node steals route only through a node's
-    representative.
-
-    Single-node topologies reduce to the flat :class:`ReductionTree`
-    fold bit for bit.
+    Groups advance level-synchronously — each runs one matching round
+    per level, in list order — and are consumed in place. A round
+    merges its pairs losing the least residual bandwidth first.
     """
+    merges: List[Tuple[int, int]] = []
+    while any(len(group) > 1 for group in groups):
+        for group in groups:
+            pairs = _max_weight_matching(group, lanes)
 
-    def _build(self) -> List[Tuple[int, int]]:
-        topology = self._topology
-        if topology.num_nodes == 1:
-            merges = super()._build()
-            # flat machines have one trivial "node": its representative
-            # is the fold's final survivor
-            survivor = set(range(self._n))
-            for victim, __ in merges:
-                survivor.discard(victim)
-            self._representatives = sorted(survivor)
-            return merges
-        lanes = topology.lane_matrix
-        merges: List[Tuple[int, int]] = []
-        survivors = [
-            list(topology.node_members(u))
-            for u in range(topology.num_nodes)
-        ]
-        # level-synchronous intra-node folds: every node runs one
-        # matching round per level, nodes in ascending order
-        while any(len(s) > 1 for s in survivors):
-            for node_survivors in survivors:
-                if len(node_survivors) <= 1:
-                    continue
-                pairs = _max_weight_matching(node_survivors, lanes)
+            def loss(pair: Tuple[int, int], group=group) -> int:
+                victim = _pick_victim(pair, group, lanes)
+                return int(sum(lanes[victim, s] for s in group if s != victim))
 
-                def loss(pair: Tuple[int, int]) -> int:
-                    victim = self._pick_victim(
-                        pair, node_survivors, lanes
-                    )
-                    return int(sum(
-                        lanes[victim, s]
-                        for s in node_survivors if s != victim
-                    ))
-
-                for a, b in sorted(pairs, key=loss):
-                    victim = self._pick_victim(
-                        (a, b), node_survivors, lanes
-                    )
-                    thief = b if victim == a else a
-                    merges.append((victim, thief))
-                    node_survivors.remove(victim)
-        representatives = [s[0] for s in survivors]
-        self._representatives = sorted(representatives)
-        # representatives fold over the IB fabric: same greedy
-        # matching, weighted by the node pair's rail count
-        rep_lanes = np.zeros((self._n, self._n), dtype=np.int64)
-        inter = topology.inter_node_lane_matrix
-        for u, rep_u in enumerate(representatives):
-            for v, rep_v in enumerate(representatives):
-                if u != v:
-                    rep_lanes[rep_u, rep_v] = inter[u, v]
-        rep_survivors = sorted(representatives)
-        while len(rep_survivors) > 1:
-            pairs = _max_weight_matching(rep_survivors, rep_lanes)
-
-            def rep_loss(pair: Tuple[int, int]) -> int:
-                victim = self._pick_victim(pair, rep_survivors, rep_lanes)
-                return int(sum(
-                    rep_lanes[victim, s]
-                    for s in rep_survivors if s != victim
-                ))
-
-            for a, b in sorted(pairs, key=rep_loss):
-                victim = self._pick_victim((a, b), rep_survivors, rep_lanes)
-                thief = b if victim == a else a
-                merges.append((victim, thief))
-                rep_survivors.remove(victim)
-        return merges
-
-    @property
-    def representatives(self) -> List[int]:
-        """Sorted per-node representative GPU ids (one per node)."""
-        return list(self._representatives)
+            for a, b in sorted(pairs, key=loss):
+                victim = _pick_victim((a, b), group, lanes)
+                merges.append((victim, b if victim == a else a))
+                group.remove(victim)
+    return merges
 
 
-def make_reduction_tree(topology: Topology) -> ReductionTree:
-    """The fold matching a topology's shape.
-
-    Multi-node clusters get the two-level
-    :class:`HierarchicalReductionTree`; flat machines keep the paper's
-    :class:`ReductionTree` unchanged.
-    """
-    if topology.num_nodes > 1:
-        return HierarchicalReductionTree(topology)
-    return ReductionTree(topology)
+def _pick_victim(
+    pair: Tuple[int, int], survivors: Sequence[int], lanes: np.ndarray
+) -> int:
+    """Evict the endpoint less connected to the other survivors."""
+    a, b = pair
+    a_bw = sum(lanes[a, s] for s in survivors if s not in pair)
+    b_bw = sum(lanes[b, s] for s in survivors if s not in pair)
+    if a_bw != b_bw:
+        return a if a_bw < b_bw else b
+    return max(a, b)  # tie: keep the lower id (it coordinates)
 
 
 def _max_weight_matching(

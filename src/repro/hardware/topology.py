@@ -232,16 +232,15 @@ class Topology:
         bw = np.where(
             self._lanes > 0, self._lanes * NVLINK_LANE_GBPS, PCIE_GBPS
         ).astype(np.float64)
-        if self._num_nodes > 1:
-            node_bw = np.where(
-                self._inter_lanes > 0,
-                self._inter_lanes * IB_LANE_GBPS,
-                ETHERNET_GBPS,
-            ).astype(np.float64)
-            cross = self._node_of[:, None] != self._node_of[None, :]
-            bw[cross] = node_bw[
-                self._node_of[:, None], self._node_of[None, :]
-            ][cross]
+        node_bw = np.where(
+            self._inter_lanes > 0,
+            self._inter_lanes * IB_LANE_GBPS,
+            ETHERNET_GBPS,
+        ).astype(np.float64)
+        cross = self._node_of[:, None] != self._node_of[None, :]
+        bw[cross] = node_bw[
+            self._node_of[:, None], self._node_of[None, :]
+        ][cross]
         np.fill_diagonal(bw, self._gpu.local_bandwidth_gbps)
         return bw
 
@@ -265,17 +264,16 @@ class Topology:
         # construction.
         best = _maximin_over_hops(nvlink)
         eff = np.maximum(best, PCIE_GBPS)
-        if self._num_nodes > 1:
-            # node-level fabric: maximin over IB rails with the same
-            # store-and-forward penalty, floored at the Ethernet
-            # management network. Every cross-node GPU pair sees its
-            # node pair's effective rate.
-            ib = (self._inter_lanes * IB_LANE_GBPS).astype(np.float64)
-            node_eff = np.maximum(_maximin_over_hops(ib), ETHERNET_GBPS)
-            cross = self._node_of[:, None] != self._node_of[None, :]
-            eff[cross] = node_eff[
-                self._node_of[:, None], self._node_of[None, :]
-            ][cross]
+        # node-level fabric: maximin over IB rails with the same
+        # store-and-forward penalty, floored at the Ethernet management
+        # network. Every cross-node GPU pair sees its node pair's
+        # effective rate.
+        ib = (self._inter_lanes * IB_LANE_GBPS).astype(np.float64)
+        node_eff = np.maximum(_maximin_over_hops(ib), ETHERNET_GBPS)
+        cross = self._node_of[:, None] != self._node_of[None, :]
+        eff[cross] = node_eff[
+            self._node_of[:, None], self._node_of[None, :]
+        ][cross]
         np.fill_diagonal(eff, self._gpu.local_bandwidth_gbps)
         eff.setflags(write=False)
         self._bandwidth_cache = eff
@@ -297,13 +295,12 @@ class Topology:
         for idx, i in enumerate(members):
             for j in members[idx + 1:]:
                 total += float(self._lanes[i, j]) * NVLINK_LANE_GBPS
-        if self._num_nodes > 1:
-            # an IB rail is shared by every GPU pair spanning its two
-            # nodes, so each node pair contributes its rails once
-            present = sorted({int(self._node_of[g]) for g in members})
-            for idx, u in enumerate(present):
-                for v in present[idx + 1:]:
-                    total += float(self._inter_lanes[u, v]) * IB_LANE_GBPS
+        # an IB rail is shared by every GPU pair spanning its two
+        # nodes, so each node pair contributes its rails once
+        present = sorted({int(self._node_of[g]) for g in members})
+        for idx, u in enumerate(present):
+            for v in present[idx + 1:]:
+                total += float(self._inter_lanes[u, v]) * IB_LANE_GBPS
         return total
 
     # ------------------------------------------------------------------
@@ -400,7 +397,7 @@ class Topology:
             links,
             gpu=self._gpu,
             name=name or f"{self._name}-degraded",
-            node_of=None if self._num_nodes == 1 else self._node_of,
+            node_of=self._node_of,
             inter_node_links=inter_links,
         )
 
@@ -425,23 +422,20 @@ class Topology:
         member_nodes = [int(self._node_of[g]) for g in members]
         present = sorted(set(member_nodes))
         node_remap = {u: i for i, u in enumerate(present)}
-        node_of = None
         inter_links = []
-        if len(present) > 1:
-            node_of = [node_remap[u] for u in member_nodes]
-            for idx, u in enumerate(present):
-                for v in present[idx + 1:]:
-                    rails = int(self._inter_lanes[u, v])
-                    if rails:
-                        inter_links.append(
-                            LinkSpec(node_remap[u], node_remap[v], rails)
-                        )
+        for idx, u in enumerate(present):
+            for v in present[idx + 1:]:
+                rails = int(self._inter_lanes[u, v])
+                if rails:
+                    inter_links.append(
+                        LinkSpec(node_remap[u], node_remap[v], rails)
+                    )
         return Topology(
             len(members),
             links,
             gpu=self._gpu,
             name=name or f"{self._name}[{len(members)}]",
-            node_of=node_of,
+            node_of=[node_remap[u] for u in member_nodes],
             inter_node_links=inter_links,
         )
 
@@ -543,24 +537,19 @@ def cluster(
         for node in range(num_nodes)
         for a, b, lanes in node_links
     ]
-    node_of = None
-    inter_links = []
-    if num_nodes > 1:
-        node_of = [
-            node for node in range(num_nodes) for __ in range(gpus_per_node)
-        ]
-        if ib_rails:
-            inter_links = [
-                LinkSpec(u, v, ib_rails)
-                for u in range(num_nodes)
-                for v in range(u + 1, num_nodes)
-            ]
+    inter_links = [
+        LinkSpec(u, v, ib_rails)
+        for u in range(num_nodes)
+        for v in range(u + 1, num_nodes)
+    ]
     return Topology(
         num_nodes * gpus_per_node,
         links,
         gpu=gpu,
         name=f"cluster{num_nodes}x{gpus_per_node}",
-        node_of=node_of,
+        node_of=[
+            node for node in range(num_nodes) for __ in range(gpus_per_node)
+        ],
         inter_node_links=inter_links,
     )
 

@@ -52,10 +52,8 @@ from repro.obs.export import (
 from repro.obs.analysis import (
     CriticalPathReport,
     ReplayReport,
-    SpanDag,
     WhatIf,
     analyze,
-    build_dag,
     replay,
 )
 from repro.obs.live import (
@@ -100,12 +98,10 @@ __all__ = [
     "iteration_spans",
     "result_to_spans",
     "emit_iteration",
-    "SpanDag",
     "CriticalPathReport",
     "ReplayReport",
     "WhatIf",
     "analyze",
-    "build_dag",
     "replay",
     "StreamingSink",
     "read_stream_events",

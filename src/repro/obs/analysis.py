@@ -1,28 +1,28 @@
-"""Trace analytics: span DAG, critical path, attribution, what-if.
+"""Trace analytics: critical path, attribution, what-if.
 
 The paper's whole argument is an *attribution* argument — which GPU
 straggles each superstep (Figures 1/8), how much the coordinator's
 FSteal/OSteal decisions cost (Table IV), where the Figure 6 buckets
 go. This module answers those questions offline, from a finished
 :class:`~repro.runtime.metrics.RunResult` or an archived trace, in the
-style of dPRO-like trace replayers for training stacks:
+style of dPRO-like trace replayers for training stacks. Each superstep
+is a BSP step: per-GPU ``busy`` spans fan into a barrier, followed by
+a coordinator tail (message transfer, serialization, sync, and
+decision overhead) that gates the next superstep.
 
-* :func:`build_dag` reconstructs the run's dependency DAG — per-GPU
-  ``busy`` spans fan into each superstep's BSP ``barrier``, followed by
-  a ``coordinator`` tail (message transfer, serialization, sync, and
-  decision overhead) that gates the next superstep;
-* :func:`analyze` computes the virtual-time **critical path** through
-  that DAG and attributes end-to-end time per iteration to
+* :func:`analyze` computes the virtual-time **critical path** — each
+  superstep's straggler plus its coordinator tail, summed — and
+  attributes end-to-end time per iteration to
   ``{compute, communication, stall, coordinator}`` buckets that sum to
   ``result.total_ms`` exactly, naming the **straggler GPU** of every
   superstep;
-* :func:`replay` re-simulates the DAG under a :class:`WhatIf` scenario
-  (scale GPU *i*'s compute by *x*, zero the decision overhead, drop
-  FSteal's rebalancing) with scaled durations. A no-op scenario
-  reproduces the original end-to-end time exactly — the invariant the
-  test suite pins.
+* :func:`replay` re-simulates the supersteps under a :class:`WhatIf`
+  scenario (scale GPU *i*'s compute by *x*, zero the decision
+  overhead, drop FSteal's rebalancing) with scaled durations. A no-op
+  scenario reproduces the original end-to-end time exactly — the
+  invariant the test suite pins.
 
-All three accept a ``RunResult``, a ``(header, records)`` pair from
+Both accept a ``RunResult``, a ``(header, records)`` pair from
 :func:`repro.runtime.trace.load_trace`, or a bare list of iteration
 records, so archived runs in the registry analyze identically to live
 ones. Durations are milliseconds throughout, matching ``total_ms``.
@@ -40,14 +40,11 @@ from repro.runtime.metrics import RunResult
 from repro.runtime.trace import trace_records
 
 __all__ = [
-    "DagNode",
-    "SpanDag",
     "IterationCost",
     "CriticalPathReport",
     "WhatIf",
     "ReplayReport",
     "iteration_costs",
-    "build_dag",
     "analyze",
     "replay",
     "replay_walls",
@@ -253,129 +250,6 @@ def iteration_costs(
 
 
 # ----------------------------------------------------------------------
-# The span DAG
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DagNode:
-    """One node of the reconstructed dependency DAG."""
-
-    id: str
-    kind: str  # "source" | "busy" | "barrier" | "coordinator" | "sink"
-    duration_ms: float
-    iteration: int = -1
-    gpu: Optional[int] = None
-
-
-class SpanDag:
-    """Dependency DAG of a run: nodes with durations, directed edges.
-
-    Construction order is topological (supersteps are appended in
-    execution order), which :meth:`longest_path` relies on. Barrier
-    wait (stall) is *derived* — ``barrier start - busy end`` — rather
-    than a node, so the longest path is the true critical path and
-    never rides a wait edge.
-    """
-
-    def __init__(self, meta: Optional[Dict] = None) -> None:
-        self.meta: Dict = dict(meta or {})
-        self.nodes: Dict[str, DagNode] = {}
-        self._predecessors: Dict[str, List[str]] = {}
-
-    def add_node(self, node: DagNode) -> DagNode:
-        """Register a node (ids must be unique)."""
-        if node.id in self.nodes:
-            raise TraceFormatError(f"duplicate DAG node {node.id!r}")
-        self.nodes[node.id] = node
-        self._predecessors[node.id] = []
-        return node
-
-    def add_edge(self, src: str, dst: str) -> None:
-        """Add a dependency edge ``src -> dst``."""
-        for node_id in (src, dst):
-            if node_id not in self.nodes:
-                raise TraceFormatError(f"unknown DAG node {node_id!r}")
-        self._predecessors[dst].append(src)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def longest_path(self) -> Tuple[float, List[str]]:
-        """``(length_ms, node_ids)`` of the duration-weighted longest
-        path — the run's virtual-time critical path."""
-        if not self.nodes:
-            return 0.0, []
-        finish: Dict[str, float] = {}
-        best_pred: Dict[str, Optional[str]] = {}
-        for node_id, node in self.nodes.items():  # insertion = topo
-            start = 0.0
-            pred_choice: Optional[str] = None
-            for pred in self._predecessors[node_id]:
-                # first predecessor always wins the tie so zero-duration
-                # ancestors (source, barriers) stay on the reported path
-                if pred_choice is None or finish[pred] > start:
-                    start = finish[pred]
-                    pred_choice = pred
-            finish[node_id] = start + node.duration_ms
-            best_pred[node_id] = pred_choice
-        # ties resolve to the last-inserted node so the zero-duration
-        # sink terminates the path rather than its final coordinator
-        end = max(reversed(list(finish)),
-                  key=lambda node_id: finish[node_id])
-        path = [end]
-        while best_pred[path[-1]] is not None:
-            path.append(best_pred[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return finish[end], path
-
-
-def build_dag(source: AnalysisSource) -> SpanDag:
-    """Reconstruct the dependency DAG of a run.
-
-    Shape per superstep *k* (the BSP structure the engine executes)::
-
-        coordinator(k-1) --> busy(k, gpu j) --> barrier(k)
-                                                   |
-                             busy(k, straggler) ---+--> coordinator(k)
-
-    ``coordinator(k)`` carries the post-barrier tail — message
-    transfer, serialization, sync, and decision overhead — i.e.
-    ``wall(k) - max_j busy(k, j)``.
-    """
-    header, costs = iteration_costs(source)
-    dag = SpanDag(meta=header)
-    previous = dag.add_node(DagNode(id="source", kind="source",
-                                    duration_ms=0.0))
-    for cost in costs:
-        k = cost.iteration
-        barrier = DagNode(id=f"barrier:{k}", kind="barrier",
-                          duration_ms=0.0, iteration=k)
-        busy_nodes = []
-        for gpu in cost.active:
-            busy_nodes.append(dag.add_node(DagNode(
-                id=f"busy:{k}:gpu{gpu}", kind="busy",
-                duration_ms=float(cost.busy_ms[gpu]),
-                iteration=k, gpu=gpu,
-            )))
-        dag.add_node(barrier)
-        tail = max(cost.wall_ms - cost.critical_ms, 0.0)
-        coordinator = dag.add_node(DagNode(
-            id=f"coordinator:{k}", kind="coordinator",
-            duration_ms=tail, iteration=k,
-        ))
-        if busy_nodes:
-            for node in busy_nodes:
-                dag.add_edge(previous.id, node.id)
-                dag.add_edge(node.id, barrier.id)
-        else:
-            dag.add_edge(previous.id, barrier.id)
-        dag.add_edge(barrier.id, coordinator.id)
-        previous = coordinator
-    sink = dag.add_node(DagNode(id="sink", kind="sink", duration_ms=0.0))
-    dag.add_edge(previous.id, sink.id)
-    return dag
-
-
-# ----------------------------------------------------------------------
 # Critical-path attribution
 # ----------------------------------------------------------------------
 @dataclass
@@ -447,8 +321,13 @@ def analyze(source: AnalysisSource) -> CriticalPathReport:
     straggled = np.zeros(num_gpus, dtype=np.int64)
     buckets = {key: 0.0 for key in ATTRIBUTION_BUCKETS}
     total = 0.0
+    critical_path_ms = 0.0
     for cost in costs:
         total += cost.wall_ms
+        # supersteps are barrier-separated, so the critical path runs
+        # through each one's straggler and then its coordinator tail
+        critical_path_ms += cost.critical_ms
+        critical_path_ms += max(cost.wall_ms - cost.critical_ms, 0.0)
         for key in ATTRIBUTION_BUCKETS:
             buckets[key] += cost.attribution_ms[key]
         if cost.busy_ms.size == num_gpus:
@@ -457,9 +336,6 @@ def analyze(source: AnalysisSource) -> CriticalPathReport:
         if cost.straggler is not None:
             on_critical[cost.straggler] += cost.critical_ms
             straggled[cost.straggler] += 1
-    # the DAG's longest path is sum(critical + tail) = sum(wall);
-    # computed through the DAG so the invariant holds by construction
-    critical_path_ms, __ = build_dag((header, costs)).longest_path()
     return CriticalPathReport(
         total_ms=total,
         num_gpus=num_gpus,
@@ -479,7 +355,7 @@ def analyze(source: AnalysisSource) -> CriticalPathReport:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WhatIf:
-    """A hypothetical to re-simulate the DAG under.
+    """A hypothetical to re-simulate the supersteps under.
 
     Attributes
     ----------
@@ -629,7 +505,7 @@ def _whatif_critical(cost: IterationCost, whatif: WhatIf) -> float:
 
 def replay(source: AnalysisSource,
            whatif: Optional[WhatIf] = None) -> ReplayReport:
-    """Re-simulate the run's DAG with scaled durations.
+    """Re-simulate the run's supersteps with scaled durations.
 
     Per superstep the replay recomputes the barrier time (max scaled
     busy over the active group) and shifts the recorded wall time by

@@ -37,7 +37,7 @@ def _entry(**overrides):
         "virtual_ms_per_edge": 1e-3,
         "wall_seconds_in_core": 3.0,
         "wall_seconds_sharded": 3.3,
-        "wall_overhead": 0.1,
+        "wall_seconds_per_shard_load": 3e-3,
         "bit_identical": True,
         "inter_node_stolen_edges": 5000,
     }
@@ -135,10 +135,14 @@ class TestGate:
         assert any("resident budget" in p for p in problems)
 
     def test_wall_overhead_violation(self):
+        limit = scale.WALL_SECONDS_PER_SHARD_LOAD
+        assert _problems(
+            _report(wall_seconds_per_shard_load=limit), _report()
+        ) == []
         problems = _problems(
-            _report(wall_overhead=0.30), _report()
+            _report(wall_seconds_per_shard_load=1.5 * limit), _report()
         )
-        assert any("wall-clock" in p for p in problems)
+        assert any("ms per shard load" in p for p in problems)
 
     def test_multi_node_requires_inter_node_steals(self):
         problems = _problems(

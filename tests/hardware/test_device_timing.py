@@ -59,6 +59,36 @@ def test_noise_is_bounded():
         assert abs(noisy_cost / clean_cost - 1.0) <= 0.05 + 1e-9
 
 
+#: ``(features, jitter)`` captured with CPython 3.11; the first is the
+#: first fragment frontier TX/bfs@4 prices
+NOISE_PINS = [
+    (feats(size=1, edges=4), 1.0237917439442747),
+    (feats(gini=0.2, entropy=0.5, out_range=2.0, in_range=2.0, size=50,
+           edges=200), 1.0254100653302998),
+    (feats(gini=0.4, entropy=0.5), 1.0155047670854949),
+    (FrontierFeatures(12.5, 37.25, 900.0, 1500.0, 0.83, 0.61, 12345,
+                      460000), 1.007402868020185),
+    (feats(avg_in=1.0, avg_out=1.0, size=1, edges=1), 0.991159574043775),
+]
+
+
+def test_pseudo_noise_is_pinned():
+    """The ground-truth jitter seeds a generator from ``hash()`` of a
+    float tuple; every golden in the suite depends on it."""
+    device = DeviceModel()
+    drifted = [
+        (features, device._pseudo_noise(features), expected)
+        for features, expected in NOISE_PINS
+        if device._pseudo_noise(features) != expected
+    ]
+    assert drifted == [], (
+        "DeviceModel._pseudo_noise drifted from its pinned values "
+        "(features, got, pinned): this interpreter's hash() of a float "
+        "tuple differs from CPython 3.11's, so every ground-truth cost "
+        f"and every golden built on one will differ too: {drifted}"
+    )
+
+
 def test_empty_frontier_cost_is_base():
     device = DeviceModel()
     cost = device.true_edge_cost(FrontierFeatures.empty())

@@ -9,11 +9,8 @@ from repro.errors import TraceFormatError
 from repro.hardware import dgx1
 from repro.obs.analysis import (
     ATTRIBUTION_BUCKETS,
-    DagNode,
-    SpanDag,
     WhatIf,
     analyze,
-    build_dag,
     format_replay,
     format_report,
     replay,
@@ -121,46 +118,22 @@ def test_report_as_dict_is_json(result):
     assert payload["num_iterations"] == result.num_iterations
 
 
+def test_critical_path_equals_total(result):
+    # barrier-to-barrier structure: critical busy + coordinator tail
+    # per superstep = the superstep's wall; summed = total
+    assert analyze((_header(), _records())).critical_path_ms == \
+        pytest.approx(7.0)
+    assert analyze(result).critical_path_ms == pytest.approx(
+        result.total_ms, rel=1e-9
+    )
+
+
 def test_analyze_empty_run():
     report = analyze(({}, []))
     assert report.total_ms == 0.0
     assert report.num_iterations == 0
     assert report.dominant_straggler() is None
     assert report.critical_path_ms == 0.0
-
-
-# ----------------------------------------------------------------------
-# The DAG
-# ----------------------------------------------------------------------
-def test_dag_shape_and_longest_path():
-    dag = build_dag((_header(), _records()))
-    # source + (2 busy + barrier + coordinator) * 2 + sink
-    assert len(dag) == 10
-    length, path = dag.longest_path()
-    # barrier-to-barrier structure: critical busy + coordinator tail
-    # per superstep = the superstep's wall; summed = total
-    assert length == pytest.approx(7.0)
-    assert path[0] == "source" and path[-1] == "sink"
-    assert "busy:0:gpu1" in path  # iteration 0's straggler
-    assert "busy:1:gpu0" in path  # iteration 1's straggler
-
-
-def test_dag_longest_path_equals_total(result):
-    length, __ = build_dag(result).longest_path()
-    assert length == pytest.approx(result.total_ms, rel=1e-9)
-
-
-def test_dag_rejects_duplicates_and_unknown_edges():
-    dag = SpanDag()
-    dag.add_node(DagNode(id="a", kind="busy", duration_ms=1.0))
-    with pytest.raises(TraceFormatError, match="duplicate"):
-        dag.add_node(DagNode(id="a", kind="busy", duration_ms=2.0))
-    with pytest.raises(TraceFormatError, match="unknown"):
-        dag.add_edge("a", "missing")
-
-
-def test_empty_dag_longest_path():
-    assert SpanDag().longest_path() == (0.0, [])
 
 
 # ----------------------------------------------------------------------

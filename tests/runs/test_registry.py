@@ -264,7 +264,8 @@ def test_diff_bench_kind_uses_perfharness_guards(registry):
                           registry.load_manifest(base_id)).ok
     # a measured case diffs on its deterministic fields and violations
     report["benchmarks"]["scale.x"] = {
-        "virtual_ms_per_edge": 1e-3, "wall_overhead": 0.1,
+        "virtual_ms_per_edge": 1e-3,
+        "wall_seconds_per_shard_load": 1e-3,
         "violations": [], "meta": {
             "deterministic": ["virtual_ms_per_edge"]}}
     base_id = registry.record_bench(report)
