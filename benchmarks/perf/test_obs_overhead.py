@@ -42,9 +42,9 @@ from repro.bench import perfharness
 from repro.bench.workloads import (
     algorithm_params,
     cached_partition,
-    make_engine,
     prepare_graph,
 )
+from repro.facade import make_engine
 from repro.core import GumConfig
 from repro.obs import InMemorySink, MetricsRegistry, StreamingSink, Tracer
 

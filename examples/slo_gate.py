@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.cli import result_summary
+from repro.runs import result_summary
 from repro.obs import MetricsRegistry, StreamingSink, Tracer
 from repro.obs.slo import SLO_SCHEMA, evaluate, policy_from_dict
 from repro.obs.top import follow_stream

@@ -31,161 +31,49 @@ Quick start::
           f"stall {result.stall_fraction():.0%}")
 """
 
-from repro import config
-from repro.chaos import (
-    ChaosController,
-    ChaosScenario,
-    FallbackSolver,
-    FaultSpec,
-)
-from repro.errors import (
-    ConvergenceError,
-    CostModelError,
-    DegradedModeError,
-    EngineError,
-    FaultInjectionError,
-    GraphError,
-    PartitionError,
-    ReproError,
-    SolverError,
-    TopologyError,
-)
-from repro.graph import (
-    CSRGraph,
-    from_edge_arrays,
-    from_edges,
-    load_edge_list,
-    load_matrix_market,
-    rmat,
-    road_network,
-    symmetrize,
-    web_graph,
-    with_random_weights,
-)
-from repro.graph import datasets
-from repro.partition import (
-    Partition,
-    make_partition,
-    metis_like_partition,
-    random_partition,
-    segmented_partition,
-)
-from repro.hardware import (
-    DeviceModel,
-    GPUSpec,
-    TimingModel,
-    Topology,
-    dgx1,
-    fully_connected,
-    ring_topology,
-    single_gpu,
-)
-from repro.runtime import (
-    BSPEngine,
-    EngineOptions,
-    Frontier,
-    RunResult,
-    StaticScheduler,
-    TimeBreakdown,
-)
-from repro.algorithms import ALGORITHMS, make_algorithm
-from repro.core import (
-    GumConfig,
-    GumEngine,
-    GumScheduler,
-    HubCache,
-    ReductionTree,
-    pretrained_default,
-)
-from repro.baselines import GrouteEngine, GunrockEngine
-from repro.obs import (
-    ChromeTraceSink,
-    InMemorySink,
-    JsonlSink,
-    MetricsRegistry,
-    NULL_METRICS,
-    NULL_TRACER,
-    Tracer,
-    write_chrome_trace,
-)
-from repro.facade import run
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "config",
-    "datasets",
-    # errors
-    "ReproError",
-    "GraphError",
-    "PartitionError",
-    "TopologyError",
-    "SolverError",
-    "EngineError",
-    "ConvergenceError",
-    "CostModelError",
-    "FaultInjectionError",
-    "DegradedModeError",
-    # chaos
-    "ChaosScenario",
-    "FaultSpec",
-    "ChaosController",
-    "FallbackSolver",
-    # graph
-    "CSRGraph",
-    "from_edges",
-    "from_edge_arrays",
-    "load_edge_list",
-    "load_matrix_market",
-    "symmetrize",
-    "rmat",
-    "web_graph",
-    "road_network",
-    "with_random_weights",
-    # partition
-    "Partition",
-    "random_partition",
-    "segmented_partition",
-    "metis_like_partition",
-    "make_partition",
-    # hardware
-    "GPUSpec",
-    "Topology",
-    "dgx1",
-    "ring_topology",
-    "fully_connected",
-    "single_gpu",
-    "DeviceModel",
-    "TimingModel",
-    # runtime
-    "Frontier",
-    "BSPEngine",
-    "EngineOptions",
-    "StaticScheduler",
-    "RunResult",
-    "TimeBreakdown",
-    # algorithms
-    "ALGORITHMS",
-    "make_algorithm",
-    # core (GUM)
-    "GumEngine",
-    "GumConfig",
-    "GumScheduler",
-    "HubCache",
-    "ReductionTree",
-    "pretrained_default",
-    # baselines
-    "GunrockEngine",
-    "GrouteEngine",
-    # observability
-    "Tracer",
-    "MetricsRegistry",
-    "InMemorySink",
-    "JsonlSink",
-    "ChromeTraceSink",
-    "write_chrome_trace",
-    "NULL_TRACER",
-    "NULL_METRICS",
-    "run",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": ("config",),
+    "repro.graph.datasets": ("datasets",),
+    "repro.errors": (
+        "ReproError", "GraphError", "PartitionError", "TopologyError",
+        "SolverError", "EngineError", "ConvergenceError",
+        "CostModelError", "FaultInjectionError", "DegradedModeError",
+    ),
+    "repro.chaos": (
+        "ChaosScenario", "FaultSpec", "ChaosController", "FallbackSolver",
+    ),
+    "repro.graph": (
+        "CSRGraph", "from_edges", "from_edge_arrays", "load_edge_list",
+        "load_matrix_market", "symmetrize", "rmat", "web_graph",
+        "road_network", "with_random_weights",
+    ),
+    "repro.partition": (
+        "Partition", "random_partition", "segmented_partition",
+        "metis_like_partition", "make_partition",
+    ),
+    "repro.hardware": (
+        "GPUSpec", "Topology", "dgx1", "ring_topology", "fully_connected",
+        "single_gpu", "DeviceModel", "TimingModel",
+    ),
+    "repro.runtime": (
+        "Frontier", "BSPEngine", "EngineOptions", "StaticScheduler",
+        "RunResult", "TimeBreakdown",
+    ),
+    "repro.algorithms": ("ALGORITHMS", "make_algorithm"),
+    "repro.core": (
+        "GumEngine", "GumConfig", "GumScheduler", "HubCache",
+        "ReductionTree", "pretrained_default",
+    ),
+    "repro.baselines": ("GunrockEngine", "GrouteEngine"),
+    "repro.obs": (
+        "Tracer", "MetricsRegistry", "InMemorySink", "JsonlSink",
+        "ChromeTraceSink", "write_chrome_trace", "NULL_TRACER",
+        "NULL_METRICS",
+    ),
+    "repro.facade": ("run",),
+})
+__all__.append("__version__")

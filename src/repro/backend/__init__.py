@@ -7,21 +7,20 @@ CLI; ``serial`` (the historical in-process path) is the default.
 
 from __future__ import annotations
 
-from repro.backend.base import ExecutionBackend, ExecutionSession
-from repro.backend.serial import SerialBackend, SerialSession
-from repro.backend.shmem import SharedMemoryBackend, SharedMemorySession
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.errors import EngineError
 
-__all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "ExecutionSession",
-    "SerialBackend",
-    "SerialSession",
-    "SharedMemoryBackend",
-    "SharedMemorySession",
-    "make_backend",
-]
+if TYPE_CHECKING:
+    from repro.backend.base import ExecutionBackend
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.backend.base": ("ExecutionBackend", "ExecutionSession"),
+    "repro.backend.serial": ("SerialBackend", "SerialSession"),
+    "repro.backend.shmem": ("SharedMemoryBackend", "SharedMemorySession"),
+})
+__all__ += ["BACKEND_NAMES", "make_backend"]
 
 #: registered backend names, in CLI display order
 BACKEND_NAMES = ("serial", "shmem")
@@ -30,8 +29,12 @@ BACKEND_NAMES = ("serial", "shmem")
 def make_backend(name: str) -> ExecutionBackend:
     """Instantiate a backend by registered name."""
     if name == "serial":
+        from repro.backend.serial import SerialBackend
+
         return SerialBackend()
     if name == "shmem":
+        from repro.backend.shmem import SharedMemoryBackend
+
         return SharedMemoryBackend()
     raise EngineError(
         f"unknown execution backend {name!r}; known: "

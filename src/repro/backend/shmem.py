@@ -207,7 +207,9 @@ class SharedMemorySession(ExecutionSession):
         self._stats["startup_seconds"] = time.perf_counter() - started
 
     def _take_result(self, deadline: float, phase: str):
-        """One message off the result queue, or a timely EngineError."""
+        """One message off the result queue, or a timely EngineError —
+        at the deadline, or on the first empty poll after any worker
+        has exited (a worker that dies at spawn never reports)."""
         while True:
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
@@ -221,6 +223,12 @@ class SharedMemorySession(ExecutionSession):
                     timeout=min(remaining, 1.0)
                 )
             except queue_mod.Empty:
+                for worker, process in enumerate(self._processes):
+                    if process.exitcode is not None:
+                        raise EngineError(
+                            f"shmem worker {worker} exited with code "
+                            f"{process.exitcode} during {phase}"
+                        ) from None
                 continue
             if message[0] == "error":
                 raise EngineError(

@@ -1,36 +1,16 @@
 """Benchmark harness: workloads, runner, reporting."""
 
-from repro.bench.workloads import (
-    ENGINE_NAMES,
-    algorithm_params,
-    cached_partition,
-    make_engine,
-    pick_source,
-    prepare_graph,
-)
-from repro.bench.calibration import calibration_summary, format_calibration
-from repro.bench.runner import Cell, run_cell, run_matrix
-from repro.bench.reporting import (
-    format_breakdown,
-    format_series,
-    format_table,
-    switch_points,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_NAMES",
-    "prepare_graph",
-    "pick_source",
-    "cached_partition",
-    "make_engine",
-    "algorithm_params",
-    "Cell",
-    "run_cell",
-    "run_matrix",
-    "format_table",
-    "calibration_summary",
-    "format_calibration",
-    "format_breakdown",
-    "format_series",
-    "switch_points",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.workloads": (
+        "ENGINE_NAMES", "prepare_graph", "pick_source", "cached_partition",
+        "algorithm_params",
+    ),
+    "repro.facade": ("make_engine",),
+    "repro.bench.runner": ("Cell", "run_cell", "run_matrix"),
+    "repro.bench.calibration": ("calibration_summary", "format_calibration"),
+    "repro.bench.reporting": (
+        "format_table", "format_breakdown", "format_series", "switch_points",
+    ),
+})

@@ -16,9 +16,9 @@ from repro.runtime import EngineOptions, RunResult
 from repro.bench.workloads import (
     algorithm_params,
     cached_partition,
-    make_engine,
     prepare_graph,
 )
+from repro.facade import make_engine
 
 __all__ = ["Cell", "run_cell", "run_matrix"]
 

@@ -1,8 +1,8 @@
 """Workload preparation for the benchmark harness.
 
-Centralizes everything the experiment scripts share: the engine table
-(:func:`repro.facade.make_engine`, re-exported here), per-algorithm
-graph preparation (symmetrize for WCC, weights for SSSP), deterministic
+Centralizes everything the experiment scripts share: the engine names
+(built by :func:`repro.facade.make_engine`), per-algorithm graph
+preparation (symmetrize for WCC, weights for SSSP), deterministic
 source selection, and partition caching — so every experiment compares
 the same inputs across systems, as the paper does.
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS, make_algorithm
 from repro.errors import EngineError
-from repro.facade import make_engine
 from repro.graph import datasets, symmetrize, with_random_weights
 from repro.graph.csr import CSRGraph
 from repro.partition import Partition, make_partition
@@ -25,7 +24,6 @@ __all__ = [
     "prepare_graph",
     "pick_source",
     "cached_partition",
-    "make_engine",
     "algorithm_params",
     "ENGINE_NAMES",
 ]

@@ -30,41 +30,27 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro import __version__
 from repro.algorithms import ALGORITHMS
-from repro.bench import Cell, run_cell
+from repro.backend import BACKEND_NAMES
 from repro.bench.workloads import ENGINE_NAMES
-from repro.chaos import ChaosController, ChaosScenario
-from repro.core import GumConfig
-from repro.core.costmodel import (
-    artifact_label,
-    model_label,
-    resolve_cost_model,
-    save_artifact,
-)
 from repro.errors import ReproError
 from repro.graph import datasets
-from repro.graph.properties import degree_summary, pseudo_diameter
-from repro.hardware import Topology, dgx1, parse_topology
-from repro.obs import (
-    ChromeTraceSink,
-    JsonlSink,
-    MetricsRegistry,
-    StreamingSink,
-    Tracer,
-    write_prom,
-)
-from repro.backend import BACKEND_NAMES
 from repro.partition.partitioners import PARTITIONERS
-from repro.runs import result_summary, workload_fingerprint
-from repro.runtime import EngineOptions, RunResult
-from repro.runtime.trace import render_timeline
 
-__all__ = ["main", "build_parser", "result_summary"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaos import ChaosScenario
+    from repro.core import GumConfig
+    from repro.hardware import Topology
+    from repro.runtime import EngineOptions, RunResult
+
+# The parser needs only the choices lists above; every handler imports
+# what it runs, so ``--help``, argument errors and the reading verbs
+# (explain, replay, ...) never load the engine stack they do not use.
+
+__all__ = ["main", "build_parser"]
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -193,6 +179,8 @@ def _add_ref_arg(p: argparse.ArgumentParser, help: str,
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.graph.properties import degree_summary, pseudo_diameter
+
     print(f"{'abbr':5s} {'original':18s} {'domain':6s} "
           f"{'|V|':>8s} {'|E|':>9s} {'diam~':>6s} {'gini':>5s}")
     for abbr, spec in datasets.DATASETS.items():
@@ -217,6 +205,7 @@ def _register_datasets(sub) -> None:
 
 def _cmd_calibration(args: argparse.Namespace) -> int:
     from repro.bench.calibration import format_calibration
+    from repro.hardware import dgx1
 
     print(format_calibration(dgx1(args.gpus)))
     return 0
@@ -232,6 +221,10 @@ def _register_calibration(sub) -> None:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.hardware import dgx1
+
     topology = dgx1(args.gpus)
     np.set_printoptions(precision=1, suppress=True, linewidth=120)
     print(f"{topology!r}")
@@ -311,6 +304,9 @@ class _Request(NamedTuple):
 
     def workload(self, engine: str) -> dict:
         """The identity half of a recorded run's fingerprint."""
+        from repro.core.costmodel import model_label
+        from repro.runs.registry import workload_fingerprint
+
         config = self.gum_config
         return workload_fingerprint(
             **self.meta(engine),
@@ -325,6 +321,12 @@ class _Request(NamedTuple):
 
 def _request_from_args(args: argparse.Namespace) -> _Request:
     """Resolve the ``_add_run_args`` options; ``args`` is only read."""
+    from repro.chaos import ChaosScenario
+    from repro.core import GumConfig
+    from repro.core.costmodel import resolve_cost_model
+    from repro.hardware import parse_topology
+    from repro.runtime import EngineOptions
+
     topology = (
         parse_topology(args.topology) if args.topology is not None
         else None
@@ -376,6 +378,8 @@ class _Observed:
 
     @functools.cached_property
     def summary(self) -> dict:
+        from repro.runs.registry import result_summary
+
         return result_summary(self.result)
 
 
@@ -402,6 +406,17 @@ def _observed_run(
     propagates to ``main()`` and nothing is written to ``prom`` or
     archived in ``registry`` (``None``: do not record).
     """
+    from repro.bench.runner import Cell, run_cell
+    from repro.chaos import ChaosController
+    from repro.obs import (
+        ChromeTraceSink,
+        JsonlSink,
+        MetricsRegistry,
+        StreamingSink,
+        Tracer,
+        write_prom,
+    )
+
     meta = request.meta(engine)
     collected = MetricsRegistry() if (metrics or prom or stream) else None
     with Tracer(meta=meta) as tracer:
@@ -635,6 +650,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if run_id:
             print(f"  recorded          : {run_id}")
     if args.timeline:
+        from repro.runtime.trace import render_timeline
+
         print(render_timeline(result))
     return 0
 
@@ -785,6 +802,7 @@ def _register_bench(sub) -> None:
 
 def _cmd_costmodel_fit(args: argparse.Namespace) -> int:
     """Fit a cost model from recorded runs; emit an artifact."""
+    from repro.core.costmodel import artifact_label, save_artifact
     from repro.core.costmodel_fit import fit_candidates, harvest
 
     registry = _registry_from_args(args)
@@ -1324,6 +1342,7 @@ def _slo_history(registry, manifest: dict) -> List[dict]:
 
 def _cmd_slo_check(args: argparse.Namespace) -> int:
     """Evaluate a rule file against a recorded run; exit 1 on violation."""
+    from repro.obs.prom import write_prom
     from repro.obs.slo import evaluate, load_policy
 
     policy = load_policy(args.rules)

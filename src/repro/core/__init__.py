@@ -1,107 +1,35 @@
 """The paper's contribution: FSteal, OSteal, cost model, GUM engine."""
 
-from repro.core.decision_cache import (
-    LruDict,
-    PlanCache,
-    plan_fingerprint,
-    quantize,
-    repair_assignment,
-)
-from repro.core.milp import (
-    AssemblyWorkspace,
-    BranchAndBoundSolver,
-    FStealProblem,
-    FStealSolution,
-    FStealSolver,
-    GreedySolver,
-    HiGHSSolver,
-    LPRoundingSolver,
-    SOLVERS,
-    make_solver,
-)
-from repro.core.costmodel import (
-    COSTMODEL_SCHEMA,
-    CostModel,
-    DecisionTreeModel,
-    FitReport,
-    KernelRidgeModel,
-    LinearSGDModel,
-    MODEL_FAMILIES,
-    OnlineRMSRE,
-    OracleCostModel,
-    PolynomialSGDModel,
-    UniformCostModel,
-    load_artifact,
-    pretrained_default,
-    rmsre,
-    save_artifact,
-)
-from repro.core.costmodel_fit import (
-    FitOutcome,
-    HarvestedCorpus,
-    collect_training_data,
-    default_training_corpus,
-    fit_candidates,
-    harvest,
-)
-from repro.core.fsteal import (
-    VertexAssignment,
-    build_cost_matrix,
-    plan_fsteal,
-    select_vertices,
-)
-from repro.core.reduction_tree import ReductionTree
-from repro.core.osteal import OStealDecision, plan_osteal
-from repro.core.hubcache import HubCache
-from repro.core.arbitrator import GumConfig, GumScheduler
-from repro.core.gum import GumEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FStealProblem",
-    "FStealSolution",
-    "FStealSolver",
-    "GreedySolver",
-    "LPRoundingSolver",
-    "BranchAndBoundSolver",
-    "HiGHSSolver",
-    "SOLVERS",
-    "make_solver",
-    "AssemblyWorkspace",
-    "PlanCache",
-    "LruDict",
-    "plan_fingerprint",
-    "quantize",
-    "repair_assignment",
-    "CostModel",
-    "LinearSGDModel",
-    "PolynomialSGDModel",
-    "DecisionTreeModel",
-    "KernelRidgeModel",
-    "UniformCostModel",
-    "OracleCostModel",
-    "MODEL_FAMILIES",
-    "FitReport",
-    "rmsre",
-    "OnlineRMSRE",
-    "collect_training_data",
-    "default_training_corpus",
-    "pretrained_default",
-    "COSTMODEL_SCHEMA",
-    "HarvestedCorpus",
-    "FitOutcome",
-    "harvest",
-    "fit_candidates",
-    "save_artifact",
-    "load_artifact",
-    "VertexAssignment",
-    "build_cost_matrix",
-    "select_vertices",
-    "plan_fsteal",
-    "ReductionTree",
-    "OStealDecision",
-    "plan_osteal",
-    "HubCache",
-    "GumConfig",
-    "GumScheduler",
-    "GumEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.milp": (
+        "FStealProblem", "FStealSolution", "FStealSolver", "GreedySolver",
+        "LPRoundingSolver", "BranchAndBoundSolver", "HiGHSSolver",
+        "SOLVERS", "make_solver", "AssemblyWorkspace",
+    ),
+    "repro.core.decision_cache": (
+        "PlanCache", "LruDict", "plan_fingerprint", "quantize",
+        "repair_assignment",
+    ),
+    "repro.core.costmodel": (
+        "CostModel", "LinearSGDModel", "PolynomialSGDModel",
+        "DecisionTreeModel", "KernelRidgeModel", "UniformCostModel",
+        "OracleCostModel", "MODEL_FAMILIES", "FitReport", "rmsre",
+        "OnlineRMSRE", "pretrained_default", "COSTMODEL_SCHEMA",
+        "save_artifact", "load_artifact",
+    ),
+    "repro.core.costmodel_fit": (
+        "collect_training_data", "default_training_corpus",
+        "HarvestedCorpus", "FitOutcome", "harvest", "fit_candidates",
+    ),
+    "repro.core.fsteal": (
+        "VertexAssignment", "build_cost_matrix", "select_vertices",
+        "plan_fsteal",
+    ),
+    "repro.core.reduction_tree": ("ReductionTree",),
+    "repro.core.osteal": ("OStealDecision", "plan_osteal"),
+    "repro.core.hubcache": ("HubCache",),
+    "repro.core.arbitrator": ("GumConfig", "GumScheduler"),
+    "repro.core.gum": ("GumEngine",),
+})

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Type, Union
+from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.errors import SolverError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FStealProblem",
@@ -407,6 +408,8 @@ def _assemble_constraints(
     var_ids = np.arange(num_x)
     coefficients = costs[frag_idx, work_idx]
     if use_sparse:
+        from scipy import sparse
+
         a_ub = sparse.csr_array(
             (
                 np.concatenate([coefficients, -np.ones(n_work)]),
@@ -452,6 +455,8 @@ def _lp_relaxation(
             0.0,
             system.allowed,
         )
+    from scipy.optimize import linprog
+
     res = linprog(
         system.c, A_ub=system.a_ub, b_ub=system.b_ub,
         A_eq=system.a_eq, b_eq=system.b_eq,
@@ -611,6 +616,8 @@ class HiGHSSolver(FStealSolver):
         del warm_start  # scipy.optimize.milp cannot inject incumbents
         if problem.workloads.sum() == 0:
             return _no_work_solution(problem, self.name)
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         system = _assemble_constraints(problem, use_sparse=True)
         constraints = [
             LinearConstraint(system.a_ub, -np.inf, system.b_ub),

@@ -5,105 +5,36 @@ Public surface of the graph subpackage::
     from repro.graph import CSRGraph, from_edges, rmat, degree_summary
 """
 
-from repro.graph.csr import CSRGraph, ShardedCSRGraph
-from repro.graph.builders import (
-    coalesce_duplicates,
-    from_edge_arrays,
-    from_edges,
-    load_edge_list,
-    load_matrix_market,
-    remove_self_loops,
-    save_edge_list,
-    symmetrize,
-)
-from repro.graph.generators import (
-    complete_graph,
-    erdos_renyi,
-    grid_2d,
-    path_graph,
-    rmat,
-    road_network,
-    small_world,
-    star,
-    web_graph,
-    with_random_weights,
-)
-from repro.graph.properties import (
-    DegreeSummary,
-    bfs_levels,
-    degree_entropy,
-    degree_summary,
-    gini_coefficient,
-    is_connected,
-    largest_component_fraction,
-    pseudo_diameter,
-)
-from repro.graph.traversal import (
-    ego_network,
-    filter_by_degree,
-    induced_subgraph,
-    k_hop_neighborhood,
-    top_degree_vertices,
-)
-from repro.graph.features import FEATURE_NAMES, FrontierFeatures, frontier_features
-from repro.graph.gather import gather_edge_positions, gather_edges
-from repro.graph.io_npz import (
-    load_graph,
-    load_partition,
-    open_graph_sharded,
-    save_graph,
-    save_graph_sharded,
-    save_partition,
-)
-from repro.graph.datasets import DATASETS, DatasetSpec, dataset_names, load
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSRGraph",
-    "ShardedCSRGraph",
-    "from_edges",
-    "from_edge_arrays",
-    "symmetrize",
-    "remove_self_loops",
-    "coalesce_duplicates",
-    "load_edge_list",
-    "load_matrix_market",
-    "save_edge_list",
-    "rmat",
-    "erdos_renyi",
-    "grid_2d",
-    "road_network",
-    "web_graph",
-    "small_world",
-    "star",
-    "path_graph",
-    "complete_graph",
-    "with_random_weights",
-    "DegreeSummary",
-    "degree_summary",
-    "gini_coefficient",
-    "degree_entropy",
-    "bfs_levels",
-    "pseudo_diameter",
-    "is_connected",
-    "largest_component_fraction",
-    "DATASETS",
-    "DatasetSpec",
-    "dataset_names",
-    "load",
-    "k_hop_neighborhood",
-    "induced_subgraph",
-    "filter_by_degree",
-    "ego_network",
-    "top_degree_vertices",
-    "FrontierFeatures",
-    "frontier_features",
-    "FEATURE_NAMES",
-    "gather_edges",
-    "gather_edge_positions",
-    "save_graph",
-    "load_graph",
-    "save_graph_sharded",
-    "open_graph_sharded",
-    "save_partition",
-    "load_partition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graph.csr": ("CSRGraph", "ShardedCSRGraph"),
+    "repro.graph.builders": (
+        "from_edges", "from_edge_arrays", "symmetrize", "remove_self_loops",
+        "coalesce_duplicates", "load_edge_list", "load_matrix_market",
+        "save_edge_list",
+    ),
+    "repro.graph.generators": (
+        "rmat", "erdos_renyi", "grid_2d", "road_network", "web_graph",
+        "small_world", "star", "path_graph", "complete_graph",
+        "with_random_weights",
+    ),
+    "repro.graph.properties": (
+        "DegreeSummary", "degree_summary", "gini_coefficient",
+        "degree_entropy", "bfs_levels", "pseudo_diameter", "is_connected",
+        "largest_component_fraction",
+    ),
+    "repro.graph.datasets": ("DATASETS", "DatasetSpec", "dataset_names", "load"),
+    "repro.graph.traversal": (
+        "k_hop_neighborhood", "induced_subgraph", "filter_by_degree",
+        "ego_network", "top_degree_vertices",
+    ),
+    "repro.graph.features": (
+        "FrontierFeatures", "frontier_features", "FEATURE_NAMES",
+    ),
+    "repro.graph.gather": ("gather_edges", "gather_edge_positions"),
+    "repro.graph.io_npz": (
+        "save_graph", "load_graph", "save_graph_sharded",
+        "open_graph_sharded", "save_partition", "load_partition",
+    ),
+})

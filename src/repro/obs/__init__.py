@@ -20,101 +20,31 @@ Everything defaults to :data:`NULL_TRACER` / :data:`NULL_METRICS`,
 which discard all records, so uninstrumented runs pay nothing.
 """
 
-from repro.obs.tracer import (
-    InMemorySink,
-    JsonlSink,
-    NULL_TRACER,
-    NullTracer,
-    Sink,
-    Span,
-    SpanRecord,
-    Tracer,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    Timeseries,
-)
-from repro.obs.chrome import (
-    ChromeTraceSink,
-    chrome_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.export import (
-    emit_iteration,
-    iteration_spans,
-    result_to_spans,
-)
-from repro.obs.analysis import (
-    CriticalPathReport,
-    ReplayReport,
-    WhatIf,
-    analyze,
-    replay,
-)
-from repro.obs.live import (
-    StreamingSink,
-    read_stream_events,
-)
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    Ledger,
-    LedgerError,
-    explain_lines,
-    reconstruct_rmsre,
-)
-from repro.obs.prom import prom_text, write_prom
-from repro.obs.slo import (
-    SloPolicy,
-    SloReport,
-    evaluate,
-    load_policy,
-    slo_indicators,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpanRecord",
-    "Span",
-    "Sink",
-    "InMemorySink",
-    "JsonlSink",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timeseries",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "ChromeTraceSink",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "iteration_spans",
-    "result_to_spans",
-    "emit_iteration",
-    "CriticalPathReport",
-    "ReplayReport",
-    "WhatIf",
-    "analyze",
-    "replay",
-    "StreamingSink",
-    "read_stream_events",
-    "LEDGER_SCHEMA",
-    "Ledger",
-    "LedgerError",
-    "explain_lines",
-    "reconstruct_rmsre",
-    "prom_text",
-    "write_prom",
-    "SloPolicy",
-    "SloReport",
-    "evaluate",
-    "load_policy",
-    "slo_indicators",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.tracer": (
+        "SpanRecord", "Span", "Sink", "InMemorySink", "JsonlSink", "Tracer",
+        "NullTracer", "NULL_TRACER",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "Timeseries", "MetricsRegistry",
+        "NullMetrics", "NULL_METRICS",
+    ),
+    "repro.obs.chrome": (
+        "ChromeTraceSink", "chrome_trace_events", "write_chrome_trace",
+    ),
+    "repro.obs.export": ("iteration_spans", "result_to_spans", "emit_iteration"),
+    "repro.obs.analysis": (
+        "CriticalPathReport", "ReplayReport", "WhatIf", "analyze", "replay",
+    ),
+    "repro.obs.live": ("StreamingSink", "read_stream_events"),
+    "repro.obs.ledger": (
+        "LEDGER_SCHEMA", "Ledger", "LedgerError", "explain_lines",
+        "reconstruct_rmsre",
+    ),
+    "repro.obs.prom": ("prom_text", "write_prom"),
+    "repro.obs.slo": (
+        "SloPolicy", "SloReport", "evaluate", "load_policy", "slo_indicators",
+    ),
+})

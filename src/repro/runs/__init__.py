@@ -11,36 +11,15 @@ The CLI surface is ``repro runs record|list|show|analyze|diff|gc``
 plus ``--record`` on ``run``/``compare``/``profile``/``bench``.
 """
 
-from repro.runs.registry import (
-    DEFAULT_RUNS_ROOT,
-    RUN_SCHEMA,
-    RunRegistry,
-    environment_info,
-    provenance_fingerprint,
-    result_summary,
-    workload_fingerprint,
-)
-from repro.runs.diff import (
-    MetricDelta,
-    MetricSpec,
-    RUN_METRICS,
-    RunDiff,
-    diff_manifests,
-    format_diff,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RUN_SCHEMA",
-    "DEFAULT_RUNS_ROOT",
-    "RunRegistry",
-    "result_summary",
-    "workload_fingerprint",
-    "provenance_fingerprint",
-    "environment_info",
-    "MetricSpec",
-    "MetricDelta",
-    "RUN_METRICS",
-    "RunDiff",
-    "diff_manifests",
-    "format_diff",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runs.registry": (
+        "RUN_SCHEMA", "DEFAULT_RUNS_ROOT", "RunRegistry", "result_summary",
+        "workload_fingerprint", "provenance_fingerprint", "environment_info",
+    ),
+    "repro.runs.diff": (
+        "MetricSpec", "MetricDelta", "RUN_METRICS", "RunDiff",
+        "diff_manifests", "format_diff",
+    ),
+})

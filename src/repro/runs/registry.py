@@ -27,6 +27,7 @@ identical runs produce identical bytes and diffs are deterministic.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import platform
 import shutil
@@ -141,9 +142,8 @@ def workload_fingerprint(
 def provenance_fingerprint() -> Dict[str, str]:
     """The provenance half: where these numbers came from."""
     try:
-        import scipy
-        scipy_version = scipy.__version__
-    except ImportError:  # pragma: no cover - scipy is a hard dep today
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
         scipy_version = "absent"
     return {
         "git_sha": _git_sha(),

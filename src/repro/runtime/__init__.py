@@ -1,38 +1,17 @@
 """Distributed BSP runtime: frontiers, schedulers, engine, metrics."""
 
-from repro.runtime.frontier import Frontier
-from repro.runtime.metrics import IterationRecord, RunResult, TimeBreakdown
-from repro.runtime.scheduler import (
-    IterationPlan,
-    RunContext,
-    Scheduler,
-    StaticScheduler,
-    WorkChunk,
-)
-from repro.runtime.bsp import BSPEngine, EngineOptions
-from repro.runtime.trace import (
-    load_trace,
-    render_timeline,
-    save_trace,
-    trace_records,
-    utilization_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Frontier",
-    "TimeBreakdown",
-    "IterationRecord",
-    "RunResult",
-    "WorkChunk",
-    "IterationPlan",
-    "RunContext",
-    "Scheduler",
-    "StaticScheduler",
-    "BSPEngine",
-    "EngineOptions",
-    "trace_records",
-    "save_trace",
-    "load_trace",
-    "render_timeline",
-    "utilization_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.frontier": ("Frontier",),
+    "repro.runtime.metrics": ("TimeBreakdown", "IterationRecord", "RunResult"),
+    "repro.runtime.scheduler": (
+        "WorkChunk", "IterationPlan", "RunContext", "Scheduler",
+        "StaticScheduler",
+    ),
+    "repro.runtime.bsp": ("BSPEngine", "EngineOptions"),
+    "repro.runtime.trace": (
+        "trace_records", "save_trace", "load_trace", "render_timeline",
+        "utilization_report",
+    ),
+})

@@ -4,7 +4,14 @@ These live in a real module (not a test file) so ``spawn`` worker
 processes can unpickle instances by qualified name.
 """
 
+import os
+
 from repro.algorithms.bfs import BFS
+
+
+def die_at_spawn(worker_id, spec, tasks, results):
+    """A shmem worker entry point that exits before its handshake."""
+    os._exit(3)
 
 
 class FailingMergeBFS(BFS):

@@ -9,6 +9,7 @@ after clean runs.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -18,7 +19,8 @@ from repro.hardware import dgx1
 from repro.partition.partitioners import make_partition
 from repro.runtime import BSPEngine
 
-from tests.backend.helpers import FailingMergeBFS, FailingStepBFS
+from repro.errors import EngineError, ReproError
+from tests.backend.helpers import FailingMergeBFS, FailingStepBFS, die_at_spawn
 
 
 def no_backend_workers():
@@ -116,3 +118,26 @@ def test_session_close_is_idempotent(workload):
     assert no_backend_workers()
     # values were copied out of the dying mapping and stay usable
     assert state.values[0] == 0.0
+
+
+def test_a_worker_dead_at_spawn_fails_the_run_promptly(workload,
+                                                       monkeypatch):
+    """The coordinator polls worker exit codes while it waits, so a
+    worker that dies before its ready handshake ends the run with a
+    typed error naming it, not a wait for the 60 s startup deadline."""
+    import repro.backend.shmem
+
+    monkeypatch.setattr(repro.backend.shmem, "worker_main", die_at_spawn)
+    graph, partition = workload
+    from repro.runtime.bsp import EngineOptions
+
+    engine = BSPEngine(dgx1(2), name="bsp",
+                       options=EngineOptions(backend="shmem"))
+    started = time.perf_counter()
+    with pytest.raises(ReproError, match="exited with code 3") as raised:
+        engine.run(graph, partition, "bfs", source=0)
+    assert time.perf_counter() - started < 5.0
+    assert isinstance(raised.value, EngineError)
+    assert "startup" in str(raised.value)
+    assert live_block_names() == ()
+    assert no_backend_workers()

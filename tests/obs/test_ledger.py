@@ -32,7 +32,7 @@ from repro.obs.ledger import (
     reconstruct_rmsre,
 )
 from repro.obs.slo import slo_indicators
-from repro.cli import result_summary
+from repro.runs import result_summary
 
 
 def run_bfs(graph, source, config=None, chaos=None, **kwargs):

@@ -190,7 +190,6 @@ def test_a_recorded_run_is_folded_once(verb, engines, tmp_path, capsys,
                                        monkeypatch):
     """The manifest and the printed summary are one ``result_summary``
     fold per engine, not one each."""
-    import repro.cli
     import repro.runs.registry
 
     folded = []
@@ -201,7 +200,6 @@ def test_a_recorded_run_is_folded_once(verb, engines, tmp_path, capsys,
 
     summarize = repro.runs.registry.result_summary
     monkeypatch.setattr(repro.runs.registry, "result_summary", counting)
-    monkeypatch.setattr(repro.cli, "result_summary", counting)
     code = main([
         *(part.format(tmp=tmp_path) for part in verb),
         "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",

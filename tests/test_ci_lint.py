@@ -266,6 +266,51 @@ def test_only_the_entry_point_imports_the_cli():
     assert offenders == []
 
 
+def _import_time_modules(tree):
+    """Top-level names of the modules a file imports when it is
+    loaded: everything outside function bodies and ``if
+    TYPE_CHECKING:`` blocks (class bodies run at import too)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith(
+                "TYPE_CHECKING"):
+            yield from _import_time_modules(ast.Module(node.orelse, []))
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.split(".")[0]
+        else:
+            yield from _import_time_modules(node)
+
+
+def test_scipy_is_imported_where_it_is_called():
+    """SciPy is two-thirds of a cold ``import repro`` and only the
+    LP/MILP solvers call it, so no module imports it at load time —
+    except ``algorithms/validate.py``, the oracle only tests and
+    benchmarks reach."""
+    source = REPO / "src" / "repro"
+    offenders = [
+        path.relative_to(source).as_posix()
+        for path in sorted(source.rglob("*.py"))
+        if "scipy" in _import_time_modules(ast.parse(path.read_text()))
+    ]
+    assert offenders == ["algorithms/validate.py"]
+    fixture = ast.parse(textwrap.dedent("""
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING:
+            from scipy import sparse
+        def solve():
+            from scipy.optimize import milp
+        try:
+            import scipy.sparse as sp
+        except ImportError:
+            sp = None
+    """))
+    assert list(_import_time_modules(fixture)) == ["typing", "scipy"]
+
+
 def test_per_superstep_modules_do_not_call_np_unique():
     """Vertex-id sets de-duplicate through the bitmap kernel
     (``graph.gather.distinct_vertices``), not hash ``np.unique`` —

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import build_parser, main, result_summary
+from repro.cli import build_parser, main
 from repro.errors import EngineError
+from repro.runs import result_summary
 
 
 # ----------------------------------------------------------------------
