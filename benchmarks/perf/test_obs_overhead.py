@@ -47,6 +47,7 @@ from repro.bench.workloads import (
 from repro.facade import make_engine
 from repro.core import GumConfig
 from repro.obs import InMemorySink, MetricsRegistry, StreamingSink, Tracer
+from repro.runtime.trace import trace_records
 
 #: host microseconds of emission + encoding + target write per
 #: instrumented superstep: 2x the 51.5 us median measured on the
@@ -108,7 +109,7 @@ def test_streaming_never_touches_virtual_clock():
     silent = _run_tx_bfs(stream=False)
     streamed = _run_tx_bfs(stream=True)
     assert streamed.total_ms == silent.total_ms
-    assert streamed.timeseries() == silent.timeseries()
+    assert trace_records(streamed) == trace_records(silent)
 
 
 def _run_tx_bfs_ledger(ledger: bool):
@@ -157,7 +158,7 @@ def test_ledger_recording_never_touches_virtual_clock():
     off = _run_tx_bfs_ledger(False)
     assert on.ledger is not None and off.ledger is None
     assert on.total_ms == off.total_ms
-    assert on.timeseries() == off.timeseries()
+    assert trace_records(on) == trace_records(off)
 
 
 def test_obs_bench_family_registered():
@@ -171,7 +172,7 @@ def test_obs_bench_family_registered():
         "obs.ledger_overhead.record",
         "obs.prom.render",
         "obs.slo.check",
-        "obs.snapshot.light",
+        "obs.snapshot",
         "obs.stream.span",
     ]
 

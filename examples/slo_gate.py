@@ -18,7 +18,7 @@ import numpy as np
 import repro
 from repro.runs import result_summary
 from repro.obs import MetricsRegistry, StreamingSink, Tracer
-from repro.obs.slo import SLO_SCHEMA, evaluate, policy_from_dict
+from repro.obs.slo import SLO_SCHEMA, evaluate, policy_from_dict, slo_series
 from repro.obs.top import follow_stream
 
 RULES = {
@@ -28,10 +28,11 @@ RULES = {
         {"metric": "p99_iteration_ms", "max": 1.0},
         {"metric": "min_gpu_utilization", "min": 0.9},
         {"metric": "max_stall_fraction", "max": 0.05},
-        # CI's budget is 3% measured warm and best-of-3
-        # (benchmarks/perf/test_obs_overhead.py); one-shot wall-clock
-        # measurements are noisier, so this demo leaves slack
-        {"metric": "obs_overhead_pct", "max": 6.0, "required": False},
+        # the stream's encode + write is counted too: ~9% of this
+        # ~90 ms run (CI gates it as < 100 us per superstep in
+        # benchmarks/perf/test_obs_overhead.py); one-shot wall-clock
+        # measurements are noisy, so this demo leaves slack
+        {"metric": "obs_overhead_pct", "max": 20.0, "required": False},
         # anomaly scan; BFS phase structure is expected, so the
         # ceiling sits above its natural z-scores
         {"series": "wall_ms", "zscore_max": 120.0, "warmup": 5},
@@ -77,8 +78,8 @@ def main() -> None:
 
     # --- the gate, green ----------------------------------------------
     policy = policy_from_dict(RULES, source="examples/slo_gate.py")
-    report = evaluate(policy, summary, result.timeseries(),
-                      subject="live TX/bfs run")
+    series = slo_series(result)  # the per-superstep trace records
+    report = evaluate(policy, summary, series, subject="live TX/bfs run")
     print("\n".join(report.lines()))
     assert report.ok and report.exit_code == 0
 
@@ -87,8 +88,8 @@ def main() -> None:
         "schema": SLO_SCHEMA,
         "rules": [{"metric": "p99_iteration_ms", "max": 0.1}],
     }
-    red = evaluate(policy_from_dict(tightened), summary,
-                   result.timeseries(), subject="tightened rules")
+    red = evaluate(policy_from_dict(tightened), summary, series,
+                   subject="tightened rules")
     print()
     print("\n".join(red.lines()))
     assert not red.ok and red.exit_code == 1

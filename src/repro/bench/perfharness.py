@@ -656,8 +656,6 @@ def _obs_populated_registry():
     for i in range(200):
         registry.counter("engine.iterations").inc()
         registry.histogram("engine.wall_ms").observe(0.1 + 0.001 * i)
-        registry.timeseries("engine.wall_ms_series").append(
-            0.1 + 0.001 * i, index=i)
         registry.counter("steal.edges").inc(64, gpu=i % 8)
     registry.gauge("osteal.group_size").set(6)
     return registry
@@ -704,11 +702,10 @@ def _obs_stream_span():
     return lambda: sink.emit(record)
 
 
-@bench_case("obs.snapshot.light", unit="seconds per heartbeat snapshot",
+@bench_case("obs.snapshot", unit="seconds per heartbeat snapshot",
             bench_threshold=1.0)
-def _obs_snapshot_light():
-    registry = _obs_populated_registry()
-    return lambda: registry.snapshot(light=True)
+def _obs_snapshot():
+    return _obs_populated_registry().snapshot
 
 
 @bench_case("obs.prom.render", unit="seconds per Prometheus render",
@@ -739,11 +736,11 @@ def _obs_slo_check():
         "stall_fraction": 0.004,
         "per_gpu_utilization": [0.99, 0.0, 0.0, 1.0],
     }
-    timeseries = {
+    series = {
         "iteration": list(range(200)),
         "wall_ms": [0.18 + 0.0005 * (i % 7) for i in range(200)],
     }
-    return lambda: evaluate(policy, summary, timeseries=timeseries)
+    return lambda: evaluate(policy, summary, series)
 
 
 def _obs_ledger_features():

@@ -148,8 +148,7 @@ def _add_record_args(p: argparse.ArgumentParser) -> None:
     """Attach the run-registry recording arguments."""
     p.add_argument(
         "--record", action="store_true",
-        help="archive this run (manifest + trace + timeseries) "
-             "in the run registry",
+        help="archive this run (manifest + trace) in the run registry",
     )
     _add_runs_dir_arg(p)
 
@@ -1343,20 +1342,20 @@ def _slo_history(registry, manifest: dict) -> List[dict]:
 def _cmd_slo_check(args: argparse.Namespace) -> int:
     """Evaluate a rule file against a recorded run; exit 1 on violation."""
     from repro.obs.prom import write_prom
-    from repro.obs.slo import evaluate, load_policy
+    from repro.obs.slo import evaluate, load_policy, slo_series
 
     policy = load_policy(args.rules)
     registry = _registry_from_args(args)
     manifest = registry.load_manifest(args.ref)
     summary = manifest.get("summary") or {}
     try:
-        timeseries = registry.load_timeseries(args.ref)
+        series = slo_series(registry.load_run_trace(args.ref))
     except ReproError:
-        timeseries = {}  # rules needing series degrade per-rule
+        series = {}  # rules needing series degrade per-rule
     report = evaluate(
         policy,
         summary,
-        timeseries,
+        series,
         history=_slo_history(registry, manifest),
         subject=str(manifest.get("id") or args.ref),
     )

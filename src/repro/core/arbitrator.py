@@ -730,7 +730,7 @@ class GumScheduler(Scheduler):
             for key, name in _DECISION_COUNTERS.items():
                 _raise_counter(metrics.counter(name), counters[key])
         if state.ledger is not None:
-            self._publish_ledger_metrics(metrics, state.ledger, d.iteration)
+            self._publish_ledger_metrics(metrics, state.ledger)
 
     # --- decision amortization ----------------------------------------
     def _solve(self, problem: FStealProblem) -> FStealSolution:
@@ -868,9 +868,7 @@ class GumScheduler(Scheduler):
             return "warm"
         return "live"
 
-    def _publish_ledger_metrics(
-        self, metrics, ledger: Ledger, iteration: int
-    ) -> None:
+    def _publish_ledger_metrics(self, metrics, ledger: Ledger) -> None:
         """Mirror ledger accuracy state into the live registry."""
         state = self._state
         instruments = state.ledger_instruments
@@ -897,19 +895,12 @@ class GumScheduler(Scheduler):
                     "EWMA drift z-score of the cost model's "
                     "prediction error",
                 ),
-                metrics.timeseries(
-                    "ledger.rmsre_series",
-                    "online RMSRE after each recorded decision",
-                ),
             )
-        samples, skipped, entries, drift, rmsre_series = instruments
+        samples, skipped, entries, drift = instruments
         _raise_counter(samples, ledger.samples)
         _raise_counter(skipped, ledger.skipped_samples)
         entries.set(ledger.num_entries)
         drift.set(ledger.last_drift_z())
-        rmsre = ledger.last_rmsre_online()
-        if rmsre is not None:
-            rmsre_series.append(rmsre, index=iteration)
 
     def finish_run(self, context: RunContext) -> Optional[Dict[str, float]]:
         """Decision-amortization summary, surfaced on the run result."""

@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "NullTracer", "NULL_TRACER",
     ),
     "repro.obs.metrics": (
-        "Counter", "Gauge", "Histogram", "Timeseries", "MetricsRegistry",
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
         "NullMetrics", "NULL_METRICS",
     ),
     "repro.obs.chrome": (
@@ -46,5 +46,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.prom": ("prom_text", "write_prom"),
     "repro.obs.slo": (
         "SloPolicy", "SloReport", "evaluate", "load_policy", "slo_indicators",
+        "slo_series",
     ),
 })

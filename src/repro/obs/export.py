@@ -155,9 +155,8 @@ class _IterationInstruments:
 
     __slots__ = (
         "registry", "iterations", "frontier_edges", "buckets",
-        "bucket_keys", "wall_hist", "wall_ms", "edges_series",
-        "active_series", "steal_total", "fsteal_iters", "group_gauge",
-        "steal_series",
+        "bucket_keys", "wall_hist", "steal_total", "fsteal_iters",
+        "group_gauge",
     )
 
     def __init__(self, metrics: MetricsRegistry) -> None:
@@ -177,21 +176,9 @@ class _IterationInstruments:
                          "sync", "overhead")
         )
         self.wall_hist = metrics.histogram("engine.iteration_wall_seconds")
-        self.wall_ms = metrics.timeseries(
-            "engine.wall_ms_series", "per-superstep wall time (ms)"
-        )
-        self.edges_series = metrics.timeseries(
-            "engine.frontier_edges_series",
-            "per-superstep frontier out-edges",
-        )
-        self.active_series = metrics.timeseries(
-            "engine.active_workers_series",
-            "per-superstep communication-group size",
-        )
         self.steal_total = None
         self.fsteal_iters = None
         self.group_gauge = None
-        self.steal_series = None
 
 
 def _iteration_instruments(metrics: MetricsRegistry) -> _IterationInstruments:
@@ -250,18 +237,4 @@ def emit_iteration(
         for key, bucket in handles.bucket_keys:
             buckets.inc_key(key, getattr(breakdown, bucket))
         handles.wall_hist.observe(record.wall_seconds)
-        # per-iteration timeseries: the run registry archives these so
-        # two runs can be compared superstep-by-superstep, not just on
-        # end-to-end aggregates
-        iteration = record.iteration
-        handles.wall_ms.append(record.wall_seconds * 1e3, index=iteration)
-        handles.edges_series.append(record.frontier_edges, index=iteration)
-        handles.active_series.append(record.num_active, index=iteration)
-        if record.stolen_edges:
-            if handles.steal_series is None:
-                handles.steal_series = metrics.timeseries(
-                    "steal.edges_series", "per-superstep stolen edges"
-                )
-            handles.steal_series.append(record.stolen_edges,
-                                        index=iteration)
     return virtual_start + record.wall_seconds

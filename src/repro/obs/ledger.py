@@ -656,10 +656,6 @@ class Ledger:
             f"(run has {len(entries)} decisions{span})"
         )
 
-    def last_rmsre_online(self) -> Optional[float]:
-        """Online RMSRE over the samples so far (``None`` before one)."""
-        return self._online.value if self._online.count else None
-
     def last_drift_z(self) -> float:
         """Most recent drift z-score (0.0 before any sample)."""
         return self._last_z

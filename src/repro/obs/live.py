@@ -15,8 +15,8 @@ Stream format (``repro-live/1``) — one JSON object per line:
   fault markers, solver spans; the record's own ``kind`` field still
   distinguishes spans from instants);
 * metrics — ``{"event": "metrics", "iteration": N, "snapshot": {...}}``,
-  a full :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` taken on
-  an iteration cadence (``snapshot_every``);
+  a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` taken on an
+  iteration cadence (``snapshot_every``) and once more on close;
 * end — ``{"event": "end", "spans": N}`` written on close, so tailing
   consumers know the run finished rather than stalled.
 
@@ -31,12 +31,6 @@ flushed) before ``emit`` returns — a chaos fault marker is on the wire
 even if the engine dies on the next statement — while ordinary span
 lines batch until the ``snapshot_every`` heartbeat (and close), so a
 tailing consumer lags a live run by at most one heartbeat.
-
-Periodic metrics events are **light** snapshots: timeseries
-instruments are summarized to ``count``/``last`` instead of shipping
-their whole history every cadence (which would make streaming cost
-quadratic in run length). The final snapshot written on :meth:`close`
-is complete.
 
 The spans on the wire are exactly the spans a post-hoc
 :func:`~repro.obs.export.result_to_spans` replay produces for the same
@@ -150,7 +144,7 @@ class StreamingSink(Sink):
     metrics:
         Registry to snapshot on a superstep cadence (optional).
     snapshot_every:
-        Emit a full metrics snapshot every N ``superstep`` spans
+        Emit a metrics snapshot every N ``superstep`` spans
         (0 disables periodic snapshots; one final snapshot is still
         written on :meth:`close`).
     """
@@ -217,26 +211,18 @@ class StreamingSink(Sink):
             every = self._snapshot_every or 1
             if self._supersteps % every == 0:
                 if self._metrics is not None and self._snapshot_every:
-                    self.snapshot(iteration=record.attrs.get("iteration"),
-                                  light=True)
+                    self.snapshot(iteration=record.attrs.get("iteration"))
                 else:  # no registry: still ship on the cadence
                     self._flush()
 
-    def snapshot(
-        self, iteration: Optional[int] = None, light: bool = False
-    ) -> None:
-        """Write a metrics snapshot event now.
-
-        ``light`` summarizes timeseries instruments to their
-        ``count``/``last`` fields — the periodic cadence must not ship
-        a run's whole per-iteration history on every beat.
-        """
+    def snapshot(self, iteration: Optional[int] = None) -> None:
+        """Write a metrics snapshot event now."""
         if self._metrics is None or self._closed:
             return
         self._pending.append({
             "event": "metrics",
             "iteration": iteration,
-            "snapshot": self._metrics.snapshot(light=light),
+            "snapshot": self._metrics.snapshot(),
         })
         self._flush()
 

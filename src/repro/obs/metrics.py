@@ -27,7 +27,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timeseries",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
@@ -231,71 +230,6 @@ class Histogram:
         }
 
 
-class Timeseries:
-    """Append-only per-iteration samples (wall ms, frontier edges, ...).
-
-    The missing shape between a histogram (order lost) and a raw trace
-    (too heavy): one float per superstep, in superstep order, cheap
-    enough to keep for a whole run and archive in a run manifest. The
-    run registry stores these so ``runs diff`` can compare *shapes* of
-    runs, not just end-to-end aggregates.
-    """
-
-    kind = "timeseries"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self._index: List[int] = []
-        self._values: List[float] = []
-
-    def append(self, value: float, index: Optional[int] = None) -> None:
-        """Record the next sample.
-
-        ``index`` is the sample's iteration number; when omitted it
-        continues from the previous sample (so a series appended with
-        an explicit index — e.g. after skipped supersteps — stays
-        monotone).
-        """
-        if index is None:
-            index = self._index[-1] + 1 if self._index else 0
-        self._index.append(int(index))
-        self._values.append(float(value))
-
-    def values(self) -> List[float]:
-        """All samples, in append order."""
-        return list(self._values)
-
-    def index(self) -> List[int]:
-        """Sample indices (iteration numbers), in append order."""
-        return list(self._index)
-
-    def last(self) -> Optional[float]:
-        """Most recent sample, or ``None`` if empty."""
-        return self._values[-1] if self._values else None
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def snapshot(self, light: bool = False) -> Dict[str, object]:
-        """JSON-friendly state (plain scalars, stable order).
-
-        ``light`` omits the per-iteration ``index``/``values`` arrays —
-        the shape live streaming ships on a cadence, where copying (and
-        serializing) the whole history every beat would make streaming
-        cost quadratic in run length.
-        """
-        out: Dict[str, object] = {
-            "type": self.kind,
-            "count": len(self._values),
-            "last": self.last(),
-        }
-        if not light:
-            out["index"] = list(self._index)
-            out["values"] = list(self._values)
-        return out
-
-
 class MetricsRegistry:
     """Named instruments, get-or-create semantics.
 
@@ -309,7 +243,6 @@ class MetricsRegistry:
         "counter": Counter,
         "gauge": Gauge,
         "histogram": Histogram,
-        "timeseries": Timeseries,
     }
 
     def __init__(self) -> None:
@@ -339,29 +272,14 @@ class MetricsRegistry:
         """Get or create a histogram."""
         return self._get(Histogram, name, help)
 
-    def timeseries(self, name: str, help: str = "") -> Timeseries:
-        """Get or create a timeseries."""
-        return self._get(Timeseries, name, help)
-
     def names(self) -> List[str]:
         """Registered instrument names, sorted."""
         return sorted(self._instruments)
 
-    def snapshot(self, light: bool = False) -> Dict[str, Dict[str, object]]:
-        """All instruments' state, keyed by name (JSON-friendly).
-
-        ``light`` summarizes timeseries instruments to their
-        ``count``/``last`` fields (see :meth:`Timeseries.snapshot`) —
-        scalars and histograms are already cheap.
-        """
-        out = {}
-        for name in self.names():
-            instrument = self._instruments[name]
-            if light and instrument.kind == "timeseries":
-                out[name] = instrument.snapshot(light=True)
-            else:
-                out[name] = instrument.snapshot()
-        return out
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """All instruments' state, keyed by name (JSON-friendly)."""
+        instruments = self._instruments
+        return {name: instruments[name].snapshot() for name in self.names()}
 
     def collect(self, prefix: str) -> Dict[str, Dict[str, object]]:
         """Snapshots of the instruments whose name starts with ``prefix``.
@@ -396,19 +314,7 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def append(self, value: float, index: Optional[int] = None) -> None:
-        pass
-
     def value(self, **labels):
-        return None
-
-    def values(self) -> List[float]:
-        return []
-
-    def index(self) -> List[int]:
-        return []
-
-    def last(self) -> Optional[float]:
         return None
 
     def quantile(self, q: float) -> Optional[float]:
@@ -416,9 +322,6 @@ class _NullInstrument:
 
     def total(self) -> float:
         return 0.0
-
-    def __len__(self) -> int:
-        return 0
 
     def snapshot(self) -> Dict[str, object]:
         return {}
@@ -444,11 +347,7 @@ class NullMetrics(MetricsRegistry):
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
 
-    def timeseries(self, name: str, help: str = ""):  # type: ignore[override]
-        """Return the shared no-op instrument."""
-        return _NULL_INSTRUMENT
-
-    def snapshot(self, light: bool = False) -> Dict[str, Dict[str, object]]:
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Always empty."""
         return {}
 

@@ -13,9 +13,10 @@ Mapping:
 * gauge → ``gauge`` (skipped while unset);
 * histogram → Prometheus *summary*: ``{quantile="0.5|0.9|0.99"}``
   samples from the deterministic p50/p90/p99, plus ``_count``,
-  ``_sum``, ``_min``, ``_max`` companions;
-* timeseries → gauge of the **last** value, plus a ``_count`` of
-  samples (the full series belongs in the run registry, not a scrape).
+  ``_sum``, ``_min``, ``_max`` companions.
+
+Any other ``type`` (a ``timeseries`` in a manifest archived before the
+registry dropped that kind) is skipped.
 
 Names are sanitised to the Prometheus grammar (dots and other
 punctuation become underscores) and prefixed (default ``repro_``).
@@ -122,14 +123,6 @@ def prom_text(
                 out.extend(_gauge_lines(name, value, help))
         elif kind == "histogram":
             out.extend(_summary_lines(name, snap, help))
-        elif kind == "timeseries":
-            last = snap.get("last")
-            if last is not None:
-                out.extend(
-                    _gauge_lines(f"{name}_last", last, help)
-                )
-            out.append(f"# TYPE {name}_count gauge")
-            out.append(f"{name}_count {_fmt(snap.get('count', 0))}")
         # unknown types are skipped: forward compatibility over noise
     return "\n".join(out) + ("\n" if out else "")
 

@@ -30,12 +30,15 @@ Three rule shapes:
   then as a dotted path into the run summary (``breakdown_ms.comm``).
 * **series** — ``series`` + ``zscore_max``: a rolling EWMA mean/
   variance sweep over one per-iteration array (``wall_ms``,
-  ``frontier_edges``, ...) flags iterations whose z-score against the
+  ``frontier_edges``, ... — :func:`slo_series` reads them off the
+  run's trace records) flags iterations whose z-score against the
   running estimate exceeds the bound — latency spikes inside an
   otherwise-green run.
 * **history** — ``metric`` + ``zscore_max`` + ``history: N``: the
   value is z-scored against the same metric across up to N prior runs
-  of the *same workload fingerprint*; fewer than
+  of the *same workload fingerprint* (each prior resolved like the
+  current value: its recorded ``slo`` indicators, then the dotted
+  path); fewer than
   :data:`MIN_HISTORY` priors ⇒ SKIP (anomaly detection needs a
   baseline, and a young registry should not fail CI).
 
@@ -50,11 +53,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.documents import load_json, read_text
-from repro.errors import ReproError, SloConfigError
+from repro.errors import SloConfigError
 from repro.obs.metrics import quantile
+
+if TYPE_CHECKING:
+    from repro.obs.analysis import AnalysisSource
 
 __all__ = [
     "SLO_SCHEMA",
@@ -66,6 +72,7 @@ __all__ = [
     "load_policy",
     "policy_from_dict",
     "slo_indicators",
+    "slo_series",
     "recovery_iterations",
     "ewma_zscores",
     "evaluate",
@@ -306,23 +313,55 @@ def recovery_iterations(
     return worst
 
 
+def slo_series(source: AnalysisSource) -> Dict[str, list]:
+    """The named per-superstep series of one run, one entry per record.
+
+    ``source`` is anything :func:`repro.obs.analysis.iteration_costs`
+    reads — a ``RunResult``, or a recorded ``(header, records)`` trace
+    — so a live run and its archived ``trace.jsonl`` yield the same
+    arrays (busy/stall ms to the trace's 6 decimals). These are the
+    names ``series:`` rules scan.
+    """
+    # imported on call: recording a run reads only slo_indicators
+    from repro.obs.analysis import iteration_costs
+
+    __, costs = iteration_costs(source)
+    return {
+        "iteration": [cost.iteration for cost in costs],
+        "wall_ms": [cost.wall_ms for cost in costs],
+        "frontier_size": [cost.frontier_size for cost in costs],
+        "frontier_edges": [cost.frontier_edges for cost in costs],
+        "num_active": [len(cost.active) for cost in costs],
+        "group_size": [cost.group_size for cost in costs],
+        "stolen_edges": [cost.stolen_edges for cost in costs],
+        "fsteal": [cost.fsteal for cost in costs],
+        "critical_busy_ms": [cost.critical_ms for cost in costs],
+        "mean_busy_ms": [cost.mean_busy_ms for cost in costs],
+        "mean_stall_ms": [
+            float(cost.stall_ms[cost.active].mean()) if cost.active
+            else 0.0
+            for cost in costs
+        ],
+    }
+
+
 def slo_indicators(
-    summary: Dict, timeseries: Optional[Dict] = None
+    summary: Dict, series: Optional[Dict] = None
 ) -> Dict[str, Optional[float]]:
     """Named SLO indicators of one run.
 
     ``summary`` is a :func:`repro.runs.result_summary` dict (live or
-    from a recorded manifest); ``timeseries`` is the matching
-    :meth:`RunResult.timeseries` arrays (quantiles and recovery need
-    the per-iteration shape — without it those indicators are
-    ``None``).
+    from a recorded manifest); ``series`` holds at least the
+    ``wall_ms`` and ``iteration`` arrays of :func:`slo_series`
+    (quantiles and recovery need the per-iteration shape — without it
+    those indicators are ``None``).
 
     ``min_gpu_utilization`` is taken over *participating* GPUs
     (utilization > 0): under OSteal the scheduler deliberately folds
     the group, and an idled-by-design GPU is not an SLO violation.
     """
-    timeseries = timeseries or {}
-    wall_ms = [float(v) for v in timeseries.get("wall_ms") or []]
+    series = series or {}
+    wall_ms = [float(v) for v in series.get("wall_ms") or []]
     per_gpu = summary.get("per_gpu_utilization") or []
     participating = [float(u) for u in per_gpu if u and float(u) > 0.0]
     indicators: Dict[str, Optional[float]] = {
@@ -346,7 +385,7 @@ def slo_indicators(
     chaos = summary.get("chaos") or {}
     events = chaos.get("events") or []
     if events:
-        iteration_numbers = list(timeseries.get("iteration") or [])
+        iteration_numbers = list(series.get("iteration") or [])
         positions = []
         for event in events:
             iteration = event.get("iteration")
@@ -370,6 +409,19 @@ def _lookup(payload: Dict, dotted: str):
             return None
         node = node[part]
     return node
+
+
+def _metric_value(
+    indicators: Dict, summary: Dict, metric: str
+) -> Optional[float]:
+    """A rule's metric: the named indicator first, then the dotted path
+    into the summary; ``None`` unless the value is a number."""
+    value = indicators.get(metric)
+    if value is None:
+        value = _lookup(summary, metric)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +546,9 @@ def _missing(rule: SloRule, what: str) -> RuleOutcome:
 def _eval_bound(
     rule: SloRule, indicators: Dict, summary: Dict
 ) -> RuleOutcome:
-    value = indicators.get(rule.metric)
+    value = _metric_value(indicators, summary, rule.metric)
     if value is None:
-        value = _lookup(summary, rule.metric)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return _missing(rule, f"metric {rule.metric!r}")
-    value = float(value)
     if rule.max is not None and value > rule.max:
         return RuleOutcome(
             rule, "FAIL", value,
@@ -513,8 +562,8 @@ def _eval_bound(
     return RuleOutcome(rule, "PASS", value, f"observed {value:g}")
 
 
-def _eval_series(rule: SloRule, timeseries: Dict) -> RuleOutcome:
-    values = timeseries.get(rule.series)
+def _eval_series(rule: SloRule, series: Dict) -> RuleOutcome:
+    values = series.get(rule.series)
     if not values:
         return _missing(rule, f"series {rule.series!r}")
     scores = ewma_zscores(values, rule.ewma_alpha, rule.warmup)
@@ -549,21 +598,20 @@ def _eval_history(
     summary: Dict,
     history: Sequence[Dict],
 ) -> RuleOutcome:
-    value = indicators.get(rule.metric)
+    value = _metric_value(indicators, summary, rule.metric)
     if value is None:
-        value = _lookup(summary, rule.metric)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return _missing(rule, f"metric {rule.metric!r}")
     prior = []
     for prior_summary in list(history)[-rule.history:]:
-        prior_value = _lookup(prior_summary, rule.metric)
-        if isinstance(prior_value, (int, float)) and not isinstance(
-            prior_value, bool
-        ):
-            prior.append(float(prior_value))
+        # a recorded summary keeps its named indicators under "slo"
+        prior_value = _metric_value(
+            prior_summary.get("slo") or {}, prior_summary, rule.metric
+        )
+        if prior_value is not None:
+            prior.append(prior_value)
     if len(prior) < MIN_HISTORY:
         return RuleOutcome(
-            rule, "SKIP", float(value),
+            rule, "SKIP", value,
             f"{len(prior)} comparable prior runs (need "
             f">= {MIN_HISTORY})",
         )
@@ -571,13 +619,13 @@ def _eval_history(
     var = sum((p - mean) ** 2 for p in prior) / len(prior)
     std = math.sqrt(var)
     if std <= 1e-12:
-        score = 0.0 if abs(float(value) - mean) <= 1e-12 else math.inf
+        score = 0.0 if abs(value - mean) <= 1e-12 else math.inf
     else:
-        score = (float(value) - mean) / std
+        score = (value - mean) / std
     if abs(score) > rule.zscore_max:
         return RuleOutcome(
             rule, "FAIL", score,
-            f"observed {float(value):g} vs mean {mean:g} over "
+            f"observed {value:g} vs mean {mean:g} over "
             f"{len(prior)} runs: |z|={abs(score):.2f} "
             f"> {rule.zscore_max:g}",
         )
@@ -590,23 +638,24 @@ def _eval_history(
 def evaluate(
     policy: SloPolicy,
     summary: Dict,
-    timeseries: Optional[Dict] = None,
+    series: Optional[Dict] = None,
     history: Optional[Sequence[Dict]] = None,
     subject: str = "",
 ) -> SloReport:
     """Evaluate every rule of ``policy`` against one run.
 
-    ``summary``/``timeseries`` describe the run under test;
+    ``summary``/``series`` (:func:`slo_series`) describe the run under
+    test;
     ``history`` is a list of *prior* comparable run summaries (oldest
     first) for history rules. Missing inputs degrade per-rule
     (FAIL when ``required``, SKIP otherwise) — never raise.
     """
-    timeseries = timeseries or {}
-    indicators = slo_indicators(summary, timeseries)
+    series = series or {}
+    indicators = slo_indicators(summary, series)
     report = SloReport(subject=subject)
     for rule in policy.rules:
         if rule.kind == "series":
-            outcome = _eval_series(rule, timeseries)
+            outcome = _eval_series(rule, series)
         elif rule.kind == "history":
             outcome = _eval_history(
                 rule, indicators, summary, history or []

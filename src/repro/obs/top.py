@@ -147,16 +147,16 @@ def _snapshot_value(
 ) -> Optional[float]:
     """One instrument's scalar out of a registry snapshot.
 
-    Counters expose ``total``, gauges ``value``, timeseries ``last`` —
-    whichever the named instrument carries. ``None`` when the metric
-    (or the snapshot itself) is absent.
+    Counters expose ``total``, gauges ``value`` — whichever the named
+    instrument carries. ``None`` when the metric (or the snapshot
+    itself) is absent.
     """
     if not snapshot:
         return None
     instrument = snapshot.get(name)
     if not isinstance(instrument, dict):
         return None
-    for key in ("value", "total", "last"):
+    for key in ("value", "total"):
         if instrument.get(key) is not None:
             return float(instrument[key])
     return None
@@ -234,7 +234,7 @@ def render_frame(model: TopModel, width: int = 72) -> str:
         )
     entries = _snapshot_value(snapshot, "ledger.entries")
     if entries is not None:
-        rmsre = _snapshot_value(snapshot, "ledger.rmsre_series")
+        rmsre = _snapshot_value(snapshot, "costmodel.rmsre_online")
         drift = _snapshot_value(snapshot, "ledger.drift_z")
         samples = _snapshot_value(snapshot, "ledger.samples") or 0
         skipped = _snapshot_value(snapshot, "ledger.skipped_samples") or 0

@@ -1,7 +1,7 @@
 """Persistent run registry and cross-run regression diffs.
 
-* :class:`RunRegistry` — archive a finished run (manifest + trace +
-  per-iteration timeseries) under ``.repro/runs/<id>/``, look runs up
+* :class:`RunRegistry` — archive a finished run (manifest + trace,
+  plus the decision ledger) under ``.repro/runs/<id>/``, look runs up
   by id/prefix/``latest``/path, and prune old ones.
 * :func:`diff_manifests` — compare two recorded runs metric by metric
   with the perfharness noise guards; refuses incommensurable runs

@@ -6,7 +6,6 @@ it durable. A recorded run becomes a directory under ``.repro/runs``::
     .repro/runs/<id>/
         manifest.json     # fingerprint, environment, summary, metrics
         trace.jsonl       # per-iteration records (save_trace format)
-        timeseries.json   # per-iteration arrays (RunResult.timeseries)
         ledger.json       # per-decision explainability ledger, when the
                           # policy recorded one (repro.obs.ledger)
 
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import __version__, config
-from repro.documents import load_document, load_json
+from repro.documents import load_document
 from repro.errors import RunRegistryError
 from repro.obs.ledger import LEDGER_SCHEMA
 from repro.obs.metrics import quantile
@@ -63,7 +62,6 @@ DEFAULT_RUNS_ROOT = ".repro/runs"
 
 MANIFEST_NAME = "manifest.json"
 TRACE_NAME = "trace.jsonl"
-TIMESERIES_NAME = "timeseries.json"
 LEDGER_NAME = "ledger.json"
 
 #: Workload keys that must match for two runs to be comparable.
@@ -215,7 +213,10 @@ def result_summary(result: RunResult) -> dict:
         # prediction-audit rollup (entry/sample counts, final RMSRE,
         # drift, cache mix) — the SLO indicators below read it
         summary["ledger"] = ledger.summary()
-    summary["slo"] = slo_indicators(summary, result.timeseries())
+    summary["slo"] = slo_indicators(summary, {
+        "wall_ms": wall_ms,
+        "iteration": [rec.iteration for rec in result.iterations],
+    })
     return summary
 
 
@@ -257,7 +258,7 @@ class RunRegistry:
         ``summary`` is the run's :func:`result_summary` when the caller
         has already folded it (computed here otherwise).
         """
-        files = [MANIFEST_NAME, TRACE_NAME, TIMESERIES_NAME]
+        files = [MANIFEST_NAME, TRACE_NAME]
         ledger = getattr(result, "ledger", None)
         if ledger is not None:
             files.append(LEDGER_NAME)
@@ -282,9 +283,6 @@ class RunRegistry:
         manifest["id"] = run_dir.name
         (run_dir / MANIFEST_NAME).write_text(_json_stable(manifest))
         save_trace(result, run_dir / TRACE_NAME)
-        (run_dir / TIMESERIES_NAME).write_text(
-            _json_stable(result.timeseries())
-        )
         if ledger is not None:
             (run_dir / LEDGER_NAME).write_text(
                 _json_stable(ledger.as_dict())
@@ -416,15 +414,6 @@ class RunRegistry:
                 f"({TRACE_NAME} missing)"
             )
         return load_trace(trace_path)
-
-    def load_timeseries(self, ref: str) -> Dict[str, list]:
-        """Per-iteration arrays of a recorded run."""
-        path = self.resolve(ref) / TIMESERIES_NAME
-        if not path.is_file():
-            raise RunRegistryError(
-                f"{self.resolve(ref).name}: no archived timeseries"
-            )
-        return load_json(path, RunRegistryError, "timeseries")
 
     def load_ledger(self, ref: str) -> Dict:
         """Archived decision-ledger payload of a recorded run.

@@ -185,42 +185,6 @@ class RunResult:
         """Active-worker count per iteration (Figure 9's switching plot)."""
         return [rec.num_active for rec in self.iterations]
 
-    def timeseries(self) -> Dict[str, list]:
-        """Per-iteration arrays (JSON-friendly), one entry per superstep.
-
-        This is the run registry's archived shape: small enough to keep
-        for every recorded run, rich enough to reconstruct the Figure 1
-        / Figure 9 plots and feed ``runs diff`` without reloading the
-        full trace.
-        """
-        records = self.iterations
-        busy = self.busy_matrix()
-        stall = self.stall_matrix()
-        active_mask = np.zeros(busy.shape, dtype=bool)
-        for row, rec in enumerate(records):
-            active_mask[row, rec.active_workers] = True
-        critical = np.where(active_mask, busy, -np.inf).max(axis=1) \
-            if records else np.zeros(0)
-        return {
-            "iteration": [rec.iteration for rec in records],
-            "wall_ms": [rec.wall_seconds * 1e3 for rec in records],
-            "frontier_size": [rec.frontier_size for rec in records],
-            "frontier_edges": [rec.frontier_edges for rec in records],
-            "num_active": [rec.num_active for rec in records],
-            "group_size": [rec.osteal_group_size for rec in records],
-            "stolen_edges": [rec.stolen_edges for rec in records],
-            "fsteal": [bool(rec.fsteal_applied) for rec in records],
-            "critical_busy_ms": (critical * 1e3).tolist(),
-            "mean_busy_ms": [
-                float(busy[row, rec.active_workers].mean()) * 1e3
-                for row, rec in enumerate(records)
-            ],
-            "mean_stall_ms": [
-                float(stall[row, rec.active_workers].mean()) * 1e3
-                for row, rec in enumerate(records)
-            ],
-        }
-
     def stall_fraction(self) -> float:
         """Aggregate fraction of worker-time spent stalled.
 

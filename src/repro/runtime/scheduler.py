@@ -146,13 +146,6 @@ class Scheduler(abc.ABC):
                 "scheduler.decision_seconds",
                 "host seconds per plan() decision",
             ).observe(record.real_decision_seconds)
-            metrics.timeseries(
-                "scheduler.decision_ms_series",
-                "per-superstep decision latency (ms)",
-            ).append(
-                record.real_decision_seconds * 1e3,
-                index=record.iteration,
-            )
 
     def on_fault(self, event: "FaultEvent", context: RunContext) -> None:
         """React to an injected fault before the iteration is planned.

@@ -31,7 +31,7 @@ from repro.obs.ledger import (
     predicted_critical_seconds,
     reconstruct_rmsre,
 )
-from repro.obs.slo import slo_indicators
+from repro.obs.slo import slo_indicators, slo_series
 from repro.runs import result_summary
 
 
@@ -327,7 +327,7 @@ def test_result_summary_carries_ledger_block(recorded):
 
 def test_slo_indicators_expose_drift(recorded):
     summary = result_summary(recorded)
-    indicators = slo_indicators(summary, recorded.timeseries())
+    indicators = slo_indicators(summary, slo_series(recorded))
     assert indicators["max_model_drift"] == \
         recorded.ledger.summary()["max_model_drift"]
     assert indicators["max_decision_error_p99"] == \

@@ -29,6 +29,7 @@ from repro.obs import (
     result_to_spans,
 )
 from repro.obs.live import STREAM_FORMAT, STREAM_VERSION, iter_stream_lines
+from repro.runtime.trace import trace_records
 
 
 def _span(name="superstep", iteration=0, **attrs):
@@ -70,9 +71,9 @@ def test_span_events_preserve_record_kind(tmp_path):
     assert [s["kind"] for s in spans] == ["span", "instant"]
 
 
-def test_periodic_snapshots_are_light_final_is_full(tmp_path):
+def test_periodic_and_final_snapshots_are_one_form(tmp_path):
     registry = MetricsRegistry()
-    registry.timeseries("engine.wall_ms_series").append(0.5, index=0)
+    registry.histogram("engine.iteration_wall_seconds").observe(5e-4)
     path = tmp_path / "run.stream"
     sink = StreamingSink(path, metrics=registry, snapshot_every=2)
     for i in range(4):
@@ -82,12 +83,11 @@ def test_periodic_snapshots_are_light_final_is_full(tmp_path):
     snapshots = [e for e in read_stream_events(path)
                  if e.get("event") == "metrics"]
     # two periodic (after supersteps 2 and 4) + one final
-    assert len(snapshots) == 3
-    periodic, final = snapshots[0], snapshots[-1]
-    series = periodic["snapshot"]["engine.wall_ms_series"]
-    assert "values" not in series and "index" not in series
-    assert series["count"] == 1 and series["last"] == 0.5
-    assert final["snapshot"]["engine.wall_ms_series"]["values"] == [0.5]
+    assert [e["iteration"] for e in snapshots] == [1, 3, None]
+    assert snapshots[0]["snapshot"]["engine.iterations"]["total"] == 2.0
+    # a heartbeat ships the registry's one snapshot, as close does
+    assert snapshots[1]["snapshot"] == snapshots[2]["snapshot"] \
+        == registry.snapshot()
 
 
 def test_instants_flush_immediately_spans_batch(tmp_path):
@@ -349,4 +349,4 @@ def test_streaming_leaves_virtual_clock_untouched(tmp_path, skewed_graph,
                        gum_config=GumConfig(cost_model="oracle"))
     streamed, _, _ = _traced_run(tmp_path, skewed_graph, source)
     assert streamed.total_ms == silent.total_ms
-    assert streamed.timeseries() == silent.timeseries()
+    assert trace_records(streamed) == trace_records(silent)

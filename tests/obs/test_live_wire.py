@@ -2,7 +2,9 @@
 
 ``tests/obs/live_wire.json`` was generated at the commit *before*
 :class:`~repro.obs.live.StreamingSink` lost its writer thread, from a
-healthy and a chaos TX/bfs@4 run streamed with ``--stream-every 10``.
+healthy and a chaos TX/bfs@4 run streamed with ``--stream-every 10``;
+its ``metrics`` lines were regenerated when the registry dropped its
+per-superstep ``timeseries`` instruments (every other line unchanged).
 Each entry is one wire line, in order: its envelope kind, its span
 name, and a digest of everything else on the line — track, record
 kind, category, depth, virtual clock fields, attributes, and every
@@ -44,7 +46,6 @@ HOST_CLOCK_INSTRUMENTS = frozenset({
     "fsteal.solve_seconds",
     "osteal.solve_seconds",
     "scheduler.decision_seconds",
-    "scheduler.decision_ms_series",
 })
 
 

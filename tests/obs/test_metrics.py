@@ -78,36 +78,6 @@ def test_null_metrics_is_inert():
     assert NULL_METRICS.snapshot() == {}
 
 
-def test_timeseries_append_and_snapshot():
-    registry = MetricsRegistry()
-    series = registry.timeseries("engine.wall_ms_series", "per-superstep")
-    series.append(1.5)
-    series.append(2.5, index=3)
-    series.append(4)
-    assert len(series) == 3
-    assert series.values() == [1.5, 2.5, 4.0]
-    assert series.index() == [0, 3, 4]  # explicit index advances it
-    assert series.last() == 4.0
-    snap = series.snapshot()
-    assert snap == {"type": "timeseries", "count": 3, "last": 4.0,
-                    "index": [0, 3, 4], "values": [1.5, 2.5, 4.0]}
-
-
-def test_timeseries_empty_snapshot():
-    series = MetricsRegistry().timeseries("s")
-    assert series.last() is None
-    assert series.snapshot() == {"type": "timeseries", "count": 0,
-                                 "last": None, "index": [], "values": []}
-
-
-def test_null_timeseries_is_inert():
-    series = NULL_METRICS.timeseries("anything")
-    series.append(5.0, index=2)
-    assert len(series) == 0
-    assert series.values() == []
-    assert series.last() is None
-
-
 def test_snapshot_is_json_stable():
     """Identical metric activity must serialize to identical bytes.
 
@@ -118,7 +88,7 @@ def test_snapshot_is_json_stable():
 
     def build(shuffle):
         registry = MetricsRegistry()
-        names = ["z.counter", "a.gauge", "m.histogram", "t.series"]
+        names = ["z.counter", "a.gauge", "m.histogram"]
         if shuffle:
             names = list(reversed(names))
         for name in names:
@@ -126,10 +96,8 @@ def test_snapshot_is_json_stable():
                 registry.counter(name).inc(np.int64(3), gpu=np.int64(1))
             elif name.endswith("gauge"):
                 registry.gauge(name).set(np.float32(2.0))
-            elif name.endswith("histogram"):
-                registry.histogram(name).observe(np.float64(0.25))
             else:
-                registry.timeseries(name).append(np.float64(1.0))
+                registry.histogram(name).observe(np.float64(0.25))
         return registry.snapshot()
 
     first = json.dumps(build(False), sort_keys=True)
@@ -142,5 +110,3 @@ def test_snapshot_is_json_stable():
     assert type(snap["a.gauge"]["value"]) is float
     assert type(snap["m.histogram"]["count"]) is int
     assert type(snap["m.histogram"]["sum"]) is float
-    assert type(snap["t.series"]["values"][0]) is float
-    assert type(snap["t.series"]["index"][0]) is int

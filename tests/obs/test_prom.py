@@ -16,8 +16,6 @@ def registry():
     reg.gauge("osteal.group_size").set(6)
     for value in (0.1, 0.2, 0.3, 0.4):
         reg.histogram("engine.wall_ms").observe(value)
-    reg.timeseries("engine.wall_ms_series").append(0.5, index=0)
-    reg.timeseries("engine.wall_ms_series").append(0.7, index=1)
     return reg
 
 
@@ -73,10 +71,16 @@ def test_pre_quantile_snapshot_still_renders():
     assert "repro_engine_wall_ms_count 4" in text
 
 
-def test_timeseries_maps_to_last_gauge(registry):
-    text = prom_text(registry.snapshot())
-    assert "repro_engine_wall_ms_series_last 0.7" in text
-    assert "repro_engine_wall_ms_series_count 2" in text
+def test_archived_timeseries_is_skipped(registry):
+    """Manifests recorded while the registry had a ``timeseries`` kind
+    still render: the archived series is skipped, the rest unchanged."""
+    snapshot = registry.snapshot()
+    archived = dict(snapshot)
+    archived["engine.wall_ms_series"] = {
+        "type": "timeseries", "count": 2, "last": 0.7,
+        "index": [0, 1], "values": [0.5, 0.7],
+    }
+    assert prom_text(archived) == prom_text(snapshot)
 
 
 def test_output_is_deterministic(registry):

@@ -1,10 +1,19 @@
 """SLO rules engine: config validation, indicators, evaluation."""
 
+import json
 import math
+import pathlib
 
 import pytest
 
+from repro.bench.workloads import (
+    algorithm_params,
+    cached_partition,
+    prepare_graph,
+)
+from repro.cli import main
 from repro.errors import ReproError, SloConfigError
+from repro.facade import make_engine
 from repro.obs.slo import (
     MIN_HISTORY,
     SLO_SCHEMA,
@@ -14,7 +23,11 @@ from repro.obs.slo import (
     policy_from_dict,
     recovery_iterations,
     slo_indicators,
+    slo_series,
 )
+from repro.runtime.trace import load_trace, save_trace
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def policy(*rules):
@@ -268,6 +281,27 @@ def test_history_rule_passes_and_fails():
     assert abs(regressed.outcomes[0].observed) > 3.0
 
 
+def test_history_rule_reads_prior_indicators_from_their_slo_block():
+    """Recorded summaries keep named indicators under ``slo``; a history
+    rule on one must find them there, as it does for the current run."""
+    rule = {"metric": "p99_iteration_ms", "zscore_max": 3.0,
+            "history": 10}
+    priors = [
+        {"total_ms": 26.0, "slo": {"p99_iteration_ms": 1.0 + 0.01 * i}}
+        for i in range(4)
+    ]
+    spiky = {"iteration": list(range(100)),
+             "wall_ms": [1.0] * 95 + [50.0] * 5}
+    report = evaluate(policy(rule), GREEN_SUMMARY, spiky, history=priors)
+    outcome = report.outcomes[0]
+    assert outcome.status == "FAIL"
+    assert "over 4 runs" in outcome.message
+
+    calm = {"iteration": list(range(100)), "wall_ms": [1.02] * 100}
+    report = evaluate(policy(rule), GREEN_SUMMARY, calm, history=priors)
+    assert report.outcomes[0].status == "PASS"
+
+
 def test_history_rule_constant_history_zero_std():
     rule = {"metric": "total_ms", "zscore_max": 3.0, "history": 5}
     flat = [{"total_ms": 26.0}] * 5
@@ -300,3 +334,96 @@ def test_report_as_dict_round_trips():
     assert payload["ok"] is True
     assert payload["rules"][0]["status"] == "PASS"
     assert payload["rules"][0]["label"] == "total_ms"
+
+
+# ----------------------------------------------------------------------
+# series from the trace
+# ----------------------------------------------------------------------
+#: ``slo check <reference> --rules benchmarks/slo/reference.yaml`` as
+#: (status, label, observed) per rule, captured while series rules still
+#: read a per-run ``timeseries.json``; the trace must give the same.
+REFERENCE_VERDICTS = {
+    "tx-bfs-4gpu": [
+        ("PASS", "total_ms", 26.03477642244412),
+        ("PASS", "iterations", 137.0),
+        ("PASS", "p99_iteration_ms", 0.4919531464617892),
+        ("PASS", "max_iteration_ms", 0.5073090101396596),
+        ("PASS", "min_gpu_utilization", 0.9985),
+        ("PASS", "max_stall_fraction", 0.004481367873598579),
+        ("PASS", "obs_overhead_pct", 1.3960403447562664),
+        ("PASS", "series[wall_ms]", 75.64661215738323),
+        ("SKIP", "history[total_ms]", 26.03477642244412),
+    ],
+    "tx-sssp-4gpu": [
+        ("FAIL", "total_ms", 38.991063475955116),
+        ("PASS", "iterations", 148.0),
+        ("PASS", "p99_iteration_ms", 0.43196582800218886),
+        ("PASS", "max_iteration_ms", 0.48628279645154904),
+        ("PASS", "min_gpu_utilization", 0.9994),
+        ("PASS", "max_stall_fraction", 0.0017907513613084104),
+        ("PASS", "obs_overhead_pct", 1.2082177767375633),
+        ("PASS", "series[wall_ms]", 27.27250967691207),
+        ("SKIP", "history[total_ms]", 38.991063475955116),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_VERDICTS))
+def test_reference_verdicts_come_from_the_trace(name, tmp_path, capsys):
+    pytest.importorskip("yaml")
+    report_path = tmp_path / "report.json"
+    rc = main([
+        "slo", "check", str(REPO / "benchmarks" / "reference" / name),
+        "--rules", str(REPO / "benchmarks" / "slo" / "reference.yaml"),
+        "--report", str(report_path), "--runs-dir", str(tmp_path),
+    ])
+    capsys.readouterr()
+    rules = json.loads(report_path.read_text())["rules"]
+    verdicts = [(r["status"], r["label"], r["observed"]) for r in rules]
+    assert verdicts == REFERENCE_VERDICTS[name]
+    assert rc == (1 if name == "tx-sssp-4gpu" else 0)
+
+
+def test_trace_series_match_the_iteration_records(tmp_path):
+    """Eight series are the records' values exactly; the busy/stall
+    three carry the trace's 6-decimal rounding, so agree to 1e-6 ms."""
+    graph = prepare_graph("TX", "bfs")
+    result = make_engine("gum", num_gpus=4).run(
+        graph, cached_partition(graph, 4), "bfs",
+        **algorithm_params("bfs", "TX"),
+    )
+    rows = result.iterations
+    exact = {
+        "iteration": [r.iteration for r in rows],
+        "wall_ms": [r.wall_seconds * 1e3 for r in rows],
+        "frontier_size": [r.frontier_size for r in rows],
+        "frontier_edges": [r.frontier_edges for r in rows],
+        "num_active": [r.num_active for r in rows],
+        "group_size": [r.osteal_group_size for r in rows],
+        "stolen_edges": [r.stolen_edges for r in rows],
+        "fsteal": [bool(r.fsteal_applied) for r in rows],
+    }
+    rounded = {
+        "critical_busy_ms": [
+            float(r.busy_seconds[r.active_workers].max()) * 1e3
+            for r in rows
+        ],
+        "mean_busy_ms": [
+            float(r.busy_seconds[r.active_workers].mean()) * 1e3
+            for r in rows
+        ],
+        "mean_stall_ms": [
+            float(r.stall_seconds[r.active_workers].mean()) * 1e3
+            for r in rows
+        ],
+    }
+    series = slo_series(result)
+    assert set(series) == set(exact) | set(rounded)
+    for name, values in exact.items():
+        assert series[name] == values, name
+    for name, values in rounded.items():
+        assert series[name] == pytest.approx(values, abs=1e-6), name
+    # the archived trace yields the same arrays as the live result
+    path = tmp_path / "trace.jsonl"
+    save_trace(result, path)
+    assert slo_series(load_trace(path)) == series

@@ -139,7 +139,8 @@ def test_run_command_record_flag(tmp_path, capsys):
     run_id = payload["run_id"]
     assert (root / run_id / "manifest.json").is_file()
     assert (root / run_id / "trace.jsonl").is_file()
-    assert (root / run_id / "timeseries.json").is_file()
+    # the trace is the one per-superstep record a run directory keeps
+    assert not (root / run_id / "timeseries.json").exists()
 
 
 def test_profile_command_record_flag(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ReproError, TraceFormatError
 from repro.hardware import dgx1
 from repro.obs import result_to_spans
+from repro.obs.slo import slo_series
 from repro.runtime import BSPEngine
 from repro.runtime.metrics import (
     IterationRecord,
@@ -220,9 +221,9 @@ def test_empty_run_exports_cleanly(tmp_path):
 
 
 def test_empty_run_timeseries():
-    series = _empty_result().timeseries()
-    assert series["wall_ms"] == []
-    assert series["critical_busy_ms"] == []
+    series = slo_series(_empty_result())
+    assert len(series) == 11
+    assert all(values == [] for values in series.values())
     json.dumps(series)
 
 

@@ -424,7 +424,6 @@ def test_obs_is_single_threaded_with_one_snapshot_formatter():
     tree = ast.parse((obs / "metrics.py").read_text())
     assert sorted(formatters(tree)) == [
         "Counter.snapshot", "Gauge.snapshot", "Histogram.snapshot",
-        "Timeseries.snapshot",
     ]
 
 

@@ -31,12 +31,12 @@ def test_collects_literal_names(tmp_path):
             with tracer.span("superstep", cat="engine"):
                 metrics.counter("engine.iterations").inc()
             tracer.instant("osteal.group_change")
-            metrics.timeseries("engine.wall_ms_series").append(1.0)
+            metrics.histogram("engine.iteration_wall_seconds").observe(1.0)
         """,
         tmp_path,
     )
     assert sorted(n for _, _, n, _ in names) == [
-        "engine.iterations", "engine.wall_ms_series",
+        "engine.iteration_wall_seconds", "engine.iterations",
         "osteal.group_change", "superstep",
     ]
     assert all(not is_prefix for _, _, _, is_prefix in names)

@@ -7,7 +7,7 @@ tables is telemetry nobody can discover — and a renamed span silently
 breaks every saved rule file that referenced the old name. This
 checker walks the library source for emission call sites
 (``tracer.span/virtual_span/instant`` and
-``metrics.counter/gauge/histogram/timeseries``) whose name argument is
+``metrics.counter/gauge/histogram``) whose name argument is
 a string literal and requires each name to appear backticked in
 ``docs/observability.md``.
 
@@ -35,7 +35,7 @@ from typing import List, Tuple
 #: tracer/metrics methods whose first argument is a telemetry name
 EMIT_METHODS = {
     "span", "virtual_span", "instant",
-    "counter", "gauge", "histogram", "timeseries",
+    "counter", "gauge", "histogram",
 }
 
 #: source subtrees whose emissions are bench fixtures, not telemetry
