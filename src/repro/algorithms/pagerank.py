@@ -74,7 +74,6 @@ class PageRank(GASAlgorithm):
         out_deg = aux["out_deg"]
         rank = state.values
         contrib = np.where(aux["dangling"], 0.0, rank / np.maximum(out_deg, 1))
-        sums = np.zeros(n)
         # Dense round: every edge carries its source's contribution.
         iter_shards = getattr(graph, "iter_edge_shards", None)
         if iter_shards is not None:
@@ -82,6 +81,7 @@ class PageRank(GASAlgorithm):
             # np.add.at accumulates element-by-element in edge order,
             # so consecutive per-shard applications are bit-identical
             # to one pass over the concatenated arrays.
+            sums = np.zeros(n)
             for v_start, v_stop, __, indices, __w in iter_shards():
                 sources = np.repeat(
                     np.arange(v_start, v_stop, dtype=np.int64),
@@ -89,10 +89,12 @@ class PageRank(GASAlgorithm):
                 )
                 np.add.at(sums, indices, contrib[sources])
         else:
-            sources = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(graph.indptr)
+            # bincount adds in edge order from 0.0, as np.add.at does:
+            # the same bits
+            sources, destinations, __ = state.frontier.gather(graph)
+            sums = np.bincount(
+                destinations, weights=contrib[sources], minlength=n
             )
-            np.add.at(sums, graph.indices, contrib[sources])
         if aux["redistribute"]:
             dangling_mass = float(rank[aux["dangling"]].sum())
             sums = sums + dangling_mass / max(1, n)
@@ -103,7 +105,9 @@ class PageRank(GASAlgorithm):
             aux["residual"] < aux["tol"]
             or state.iteration + 1 >= aux["max_rounds"]
         )
-        return Frontier.empty() if done else Frontier.full(n)
+        # the same full frontier every round: its gather, owner split
+        # and message count are memoized on it once per run
+        return Frontier.empty() if done else state.frontier
 
 
 class DeltaPageRank(GASAlgorithm):

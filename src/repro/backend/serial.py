@@ -23,7 +23,44 @@ if TYPE_CHECKING:
     from repro.partition.base import Partition
     from repro.runtime.scheduler import RunContext
 
-__all__ = ["SerialBackend", "SerialSession"]
+__all__ = ["SerialBackend", "SerialSession", "count_messages"]
+
+
+def count_messages(
+    graph: "CSRGraph",
+    owner: np.ndarray,
+    worker: np.ndarray,
+    frontier: Frontier,
+    aggregate: bool,
+    seen: np.ndarray,
+) -> int:
+    """Cross-worker message count from the memoized frontier gather.
+
+    One pass over the frontier's edges: endpoints are mapped vertex →
+    fragment (``owner``) → worker (``worker``) by indexing (never a
+    ``V``-long worker-of-vertex array, so a one-vertex tail superstep
+    costs its own edges) — the sources once per frontier vertex,
+    repeated over its out-edges as the gather lays them out. Under
+    ``aggregate`` the distinct remote destinations are counted with the
+    same bitmap kernel the algorithm step uses
+    (:func:`~repro.graph.gather.distinct_vertices`, ``seen`` being its
+    reusable all-``False`` bitmap) — the question the shmem workers
+    answer with packed bitmaps.
+    """
+    __, destinations, __ = frontier.gather(graph)
+    if destinations.size == 0:
+        return 0
+    vertices = frontier.vertices
+    source_worker = np.repeat(
+        worker[owner[vertices]], graph.out_degrees(vertices)
+    )
+    cross = source_worker != worker[owner[destinations]]
+    if not aggregate:
+        return int(np.count_nonzero(cross))
+    # np.compress: ~3x faster than boolean-mask indexing here
+    return int(distinct_vertices(
+        np.compress(cross, destinations), seen.size, seen
+    ).size)
 
 
 class SerialSession(ExecutionSession):
@@ -34,6 +71,8 @@ class SerialSession(ExecutionSession):
         self._partition = partition
         #: distinct_vertices' reusable bitmap, one per run
         self._seen = np.zeros(graph.num_vertices, dtype=bool)
+        #: (frontier, (aggregate, worker-map bytes), count), last call
+        self._last_count: tuple = (None, None, 0)
 
     def message_count(
         self,
@@ -42,35 +81,22 @@ class SerialSession(ExecutionSession):
         aggregate: bool,
         context: "RunContext",
     ) -> int:
-        """Cross-worker message count from the memoized frontier gather.
+        """:func:`count_messages`, memoized on the last call.
 
-        One pass over the frontier's edges: endpoints are mapped
-        vertex → fragment → worker by indexing (never a ``V``-long
-        worker-of-vertex array, so a one-vertex tail superstep costs
-        its own edges) — the sources once per frontier vertex, repeated
-        over its out-edges as the gather lays them out. Under
-        ``aggregate`` the distinct remote destinations are counted with
-        the same bitmap kernel the algorithm step uses
-        (:func:`~repro.graph.gather.distinct_vertices`) — the question
-        the shmem workers answer with packed bitmaps.
+        A frontier that stays active unchanged (PageRank's full one)
+        asks the same question every round. The key is the frontier
+        object and the worker map's *value*: OSteal folds and a killed
+        worker rewrite ``fragment_worker`` in place.
         """
-        graph = self._graph
-        __, destinations, __ = frontier.gather(graph)
-        if destinations.size == 0:
-            return 0
-        owner = self._partition.owner
         worker = context.fragment_worker
-        vertices = frontier.vertices
-        source_worker = np.repeat(
-            worker[owner[vertices]], graph.out_degrees(vertices)
-        )
-        cross = source_worker != worker[owner[destinations]]
-        if not aggregate:
-            return int(np.count_nonzero(cross))
-        # np.compress: ~3x faster than boolean-mask indexing here
-        return int(distinct_vertices(
-            np.compress(cross, destinations), self._seen.size, self._seen
-        ).size)
+        key = (aggregate, worker.tobytes())
+        last = self._last_count
+        if last[0] is not frontier or last[1] != key:
+            last = self._last_count = (frontier, key, count_messages(
+                self._graph, self._partition.owner, worker, frontier,
+                aggregate, self._seen,
+            ))
+        return last[2]
 
     def step(
         self,

@@ -355,12 +355,24 @@ def _message_count_fixture():
     return session, state.frontier, context
 
 
+def _plain_message_count(frontier, context):
+    """The aggregated count without the session's last-call memo, so
+    every call runs the bitmap kernel on ``frontier``."""
+    from repro.backend.serial import count_messages
+
+    graph, owner = context.graph, context.partition.owner
+    seen = np.zeros(graph.num_vertices, dtype=bool)
+    return lambda: count_messages(
+        graph, owner, context.fragment_worker, frontier, True, seen
+    )
+
+
 @bench_case("engine.message_count.rmat16", graph="rmat16x12-sym",
             workers=4,
             unit="seconds per aggregated cross-worker message count")
 def _message_count_case():
-    session, frontier, context = _message_count_fixture()
-    return lambda: session.message_count(0, frontier, True, context)
+    __, frontier, context = _message_count_fixture()
+    return _plain_message_count(frontier, context)
 
 
 def _predict_case(family: str, rows: int = 4096):

@@ -23,7 +23,6 @@ from repro.backend import BACKEND_NAMES
 from repro.baselines import GrouteEngine, GunrockEngine, PeekStealScheduler
 from repro.core import GumConfig, GumEngine
 from repro.errors import EngineError
-from repro.graph.builders import symmetrize
 from repro.graph.csr import CSRGraph
 from repro.hardware.topology import Topology, dgx1, parse_topology
 from repro.obs.metrics import MetricsRegistry
@@ -119,7 +118,7 @@ def run(
     if isinstance(algorithm, str):
         algorithm = make_algorithm(algorithm)
     if algorithm.needs_symmetric and graph.directed:
-        graph = symmetrize(graph).with_name(graph.name)
+        graph = graph.symmetrized()
     if topology is None:
         topology = parse_topology(None, num_gpus)
     else:

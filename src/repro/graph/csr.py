@@ -82,6 +82,7 @@ class CSRGraph:
         "_csc_cache",
         "_csc_order_cache",
         "_in_degrees_cache",
+        "_symmetric_cache",
     )
 
     def __init__(
@@ -133,6 +134,7 @@ class CSRGraph:
         self._csc_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._csc_order_cache: Optional[np.ndarray] = None
         self._in_degrees_cache: Optional[np.ndarray] = None
+        self._symmetric_cache: Optional["CSRGraph"] = None
 
     # ------------------------------------------------------------------
     # Pickling (spawn-started worker processes ship graphs by pickle
@@ -326,6 +328,19 @@ class CSRGraph:
             name=f"{self._name}-rev",
         )
 
+    def symmetrized(self) -> "CSRGraph":
+        """:func:`~repro.graph.builders.symmetrize` of this graph, cached.
+
+        WCC runs on the undirected closure of a directed input; built
+        on first use, it is shared by every later run on this graph.
+        """
+        if self._symmetric_cache is None:
+            # builders imports this module; resolve it on first use
+            from repro.graph.builders import symmetrize
+
+            self._symmetric_cache = symmetrize(self)
+        return self._symmetric_cache
+
     def with_name(self, name: str) -> "CSRGraph":
         """Return a shallow copy carrying a different label."""
         g = CSRGraph.__new__(CSRGraph)
@@ -337,6 +352,8 @@ class CSRGraph:
         g._csc_cache = self._csc_cache
         g._csc_order_cache = self._csc_order_cache
         g._in_degrees_cache = self._in_degrees_cache
+        # the cached closure carries the old label
+        g._symmetric_cache = None
         return g
 
     def with_unit_weights(self) -> "CSRGraph":

@@ -10,8 +10,9 @@ Frontiers also memoize their per-graph derived quantities — workload,
 Table-I features, and the flattened out-edge gather. Several consumers
 touch the same frontier every superstep (the stealing arbitrator, the
 engine's plan pricing, the message-cost model, and the algorithm step
-itself); the cache makes each derived quantity a once-per-iteration
-cost instead of a per-consumer one.
+itself); the cache makes each derived quantity a once-per-frontier
+cost instead of a per-consumer one — once per *run* for a frontier
+that stays active unchanged, like PageRank's full one.
 """
 
 from __future__ import annotations
@@ -227,9 +228,18 @@ class Frontier:
         are seeded from one segmented pass over that sorted array
         (:func:`~repro.graph.features.frontier_features` with
         boundaries) instead of one scan per part later.
+
+        The parts are memoized on this frontier per (``graph``,
+        ``owner`` array, ``num_fragments``), so a frontier that lives
+        for many rounds (PageRank's full one) hands back the same part
+        objects, seeded memos included, every round.
         """
         if self.size == 0:
             return [Frontier.empty() for __ in range(num_fragments)]
+        entry = self._cache.get("split")
+        if (entry is not None and entry[0] is graph and entry[1] is owner
+                and entry[2] == num_fragments):
+            return list(entry[3])
         owners = owner[self._vertices]
         # stable: each owner's run keeps the frontier's ascending order
         order = np.argsort(owners, kind="stable")
@@ -249,4 +259,5 @@ class Frontier:
             )):
                 part._cache["work"] = (graph, features.total_edges)
                 part._cache["features"] = (graph, features)
-        return parts
+        self._cache["split"] = (graph, owner, num_fragments, parts)
+        return list(parts)

@@ -116,3 +116,26 @@ def test_serial_message_count_equals_the_plain_count():
                 0, frontier, True, context
             ) == np.unique(destinations[cross]).size
     assert not session._seen.any()
+
+    # the session memoizes its last count on the frontier and the
+    # worker map's value: an OSteal fold or a killed worker rewrites
+    # the map in place, and the same frontier must then be recounted
+    frontier = frontiers[0]
+    context = RunContext(
+        graph=graph, partition=partition, timing=None,
+        fragment_home=np.arange(4, dtype=np.int64),
+        fragment_worker=np.arange(4, dtype=np.int64),
+    )
+    sources, destinations, __ = frontier.gather(graph)
+    for aggregate in (True, False):
+        before = session.message_count(0, frontier, aggregate, context)
+        context.fragment_worker[:] = [0, 0, 0, 3]
+        after = session.message_count(1, frontier, aggregate, context)
+        worker_of = context.fragment_worker[partition.owner]
+        cross = worker_of[sources] != worker_of[destinations]
+        assert after == (
+            np.unique(destinations[cross]).size if aggregate
+            else int(np.count_nonzero(cross))
+        )
+        assert after < before
+        context.fragment_worker[:] = np.arange(4)

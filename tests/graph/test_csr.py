@@ -128,3 +128,43 @@ def test_repr(tiny_graph):
     text = repr(tiny_graph)
     assert "tiny" in text
     assert "|V|=6" in text
+
+
+def test_symmetrized_is_built_once_and_equals_symmetrize(skewed_graph):
+    import pickle
+
+    from repro.graph import symmetrize
+
+    sym = skewed_graph.symmetrized()
+    assert skewed_graph.symmetrized() is sym
+    fresh = symmetrize(skewed_graph)
+    assert not sym.directed and sym.name == skewed_graph.name
+    assert np.array_equal(sym.indptr, fresh.indptr)
+    assert np.array_equal(sym.indices, fresh.indices)
+    # a relabelled copy does not inherit a closure carrying the old name
+    renamed = skewed_graph.with_name("other")
+    assert renamed.symmetrized() is not sym
+    assert renamed.symmetrized().name == "other"
+    # caches never travel to a worker process
+    assert pickle.loads(pickle.dumps(skewed_graph))._symmetric_cache is None
+
+
+def test_facade_symmetrizes_a_directed_input_once(monkeypatch,
+                                                  skewed_graph):
+    import repro
+    from repro.graph import builders
+
+    calls = []
+    symmetrize = builders.symmetrize
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph)
+        return symmetrize(graph, *args, **kwargs)
+
+    monkeypatch.setattr(builders, "symmetrize", counting)
+    graph = skewed_graph.with_name("directed-wcc")
+    first = repro.run(graph, "wcc", num_gpus=4)
+    second = repro.run(graph, "wcc", num_gpus=4)
+    assert calls == [graph]
+    assert np.array_equal(first.values, second.values)
+    assert first.total_ms == second.total_ms

@@ -117,3 +117,26 @@ def test_split_by_owner_with_graph_seeds_work_and_features(skewed_graph):
             skewed_graph.out_degrees(part.vertices).sum()
         )
     assert not seeded[2] and seeded[2].work(skewed_graph) == 0
+
+
+def test_split_by_owner_memoizes_parts_per_graph_and_owner(skewed_graph):
+    rng = np.random.default_rng(4)
+    owner = rng.integers(0, 4, size=skewed_graph.num_vertices)
+    frontier = Frontier.full(skewed_graph.num_vertices)
+    first = frontier.split_by_owner(owner, 4, skewed_graph)
+    again = frontier.split_by_owner(owner, 4, skewed_graph)
+    # the same part objects, so their seeded memos are reused
+    assert all(a is b for a, b in zip(first, again))
+    assert again is not first  # callers get their own list
+    # another owner array (even an equal one), another graph or another
+    # fragment count is another split
+    for other in (
+        frontier.split_by_owner(owner.copy(), 4, skewed_graph),
+        frontier.split_by_owner(owner, 4),
+        frontier.split_by_owner(owner, 5, skewed_graph),
+    ):
+        assert not any(a is b for a, b in zip(first, other))
+    assert [p.vertices.tolist() for p in first] == [
+        p.vertices.tolist()
+        for p in frontier.split_by_owner(owner.copy(), 4, skewed_graph)
+    ]
