@@ -1,19 +1,19 @@
 """Execution-backend gates: speedup floor and coordination budget.
 
-The shared-memory backend exists for exactly one reason — wall-clock —
-and is only allowed to buy it without touching anything else. This
-suite pins both sides of that bargain:
+The ``shmem`` backend (one thread per virtual GPU) exists for exactly
+one reason — wall-clock — and is only allowed to buy it without
+touching anything else. This suite pins both sides of that bargain:
 
 1. **speedup floor**: on a multi-core host (CI runners have >= 4
    vCPUs) the shmem superstep over the big generated graph must beat
    the serial superstep by ``SPEEDUP_FLOOR``. Both sides are measured
    in the same process on the same host, so the check transfers
-   between machines. Hosts without enough cores skip (a process pool
-   cannot beat a serial loop on one core).
+   between machines. Hosts without enough cores skip (threads cannot
+   beat a serial loop on one core).
 2. **coordination budget**: the session's self-measured host overhead
-   (task dispatch + result collection, from
+   (task submission + result collection, from
    ``RunResult.backend_stats``) must stay a small per-task cost — the
-   backend parallelizes array crunching, not queue juggling.
+   backend parallelizes array crunching, not task juggling.
 
 The ``backend.*`` cases also feed the calibrated ``baseline.json``
 regression gate via the shared ``bench_report`` fixture.
@@ -26,12 +26,12 @@ import os
 import pytest
 
 import repro
-from repro.backend.shared import live_block_names
 from repro.bench import perfharness
 from repro.graph import datasets
+from tests.backend.helpers import no_backend_threads
 
 SPEEDUP_FLOOR = 2.0
-#: host seconds of queue traffic per dispatched task, amortized
+#: host seconds of coordination per dispatched task, amortized
 COORDINATION_BUDGET_PER_TASK = 0.010
 BEST_OF = 3
 
@@ -45,7 +45,7 @@ def _best_superstep_seconds(superstep) -> float:
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
-    reason="shmem speedup needs >= 4 cores for 4 worker processes",
+    reason="shmem speedup needs >= 4 cores for 4 worker threads",
 )
 def test_shmem_superstep_speedup():
     serial_session, serial_step = perfharness._backend_fixture("serial")
@@ -62,18 +62,18 @@ def test_shmem_superstep_speedup():
     print(f"\nshmem superstep speedup: {ratio:.2f}x "
           f"(serial {serial_seconds * 1e3:.1f} ms, "
           f"shmem {shmem_seconds * 1e3:.1f} ms)")
-    assert live_block_names() == ()
+    assert no_backend_threads()
     assert ratio >= SPEEDUP_FLOOR
 
 
 def test_shmem_coordination_overhead_budget():
     """Dispatch+collect host seconds per task stay under budget.
 
-    Collection *waits* for workers, so the waited-on compute is part
-    of the measurement only on an oversubscribed host; the per-task
-    budget is sized for the steady state where dispatch and collect
-    are queue traffic. A full TX/bfs run (hundreds of supersteps)
-    amortizes worker startup out of the picture.
+    Collection *waits* for the threads, so the waited-on compute is
+    part of the measurement only on an oversubscribed host; the
+    per-task budget is sized for the steady state where dispatch and
+    collect are bookkeeping. A full TX/bfs run (hundreds of
+    supersteps) amortizes pool startup out of the picture.
     """
     graph = datasets.load("TX")
     result = repro.run(graph, "bfs", num_gpus=4, backend="shmem",
@@ -86,7 +86,7 @@ def test_shmem_coordination_overhead_budget():
     print(f"\ncoordination: {per_task * 1e6:.0f} us/task over "
           f"{stats['tasks']} tasks "
           f"(startup {stats['startup_seconds']:.2f} s)")
-    assert live_block_names() == ()
+    assert no_backend_threads()
     assert per_task < COORDINATION_BUDGET_PER_TASK
 
 

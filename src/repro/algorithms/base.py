@@ -105,21 +105,21 @@ class GASAlgorithm(abc.ABC):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Stateless partial superstep over one fragment's frontier slice.
 
-        Runs in a worker process of the shared-memory backend: reads
+        Runs on a fragment thread of the ``shmem`` backend: reads
         ``values`` (never writes), expands the out-edges of
-        ``vertices``, and returns the partial aggregates the worker
-        scatters into its shared row for :meth:`merge_fragment_rows`
+        ``vertices``, and returns the partial aggregates the thread
+        scatters into its fragment's row for :meth:`merge_fragment_rows`
         to combine in the coordinator. The
         split is only offered when the aggregation is *exactly*
         associative (``supports_fragment_step``), so the merged result
         is bit-identical to :meth:`step` on the whole frontier.
 
-        ``aux`` is the calling worker's counterpart of
+        ``aux`` is the calling fragment's counterpart of
         :attr:`AlgorithmState.aux`: a dict the algorithm may keep
         reusable buffers in between tasks. ``edges`` optionally passes
         the caller's already-gathered ``(sources, destinations,
         weights)`` out-edges of ``vertices``
-        (:func:`~repro.graph.gather.gather_edges`) — workers share one
+        (:func:`~repro.graph.gather.gather_edges`) — tasks share one
         adjacency walk between the message-cost scan and the relax,
         like the frontier memo does in-process.
         """
@@ -138,12 +138,11 @@ class GASAlgorithm(abc.ABC):
         ``rows`` is a ``(num_fragments, num_vertices)`` array where row
         ``i`` holds fragment ``i``'s :meth:`fragment_step` partial
         scattered over the vertex axis (identity element — ``inf`` for
-        min — everywhere untouched). The shared-memory backend has its
-        workers write these rows into a shared mapping, so the
-        coordinator reduces columns without any partials crossing a
-        pickle boundary. Exactness contract: the merged values and
-        frontier must be bit-identical to :meth:`step` over the
-        undivided frontier.
+        min — everywhere untouched). The ``shmem`` backend has each
+        fragment thread write its row of one ``(fragments, V)`` array,
+        so the coordinator reduces columns in one pass. Exactness
+        contract: the merged values and frontier must be bit-identical
+        to :meth:`step` over the undivided frontier.
         """
         raise NotImplementedError(
             f"{self.name} does not support fragment steps"

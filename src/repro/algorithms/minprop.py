@@ -135,9 +135,9 @@ class MinPropagation(GASAlgorithm):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Per-fragment partial relax: ``(touched, partial minima)``.
 
-        Pure with respect to ``values`` — safe against a shared mapping
-        read concurrently by other workers. ``aux`` is the caller's
-        per-worker dict; the reusable :class:`MinScatter` lives in it.
+        Pure with respect to ``values`` — safe while other fragments'
+        threads read the same array. ``aux`` is the caller's
+        per-fragment dict; the reusable :class:`MinScatter` lives in it.
         """
         if edges is None:
             edges = gather_edges(graph, vertices)

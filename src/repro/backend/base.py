@@ -6,8 +6,7 @@ and the algorithm defines what is computed. The execution backend adds
 a fourth, orthogonal axis — which host resources actually crunch the
 arrays. :class:`SerialBackend` is today's in-process NumPy path;
 :class:`~repro.backend.shmem.SharedMemoryBackend` fans the same work
-out to one persistent worker process per virtual GPU over
-shared-memory graph buffers.
+out to one thread per virtual GPU over the coordinator's own arrays.
 
 The hard invariant, mirrored by the equivalence tests: for any
 workload, every backend produces **bit-identical** algorithm outputs
@@ -22,9 +21,8 @@ drives the session with three calls per iteration::
     session.message_count(...)     # while pricing cross-GPU messages
     session.step(...)              # the algorithm superstep
 
-and closes it in a ``finally`` — sessions own process/shared-memory
-lifecycle and must release everything on both clean and exceptional
-exits.
+and closes it in a ``finally`` — sessions own their threads and must
+stop every one on both clean and exceptional exits.
 """
 
 from __future__ import annotations
@@ -55,11 +53,9 @@ class ExecutionSession(abc.ABC):
         """Announce the iteration's distributed frontier.
 
         ``aggregate`` is the switch :meth:`message_count` will be
-        asked with — workers need it to prepare their statistics.
-
-        Called after the frontier split, before planning/pricing —
-        a parallel backend dispatches work here so workers overlap
-        with the coordinator's scheduling decision.
+        asked with. Called after the frontier split, before planning
+        and pricing — a parallel backend dispatches work here so its
+        threads overlap with the coordinator's scheduling decision.
         """
 
     @abc.abstractmethod
@@ -92,14 +88,8 @@ class ExecutionSession(abc.ABC):
         """Host-side execution statistics for the run result."""
         return None
 
-    def close(self, state: "Optional[AlgorithmState]" = None) -> None:
-        """Release workers and shared resources (idempotent)."""
-
-    def __enter__(self) -> "ExecutionSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def close(self) -> None:
+        """Stop the session's threads (idempotent)."""
 
 
 class ExecutionBackend(abc.ABC):
@@ -116,4 +106,4 @@ class ExecutionBackend(abc.ABC):
         state: "AlgorithmState",
         context: "RunContext",
     ) -> ExecutionSession:
-        """Start a session for one run (spawning workers if needed)."""
+        """Start a session for one run (starting threads if needed)."""

@@ -44,8 +44,7 @@ def count_messages(
     ``aggregate`` the distinct remote destinations are counted with the
     same bitmap kernel the algorithm step uses
     (:func:`~repro.graph.gather.distinct_vertices`, ``seen`` being its
-    reusable all-``False`` bitmap) — the question the shmem workers
-    answer with packed bitmaps.
+    reusable all-``False`` bitmap).
     """
     __, destinations, __ = frontier.gather(graph)
     if destinations.size == 0:
@@ -129,5 +128,5 @@ class SerialBackend(ExecutionBackend):
         state: "AlgorithmState",
         context: "RunContext",
     ) -> SerialSession:
-        """Open an in-process session; nothing to spawn or map."""
+        """Open an in-process session; no thread is started."""
         return SerialSession(graph, partition)

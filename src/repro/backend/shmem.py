@@ -1,48 +1,37 @@
-"""Process-parallel execution over shared-memory graph buffers.
+"""Thread-parallel execution: one thread per virtual GPU.
 
-One resident store, many workers — the coordinator maps the CSR arrays
-(``indptr``/``indices``/``weights``), the ownership array, the vertex
-value array, and a per-iteration frontier buffer into
-:mod:`multiprocessing.shared_memory` blocks, spawns one persistent
-worker process per virtual GPU (``spawn`` start method, workers live
-for the whole run), and per iteration sends each worker a single
-batch of small task descriptors — one per fragment it serves, reused
-across iterations — over its queue. Workers
-expand the adjacency once per task and return (a) the cross-worker
-message statistics the coordinator's virtual-time pricing needs and
-(b), for algorithms whose superstep is exactly mergeable
-(``supports_fragment_step``), the partial relax aggregates the
-coordinator folds into the global state.
+In the paper the arbitrator plans and each GPU relaxes its own
+fragment. This backend does the same on the host with one thread per
+fragment, working on the coordinator's own ``graph``,
+``partition.owner`` and ``state.values``: nothing is copied, mapped or
+pickled, and ``shmem`` names the one address space they share. Each
+iteration's tasks are submitted before the scheduler plans, so they
+overlap with the plan and pricing (NumPy releases the GIL for most of
+a relax). Scheduling, pricing, chaos and tracing stay in the
+coordinator, so virtual time and outputs are bit-identical to the
+serial backend. Algorithms without an exact merge (floating-point
+*sums*, e.g. PageRank) get a serial session and start no thread.
 
-Scheduling, pricing, chaos, and tracing stay entirely in the
-coordinator: the backend parallelizes the *numerical* work of a
-superstep, never the decisions — so virtual time and algorithm outputs
-are bit-identical to the serial backend (the equivalence tests pin
-this). Algorithms without an exact merge (floating-point *sums*, e.g.
-PageRank) run the serial superstep in the coordinator, so the backend
-opens a serial session for them — no worker process, no shared block;
-only min-style propagation currently parallelizes.
-
-Lifecycle: sessions release every shared block and worker on
-``close()`` — called from the engine's ``finally`` — and a
-module-level ``atexit`` backstop in :mod:`repro.backend.shared` covers
-interpreter death, so CI can never leak ``/dev/shm`` segments.
+Three facts keep the threads safe. A fragment has at most one task in
+flight, so its ``aux`` buffers and its partial row are its own. Tasks
+only read ``values``, which the coordinator writes in :meth:`step`
+after every task of the iteration was collected. And an out-of-core
+graph's shard cache is not thread-safe, so each fragment reads its own
+reopening of the shard directory.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.backend.base import ExecutionBackend, ExecutionSession
 from repro.backend.serial import SerialSession
-from repro.backend.shared import create_shared_array, release_shared_array
-from repro.backend.worker import WorkerSpec, WorkerTask, worker_main
 from repro.errors import EngineError
+from repro.graph.gather import gather_edges
 from repro.runtime.frontier import Frontier
 
 if TYPE_CHECKING:
@@ -53,27 +42,43 @@ if TYPE_CHECKING:
 
 __all__ = ["SharedMemoryBackend", "SharedMemorySession"]
 
+#: the ``backend_stats`` block before any work was dispatched
+_IDLE_STATS = {
+    "backend": "shmem",
+    "workers": 0,
+    "parallel_step": False,
+    "tasks": 0,
+    "startup_seconds": 0.0,
+    "dispatch_seconds": 0.0,
+    "collect_seconds": 0.0,
+}
 
-def _idle_stats() -> dict:
-    """The ``backend_stats`` block before any work was dispatched."""
-    return {
-        "backend": "shmem",
-        "workers": 0,
-        "parallel_step": False,
-        "tasks": 0,
-        "startup_seconds": 0.0,
-        "dispatch_seconds": 0.0,
-        "collect_seconds": 0.0,
-    }
+
+def _fragment_graphs(graph: "CSRGraph", num_fragments: int) -> list:
+    """The graph each fragment's task reads: the shared in-core graph,
+    or one reopening per fragment of a sharded graph's directory under
+    the coordinator's resident budget."""
+    if getattr(graph, "cache_stats", None) is None:
+        return [graph] * num_fragments
+    if graph.source_path is None:
+        raise EngineError("shmem backend: a sharded graph must come "
+                          "from open_graph_sharded")
+    from repro.graph.io_npz import open_graph_sharded
+
+    return [
+        open_graph_sharded(graph.source_path,
+                           resident_bytes=graph.resident_budget_bytes)
+        for _ in range(num_fragments)
+    ]
 
 
 class _SerialFallbackSession(SerialSession):
     """``shmem`` for an algorithm with no exact merge: every superstep
-    is the coordinator's serial one, so nothing is spawned or mapped."""
+    is the coordinator's serial one, so no thread is started."""
 
     def stats(self) -> dict:
         """The shmem stats block, with no workers and no tasks."""
-        stats = _idle_stats()
+        stats = dict(_IDLE_STATS)
         shard = super().stats()
         if shard is not None:
             stats["shard_cache"] = shard["shard_cache"]
@@ -81,7 +86,7 @@ class _SerialFallbackSession(SerialSession):
 
 
 class SharedMemorySession(ExecutionSession):
-    """One run's worker pool plus its shared mappings."""
+    """One run's per-fragment threads over the coordinator's arrays."""
 
     def __init__(
         self,
@@ -89,229 +94,111 @@ class SharedMemorySession(ExecutionSession):
         partition: "Partition",
         algorithm: "GASAlgorithm",
         state: "AlgorithmState",
-        startup_timeout: float,
-        task_timeout: float,
     ) -> None:
-        self._graph = graph
-        self._partition = partition
-        self._startup_timeout = startup_timeout
-        self._task_timeout = task_timeout
-        self._blocks: list = []
-        self._processes: list = []
-        self._task_queues: list = []
-        self._result_queue = None
-        self._values_view: Optional[np.ndarray] = None
-        self._frontier_view: Optional[np.ndarray] = None
-        self._partials_view: Optional[np.ndarray] = None
-        self._pending: Optional[List[int]] = None
-        self._collected_iteration: Optional[int] = None
-        # dispatch fast path: one reusable descriptor per fragment and
-        # one reusable batch list per worker, so a superstep's dispatch
-        # is field writes plus a single queue put per busy worker
-        self._task_pool: List[WorkerTask] = [
-            WorkerTask(iteration=-1, fragment=fragment, offset=0,
-                       count=0, aggregate=True, relax=True)
-            for fragment in range(partition.num_fragments)
-        ]
-        self._worker_batches: List[List[WorkerTask]] = [
-            [] for _ in range(partition.num_fragments)
-        ]
-        self._partials: dict = {}
-        self._closed = False
-        self._stats = _idle_stats() | {
-            "workers": partition.num_fragments,
-            "parallel_step": True,
-        }
-        try:
-            self._start(graph, partition, algorithm, state)
-        except Exception:
-            self.close(state)
-            raise
-
-    # ------------------------------------------------------------------
-    def _share(self, array: np.ndarray):
-        shm, view, spec = create_shared_array(array)
-        self._blocks.append(shm)
-        return view, spec
-
-    def _start(self, graph, partition, algorithm, state) -> None:
         started = time.perf_counter()
-        shard_path = getattr(graph, "source_path", None)
-        indptr_spec = indices_spec = weights_spec = None
-        if shard_path is None:
-            __, indptr_spec = self._share(graph.indptr)
-            __, indices_spec = self._share(graph.indices)
-            if graph.weights is not None:
-                __, weights_spec = self._share(graph.weights)
-        # sharded graphs skip the |E|-sized shared blocks entirely:
-        # each worker reopens the shard directory and pages what it
-        # touches under its own resident budget
-        __, owner_spec = self._share(partition.owner)
-        self._frontier_view, frontier_spec = self._share(
-            np.zeros(max(1, graph.num_vertices), dtype=np.int64)
+        num_fragments = partition.num_fragments
+        self._graph = graph
+        self._owner = partition.owner
+        self._algorithm = algorithm
+        self._state = state
+        self._graphs = _fragment_graphs(graph, num_fragments)
+        #: each fragment's reusable algorithm buffers
+        self._aux = [{} for _ in range(num_fragments)]
+        #: one partial row per fragment (inf = untouched); each task
+        #: first resets what its fragment's previous task scattered
+        self._partials = np.full((num_fragments, graph.num_vertices),
+                                 np.inf)
+        self._row_touched = [np.empty(0, dtype=np.int64)] * num_fragments
+        self._futures: Optional[dict] = None
+        self._results: dict = {}
+        self._collected_iteration: Optional[int] = None
+        self._pool = ThreadPoolExecutor(
+            max_workers=num_fragments, thread_name_prefix="repro-shmem"
         )
-        # the coordinator's value array moves into shared memory so
-        # workers observe each merged superstep; copied back out in
-        # close() before the block is unlinked
-        self._values_view, values_spec = self._share(state.values)
-        state.values = self._values_view
-        # one partial row per fragment: workers scatter their relax
-        # minima here (inf = untouched) so the coordinator merges
-        # columns without partials ever crossing a pickle boundary
-        self._partials_view, partials_spec = self._share(
-            np.full(
-                (partition.num_fragments, graph.num_vertices), np.inf
-            )
-        )
-        spec = WorkerSpec(
-            indptr=indptr_spec,
-            indices=indices_spec,
-            weights=weights_spec,
-            owner=owner_spec,
-            frontier=frontier_spec,
-            values=values_spec,
-            partials=partials_spec,
-            num_fragments=partition.num_fragments,
-            directed=graph.directed,
-            graph_name=graph.name,
-            algorithm=algorithm,
-            shard_path=None if shard_path is None else str(shard_path),
-            shard_resident_bytes=int(
-                getattr(graph, "resident_budget_bytes", 0) or 0
-            ),
-        )
-        ctx = multiprocessing.get_context("spawn")
-        self._result_queue = ctx.Queue()
-        for worker_id in range(partition.num_fragments):
-            task_queue = ctx.Queue()
-            process = ctx.Process(
-                target=worker_main,
-                args=(worker_id, spec, task_queue, self._result_queue),
-                daemon=True,
-                name=f"repro-shmem-{worker_id}",
-            )
-            process.start()
-            self._task_queues.append(task_queue)
-            self._processes.append(process)
-        deadline = time.perf_counter() + self._startup_timeout
-        ready = 0
-        while ready < len(self._processes):
-            message = self._take_result(deadline, phase="startup")
-            if message[0] == "ready":
-                ready += 1
-            else:
-                raise EngineError(
-                    "shmem worker returned an unexpected message during "
-                    f"startup: {message[0]!r}"
-                )
-        self._stats["startup_seconds"] = time.perf_counter() - started
+        self._stats = _IDLE_STATS | {
+            "workers": num_fragments,
+            "parallel_step": True,
+            "startup_seconds": time.perf_counter() - started,
+        }
 
-    def _take_result(self, deadline: float, phase: str):
-        """One message off the result queue, or a timely EngineError —
-        at the deadline, or on the first empty poll after any worker
-        has exited (a worker that dies at spawn never reports)."""
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise EngineError(
-                    f"shmem backend timed out during {phase} "
-                    f"(alive workers: "
-                    f"{[p.is_alive() for p in self._processes]})"
-                )
-            try:
-                message = self._result_queue.get(
-                    timeout=min(remaining, 1.0)
-                )
-            except queue_mod.Empty:
-                for worker, process in enumerate(self._processes):
-                    if process.exitcode is not None:
-                        raise EngineError(
-                            f"shmem worker {worker} exited with code "
-                            f"{process.exitcode} during {phase}"
-                        ) from None
-                continue
-            if message[0] == "error":
-                raise EngineError(
-                    f"shmem worker {message[1]} failed:\n{message[2]}"
-                )
-            return message
+    def _run_task(
+        self,
+        fragment: int,
+        vertices: np.ndarray,
+        values: np.ndarray,
+        aggregate: bool,
+    ) -> tuple:
+        """Expand one fragment's frontier and scatter its relax minima.
 
-    # ------------------------------------------------------------------
+        Returns ``(edge_counts, dest_bits)`` keyed by *destination
+        fragment*, so the coordinator decides which are remote under
+        the fragment→worker map the scheduler settles on after dispatch
+        (OSteal folds and a killed worker rewrite it in place).
+        """
+        graph = self._graphs[fragment]
+        num_fragments = len(self._graphs)
+        edges = gather_edges(graph, vertices)
+        destinations = edges[1]
+        edge_counts = np.zeros(num_fragments, dtype=np.int64)
+        dest_bits = None
+        if destinations.size:
+            dest_fragment = self._owner[destinations]
+            edge_counts = np.bincount(dest_fragment,
+                                      minlength=num_fragments)
+            if aggregate:
+                # one packed destination bitmap per destination
+                # fragment: the coordinator's |union| is OR + popcount
+                masks = np.zeros((num_fragments, graph.num_vertices), bool)
+                masks[dest_fragment, destinations] = True
+                dest_bits = np.packbits(masks, axis=1)
+        row = self._partials[fragment]
+        row[self._row_touched[fragment]] = np.inf
+        touched, mins = self._algorithm.fragment_step(
+            graph, values, vertices, aux=self._aux[fragment], edges=edges,
+        )
+        row[touched] = mins
+        self._row_touched[fragment] = touched
+        return edge_counts, dest_bits
+
     def begin_iteration(
         self,
         iteration: int,
         fragment_frontiers: "Sequence[Frontier]",
         aggregate: bool,
     ) -> None:
-        """Dispatch this iteration's fragment tasks to the workers.
-
-        Called before the scheduler plans, so the workers' adjacency
-        walks overlap with the coordinator's decision and pricing.
-        """
-        if self._pending:
+        """Submit one task per non-empty fragment."""
+        if self._futures:
             raise EngineError(
                 "shmem backend: previous iteration was never collected"
             )
         started = time.perf_counter()
-        num_workers = len(self._task_queues)
-        offset = 0
-        pending = []
-        # reuse is safe here: begin_iteration refuses to run while the
-        # previous iteration is uncollected, and collected results mean
-        # the previous batch was already pickled and delivered
-        for batch in self._worker_batches:
-            batch.clear()
-        for fragment, frontier in enumerate(fragment_frontiers):
-            count = frontier.size
-            if count == 0:
-                continue
-            self._frontier_view[offset: offset + count] = frontier.vertices
-            task = self._task_pool[fragment]
-            task.iteration = iteration
-            task.offset = offset
-            task.count = count
-            task.aggregate = aggregate
-            self._worker_batches[fragment % num_workers].append(task)
-            offset += count
-            pending.append(fragment)
-        for worker, batch in enumerate(self._worker_batches):
-            if batch:
-                self._task_queues[worker].put(batch)
-        self._pending = pending
+        values = self._state.values
+        self._futures = {
+            fragment: self._pool.submit(
+                self._run_task, fragment, frontier.vertices, values,
+                aggregate,
+            )
+            for fragment, frontier in enumerate(fragment_frontiers)
+            if frontier.size
+        }
         self._collected_iteration = None
-        self._stats["tasks"] += len(pending)
+        self._stats["tasks"] += len(self._futures)
         self._stats["dispatch_seconds"] += time.perf_counter() - started
 
     def _collect(self, iteration: int) -> dict:
-        """Results of every dispatched fragment task (cached per iter)."""
+        """Every dispatched task's result by fragment, in fragment order
+        (cached per iteration); a task's exception is raised unchanged."""
         if self._collected_iteration == iteration:
-            return self._partials
-        if self._pending is None:
-            raise EngineError(
-                "shmem backend: iteration was never dispatched"
-            )
+            return self._results
+        if self._futures is None:
+            raise EngineError("shmem backend: iteration was never dispatched")
         started = time.perf_counter()
-        partials: dict = {}
-        deadline = started + self._task_timeout
-        remaining = set(self._pending)
-        while remaining:
-            message = self._take_result(deadline, phase="collect")
-            kind, msg_iteration, fragment = message[0], message[1], message[2]
-            if kind != "done" or msg_iteration != iteration:
-                raise EngineError(
-                    "shmem backend: out-of-order result "
-                    f"({kind}, iteration {msg_iteration}) while collecting "
-                    f"iteration {iteration}"
-                )
-            partials[fragment] = message[3:]
-            remaining.discard(fragment)
-        self._pending = None
+        futures, self._futures = self._futures, None
+        self._results = {f: task.result() for f, task in futures.items()}
         self._collected_iteration = iteration
-        self._partials = partials
         self._stats["collect_seconds"] += time.perf_counter() - started
-        return partials
+        return self._results
 
-    # ------------------------------------------------------------------
     def message_count(
         self,
         iteration: int,
@@ -319,36 +206,26 @@ class SharedMemorySession(ExecutionSession):
         aggregate: bool,
         context: "RunContext",
     ) -> int:
-        """Cross-worker message count, merged from worker partials.
+        """Cross-worker message count, folded from fragment partials.
 
         Exactly the serial count: fragments partition the frontier's
         out-edges by source owner, so cross-edge counts add and the
-        distinct-destination sets union. Workers report partials keyed
-        by destination fragment; cross-ness is decided *here*, with
-        the fragment→worker mapping the scheduler settled on after
-        dispatch (OSteal may have rewritten it).
+        distinct-destination sets union.
         """
+        worker = context.fragment_worker
+        total, cross_bits = 0, []
         partials = self._collect(iteration)
-        fragment_worker = context.fragment_worker
-        total = 0
-        cross_bits = []
-        for fragment in sorted(partials):
-            edge_counts, bits = partials[fragment]
-            src_worker = fragment_worker[fragment]
-            for dest in range(len(edge_counts)):
-                if fragment_worker[dest] == src_worker:
-                    continue
-                if aggregate:
-                    if bits is not None and edge_counts[dest]:
-                        cross_bits.append(bits[dest])
-                else:
-                    total += int(edge_counts[dest])
-        if aggregate:
-            if not cross_bits:
-                return 0
-            union = np.bitwise_or.reduce(np.stack(cross_bits), axis=0)
-            return int(np.unpackbits(union).sum())
-        return total
+        for fragment, (edge_counts, bits) in partials.items():
+            remote = np.flatnonzero(worker != worker[fragment])
+            if aggregate:
+                cross_bits.extend(bits[dest] for dest in remote
+                                  if edge_counts[dest])
+            else:
+                total += int(edge_counts[remote].sum())
+        if not aggregate or not cross_bits:
+            return total
+        union = np.bitwise_or.reduce(np.stack(cross_bits), axis=0)
+        return int(np.unpackbits(union).sum())
 
     def step(
         self,
@@ -357,19 +234,16 @@ class SharedMemorySession(ExecutionSession):
         graph: "CSRGraph",
         state: "AlgorithmState",
     ) -> Frontier:
-        """Merge the workers' partial rows into the global state."""
+        """Merge the fragments' partial rows into the global state."""
         partials = self._collect(iteration)
         if not partials:
             return Frontier.empty()
-        # only rows dispatched *this* iteration: a fragment idle this
-        # round keeps its stale row until its worker's next task resets
-        # it, so the merge must never read it
-        dispatched = sorted(partials)
+        # only rows dispatched *this* iteration: an idle fragment keeps
+        # its stale row until its next task resets it
         return algorithm.merge_fragment_rows(
-            graph, state, self._partials_view[dispatched]
+            graph, state, self._partials[list(partials)]
         )
 
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Host-side execution statistics (coordination overhead)."""
         stats = dict(self._stats)
@@ -378,57 +252,15 @@ class SharedMemorySession(ExecutionSession):
             stats["shard_cache"] = cache_stats()
         return stats
 
-    def close(self, state: "Optional[AlgorithmState]" = None) -> None:
-        """Stop workers and unlink every shared block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if (
-            state is not None
-            and self._values_view is not None
-            and state.values is self._values_view
-        ):
-            # detach the run's values from the dying mapping
-            state.values = np.array(self._values_view)
-        # drop our mapped views so the mmaps close cleanly
-        self._values_view = None
-        self._frontier_view = None
-        self._partials_view = None
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        for task_queue in self._task_queues:
-            try:
-                task_queue.close()
-                task_queue.cancel_join_thread()
-            except Exception:
-                pass
-        if self._result_queue is not None:
-            try:
-                self._result_queue.close()
-                self._result_queue.cancel_join_thread()
-            except Exception:
-                pass
-        for shm in self._blocks:
-            release_shared_array(shm)
-        self._blocks.clear()
+    def close(self) -> None:
+        """Wait for in-flight tasks and join every thread (idempotent)."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class SharedMemoryBackend(ExecutionBackend):
-    """Factory spawning one worker process per virtual GPU per run."""
+    """Factory starting one thread per virtual GPU per run."""
 
     name = "shmem"
-
-    def __init__(self, task_timeout: float = 300.0) -> None:
-        self._task_timeout = task_timeout
 
     def open(
         self,
@@ -438,12 +270,8 @@ class SharedMemoryBackend(ExecutionBackend):
         state: "AlgorithmState",
         context: "RunContext",
     ) -> ExecutionSession:
-        """Map the graph, spawn workers, wait for the ready handshake —
-        when the algorithm's superstep can be merged from fragments."""
+        """Start the fragment threads — when the algorithm's superstep
+        can be merged from fragments."""
         if not algorithm.supports_fragment_step:
             return _SerialFallbackSession(graph, partition)
-        return SharedMemorySession(
-            graph, partition, algorithm, state,
-            startup_timeout=30.0 * max(1, partition.num_fragments),
-            task_timeout=self._task_timeout,
-        )
+        return SharedMemorySession(graph, partition, algorithm, state)

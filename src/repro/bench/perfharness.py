@@ -829,7 +829,7 @@ def _obs_ledger_analytics():
 # ----------------------------------------------------------------------
 # Execution-backend cases: one full min-propagation superstep over a
 # generated big graph, identical work under each backend. The shmem
-# side dispatches the superstep to its (already started) worker pool,
+# side runs the superstep on its fragment threads, one per fragment,
 # so serial-vs-shmem is the wall-clock question the backend exists to
 # answer; ``benchmarks/perf/test_backend.py`` turns the pair into a
 # speedup floor on multi-core hosts.
@@ -898,8 +898,7 @@ def _backend_fixture(backend: str, workers: int = 4):
 
 
 #: Sessions opened by bench-case setups, kept alive for the timed
-#: region; their shared blocks are reaped by the registry's atexit
-#: backstop and the workers are daemonic.
+#: region; their idle threads are joined at interpreter exit.
 _BACKEND_SESSIONS: List[object] = []
 
 
@@ -919,7 +918,7 @@ for _backend in ("serial", "shmem"):
         meta={
             "backend": _backend, "graph": "rmat16x12-sym", "workers": 4,
             "unit": "seconds per superstep",
-            # wall-clock of a process pool depends on host core count,
+            # wall-clock of a thread pool depends on host core count,
             # so the regression band is wide; the speedup *floor* lives
             # in benchmarks/perf/test_backend.py where both backends
             # are measured on the same host

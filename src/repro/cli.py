@@ -84,9 +84,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend", default="serial", choices=BACKEND_NAMES,
         help="execution backend: 'serial' (in-process, default) or "
-             "'shmem' (one worker process per virtual GPU over "
-             "shared-memory buffers); never changes results or "
-             "virtual time (see docs/performance.md)",
+             "'shmem' (one thread per virtual GPU); never changes "
+             "results or virtual time (see docs/performance.md)",
     )
     p.add_argument(
         "--topology", metavar="SPEC", default=None,

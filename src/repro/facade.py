@@ -89,8 +89,8 @@ def run(
         the run (BSP-style engines only; see ``docs/robustness.md``).
     backend:
         Execution backend: ``serial`` (in-process, default) or
-        ``shmem`` (one worker process per virtual GPU over
-        shared-memory graph buffers; BSP-style engines only). Never
+        ``shmem`` (one thread per virtual GPU over the run's own
+        arrays; BSP-style engines only). Never
         changes results or virtual time — see ``docs/performance.md``.
     topology:
         Machine shape: ``None`` (the ``num_gpus``-GPU DGX-1

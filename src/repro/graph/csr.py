@@ -36,9 +36,9 @@ def _as_index_array(array: np.ndarray, label: str) -> np.ndarray:
     Construction paths hand us whatever a loader produced — ``int32``
     from a matrix-market reader, a strided slice, or (by accident) a
     float array. Silent truncation of a fractional value would corrupt
-    the topology, and a raw shared-memory mapping of a non-contiguous
-    or non-``int64`` buffer would be garbage, so both are rejected or
-    normalized here, once, at construction.
+    the topology, and the gather kernels index a contiguous ``int64``
+    buffer, so both are rejected or normalized here, once, at
+    construction.
     """
     source = np.asarray(array)
     out = np.ascontiguousarray(source, dtype=np.int64)
@@ -137,10 +137,10 @@ class CSRGraph:
         self._symmetric_cache: Optional["CSRGraph"] = None
 
     # ------------------------------------------------------------------
-    # Pickling (spawn-started worker processes ship graphs by pickle
-    # when they are not shared-memory mapped). Lazy caches are dropped
-    # — each process rebuilds them on demand — and the read-only flags,
-    # which numpy does not preserve across pickling, are restored.
+    # Pickling (a pickled partition carries its graph). Lazy caches
+    # are dropped — the copy rebuilds them on demand — and the
+    # read-only flags, which numpy does not preserve across pickling,
+    # are restored.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {
@@ -557,8 +557,8 @@ class ShardedCSRGraph:
         }
         self._in_degrees_cache: Optional[np.ndarray] = None
         #: directory this graph was opened from (set by
-        #: ``open_graph_sharded``); lets parallel backends hand workers
-        #: the path instead of |E|-sized shared mappings
+        #: ``open_graph_sharded``); the parallel backend reopens it once
+        #: per fragment thread, since the shard cache is not thread-safe
         self.source_path: Optional[str] = None
         self._indices_view = _ShardedEdgeArray(self, "indices")
         self._weights_view = (

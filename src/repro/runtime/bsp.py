@@ -212,9 +212,8 @@ class BSPEngine:
             self._tracer, self._metrics,
         )
         result = envelope.result
-        # the session owns the run's execution resources (worker
-        # processes, shared mappings); the finally guarantees they are
-        # released even when an iteration raises mid-run
+        # the session owns the run's execution threads; the finally
+        # guarantees they stop even when an iteration raises mid-run
         session = self._backend.open(
             graph, partition, algorithm, state, context
         )
@@ -236,7 +235,7 @@ class BSPEngine:
                 if decision_stats:
                     result.decision_stats = dict(decision_stats)
         finally:
-            session.close(state)
+            session.close()
         result.backend_stats = session.stats()
         result.ledger = self._scheduler.ledger
         if self._metrics.enabled and result.backend_stats:
@@ -284,7 +283,7 @@ class BSPEngine:
         gauges = {
             "workers": (
                 "backend.workers",
-                "worker processes driven by the execution backend",
+                "worker threads driven by the execution backend",
             ),
             "tasks": (
                 "backend.tasks",
@@ -292,7 +291,7 @@ class BSPEngine:
             ),
             "startup_seconds": (
                 "backend.startup_seconds",
-                "host seconds starting the backend worker pool",
+                "host seconds starting the backend thread pool",
             ),
             "dispatch_seconds": (
                 "backend.dispatch_seconds",

@@ -100,8 +100,8 @@ class Frontier:
         return f"Frontier(size={self.size}, {preview}{suffix})"
 
     # ------------------------------------------------------------------
-    # Pickle support (spawned worker processes receive frontiers):
-    # ship only the vertex array — the memo cache pins whole graphs —
+    # Pickle support (a pickled state or plan carries its frontiers):
+    # store only the vertex array — the memo cache pins whole graphs —
     # and restore the read-only invariant on load.
     # ------------------------------------------------------------------
     def __getstate__(self) -> np.ndarray:

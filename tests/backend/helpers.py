@@ -1,25 +1,24 @@
-"""Importable helpers for the backend tests.
+"""Importable helpers for the backend tests and the backend perf gates."""
 
-These live in a real module (not a test file) so ``spawn`` worker
-processes can unpickle instances by qualified name.
-"""
-
-import os
+import multiprocessing
+import threading
 
 from repro.algorithms.bfs import BFS
 
 
-def die_at_spawn(worker_id, spec, tasks, results):
-    """A shmem worker entry point that exits before its handshake."""
-    os._exit(3)
+def no_backend_threads() -> bool:
+    """No ``repro-shmem`` thread and no child process is alive."""
+    threads = [t for t in threading.enumerate()
+               if t.name.startswith("repro-shmem")]
+    return not threads and not multiprocessing.active_children()
 
 
 class FailingMergeBFS(BFS):
     """BFS whose coordinator-side merge raises after a few iterations.
 
-    The workers' ``fragment_step`` is untouched, so the failure lands
-    mid-iteration in the coordinator — exactly where the shmem
-    session's cleanup contract has to hold.
+    The fragment threads' ``fragment_step`` is untouched, so the
+    failure lands mid-iteration in the coordinator — exactly where the
+    shmem session's cleanup contract has to hold.
     """
 
     name = "failing-bfs"
@@ -34,6 +33,26 @@ class FailingMergeBFS(BFS):
         if state.iteration >= self.fail_at_iteration:
             raise RuntimeError("injected mid-iteration failure")
         return super().merge_fragment_rows(graph, state, rows)
+
+
+class FailingFragmentStepBFS(BFS):
+    """BFS whose ``fragment_step`` raises on a fragment thread.
+
+    A BFS frontier at iteration ``k`` holds exactly the level-``k``
+    vertices, so the thread reads the iteration off ``values``.
+    """
+
+    name = "failing-fragment-bfs"
+
+    def __init__(self, fail_at_iteration: int = 3) -> None:
+        super().__init__()
+        self.fail_at_iteration = fail_at_iteration
+
+    def fragment_step(self, graph, values, vertices, aux=None, edges=None):
+        if values[vertices].max() >= self.fail_at_iteration:
+            raise RuntimeError("injected fragment-step failure")
+        return super().fragment_step(graph, values, vertices, aux=aux,
+                                     edges=edges)
 
 
 class FailingStepBFS(BFS):

@@ -1,29 +1,41 @@
 """Serial vs shmem: bit-identical outputs and virtual time.
 
-The execution backend is a host-resource decision — *which* processes
+The execution backend is a host-resource decision — *which* threads
 crunch the arrays — and must never leak into results. These tests run
-the same workload under both backends (the shmem side really spawns
-worker processes, so this doubles as the ``spawn`` start-method
-equivalence test) and require the algorithm values, the virtual-time
-totals, and every per-iteration virtual wall clock to match exactly.
+the same workload under both backends (the shmem side really runs one
+thread per fragment over the coordinator's arrays) and require the
+algorithm values, the virtual-time totals, and every per-iteration
+virtual wall clock to match exactly.
 """
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 import repro
-from repro.backend.shared import live_block_names
+from repro.chaos import ChaosController, ChaosScenario
 from repro.errors import EngineError
 from repro.graph import datasets
+from tests.backend.helpers import no_backend_threads
+
+KILL_WORKER = (pathlib.Path(__file__).resolve().parents[2]
+               / "benchmarks" / "scenarios" / "kill-worker.json")
 
 
-def run_pair(algorithm, engine="gum", num_gpus=4, **params):
+def run_pair(algorithm, engine="gum", num_gpus=4, chaos=None, **params):
+    """The same run under both backends; ``chaos`` is a scenario path,
+    loaded into a fresh controller for each run."""
     graph = datasets.load("TX")
-    serial = repro.run(graph, algorithm, engine=engine,
-                       num_gpus=num_gpus, backend="serial", **params)
-    shmem = repro.run(graph, algorithm, engine=engine,
-                      num_gpus=num_gpus, backend="shmem", **params)
-    return serial, shmem
+    results = []
+    for backend in ("serial", "shmem"):
+        if chaos is not None:
+            params["chaos"] = ChaosController(ChaosScenario.from_file(chaos))
+        results.append(repro.run(graph, algorithm, engine=engine,
+                                 num_gpus=num_gpus, backend=backend,
+                                 **params))
+    return tuple(results)
 
 
 def assert_equivalent(serial, shmem):
@@ -35,7 +47,7 @@ def assert_equivalent(serial, shmem):
         assert a.wall_seconds == b.wall_seconds
         assert np.array_equal(a.busy_seconds, b.busy_seconds)
         assert a.active_workers == b.active_workers
-    assert live_block_names() == ()
+    assert no_backend_threads()
 
 
 @pytest.mark.parametrize("algorithm,params", [
@@ -52,6 +64,51 @@ def test_parallel_step_algorithms_bit_identical(algorithm, params):
     assert stats["parallel_step"] is True
     assert stats["workers"] == 4
     assert stats["tasks"] > 0
+
+
+@pytest.mark.parametrize("algorithm,params", [
+    ("bfs", {"source": 0}),
+    ("sssp", {"source": 0}),
+    ("wcc", {}),
+])
+def test_killed_worker_bit_identical(algorithm, params):
+    """A killed worker rewrites ``fragment_worker`` in place between
+    dispatch and count; the threads' partials must be folded under
+    the rewritten map."""
+    serial, shmem = run_pair(algorithm, chaos=KILL_WORKER, **params)
+    assert_equivalent(serial, shmem)
+    assert serial.chaos["workers_killed"] == shmem.chaos["workers_killed"]
+    assert shmem.chaos["workers_killed"] == [2]
+    assert shmem.backend_stats["parallel_step"] is True
+
+
+@pytest.mark.parametrize("algorithm,params", [
+    ("bfs", {"source": 0}),
+    ("sssp", {"source": 0}),
+    ("wcc", {}),
+])
+def test_two_node_topology_bit_identical(algorithm, params):
+    serial, shmem = run_pair(algorithm, topology="nodes=2x2", **params)
+    assert_equivalent(serial, shmem)
+    assert shmem.backend_stats["workers"] == 4
+
+
+@pytest.mark.parametrize("algorithm,params", [
+    ("sssp", {"source": 0}),
+    ("wcc", {}),
+])
+def test_eight_threads_under_a_short_switch_interval(algorithm, params):
+    """More threads than cores, switching every microsecond: a task
+    that wrote another fragment's row or buffers, or read values the
+    coordinator was still merging, would change a value or a count."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial, shmem = run_pair(algorithm, num_gpus=8, **params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_equivalent(serial, shmem)
+    assert shmem.backend_stats["workers"] == 8
 
 
 def test_serial_fallback_algorithm_bit_identical():

@@ -1,33 +1,25 @@
-"""Lifecycle: no shared-memory blocks or workers survive any exit path.
+"""Lifecycle: no backend thread or child process survives any exit path.
 
-``/dev/shm`` segments are a classic CI leak: a run that raises
-mid-iteration must still unlink every block and reap every worker.
-The engine closes its session in a ``finally``; these tests inject
-failures on both the parallel-merge and serial-fallback paths and
-assert the contract, plus the ``atexit``-backstop registry stays empty
-after clean runs.
+A run that raises mid-iteration — in the coordinator's merge, on a
+fragment thread, or on the serial-fallback path — must still stop
+every thread the session started. The engine closes its session in a
+``finally``; these tests inject failures on each path and assert the
+contract.
 """
-
-import multiprocessing
-import time
 
 import pytest
 
-from repro.backend.shared import live_block_names
 from repro.graph import datasets
 from repro.hardware import dgx1
 from repro.partition.partitioners import make_partition
 from repro.runtime import BSPEngine
 
-from repro.errors import EngineError, ReproError
-from tests.backend.helpers import FailingMergeBFS, FailingStepBFS, die_at_spawn
-
-
-def no_backend_workers():
-    return not [
-        p for p in multiprocessing.active_children()
-        if p.name.startswith("repro-shmem-")
-    ]
+from tests.backend.helpers import (
+    FailingFragmentStepBFS,
+    FailingMergeBFS,
+    FailingStepBFS,
+    no_backend_threads,
+)
 
 
 @pytest.fixture()
@@ -43,27 +35,37 @@ def run_failing(workload, algorithm, backend):
 
     engine = BSPEngine(dgx1(2), name="bsp",
                        options=EngineOptions(backend=backend))
-    with pytest.raises(RuntimeError, match="injected"):
+    with pytest.raises(RuntimeError, match="injected") as raised:
         engine.run(graph, partition, algorithm, source=0)
+    return raised.value
 
 
 def test_midrun_exception_releases_blocks_and_workers(workload):
     run_failing(workload, FailingMergeBFS(fail_at_iteration=3), "shmem")
-    assert live_block_names() == ()
-    assert no_backend_workers()
+    assert no_backend_threads()
+
+
+def test_a_failing_fragment_step_raises_its_own_error(workload):
+    """A task's exception comes out of the run unchanged — the same
+    ``RuntimeError`` the serial step would raise, not a wrapper."""
+    error = run_failing(
+        workload, FailingFragmentStepBFS(fail_at_iteration=3), "shmem"
+    )
+    assert type(error) is RuntimeError
+    assert str(error) == "injected fragment-step failure"
+    assert no_backend_threads()
 
 
 def test_serial_fallback_exception_releases_blocks(workload):
     # failure on the coordinator's serial-fallback step path
     run_failing(workload, FailingStepBFS(fail_at_iteration=3), "shmem")
-    assert live_block_names() == ()
-    assert no_backend_workers()
+    assert no_backend_threads()
 
 
 def test_shmem_without_an_exact_merge_starts_nothing(workload):
     """PageRank has no exact merge, so every superstep is the
-    coordinator's serial one: ``shmem`` must not spawn a pool or map
-    the graph for workers that would never get a task."""
+    coordinator's serial one: ``shmem`` must not start threads that
+    would never get a task."""
     from repro.obs import Sink, Tracer
     from repro.runtime.bsp import EngineOptions
 
@@ -71,16 +73,14 @@ def test_shmem_without_an_exact_merge_starts_nothing(workload):
 
     class Probe(Sink):
         def emit(self, record):
-            seen.append((multiprocessing.active_children(),
-                         live_block_names()))
+            seen.append(no_backend_threads())
 
     graph, partition = workload
     engine = BSPEngine(dgx1(2), name="bsp", tracer=Tracer(sinks=[Probe()]),
                        options=EngineOptions(backend="shmem"))
     result = engine.run(graph, partition, "pr", max_iterations=5)
     assert len(seen) > 5  # probed inside the run, every superstep
-    assert all(children == [] and blocks == ()
-               for children, blocks in seen)
+    assert all(seen)
     stats = result.backend_stats
     assert stats["backend"] == "shmem"
     assert stats["parallel_step"] is False
@@ -90,7 +90,7 @@ def test_shmem_without_an_exact_merge_starts_nothing(workload):
 
 def test_serial_backend_never_creates_blocks(workload):
     run_failing(workload, FailingStepBFS(fail_at_iteration=3), "serial")
-    assert live_block_names() == ()
+    assert no_backend_threads()
 
 
 def test_session_close_is_idempotent(workload):
@@ -111,33 +111,12 @@ def test_session_close_is_idempotent(workload):
     session = make_backend("shmem").open(
         graph, partition, algorithm, state, context
     )
-    assert live_block_names() != ()
-    session.close(state)
-    session.close(state)  # second close is a no-op
-    assert live_block_names() == ()
-    assert no_backend_workers()
-    # values were copied out of the dying mapping and stay usable
+    fragments = state.frontier.split_by_owner(partition.owner, 2, graph)
+    session.begin_iteration(0, fragments, True)
+    session.step(0, algorithm, graph, state)
+    assert not no_backend_threads()
+    session.close()
+    session.close()  # second close is a no-op
+    assert no_backend_threads()
+    # the run's values are the coordinator's own array throughout
     assert state.values[0] == 0.0
-
-
-def test_a_worker_dead_at_spawn_fails_the_run_promptly(workload,
-                                                       monkeypatch):
-    """The coordinator polls worker exit codes while it waits, so a
-    worker that dies before its ready handshake ends the run with a
-    typed error naming it, not a wait for the 60 s startup deadline."""
-    import repro.backend.shmem
-
-    monkeypatch.setattr(repro.backend.shmem, "worker_main", die_at_spawn)
-    graph, partition = workload
-    from repro.runtime.bsp import EngineOptions
-
-    engine = BSPEngine(dgx1(2), name="bsp",
-                       options=EngineOptions(backend="shmem"))
-    started = time.perf_counter()
-    with pytest.raises(ReproError, match="exited with code 3") as raised:
-        engine.run(graph, partition, "bfs", source=0)
-    assert time.perf_counter() - started < 5.0
-    assert isinstance(raised.value, EngineError)
-    assert "startup" in str(raised.value)
-    assert live_block_names() == ()
-    assert no_backend_workers()

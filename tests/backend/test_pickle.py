@@ -1,9 +1,9 @@
-"""Spawn-safety: everything a worker process receives must pickle.
+"""Pickle round-trips of the core runtime objects.
 
-The ``spawn`` start method pickles the worker entry point's arguments
-and re-imports modules in a fresh interpreter, so the core runtime
-objects need clean pickle round-trips — no closures, no leaked caches,
-and the read-only invariants restored on load.
+A user who saves or ships a graph, partition, plan or algorithm state
+gets it back whole: no closures, no leaked caches, and the read-only
+invariants — which numpy does not preserve across pickling — restored
+on load by the objects' own hooks.
 """
 
 import pickle
@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHMS, AlgorithmState, make_algorithm
-from repro.backend.shared import SharedArraySpec
-from repro.backend.worker import WorkerSpec, WorkerTask
 from repro.graph import datasets
 from repro.graph.builders import from_edges
 from repro.partition.partitioners import make_partition
@@ -128,29 +126,3 @@ def test_every_algorithm_instance_pickles(name):
     assert clone.supports_fragment_step == \
         ALGORITHMS[name].supports_fragment_step
 
-
-# ----------------------------------------------------------------------
-# Worker protocol objects
-# ----------------------------------------------------------------------
-def test_worker_spec_and_task_roundtrip():
-    spec = WorkerSpec(
-        indptr=SharedArraySpec("psm_a", "<i8", (5,)),
-        indices=SharedArraySpec("psm_b", "<i8", (4,)),
-        weights=None,
-        owner=SharedArraySpec("psm_c", "<i8", (4,)),
-        frontier=SharedArraySpec("psm_d", "<i8", (4,)),
-        values=SharedArraySpec("psm_e", "<f8", (4,)),
-        partials=SharedArraySpec("psm_f", "<f8", (4, 4)),
-        num_fragments=4,
-        directed=True,
-        graph_name="g",
-        algorithm=make_algorithm("bfs"),
-    )
-    clone = roundtrip(spec)
-    assert clone.indptr == spec.indptr
-    assert clone.weights is None
-    assert clone.algorithm.name == "bfs"
-
-    task = WorkerTask(iteration=3, fragment=1, offset=10, count=5,
-                      aggregate=True, relax=True)
-    assert roundtrip(task) == task

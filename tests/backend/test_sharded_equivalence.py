@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend.shared import live_block_names
 from repro.graph import (
     open_graph_sharded,
     rmat,
@@ -21,6 +20,7 @@ from repro.graph import (
     symmetrize,
     with_random_weights,
 )
+from tests.backend.helpers import no_backend_threads
 
 NUM_SHARDS = 5
 RESIDENT_BYTES = 1 << 20
@@ -90,18 +90,39 @@ def test_pagerank_streaming_superstep_bit_identical(graphs):
     assert_equivalent(baseline, sharded)
 
 
-def test_shmem_sharded_bit_identical(graphs):
-    baseline, sharded, __ = run_pair(graphs, "directed", "bfs",
-                                     backend="shmem", source=0)
+@pytest.mark.parametrize("kind,algorithm,params", [
+    ("directed", "bfs", {"source": 0}),
+    ("directed", "sssp", {"source": 0}),
+    ("undirected", "wcc", {}),
+])
+def test_shmem_sharded_bit_identical(graphs, monkeypatch, kind, algorithm,
+                                     params):
+    from repro.backend import shmem
+
+    opened = []
+    fragment_graphs = shmem._fragment_graphs
+
+    def recording(graph, num_fragments):
+        opened.append((graph, fragment_graphs(graph, num_fragments)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(shmem, "_fragment_graphs", recording)
+    baseline, sharded, graph = run_pair(graphs, kind, algorithm,
+                                        backend="shmem", **params)
     assert_equivalent(baseline, sharded)
     stats = sharded.backend_stats
     assert stats["backend"] == "shmem"
     assert stats["parallel_step"] is True
     # the coordinator's own cache stats ride along
     assert stats["shard_cache"]["loads"] > 0
-    # sharded runs must not create |E|-sized shared blocks; all other
-    # blocks are torn down at close
-    assert live_block_names() == ()
+    # the shard cache is not thread-safe: every fragment thread reads
+    # its own reopening of the directory, never the coordinator's graph
+    ((coordinator, per_fragment),) = opened
+    assert coordinator is graph
+    assert len(per_fragment) == 4
+    assert all(g is not graph for g in per_fragment)
+    assert len({id(g) for g in per_fragment}) == 4
+    assert no_backend_threads()
 
 
 def test_in_core_backend_stats_stay_none(graphs):

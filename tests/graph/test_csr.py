@@ -145,7 +145,7 @@ def test_symmetrized_is_built_once_and_equals_symmetrize(skewed_graph):
     renamed = skewed_graph.with_name("other")
     assert renamed.symmetrized() is not sym
     assert renamed.symmetrized().name == "other"
-    # caches never travel to a worker process
+    # caches never travel with a pickled graph
     assert pickle.loads(pickle.dumps(skewed_graph))._symmetric_cache is None
 
 

@@ -1,9 +1,9 @@
 """Array-layout invariants every construction path must satisfy.
 
-The shared-memory execution backend maps ``indptr``/``indices``/
-``weights`` into raw buffers, so a graph whose arrays are
-non-contiguous, non-``int64``, or the product of a silent lossy cast
-would corrupt every worker's view. These tests pin the guarantee that
+The gather kernels index ``indptr``/``indices``/``weights`` as
+contiguous typed buffers, so a graph whose arrays are non-contiguous,
+non-``int64``, or the product of a silent lossy cast would corrupt
+every superstep. These tests pin the guarantee that
 :class:`CSRGraph` normalizes layout at construction — over every
 builder, loader, generator, and derived-graph path — and that lossy
 numeric casts are rejected instead of truncated.

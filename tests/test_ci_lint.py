@@ -311,6 +311,26 @@ def test_scipy_is_imported_where_it_is_called():
     assert list(_import_time_modules(fixture)) == ["typing", "scipy"]
 
 
+def test_nothing_imports_multiprocessing():
+    """The parallel backend is one thread per virtual GPU in one
+    process: no module spawns a process or maps a shared block, at
+    load time or inside a function."""
+    source = REPO / "src" / "repro"
+    offenders = []
+    for path in sorted(source.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing"
+                   for name in names):
+                offenders.append(path.relative_to(source).as_posix())
+    assert offenders == []
+
+
 def test_per_superstep_modules_do_not_call_np_unique():
     """Vertex-id sets de-duplicate through the bitmap kernel
     (``graph.gather.distinct_vertices``), not hash ``np.unique`` —

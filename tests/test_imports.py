@@ -1,9 +1,9 @@
 """What start-up imports: module names, not timings, so any host agrees.
 
 Cold start is import. ``import repro`` is a PEP 562 package that loads
-a submodule on first use, SciPy is loaded only by the LP/MILP solvers
-that call it, and a shmem worker imports only the graph kernels it
-runs. Each case runs in a fresh interpreter and reads ``sys.modules``.
+a submodule on first use, and SciPy is loaded only by the LP/MILP
+solvers that call it. Each case runs in a fresh interpreter and reads
+``sys.modules``.
 """
 
 import json
@@ -79,12 +79,6 @@ def test_an_lp_solver_loads_scipy_when_it_solves(tmp_path):
         solver.solve(FStealProblem(np.ones((2, 2)), np.array([3, 1])))
     """, tmp_path)
     assert "scipy.optimize" in loaded
-
-
-def test_shmem_worker_imports_only_the_graph_kernels(tmp_path):
-    loaded = loaded_after("import repro.backend.worker", tmp_path)
-    assert "repro.backend.worker" in loaded
-    assert not loaded & {"scipy", "repro.core", "repro.chaos", "repro.obs"}
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
