@@ -15,6 +15,13 @@ Contract for :meth:`GASAlgorithm.step`:
 * read ``state.frontier``, mutate ``state.values`` (and aux buffers),
 * return the next frontier,
 * be deterministic and independent of how the engine scheduled work.
+
+Under the ``shmem`` backend a :class:`~repro.algorithms.minprop.
+MinPropagation` superstep runs as per-fragment reduces of its
+``candidates`` applied with one ``MinScatter.relax``, so a subclass's
+``step`` must stay exactly that relax of the frontier's out-edges.
+Every other algorithm's ``step`` runs on the coordinator under every
+backend.
 """
 
 from __future__ import annotations
@@ -62,10 +69,6 @@ class GASAlgorithm(abc.ABC):
     needs_weights: bool = False
     needs_symmetric: bool = False
     monotonic: bool = False
-    #: the superstep can be computed as independent per-fragment
-    #: partials merged by an *exact* associative reduction (see
-    #: :meth:`fragment_step`); required for process-parallel execution
-    supports_fragment_step: bool = False
 
     @abc.abstractmethod
     def init(self, graph: CSRGraph, **params: Any) -> AlgorithmState:
@@ -93,59 +96,6 @@ class GASAlgorithm(abc.ABC):
         """
         raise NotImplementedError(
             f"{self.name} does not support masked local steps"
-        )
-
-    def fragment_step(
-        self,
-        graph: CSRGraph,
-        values: np.ndarray,
-        vertices: np.ndarray,
-        aux: dict = None,
-        edges: "tuple[np.ndarray, np.ndarray, np.ndarray]" = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Stateless partial superstep over one fragment's frontier slice.
-
-        Runs on a fragment thread of the ``shmem`` backend: reads
-        ``values`` (never writes), expands the out-edges of
-        ``vertices``, and returns the partial aggregates the thread
-        scatters into its fragment's row for :meth:`merge_fragment_rows`
-        to combine in the coordinator. The
-        split is only offered when the aggregation is *exactly*
-        associative (``supports_fragment_step``), so the merged result
-        is bit-identical to :meth:`step` on the whole frontier.
-
-        ``aux`` is the calling fragment's counterpart of
-        :attr:`AlgorithmState.aux`: a dict the algorithm may keep
-        reusable buffers in between tasks. ``edges`` optionally passes
-        the caller's already-gathered ``(sources, destinations,
-        weights)`` out-edges of ``vertices``
-        (:func:`~repro.graph.gather.gather_edges`) — tasks share one
-        adjacency walk between the message-cost scan and the relax,
-        like the frontier memo does in-process.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not support fragment steps"
-        )
-
-    def merge_fragment_rows(
-        self,
-        graph: CSRGraph,
-        state: AlgorithmState,
-        rows: np.ndarray,
-    ) -> Frontier:
-        """Merge dense per-fragment partial rows; mutate ``state``.
-
-        ``rows`` is a ``(num_fragments, num_vertices)`` array where row
-        ``i`` holds fragment ``i``'s :meth:`fragment_step` partial
-        scattered over the vertex axis (identity element — ``inf`` for
-        min — everywhere untouched). The ``shmem`` backend has each
-        fragment thread write its row of one ``(fragments, V)`` array,
-        so the coordinator reduces columns in one pass. Exactness
-        contract: the merged values and frontier must be bit-identical
-        to :meth:`step` over the undivided frontier.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not support fragment steps"
         )
 
     def is_converged(self, state: AlgorithmState) -> bool:

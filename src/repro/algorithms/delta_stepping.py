@@ -24,7 +24,6 @@ from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.algorithms.minprop import MinScatter
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edges
 from repro.runtime.frontier import Frontier
 
 __all__ = ["DeltaSteppingSSSP"]
@@ -101,9 +100,7 @@ class DeltaSteppingSSSP(GASAlgorithm):
         aux = state.aux
         frontier = state.frontier
         if frontier:
-            sources, destinations, weights = gather_edges(
-                graph, frontier.vertices
-            )
+            sources, destinations, weights = frontier.gather(graph)
             aux["pending"][frontier.vertices] = False
             if destinations.size:
                 if weights is None:

@@ -20,7 +20,6 @@ import numpy as np
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edges
 from repro.runtime.frontier import Frontier
 
 __all__ = ["KCore"]
@@ -60,11 +59,10 @@ class KCore(GASAlgorithm):
             return Frontier.empty()
         removed[layer] = True
         state.values[layer] = -1.0
-        __, destinations, __w = gather_edges(graph, layer)
+        __, destinations, __ = state.frontier.gather(graph)
         if destinations.size == 0:
             return Frontier.empty()
-        decrements = np.zeros(graph.num_vertices)
-        np.add.at(decrements, destinations, 1.0)
+        decrements = np.bincount(destinations, minlength=graph.num_vertices)
         alive = ~removed
         state.values[alive] -= decrements[alive]
         newly_sub_k = np.flatnonzero(

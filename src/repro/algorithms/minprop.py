@@ -6,7 +6,10 @@ frontier's out-edges, activating every vertex whose value improved.
 :class:`MinPropagation` implements the pattern once — including the
 masked ``local_step`` the asynchronous (Groute-model) engine uses to
 run a fragment to its local fixed point, which is sound precisely
-because the propagation is monotone.
+because the propagation is monotone. Its :class:`MinScatter` is the
+one min-relax: the serial step applies it to the whole frontier, and
+the ``shmem`` backend reduces each fragment with it on a thread and
+applies the concatenated minima with it on the coordinator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import distinct_vertices, gather_edges
+from repro.graph.gather import distinct_vertices
 from repro.runtime.frontier import Frontier
 
 __all__ = ["MinPropagation", "MinScatter"]
@@ -30,7 +33,7 @@ class MinScatter:
     the ``inf``-filled minima and the :func:`distinct_vertices` bitmap
     — and restores both where they were touched before returning, so
     one instance serves every superstep of a run (or every task of a
-    worker) at O(edges) per call.
+    fragment thread) at O(edges) per call.
     """
 
     __slots__ = ("_minima", "_seen")
@@ -82,10 +85,6 @@ class MinPropagation(GASAlgorithm):
     """
 
     monotonic = True
-    # min over fragment minima equals the global min bit-for-bit in
-    # float64 (min is exactly associative, unlike float addition), so
-    # min-propagation supersteps can run as per-fragment partials
-    supports_fragment_step = True
 
     def candidates(
         self,
@@ -124,49 +123,6 @@ class MinPropagation(GASAlgorithm):
         adjacency walk nor the edge-array lookups are repeated.
         """
         return self._relax(graph, state, *state.frontier.gather(graph))
-
-    def fragment_step(
-        self,
-        graph: CSRGraph,
-        values: np.ndarray,
-        vertices: np.ndarray,
-        aux: dict = None,
-        edges: "tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]" = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-fragment partial relax: ``(touched, partial minima)``.
-
-        Pure with respect to ``values`` — safe while other fragments'
-        threads read the same array. ``aux`` is the caller's
-        per-fragment dict; the reusable :class:`MinScatter` lives in it.
-        """
-        if edges is None:
-            edges = gather_edges(graph, vertices)
-        sources, destinations, weights = edges
-        if sources.size == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        cand = self.candidates(values, sources, weights)
-        scatter = MinScatter.of(graph, {} if aux is None else aux)
-        return scatter.reduce(destinations, cand)
-
-    def merge_fragment_rows(
-        self,
-        graph: CSRGraph,
-        state: AlgorithmState,
-        rows: np.ndarray,
-    ) -> Frontier:
-        """Column-wise min over per-fragment partial rows (exact merge).
-
-        ``min(min_f1, min_f2, ...)`` equals the global min bit-for-bit
-        in float64, so the merged values and the activated frontier are
-        identical to :meth:`step` over the undivided frontier.
-        """
-        merged = np.min(rows, axis=0)
-        improved = np.flatnonzero(merged < state.values)
-        state.values[improved] = merged[improved]
-        return Frontier.from_sorted(improved)
 
     def local_step(
         self,

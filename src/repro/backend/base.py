@@ -4,9 +4,12 @@ The BSP engine separates three concerns: the scheduler decides where
 work runs in the *virtual* machine, the timing model prices that plan,
 and the algorithm defines what is computed. The execution backend adds
 a fourth, orthogonal axis — which host resources actually crunch the
-arrays. :class:`SerialBackend` is today's in-process NumPy path;
-:class:`~repro.backend.shmem.SharedMemoryBackend` fans the same work
-out to one thread per virtual GPU over the coordinator's own arrays.
+arrays. :class:`SerialBackend` is the in-process NumPy path;
+:class:`~repro.backend.shmem.SharedMemoryBackend` fans a
+min-propagation superstep out to one thread per virtual GPU over the
+coordinator's own arrays (each thread reduces its fragment with
+``MinScatter``, the coordinator applies the concatenated minima with
+``MinScatter.relax``) and runs every other superstep serially.
 
 The hard invariant, mirrored by the equivalence tests: for any
 workload, every backend produces **bit-identical** algorithm outputs

@@ -4,20 +4,32 @@ In the paper the arbitrator plans and each GPU relaxes its own
 fragment. This backend does the same on the host with one thread per
 fragment, working on the coordinator's own ``graph``,
 ``partition.owner`` and ``state.values``: nothing is copied, mapped or
-pickled, and ``shmem`` names the one address space they share. Each
-iteration's tasks are submitted before the scheduler plans, so they
-overlap with the plan and pricing (NumPy releases the GIL for most of
-a relax). Scheduling, pricing, chaos and tracing stay in the
-coordinator, so virtual time and outputs are bit-identical to the
-serial backend. Algorithms without an exact merge (floating-point
-*sums*, e.g. PageRank) get a serial session and start no thread.
+pickled, and ``shmem`` names the one address space they share.
+
+A min-propagation superstep (:class:`~repro.algorithms.minprop.
+MinPropagation`: BFS, SSSP, WCC) is one relax of the frontier's
+out-edges, so it splits exactly. Each fragment's thread reduces its
+own out-edges to ``(touched, minima)`` with
+:meth:`~repro.algorithms.minprop.MinScatter.reduce`, and the
+coordinator applies the concatenation of every fragment's pair with
+the same :meth:`~repro.algorithms.minprop.MinScatter.relax` the serial
+step uses. Float64 ``min`` is associative, so values and the next
+frontier are bit-identical to the serial superstep. Any other
+algorithm (PageRank's floating-point *sums*, delta-stepping's buckets,
+k-core's peeling) runs the coordinator's serial step, and no thread is
+started.
+
+Each iteration's tasks are submitted before the scheduler plans, so
+they overlap with the plan and pricing (NumPy releases the GIL for
+most of a relax). Scheduling, pricing, chaos and tracing stay in the
+coordinator, so virtual time is bit-identical to the serial backend.
 
 Three facts keep the threads safe. A fragment has at most one task in
-flight, so its ``aux`` buffers and its partial row are its own. Tasks
-only read ``values``, which the coordinator writes in :meth:`step`
-after every task of the iteration was collected. And an out-of-core
-graph's shard cache is not thread-safe, so each fragment reads its own
-reopening of the shard directory.
+flight, so its reduce scratch is its own. Tasks only read ``values``,
+which the coordinator writes in :meth:`step` after every task of the
+iteration was collected. And an out-of-core graph's shard cache is not
+thread-safe, so each fragment reads its own reopening of the shard
+directory.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend, ExecutionSession
+from repro.algorithms.minprop import MinPropagation, MinScatter
+from repro.backend.base import ExecutionBackend
 from repro.backend.serial import SerialSession
 from repro.errors import EngineError
-from repro.graph.gather import gather_edges
+from repro.graph.gather import distinct_vertices, gather_edges
 from repro.runtime.frontier import Frontier
 
 if TYPE_CHECKING:
@@ -41,17 +54,6 @@ if TYPE_CHECKING:
     from repro.runtime.scheduler import RunContext
 
 __all__ = ["SharedMemoryBackend", "SharedMemorySession"]
-
-#: the ``backend_stats`` block before any work was dispatched
-_IDLE_STATS = {
-    "backend": "shmem",
-    "workers": 0,
-    "parallel_step": False,
-    "tasks": 0,
-    "startup_seconds": 0.0,
-    "dispatch_seconds": 0.0,
-    "collect_seconds": 0.0,
-}
 
 
 def _fragment_graphs(graph: "CSRGraph", num_fragments: int) -> list:
@@ -72,21 +74,10 @@ def _fragment_graphs(graph: "CSRGraph", num_fragments: int) -> list:
     ]
 
 
-class _SerialFallbackSession(SerialSession):
-    """``shmem`` for an algorithm with no exact merge: every superstep
-    is the coordinator's serial one, so no thread is started."""
-
-    def stats(self) -> dict:
-        """The shmem stats block, with no workers and no tasks."""
-        stats = dict(_IDLE_STATS)
-        shard = super().stats()
-        if shard is not None:
-            stats["shard_cache"] = shard["shard_cache"]
-        return stats
-
-
-class SharedMemorySession(ExecutionSession):
-    """One run's per-fragment threads over the coordinator's arrays."""
+class SharedMemorySession(SerialSession):
+    """One run's per-fragment threads over the coordinator's arrays —
+    none when the algorithm is not a :class:`MinPropagation`, whose
+    supersteps are then the serial session's."""
 
     def __init__(
         self,
@@ -95,70 +86,59 @@ class SharedMemorySession(ExecutionSession):
         algorithm: "GASAlgorithm",
         state: "AlgorithmState",
     ) -> None:
+        super().__init__(graph, partition)
+        self._stats = {
+            "backend": "shmem",
+            "workers": 0,
+            "parallel_step": False,
+            "tasks": 0,
+            "startup_seconds": 0.0,
+            "dispatch_seconds": 0.0,
+            "collect_seconds": 0.0,
+        }
+        self._pool: Optional[ThreadPoolExecutor] = None
+        if not isinstance(algorithm, MinPropagation):
+            return
         started = time.perf_counter()
         num_fragments = partition.num_fragments
-        self._graph = graph
-        self._owner = partition.owner
         self._algorithm = algorithm
         self._state = state
         self._graphs = _fragment_graphs(graph, num_fragments)
-        #: each fragment's reusable algorithm buffers
-        self._aux = [{} for _ in range(num_fragments)]
-        #: one partial row per fragment (inf = untouched); each task
-        #: first resets what its fragment's previous task scattered
-        self._partials = np.full((num_fragments, graph.num_vertices),
-                                 np.inf)
-        self._row_touched = [np.empty(0, dtype=np.int64)] * num_fragments
+        self._scatters = [MinScatter(graph.num_vertices)
+                          for _ in range(num_fragments)]
         self._futures: Optional[dict] = None
         self._results: dict = {}
         self._collected_iteration: Optional[int] = None
         self._pool = ThreadPoolExecutor(
             max_workers=num_fragments, thread_name_prefix="repro-shmem"
         )
-        self._stats = _IDLE_STATS | {
-            "workers": num_fragments,
-            "parallel_step": True,
-            "startup_seconds": time.perf_counter() - started,
-        }
+        self._stats.update(
+            workers=num_fragments, parallel_step=True,
+            startup_seconds=time.perf_counter() - started,
+        )
 
     def _run_task(
-        self,
-        fragment: int,
-        vertices: np.ndarray,
-        values: np.ndarray,
-        aggregate: bool,
+        self, fragment: int, vertices: np.ndarray, values: np.ndarray
     ) -> tuple:
-        """Expand one fragment's frontier and scatter its relax minima.
+        """Reduce one fragment's out-edges: ``(edge_counts, touched,
+        minima)``.
 
-        Returns ``(edge_counts, dest_bits)`` keyed by *destination
-        fragment*, so the coordinator decides which are remote under
-        the fragment→worker map the scheduler settles on after dispatch
-        (OSteal folds and a killed worker rewrite it in place).
+        ``edge_counts`` is keyed by *destination fragment*, so the
+        coordinator decides which are remote under the fragment→worker
+        map the scheduler settles on after dispatch (OSteal folds and a
+        killed worker rewrite it in place). ``touched`` — the distinct
+        destinations — also feeds the aggregated message count.
         """
-        graph = self._graphs[fragment]
-        num_fragments = len(self._graphs)
-        edges = gather_edges(graph, vertices)
-        destinations = edges[1]
-        edge_counts = np.zeros(num_fragments, dtype=np.int64)
-        dest_bits = None
-        if destinations.size:
-            dest_fragment = self._owner[destinations]
-            edge_counts = np.bincount(dest_fragment,
-                                      minlength=num_fragments)
-            if aggregate:
-                # one packed destination bitmap per destination
-                # fragment: the coordinator's |union| is OR + popcount
-                masks = np.zeros((num_fragments, graph.num_vertices), bool)
-                masks[dest_fragment, destinations] = True
-                dest_bits = np.packbits(masks, axis=1)
-        row = self._partials[fragment]
-        row[self._row_touched[fragment]] = np.inf
-        touched, mins = self._algorithm.fragment_step(
-            graph, values, vertices, aux=self._aux[fragment], edges=edges,
+        sources, destinations, weights = gather_edges(
+            self._graphs[fragment], vertices
         )
-        row[touched] = mins
-        self._row_touched[fragment] = touched
-        return edge_counts, dest_bits
+        edge_counts = np.bincount(self._partition.owner[destinations],
+                                  minlength=len(self._graphs))
+        touched, minima = self._scatters[fragment].reduce(
+            destinations,
+            self._algorithm.candidates(values, sources, weights),
+        )
+        return edge_counts, touched, minima
 
     def begin_iteration(
         self,
@@ -167,6 +147,8 @@ class SharedMemorySession(ExecutionSession):
         aggregate: bool,
     ) -> None:
         """Submit one task per non-empty fragment."""
+        if self._pool is None:
+            return
         if self._futures:
             raise EngineError(
                 "shmem backend: previous iteration was never collected"
@@ -175,8 +157,7 @@ class SharedMemorySession(ExecutionSession):
         values = self._state.values
         self._futures = {
             fragment: self._pool.submit(
-                self._run_task, fragment, frontier.vertices, values,
-                aggregate,
+                self._run_task, fragment, frontier.vertices, values
             )
             for fragment, frontier in enumerate(fragment_frontiers)
             if frontier.size
@@ -206,26 +187,30 @@ class SharedMemorySession(ExecutionSession):
         aggregate: bool,
         context: "RunContext",
     ) -> int:
-        """Cross-worker message count, folded from fragment partials.
+        """Cross-worker message count, folded from the fragments' tasks.
 
         Exactly the serial count: fragments partition the frontier's
         out-edges by source owner, so cross-edge counts add and the
-        distinct-destination sets union.
+        remote distinct destinations union.
         """
+        if self._pool is None:
+            return super().message_count(iteration, frontier, aggregate,
+                                         context)
         worker = context.fragment_worker
-        total, cross_bits = 0, []
-        partials = self._collect(iteration)
-        for fragment, (edge_counts, bits) in partials.items():
-            remote = np.flatnonzero(worker != worker[fragment])
-            if aggregate:
-                cross_bits.extend(bits[dest] for dest in remote
-                                  if edge_counts[dest])
-            else:
-                total += int(edge_counts[remote].sum())
-        if not aggregate or not cross_bits:
-            return total
-        union = np.bitwise_or.reduce(np.stack(cross_bits), axis=0)
-        return int(np.unpackbits(union).sum())
+        results = self._collect(iteration)
+        if not aggregate:
+            return sum(int(counts[worker != worker[fragment]].sum())
+                       for fragment, (counts, __, __) in results.items())
+        owner = self._partition.owner
+        remote = [
+            touched[worker[owner[touched]] != worker[fragment]]
+            for fragment, (__, touched, __) in results.items()
+        ]
+        if not remote:
+            return 0
+        return int(distinct_vertices(
+            np.concatenate(remote), self._seen.size, self._seen
+        ).size)
 
     def step(
         self,
@@ -234,27 +219,30 @@ class SharedMemorySession(ExecutionSession):
         graph: "CSRGraph",
         state: "AlgorithmState",
     ) -> Frontier:
-        """Merge the fragments' partial rows into the global state."""
-        partials = self._collect(iteration)
-        if not partials:
+        """Relax the values with every fragment's ``(touched, minima)``."""
+        if self._pool is None:
+            return super().step(iteration, algorithm, graph, state)
+        results = self._collect(iteration).values()
+        if not results:
             return Frontier.empty()
-        # only rows dispatched *this* iteration: an idle fragment keeps
-        # its stale row until its next task resets it
-        return algorithm.merge_fragment_rows(
-            graph, state, self._partials[list(partials)]
-        )
+        return Frontier.from_sorted(MinScatter.of(graph, state.aux).relax(
+            state.values,
+            np.concatenate([touched for __, touched, __ in results]),
+            np.concatenate([minima for __, __, minima in results]),
+        ))
 
     def stats(self) -> dict:
         """Host-side execution statistics (coordination overhead)."""
         stats = dict(self._stats)
-        cache_stats = getattr(self._graph, "cache_stats", None)
-        if cache_stats is not None:
-            stats["shard_cache"] = cache_stats()
+        shard = super().stats()
+        if shard is not None:
+            stats["shard_cache"] = shard["shard_cache"]
         return stats
 
     def close(self) -> None:
         """Wait for in-flight tasks and join every thread (idempotent)."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class SharedMemoryBackend(ExecutionBackend):
@@ -269,9 +257,7 @@ class SharedMemoryBackend(ExecutionBackend):
         algorithm: "GASAlgorithm",
         state: "AlgorithmState",
         context: "RunContext",
-    ) -> ExecutionSession:
-        """Start the fragment threads — when the algorithm's superstep
-        can be merged from fragments."""
-        if not algorithm.supports_fragment_step:
-            return _SerialFallbackSession(graph, partition)
+    ) -> SharedMemorySession:
+        """Start the fragment threads when the superstep is a
+        min-relax; otherwise start nothing."""
         return SharedMemorySession(graph, partition, algorithm, state)

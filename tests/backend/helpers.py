@@ -3,7 +3,9 @@
 import multiprocessing
 import threading
 
+from repro.algorithms.base import GASAlgorithm
 from repro.algorithms.bfs import BFS
+from repro.algorithms.minprop import MinScatter
 
 
 def no_backend_threads() -> bool:
@@ -13,12 +15,30 @@ def no_backend_threads() -> bool:
     return not threads and not multiprocessing.active_children()
 
 
-class FailingMergeBFS(BFS):
-    """BFS whose coordinator-side merge raises after a few iterations.
+class _FailingRelax(MinScatter):
+    """A :class:`MinScatter` whose ``relax`` raises on its n-th call."""
 
-    The fragment threads' ``fragment_step`` is untouched, so the
-    failure lands mid-iteration in the coordinator — exactly where the
-    shmem session's cleanup contract has to hold.
+    __slots__ = ("_calls_left",)
+
+    def __init__(self, num_vertices: int, fail_at_call: int) -> None:
+        super().__init__(num_vertices)
+        self._calls_left = fail_at_call
+
+    def relax(self, values, destinations, candidates):
+        self._calls_left -= 1
+        if self._calls_left <= 0:
+            raise RuntimeError("injected mid-iteration failure")
+        return super().relax(values, destinations, candidates)
+
+
+class FailingMergeBFS(BFS):
+    """BFS whose coordinator-side relax raises after a few iterations.
+
+    The fragment threads' reduces are untouched: under ``shmem`` the
+    run's own :class:`MinScatter` (in ``state.aux``) only applies the
+    merged minima, so the failure lands mid-iteration in the
+    coordinator — exactly where the shmem session's cleanup contract
+    has to hold.
     """
 
     name = "failing-bfs"
@@ -26,17 +46,17 @@ class FailingMergeBFS(BFS):
     def __init__(self, fail_at_iteration: int = 3) -> None:
         super().__init__()
         self.fail_at_iteration = fail_at_iteration
-        self.merges = 0
 
-    def merge_fragment_rows(self, graph, state, rows):
-        self.merges += 1
-        if state.iteration >= self.fail_at_iteration:
-            raise RuntimeError("injected mid-iteration failure")
-        return super().merge_fragment_rows(graph, state, rows)
+    def init(self, graph, **params):
+        state = super().init(graph, **params)
+        state.aux["scatter"] = _FailingRelax(
+            graph.num_vertices, self.fail_at_iteration + 1
+        )
+        return state
 
 
 class FailingFragmentStepBFS(BFS):
-    """BFS whose ``fragment_step`` raises on a fragment thread.
+    """BFS whose ``candidates`` raise on a fragment thread.
 
     A BFS frontier at iteration ``k`` holds exactly the level-``k``
     vertices, so the thread reads the iteration off ``values``.
@@ -48,26 +68,27 @@ class FailingFragmentStepBFS(BFS):
         super().__init__()
         self.fail_at_iteration = fail_at_iteration
 
-    def fragment_step(self, graph, values, vertices, aux=None, edges=None):
-        if values[vertices].max() >= self.fail_at_iteration:
+    def candidates(self, values, sources, weights):
+        if values[sources].max() >= self.fail_at_iteration:
             raise RuntimeError("injected fragment-step failure")
-        return super().fragment_step(graph, values, vertices, aux=aux,
-                                     edges=edges)
+        return super().candidates(values, sources, weights)
 
 
-class FailingStepBFS(BFS):
-    """BFS whose serial step raises — exercises the serial-fallback
-    cleanup path of both backends."""
+class FailingStepBFS(GASAlgorithm):
+    """BFS by delegation, whose step raises. Not a
+    :class:`~repro.algorithms.minprop.MinPropagation`, so both backends
+    run its step on the coordinator — the serial path's cleanup."""
 
     name = "failing-step-bfs"
 
-    supports_fragment_step = False
-
     def __init__(self, fail_at_iteration: int = 3) -> None:
-        super().__init__()
         self.fail_at_iteration = fail_at_iteration
+        self._bfs = BFS()
+
+    def init(self, graph, **params):
+        return self._bfs.init(graph, **params)
 
     def step(self, graph, state):
         if state.iteration >= self.fail_at_iteration:
             raise RuntimeError("injected mid-iteration failure")
-        return super().step(graph, state)
+        return self._bfs.step(graph, state)

@@ -120,6 +120,32 @@ def test_serial_fallback_algorithm_bit_identical():
     assert shmem.backend_stats["tasks"] == 0
 
 
+@pytest.mark.parametrize("algorithm,params", [
+    ("dsssp", {"source": 0}),
+    ("kcore", {"k": 3}),
+    ("dpr", {}),
+])
+def test_serial_step_algorithms_start_no_thread(algorithm, params):
+    """Delta-stepping's buckets, k-core's peeling and delta-PageRank's
+    sums are no min-relax: shmem runs their serial step and no
+    ``repro-shmem`` thread exists at any superstep of either run."""
+    from repro.obs import Sink, Tracer
+
+    seen = []
+
+    class Probe(Sink):
+        def emit(self, record):
+            seen.append(no_backend_threads())
+
+    serial, shmem = run_pair(algorithm, tracer=Tracer(sinks=[Probe()]),
+                             **params)
+    assert_equivalent(serial, shmem)
+    assert len(seen) > serial.num_iterations and all(seen)
+    stats = shmem.backend_stats
+    assert stats["parallel_step"] is False
+    assert (stats["workers"], stats["tasks"]) == (0, 0)
+
+
 def test_plain_bsp_engine_bit_identical():
     serial, shmem = run_pair("bfs", engine="bsp", num_gpus=2, source=0)
     assert_equivalent(serial, shmem)
