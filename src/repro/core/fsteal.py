@@ -124,11 +124,12 @@ def select_vertices(
     boundaries = np.searchsorted(degree_prefix, quota_prefix, side="left")
     boundaries = np.minimum(boundaries + 1, vertices.size)
     # worker j receives vertices[start_j : boundaries[j]]
+    last_quota = int(np.max(np.nonzero(x_row)[0], initial=-1))
     assignments: List[VertexAssignment] = []
     start = 0
     for j in range(x_row.size):
         stop = int(boundaries[j]) if x_row[j] > 0 else start
-        if j == int(np.max(np.nonzero(x_row)[0], initial=-1)):
+        if j == last_quota:
             stop = vertices.size  # last quota absorbs rounding remainder
         if stop > start:
             chunk = vertices[start:stop]

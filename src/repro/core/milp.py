@@ -28,6 +28,7 @@ decision latency, which is what Table IV charges.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
@@ -218,36 +219,41 @@ class GreedySolver(FStealSolver):
         problem: FStealProblem,
         warm_start: Optional[np.ndarray] = None,
     ) -> FStealSolution:
-        """Return a feasible integral solution."""
+        """Return a feasible integral solution.
+
+        The search runs on Python lists: on these few-by-few matrices
+        indexing NumPy scalars costs more than the arithmetic. It makes
+        the same IEEE operations in the same order as the array form —
+        column loads accumulate row by row, as ``sum(axis=0)`` does —
+        so every assignment and objective is bit-identical to it.
+        """
         n_frag, n_work = problem.num_fragments, problem.num_workers
         if problem.workloads.sum() == 0:
             return _no_work_solution(problem, self.name)
-        safe_costs = np.where(np.isfinite(problem.costs), problem.costs,
-                              np.inf)
-        seeds = [np.argmin(safe_costs, axis=1)]
-        if n_frag <= n_work:
-            diagonal = np.arange(n_frag)
-            feasible = all(
-                problem.workloads[i] == 0
-                or np.isfinite(problem.costs[i, i])
-                for i in range(n_frag)
-            )
-            if feasible:
-                seeds.append(diagonal)
-        best: np.ndarray | None = None
-        best_objective = np.inf
+        costs = problem.costs.tolist()
+        loads = problem.workloads.tolist()
+        finite = [[j for j, c in enumerate(row) if math.isfinite(c)]
+                  for row in costs]
+        seeds = [[min(cols, key=row.__getitem__) if cols else 0
+                  for row, cols in zip(costs, finite)]]
+        if n_frag <= n_work and all(
+            load == 0 or math.isfinite(costs[i][i])
+            for i, load in enumerate(loads)
+        ):
+            seeds.append(range(n_frag))
+        best: list | None = None
+        best_objective = math.inf
         for seed in seeds:
-            finish = np.zeros(n_work)
-            assignment = np.zeros((n_frag, n_work), dtype=np.int64)
-            for i in range(n_frag):
-                load = int(problem.workloads[i])
+            finish = [0.0] * n_work
+            assignment = [[0] * n_work for __ in range(n_frag)]
+            for i, load in enumerate(loads):
                 if load == 0:
                     continue
-                j = int(seed[i])
-                assignment[i, j] = load
-                finish[j] += problem.costs[i, j] * load
-            self._refine(problem, assignment, finish)
-            objective = problem.objective(assignment)
+                j = seed[i]
+                assignment[i][j] = load
+                finish[j] += costs[i][j] * load
+            self._refine(costs, finite, assignment, finish)
+            objective = max(_column_loads(costs, finite, assignment))
             if objective < best_objective:
                 best, best_objective = assignment, objective
         assert best is not None  # seeds is never empty
@@ -257,60 +263,76 @@ class GreedySolver(FStealSolver):
         warm_won = False
         warm = self._usable_warm_start(problem, warm_start)
         if warm is not None:
-            safe = np.where(np.isfinite(problem.costs), problem.costs, 0.0)
-            finish = (safe * warm).sum(axis=0)
-            self._refine(problem, warm, finish)
-            objective = problem.objective(warm)
+            warm = warm.tolist()
+            finish = _column_loads(costs, finite, warm)
+            self._refine(costs, finite, warm, finish)
+            objective = max(_column_loads(costs, finite, warm))
             if objective < best_objective:
                 best, best_objective, warm_won = warm, objective, True
-        return self._finish(problem, best, warm_started=warm_won)
+        return self._finish(problem, np.array(best, dtype=np.int64),
+                            warm_started=warm_won)
 
     def _refine(
         self,
-        problem: FStealProblem,
-        assignment: np.ndarray,
-        finish: np.ndarray,
+        costs: list,
+        finite: list,
+        assignment: list,
+        finish: list,
     ) -> None:
         """Shift edges from the straggler to cheaper workers, in place."""
-        costs = problem.costs
         for __ in range(self._refine_steps):
-            straggler = int(np.argmax(finish))
-            peak = finish[straggler]
+            peak = max(finish)
+            straggler = finish.index(peak)
             if peak <= 0:
                 return
             best_gain = 0.0
             best_move: tuple[int, int, int] | None = None
-            donors = np.flatnonzero(assignment[:, straggler] > 0)
-            for i in donors.tolist():
-                c_from = costs[i, straggler]
-                for j in np.flatnonzero(np.isfinite(costs[i])).tolist():
+            for i, held_row in enumerate(assignment):
+                held = held_row[straggler]
+                if held <= 0:
+                    continue
+                row = costs[i]
+                c_from = row[straggler]
+                for j in finite[i]:
                     if j == straggler:
                         continue
-                    c_to = costs[i, j]
                     gap = peak - finish[j]
                     if gap <= 0:
                         continue
-                    # equalize the pair: move until both finish together
-                    move = int(min(
-                        assignment[i, straggler],
-                        max(1, int(gap / (c_from + c_to))),
-                    ))
-                    if move <= 0:
-                        continue
-                    new_peak_pair = max(
-                        peak - c_from * move, finish[j] + c_to * move
-                    )
-                    gain = peak - new_peak_pair
+                    # equalize the pair: move until both finish together,
+                    # clamped to [1, held] (conditionals, not min/max
+                    # calls: they pick the same operand)
+                    c_to = row[j]
+                    move = int(gap / (c_from + c_to))
+                    if move < 1:
+                        move = 1
+                    if move > held:
+                        move = held
+                    source = peak - c_from * move
+                    target = finish[j] + c_to * move
+                    gain = peak - (target if target > source else source)
                     if gain > best_gain:
                         best_gain = gain
                         best_move = (i, j, move)
             if best_move is None or best_gain <= peak * 1e-4:
                 return
             i, j, move = best_move
-            assignment[i, straggler] -= move
-            assignment[i, j] += move
-            finish[straggler] -= costs[i, straggler] * move
-            finish[j] += costs[i, j] * move
+            assignment[i][straggler] -= move
+            assignment[i][j] += move
+            finish[straggler] -= costs[i][straggler] * move
+            finish[j] += costs[i][j] * move
+
+
+def _column_loads(costs: list, finite: list, assignment: list) -> list:
+    """``sum_i c_ij x_ij`` per worker over the allowed cells, row by row
+    (the values of :meth:`FStealProblem.objective`'s ``sum(axis=0)``;
+    NumPy sums a lone column pairwise, but with one worker every
+    candidate is the same assignment)."""
+    loads = [0.0] * len(costs[0])
+    for row, cols, held in zip(costs, finite, assignment):
+        for j in cols:
+            loads[j] += row[j] * held[j]
+    return loads
 
 
 # ----------------------------------------------------------------------

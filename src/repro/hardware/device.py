@@ -17,7 +17,7 @@ Table V comparison of model families is a genuine learning problem.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -44,11 +44,8 @@ class DeviceModel:
                  noise_amplitude: float = 0.03) -> None:
         self._gpu = gpu or GPUSpec()
         self._noise = float(noise_amplitude)
-        # id-keyed ground-truth memo; entries pin their features object
-        # so a recycled id can never alias (see true_edge_cost)
-        self._cost_memo: Dict[
-            int, Tuple[FrontierFeatures, float]
-        ] = {}
+        # ground-truth memo keyed by features value (see true_edge_cost)
+        self._cost_memo: Dict[FrontierFeatures, float] = {}
 
     #: Ground-truth memo flush threshold (bounds a long run's memory).
     _MEMO_BOUND = 4096
@@ -112,13 +109,13 @@ class DeviceModel:
         """
         if features.total_edges == 0:
             return self._gpu.base_edge_cost_ns * 1e-9
-        # the cost is a pure function of the (immutable) features, and
-        # frontier objects memoize their features — so the scheduler's
-        # prediction audit and the engine's chunk pricing can share one
-        # evaluation per frontier instead of recomputing the noise hash
-        hit = self._cost_memo.get(id(features))
-        if hit is not None and hit[0] is features:
-            return hit[1]
+        # the cost is a pure function of the frozen features' fields, so
+        # equal features share one evaluation: the prediction audit, the
+        # chunk pricing and every superstep that sees the same frontier
+        # again pay the noise hash once
+        hit = self._cost_memo.get(features)
+        if hit is not None:
+            return hit
         multiplier = (
             self.contention_factor(features)
             * self.coalescing_factor(features)
@@ -132,7 +129,7 @@ class DeviceModel:
         )
         if len(self._cost_memo) >= self._MEMO_BOUND:
             self._cost_memo.clear()
-        self._cost_memo[id(features)] = (features, cost)
+        self._cost_memo[features] = cost
         return cost
 
     def oracle(self):

@@ -102,6 +102,55 @@ def test_oracle_callable():
     assert oracle(f) == device.true_edge_cost(f)
 
 
+def _count_noise(monkeypatch) -> list:
+    """The features of every ``_pseudo_noise`` evaluation, in order."""
+    seen = []
+    original = DeviceModel._pseudo_noise
+
+    def counting(self, features):
+        seen.append(features)
+        return original(self, features)
+
+    monkeypatch.setattr(DeviceModel, "_pseudo_noise", counting)
+    return seen
+
+
+def test_equal_features_share_one_evaluation(monkeypatch):
+    seen = _count_noise(monkeypatch)
+    device = DeviceModel()
+    a, b = feats(gini=0.4, entropy=0.5), feats(gini=0.4, entropy=0.5)
+    assert a is not b
+    assert device.true_edge_cost(a) == device.true_edge_cost(b)
+    assert seen == [a]
+
+
+def test_memo_bound_clears_the_memo(monkeypatch):
+    seen = _count_noise(monkeypatch)
+    device = DeviceModel()
+    bound = DeviceModel._MEMO_BOUND
+    assert bound == 4096
+    first = feats(size=1)
+    for size in range(1, bound + 1):
+        device.true_edge_cost(feats(size=size))
+    device.true_edge_cost(first)
+    assert len(seen) == bound
+    device.true_edge_cost(feats(size=bound + 1))  # full: cleared first
+    assert len(device._cost_memo) == 1
+    device.true_edge_cost(first)
+    assert len(seen) == bound + 2
+
+
+def test_gum_run_evaluates_each_distinct_features_once(monkeypatch):
+    """TX/bfs@4 prices 32 distinct fragment frontiers; each pays the
+    noise hash once however often the audit and pricing meet it."""
+    import repro
+    from repro.graph import datasets
+
+    seen = _count_noise(monkeypatch)
+    repro.run(datasets.load("TX"), "bfs", num_gpus=4)
+    assert len(seen) == len(set(seen)) == 32
+
+
 # ----------------------------------------------------------------------
 # TimingModel
 # ----------------------------------------------------------------------
