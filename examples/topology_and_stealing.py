@@ -45,10 +45,7 @@ def main() -> None:
     # pretend iteration frontier: a skewed slice of the vertex space
     rng = np.random.default_rng(0)
     frontier = Frontier(rng.integers(0, graph.num_vertices, 4000))
-    fragments = [
-        Frontier.from_sorted(part)
-        for part in partition.split_frontier(frontier.vertices)
-    ]
+    fragments = frontier.split_by_owner(partition.owner, 8, graph)
     workloads = np.array([f.work(graph) for f in fragments])
     print(f"per-fragment workloads l_i: {workloads} "
           f"(max/min = {workloads.max() / max(1, workloads.min()):.2f}x)")

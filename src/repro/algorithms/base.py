@@ -98,9 +98,5 @@ class GASAlgorithm(abc.ABC):
             f"{self.name} does not support masked local steps"
         )
 
-    def is_converged(self, state: AlgorithmState) -> bool:
-        """Whether the run may stop (default: empty frontier)."""
-        return not state.frontier
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

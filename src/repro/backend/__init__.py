@@ -7,35 +7,33 @@ CLI; ``serial`` (the historical in-process path) is the default.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
 from repro.errors import EngineError
 
-if TYPE_CHECKING:
-    from repro.backend.base import ExecutionBackend
-
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.backend.base": ("ExecutionBackend", "ExecutionSession"),
-    "repro.backend.serial": ("SerialBackend", "SerialSession"),
-    "repro.backend.shmem": ("SharedMemoryBackend", "SharedMemorySession"),
+    "repro.backend.base": ("ExecutionSession",),
+    "repro.backend.serial": ("SerialSession",),
+    "repro.backend.shmem": ("SharedMemorySession",),
 })
-__all__ += ["BACKEND_NAMES", "make_backend"]
+__all__ += ["BACKEND_NAMES", "session_class"]
 
 #: registered backend names, in CLI display order
 BACKEND_NAMES = ("serial", "shmem")
 
 
-def make_backend(name: str) -> ExecutionBackend:
-    """Instantiate a backend by registered name."""
+def session_class(name: str) -> type:
+    """The session type a registered backend name runs.
+
+    Sessions are built as ``cls(graph, partition, algorithm, state)``.
+    """
     if name == "serial":
-        from repro.backend.serial import SerialBackend
+        from repro.backend.serial import SerialSession
 
-        return SerialBackend()
+        return SerialSession
     if name == "shmem":
-        from repro.backend.shmem import SharedMemoryBackend
+        from repro.backend.shmem import SharedMemorySession
 
-        return SharedMemoryBackend()
+        return SharedMemorySession
     raise EngineError(
         f"unknown execution backend {name!r}; known: "
         + ", ".join(BACKEND_NAMES)

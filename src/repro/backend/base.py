@@ -4,8 +4,8 @@ The BSP engine separates three concerns: the scheduler decides where
 work runs in the *virtual* machine, the timing model prices that plan,
 and the algorithm defines what is computed. The execution backend adds
 a fourth, orthogonal axis — which host resources actually crunch the
-arrays. :class:`SerialBackend` is the in-process NumPy path;
-:class:`~repro.backend.shmem.SharedMemoryBackend` fans a
+arrays. :class:`~repro.backend.serial.SerialSession` is the in-process
+NumPy path; :class:`~repro.backend.shmem.SharedMemorySession` fans a
 min-propagation superstep out to one thread per virtual GPU over the
 coordinator's own arrays (each thread reduces its fragment with
 ``MinScatter``, the coordinator applies the concatenated minima with
@@ -17,8 +17,10 @@ and virtual-time totals. A backend may only change wall-clock time and
 host-side statistics, exactly like the scheduler may only change
 virtual time.
 
-A backend opens one :class:`ExecutionSession` per run. The engine
-drives the session with three calls per iteration::
+A backend is one :class:`ExecutionSession` subclass, picked by name
+with :func:`repro.backend.session_class` when the engine is built; the
+engine constructs one session per run and drives it with three calls
+per iteration::
 
     session.begin_iteration(...)   # after the frontier is split
     session.message_count(...)     # while pricing cross-GPU messages
@@ -38,14 +40,13 @@ from repro.runtime.frontier import Frontier
 if TYPE_CHECKING:
     from repro.algorithms.base import AlgorithmState, GASAlgorithm
     from repro.graph.csr import CSRGraph
-    from repro.partition.base import Partition
     from repro.runtime.scheduler import RunContext
 
-__all__ = ["ExecutionBackend", "ExecutionSession"]
+__all__ = ["ExecutionSession"]
 
 
 class ExecutionSession(abc.ABC):
-    """Per-run execution context created by :meth:`ExecutionBackend.open`."""
+    """Per-run execution context: one run's host-side superstep path."""
 
     def begin_iteration(
         self,
@@ -94,19 +95,3 @@ class ExecutionSession(abc.ABC):
     def close(self) -> None:
         """Stop the session's threads (idempotent)."""
 
-
-class ExecutionBackend(abc.ABC):
-    """Factory for per-run execution sessions."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def open(
-        self,
-        graph: "CSRGraph",
-        partition: "Partition",
-        algorithm: "GASAlgorithm",
-        state: "AlgorithmState",
-        context: "RunContext",
-    ) -> ExecutionSession:
-        """Start a session for one run (starting threads if needed)."""

@@ -1,7 +1,7 @@
 """The in-process execution backend (default).
 
-This is the engine's historical execution path extracted behind the
-:class:`~repro.backend.base.ExecutionBackend` interface: the gather is
+This is the engine's historical execution path behind the
+:class:`~repro.backend.base.ExecutionSession` interface: the gather is
 memoized on the frontier (so the message-cost scan and the algorithm
 step share one adjacency walk), and the superstep runs on the
 coordinator's arrays. Bit-for-bit identical to the pre-backend engine.
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend, ExecutionSession
+from repro.backend.base import ExecutionSession
 from repro.graph.gather import distinct_vertices
 from repro.runtime.frontier import Frontier
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from repro.partition.base import Partition
     from repro.runtime.scheduler import RunContext
 
-__all__ = ["SerialBackend", "SerialSession", "count_messages"]
+__all__ = ["SerialSession", "count_messages"]
 
 
 def count_messages(
@@ -63,9 +63,19 @@ def count_messages(
 
 
 class SerialSession(ExecutionSession):
-    """Runs every superstep in the coordinator process."""
+    """Runs every superstep in the coordinator process.
 
-    def __init__(self, graph: "CSRGraph", partition: "Partition") -> None:
+    ``algorithm`` and ``state`` are accepted for the common session
+    signature; the serial step gets both from the engine each call.
+    """
+
+    def __init__(
+        self,
+        graph: "CSRGraph",
+        partition: "Partition",
+        algorithm: "Optional[GASAlgorithm]" = None,
+        state: "Optional[AlgorithmState]" = None,
+    ) -> None:
         self._graph = graph
         self._partition = partition
         #: distinct_vertices' reusable bitmap, one per run
@@ -114,19 +124,3 @@ class SerialSession(ExecutionSession):
             return None
         return {"backend": "serial", "shard_cache": cache_stats()}
 
-
-class SerialBackend(ExecutionBackend):
-    """Factory for :class:`SerialSession` (no external resources)."""
-
-    name = "serial"
-
-    def open(
-        self,
-        graph: "CSRGraph",
-        partition: "Partition",
-        algorithm: "GASAlgorithm",
-        state: "AlgorithmState",
-        context: "RunContext",
-    ) -> SerialSession:
-        """Open an in-process session; no thread is started."""
-        return SerialSession(graph, partition)

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.algorithms.minprop import MinPropagation, MinScatter
-from repro.backend.base import ExecutionBackend
 from repro.backend.serial import SerialSession
 from repro.errors import EngineError
 from repro.graph.gather import distinct_vertices, gather_edges
@@ -53,7 +52,7 @@ if TYPE_CHECKING:
     from repro.partition.base import Partition
     from repro.runtime.scheduler import RunContext
 
-__all__ = ["SharedMemoryBackend", "SharedMemorySession"]
+__all__ = ["SharedMemorySession"]
 
 
 def _fragment_graphs(graph: "CSRGraph", num_fragments: int) -> list:
@@ -244,20 +243,3 @@ class SharedMemorySession(SerialSession):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
 
-
-class SharedMemoryBackend(ExecutionBackend):
-    """Factory starting one thread per virtual GPU per run."""
-
-    name = "shmem"
-
-    def open(
-        self,
-        graph: "CSRGraph",
-        partition: "Partition",
-        algorithm: "GASAlgorithm",
-        state: "AlgorithmState",
-        context: "RunContext",
-    ) -> SharedMemorySession:
-        """Start the fragment threads when the superstep is a
-        min-relax; otherwise start nothing."""
-        return SharedMemorySession(graph, partition, algorithm, state)

@@ -22,7 +22,6 @@ planned stealing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -39,18 +38,6 @@ from repro.runtime.scheduler import (
 )
 
 __all__ = ["PeekStealScheduler"]
-
-
-@dataclass
-class _Queue:
-    """Remaining work of one worker during the reactive simulation."""
-
-    # (fragment, edges) slices still to process, FIFO
-    slices: List[List[int]]
-
-    def remaining(self) -> int:
-        """Total unprocessed edges in this queue."""
-        return sum(edges for __, edges in self.slices)
 
 
 class PeekStealScheduler(Scheduler):

@@ -345,12 +345,10 @@ def _message_count_fixture():
     """``(session, frontier, context)`` with the gather already
     memoized: the count alone, not the adjacency walk it shares with
     the algorithm step."""
-    from repro.backend import make_backend
+    from repro.backend.serial import SerialSession
 
     graph, partition, algorithm, state, context = _rmat16_workload()
-    session = make_backend("serial").open(
-        graph, partition, algorithm, state, context
-    )
+    session = SerialSession(graph, partition)
     state.frontier.gather(graph)
     return session, state.frontier, context
 
@@ -867,7 +865,7 @@ def _backend_fixture(backend: str, workers: int = 4):
     round through the session — exactly the engine's per-iteration
     session protocol. The caller owns closing the session.
     """
-    from repro.backend import make_backend
+    from repro.backend import session_class
     from repro.runtime.frontier import Frontier
 
     graph, partition, algorithm, state, context = _rmat16_workload(
@@ -875,9 +873,7 @@ def _backend_fixture(backend: str, workers: int = 4):
     )
     init_values = np.array(state.values)
     active = np.array(state.frontier.vertices)
-    session = make_backend(backend).open(
-        graph, partition, algorithm, state, context
-    )
+    session = session_class(backend)(graph, partition, algorithm, state)
     counter = iter(range(1, 1 << 30))
 
     def superstep():

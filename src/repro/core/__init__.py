@@ -25,7 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.core.fsteal": (
         "VertexAssignment", "build_cost_matrix", "select_vertices",
-        "plan_fsteal",
     ),
     "repro.core.reduction_tree": ("ReductionTree",),
     "repro.core.osteal": ("OStealDecision", "plan_osteal"),

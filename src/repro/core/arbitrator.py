@@ -227,9 +227,6 @@ class _PredictionMemo:
             value = self._model.edge_cost_seconds(features)
         return value
 
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
 
 @dataclass(slots=True)
 class _Decision:

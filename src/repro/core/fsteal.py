@@ -22,15 +22,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.costmodel import CostModel
-from repro.core.milp import FStealProblem, FStealSolution, FStealSolver
 from repro.errors import SolverError
 from repro.graph.csr import CSRGraph
 from repro.graph.features import FrontierFeatures
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.frontier import Frontier
 
-__all__ = ["VertexAssignment", "build_cost_matrix", "select_vertices",
-           "plan_fsteal"]
+__all__ = ["VertexAssignment", "build_cost_matrix", "select_vertices"]
 
 
 @dataclass(frozen=True)
@@ -144,33 +141,3 @@ def select_vertices(
             start = stop
     return assignments
 
-
-def plan_fsteal(
-    graph: CSRGraph,
-    fragment_frontiers: Sequence[Frontier],
-    problem: FStealProblem,
-    solver: FStealSolver,
-    tracer: Tracer = NULL_TRACER,
-) -> tuple[FStealSolution, List[VertexAssignment]]:
-    """Solve the FSteal MILP and realize it as vertex assignments."""
-    with tracer.span(
-        "fsteal.milp", track="coordinator", cat="fsteal",
-        solver=getattr(solver, "name", type(solver).__name__),
-        fragments=len(fragment_frontiers),
-    ) as span:
-        solution = solver.solve(problem)
-        span.set(objective=solution.objective)
-    assignments: List[VertexAssignment] = []
-    with tracer.span(
-        "fsteal.select_vertices", track="coordinator", cat="fsteal"
-    ) as span:
-        for fragment, frontier in enumerate(fragment_frontiers):
-            if not frontier:
-                continue
-            assignments.extend(
-                select_vertices(
-                    graph, fragment, frontier, solution.assignment[fragment]
-                )
-            )
-        span.set(assignments=len(assignments))
-    return solution, assignments

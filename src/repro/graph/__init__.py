@@ -21,8 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.graph.properties": (
         "DegreeSummary", "degree_summary", "gini_coefficient",
-        "degree_entropy", "bfs_levels", "pseudo_diameter", "is_connected",
-        "largest_component_fraction",
+        "degree_entropy", "bfs_levels", "pseudo_diameter",
     ),
     "repro.graph.datasets": ("DATASETS", "DatasetSpec", "dataset_names", "load"),
     "repro.graph.traversal": (

@@ -2,9 +2,10 @@
 
 Implements the degree-distribution statistics the paper's cost model
 consumes (Table I: average/range of in/out degree, Gini coefficient,
-degree-distribution entropy) at whole-graph granularity, plus
-connectivity and diameter estimators used by the dataset registry and
-tests. Frontier-granularity features live in :mod:`repro.core.features`.
+degree-distribution entropy) at whole-graph granularity, plus BFS
+levels and a diameter estimator used by the dataset registry and tests
+(weak components: :func:`repro.algorithms.validate.reference_wcc`).
+Frontier-granularity features live in :mod:`repro.graph.features`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "degree_summary",
     "bfs_levels",
     "pseudo_diameter",
-    "is_connected",
-    "largest_component_fraction",
 ]
 
 
@@ -168,40 +167,3 @@ def pseudo_diameter(graph: CSRGraph, seed: int = 0, sweeps: int = 4) -> int:
         current = int(np.argmax(np.where(reachable, levels, -1)))
     return best
 
-
-def _undirected_components(graph: CSRGraph) -> np.ndarray:
-    """Component labels treating all edges as undirected (union-find)."""
-    n = graph.num_vertices
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    src, dst = graph.edge_array()
-    for u, v in zip(src.tolist(), dst.tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
-
-
-def is_connected(graph: CSRGraph) -> bool:
-    """Whether the graph is (weakly) connected."""
-    if graph.num_vertices <= 1:
-        return True
-    labels = _undirected_components(graph)
-    return bool(np.all(labels == labels[0]))
-
-
-def largest_component_fraction(graph: CSRGraph) -> float:
-    """Fraction of vertices in the largest weakly-connected component."""
-    if graph.num_vertices == 0:
-        return 1.0
-    labels = _undirected_components(graph)
-    counts = np.bincount(labels, minlength=graph.num_vertices)
-    return float(counts.max() / graph.num_vertices)

@@ -93,23 +93,6 @@ class TimingModel:
         """Full matrix of :meth:`comm_seconds_per_edge`."""
         return self._comm_per_edge
 
-    def remote_edge_seconds(
-        self, owner: int, worker: int, num_edges: int,
-        features: FrontierFeatures,
-    ) -> float:
-        """Total time for ``worker`` to process edges owned by ``owner``.
-
-        Implements the paper's per-edge cost
-        ``c_ij = 1/B_ij + g(W_i)`` times the edge count, with the
-        ground-truth ``g*`` (engines charge true costs; policies may
-        have estimated them differently).
-        """
-        per_edge = (
-            self.comm_seconds_per_edge(owner, worker)
-            + self._device.true_edge_cost(features)
-        )
-        return num_edges * per_edge
-
     # ------------------------------------------------------------------
     # Synchronization & serialization (the LT ingredients)
     # ------------------------------------------------------------------

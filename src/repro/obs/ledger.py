@@ -35,9 +35,7 @@ and the running RMSRE is the arbitrator's own ``OnlineRMSRE``.
 from __future__ import annotations
 
 import math
-from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,16 +338,13 @@ class Ledger:
 
     # --- recording protocol (called by the arbitrator) -----------------
     def begin(self, iteration: int, workloads: Sequence[int],
-              fingerprint: Optional[
-                  Union[bytes, str, np.ndarray, Sequence[np.ndarray]]
-              ] = None) -> None:
+              fingerprint: Optional[Sequence[np.ndarray]] = None) -> None:
         """Open this iteration's entry (quantized inputs snapshot).
 
-        ``fingerprint`` may be the already-quantized bytes/hex, a raw
-        input vector, or a sequence of vectors to concatenate — raw
-        vectors are log-bucketed lazily (all at once, when the entries
-        materialize) so per-iteration recording does not pay for
-        quantization.
+        ``fingerprint`` is the decision's raw input vectors; they are
+        concatenated and log-bucketed lazily (all at once, when the
+        entries materialize) so per-iteration recording does not pay
+        for quantization.
         """
         if isinstance(workloads, np.ndarray):
             workloads = workloads.tolist()
@@ -579,20 +574,10 @@ class Ledger:
         }
         if inter_node_stolen:
             entry["inter_node_stolen_edges"] = int(inter_node_stolen)
-        fp = raw.fingerprint
-        if fp is not None:
-            if isinstance(fp, (bytes, bytearray)):
-                entry["fingerprint"] = fp.hex()
-            elif isinstance(fp, str):
-                entry["fingerprint"] = fp
-            elif isinstance(fp, np.ndarray):
-                deferred.append(
-                    (entry, np.asarray(fp, dtype=np.float64))
-                )
-            else:  # sequence of vectors, concatenated lazily
-                deferred.append((entry, np.concatenate(
-                    [np.asarray(p, dtype=np.float64) for p in fp]
-                )))
+        if raw.fingerprint is not None:
+            deferred.append((entry, np.concatenate(
+                [np.asarray(p, dtype=np.float64) for p in raw.fingerprint]
+            )))
         return entry
 
     def _quantize_fingerprints(

@@ -22,10 +22,12 @@ same run show identical numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.analysis import iteration_costs
+from repro.obs.export import iteration_spans
+from repro.runtime.metrics import IterationRecord, TimeBreakdown
 
 __all__ = [
     "TopModel",
@@ -250,10 +252,25 @@ def render_frame(model: TopModel, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def _span(name: str, track: str, cat: str, start: float, dur: float,
-          attrs: Dict) -> Dict:
-    return {"event": "span", "name": name, "track": track, "cat": cat,
-            "virtual_start": start, "virtual_dur": dur, "attrs": attrs}
+def _iteration_record(cost) -> IterationRecord:
+    """The engine record one archived superstep's costs came from."""
+    breakdown = TimeBreakdown(**{
+        bucket.name: float(cost.breakdown_ms.get(bucket.name, 0.0)) / 1e3
+        for bucket in fields(TimeBreakdown)
+    })
+    return IterationRecord(
+        iteration=cost.iteration,
+        frontier_size=cost.frontier_size,
+        frontier_edges=cost.frontier_edges,
+        active_workers=cost.active,
+        busy_seconds=cost.busy_ms / 1e3,
+        stall_seconds=cost.stall_ms / 1e3,
+        wall_seconds=cost.wall_ms / 1e3,
+        breakdown=breakdown,
+        fsteal_applied=cost.fsteal,
+        osteal_group_size=cost.group_size,
+        stolen_edges=cost.stolen_edges,
+    )
 
 
 def trace_record_events(header: Dict, records: List) -> List[Dict]:
@@ -262,35 +279,23 @@ def trace_record_events(header: Dict, records: List) -> List[Dict]:
     ``records`` are raw trace records or parsed ``IterationCost`` s
     (:func:`repro.obs.analysis.iteration_costs` reads them either
     way). The result is what a :class:`StreamingSink` saw live: a
-    header, then per iteration the ``busy``/``stall`` worker spans and
-    the ``superstep`` span — superstep last; ordering within a
-    superstep does not change any rendered number.
+    header, then per iteration the spans
+    :func:`~repro.obs.export.iteration_spans` emits, the
+    ``superstep`` span moved last so the frame it draws already holds
+    that iteration's ``busy``/``stall``.
     """
     header, costs = iteration_costs((header, records))
     events = [{"format": "repro-live", "version": 1, **header}]
+    engine = str(header.get("engine", ""))
     clock = 0.0
     for cost in costs:
-        for gpu in cost.active:
-            attrs = {"iteration": cost.iteration, "gpu": gpu}
-            busy = float(cost.busy_ms[gpu]) / 1e3
-            stall = float(cost.stall_ms[gpu]) / 1e3
-            if busy > 0:
-                events.append(_span("busy", f"gpu{gpu}", "worker",
-                                    clock, busy, attrs))
-            if stall > 0:
-                events.append(_span("stall", f"gpu{gpu}", "worker",
-                                    clock + busy, stall, attrs))
-        wall = cost.wall_ms / 1e3
-        events.append(_span(
-            "superstep", "coordinator", "superstep", clock, wall,
-            {"iteration": cost.iteration,
-             "frontier_size": cost.frontier_size,
-             "frontier_edges": cost.frontier_edges,
-             "fsteal": cost.fsteal,
-             "group_size": cost.group_size,
-             "stolen_edges": cost.stolen_edges},
-        ))
-        clock += wall
+        record = _iteration_record(cost)
+        superstep, *workers = iteration_spans(record, clock, engine=engine)
+        events.extend(
+            {"event": "span", **span.as_dict()}
+            for span in (*workers, superstep)
+        )
+        clock += record.wall_seconds
     events.append({"event": "end", "spans": len(events) - 1})
     return events
 

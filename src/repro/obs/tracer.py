@@ -10,7 +10,7 @@ decision-overhead story (host).
 Usage::
 
     tracer = Tracer(sinks=[InMemorySink()])
-    with tracer.span("fsteal.milp", solver="greedy") as sp:
+    with tracer.span("gum.fsteal.milp", solver="greedy") as sp:
         solution = solver.solve(problem)
         sp.set(objective=solution.objective)
     tracer.virtual_span("busy", start=t, dur=busy_j, track=f"gpu{j}")

@@ -134,25 +134,6 @@ class Partition:
         return destinations[self._owner[destinations] != fragment]
 
     # ------------------------------------------------------------------
-    def split_frontier(self, frontier: np.ndarray) -> List[np.ndarray]:
-        """Split a global frontier into per-fragment frontiers.
-
-        Returns a list of ``num_fragments`` sorted vertex arrays whose
-        disjoint union is ``frontier`` — the distributed frontier
-        ``f_i^k`` of the paper.
-        """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        owners = self._owner[frontier]
-        order = np.argsort(owners, kind="stable")
-        sorted_frontier = frontier[order]
-        boundaries = np.searchsorted(
-            owners[order], np.arange(self._k + 1)
-        )
-        return [
-            np.sort(sorted_frontier[boundaries[i]: boundaries[i + 1]])
-            for i in range(self._k)
-        ]
-
     def validate(self) -> None:
         """Check the cover/disjoint invariants; raise on violation.
 

@@ -142,9 +142,9 @@ class BSPEngine:
         self._machine = machine
         self._timing = TimingModel(topology, machine=machine)
         self._options = options or EngineOptions()
-        from repro.backend import make_backend  # lazy: avoids import cycle
+        from repro.backend import session_class  # lazy: avoids import cycle
 
-        self._backend = make_backend(self._options.backend)
+        self._session_class = session_class(self._options.backend)
         self._name = name
         self._tracer = tracer or NULL_TRACER
         self._metrics = metrics or NULL_METRICS
@@ -214,9 +214,7 @@ class BSPEngine:
         result = envelope.result
         # the session owns the run's execution threads; the finally
         # guarantees they stop even when an iteration raises mid-run
-        session = self._backend.open(
-            graph, partition, algorithm, state, context
-        )
+        session = self._session_class(graph, partition, algorithm, state)
         try:
             with envelope.span():
                 self._scheduler.begin_run(context)

@@ -222,3 +222,12 @@ def test_serial_message_count_equals_the_plain_count():
         )
         assert after < before
         context.fragment_worker[:] = np.arange(4)
+
+
+def test_engine_rejects_unknown_backend_at_construction():
+    """The name is resolved when the engine is built, before any run."""
+    from repro.hardware import dgx1
+    from repro.runtime import BSPEngine, EngineOptions
+
+    with pytest.raises(EngineError, match="unknown execution backend"):
+        BSPEngine(dgx1(2), options=EngineOptions(backend="cuda"))

@@ -96,21 +96,11 @@ def test_serial_backend_never_creates_blocks(workload):
 def test_session_close_is_idempotent(workload):
     graph, partition = workload
     from repro.algorithms import make_algorithm
-    from repro.backend import make_backend
-    from repro.runtime.scheduler import RunContext
-    import numpy as np
+    from repro.backend.shmem import SharedMemorySession
 
     algorithm = make_algorithm("bfs")
     state = algorithm.init(graph, source=0)
-    context = RunContext(
-        graph=graph, partition=partition, timing=None,
-        fragment_home=np.arange(2, dtype=np.int64),
-        fragment_worker=np.arange(2, dtype=np.int64),
-        algorithm_name="bfs",
-    )
-    session = make_backend("shmem").open(
-        graph, partition, algorithm, state, context
-    )
+    session = SharedMemorySession(graph, partition, algorithm, state)
     fragments = state.frontier.split_by_owner(partition.owner, 2, graph)
     session.begin_iteration(0, fragments, True)
     session.step(0, algorithm, graph, state)

@@ -106,10 +106,7 @@ def test_blind_to_topology(skewed_weighted, source):
 
     partition = random_partition(skewed_weighted, 8, seed=0)
     frontier = Frontier(np.arange(0, 600, 2))
-    fragments = [
-        Frontier.from_sorted(part)
-        for part in partition.split_frontier(frontier.vertices)
-    ]
+    fragments = frontier.split_by_owner(partition.owner, 8)
     workloads = np.array(
         [f.work(skewed_weighted) for f in fragments]
     )

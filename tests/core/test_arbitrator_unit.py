@@ -159,10 +159,9 @@ def test_realize_whole_fragment_solution_equals_no_solution(
         GumConfig(cost_model="oracle", t4_hub_in_degree=8)
     )
     scheduler.begin_run(context)
-    frontiers = [
-        Frontier.from_sorted(part)
-        for part in partition.split_frontier(np.arange(0, 900, 3))
-    ]
+    frontiers = Frontier(np.arange(0, 900, 3)).split_by_owner(
+        partition.owner, 4
+    )
     workloads = np.array([f.work(skewed_graph) for f in frontiers])
     whole = np.zeros((4, 4), dtype=np.int64)
     whole[np.arange(4), context.fragment_worker] = workloads

@@ -9,7 +9,6 @@ from repro.core import (
     OracleCostModel,
     build_cost_matrix,
     make_solver,
-    plan_fsteal,
     select_vertices,
 )
 from repro.errors import SolverError
@@ -124,12 +123,13 @@ def test_select_vertices_validation(skewed_graph):
                            np.array([0, 0])) == []
 
 
-def test_plan_fsteal_end_to_end(skewed_graph, skewed_partition, comm_cost):
+def test_select_vertices_realizes_a_solver_assignment(
+    skewed_graph, skewed_partition, comm_cost
+):
     frontier = Frontier(np.arange(0, skewed_graph.num_vertices, 3))
-    fragments = [
-        Frontier.from_sorted(part)
-        for part in skewed_partition.split_frontier(frontier.vertices)
-    ]
+    fragments = frontier.split_by_owner(
+        skewed_partition.owner, 8, skewed_graph
+    )
     workloads = np.array([f.work(skewed_graph) for f in fragments])
     features = [
         frontier_features(skewed_graph, f.vertices) for f in fragments
@@ -138,10 +138,14 @@ def test_plan_fsteal_end_to_end(skewed_graph, skewed_partition, comm_cost):
         comm_cost, features, OracleCostModel(),
         np.arange(8, dtype=np.int64),
     )
-    solution, assignments = plan_fsteal(
-        skewed_graph, fragments,
-        FStealProblem(costs, workloads), make_solver("greedy"),
-    )
+    solution = make_solver("greedy").solve(FStealProblem(costs, workloads))
+    assignments = [
+        a
+        for fragment, part in enumerate(fragments) if part
+        for a in select_vertices(
+            skewed_graph, fragment, part, solution.assignment[fragment]
+        )
+    ]
     assert sum(a.edges for a in assignments) == int(workloads.sum())
     # the realized plan respects the solver's per-fragment totals
     for fragment in range(8):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.validate import reference_wcc
 from repro.errors import GraphError
 from repro.graph import (
     complete_graph,
     erdos_renyi,
     grid_2d,
-    is_connected,
     path_graph,
     rmat,
     road_network,
@@ -17,11 +17,7 @@ from repro.graph import (
     web_graph,
     with_random_weights,
 )
-from repro.graph.properties import (
-    degree_summary,
-    largest_component_fraction,
-    pseudo_diameter,
-)
+from repro.graph.properties import degree_summary, pseudo_diameter
 
 
 def test_rmat_shape_and_determinism():
@@ -100,7 +96,7 @@ def test_grid_2d():
     assert graph.num_vertices == 20
     # 2 * (horizontal + vertical) lattice edges
     assert graph.num_edges == 2 * (4 * 4 + 3 * 5)
-    assert is_connected(graph)
+    assert np.unique(reference_wcc(graph)).size == 1
 
 
 def test_road_network_regime():
@@ -108,7 +104,8 @@ def test_road_network_regime():
     summary = degree_summary(graph)
     assert summary.avg_out_degree < 4.5
     assert pseudo_diameter(graph) > 60
-    assert largest_component_fraction(graph) > 0.95
+    __, sizes = np.unique(reference_wcc(graph), return_counts=True)
+    assert sizes.max() / graph.num_vertices > 0.95
 
 
 def test_road_network_permutation_optional():

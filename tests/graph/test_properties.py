@@ -9,13 +9,11 @@ from repro.graph import (
     degree_summary,
     from_edges,
     gini_coefficient,
-    is_connected,
-    largest_component_fraction,
     path_graph,
     pseudo_diameter,
     star,
 )
-from repro.algorithms.validate import reference_bfs
+from repro.algorithms.validate import reference_bfs, reference_wcc
 
 
 def test_gini_uniform_is_zero():
@@ -100,12 +98,11 @@ def test_pseudo_diameter_star():
 
 
 def test_connectivity():
-    assert is_connected(path_graph(10))
+    assert np.unique(reference_wcc(path_graph(10))).size == 1
     split = from_edges([(0, 1), (2, 3)], num_vertices=4)
-    assert not is_connected(split)
-    assert largest_component_fraction(split) == pytest.approx(0.5)
+    assert reference_wcc(split).tolist() == [0, 0, 2, 2]
 
 
 def test_largest_component_with_isolated():
     graph = from_edges([(0, 1)], num_vertices=4)
-    assert largest_component_fraction(graph) == pytest.approx(0.5)
+    assert reference_wcc(graph).tolist() == [0, 0, 2, 3]

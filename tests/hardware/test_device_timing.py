@@ -183,14 +183,6 @@ def test_compute_seconds_linear_in_edges(topology8):
     )
 
 
-def test_remote_edge_seconds_combines_terms(topology8):
-    timing = TimingModel(topology8)
-    f = feats()
-    remote = timing.remote_edge_seconds(0, 7, 100, f)
-    local = timing.remote_edge_seconds(0, 0, 100, f)
-    assert remote > local
-
-
 def test_serialization_and_transfer(topology8):
     timing = TimingModel(topology8)
     assert timing.serialization_seconds(0) == 0.0

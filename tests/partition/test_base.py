@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.partition import Partition
+from repro.runtime import Frontier
 
 
 def make_partition(graph, owners):
@@ -36,17 +37,17 @@ def test_outer_vertices(tiny_graph):
     assert partition.outer_vertices_of(1).tolist() == [0, 4]
 
 
-def test_split_frontier(tiny_graph):
+def test_frontier_splits_by_owner(tiny_graph):
     partition = make_partition(tiny_graph, [0, 0, 1, 1, 0, 1])
-    parts = partition.split_frontier(np.array([0, 2, 3, 4]))
-    assert parts[0].tolist() == [0, 4]
-    assert parts[1].tolist() == [2, 3]
+    parts = Frontier([0, 2, 3, 4]).split_by_owner(partition.owner, 2)
+    assert parts[0].vertices.tolist() == [0, 4]
+    assert parts[1].vertices.tolist() == [2, 3]
 
 
-def test_split_frontier_empty(tiny_graph):
+def test_empty_frontier_splits_into_empty_parts(tiny_graph):
     partition = make_partition(tiny_graph, [0, 0, 1, 1, 0, 1])
-    parts = partition.split_frontier(np.array([], dtype=np.int64))
-    assert all(p.size == 0 for p in parts)
+    parts = Frontier.empty().split_by_owner(partition.owner, 2)
+    assert len(parts) == 2 and all(p.size == 0 for p in parts)
 
 
 def test_empty_fragment_allowed(tiny_graph):

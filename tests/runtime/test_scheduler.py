@@ -22,10 +22,9 @@ def context(skewed_graph, skewed_partition, topology8):
 
 
 def make_frontiers(skewed_graph, skewed_partition, frontier):
-    return [
-        Frontier.from_sorted(part)
-        for part in skewed_partition.split_frontier(frontier.vertices)
-    ]
+    return frontier.split_by_owner(
+        skewed_partition.owner, skewed_partition.num_fragments
+    )
 
 
 def test_static_plan_identity(skewed_graph, skewed_partition, context):

@@ -123,10 +123,12 @@ def test_partition_invariants(data, k, seed):
     # edges are conserved
     assert int(partition.fragment_edges().sum()) == graph.num_edges
     # frontier split is a disjoint cover of the frontier
-    frontier = np.unique(rng.integers(0, n, size=min(n, 12)))
-    parts = partition.split_frontier(frontier)
-    merged = np.sort(np.concatenate(parts))
-    assert np.array_equal(merged, frontier)
+    frontier = Frontier(rng.integers(0, n, size=min(n, 12)))
+    parts = frontier.split_by_owner(partition.owner, k, graph)
+    merged = np.sort(np.concatenate([p.vertices for p in parts]))
+    assert np.array_equal(merged, frontier.vertices)
+    for fragment, part in enumerate(parts):
+        assert np.all(owner[part.vertices] == fragment)
 
 
 # ----------------------------------------------------------------------

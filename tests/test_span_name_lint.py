@@ -3,8 +3,9 @@
 Span and metric names are a public contract — `repro top`, SLO rule
 files, and Prometheus scrapes all key off them. The checker forces
 every literal name emitted by the library to appear backticked in
-docs/observability.md's name tables; these tests prove it detects the
-failure modes it guards against and that the tree is currently clean.
+docs/observability.md's name tables, and every span-table row to be
+emitted by some span call; these tests prove it detects the failure
+modes it guards against and that the tree is currently clean.
 """
 
 import pathlib
@@ -107,3 +108,59 @@ def test_cli_exit_codes(tmp_path):
     )
     assert bad.returncode == 1
     assert "zz.unheard.of" in bad.stdout
+
+
+def test_span_record_names_are_collected(tmp_path):
+    names = _names_for(
+        """
+        def go(worker):
+            return SpanRecord(name="busy", track=f"gpu{worker}")
+        """,
+        tmp_path,
+    )
+    assert [n for _, _, n, _ in names] == ["busy"]
+
+
+def test_stale_row_matching():
+    rows = [("superstep", False), ("chaos.", True), ("zz.gone", False),
+            ("chaos.kill_worker", False)]
+    findings = [
+        (pathlib.Path("x.py"), 1, "superstep", False),
+        (pathlib.Path("x.py"), 2, "chaos.", True),
+    ]
+    assert check_span_names.stale_rows(rows, findings) == [
+        ("zz.gone", False)
+    ]
+
+
+def test_repo_span_table_is_emitted(monkeypatch):
+    monkeypatch.chdir(REPO)
+    stale = check_span_names.stale_rows(
+        check_span_names.span_vocabulary(),
+        check_span_names.collect_names(
+            [REPO / "src" / "repro"], check_span_names.SPAN_METHODS
+        ),
+    )
+    assert not stale, stale
+
+
+def test_cli_fails_on_a_stale_span_row(tmp_path):
+    """A span-table row that no span call emits fails the default run."""
+    docs = (REPO / "docs" / "observability.md").read_text()
+    row = "| `superstep` | coordinator |"
+    assert row in docs
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "observability.md").write_text(docs.replace(
+        row, "| `zz.never.emitted` | coordinator | host | stale |\n" + row
+    ))
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "repro").symlink_to(REPO / "src" / "repro")
+    bad = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "check_span_names.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert bad.returncode == 1
+    assert bad.stdout.splitlines() == [
+        "docs/observability.md: span 'zz.never.emitted' is emitted by no "
+        "span call under src/repro"
+    ]
