@@ -753,66 +753,85 @@ def _obs_slo_check():
     return lambda: evaluate(policy, summary, series)
 
 
-def _obs_ledger_features():
+def _obs_ledger_features(truth_offset: int = 0):
     from repro.graph.features import FrontierFeatures
 
     return [
         FrontierFeatures(
             avg_in_degree=4.0 + f, avg_out_degree=5.0 + f,
             in_degree_range=32.0, out_degree_range=48.0,
-            gini=0.42, entropy=0.91, size=1024,
+            gini=0.42, entropy=0.91, size=1024 + truth_offset,
             total_edges=4096 + 64 * f,
         )
         for f in range(4)
     ]
 
 
-def _obs_populated_ledger(decisions: int = 200):
-    from repro.obs.ledger import Ledger
+class _ObsLedgerTruth:
+    """Cost model and device of the ledger cases, both at table-lookup
+    cost so a case times the ledger and its audit fold, not a model:
+    ``g`` grows 1 % per fragment (``avg_in_degree - 4``), and the truth
+    sits ``size - 1024`` per mille above the prediction."""
 
-    features = _obs_ledger_features()
-    ledger = Ledger()
-    for i in range(decisions):
-        ledger.begin(i, [4096 + 64 * f for f in range(4)])
-        for fragment, feats in enumerate(features):
-            predicted = 1.0e-6 * (1.0 + 0.01 * fragment)
-            ledger.record_sample(fragment, fragment, feats, predicted,
-                                 predicted * (1.0 + 0.001 * (i % 9)))
+    @staticmethod
+    def edge_costs_seconds(frontiers):
+        return [1.0e-6 * (1.0 + 0.01 * (f.avg_in_degree - 4.0))
+                for f in frontiers]
+
+    def true_edge_cost(self, features):
+        return self.edge_costs_seconds([features])[0] * (
+            1.0 + 0.001 * (features.size - 1024)
+        )
+
+
+def _obs_ledger_recorder():
+    """``(ledger, record)``: ``record(i, features)`` appends decision
+    ``i`` the way the arbitrator does — audit references, then
+    ``begin`` / ``commit`` / ``backfill`` — and scores nothing."""
+    from repro.obs.ledger import Ledger, PredictionAudit
+
+    truth = _ObsLedgerTruth()
+    audit = PredictionAudit(truth, truth)
+    ledger = Ledger(audit=audit)
+
+    def record(i, features):
+        refs = audit.add([(f, f, feats) for f, feats in enumerate(features)])
+        ledger.begin(i, [4096 + 64 * f for f in range(4)], refs)
         ledger.commit(group_size=4, active_workers=[0, 1, 2, 3],
                       fsteal_applied=False, stolen_edges=0,
                       migrated_vertices=0)
         ledger.backfill(i, wall_seconds=1.3e-4,
                         critical_busy_seconds=1.2e-4,
                         compute_seconds=1.0e-4, num_active=4)
+
+    return ledger, record
+
+
+def _obs_populated_ledger(decisions: int = 200):
+    ledger, record = _obs_ledger_recorder()
+    # nine truths cycling against one prediction: the drift EWMA moves
+    cycle = [_obs_ledger_features(i) for i in range(9)]
+    for i in range(decisions):
+        record(i, cycle[i % 9])
     return ledger
 
 
 @bench_case("obs.ledger_overhead.record",
             unit="seconds per recorded decision",
-            note="begin + 4 audit samples + commit + backfill")
+            note="begin + 4 audit references + commit + backfill, "
+                 "then the read that scores them")
 def _obs_ledger_record():
-    from repro.obs.ledger import Ledger
-
-    features = _obs_ledger_features()
-    ledger = Ledger()
+    features = _obs_ledger_features(50)
+    ledger, record = _obs_ledger_recorder()
     state = {"i": 0}
 
-    def record():
+    def record_one():
         i = state["i"]
         state["i"] = i + 1
-        ledger.begin(i, [4096, 4160, 4224, 4288])
-        for fragment, feats in enumerate(features):
-            ledger.record_sample(fragment, fragment, feats, 1.0e-6,
-                                 1.05e-6)
-        ledger.commit(group_size=4, active_workers=[0, 1, 2, 3],
-                      fsteal_applied=False, stolen_edges=0,
-                      migrated_vertices=0)
-        ledger.backfill(i, wall_seconds=1.3e-4,
-                        critical_busy_seconds=1.2e-4,
-                        compute_seconds=1.0e-4, num_active=4)
+        record(i, features)
         return ledger.entries[-1]
 
-    return record
+    return record_one
 
 
 @bench_case("obs.ledger_overhead.analytics",

@@ -28,12 +28,7 @@ import numpy as np
 
 from repro import config as repro_config
 from repro.chaos.controller import SOLVER_TIMEOUT_SECONDS, FaultEvent
-from repro.core.costmodel import (
-    CostModel,
-    OnlineRMSRE,
-    model_label,
-    resolve_cost_model,
-)
+from repro.core.costmodel import CostModel, model_label, resolve_cost_model
 from repro.core.fsteal import (
     VertexAssignment,
     build_cost_matrix,
@@ -51,7 +46,7 @@ from repro.core.osteal import OStealDecision, plan_osteal
 from repro.core.reduction_tree import ReductionTree
 from repro.errors import EngineError
 from repro.hardware.microbench import measure_comm_cost_matrix
-from repro.obs.ledger import Ledger
+from repro.obs.ledger import AuditRecord, Ledger, PredictionAudit
 from repro.runtime.frontier import Frontier
 from repro.runtime.metrics import IterationRecord
 from repro.runtime.scheduler import (
@@ -120,9 +115,11 @@ class GumConfig:
         Record the per-decision explainability ledger (default on):
         one ``repro-ledger/1`` entry per arbitrator decision with the
         quantized inputs, the chosen plan, cache status, and the
-        predicted-vs-measured cost audit. Entries hold virtual-clock
-        and model quantities only, so recording never perturbs
-        simulated time; ``repro explain`` renders the result.
+        predicted-vs-measured cost audit. A decision stores references
+        only; the audit is scored when read (every decision under a
+        metrics registry, else once at ``finish_run``). Entries hold
+        virtual-clock and model quantities only, so recording never
+        perturbs simulated time; ``repro explain`` renders the result.
     """
 
     fsteal: bool = True
@@ -172,7 +169,6 @@ class _RunState:
     last_osteal_iteration: int = -(10**9)
     workload_at_decision: int = 0
     osteal_backoff: int = 0
-    online_rmsre: OnlineRMSRE = field(default_factory=OnlineRMSRE)
     # --- decision amortization ---------------------------------------
     plan_cache: Optional[PlanCache] = None
     warm_assignment: Optional[np.ndarray] = None
@@ -187,22 +183,23 @@ class _RunState:
     # --- decision ledger ----------------------------------------------
     ledger: Optional[Ledger] = None
     ledger_instruments: Optional[tuple] = None
-    # whether anything reads the prediction audit (ledger or metrics)
-    audit: bool = False
+    # the prediction audit, when anything reads it (ledger or metrics)
+    audit: Optional[PredictionAudit] = None
 
 
 class _PredictionMemo:
     """One decision's view of the cost model, predictions shared.
 
-    The prediction audit, OSteal's fingerprint coefficients, and the
-    FSteal cost matrix all ask for ``g`` of the *same* per-fragment
-    feature objects within a single ``plan`` call. The first of them
-    to ask primes the memo: one batched
+    OSteal's fingerprint coefficients, the FSteal cost matrix, and
+    (under a metrics registry) the prediction audit's per-decision
+    scoring all ask for ``g`` of the *same* per-fragment feature
+    objects within a single ``plan`` call. The first of them to ask
+    primes the memo: one batched
     :meth:`~repro.core.costmodel.CostModel.edge_costs_seconds` over
     every fragment of the decision with active edges (bit-identical to
     single-frontier predictions by that method's contract), so the
-    others hit it whether or not the audit ran. Scoped to one decision,
-    so a refit model can never serve stale values.
+    others hit it. Scoped to one decision, so a refit model can never
+    serve stale values.
     """
 
     def __init__(self, model: CostModel, features: Sequence) -> None:
@@ -227,6 +224,9 @@ class _PredictionMemo:
             value = self._model.edge_cost_seconds(features)
         return value
 
+    def edge_costs_seconds(self, features: Sequence) -> List[float]:
+        return [self.edge_cost_seconds(f) for f in features]
+
 
 @dataclass(slots=True)
 class _Decision:
@@ -235,7 +235,7 @@ class _Decision:
     ``solution`` is the ``X`` that gets realized (``None`` means
     owner-local processing); ``solved`` is what FSteal priced before
     the gate, kept so the ledger can show a rejected plan.
-    ``samples`` and the host-clock ``*_host_seconds`` fields exist for
+    ``audit`` and the host-clock ``*_host_seconds`` fields exist for
     :meth:`GumScheduler._record` alone.
     """
 
@@ -244,7 +244,7 @@ class _Decision:
     features: list
     cost_model: _PredictionMemo
     overhead: float  # modeled decision seconds charged so far
-    samples: List[tuple] = field(default_factory=list)
+    audit: Optional[AuditRecord] = None
     osteal: Optional[OStealDecision] = None
     prev_group_size: int = 0
     osteal_host_seconds: float = 0.0
@@ -327,6 +327,12 @@ class GumScheduler(Scheduler):
             from repro.chaos.fallback import FallbackSolver
 
             solver = FallbackSolver(self._solver, context.chaos)
+        # one audit per run, shared by the ledger and the gauges; the
+        # device model outlives timing swaps, so it is read once
+        audit = (
+            PredictionAudit(self._cost_model, context.timing.device_model)
+            if self._config.ledger or context.metrics.enabled else None
+        )
         self._state = _RunState(
             comm_cost=comm_cost,
             tree=ReductionTree(topology),
@@ -347,11 +353,12 @@ class GumScheduler(Scheduler):
                     model=model_label(self._cost_model),
                     amortize=self._config.amortize,
                     fingerprint_tolerance=AMORTIZE_TOLERANCE,
+                    audit=audit,
                 )
                 if self._config.ledger
                 else None
             ),
-            audit=self._config.ledger or context.metrics.enabled,
+            audit=audit,
         )
         # initial p guess: one sync with everyone, spread per worker
         self._state.p_estimate = context.timing.sync_seconds(
@@ -413,13 +420,11 @@ class GumScheduler(Scheduler):
     ) -> _Decision:
         """Open the decision: frontier features and the model audit.
 
-        The audit scores the learned ``g`` against ground truth, one
-        sample per fragment with active edges — exactly the granularity
-        the FSteal coefficients use, so the running RMSRE is the
-        deployment-time counterpart of Table V's training loss. It
-        runs only when something will read it (``state.audit``); the
-        samples are kept in feed order so the ledger's final RMSRE
-        reconstructs bit-identically from its entries.
+        The audit holds one sample per fragment with active edges —
+        exactly the granularity the FSteal coefficients use, so its
+        running RMSRE is the deployment-time counterpart of Table V's
+        training loss. Only references are appended, and only when
+        something reads them (``state.audit``, which scores on read).
         """
         state = self._state
         # memoized on the frontier objects: the engine prices the plan
@@ -436,20 +441,16 @@ class GumScheduler(Scheduler):
             # feature extraction is a scan over active vertices (Exp-3)
             overhead=2.5e-8 * int(sum(f.size for f in features)),
         )
-        if not state.audit:
-            return d
-        device = context.timing.device_model
-        for fragment, feats in enumerate(features):
-            if workloads[fragment] == 0 or feats.total_edges == 0:
-                continue
-            predicted = d.cost_model.edge_cost_seconds(feats)
-            actual = device.true_edge_cost(feats)
-            state.online_rmsre.update(predicted, actual)
+        if state.audit is not None:
             # the worker is read now: OSteal may re-own the fragment
-            d.samples.append((
-                fragment, int(context.fragment_worker[fragment]),
-                feats, predicted, actual,
-            ))
+            d.audit = state.audit.add([
+                (fragment, worker, feats)
+                for fragment, (feats, load, worker) in enumerate(zip(
+                    features, workloads.tolist(),
+                    context.fragment_worker.tolist(),
+                ))
+                if load and feats.total_edges
+            ])
         return d
 
     # --- stage 2: ownership stealing ----------------------------------
@@ -599,9 +600,9 @@ class GumScheduler(Scheduler):
         """Feed the finished decision to the metrics and the ledger.
 
         The only stage that touches ``context.metrics`` or the ledger's
-        recording protocol (``begin`` → samples → ``record_osteal`` →
-        ``record_fsteal`` → ``commit``, the order ``reconstruct_rmsre``
-        relies on). Steal totals are derived from the realized chunks.
+        recording protocol (``begin`` with the decision's audit record →
+        ``record_osteal`` → ``record_fsteal`` → ``commit``). Steal
+        totals are derived from the realized chunks.
         """
         state = self._state
         ledger = state.ledger
@@ -611,12 +612,11 @@ class GumScheduler(Scheduler):
             ledger.begin(
                 d.iteration,
                 d.workloads,
+                d.audit,
                 fingerprint=self._ledger_fingerprint(
                     d.features, d.workloads
                 ),
             )
-            for sample in d.samples:
-                ledger.record_sample(*sample)
             if d.osteal is not None:
                 ledger.record_osteal(
                     group_size=d.osteal.group_size,
@@ -692,16 +692,20 @@ class GumScheduler(Scheduler):
     def _publish_metrics(self, metrics, d: _Decision) -> None:
         """Mirror one recorded decision into the live registry."""
         state = self._state
-        if state.online_rmsre.count:
+        # scored through the decision's memo: the predictions OSteal
+        # and FSteal already paid for are not batched a second time
+        audit = state.audit.score(d.cost_model)
+        online = audit.online
+        if online.count:
             metrics.gauge(
                 "costmodel.rmsre_online",
                 "running RMSRE of the learned g vs ground truth",
-            ).set(state.online_rmsre.value)
-            metrics.gauge("costmodel.samples").set(state.online_rmsre.count)
+            ).set(online.value)
+            metrics.gauge("costmodel.samples").set(online.count)
             metrics.gauge(
                 "costmodel.samples_skipped",
                 "RMSRE updates dropped for non-positive actual cost",
-            ).set(state.online_rmsre.skipped)
+            ).set(online.skipped)
         if d.osteal is not None:
             metrics.counter("osteal.evaluations").inc()
             metrics.histogram(
@@ -727,7 +731,7 @@ class GumScheduler(Scheduler):
             for key, name in _DECISION_COUNTERS.items():
                 _raise_counter(metrics.counter(name), counters[key])
         if state.ledger is not None:
-            self._publish_ledger_metrics(metrics, state.ledger)
+            self._publish_ledger_metrics(metrics, state.ledger, audit)
 
     # --- decision amortization ----------------------------------------
     def _solve(self, problem: FStealProblem) -> FStealSolution:
@@ -865,7 +869,8 @@ class GumScheduler(Scheduler):
             return "warm"
         return "live"
 
-    def _publish_ledger_metrics(self, metrics, ledger: Ledger) -> None:
+    def _publish_ledger_metrics(self, metrics, ledger: Ledger,
+                                audit: PredictionAudit) -> None:
         """Mirror ledger accuracy state into the live registry."""
         state = self._state
         instruments = state.ledger_instruments
@@ -894,10 +899,10 @@ class GumScheduler(Scheduler):
                 ),
             )
         samples, skipped, entries, drift = instruments
-        _raise_counter(samples, ledger.samples)
-        _raise_counter(skipped, ledger.skipped_samples)
+        _raise_counter(samples, audit.online.count)
+        _raise_counter(skipped, audit.online.skipped)
         entries.set(ledger.num_entries)
-        drift.set(ledger.last_drift_z())
+        drift.set(audit.last_z)
 
     def finish_run(self, context: RunContext) -> Optional[Dict[str, float]]:
         """Decision-amortization summary, surfaced on the run result."""
@@ -910,13 +915,7 @@ class GumScheduler(Scheduler):
             **self._counters(),
         }
         if state.ledger is not None:
-            state.ledger.seal(
-                (
-                    state.online_rmsre.value
-                    if state.online_rmsre.count else None
-                ),
-                skipped=state.online_rmsre.skipped,
-            )
+            state.ledger.seal()
         return stats
 
     # ------------------------------------------------------------------

@@ -19,9 +19,16 @@ ledger observes the physics, it does not perturb them.
 The stored schema is versioned (``repro-ledger/1``) and JSON-stable.
 :meth:`Ledger.export_samples` emits the ``(features -> measured cost)``
 training pairs a ``costmodel fit --from-runs`` harvester needs, and
-:func:`reconstruct_rmsre` replays the arbitrator's online RMSRE
+:func:`reconstruct_rmsre` replays the audit's online RMSRE
 bit-identically from the entries alone — ``repro explain`` checks that
 equality on every render.
+
+The prediction audit of a run is one :class:`PredictionAudit` the
+arbitrator's run state owns and the ledger and the ``costmodel.*`` /
+``ledger.*`` gauges share: a decision appends references only, and
+the first read after it (the gauges when a registry is attached,
+``finish_run``, :attr:`Ledger.entries` / :attr:`Ledger.samples` /
+:meth:`Ledger.as_dict`) scores everything pending in one batch.
 
 The fold over audit samples lives here once, for every reader of a
 recorded run (analytics, ``from_dict``, ``repro explain``,
@@ -29,12 +36,13 @@ recorded run (analytics, ``from_dict``, ``repro explain``,
 :func:`counted_errors` walks a sample list with it,
 :func:`predicted_critical_seconds` is the fold behind an entry's
 ``predicted_seconds``, :func:`error_attribution` the per-key roll-up,
-and the running RMSRE is the arbitrator's own ``OnlineRMSRE``.
+and the running RMSRE is the audit's ``OnlineRMSRE``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,9 +56,11 @@ __all__ = [
     "LEDGER_SCHEMA",
     "DRIFT_ALPHA",
     "DRIFT_WARMUP",
+    "AuditRecord",
     "Ledger",
     "LedgerError",
     "LedgerSamples",
+    "PredictionAudit",
     "counted_errors",
     "error_attribution",
     "explain_lines",
@@ -84,7 +94,7 @@ class LedgerSamples(NamedTuple):
     ``features`` (N, 6) and ``costs`` (N,) are the training pairs;
     ``iterations`` and ``gpus`` carry each sample's provenance — the
     superstep it was recorded in and the worker that owned the
-    fragment — in the exact order the arbitrator fed its online RMSRE.
+    fragment — in the exact order the audit folded its online RMSRE.
     """
 
     features: np.ndarray
@@ -159,7 +169,7 @@ def error_attribution(groups: Dict[int, List[float]]) -> Dict[str, dict]:
 
 
 def _replay_online(entries: Sequence[dict]) -> OnlineRMSRE:
-    """The arbitrator's accuracy tracker, re-fed from ledger entries."""
+    """The audit's accuracy tracker, re-fed from ledger entries."""
     online = OnlineRMSRE()
     for entry in entries:
         for sample in entry["samples"]:
@@ -168,15 +178,107 @@ def _replay_online(entries: Sequence[dict]) -> OnlineRMSRE:
 
 
 def reconstruct_rmsre(entries: Sequence[dict]) -> Optional[float]:
-    """Replay the arbitrator's online RMSRE from ledger entries alone.
+    """Replay the audit's online RMSRE from ledger entries alone.
 
     Feeds every sample, in recorded order, to the same
-    :class:`repro.core.costmodel.OnlineRMSRE` the arbitrator runs, so
+    :class:`repro.core.costmodel.OnlineRMSRE` the audit folds, so
     the result is bit-identical to its final value. ``None`` when no
     sample was counted.
     """
     online = _replay_online(entries)
     return online.value if online.count else None
+
+
+@dataclass(slots=True)
+class AuditRecord:
+    """One decision's share of the audit: ``(fragment, worker,
+    features)`` references until scored, then ``(..., predicted,
+    actual)`` samples and the fold's state right after them."""
+
+    samples: List[tuple]
+    rmsre_online: Optional[float] = None
+    drift_z: Optional[float] = None
+
+
+class PredictionAudit:
+    """The run's prediction audit: references now, scored when read.
+
+    :meth:`score`, which every reader calls first, predicts everything
+    pending with one ``model.edge_costs_seconds`` (bit-identical to
+    single predictions by that method's contract), takes
+    ``device.true_edge_cost`` of each, and folds the running
+    :class:`OnlineRMSRE` and the EWMA drift z in decision order, so a
+    batch one decision wide and one batch per run agree bit for bit.
+    """
+
+    def __init__(self, model=None, device=None) -> None:
+        self.model = model
+        self.device = device
+        self.online = OnlineRMSRE()
+        self.last_z = 0.0
+        self._pending: List[AuditRecord] = []
+        # past-only EWMA drift state over per-decision mean rel. error
+        self._drift_mean = 0.0
+        self._drift_var = 0.0
+        self._drift_n = 0
+
+    def add(self, refs: List[tuple]) -> AuditRecord:
+        """Append one decision's ``(fragment, worker, features)``."""
+        self._pending.append(AuditRecord(refs))
+        return self._pending[-1]
+
+    def score(self, model=None) -> "PredictionAudit":
+        """Score and fold every pending record, in the order added.
+
+        ``model`` stands in for the audit's own model when the caller
+        holds the same predictions already (the arbitrator passes the
+        decision's prediction memo); it must agree with it bit for bit.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return self
+        model = self.model if model is None else model
+        predicted = iter(model.edge_costs_seconds([
+            ref[2] for record in pending for ref in record.samples
+        ]))
+        truth = self.device.true_edge_cost
+        online = self.online
+        for record in pending:
+            record.samples = [
+                (fragment, worker, features, next(predicted), truth(features))
+                for fragment, worker, features in record.samples
+            ]
+            signed, counted = 0.0, 0
+            for sample in record.samples:
+                online.update(sample[3], sample[4])
+                rel = relative_error(sample[3], sample[4])
+                if rel is not None:
+                    signed += rel
+                    counted += 1
+            if online.count:
+                record.rmsre_online = online.value
+            if counted:
+                record.drift_z = self._drift_update(signed / counted)
+        return self
+
+    def _drift_update(self, x: float) -> float:
+        """Past-only EWMA z-score of the mean signed relative error."""
+        if self._drift_n < DRIFT_WARMUP:
+            z = 0.0
+        elif self._drift_var <= 0.0:
+            z = 0.0 if x == self._drift_mean else math.copysign(
+                _DRIFT_CLAMP, x - self._drift_mean
+            )
+        else:
+            z = (x - self._drift_mean) / math.sqrt(self._drift_var)
+        delta = x - self._drift_mean
+        self._drift_mean += DRIFT_ALPHA * delta
+        self._drift_var = (1.0 - DRIFT_ALPHA) * (
+            self._drift_var + DRIFT_ALPHA * delta * delta
+        )
+        self._drift_n += 1
+        self.last_z = float(z)
+        return self.last_z
 
 
 def _opt_float(value) -> Optional[float]:
@@ -271,28 +373,23 @@ class _RawEntry:
     Recording runs inside the engine's measured wall time, so the hot
     path stores references and tuples only; :meth:`Ledger._materialize`
     turns a raw entry into the JSON-stable schema dict the first time
-    anything reads :attr:`Ledger.entries` — after the run, off the
-    clock. Derived *sequential* state (the online RMSRE and the EWMA
-    drift z-score) is still computed at :meth:`Ledger.commit` time
-    because the live ``ledger.*`` metrics publish it every iteration.
+    anything reads :attr:`Ledger.entries`, which also scores the
+    entry's :class:`AuditRecord`.
     """
 
     __slots__ = (
-        "iteration", "workloads", "fingerprint", "osteal", "fsteal",
-        "samples", "skipped", "rmsre_online", "drift_z", "commit_args",
-        "measured",
+        "iteration", "workloads", "audit", "fingerprint", "osteal",
+        "fsteal", "commit_args", "measured",
     )
 
-    def __init__(self, iteration: int, workloads, fingerprint) -> None:
+    def __init__(self, iteration: int, workloads, audit: AuditRecord,
+                 fingerprint) -> None:
         self.iteration = iteration
         self.workloads = workloads
+        self.audit = audit
         self.fingerprint = fingerprint
         self.osteal = None
         self.fsteal = None
-        self.samples: List[tuple] = []
-        self.skipped = 0
-        self.rmsre_online: Optional[float] = None
-        self.drift_z: Optional[float] = None
         self.commit_args: Optional[tuple] = None
         self.measured: Optional[tuple] = None
 
@@ -304,43 +401,38 @@ class Ledger:
     :meth:`begin`, the ``record_*`` calls, :meth:`commit` — inside its
     ``plan`` hook, back-fills the measured cost from ``observe`` via
     :meth:`backfill`, attributes injected faults via
-    :meth:`record_fault`, and stamps the arbitrator's own final RMSRE
-    with :meth:`seal` so post-hoc reconstruction can be verified.
+    :meth:`record_fault`, and stamps the audit's final RMSRE with
+    :meth:`seal` so post-hoc reconstruction can be verified.
 
-    Recording appends raw tuples; the schema dicts (and the deferred
-    fingerprint quantization) materialize lazily on the first read of
-    :attr:`entries`, which keeps the in-run recording cost inside the
-    observability budget the ``obs.ledger_overhead`` benches pin.
+    Recording appends raw tuples; the audit scoring, the schema dicts
+    and the deferred fingerprint quantization happen on the first read
+    of :attr:`entries`, which keeps the in-run recording cost inside
+    the observability budget the ``obs.ledger_overhead`` benches pin.
+    Non-positive actuals stay in the entries, counted by ``skipped``.
     """
 
     def __init__(self, model: str = "default",
                  amortize: bool = True,
-                 fingerprint_tolerance: float = 0.05) -> None:
+                 fingerprint_tolerance: float = 0.05,
+                 audit: Optional[PredictionAudit] = None) -> None:
         self.model = str(model)
         self.amortize = bool(amortize)
         self.fingerprint_tolerance = float(fingerprint_tolerance)
         self.faults: List[dict] = []
         self.final_rmsre: Optional[float] = None
+        self._audit = PredictionAudit() if audit is None else audit
         self._open: Optional[_RawEntry] = None
         self._raw: List[_RawEntry] = []
         self._entries: Optional[List[dict]] = None
         self._by_iteration: Dict[int, _RawEntry] = {}
-        # the arbitrator's own tracker, fed the same samples in order
-        self._online = OnlineRMSRE()
-        # current iteration's signed relative-error accumulator
-        self._it_signed = 0.0
-        self._it_nsigned = 0
-        # past-only EWMA drift state over per-iteration mean rel. error
-        self._drift_mean = 0.0
-        self._drift_var = 0.0
-        self._drift_n = 0
-        self._last_z = 0.0
 
     # --- recording protocol (called by the arbitrator) -----------------
     def begin(self, iteration: int, workloads: Sequence[int],
+              audit: AuditRecord,
               fingerprint: Optional[Sequence[np.ndarray]] = None) -> None:
         """Open this iteration's entry (quantized inputs snapshot).
 
+        ``audit`` is the decision's record in the ledger's audit.
         ``fingerprint`` is the decision's raw input vectors; they are
         concatenated and log-bucketed lazily (all at once, when the
         entries materialize) so per-iteration recording does not pay
@@ -348,33 +440,7 @@ class Ledger:
         """
         if isinstance(workloads, np.ndarray):
             workloads = workloads.tolist()
-        self._open = _RawEntry(int(iteration), workloads, fingerprint)
-        self._it_signed = 0.0
-        self._it_nsigned = 0
-
-    def record_sample(self, fragment: int, worker: int, features,
-                      predicted: float, actual: float) -> None:
-        """One (features -> predicted vs true edge cost) audit pair.
-
-        Samples land in the exact order the arbitrator feeds its
-        online RMSRE, so :func:`reconstruct_rmsre` replays bitwise.
-        Non-positive actuals are kept (flagged by ``skipped``) — the
-        ledger explains what the model saw, including the samples the
-        accuracy statistic refuses.
-        """
-        entry = self._open
-        if entry is None:
-            return
-        entry.samples.append(
-            (fragment, worker, features, predicted, actual)
-        )
-        self._online.update(predicted, actual)
-        rel = relative_error(predicted, actual)
-        if rel is None:
-            entry.skipped += 1
-            return
-        self._it_signed += rel
-        self._it_nsigned += 1
+        self._open = _RawEntry(int(iteration), workloads, audit, fingerprint)
 
     def record_osteal(self, group_size: int, prev_group_size: int,
                       candidates: int, evaluated_sizes: int,
@@ -409,7 +475,7 @@ class Ledger:
                fsteal_applied: bool, stolen_edges: int,
                migrated_vertices: int,
                inter_node_stolen_edges: int = 0) -> None:
-        """Close the entry: chosen plan plus derived accuracy state.
+        """Close the entry with the chosen plan.
 
         ``inter_node_stolen_edges`` counts the subset of
         ``stolen_edges`` whose home and executing GPUs live on
@@ -424,35 +490,10 @@ class Ledger:
             group_size, tuple(active_workers), fsteal_applied,
             stolen_edges, migrated_vertices, inter_node_stolen_edges,
         )
-        if self._online.count:
-            entry.rmsre_online = self._online.value
-        if self._it_nsigned:
-            entry.drift_z = self._drift_update(
-                self._it_signed / self._it_nsigned
-            )
         self._raw.append(entry)
         self._by_iteration[entry.iteration] = entry
         self._open = None
         self._entries = None
-
-    def _drift_update(self, x: float) -> float:
-        """Past-only EWMA z-score of the mean signed relative error."""
-        if self._drift_n < DRIFT_WARMUP:
-            z = 0.0
-        elif self._drift_var <= 0.0:
-            z = 0.0 if x == self._drift_mean else math.copysign(
-                _DRIFT_CLAMP, x - self._drift_mean
-            )
-        else:
-            z = (x - self._drift_mean) / math.sqrt(self._drift_var)
-        delta = x - self._drift_mean
-        self._drift_mean += DRIFT_ALPHA * delta
-        self._drift_var = (1.0 - DRIFT_ALPHA) * (
-            self._drift_var + DRIFT_ALPHA * delta * delta
-        )
-        self._drift_n += 1
-        self._last_z = float(z)
-        return self._last_z
 
     def backfill(self, iteration: int, wall_seconds: float,
                  critical_busy_seconds: float, compute_seconds: float,
@@ -478,32 +519,23 @@ class Ledger:
             "heir": None if heir is None else int(heir),
         })
 
-    def seal(self, final_rmsre: Optional[float],
-             skipped: Optional[int] = None) -> None:
-        """Stamp the arbitrator's own final online RMSRE (and skips).
-
-        Post-hoc readers verify :func:`reconstruct_rmsre` against this
-        value; a mismatch means the ledger missed a sample.
-        """
-        self.final_rmsre = (
-            None if final_rmsre is None else float(final_rmsre)
-        )
-        if skipped is not None and int(skipped) != self.skipped_samples:
-            raise LedgerError(
-                f"arbitrator skipped {skipped} non-positive actuals but "
-                f"the ledger recorded {self.skipped_samples}"
-            )
+    def seal(self) -> None:
+        """Score the audit and stamp its final online RMSRE, which
+        post-hoc readers verify :func:`reconstruct_rmsre` against."""
+        online = self._audit.score().online
+        self.final_rmsre = online.value if online.count else None
 
     # --- materialization -----------------------------------------------
     @property
     def entries(self) -> List[dict]:
         """Schema dicts of every committed decision (lazily built).
 
-        Raw recordings materialize on first access (and again after any
-        later :meth:`commit`/:meth:`backfill` — materialization is a
-        pure function of the raw state, so rebuilding is safe).
+        The audit is scored and the raw recordings materialize on first
+        access (and again after any later :meth:`commit`/:meth:`backfill`
+        — a pure function of the raw state, so rebuilding is safe).
         """
         if self._entries is None:
+            self._audit.score()
             entries = []
             deferred: List[Tuple[dict, np.ndarray]] = []
             for raw in self._raw:
@@ -516,8 +548,9 @@ class Ledger:
         self, raw: _RawEntry, deferred: List[Tuple[dict, np.ndarray]]
     ) -> dict:
         """Schema dict of one raw entry (same arithmetic, same order,
-        as recording inline would have produced — the bit-identity the
-        determinism tests pin)."""
+        whatever the batches the audit was scored in — the bit-identity
+        the determinism tests pin)."""
+        audit = raw.audit
         samples = [
             {
                 "fragment": int(fragment),
@@ -528,7 +561,7 @@ class Ledger:
                 "actual": float(actual),
             }
             for fragment, worker, features, predicted, actual
-            in raw.samples
+            in audit.samples
         ]
         predicted_seconds = predicted_critical_seconds(samples)
         sq_sum = 0.0
@@ -557,13 +590,13 @@ class Ledger:
                 None if fsteal is None else fsteal["cache_status"]
             ),
             "samples": samples,
-            "skipped": raw.skipped,
+            "skipped": len(samples) - sq_n,
             "predicted_seconds": predicted_seconds,
             "rmsre_iteration": (
                 float(math.sqrt(sq_sum / sq_n)) if sq_n else None
             ),
-            "rmsre_online": raw.rmsre_online,
-            "drift_z": raw.drift_z,
+            "rmsre_online": audit.rmsre_online,
+            "drift_z": audit.drift_z,
             "group_size": int(group_size),
             "active_workers": [int(w) for w in active_workers],
             "fsteal_applied": bool(fsteal_applied),
@@ -610,13 +643,13 @@ class Ledger:
     # --- queries --------------------------------------------------------
     @property
     def samples(self) -> int:
-        """Counted (positive-actual) audit samples so far."""
-        return self._online.count
+        """Counted (positive-actual) audit samples so far (scores)."""
+        return self._audit.score().online.count
 
     @property
     def skipped_samples(self) -> int:
-        """Recorded samples the accuracy statistics skip."""
-        return self._online.skipped
+        """Recorded samples the accuracy statistics skip (scores)."""
+        return self._audit.score().online.skipped
 
     @property
     def num_entries(self) -> int:
@@ -640,10 +673,6 @@ class Ledger:
             f"no ledger entry for iteration {iteration} "
             f"(run has {len(entries)} decisions{span})"
         )
-
-    def last_drift_z(self) -> float:
-        """Most recent drift z-score (0.0 before any sample)."""
-        return self._last_z
 
     def cache_status_counts(self) -> Dict[str, int]:
         """How many FSteal solves were live, warm-started, or cached."""
@@ -783,10 +812,7 @@ class Ledger:
             for position, fault in enumerate(faults)
         ]
         ledger.final_rmsre = payload.get("final_rmsre")
-        ledger._online = _replay_online(ledger.entries)
-        for entry in ledger.entries:
-            if entry["drift_z"] is not None:
-                ledger._last_z = float(entry["drift_z"])
+        ledger._audit.online = _replay_online(ledger.entries)
         return ledger
 
 

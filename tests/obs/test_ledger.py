@@ -21,12 +21,18 @@ import pytest
 import repro
 from repro.chaos import ChaosController, ChaosScenario, FaultSpec
 from repro.core import GumConfig
-from repro.core.costmodel import MODEL_FAMILIES, OnlineRMSRE
+from repro.core.costmodel import (
+    MODEL_FAMILIES,
+    OnlineRMSRE,
+    resolve_cost_model,
+)
 from repro.graph.features import FrontierFeatures
+from repro.obs import MetricsRegistry
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     Ledger,
     LedgerError,
+    PredictionAudit,
     explain_lines,
     predicted_critical_seconds,
     reconstruct_rmsre,
@@ -132,13 +138,13 @@ LEDGER_SOURCES = {
     "reference-tx-sssp": lambda graph, source: Ledger.from_dict(
         json.loads((REFERENCES / "tx-sssp-4gpu" / "ledger.json").read_text())
     ),
-    "fresh": lambda graph, source: run_bfs(graph, source).ledger,
-    "chaos": lambda graph, source: run_bfs(
+    "fresh": lambda graph, source, **kw: run_bfs(graph, source, **kw).ledger,
+    "chaos": lambda graph, source, **kw: run_bfs(
         graph, source, config=GumConfig(cost_model="oracle"),
-        chaos=_kill_one_worker(),
+        chaos=_kill_one_worker(), **kw,
     ).ledger,
-    "no-amortize": lambda graph, source: run_bfs(
-        graph, source, config=GumConfig(amortize=False),
+    "no-amortize": lambda graph, source, **kw: run_bfs(
+        graph, source, config=GumConfig(amortize=False), **kw,
     ).ledger,
 }
 
@@ -159,6 +165,51 @@ def test_the_reader_fold_reproduces_the_recorded_numbers(
     revived = Ledger.from_dict(json.loads(json.dumps(payload)))
     assert revived.as_dict() == payload
     assert revived.summary() == ledger.summary()
+
+
+@pytest.mark.parametrize("which", ["fresh", "chaos", "no-amortize"])
+def test_scoring_is_independent_of_batch_width(which, skewed_graph, source):
+    """A registry reads the audit every decision, so it is scored in
+    batches one decision wide; without one, in one batch at the end of
+    the run. The ledgers must not tell the two apart."""
+    run = LEDGER_SOURCES[which]
+    per_decision = run(skewed_graph, source, metrics=MetricsRegistry())
+    per_run = run(skewed_graph, source)
+    assert per_decision.as_dict() == per_run.as_dict()
+
+
+def test_registry_without_ledger_still_publishes_the_audit(
+    skewed_graph, source
+):
+    ledger = run_bfs(skewed_graph, source).ledger
+    registry = MetricsRegistry()
+    result = run_bfs(skewed_graph, source, config=GumConfig(ledger=False),
+                     metrics=registry)
+    assert result.ledger is None
+    assert registry.gauge("costmodel.rmsre_online").value() == \
+        ledger.final_rmsre
+    assert registry.gauge("costmodel.samples").value() == ledger.samples
+
+
+def test_registry_scoring_reuses_the_decision_predictions(
+    skewed_graph, source, monkeypatch
+):
+    """Under a registry the audit is scored at the end of each decision
+    from that decision's prediction memo, so the predictions OSteal and
+    FSteal already batched are not batched again: a decision pays at
+    most one batched prediction."""
+    model = resolve_cost_model("default")
+    batches = []
+    batch = model.edge_costs_seconds
+    monkeypatch.setattr(
+        model, "edge_costs_seconds",
+        lambda features: batches.append(len(features)) or batch(features),
+    )
+    ledger = run_bfs(skewed_graph, source,
+                     config=GumConfig(cost_model=model),
+                     metrics=MetricsRegistry()).ledger
+    assert ledger.samples
+    assert len(batches) <= ledger.num_entries
 
 
 @pytest.mark.parametrize("damage", [
@@ -259,25 +310,40 @@ def test_online_rmsre_counts_skipped_samples():
     assert "skipped=2" in repr(tracker)
 
 
+class _FixedModel:
+    """Predicts 1 us per edge; the truth is 2 us except for one
+    fragment, whose 0.0 the accuracy statistics must skip."""
+
+    def __init__(self, free):
+        self.free = free
+
+    @staticmethod
+    def edge_costs_seconds(frontiers):
+        return [1e-6] * len(frontiers)
+
+    def true_edge_cost(self, features):
+        return 0.0 if features is self.free else 2e-6
+
+
 def test_ledger_counts_skipped_samples():
-    features = FrontierFeatures(
-        avg_in_degree=2.0, avg_out_degree=2.5, in_degree_range=1.0,
-        out_degree_range=1.0, gini=0.1, entropy=0.9, size=2,
-        total_edges=5,
+    counted, free = (
+        FrontierFeatures(
+            avg_in_degree=2.0, avg_out_degree=2.5, in_degree_range=1.0,
+            out_degree_range=1.0, gini=0.1, entropy=0.9, size=2,
+            total_edges=edges,
+        )
+        for edges in (5, 6)
     )
-    ledger = Ledger()
-    ledger.begin(0, [5, 0])
-    ledger.record_sample(0, 0, features, 1e-6, 2e-6)
-    ledger.record_sample(1, 1, features, 1e-6, 0.0)
+    truth = _FixedModel(free)
+    audit = PredictionAudit(truth, truth)
+    ledger = Ledger(audit=audit)
+    ledger.begin(0, [5, 6], audit.add([(0, 0, counted), (1, 1, free)]))
     ledger.commit(group_size=2, active_workers=[0, 1],
                   fsteal_applied=False, stolen_edges=0,
                   migrated_vertices=0)
     assert ledger.samples == 1
     assert ledger.skipped_samples == 1
     assert ledger.entries[0]["skipped"] == 1
-    # seal() cross-checks the arbitrator's own skip counter
-    with pytest.raises(LedgerError):
-        ledger.seal(None, skipped=7)
 
 
 # ---------------------------------------------------------------------------
