@@ -111,27 +111,27 @@ def naive_price_chunks(engine, plan, fragment_features, context,
     busy = np.zeros(num_workers)
     compute_part = np.zeros(num_workers)
     comm_part = np.zeros(num_workers)
-    for chunk in plan.chunks:
-        if chunk.edges == 0:
+    rows = zip(plan.owner.tolist(), plan.worker.tolist(),
+               plan.edges.tolist(), plan.hub_edges.tolist(),
+               plan.start.tolist(), plan.stop.tolist())
+    for owner, worker, edges, hub_edges, start, stop in rows:
+        if edges == 0:
             continue
-        features = fragment_features[chunk.owner]
-        compute = timing.compute_seconds(chunk.edges, features)
-        home = int(context.fragment_home[chunk.owner])
-        remote_edges = chunk.edges - chunk.hub_edges
+        features = fragment_features[owner]
+        compute = timing.compute_seconds(edges, features)
+        home = int(context.fragment_home[owner])
+        remote_edges = edges - hub_edges
         comm = remote_edges * timing.comm_seconds_per_edge(
-            home, chunk.worker
-        ) + chunk.hub_edges * timing.comm_seconds_per_edge(
-            chunk.worker, chunk.worker
-        )
-        if chunk.worker != home:
+            home, worker
+        ) + hub_edges * timing.comm_seconds_per_edge(worker, worker)
+        if worker != home:
             comm += timing.transfer_seconds(
-                home, chunk.worker,
-                chunk.vertices.size * config.BYTES_PER_VERTEX,
+                home, worker, (stop - start) * config.BYTES_PER_VERTEX,
             )
         compute += timing.kernel_launch_seconds(1)
-        busy[chunk.worker] += compute + comm
-        compute_part[chunk.worker] += compute
-        comm_part[chunk.worker] += comm
+        busy[worker] += compute + comm
+        compute_part[worker] += compute
+        comm_part[worker] += comm
     return busy, compute_part, comm_part
 
 

@@ -130,7 +130,7 @@ def test_pricing_empty_plan_is_zero():
     engine, _plan, features, context, n_gpus = (
         perfharness._pricing_fixture()
     )
-    empty = IterationPlan(chunks=[], active_workers=[0])
+    empty = IterationPlan(active_workers=[0])
     busy, compute, comm = engine._price_chunks(
         empty, features, context, n_gpus
     )

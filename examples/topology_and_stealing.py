@@ -19,11 +19,10 @@ from repro.core import (
     ReductionTree,
     build_cost_matrix,
     make_solver,
-    select_vertices,
 )
 from repro.graph.features import frontier_features
 from repro.hardware import measure_comm_cost_matrix
-from repro.runtime import Frontier
+from repro.runtime import Frontier, select_vertices
 
 
 def main() -> None:
@@ -75,10 +74,10 @@ def main() -> None:
     )
     print(f"edges moved off their home GPU: {moved} "
           f"({moved / max(1, workloads.sum()):.0%})")
-    chunks = select_vertices(graph, 0, fragments[0],
-                             solution.assignment[0])
+    spans = select_vertices(graph, fragments[0], solution.assignment[0])
     print("fragment 0 realized as consecutive slices:",
-          [(c.worker, c.vertices.size, c.edges) for c in chunks])
+          [(worker, stop - start, edges)
+           for worker, edges, start, stop in spans])
 
     print("\n== The OSteal reduction tree (paper Figure 4b) ==")
     tree = ReductionTree(topology)

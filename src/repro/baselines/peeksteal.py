@@ -27,14 +27,13 @@ from typing import List, Sequence
 import numpy as np
 
 from repro import config as repro_config
-from repro.core.fsteal import select_vertices
 from repro.hardware.microbench import measure_comm_cost_matrix
 from repro.runtime.frontier import Frontier
 from repro.runtime.scheduler import (
     IterationPlan,
     RunContext,
     Scheduler,
-    WorkChunk,
+    realize_plan,
 )
 
 __all__ = ["PeekStealScheduler"]
@@ -85,70 +84,59 @@ class PeekStealScheduler(Scheduler):
         context: RunContext,
     ) -> IterationPlan:
         """Produce this iteration's work assignment."""
-        num_workers = context.num_workers
-        quotas, steals = self._simulate(workloads, num_workers)
-        chunks: List[WorkChunk] = []
-        stolen_edges = 0
-        migrated = 0
-        for fragment, frontier in enumerate(fragment_frontiers):
-            if not frontier and workloads[fragment] == 0:
-                continue
-            if frontier.work(context.graph) == workloads[fragment]:
-                assignments = select_vertices(
-                    context.graph, fragment, frontier, quotas[fragment]
-                )
-            else:  # decoupled (pull-mode) workloads: quota-only chunks
-                empty = np.empty(0, dtype=np.int64)
-                assignments = [
-                    WorkChunk(owner=fragment, worker=j, vertices=empty,
-                              edges=int(q))
-                    for j, q in enumerate(quotas[fragment]) if q > 0
-                ]
-            for item in assignments:
-                chunks.append(
-                    WorkChunk(
-                        owner=item.owner, worker=item.worker,
-                        vertices=item.vertices, edges=item.edges,
-                    )
-                )
-                if item.worker != int(context.fragment_home[item.owner]):
-                    stolen_edges += item.edges
-                    migrated += item.vertices.size
-        return IterationPlan(
-            chunks=chunks,
-            active_workers=list(range(num_workers)),
+        live = context.live_workers
+        quotas, steals = self._simulate(
+            workloads, context.fragment_worker, context.num_workers, live
+        )
+        plan = realize_plan(
+            context, fragment_frontiers, workloads, quotas=quotas,
+            active_workers=live,
             # the victims and thieves each pay the handshake latency;
             # it lands on the critical path of a reactive system
             decision_seconds=steals * self._latency,
             fsteal_applied=steals > 0,
-            stolen_edges=stolen_edges,
-            migrated_vertices=migrated,
         )
+        plan.stolen_edges = sum(
+            edges for __, __, edges, __, __
+            in plan.stolen_rows(context.fragment_home)
+        )
+        return plan
 
     # ------------------------------------------------------------------
     def _simulate(
-        self, workloads: np.ndarray, num_workers: int
+        self,
+        workloads: np.ndarray,
+        fragment_worker: np.ndarray,
+        num_workers: int,
+        live_workers: Sequence[int],
     ) -> tuple[np.ndarray, int]:
         """Event-driven reactive stealing; returns (x_ij quotas, steals).
 
-        Workers *consume* their queues at the assumed uniform rate.
-        When one drains, it grabs half of the remaining (unprocessed)
-        edges of the worker that will finish last, from the back of
-        that worker's deque — the classic Cilk-style discipline,
-        blind to true costs and topology. Workers with nothing worth
-        grabbing leave the pool; the simulation ends when everyone has.
+        Every fragment starts queued on the worker responsible for it
+        (``fragment_worker``). Workers *consume* their queues at the
+        assumed uniform rate. When one drains, it grabs half of the
+        remaining (unprocessed) edges of the worker that will finish
+        last, from the back of that worker's deque — the classic
+        Cilk-style discipline, blind to true costs and topology.
+        Workers with nothing worth grabbing leave the pool; the
+        simulation ends when everyone has. Only ``live_workers`` join
+        the pool, so an evicted GPU never steals.
         """
         quotas = np.zeros((workloads.size, num_workers), dtype=np.int64)
         rate = self._assumed
-        queues: List[List[List[int]]] = []  # per worker: [fragment, edges]
-        finish = np.zeros(num_workers)
+        # per worker: [fragment, edges]
+        queues: List[List[List[int]]] = [[] for __ in range(num_workers)]
+        loads = np.zeros(num_workers, dtype=np.int64)
         epoch = np.zeros(num_workers)  # when this queue last changed
-        for w in range(num_workers):
-            load = int(workloads[w]) if w < workloads.size else 0
-            queues.append([[w, load]] if load > 0 else [])
-            finish[w] = load * rate
-            quotas[w, w] += load
-        heap = [(finish[w], w) for w in range(num_workers)]
+        for fragment, (worker, load) in enumerate(
+            zip(fragment_worker.tolist(), workloads.tolist())
+        ):
+            if load > 0:
+                queues[worker].append([fragment, load])
+                loads[worker] += load
+                quotas[fragment, worker] += load
+        finish = loads * rate
+        heap = [(finish[w], w) for w in live_workers]
         heapq.heapify(heap)
         steals = 0
 

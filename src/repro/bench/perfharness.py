@@ -253,8 +253,9 @@ def _assembly_sparse():
 def _pricing_fixture(n_frag: int = 64, n_gpus: int = 8):
     """A synthetic 8-GPU x ``n_frag``-fragment plan-pricing workload.
 
-    Every (fragment, worker) pair gets a chunk — the worst-case chunk
-    count FSteal can produce — with a quarter of the chunks stolen.
+    Every (fragment, worker) pair gets a chunk row — the worst-case
+    chunk count FSteal can produce — and fragments have random homes,
+    so most rows are stolen.
     """
     from repro.graph import generators
     from repro.hardware import dgx1
@@ -262,11 +263,7 @@ def _pricing_fixture(n_frag: int = 64, n_gpus: int = 8):
     from repro.partition.partitioners import random_partition
     from repro.runtime.bsp import BSPEngine
     from repro.runtime.frontier import Frontier
-    from repro.runtime.scheduler import (
-        IterationPlan,
-        RunContext,
-        WorkChunk,
-    )
+    from repro.runtime.scheduler import IterationPlan, RunContext
 
     graph = generators.rmat(11, 8, seed=3)
     topology = dgx1(n_gpus)
@@ -286,19 +283,17 @@ def _pricing_fixture(n_frag: int = 64, n_gpus: int = 8):
         for __ in range(n_frag)
     ]
     features = [f.features(graph) for f in frontiers]
-    chunks = []
-    for owner in range(n_frag):
-        vertices = frontiers[owner].vertices
-        for worker in range(n_gpus):
-            chunks.append(WorkChunk(
-                owner=owner,
-                worker=worker,
-                vertices=vertices[: max(1, vertices.size // n_gpus)],
-                edges=int(rng.integers(1, 2000)),
-                hub_edges=int(rng.integers(0, 100)),
-            ))
-    plan = IterationPlan(chunks=chunks,
-                         active_workers=list(range(n_gpus)))
+    rows = n_frag * n_gpus
+    spans = np.array([max(1, f.size // n_gpus) for f in frontiers])
+    plan = IterationPlan(
+        active_workers=list(range(n_gpus)),
+        owner=np.repeat(np.arange(n_frag, dtype=np.int64), n_gpus),
+        worker=np.tile(np.arange(n_gpus, dtype=np.int64), n_frag),
+        edges=rng.integers(1, 2000, size=rows),
+        hub_edges=rng.integers(0, 100, size=rows),
+        start=np.zeros(rows, dtype=np.int64),
+        stop=np.repeat(spans, n_gpus).astype(np.int64),
+    )
     return engine, plan, features, context, n_gpus
 
 

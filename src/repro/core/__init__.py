@@ -23,9 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "collect_training_data", "default_training_corpus",
         "HarvestedCorpus", "FitOutcome", "harvest", "fit_candidates",
     ),
-    "repro.core.fsteal": (
-        "VertexAssignment", "build_cost_matrix", "select_vertices",
-    ),
+    "repro.core.fsteal": ("build_cost_matrix",),
     "repro.core.reduction_tree": ("ReductionTree",),
     "repro.core.osteal": ("OStealDecision", "plan_osteal"),
     "repro.core.hubcache": ("HubCache",),

@@ -29,11 +29,7 @@ import numpy as np
 from repro import config as repro_config
 from repro.chaos.controller import SOLVER_TIMEOUT_SECONDS, FaultEvent
 from repro.core.costmodel import CostModel, model_label, resolve_cost_model
-from repro.core.fsteal import (
-    VertexAssignment,
-    build_cost_matrix,
-    select_vertices,
-)
+from repro.core.fsteal import build_cost_matrix
 from repro.core.decision_cache import (
     LruDict,
     PlanCache,
@@ -53,7 +49,7 @@ from repro.runtime.scheduler import (
     IterationPlan,
     RunContext,
     Scheduler,
-    WorkChunk,
+    realize_plan,
 )
 
 __all__ = ["GumConfig", "GumScheduler"]
@@ -254,7 +250,6 @@ class _Decision:
     fsteal_overhead: float = 0.0
     static_makespan: Optional[float] = None
     gain: Optional[float] = None
-    chunks: List[WorkChunk] = field(default_factory=list)
     stolen_edges: int = 0
     migrated: int = 0
     inter_node_stolen: int = 0
@@ -377,8 +372,9 @@ class GumScheduler(Scheduler):
 
         Five stages fill one :class:`_Decision`: :meth:`_audit` →
         :meth:`_decide_osteal` → :meth:`_decide_fsteal` →
-        :meth:`_realize` → :meth:`_record`. Only the last one talks to
-        the run's observers, so nothing recorded can steer a decision.
+        :func:`~repro.runtime.scheduler.realize_plan` → :meth:`_record`.
+        Only the last one talks to the run's observers, so nothing
+        recorded can steer a decision.
         """
         state = self._state
         if state is None:
@@ -394,21 +390,19 @@ class GumScheduler(Scheduler):
                 SOLVER_TIMEOUT_SECONDS
                 * context.chaos.drain_timeout_charges()
             )
-        d.chunks = self._realize(
-            context, fragment_frontiers, workloads, d.solution
-        )
-        real_elapsed = time.perf_counter() - started
-        self._record(d, context)
-        return IterationPlan(
-            chunks=d.chunks,
+        plan = realize_plan(
+            context, fragment_frontiers, workloads,
+            quotas=None if d.solution is None else d.solution.assignment,
+            hub_cache=state.hub_cache,
             active_workers=list(state.active),
             decision_seconds=d.overhead,
-            real_decision_seconds=real_elapsed,
             fsteal_applied=d.solution is not None,
             osteal_group_size=state.group_size,
-            stolen_edges=d.stolen_edges,
-            migrated_vertices=d.migrated,
         )
+        plan.real_decision_seconds = time.perf_counter() - started
+        self._record(d, plan, context)
+        plan.stolen_edges = d.stolen_edges
+        return plan
 
     # --- stage 1: features + prediction audit -------------------------
     def _audit(
@@ -552,62 +546,20 @@ class GumScheduler(Scheduler):
             if d.gain <= d.fsteal_overhead:
                 d.solution = None
 
-    # --- stage 4: realize the decision as engine chunks ---------------
-    def _realize(
-        self,
-        context: RunContext,
-        fragment_frontiers: Sequence[Frontier],
-        workloads: np.ndarray,
-        solution: Optional[FStealSolution],
-    ) -> List[WorkChunk]:
-        """Turn the decided ``X`` into engine chunks.
-
-        Without a solution every fragment is one whole assignment to
-        the worker that currently owns it; with one, each quota row is
-        sliced by Algorithm 1. Either way a chunk is built the same.
-        """
-        chunks: List[WorkChunk] = []
-        for fragment, frontier in enumerate(fragment_frontiers):
-            load = int(workloads[fragment])
-            if not frontier and load == 0:
-                continue
-            if solution is None:
-                items = [VertexAssignment(
-                    owner=fragment,
-                    worker=int(context.fragment_worker[fragment]),
-                    vertices=frontier.vertices,
-                    edges=load,
-                )]
-            else:
-                items = self._fragment_assignments(
-                    context.graph, fragment, frontier,
-                    solution.assignment[fragment], load,
-                )
-            for item in items:
-                chunks.append(WorkChunk(
-                    owner=item.owner,
-                    worker=item.worker,
-                    vertices=item.vertices,
-                    edges=item.edges,
-                    hub_edges=self._hub_edges(
-                        context, item.owner, item.worker, item.vertices
-                    ),
-                ))
-        return chunks
-
     # --- stage 5: the one place observers are fed ---------------------
-    def _record(self, d: _Decision, context: RunContext) -> None:
+    def _record(self, d: _Decision, plan: IterationPlan,
+                context: RunContext) -> None:
         """Feed the finished decision to the metrics and the ledger.
 
         The only stage that touches ``context.metrics`` or the ledger's
         recording protocol (``begin`` with the decision's audit record →
         ``record_osteal`` → ``record_fsteal`` → ``commit``). Steal
-        totals are derived from the realized chunks.
+        totals are derived from the realized plan.
         """
         state = self._state
         ledger = state.ledger
         metrics = context.metrics if context.metrics.enabled else None
-        self._tally_steals(d, context, metrics)
+        self._tally_steals(d, plan, context, metrics)
         if ledger is not None:
             ledger.begin(
                 d.iteration,
@@ -650,11 +602,11 @@ class GumScheduler(Scheduler):
         if metrics is not None:
             self._publish_metrics(metrics, d)
 
-    def _tally_steals(self, d: _Decision, context: RunContext,
-                      metrics) -> None:
-        """Derive the steal totals (and counters) from ``d.chunks``."""
+    def _tally_steals(self, d: _Decision, plan: IterationPlan,
+                      context: RunContext, metrics) -> None:
+        """Derive the steal totals (and counters) from the plan's rows."""
         topology = self._state.tree.topology
-        nodes = topology.node_assignment
+        nodes = topology.node_assignment.tolist()
         if metrics is not None:
             pairs = metrics.counter(
                 "steal.edges_by_pair",
@@ -673,21 +625,20 @@ class GumScheduler(Scheduler):
                     "steal.inter_node_edges",
                     "stolen edges crossing the inter-node fabric",
                 )
-        for chunk in d.chunks:
-            home = int(context.fragment_home[chunk.owner])
-            if chunk.worker == home:
-                continue
-            crosses = nodes[home] != nodes[chunk.worker]
-            d.stolen_edges += chunk.edges
-            d.migrated += chunk.vertices.size
+        for home, worker, edges, hub, moved in plan.stolen_rows(
+            context.fragment_home
+        ):
+            crosses = nodes[home] != nodes[worker]
+            d.stolen_edges += edges
+            d.migrated += moved
             if crosses:
-                d.inter_node_stolen += chunk.edges
+                d.inter_node_stolen += edges
             if metrics is not None:
-                pairs.inc(chunk.edges, home=home, worker=chunk.worker)
-                remote.inc(chunk.edges)
-                hub_hits.inc(chunk.hub_edges)
+                pairs.inc(edges, home=home, worker=worker)
+                remote.inc(edges)
+                hub_hits.inc(hub)
                 if crosses:
-                    inter_node.inc(chunk.edges)
+                    inter_node.inc(edges)
 
     def _publish_metrics(self, metrics, d: _Decision) -> None:
         """Mirror one recorded decision into the live registry."""
@@ -1052,48 +1003,6 @@ class GumScheduler(Scheduler):
             and gap >= self._config.t2_imbalance_edges
             and gap >= self._config.t2_imbalance_ratio * heaviest
         )
-
-    @staticmethod
-    def _fragment_assignments(
-        graph,
-        fragment: int,
-        frontier: Frontier,
-        quotas: np.ndarray,
-        workload: int,
-    ):
-        """Realize one fragment's quota row as vertex assignments.
-
-        Normally Algorithm 1's prefix-sum/sorted-search selection; when
-        the effective workload is decoupled from the frontier's
-        out-edges (pull-mode BFS iterations), quotas are realized as
-        edge-count-only chunks instead — there is no frontier vertex
-        list to slice.
-        """
-        if frontier and frontier.work(graph) == workload:
-            return select_vertices(graph, fragment, frontier, quotas)
-        empty = np.empty(0, dtype=np.int64)
-        return [
-            VertexAssignment(
-                owner=fragment, worker=j, vertices=empty,
-                edges=int(quota),
-            )
-            for j, quota in enumerate(np.asarray(quotas))
-            if quota > 0
-        ]
-
-    def _hub_edges(
-        self,
-        context: RunContext,
-        fragment: int,
-        worker: int,
-        vertices: np.ndarray,
-    ) -> int:
-        state = self._state
-        if state is None or state.hub_cache is None:
-            return 0
-        if worker == int(context.fragment_home[fragment]):
-            return 0  # local access needs no cache
-        return state.hub_cache.hub_edges(context.graph, vertices)
 
     # --- deterministic decision-cost model -----------------------------
     @staticmethod

@@ -6,8 +6,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.runtime.frontier": ("Frontier",),
     "repro.runtime.metrics": ("TimeBreakdown", "IterationRecord", "RunResult"),
     "repro.runtime.scheduler": (
-        "WorkChunk", "IterationPlan", "RunContext", "Scheduler",
-        "StaticScheduler",
+        "IterationPlan", "RunContext", "Scheduler", "StaticScheduler",
+        "realize_plan", "select_vertices",
     ),
     "repro.runtime.bsp": ("BSPEngine", "EngineOptions"),
     "repro.runtime.trace": (

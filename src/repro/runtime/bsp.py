@@ -490,7 +490,7 @@ class BSPEngine:
         num_workers: int,
         iteration: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Price every chunk of the plan, vectorized over chunk arrays.
+        """Price every chunk of the plan, vectorized over its columns.
 
         Returns per-worker ``(busy, compute, comm)`` seconds. The math
         is the per-chunk recurrence from the module docstring; the
@@ -505,18 +505,17 @@ class BSPEngine:
         busy = np.zeros(num_workers)
         compute_part = np.zeros(num_workers)
         comm_part = np.zeros(num_workers)
-        chunks = [c for c in plan.chunks if c.edges != 0]
-        if not chunks:
+        rows = plan.edges != 0
+        if not rows.any():
             return busy, compute_part, comm_part
-        owners = np.array([c.owner for c in chunks], dtype=np.int64)
-        workers = np.array([c.worker for c in chunks], dtype=np.int64)
-        edges = np.array([c.edges for c in chunks], dtype=np.float64)
-        hub_edges = np.array(
-            [c.hub_edges for c in chunks], dtype=np.float64
+        owners = plan.owner[rows]
+        workers = plan.worker[rows]
+        edges = plan.edges[rows].astype(np.float64)
+        hub_edges = plan.hub_edges[rows].astype(np.float64)
+        migrate_bytes = (
+            (plan.stop[rows] - plan.start[rows]).astype(np.float64)
+            * config.BYTES_PER_VERTEX
         )
-        migrate_bytes = np.array(
-            [c.vertices.size for c in chunks], dtype=np.float64
-        ) * config.BYTES_PER_VERTEX
         homes = context.fragment_home[owners]
         device = context.timing.device_model
         edge_cost = np.array(
@@ -691,21 +690,28 @@ class BSPEngine:
         num_workers: int,
         dead_workers: Optional[set] = None,
     ) -> None:
-        """Reject plans that drop or duplicate work, or use dead GPUs."""
-        assigned = np.zeros_like(workloads)
-        for chunk in plan.chunks:
-            if not 0 <= chunk.worker < num_workers:
-                raise EngineError(f"chunk worker {chunk.worker} out of range")
-            if dead_workers and chunk.worker in dead_workers:
+        """Reject plans that drop or duplicate work, or use dead GPUs.
+
+        Both index ranges are checked before either column indexes an
+        array, so a negative id is rejected instead of wrapping.
+        """
+        for role, ids, limit in (("worker", plan.worker, num_workers),
+                                 ("owner", plan.owner, workloads.size)):
+            if ids.size and (ids.min() < 0 or ids.max() >= limit):
+                bad = ids[(ids < 0) | (ids >= limit)][0]
+                raise EngineError(f"chunk {role} {bad} out of range")
+        if dead_workers:
+            dead = plan.worker[np.isin(plan.worker, list(dead_workers))]
+            if dead.size:
                 raise DegradedModeError(
-                    f"iteration plan assigns work to dead worker "
-                    f"{chunk.worker}"
+                    f"iteration plan assigns work to dead worker {dead[0]}"
                 )
-            if not 0 <= chunk.owner < workloads.size:
-                raise EngineError(f"chunk owner {chunk.owner} out of range")
-            assigned[chunk.owner] += chunk.edges
-        if not np.array_equal(assigned, workloads):
+        # float sums of integer edge counts are exact below 2**53
+        assigned = np.bincount(plan.owner, weights=plan.edges,
+                               minlength=workloads.size)
+        if not (assigned == workloads).all():
             raise EngineError(
                 "iteration plan does not conserve workload: "
-                f"assigned={assigned.tolist()} expected={workloads.tolist()}"
+                f"assigned={assigned.astype(np.int64).tolist()} "
+                f"expected={workloads.tolist()}"
             )

@@ -4,9 +4,11 @@ Each iteration, the engine hands the scheduler the *distributed
 frontier* (one frontier per fragment, at its data home) and receives an
 :class:`IterationPlan`: which worker processes which slice of which
 fragment's frontier, which workers are in the communication group, and
-what the decision itself cost. The engine prices the plan with the
-ground-truth timing model and executes the algorithm step — so a plan
-can be slow, but never wrong.
+what the decision itself cost. Every policy builds its plan with
+:func:`realize_plan`, the one realization of a touched-edges matrix
+as chunk rows. The engine prices the plan with the ground-truth timing
+model and executes the algorithm step — so a plan can be slow, but
+never wrong.
 
 :class:`StaticScheduler` is the no-stealing policy every baseline BSP
 system (and "GUM without stealing") uses: each fragment is processed by
@@ -17,10 +19,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
+from repro.errors import SolverError
 from repro.graph.csr import CSRGraph
 from repro.hardware.timing import TimingModel
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -32,39 +36,59 @@ from repro.runtime.metrics import IterationRecord
 if TYPE_CHECKING:  # chaos imports nothing from runtime, but keep it lazy
     from repro.chaos.controller import ChaosController, FaultEvent
 
-__all__ = ["WorkChunk", "IterationPlan", "RunContext", "Scheduler",
-           "StaticScheduler"]
+__all__ = ["IterationPlan", "RunContext", "Scheduler", "StaticScheduler",
+           "realize_plan", "select_vertices"]
 
 
-@dataclass
-class WorkChunk:
-    """A unit of assigned work: one fragment's frontier slice on one worker.
-
-    ``owner`` is the fragment id whose memory holds the adjacency data
-    (the ``i`` of the paper's ``c_ij``); ``worker`` is the GPU running
-    the kernel (the ``j``). ``hub_edges`` of the total are served from
-    the worker's local hub cache and priced as local accesses.
-    """
-
-    owner: int
-    worker: int
-    vertices: np.ndarray
-    edges: int
-    hub_edges: int = 0
+def _column() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 @dataclass
 class IterationPlan:
-    """Complete work assignment for one superstep."""
+    """Complete work assignment for one superstep.
 
-    chunks: List[WorkChunk]
+    The chunks are parallel int64 columns, one row per chunk, in
+    fragment-major order (worker ascending within a fragment). A row
+    is one fragment's frontier slice on one worker: ``owner`` is the
+    fragment whose memory holds the adjacency data (the ``i`` of the
+    paper's ``c_ij``), ``worker`` the GPU running the kernel (the
+    ``j``), and ``hub_edges`` of its ``edges`` are served from the
+    worker's local hub cache and priced as local accesses. The slice
+    is ``vertices[start:stop]`` of the owning fragment's sorted
+    frontier, so ``stop - start`` vertices move when the row is
+    stolen; quota-only rows (pull-mode work) have an empty span.
+    """
+
     active_workers: List[int]
+    owner: np.ndarray = field(default_factory=_column)
+    worker: np.ndarray = field(default_factory=_column)
+    edges: np.ndarray = field(default_factory=_column)
+    hub_edges: np.ndarray = field(default_factory=_column)
+    start: np.ndarray = field(default_factory=_column)
+    stop: np.ndarray = field(default_factory=_column)
     decision_seconds: float = 0.0
     real_decision_seconds: float = 0.0
     fsteal_applied: bool = False
     osteal_group_size: Optional[int] = None
     stolen_edges: int = 0
-    migrated_vertices: int = 0
+
+    def stolen_rows(
+        self, fragment_home: np.ndarray
+    ) -> List[Tuple[int, int, int, int, int]]:
+        """``(home, worker, edges, hub_edges, moved)`` of every row that
+        runs away from its fragment's data home, ``moved`` being its
+        ``stop - start`` vertices."""
+        homes = fragment_home.tolist()
+        return [
+            (homes[owner], worker, edges, hub, stop - start)
+            for owner, worker, edges, hub, start, stop in zip(
+                self.owner.tolist(), self.worker.tolist(),
+                self.edges.tolist(), self.hub_edges.tolist(),
+                self.start.tolist(), self.stop.tolist(),
+            )
+            if worker != homes[owner]
+        ]
 
 
 @dataclass
@@ -101,6 +125,111 @@ class RunContext:
     def num_workers(self) -> int:
         """Number of GPUs in the machine."""
         return self.timing.topology.num_gpus
+
+    @property
+    def live_workers(self) -> List[int]:
+        """The GPUs not evicted so far, ascending."""
+        return [w for w in range(self.num_workers)
+                if w not in self.dead_workers]
+
+
+def select_vertices(
+    graph: CSRGraph, frontier: Frontier, x_row: np.ndarray
+) -> List[Tuple[int, int, int, int]]:
+    """Algorithm 1, lines 9-18: split one frontier by edge quotas.
+
+    ``x_row[j]`` is the target number of edges worker ``j`` should
+    process from this fragment. Vertices are assigned as consecutive
+    runs (in vertex-id order) whose out-degree prefix sums best match
+    the cumulative quotas; actual per-worker edge counts may deviate by
+    at most one adjacency list, and the union is exactly the frontier.
+    Returns one ``(worker, edges, start, stop)`` span per receiving
+    worker, ascending: worker ``j`` processes
+    ``frontier.vertices[start:stop]``.
+    """
+    x_row = np.asarray(x_row, dtype=np.int64)
+    total = int(x_row.sum())
+    vertices = frontier.vertices
+    if vertices.size == 0:
+        if total != 0:
+            raise SolverError("quota assigned to an empty frontier")
+        return []
+    degrees = graph.out_degrees(vertices)
+    degree_prefix = np.cumsum(degrees)
+    if int(degree_prefix[-1]) != total:
+        raise SolverError(
+            f"quotas ({total}) do not match frontier edges "
+            f"({int(degree_prefix[-1])})"
+        )
+    # D = PrefixSum(out-degrees); F = PrefixSum(X_i); SortedSearch(F, D)
+    workers = np.flatnonzero(x_row > 0)
+    if workers.size == 0:
+        return []
+    boundaries = np.searchsorted(degree_prefix, np.cumsum(x_row)[workers],
+                                 side="left")
+    stops = np.minimum(boundaries + 1, vertices.size)
+    stops[-1] = vertices.size  # the last quota absorbs the remainder
+    starts = np.concatenate(([0], stops[:-1]))
+    edge_prefix = np.concatenate(([0], degree_prefix))
+    keep = stops > starts
+    starts, stops = starts[keep], stops[keep]
+    return list(zip(
+        workers[keep].tolist(),
+        (edge_prefix[stops] - edge_prefix[starts]).tolist(),
+        starts.tolist(), stops.tolist(),
+    ))
+
+
+def realize_plan(
+    context: RunContext,
+    fragment_frontiers: Sequence[Frontier],
+    workloads: np.ndarray,
+    quotas: Optional[np.ndarray] = None,
+    hub_cache=None,
+    **fields,
+) -> IterationPlan:
+    """Realize a touched-edges matrix as the plan's chunk columns.
+
+    Without ``quotas`` every fragment with work is one owner-local row:
+    its whole frontier span on ``context.fragment_worker``, even when
+    the workload is decoupled from the frontier. With them, fragment
+    ``i``'s row of ``quotas`` is sliced by :func:`select_vertices` when
+    the workload is the frontier's out-edges, and otherwise (pull-mode
+    BFS scans the unvisited side) becomes quota-only rows with the
+    empty span ``(0, 0)``. ``hub_cache`` (anything with a
+    ``hub_edges(graph, vertices)`` probe) is consulted once per row
+    that runs away from its fragment's data home. ``fields`` are the
+    remaining :class:`IterationPlan` fields.
+    """
+    graph = context.graph
+    homes = context.fragment_home.tolist()
+    current = context.fragment_worker.tolist()
+    rows = []
+    for fragment, (frontier, load) in enumerate(
+        zip(fragment_frontiers, workloads.tolist())
+    ):
+        # a fragment can carry work despite an empty frontier (pull-mode
+        # engines scan the unvisited side), so gate on workload too
+        if not frontier and load == 0:
+            continue
+        if quotas is None:
+            spans = [(current[fragment], load, 0, frontier.size)]
+        elif frontier and frontier.work(graph) == load:
+            spans = select_vertices(graph, frontier, quotas[fragment])
+        else:
+            spans = [(worker, quota, 0, 0) for worker, quota
+                     in enumerate(quotas[fragment].tolist()) if quota > 0]
+        for worker, edges, start, stop in spans:
+            hub = 0
+            if hub_cache is not None and worker != homes[fragment]:
+                hub = hub_cache.hub_edges(graph,
+                                          frontier.vertices[start:stop])
+            rows.append((fragment, worker, edges, hub, start, stop))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 6).T.copy()
+    owner, worker, edges, hub_edges, start, stop = table
+    return IterationPlan(owner=owner, worker=worker, edges=edges,
+                         hub_edges=hub_edges, start=start, stop=stop,
+                         **fields)
 
 
 class Scheduler(abc.ABC):
@@ -184,20 +313,5 @@ class StaticScheduler(Scheduler):
         context: RunContext,
     ) -> IterationPlan:
         """Produce this iteration's work assignment."""
-        # a fragment can carry work despite an empty frontier (pull-mode
-        # engines scan the unvisited side), so gate on workload too
-        chunks = [
-            WorkChunk(
-                owner=fragment,
-                worker=int(context.fragment_worker[fragment]),
-                vertices=frontier.vertices,
-                edges=int(workloads[fragment]),
-            )
-            for fragment, frontier in enumerate(fragment_frontiers)
-            if frontier or workloads[fragment] > 0
-        ]
-        return IterationPlan(
-            chunks=chunks,
-            active_workers=[w for w in range(context.num_workers)
-                            if w not in context.dead_workers],
-        )
+        return realize_plan(context, fragment_frontiers, workloads,
+                            active_workers=context.live_workers)

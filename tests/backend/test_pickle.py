@@ -16,7 +16,7 @@ from repro.graph import datasets
 from repro.graph.builders import from_edges
 from repro.partition.partitioners import make_partition
 from repro.runtime.frontier import Frontier
-from repro.runtime.scheduler import IterationPlan, WorkChunk
+from repro.runtime.scheduler import IterationPlan
 
 
 def roundtrip(obj):
@@ -89,23 +89,19 @@ def test_partition_roundtrip():
 # Plans and state
 # ----------------------------------------------------------------------
 def test_iteration_plan_roundtrip():
-    chunk = WorkChunk(
-        owner=1, worker=2,
-        vertices=np.array([3, 4], dtype=np.int64),
-        edges=7, hub_edges=2,
-    )
     plan = IterationPlan(
-        chunks=[chunk], active_workers=[1, 2],
+        active_workers=[1, 2],
+        owner=np.array([1]), worker=np.array([2]), edges=np.array([7]),
+        hub_edges=np.array([2]), start=np.array([3]), stop=np.array([5]),
         decision_seconds=1e-6, fsteal_applied=True,
         osteal_group_size=2, stolen_edges=7,
     )
     clone = roundtrip(plan)
     assert clone.active_workers == [1, 2]
     assert clone.fsteal_applied and clone.osteal_group_size == 2
-    (chunk_clone,) = clone.chunks
-    assert (chunk_clone.owner, chunk_clone.worker) == (1, 2)
-    assert np.array_equal(chunk_clone.vertices, chunk.vertices)
-    assert (chunk_clone.edges, chunk_clone.hub_edges) == (7, 2)
+    assert (clone.owner.tolist(), clone.worker.tolist()) == ([1], [2])
+    assert (clone.start.tolist(), clone.stop.tolist()) == ([3], [5])
+    assert (clone.edges.tolist(), clone.hub_edges.tolist()) == ([7], [2])
 
 
 def test_algorithm_state_roundtrip():

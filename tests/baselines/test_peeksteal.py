@@ -1,10 +1,16 @@
 """Unit tests for the reactive (peek-and-grab) stealing baseline."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms.validate import reference_sssp
 from repro.baselines import PeekStealScheduler
+from repro.chaos.controller import ChaosController
+from repro.chaos.scenario import ChaosScenario
+from repro.graph import datasets
 from repro.hardware import dgx1
 from repro.partition import random_partition, segmented_partition
 from repro.runtime import BSPEngine
@@ -23,7 +29,8 @@ def engine(gpus=8, **kwargs):
 def simulate(workloads, workers=8, **kwargs):
     scheduler = PeekStealScheduler(**kwargs)
     return scheduler._simulate(
-        np.asarray(workloads, dtype=np.int64), workers
+        np.asarray(workloads, dtype=np.int64), np.arange(len(workloads)),
+        workers, range(workers),
     )
 
 
@@ -124,7 +131,49 @@ def test_blind_to_topology(skewed_weighted, source):
             scheduler.plan(0, fragments, workloads, context)
         )
     signatures = [
-        sorted((c.owner, c.worker, c.edges) for c in plan.chunks)
+        sorted(zip(plan.owner.tolist(), plan.worker.tolist(),
+                   plan.edges.tolist()))
         for plan in plans
     ]
     assert signatures[0] == signatures[1] == signatures[2]
+
+
+# ----------------------------------------------------------------------
+# Degraded machines
+# ----------------------------------------------------------------------
+KILL_WORKER = (pathlib.Path(__file__).resolve().parents[2]
+               / "benchmarks" / "scenarios" / "kill-worker.json")
+
+
+@pytest.mark.parametrize("algorithm", ["bfs", "sssp", "pr"])
+def test_survives_a_killed_worker(algorithm):
+    """The evicted GPU's fragment is queued on its heir, and the dead
+    GPU neither steals nor joins the group: the run completes with the
+    healthy answer and GPU 2 idle from its death on."""
+    graph = datasets.load("TX")
+    healthy = repro.run(graph, algorithm, engine="peeksteal", num_gpus=4)
+    chaos = ChaosController(ChaosScenario.from_file(KILL_WORKER))
+    degraded = repro.run(graph, algorithm, engine="peeksteal", num_gpus=4,
+                         chaos=chaos)
+    assert degraded.num_iterations == healthy.num_iterations
+    assert np.array_equal(degraded.values, healthy.values)
+    after = [r for r in degraded.iterations if r.iteration >= 1]
+    assert after
+    assert all(r.busy_seconds[2] == 0.0 for r in after)
+    assert all(2 not in r.active_workers for r in after)
+
+
+@pytest.mark.parametrize("graph, algorithm, gpus, total_ms", [
+    ("TX", "bfs", 4, "60.27915202855632"),
+    ("CF", "pr", 8, "19403.526253220738"),
+])
+def test_healthy_virtual_time_is_pinned(graph, algorithm, gpus, total_ms):
+    """Seeding the queues from ``fragment_worker`` and leaving dead
+    GPUs out of the pool must not move a healthy run: these totals
+    were recorded with every fragment seeded on its own GPU.
+    Regenerate (only for an intended change) with
+    ``repr(repro.run(datasets.load(g), a, engine="peeksteal",
+    num_gpus=n).total_ms)``."""
+    result = repro.run(datasets.load(graph), algorithm,
+                       engine="peeksteal", num_gpus=gpus)
+    assert repr(result.total_ms) == total_ms

@@ -15,7 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import InMemorySink, Tracer
 from repro.partition import random_partition, segmented_partition
 from repro.runtime import BSPEngine, Frontier
-from repro.runtime.scheduler import RunContext
+from repro.runtime.scheduler import RunContext, realize_plan
 
 
 def test_static_makespan():
@@ -114,7 +114,7 @@ def test_modeled_overhead_scales_with_workers():
 
 
 # ----------------------------------------------------------------------
-# plan() stages: _realize, the FSteal fallback rule, observer isolation
+# plan() stages: realize_plan, the FSteal fallback rule, observer isolation
 # ----------------------------------------------------------------------
 class _RecordingScheduler(GumScheduler):
     """GumScheduler that keeps every plan it hands the engine."""
@@ -132,9 +132,11 @@ class _RecordingScheduler(GumScheduler):
         return plan
 
 
-def _chunk_tuple(chunk):
-    return (chunk.owner, chunk.worker, chunk.vertices.tolist(),
-            chunk.edges, chunk.hub_edges)
+def _rows(plan):
+    """Every column of every chunk row, spans in place of vertex lists."""
+    return list(zip(plan.owner.tolist(), plan.worker.tolist(),
+                    plan.start.tolist(), plan.stop.tolist(),
+                    plan.edges.tolist(), plan.hub_edges.tolist()))
 
 
 @pytest.mark.parametrize("shape", ["flat", "nodes=2x2"])
@@ -167,13 +169,15 @@ def test_realize_whole_fragment_solution_equals_no_solution(
     whole[np.arange(4), context.fragment_worker] = workloads
     solution = FStealSolution(assignment=whole, objective=0.0,
                               solver="test")
-    plain = scheduler._realize(context, frontiers, workloads, None)
-    stolen = scheduler._realize(context, frontiers, workloads, solution)
-    assert len(plain) == 4
-    assert any(chunk.hub_edges > 0 for chunk in plain)
-    assert [_chunk_tuple(c) for c in stolen] == [
-        _chunk_tuple(c) for c in plain
-    ]
+    hub_cache = scheduler._state.hub_cache
+    plain = realize_plan(context, frontiers, workloads,
+                         hub_cache=hub_cache, active_workers=[])
+    stolen = realize_plan(context, frontiers, workloads,
+                          quotas=solution.assignment, hub_cache=hub_cache,
+                          active_workers=[])
+    assert plain.owner.size == 4
+    assert plain.hub_edges.any()
+    assert _rows(stolen) == _rows(plain)
 
 
 def test_osteal_without_fsteal_trigger_stays_owner_local(road_graph):
@@ -198,11 +202,8 @@ def test_osteal_without_fsteal_trigger_stays_owner_local(road_graph):
         plan, owner_of = scheduler.plans[i], scheduler.ownership[i]
         assert not plan.fsteal_applied
         assert entries[i]["fsteal"] is None
-        assert len({chunk.owner for chunk in plan.chunks}) == len(
-            plan.chunks
-        )
-        for chunk in plan.chunks:
-            assert chunk.worker == owner_of[chunk.owner]
+        assert len(set(plan.owner.tolist())) == plan.owner.size
+        assert np.array_equal(plan.worker, owner_of[plan.owner])
 
 
 def test_observers_never_steer():
@@ -219,10 +220,9 @@ def test_observers_never_steer():
             metrics=MetricsRegistry() if observed else None,
         ).run(graph, partition, "sssp", source=pick_source("USA"))
         return [
-            ([_chunk_tuple(c) for c in plan.chunks], plan.decision_seconds,
+            (_rows(plan), plan.decision_seconds,
              plan.osteal_group_size, plan.active_workers,
-             plan.fsteal_applied, plan.stolen_edges,
-             plan.migrated_vertices)
+             plan.fsteal_applied, plan.stolen_edges)
             for plan in scheduler.plans
         ]
 

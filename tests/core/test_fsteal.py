@@ -9,12 +9,11 @@ from repro.core import (
     OracleCostModel,
     build_cost_matrix,
     make_solver,
-    select_vertices,
 )
 from repro.errors import SolverError
 from repro.graph.features import frontier_features
 from repro.hardware import dgx1, measure_comm_cost_matrix
-from repro.runtime import Frontier
+from repro.runtime import Frontier, select_vertices
 
 
 @pytest.fixture()
@@ -76,16 +75,17 @@ def test_select_vertices_partitions_frontier(skewed_graph):
     total = int(degrees.sum())
     quotas = np.array([total // 4] * 3 + [total - 3 * (total // 4)]
                       + [0] * 4)
-    chunks = select_vertices(skewed_graph, 2, frontier, quotas)
-    covered = np.concatenate([c.vertices for c in chunks])
+    spans = select_vertices(skewed_graph, frontier, quotas)
+    covered = np.concatenate(
+        [frontier.vertices[start:stop] for __, __, start, stop in spans]
+    )
     assert np.array_equal(np.sort(covered), frontier.vertices)
-    assert sum(c.edges for c in chunks) == total
-    assert all(c.owner == 2 for c in chunks)
-    # consecutive slices: each chunk's vertices are a contiguous run
-    for chunk in chunks:
-        lo = np.searchsorted(frontier.vertices, chunk.vertices[0])
-        run = frontier.vertices[lo: lo + chunk.vertices.size]
-        assert np.array_equal(run, chunk.vertices)
+    assert sum(edges for __, edges, __, __ in spans) == total
+    # consecutive slices: each span starts where the previous stopped
+    starts = [start for __, __, start, __ in spans]
+    stops = [stop for __, __, __, stop in spans]
+    assert starts == [0] + stops[:-1]
+    assert stops[-1] == frontier.size
 
 
 def test_select_vertices_quota_accuracy(skewed_graph):
@@ -93,10 +93,10 @@ def test_select_vertices_quota_accuracy(skewed_graph):
     degrees = skewed_graph.out_degrees(frontier.vertices)
     total = int(degrees.sum())
     quotas = np.array([total // 2, total - total // 2, 0, 0, 0, 0, 0, 0])
-    chunks = select_vertices(skewed_graph, 0, frontier, quotas)
+    spans = select_vertices(skewed_graph, frontier, quotas)
     max_degree = int(degrees.max())
-    for chunk, quota in zip(chunks, quotas[quotas > 0]):
-        assert abs(chunk.edges - quota) <= max_degree
+    for (__, edges, __, __), quota in zip(spans, quotas[quotas > 0]):
+        assert abs(edges - quota) <= max_degree
 
 
 def test_select_vertices_single_worker(skewed_graph):
@@ -104,22 +104,18 @@ def test_select_vertices_single_worker(skewed_graph):
     total = frontier.work(skewed_graph)
     quotas = np.zeros(8, dtype=np.int64)
     quotas[5] = total
-    chunks = select_vertices(skewed_graph, 1, frontier, quotas)
-    assert len(chunks) == 1
-    assert chunks[0].worker == 5
-    assert chunks[0].edges == total
+    spans = select_vertices(skewed_graph, frontier, quotas)
+    assert spans == [(5, total, 0, 3)]
 
 
 def test_select_vertices_validation(skewed_graph):
     frontier = Frontier([0, 1])
     total = frontier.work(skewed_graph)
     with pytest.raises(SolverError, match="do not match"):
-        select_vertices(skewed_graph, 0, frontier,
-                        np.array([total + 5, 0]))
+        select_vertices(skewed_graph, frontier, np.array([total + 5, 0]))
     with pytest.raises(SolverError, match="empty frontier"):
-        select_vertices(skewed_graph, 0, Frontier.empty(),
-                        np.array([10]))
-    assert select_vertices(skewed_graph, 0, Frontier.empty(),
+        select_vertices(skewed_graph, Frontier.empty(), np.array([10]))
+    assert select_vertices(skewed_graph, Frontier.empty(),
                            np.array([0, 0])) == []
 
 
@@ -139,17 +135,12 @@ def test_select_vertices_realizes_a_solver_assignment(
         np.arange(8, dtype=np.int64),
     )
     solution = make_solver("greedy").solve(FStealProblem(costs, workloads))
-    assignments = [
-        a
-        for fragment, part in enumerate(fragments) if part
-        for a in select_vertices(
-            skewed_graph, fragment, part, solution.assignment[fragment]
-        )
+    realized = [
+        sum(edges for __, edges, __, __ in select_vertices(
+            skewed_graph, part, solution.assignment[fragment]
+        )) if part else 0
+        for fragment, part in enumerate(fragments)
     ]
-    assert sum(a.edges for a in assignments) == int(workloads.sum())
+    assert sum(realized) == int(workloads.sum())
     # the realized plan respects the solver's per-fragment totals
-    for fragment in range(8):
-        realized = sum(
-            a.edges for a in assignments if a.owner == fragment
-        )
-        assert realized == int(workloads[fragment])
+    assert realized == workloads.tolist()

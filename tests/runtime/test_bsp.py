@@ -9,12 +9,12 @@ from repro.algorithms.validate import (
     reference_sssp,
     reference_wcc,
 )
-from repro.errors import EngineError
+from repro.errors import DegradedModeError, EngineError
 from repro.graph import symmetrize
 from repro.hardware import dgx1, single_gpu
 from repro.partition import random_partition
 from repro.runtime import BSPEngine, EngineOptions
-from repro.runtime.scheduler import IterationPlan, Scheduler, WorkChunk
+from repro.runtime.scheduler import IterationPlan, Scheduler, realize_plan
 
 
 def test_bfs_correct(skewed_graph, skewed_partition, source):
@@ -126,27 +126,55 @@ class _DroppingScheduler(Scheduler):
     name = "dropper"
 
     def plan(self, iteration, fragment_frontiers, workloads, context):
-        chunks = [
-            WorkChunk(owner=i, worker=i, vertices=f.vertices,
-                      edges=int(workloads[i] // 2))
-            for i, f in enumerate(fragment_frontiers)
-            if f
-        ]
-        return IterationPlan(chunks=chunks,
-                             active_workers=list(range(context.num_workers)))
+        plan = realize_plan(context, fragment_frontiers, workloads,
+                            active_workers=list(range(context.num_workers)))
+        plan.edges //= 2
+        return plan
 
 
 class _EmptyActiveScheduler(Scheduler):
     name = "noactive"
 
     def plan(self, iteration, fragment_frontiers, workloads, context):
-        return IterationPlan(chunks=[], active_workers=[])
+        return IterationPlan(active_workers=[])
 
 
 def test_work_conservation_enforced(skewed_graph, skewed_partition, source):
     engine = BSPEngine(dgx1(8), scheduler=_DroppingScheduler())
     with pytest.raises(EngineError, match="conserve"):
         engine.run(skewed_graph, skewed_partition, "bfs", source=source)
+
+
+def _two_row_plan(owner=(0, 1), worker=(0, 1), edges=(5, 7)):
+    """Fragment 0 (5 edges) on worker 0, fragment 1 (7 edges) on 1."""
+    return IterationPlan(
+        active_workers=[0, 1],
+        owner=np.array(owner), worker=np.array(worker),
+        edges=np.array(edges), hub_edges=np.zeros(2, dtype=np.int64),
+        start=np.zeros(2, dtype=np.int64), stop=np.ones(2, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("columns, dead, error, match", [
+    ({"worker": (0, 2)}, set(), EngineError, "chunk worker 2 out of range"),
+    # a wrapped -1 would read as worker 1, which is dead here
+    ({"worker": (0, -1)}, {1}, EngineError,
+     "chunk worker -1 out of range"),
+    ({"owner": (0, 2)}, set(), EngineError, "chunk owner 2 out of range"),
+    # a wrapped -1 would land on fragment 1 and conserve the workload
+    ({"owner": (0, -1)}, set(), EngineError,
+     "chunk owner -1 out of range"),
+    ({}, {1}, DegradedModeError, "dead worker 1"),
+    ({"edges": (5, 6)}, set(), EngineError, "does not conserve"),
+], ids=["worker-high", "worker-negative", "owner-high", "owner-negative",
+        "dead-worker", "not-conserving"])
+def test_plan_rejections(columns, dead, error, match):
+    engine = BSPEngine(dgx1(2))
+    workloads = np.array([5, 7], dtype=np.int64)
+    engine._validate_plan(_two_row_plan(), workloads, 2, set())  # valid
+    with pytest.raises(error, match=match) as raised:
+        engine._validate_plan(_two_row_plan(**columns), workloads, 2, dead)
+    assert raised.type is error
 
 
 def test_plan_needs_active_workers(skewed_graph, skewed_partition, source):

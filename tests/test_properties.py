@@ -14,13 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import make_algorithm
 from repro.algorithms.validate import reference_bfs, reference_sssp
 from repro.core import FStealProblem, GreedySolver, LPRoundingSolver
-from repro.core.fsteal import select_vertices
 from repro.core.reduction_tree import ReductionTree
 from repro.graph import from_edge_arrays, gini_coefficient
 from repro.graph.gather import gather_edges
 from repro.hardware import dgx1
 from repro.partition import Partition
-from repro.runtime import Frontier
+from repro.runtime import Frontier, select_vertices
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -188,11 +187,12 @@ def test_select_vertices_conserves(total_seed, split_seed):
     weights = rng2.random(4) + 0.01
     quotas = np.floor(total * weights / weights.sum()).astype(np.int64)
     quotas[0] += total - quotas.sum()
-    chunks = select_vertices(graph, 0, frontier, quotas)
-    assert sum(c.edges for c in chunks) == total
+    spans = select_vertices(graph, frontier, quotas)
+    assert sum(edges for __, edges, __, __ in spans) == total
     covered = (
-        np.sort(np.concatenate([c.vertices for c in chunks]))
-        if chunks
+        np.sort(np.concatenate([frontier.vertices[start:stop]
+                                for __, __, start, stop in spans]))
+        if spans
         else np.empty(0, dtype=np.int64)
     )
     if total > 0:

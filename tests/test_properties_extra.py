@@ -32,7 +32,10 @@ def test_peeksteal_simulation_invariants(workloads, min_steal, latency):
     scheduler = PeekStealScheduler(
         steal_latency_seconds=latency, min_steal_edges=min_steal
     )
-    quotas, steals = scheduler._simulate(workloads, workloads.size)
+    quotas, steals = scheduler._simulate(
+        workloads, np.arange(workloads.size), workloads.size,
+        range(workloads.size),
+    )
     # conservation: every fragment's edges are fully assigned
     assert np.array_equal(quotas.sum(axis=1), workloads)
     # no negative quotas, bounded steal count (termination evidence)
