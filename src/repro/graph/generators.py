@@ -24,12 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builders import (
-    coalesce_duplicates,
-    from_edge_arrays,
-    remove_self_loops,
-    symmetrize,
-)
+from repro.graph.builders import _simple_graph, from_edge_arrays, symmetrize
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -101,54 +96,36 @@ def rmat(
                 "rmat edge_batch needs a concrete seed: chunked "
                 "generation replays slices of the seeded RNG stream"
             )
+    elif seed is None:
+        seed = np.random.SeedSequence().entropy
+    batch = edge_batch or m
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
     # Probability of the column bit given the row bit.
     p_col_given_top = b / (a + b)
     p_col_given_bottom = (1 - a - b - c) / max(1e-12, 1 - a - b)
-    if edge_batch is None or edge_batch >= m:
-        rng = _rng(seed)
-        # Each bit of the vertex id is drawn independently per quadrant.
+    # Each bit of the vertex id is drawn independently per quadrant:
+    # bit ``b``'s row draws occupy stream positions [b*2m, b*2m+m) and
+    # its column draws [b*2m+m, (b+1)*2m), so chunk [start, stop) of
+    # either is just an advance() to the right offset
+    for start in range(0, m, batch):
+        stop = min(start + batch, m)
         for bit in range(scale):
-            r = rng.random(m)
+            base = bit * 2 * m
+            r = _rng_at(seed, base + start).random(stop - start)
             go_right = r >= a + b  # bottom half of the recursion square
-            r2 = rng.random(m)
+            r2 = _rng_at(seed, base + m + start).random(stop - start)
             col_bit = np.where(
                 go_right, r2 < p_col_given_bottom, r2 < p_col_given_top
             )
-            src |= go_right.astype(np.int64) << bit
-            dst |= col_bit.astype(np.int64) << bit
-        perm_rng = rng
-    else:
-        # chunked replay of the one-shot stream: bit ``b``'s row draws
-        # occupy stream positions [b*2m, b*2m+m) and its column draws
-        # [b*2m+m, (b+1)*2m), so chunk [start, stop) of either is just
-        # an advance() to the right offset
-        for start in range(0, m, edge_batch):
-            stop = min(start + edge_batch, m)
-            count = stop - start
-            for bit in range(scale):
-                base = bit * 2 * m
-                r = _rng_at(seed, base + start).random(count)
-                go_right = r >= a + b
-                r2 = _rng_at(seed, base + m + start).random(count)
-                col_bit = np.where(
-                    go_right, r2 < p_col_given_bottom,
-                    r2 < p_col_given_top,
-                )
-                src[start:stop] |= go_right.astype(np.int64) << bit
-                dst[start:stop] |= col_bit.astype(np.int64) << bit
-        perm_rng = _rng_at(seed, scale * 2 * m)
+            src[start:stop] |= go_right.astype(np.int64) << bit
+            dst[start:stop] |= col_bit.astype(np.int64) << bit
     # Permute ids so hubs are not clustered at id 0 (matters for the
     # locality-aware partitioner experiments).
-    perm = perm_rng.permutation(n)
+    perm = _rng_at(seed, scale * 2 * m).permutation(n)
     src = perm[src]
     dst = perm[dst]
-    graph = from_edge_arrays(src, dst, num_vertices=n, name=name)
-    graph = remove_self_loops(coalesce_duplicates(graph))
-    if undirected:
-        graph = symmetrize(graph)
-    return graph.with_name(name)
+    return _simple_graph(src, dst, n, name, undirected)
 
 
 def erdos_renyi(
@@ -165,29 +142,32 @@ def erdos_renyi(
     if num_edges > max_edges:
         raise GraphError("too many edges requested for a simple graph")
     rng = _rng(seed)
-    # Oversample then dedup; repeat until enough distinct edges.
-    collected_src: list[np.ndarray] = []
-    collected_dst: list[np.ndarray] = []
-    seen = 0
-    while seen < num_edges:
-        want = int((num_edges - seen) * 1.3) + 16
+    # Oversample then dedup the fused keys; repeat until enough
+    # distinct edges.
+    drawn = keys = np.empty(0, dtype=np.int64)
+    while keys.size < num_edges:
+        want = int((num_edges - keys.size) * 1.3) + 16
         s = rng.integers(0, num_vertices, size=want, dtype=np.int64)
         d = rng.integers(0, num_vertices, size=want, dtype=np.int64)
-        ok = s != d
-        collected_src.append(s[ok])
-        collected_dst.append(d[ok])
-        src = np.concatenate(collected_src)
-        dst = np.concatenate(collected_dst)
-        keys = src * num_vertices + dst
-        __, unique_idx = np.unique(keys, return_index=True)
-        seen = unique_idx.size
-    unique_idx.sort()
-    src = src[unique_idx][:num_edges]
-    dst = dst[unique_idx][:num_edges]
-    graph = from_edge_arrays(src, dst, num_vertices=num_vertices, name=name)
-    if undirected:
-        graph = symmetrize(graph)
-    return graph.with_name(name)
+        drawn = np.concatenate([drawn, (s * num_vertices + d)[s != d]])
+        keys, first = np.unique(drawn, return_index=True)
+    if keys.size > num_edges:
+        # keep the first num_edges distinct edges drawn, in key order
+        cut = np.partition(first, num_edges - 1)[num_edges - 1]
+        keys = keys[first <= cut]
+    graph = from_edge_arrays(
+        *np.divmod(keys, num_vertices), num_vertices=num_vertices,
+        name=name, sort=False,
+    )
+    return symmetrize(graph) if undirected else graph
+
+
+def _lattice(rows: int, cols: int):
+    """Row-major lattice edges: every horizontal one, then every vertical."""
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    src = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    dst = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return src, dst
 
 
 def grid_2d(
@@ -205,21 +185,12 @@ def grid_2d(
     """
     if rows < 1 or cols < 1:
         raise GraphError("grid dimensions must be positive")
-    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    horiz_src = ids[:, :-1].ravel()
-    horiz_dst = ids[:, 1:].ravel()
-    vert_src = ids[:-1, :].ravel()
-    vert_dst = ids[1:, :].ravel()
-    src = np.concatenate([horiz_src, vert_src])
-    dst = np.concatenate([horiz_dst, vert_dst])
+    src, dst = _lattice(rows, cols)
     if drop_fraction > 0:
         rng = _rng(seed)
         keep = rng.random(src.size) >= drop_fraction
         src, dst = src[keep], dst[keep]
-    graph = from_edge_arrays(
-        src, dst, num_vertices=rows * cols, directed=False, name=name
-    )
-    return symmetrize(graph).with_name(name)
+    return _simple_graph(src, dst, rows * cols, name, undirected=True)
 
 
 def road_network(
@@ -245,17 +216,11 @@ def road_network(
     if rows < 2 or cols < 2:
         raise GraphError("road network needs at least a 2x2 lattice")
     rng = _rng(seed)
-    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    horiz_src = ids[:, :-1].ravel()
-    horiz_dst = ids[:, 1:].ravel()
-    vert_src = ids[:-1, :].ravel()
-    vert_dst = ids[1:, :].ravel()
-    src = np.concatenate([horiz_src, vert_src])
-    dst = np.concatenate([horiz_dst, vert_dst])
+    src, dst = _lattice(rows, cols)
     # Backbone mask: row-0 horizontal edges and col-0 vertical edges.
     backbone = np.zeros(src.size, dtype=bool)
     backbone[: cols - 1] = True  # first row of horizontal edges
-    vert_start = horiz_src.size
+    vert_start = rows * (cols - 1)
     backbone[vert_start:: cols] = True  # column 0 of vertical edges
     keep = (rng.random(src.size) >= drop_fraction) | backbone
     src, dst = src[keep], dst[keep]
@@ -264,17 +229,13 @@ def road_network(
     if num_shortcuts:
         s = rng.integers(0, rows * cols, size=num_shortcuts, dtype=np.int64)
         d = rng.integers(0, rows * cols, size=num_shortcuts, dtype=np.int64)
-        ok = s != d
-        src = np.concatenate([src, s[ok]])
-        dst = np.concatenate([dst, d[ok]])
+        src = np.concatenate([src, s])
+        dst = np.concatenate([dst, d])
     if permute_ids:
         perm = rng.permutation(rows * cols)
         src = perm[src]
         dst = perm[dst]
-    graph = from_edge_arrays(
-        src, dst, num_vertices=rows * cols, directed=False, name=name
-    )
-    return symmetrize(graph).with_name(name)
+    return _simple_graph(src, dst, rows * cols, name, undirected=True)
 
 
 def web_graph(
@@ -322,9 +283,7 @@ def web_graph(
     u = rng.random(m)
     global_dst = (u * u * num_vertices).astype(np.int64)
     dst = np.where(is_local, local_dst, global_dst)
-    graph = from_edge_arrays(src, dst, num_vertices=num_vertices, name=name)
-    graph = remove_self_loops(coalesce_duplicates(graph))
-    return graph.with_name(name)
+    return _simple_graph(src, dst, num_vertices, name)
 
 
 def small_world(
@@ -353,9 +312,7 @@ def small_world(
     dst[rewired] = rng.integers(
         0, num_vertices, size=int(rewired.sum()), dtype=np.int64
     )
-    graph = from_edge_arrays(src, dst, num_vertices=num_vertices, name=name)
-    graph = remove_self_loops(coalesce_duplicates(graph))
-    return symmetrize(graph).with_name(name)
+    return _simple_graph(src, dst, num_vertices, name, undirected=True)
 
 
 def star(num_leaves: int, name: str = "star") -> CSRGraph:

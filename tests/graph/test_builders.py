@@ -50,6 +50,31 @@ def test_from_edge_arrays_explicit_vertices():
         from_edge_arrays(np.array([0]), np.array([5]), num_vertices=3)
 
 
+def test_unsorted_build_rejects_descending_sources():
+    # bincount lays rows out by ascending id, so grouped-but-descending
+    # sources would hand vertex 0 vertex 1's first neighbour
+    with pytest.raises(GraphError, match="ascending"):
+        from_edge_arrays([1, 1, 0], [2, 3, 1], num_vertices=4, sort=False)
+
+
+def test_unsorted_build_keeps_each_row_in_input_order():
+    graph = from_edge_arrays(
+        [0, 0, 0, 2], [3, 1, 3, 0], num_vertices=4, weights=[1, 2, 3, 4],
+        sort=False,
+    )
+    assert graph.indptr.tolist() == [0, 3, 3, 4, 4]
+    assert graph.neighbors(0).tolist() == [3, 1, 3]
+    assert graph.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("num_vertices, dst", [(2**32, 1), (None, 2**32)])
+def test_vertex_count_whose_fused_key_overflows_is_rejected(
+    num_vertices, dst
+):
+    with pytest.raises(GraphError, match="overflow int64"):
+        from_edge_arrays([0], [dst], num_vertices=num_vertices)
+
+
 def test_negative_ids_rejected():
     with pytest.raises(GraphError, match="non-negative"):
         from_edge_arrays(np.array([-1]), np.array([0]))
