@@ -1,19 +1,20 @@
-"""Execution-backend gates: speedup floor and coordination budget.
+"""Thread-path gates: speedup floor and coordination budget.
 
-The ``shmem`` backend (one thread per virtual GPU) exists for exactly
-one reason — wall-clock — and is only allowed to buy it without
-touching anything else. This suite pins both sides of that bargain:
+The session's thread path (one task per virtual GPU) exists for
+exactly one reason — wall-clock — and is only allowed to buy it
+without touching anything else. This suite pins both sides of that
+bargain, forcing each path through ``repro.backend.PARALLEL_MIN_EDGES``:
 
 1. **speedup floor**: on a multi-core host (CI runners have >= 4
-   vCPUs) the shmem superstep over the big generated graph must beat
-   the serial superstep by ``SPEEDUP_FLOOR``. Both sides are measured
-   in the same process on the same host, so the check transfers
-   between machines. Hosts without enough cores skip (threads cannot
+   vCPUs) the threaded superstep over the big generated graph must
+   beat the serial superstep by ``SPEEDUP_FLOOR``. Both sides are
+   measured in the same process on the same host, so the check
+   transfers between machines. Hosts without enough cores skip (threads cannot
    beat a serial loop on one core).
 2. **coordination budget**: the session's self-measured host overhead
    (task submission + result collection, from
    ``RunResult.backend_stats``) must stay a small per-task cost — the
-   backend parallelizes array crunching, not task juggling.
+   thread path parallelizes array crunching, not task juggling.
 
 The ``backend.*`` cases also feed the calibrated ``baseline.json``
 regression gate via the shared ``bench_report`` fixture.
@@ -28,7 +29,7 @@ import pytest
 import repro
 from repro.bench import perfharness
 from repro.graph import datasets
-from tests.backend.helpers import no_backend_threads
+from tests.backend.helpers import forced_path, no_backend_threads
 
 SPEEDUP_FLOOR = 2.0
 #: host seconds of coordination per dispatched task, amortized
@@ -76,8 +77,8 @@ def test_shmem_coordination_overhead_budget():
     supersteps) amortizes pool startup out of the picture.
     """
     graph = datasets.load("TX")
-    result = repro.run(graph, "bfs", num_gpus=4, backend="shmem",
-                       source=0)
+    with forced_path(True):
+        result = repro.run(graph, "bfs", num_gpus=4, source=0)
     stats = result.backend_stats
     assert stats is not None and stats["tasks"] > 0
     per_task = (

@@ -261,7 +261,7 @@ def test_message_count_matches_plain_form():
     for active in frontiers:
         for aggregate in (True, False):
             assert session.message_count(
-                0, active, aggregate, context
+                active, aggregate, context
             ) == naive_message_count(
                 graph, partition, active, aggregate, context
             )

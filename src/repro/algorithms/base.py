@@ -16,12 +16,12 @@ Contract for :meth:`GASAlgorithm.step`:
 * return the next frontier,
 * be deterministic and independent of how the engine scheduled work.
 
-Under the ``shmem`` backend a :class:`~repro.algorithms.minprop.
-MinPropagation` superstep runs as per-fragment reduces of its
-``candidates`` applied with one ``MinScatter.relax``, so a subclass's
-``step`` must stay exactly that relax of the frontier's out-edges.
-Every other algorithm's ``step`` runs on the coordinator under every
-backend.
+On the session's thread path (:mod:`repro.backend`) a
+:class:`~repro.algorithms.minprop.MinPropagation` superstep runs as
+per-fragment reduces of its ``candidates`` applied with one
+``MinScatter.relax``, so a subclass's ``step`` must stay exactly that
+relax of the frontier's out-edges. Every other algorithm's ``step``
+always runs on the coordinator.
 """
 
 from __future__ import annotations

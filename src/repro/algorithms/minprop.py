@@ -8,8 +8,9 @@ masked ``local_step`` the asynchronous (Groute-model) engine uses to
 run a fragment to its local fixed point, which is sound precisely
 because the propagation is monotone. Its :class:`MinScatter` is the
 one min-relax: the serial step applies it to the whole frontier, and
-the ``shmem`` backend reduces each fragment with it on a thread and
-applies the concatenated minima with it on the coordinator.
+a threaded superstep (:mod:`repro.backend`) reduces each fragment with
+it on a thread and applies the concatenated minima with it on the
+coordinator.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ plus the violations it found in them, and comes in two kinds:
   latency of a hot path — FSteal solves, LP/MILP constraint assembly,
   vectorized plan pricing, full BFS / PageRank engine iterations,
   cost-model inference, the decision path, observability self-cost,
-  the execution backends. The harness wraps their callable in
-  :func:`time_callable` and *normalizes* the timing by a fixed numpy
-  calibration workload measured in the same process, so a baseline
-  recorded on one machine transfers to another: a 30% regression gate
-  on the normalized score tracks "slower relative to this host's numpy
-  throughput", not absolute nanoseconds.
+  the session's serial and threaded supersteps. The harness wraps
+  their callable in :func:`time_callable` and *normalizes* the timing
+  by a fixed numpy calibration workload measured in the same process,
+  so a baseline recorded on one machine transfers to another: a 30%
+  regression gate on the normalized score tracks "slower relative to
+  this host's numpy throughput", not absolute nanoseconds.
 * **measured** cases (``timed=False``) run once and return their own
   report entry with the ``violations`` of their invariants: the
   out-of-core ``scale.*`` family (:mod:`repro.bench.scale`) and the
@@ -34,6 +34,7 @@ CLI: ``python -m repro bench`` (see ``docs/performance.md``).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -340,10 +341,10 @@ def _message_count_fixture():
     """``(session, frontier, context)`` with the gather already
     memoized: the count alone, not the adjacency walk it shares with
     the algorithm step."""
-    from repro.backend.serial import SerialSession
+    from repro.backend import Session
 
     graph, partition, algorithm, state, context = _rmat16_workload()
-    session = SerialSession(graph, partition)
+    session = Session(graph, partition, algorithm, state)
     state.frontier.gather(graph)
     return session, state.frontier, context
 
@@ -351,7 +352,7 @@ def _message_count_fixture():
 def _plain_message_count(frontier, context):
     """The aggregated count without the session's last-call memo, so
     every call runs the bitmap kernel on ``frontier``."""
-    from repro.backend.serial import count_messages
+    from repro.backend import count_messages
 
     graph, owner = context.graph, context.partition.owner
     seen = np.zeros(graph.num_vertices, dtype=bool)
@@ -840,11 +841,12 @@ def _obs_ledger_analytics():
 
 # ----------------------------------------------------------------------
 # Execution-backend cases: one full min-propagation superstep over a
-# generated big graph, identical work under each backend. The shmem
-# side runs the superstep on its fragment threads, one per fragment,
-# so serial-vs-shmem is the wall-clock question the backend exists to
-# answer; ``benchmarks/perf/test_backend.py`` turns the pair into a
-# speedup floor on multi-core hosts.
+# generated big graph, identical work on each of the session's two
+# paths. The shmem case runs the superstep as one task per fragment on
+# the session's thread pool, so serial-vs-shmem is the wall-clock
+# question the thread path exists to answer;
+# ``benchmarks/perf/test_backend.py`` turns the pair into a speedup
+# floor on multi-core hosts.
 # ----------------------------------------------------------------------
 def _rmat16_workload(workers: int = 4):
     """``(graph, partition, algorithm, state, context)``: WCC's first
@@ -873,13 +875,17 @@ def _rmat16_workload(workers: int = 4):
 def _backend_fixture(backend: str, workers: int = 4):
     """``(session, superstep)`` over the big-graph backend workload.
 
-    The superstep callable resets the values each call and builds a
-    *fresh* frontier (so the per-frontier gather memo cannot hide the
-    adjacency walk), then drives one dispatch + message-count + step
-    round through the session — exactly the engine's per-iteration
-    session protocol. The caller owns closing the session.
+    ``backend`` names the path every superstep takes: ``serial`` (the
+    coordinator's step) or ``shmem`` (the thread path), forced
+    through :data:`repro.backend.PARALLEL_MIN_EDGES` while the session
+    opens. The superstep callable resets the values each call and
+    builds a *fresh* frontier (so the per-frontier gather memo cannot
+    hide the adjacency walk), then drives one dispatch + message-count
+    + step round through the session — exactly the engine's
+    per-iteration session protocol. The caller owns closing the
+    session.
     """
-    from repro.backend import session_class
+    import repro.backend as host
     from repro.runtime.frontier import Frontier
 
     graph, partition, algorithm, state, context = _rmat16_workload(
@@ -887,22 +893,22 @@ def _backend_fixture(backend: str, workers: int = 4):
     )
     init_values = np.array(state.values)
     active = np.array(state.frontier.vertices)
-    session = session_class(backend)(graph, partition, algorithm, state)
-    counter = iter(range(1, 1 << 30))
+    threshold = host.PARALLEL_MIN_EDGES
+    host.PARALLEL_MIN_EDGES = 0 if backend == "shmem" else sys.maxsize
+    try:
+        session = host.Session(graph, partition, algorithm, state)
+    finally:
+        host.PARALLEL_MIN_EDGES = threshold
 
     def superstep():
-        iteration = next(counter)
         state.values[:] = init_values
-        state.iteration = iteration
         frontier = Frontier.from_sorted(active)
         state.frontier = frontier
-        fragments = frontier.split_by_owner(partition.owner, workers)
-        session.begin_iteration(iteration, fragments, True)
-        messages = session.message_count(iteration, frontier, True,
-                                         context)
-        return messages, session.step(
-            iteration, algorithm, graph, state
-        ).size
+        session.begin_iteration(
+            frontier.split_by_owner(partition.owner, workers)
+        )
+        messages = session.message_count(frontier, True, context)
+        return messages, session.step().size
 
     return session, superstep
 
@@ -930,8 +936,8 @@ for _backend in ("serial", "shmem"):
             "unit": "seconds per superstep",
             # wall-clock of a thread pool depends on host core count,
             # so the regression band is wide; the speedup *floor* lives
-            # in benchmarks/perf/test_backend.py where both backends
-            # are measured on the same host
+            # in benchmarks/perf/test_backend.py where both paths are
+            # measured on the same host
             "bench_threshold": 0.8,
         },
     )

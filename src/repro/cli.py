@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro import __version__
 from repro.algorithms import ALGORITHMS
-from repro.backend import BACKEND_NAMES
 from repro.bench.workloads import ENGINE_NAMES
 from repro.errors import ReproError
 from repro.graph import datasets
@@ -44,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosScenario
     from repro.core import GumConfig
     from repro.hardware import Topology
-    from repro.runtime import EngineOptions, RunResult
+    from repro.runtime import RunResult
 
 # The parser needs only the choices lists above; every handler imports
 # what it runs, so ``--help``, argument errors and the reading verbs
@@ -80,12 +79,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         help="disable decision amortization (plan cache, warm "
              "starts, incremental OSteal) for exact-mode "
              "reproduction of paper figures",
-    )
-    p.add_argument(
-        "--backend", default="serial", choices=BACKEND_NAMES,
-        help="execution backend: 'serial' (in-process, default) or "
-             "'shmem' (one thread per virtual GPU); never changes "
-             "results or virtual time (see docs/performance.md)",
     )
     p.add_argument(
         "--topology", metavar="SPEC", default=None,
@@ -287,7 +280,6 @@ class _Request(NamedTuple):
     topology: Optional[Topology]  # None: the --gpus DGX-1 sub-topology
     topology_spec: Optional[str]
     gum_config: GumConfig
-    options: Optional[EngineOptions]
     scenario: Optional[ChaosScenario]
 
     def meta(self, engine: str) -> dict:
@@ -323,7 +315,6 @@ def _request_from_args(args: argparse.Namespace) -> _Request:
     from repro.core import GumConfig
     from repro.core.costmodel import resolve_cost_model
     from repro.hardware import parse_topology
-    from repro.runtime import EngineOptions
 
     topology = (
         parse_topology(args.topology) if args.topology is not None
@@ -343,10 +334,6 @@ def _request_from_args(args: argparse.Namespace) -> _Request:
             solver=args.solver,
             cost_model=resolve_cost_model(args.cost_model),
             amortize=not args.no_amortize,
-        ),
-        options=(
-            EngineOptions(backend=args.backend)
-            if args.backend != "serial" else None
         ),
         scenario=(
             ChaosScenario.from_file(args.chaos) if args.chaos else None
@@ -431,7 +418,6 @@ def _observed_run(
             Cell(engine, request.algorithm, request.graph,
                  request.num_gpus, request.partitioner),
             gum_config=request.gum_config,
-            options=request.options,
             tracer=tracer if tracer.sinks else None,
             metrics=collected,
             # fresh per engine: each engine of a ``compare`` replays
@@ -524,12 +510,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         engines = tuple(e for e in ENGINE_NAMES if e != "groute")
         print("note: skipping groute (fault injection requires a "
               "BSP-style engine)", file=sys.stderr)
-    if getattr(args, "backend", "serial") != "serial":
-        # execution backends plug into the BSP superstep loop only
-        engines = tuple(e for e in engines if e != "groute")
-        if "groute" in ENGINE_NAMES and getattr(args, "chaos", None) is None:
-            print("note: skipping groute (execution backends require a "
-                  "BSP-style engine)", file=sys.stderr)
     request = _request_from_args(args)
     registry = _registry_from_args(args) if args.record else None
     for engine in engines:

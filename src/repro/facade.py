@@ -19,7 +19,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.algorithms import GASAlgorithm, make_algorithm
-from repro.backend import BACKEND_NAMES
 from repro.baselines import GrouteEngine, GunrockEngine, PeekStealScheduler
 from repro.core import GumConfig, GumEngine
 from repro.errors import EngineError
@@ -48,7 +47,6 @@ def run(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     chaos=None,
-    backend: str = "serial",
     topology: Optional[Union[str, Topology]] = None,
     **params,
 ) -> RunResult:
@@ -87,11 +85,6 @@ def run(
     chaos:
         A :class:`~repro.chaos.ChaosController` to inject faults into
         the run (BSP-style engines only; see ``docs/robustness.md``).
-    backend:
-        Execution backend: ``serial`` (in-process, default) or
-        ``shmem`` (one thread per virtual GPU over the run's own
-        arrays; BSP-style engines only). Never
-        changes results or virtual time — see ``docs/performance.md``.
     topology:
         Machine shape: ``None`` (the ``num_gpus``-GPU DGX-1
         sub-topology), a :class:`~repro.hardware.Topology`, or a
@@ -126,17 +119,9 @@ def run(
         # ignored (its default of 8 can't be told apart from a request)
         topology = parse_topology(topology)
         num_gpus = topology.num_gpus
-    if backend not in BACKEND_NAMES:
-        raise EngineError(
-            f"unknown execution backend {backend!r}; known: "
-            + ", ".join(BACKEND_NAMES)
-        )
     runner = make_engine(
-        engine, num_gpus, gum_config=gum_config,
-        options=(
-            EngineOptions(backend=backend) if backend != "serial" else None
-        ),
-        tracer=tracer, metrics=metrics, chaos=chaos, topology=topology,
+        engine, num_gpus, gum_config=gum_config, tracer=tracer,
+        metrics=metrics, chaos=chaos, topology=topology,
     )
     partition = make_partition(partitioner, graph, num_gpus, seed=seed)
     return runner.run(graph, partition, algorithm, **params)
@@ -159,13 +144,12 @@ def make_engine(
     BSP engine without any Gunrock algorithm tricks) and ``peeksteal``
     (BSP under the PeekSteal policy). A tracer and/or metrics registry
     attaches to any of them; a :class:`~repro.chaos.ChaosController`
-    and a non-serial execution backend attach to every BSP-based
-    engine (Groute's asynchronous runtime has no superstep boundary to
-    inject at or fan out from, so it rejects both). An explicit
-    ``topology`` (e.g. a :func:`repro.hardware.cluster` preset)
-    replaces the default ``num_gpus``-GPU DGX-1 sub-topology; its GPU
-    count must equal ``num_gpus`` since the partition is built for
-    that many workers.
+    attaches to every BSP-based engine (Groute's asynchronous runtime
+    has no superstep boundary to inject at, so it rejects a controller).
+    An explicit ``topology`` (e.g. a :func:`repro.hardware.cluster`
+    preset) replaces the default ``num_gpus``-GPU DGX-1 sub-topology;
+    its GPU count must equal ``num_gpus`` since the partition is built
+    for that many workers.
     """
     if topology is None:
         topology = dgx1(num_gpus)
@@ -176,13 +160,10 @@ def make_engine(
         )
     obs = {"tracer": tracer, "metrics": metrics}
     if name == "groute":
-        if chaos is not None or (
-            options is not None and options.backend != "serial"
-        ):
+        if chaos is not None:
             raise EngineError(
-                "fault injection and execution backends require a "
-                "BSP-style engine; groute's asynchronous runtime is "
-                "not supported"
+                "fault injection requires a BSP-style engine; groute's "
+                "asynchronous runtime is not supported"
             )
         return GrouteEngine(topology, **obs)
     obs.update(options=options, chaos=chaos)

@@ -469,7 +469,7 @@ class ShardedCSRGraph:
     high-water mark are counted and optionally published through a
     :class:`~repro.obs.metrics.MetricsRegistry`.
 
-    The hard invariant mirrors the execution backends': a sharded
+    The hard invariant mirrors the threaded superstep's: a sharded
     graph changes *where bytes live*, never results or virtual time —
     every accessor returns bit-identical values to an in-core
     :class:`CSRGraph` over the same arrays (the sharded equivalence

@@ -86,16 +86,11 @@ class EngineOptions:
         it under "+opt").
     max_iterations:
         Safety bound; exceeding it marks the run unconverged.
-    backend:
-        Execution backend (``serial`` or ``shmem``): which host
-        resources physically run the supersteps. Never affects
-        algorithm outputs or virtual time — see :mod:`repro.backend`.
     """
 
     aggregate_messages: bool = True
     direction_optimized_bfs: bool = True
     max_iterations: int = 200_000
-    backend: str = "serial"
 
 
 class BSPEngine:
@@ -142,9 +137,6 @@ class BSPEngine:
         self._machine = machine
         self._timing = TimingModel(topology, machine=machine)
         self._options = options or EngineOptions()
-        from repro.backend import session_class  # lazy: avoids import cycle
-
-        self._session_class = session_class(self._options.backend)
         self._name = name
         self._tracer = tracer or NULL_TRACER
         self._metrics = metrics or NULL_METRICS
@@ -214,7 +206,9 @@ class BSPEngine:
         result = envelope.result
         # the session owns the run's execution threads; the finally
         # guarantees they stop even when an iteration raises mid-run
-        session = self._session_class(graph, partition, algorithm, state)
+        from repro.backend import Session  # lazy: avoids import cycle
+
+        session = Session(graph, partition, algorithm, state)
         try:
             with envelope.span():
                 self._scheduler.begin_run(context)
@@ -271,7 +265,7 @@ class BSPEngine:
         )
 
     def _publish_backend_metrics(self, stats: Dict[str, object]) -> None:
-        """Register the backend's host-side stats as gauges.
+        """Register the session's host-side stats as gauges.
 
         The worker/task/latency numbers used to live only on the JSON
         summary; as registered metrics they reach every surface the
@@ -388,11 +382,9 @@ class BSPEngine:
         fragment_frontiers, workloads = self._distribute(
             graph, partition, algorithm, state
         )
-        # hand the distributed frontier to the execution backend now,
-        # so a parallel backend's workers overlap with the plan/pricing
-        session.begin_iteration(
-            iteration, fragment_frontiers, self._options.aggregate_messages
-        )
+        # hand the distributed frontier to the session now, so a
+        # threaded superstep overlaps with the plan and pricing
+        session.begin_iteration(fragment_frontiers)
         plan = self._plan(iteration, fragment_frontiers, workloads, context)
         # price from each owning fragment's memoized features (the
         # scheduler's own feature scan is not repeated)
@@ -402,12 +394,12 @@ class BSPEngine:
         )
         active = sorted(set(plan.active_workers))
         serialization, message_transfer = self._message_costs(
-            context, frontier, active, session, iteration
+            context, frontier, active, session
         )
         sync = (context.timing.sync_seconds(len(active))
                 * self._sync_multiplier(algorithm, state))
         # execute semantics (independent of the plan)
-        state.frontier = session.step(iteration, algorithm, graph, state)
+        state.frontier = session.step()
 
         active_arr = np.asarray(active, dtype=np.int64)
         stall = np.zeros(context.num_workers)
@@ -653,7 +645,6 @@ class BSPEngine:
         frontier: Frontier,
         active: list,
         session,
-        iteration: int,
     ) -> tuple[float, float]:
         """Price cross-worker messages: (packing, link transfer).
 
@@ -661,14 +652,14 @@ class BSPEngine:
         the aggregate NVLink bandwidth of the active group and lands in
         the communication bucket. BSP systems may use every link
         (unlike the Groute model's single ring). The message *count*
-        comes from the execution backend — every backend derives the
-        identical number, in-process via the frontier's memoized gather
-        or merged from worker partials.
+        comes from the session — the identical number on either of its
+        paths, from the frontier's memoized gather or folded from the
+        fragment threads' partials.
         """
         if frontier.size == 0:
             return 0.0, 0.0
         num_messages = session.message_count(
-            iteration, frontier, self._options.aggregate_messages, context
+            frontier, self._options.aggregate_messages, context
         )
         if num_messages == 0:
             return 0.0, 0.0

@@ -1,8 +1,11 @@
 """Importable helpers for the backend tests and the backend perf gates."""
 
+import contextlib
 import multiprocessing
+import sys
 import threading
 
+import repro.backend
 from repro.algorithms.base import GASAlgorithm
 from repro.algorithms.bfs import BFS
 from repro.algorithms.minprop import MinScatter
@@ -13,6 +16,19 @@ def no_backend_threads() -> bool:
     threads = [t for t in threading.enumerate()
                if t.name.startswith("repro-shmem")]
     return not threads and not multiprocessing.active_children()
+
+
+@contextlib.contextmanager
+def forced_path(threads: bool):
+    """Sessions opened inside run every eligible superstep on the
+    thread path (``threads``) or never thread, on any host: the one
+    switch is :data:`repro.backend.PARALLEL_MIN_EDGES`."""
+    saved = repro.backend.PARALLEL_MIN_EDGES
+    repro.backend.PARALLEL_MIN_EDGES = 0 if threads else sys.maxsize
+    try:
+        yield
+    finally:
+        repro.backend.PARALLEL_MIN_EDGES = saved
 
 
 class _FailingRelax(MinScatter):
@@ -34,11 +50,11 @@ class _FailingRelax(MinScatter):
 class FailingMergeBFS(BFS):
     """BFS whose coordinator-side relax raises after a few iterations.
 
-    The fragment threads' reduces are untouched: under ``shmem`` the
-    run's own :class:`MinScatter` (in ``state.aux``) only applies the
-    merged minima, so the failure lands mid-iteration in the
-    coordinator — exactly where the shmem session's cleanup contract
-    has to hold.
+    The fragment threads' reduces are untouched: on the thread path
+    the run's own :class:`MinScatter` (in ``state.aux``) only applies
+    the merged minima, so the failure lands mid-iteration in the
+    coordinator — exactly where the session's cleanup contract has to
+    hold.
     """
 
     name = "failing-bfs"
@@ -76,8 +92,9 @@ class FailingFragmentStepBFS(BFS):
 
 class FailingStepBFS(GASAlgorithm):
     """BFS by delegation, whose step raises. Not a
-    :class:`~repro.algorithms.minprop.MinPropagation`, so both backends
-    run its step on the coordinator — the serial path's cleanup."""
+    :class:`~repro.algorithms.minprop.MinPropagation`, so it never
+    threads and its step runs on the coordinator — the serial path's
+    cleanup."""
 
     name = "failing-step-bfs"
 

@@ -1,11 +1,13 @@
-"""Serial vs shmem: bit-identical outputs and virtual time.
+"""Serial vs threaded supersteps: bit-identical outputs and virtual time.
 
-The execution backend is a host-resource decision — *which* threads
-crunch the arrays — and must never leak into results. These tests run
-the same workload under both backends (the shmem side really runs one
-thread per fragment over the coordinator's arrays) and require the
+Which host threads crunch a superstep's arrays is the session's
+decision, and it must never leak into results. These tests run the
+same workload with every eligible superstep forced onto the
+coordinator's thread and onto the thread path (which really runs one
+thread per fragment over the coordinator's arrays), and require the
 algorithm values, the virtual-time totals, and every per-iteration
-virtual wall clock to match exactly.
+virtual wall clock to match exactly. The last test checks which
+supersteps the unforced rule threads.
 """
 
 import pathlib
@@ -15,26 +17,27 @@ import numpy as np
 import pytest
 
 import repro
+import repro.backend
 from repro.chaos import ChaosController, ChaosScenario
-from repro.errors import EngineError
 from repro.graph import datasets
-from tests.backend.helpers import no_backend_threads
+from tests.backend.helpers import forced_path, no_backend_threads
 
 KILL_WORKER = (pathlib.Path(__file__).resolve().parents[2]
                / "benchmarks" / "scenarios" / "kill-worker.json")
 
 
 def run_pair(algorithm, engine="gum", num_gpus=4, chaos=None, **params):
-    """The same run under both backends; ``chaos`` is a scenario path,
-    loaded into a fresh controller for each run."""
+    """The same run never threaded, then with every eligible superstep
+    threaded; ``chaos`` is a scenario path, loaded into a fresh
+    controller for each run."""
     graph = datasets.load("TX")
     results = []
-    for backend in ("serial", "shmem"):
+    for threads in (False, True):
         if chaos is not None:
             params["chaos"] = ChaosController(ChaosScenario.from_file(chaos))
-        results.append(repro.run(graph, algorithm, engine=engine,
-                                 num_gpus=num_gpus, backend=backend,
-                                 **params))
+        with forced_path(threads):
+            results.append(repro.run(graph, algorithm, engine=engine,
+                                     num_gpus=num_gpus, **params))
     return tuple(results)
 
 
@@ -61,8 +64,8 @@ def test_parallel_step_algorithms_bit_identical(algorithm, params):
     assert serial.backend_stats is None
     stats = shmem.backend_stats
     assert stats["backend"] == "shmem"
-    assert stats["parallel_step"] is True
-    assert stats["workers"] == 4
+    assert stats["threaded_steps"] == shmem.num_iterations
+    assert stats["workers"] == min(4, repro.backend.usable_cpus())
     assert stats["tasks"] > 0
 
 
@@ -79,7 +82,7 @@ def test_killed_worker_bit_identical(algorithm, params):
     assert_equivalent(serial, shmem)
     assert serial.chaos["workers_killed"] == shmem.chaos["workers_killed"]
     assert shmem.chaos["workers_killed"] == [2]
-    assert shmem.backend_stats["parallel_step"] is True
+    assert shmem.backend_stats["threaded_steps"] == shmem.num_iterations
 
 
 @pytest.mark.parametrize("algorithm,params", [
@@ -90,17 +93,20 @@ def test_killed_worker_bit_identical(algorithm, params):
 def test_two_node_topology_bit_identical(algorithm, params):
     serial, shmem = run_pair(algorithm, topology="nodes=2x2", **params)
     assert_equivalent(serial, shmem)
-    assert shmem.backend_stats["workers"] == 4
+    assert shmem.backend_stats["threaded_steps"] == shmem.num_iterations
 
 
 @pytest.mark.parametrize("algorithm,params", [
     ("sssp", {"source": 0}),
     ("wcc", {}),
 ])
-def test_eight_threads_under_a_short_switch_interval(algorithm, params):
+def test_eight_threads_under_a_short_switch_interval(monkeypatch,
+                                                     algorithm, params):
     """More threads than cores, switching every microsecond: a task
     that wrote another fragment's row or buffers, or read values the
-    coordinator was still merging, would change a value or a count."""
+    coordinator was still merging, would change a value or a count.
+    The pool is sized to the usable CPUs, so eight are claimed."""
+    monkeypatch.setattr(repro.backend, "usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -112,12 +118,12 @@ def test_eight_threads_under_a_short_switch_interval(algorithm, params):
 
 
 def test_serial_fallback_algorithm_bit_identical():
-    # float-sum aggregation (PageRank) has no exact merge: the shmem
-    # session must fall back to the coordinator's serial superstep
+    # float-sum aggregation (PageRank) has no exact merge: even forced,
+    # the session runs the coordinator's serial superstep and reports
+    # what a run that never threads reports
     serial, shmem = run_pair("pr", num_gpus=2)
     assert_equivalent(serial, shmem)
-    assert shmem.backend_stats["parallel_step"] is False
-    assert shmem.backend_stats["tasks"] == 0
+    assert shmem.backend_stats is None
 
 
 @pytest.mark.parametrize("algorithm,params", [
@@ -127,8 +133,9 @@ def test_serial_fallback_algorithm_bit_identical():
 ])
 def test_serial_step_algorithms_start_no_thread(algorithm, params):
     """Delta-stepping's buckets, k-core's peeling and delta-PageRank's
-    sums are no min-relax: shmem runs their serial step and no
-    ``repro-shmem`` thread exists at any superstep of either run."""
+    sums are no min-relax: even forced, the session runs their serial
+    step and no ``repro-shmem`` thread exists at any superstep of
+    either run."""
     from repro.obs import Sink, Tracer
 
     seen = []
@@ -141,9 +148,7 @@ def test_serial_step_algorithms_start_no_thread(algorithm, params):
                              **params)
     assert_equivalent(serial, shmem)
     assert len(seen) > serial.num_iterations and all(seen)
-    stats = shmem.backend_stats
-    assert stats["parallel_step"] is False
-    assert (stats["workers"], stats["tasks"]) == (0, 0)
+    assert shmem.backend_stats is None
 
 
 def test_plain_bsp_engine_bit_identical():
@@ -151,30 +156,19 @@ def test_plain_bsp_engine_bit_identical():
     assert_equivalent(serial, shmem)
 
 
-def test_groute_rejects_non_serial_backend():
-    graph = datasets.load("TX")
-    with pytest.raises(EngineError, match="BSP-style"):
-        repro.run(graph, "wcc", engine="groute", num_gpus=2,
-                  backend="shmem")
-
-
-def test_unknown_backend_rejected():
-    graph = datasets.load("TX")
-    with pytest.raises(EngineError, match="unknown execution backend"):
-        repro.run(graph, "bfs", backend="cuda", source=0)
-
-
 def test_serial_message_count_equals_the_plain_count():
     """The bitmap kernel and the per-endpoint worker lookup count what
     a ``V``-long worker-of-vertex array and ``np.unique`` count."""
-    from repro.backend.serial import SerialSession
+    from repro.algorithms import make_algorithm
     from repro.partition import random_partition
     from repro.runtime import Frontier
     from repro.runtime.scheduler import RunContext
 
     graph = datasets.load("TX")
     partition = random_partition(graph, 4, seed=0)
-    session = SerialSession(graph, partition)
+    algorithm = make_algorithm("bfs")
+    session = repro.backend.Session(graph, partition, algorithm,
+                                    algorithm.init(graph, source=0))
     rng = np.random.default_rng(0)
     frontiers = [Frontier.full(graph.num_vertices), Frontier([5]),
                  Frontier.empty()] + [
@@ -193,10 +187,10 @@ def test_serial_message_count_equals_the_plain_count():
             sources, destinations, __ = frontier.gather(graph)
             cross = worker_of[sources] != worker_of[destinations]
             assert session.message_count(
-                0, frontier, False, context
+                frontier, False, context
             ) == int(np.count_nonzero(cross))
             assert session.message_count(
-                0, frontier, True, context
+                frontier, True, context
             ) == np.unique(destinations[cross]).size
     assert not session._seen.any()
 
@@ -211,9 +205,9 @@ def test_serial_message_count_equals_the_plain_count():
     )
     sources, destinations, __ = frontier.gather(graph)
     for aggregate in (True, False):
-        before = session.message_count(0, frontier, aggregate, context)
+        before = session.message_count(frontier, aggregate, context)
         context.fragment_worker[:] = [0, 0, 0, 3]
-        after = session.message_count(1, frontier, aggregate, context)
+        after = session.message_count(frontier, aggregate, context)
         worker_of = context.fragment_worker[partition.owner]
         cross = worker_of[sources] != worker_of[destinations]
         assert after == (
@@ -224,10 +218,28 @@ def test_serial_message_count_equals_the_plain_count():
         context.fragment_worker[:] = np.arange(4)
 
 
-def test_engine_rejects_unknown_backend_at_construction():
-    """The name is resolved when the engine is built, before any run."""
-    from repro.hardware import dgx1
-    from repro.runtime import BSPEngine, EngineOptions
+def test_a_superstep_threads_when_it_is_big_enough(monkeypatch):
+    """The unforced rule. IT/wcc@8's first superstep (every vertex
+    active, over a million out-edges) threads exactly when the process
+    may run on two CPUs or more; TX/bfs@4 and the four long-tail cells
+    of the ``tail-road`` benchmark workload never reach
+    ``PARALLEL_MIN_EDGES`` and start no thread on any host."""
+    from repro.bench.workloads import pick_source, prepare_graph
 
-    with pytest.raises(EngineError, match="unknown execution backend"):
-        BSPEngine(dgx1(2), options=EngineOptions(backend="cuda"))
+    def first_superstep():
+        return repro.run(prepare_graph("IT", "wcc"), "wcc", num_gpus=8,
+                         max_iterations=1).backend_stats
+
+    on_this_host = first_superstep()
+    assert (on_this_host is not None) == (repro.backend.usable_cpus() >= 2)
+    monkeypatch.setattr(repro.backend, "usable_cpus", lambda: 1)
+    assert first_superstep() is None
+    monkeypatch.setattr(repro.backend, "usable_cpus", lambda: 2)
+    stats = first_superstep()
+    assert (stats["threaded_steps"], stats["workers"]) == (1, 2)
+    for graph, algorithm, gpus in [("TX", "bfs", 4), ("USA", "sssp", 8),
+                                   ("EU", "sssp", 8), ("WB", "bfs", 8)]:
+        result = repro.run(prepare_graph(graph, algorithm), algorithm,
+                           num_gpus=gpus, source=pick_source(graph))
+        assert result.backend_stats is None, (graph, algorithm)
+    assert no_backend_threads()

@@ -1,8 +1,8 @@
-"""Lifecycle: no backend thread or child process survives any exit path.
+"""Lifecycle: no session thread or child process survives any exit path.
 
 A run that raises mid-iteration — in the coordinator's merge, on a
-fragment thread, or on the serial-fallback path — must still stop
-every thread the session started. The engine closes its session in a
+fragment thread, or on the serial path — must still stop every thread
+the session started. The engine closes its session in a
 ``finally``; these tests inject failures on each path and assert the
 contract.
 """
@@ -18,6 +18,7 @@ from tests.backend.helpers import (
     FailingFragmentStepBFS,
     FailingMergeBFS,
     FailingStepBFS,
+    forced_path,
     no_backend_threads,
 )
 
@@ -29,19 +30,18 @@ def workload():
     return graph, partition
 
 
-def run_failing(workload, algorithm, backend):
+def run_failing(workload, algorithm, threads):
     graph, partition = workload
-    from repro.runtime.bsp import EngineOptions
-
-    engine = BSPEngine(dgx1(2), name="bsp",
-                       options=EngineOptions(backend=backend))
-    with pytest.raises(RuntimeError, match="injected") as raised:
+    engine = BSPEngine(dgx1(2), name="bsp")
+    with forced_path(threads), pytest.raises(
+        RuntimeError, match="injected"
+    ) as raised:
         engine.run(graph, partition, algorithm, source=0)
     return raised.value
 
 
 def test_midrun_exception_releases_blocks_and_workers(workload):
-    run_failing(workload, FailingMergeBFS(fail_at_iteration=3), "shmem")
+    run_failing(workload, FailingMergeBFS(fail_at_iteration=3), True)
     assert no_backend_threads()
 
 
@@ -49,7 +49,7 @@ def test_a_failing_fragment_step_raises_its_own_error(workload):
     """A task's exception comes out of the run unchanged — the same
     ``RuntimeError`` the serial step would raise, not a wrapper."""
     error = run_failing(
-        workload, FailingFragmentStepBFS(fail_at_iteration=3), "shmem"
+        workload, FailingFragmentStepBFS(fail_at_iteration=3), True
     )
     assert type(error) is RuntimeError
     assert str(error) == "injected fragment-step failure"
@@ -57,17 +57,16 @@ def test_a_failing_fragment_step_raises_its_own_error(workload):
 
 
 def test_serial_fallback_exception_releases_blocks(workload):
-    # failure on the coordinator's serial-fallback step path
-    run_failing(workload, FailingStepBFS(fail_at_iteration=3), "shmem")
+    # failure on the coordinator's serial step, thread path forced
+    run_failing(workload, FailingStepBFS(fail_at_iteration=3), True)
     assert no_backend_threads()
 
 
 def test_shmem_without_an_exact_merge_starts_nothing(workload):
     """PageRank has no exact merge, so every superstep is the
-    coordinator's serial one: ``shmem`` must not start threads that
-    would never get a task."""
+    coordinator's serial one: a forced thread path must not start
+    threads that would never get a task."""
     from repro.obs import Sink, Tracer
-    from repro.runtime.bsp import EngineOptions
 
     seen = []
 
@@ -76,34 +75,33 @@ def test_shmem_without_an_exact_merge_starts_nothing(workload):
             seen.append(no_backend_threads())
 
     graph, partition = workload
-    engine = BSPEngine(dgx1(2), name="bsp", tracer=Tracer(sinks=[Probe()]),
-                       options=EngineOptions(backend="shmem"))
-    result = engine.run(graph, partition, "pr", max_iterations=5)
+    engine = BSPEngine(dgx1(2), name="bsp", tracer=Tracer(sinks=[Probe()]))
+    with forced_path(True):
+        result = engine.run(graph, partition, "pr", max_iterations=5)
     assert len(seen) > 5  # probed inside the run, every superstep
     assert all(seen)
-    stats = result.backend_stats
-    assert stats["backend"] == "shmem"
-    assert stats["parallel_step"] is False
-    assert (stats["workers"], stats["tasks"]) == (0, 0)
-    assert stats["startup_seconds"] == 0.0
+    assert result.backend_stats is None
 
 
 def test_serial_backend_never_creates_blocks(workload):
-    run_failing(workload, FailingStepBFS(fail_at_iteration=3), "serial")
+    run_failing(workload, FailingMergeBFS(fail_at_iteration=3), False)
     assert no_backend_threads()
 
 
 def test_session_close_is_idempotent(workload):
     graph, partition = workload
     from repro.algorithms import make_algorithm
-    from repro.backend.shmem import SharedMemorySession
+    from repro.backend import Session
 
     algorithm = make_algorithm("bfs")
     state = algorithm.init(graph, source=0)
-    session = SharedMemorySession(graph, partition, algorithm, state)
-    fragments = state.frontier.split_by_owner(partition.owner, 2, graph)
-    session.begin_iteration(0, fragments, True)
-    session.step(0, algorithm, graph, state)
+    with forced_path(True):
+        session = Session(graph, partition, algorithm, state)
+    assert no_backend_threads()  # the pool starts with a threaded step
+    session.begin_iteration(
+        state.frontier.split_by_owner(partition.owner, 2, graph)
+    )
+    session.step()
     assert not no_backend_threads()
     session.close()
     session.close()  # second close is a no-op

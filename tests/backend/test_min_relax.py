@@ -1,6 +1,6 @@
-"""The shmem merge: per-fragment reduces applied with one relax.
+"""The thread path's merge: per-fragment reduces applied with one relax.
 
-A shmem min-propagation superstep reduces each fragment's out-edges
+A threaded min-propagation superstep reduces each fragment's out-edges
 to ``(touched, minima)`` on its thread and applies the concatenation
 of every fragment's pair with :meth:`MinScatter.relax` on the
 coordinator. These tests drive single supersteps through the session
@@ -15,14 +15,13 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.algorithms.minprop import MinScatter
-from repro.backend.serial import SerialSession
-from repro.backend.shmem import SharedMemorySession
+from repro.backend import Session
 from repro.graph.builders import from_edge_arrays
 from repro.graph.gather import gather_edges
 from repro.partition.base import Partition
 from repro.runtime import Frontier
 from repro.runtime.scheduler import RunContext
-from tests.backend.helpers import no_backend_threads
+from tests.backend.helpers import forced_path, no_backend_threads
 
 
 def _multigraph(seed: int = 0):
@@ -100,24 +99,27 @@ def test_concatenated_partials_equal_one_global_relax(graph_name,
             expected, destinations,
             algorithm.candidates(state.values, sources, weights),
         )
-        serial = SerialSession(graph, partition)
-        session = SharedMemorySession(graph, partition, algorithm, state)
+        with forced_path(False):
+            serial = Session(graph, partition, algorithm, state)
+        with forced_path(True):
+            session = Session(graph, partition, algorithm, state)
         try:
             session.begin_iteration(
-                0, frontier.split_by_owner(partition.owner, k, graph), True
+                frontier.split_by_owner(partition.owner, k, graph)
             )
             folded = np.zeros(k, dtype=np.int64)  # one worker: no message
             for worker in (np.arange(k), np.arange(k) // 2, folded):
                 context = _context(graph, partition, worker)
                 for aggregate in (True, False):
                     assert session.message_count(
-                        0, frontier, aggregate, context
+                        frontier, aggregate, context
                     ) == serial.message_count(
-                        0, frontier, aggregate, context
+                        frontier, aggregate, context
                     ), (label, worker, aggregate)
-            step = session.step(0, algorithm, graph, state)
+            step = session.step()
         finally:
             session.close()
+        assert session.stats()["threaded_steps"] == 1, label
         assert np.array_equal(state.values, expected), label
         assert np.array_equal(step.vertices, improved), label
         assert no_backend_threads()

@@ -3,10 +3,10 @@
 Out-of-core storage is a host-memory decision — *where* the CSR
 arrays live — and must never leak into results. These tests run the
 same workload over the in-core graph and its sharded on-disk twin
-(five shards, serial and shmem backends) and require the algorithm
-values, the virtual-time totals, and every per-iteration virtual wall
-clock to match exactly, while the shard cache's peak residency stays
-under its byte budget.
+(five shards) and require the algorithm values, the virtual-time
+totals, and every per-iteration virtual wall clock to match exactly,
+while the shard cache's peak residency stays under its byte budget.
+A sharded graph never takes the thread path, even when it is forced.
 """
 
 import numpy as np
@@ -20,7 +20,8 @@ from repro.graph import (
     symmetrize,
     with_random_weights,
 )
-from tests.backend.helpers import no_backend_threads
+from repro.obs import Sink, Tracer
+from tests.backend.helpers import forced_path, no_backend_threads
 
 NUM_SHARDS = 5
 RESIDENT_BYTES = 1 << 20
@@ -44,15 +45,18 @@ def graphs(tmp_path_factory):
     }
 
 
-def run_pair(graphs, kind, algorithm, backend="serial", **params):
+def run_pair(graphs, kind, algorithm, threads=False, **params):
+    """The in-core run, then the sharded one with the thread path
+    forced on (``threads``) or off."""
     in_core, shard_dir = graphs[kind]
     baseline = repro.run(in_core, algorithm, engine="gum", num_gpus=4,
-                         backend="serial", **params)
+                         **params)
     sharded_graph = open_graph_sharded(
         shard_dir, resident_bytes=RESIDENT_BYTES
     )
-    sharded = repro.run(sharded_graph, algorithm, engine="gum",
-                        num_gpus=4, backend=backend, **params)
+    with forced_path(threads):
+        sharded = repro.run(sharded_graph, algorithm, engine="gum",
+                            num_gpus=4, **params)
     return baseline, sharded, sharded_graph
 
 
@@ -95,38 +99,31 @@ def test_pagerank_streaming_superstep_bit_identical(graphs):
     ("directed", "sssp", {"source": 0}),
     ("undirected", "wcc", {}),
 ])
-def test_shmem_sharded_bit_identical(graphs, monkeypatch, kind, algorithm,
-                                     params):
-    from repro.backend import shmem
+def test_shmem_sharded_bit_identical(graphs, kind, algorithm, params):
+    """A forced thread path leaves a sharded graph on the coordinator:
+    its shard cache is not thread-safe, and a reopening per thread
+    would hold a resident budget of its own. No thread starts, and the
+    cache reports exactly what the never-threaded run reports."""
+    seen = []
 
-    opened = []
-    fragment_graphs = shmem._fragment_graphs
+    class Probe(Sink):
+        def emit(self, record):
+            seen.append(no_backend_threads())
 
-    def recording(graph, num_fragments):
-        opened.append((graph, fragment_graphs(graph, num_fragments)))
-        return opened[-1][1]
-
-    monkeypatch.setattr(shmem, "_fragment_graphs", recording)
-    baseline, sharded, graph = run_pair(graphs, kind, algorithm,
-                                        backend="shmem", **params)
-    assert_equivalent(baseline, sharded)
-    stats = sharded.backend_stats
-    assert stats["backend"] == "shmem"
-    assert stats["parallel_step"] is True
-    # the coordinator's own cache stats ride along
-    assert stats["shard_cache"]["loads"] > 0
-    # the shard cache is not thread-safe: every fragment thread reads
-    # its own reopening of the directory, never the coordinator's graph
-    ((coordinator, per_fragment),) = opened
-    assert coordinator is graph
-    assert len(per_fragment) == 4
-    assert all(g is not graph for g in per_fragment)
-    assert len({id(g) for g in per_fragment}) == 4
-    assert no_backend_threads()
+    __, serial, __ = run_pair(graphs, kind, algorithm, **params)
+    baseline, forced, __ = run_pair(graphs, kind, algorithm, threads=True,
+                                    tracer=Tracer(sinks=[Probe()]),
+                                    **params)
+    assert_equivalent(baseline, forced)
+    assert len(seen) > forced.num_iterations and all(seen)
+    assert forced.backend_stats == serial.backend_stats
+    assert forced.backend_stats["backend"] == "serial"
+    assert forced.backend_stats["shard_cache"]["peak_resident_bytes"] \
+        <= RESIDENT_BYTES
 
 
 def test_in_core_backend_stats_stay_none(graphs):
     in_core, __ = graphs["directed"]
     result = repro.run(in_core, "bfs", engine="gum", num_gpus=4,
-                       backend="serial", source=0)
+                       source=0)
     assert result.backend_stats is None

@@ -67,16 +67,16 @@ def test_full_frontier_is_expanded_and_split_once_per_run(counted, rounds):
 @pytest.fixture
 def message_counts(monkeypatch):
     """Calls that reach the memo-free message count."""
-    from repro.backend import serial
+    import repro.backend as backend
 
     calls = []
-    count = serial.count_messages
+    count = backend.count_messages
 
     def counting(*args):
         calls.append(args)
         return count(*args)
 
-    monkeypatch.setattr(serial, "count_messages", counting)
+    monkeypatch.setattr(backend, "count_messages", counting)
     return calls
 
 

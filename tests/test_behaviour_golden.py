@@ -1,11 +1,14 @@
 """Whole-run behaviour, checked against a committed record.
 
 ``tests/behaviour_golden.json`` holds one line per cell of a fixed
-run matrix: every registered algorithm under the serial and the shmem
-backend, on the ``gum``, ``bsp`` and ``gunrock`` engines, on TX at 4
-GPUs and CF at 8; ``groute`` (serial only); the ``kill-worker``
-scenario; the ``nodes=2x2`` topology; a sharded graph behind a
-one-shard cache; and GUM with decision amortization off. Each cell
+run matrix: every registered algorithm on the ``gum``, ``bsp`` and
+``gunrock`` engines, on TX at 4 GPUs and CF at 8; ``groute``; the
+``kill-worker`` scenario; the ``nodes=2x2`` topology; a sharded graph
+behind a one-shard cache; and GUM with decision amortization off.
+Cells run under the session's own per-superstep rule; a ``threads``
+cell forces every superstep of a min-propagation algorithm onto the
+thread path (``repro.backend.PARALLEL_MIN_EDGES`` = 0) and must record
+exactly what its unforced twin records. Each cell
 records the run's ``repr(total_ms)``, its iteration count, a digest
 of every iteration's ``repr(wall_seconds)``, a digest of the final
 vertex values, and, for GUM, a digest of the decision ledger as
@@ -37,7 +40,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 KILL_WORKER = ROOT / "benchmarks" / "scenarios" / "kill-worker.json"
 
 ALGORITHMS = ("bfs", "sssp", "wcc", "dsssp", "kcore", "pr", "dpr")
-BACKENDS = ("serial", "shmem")
+#: the min-propagation algorithms, whose supersteps may thread
+THREADED = ("bfs", "sssp", "wcc")
 MACHINES = (("TX", 4), ("CF", 8))
 #: k = 3 peels TX over 22 supersteps (the default k = 2 peels it in one)
 PARAMS = {"kcore": {"k": 3}}
@@ -47,28 +51,36 @@ def _cells() -> dict:
     """Cell name → run keywords, in record order."""
     cells = {}
 
-    def add(graph, gpus, algorithm, engine="gum", backend="serial",
-            variant=None, **extra):
-        name = f"{graph}@{gpus} {algorithm} {engine} {backend}"
+    def add(graph, gpus, algorithm, engine="gum", variant=None,
+            threads=False, **extra):
+        name = f"{graph}@{gpus} {algorithm} {engine}"
         if variant:
             name += f" {variant}"
+        if threads:
+            name += " threads"
+            extra["threads"] = True
         cells[name] = dict(graph=graph, num_gpus=gpus, algorithm=algorithm,
-                           engine=engine, backend=backend, **extra,
+                           engine=engine, **extra,
                            **PARAMS.get(algorithm, {}))
+
+    def forced(algorithm):
+        return (False, True) if algorithm in THREADED else (False,)
 
     for graph, gpus in MACHINES:
         for algorithm in ALGORITHMS:
             for engine in ("gum", "bsp", "gunrock"):
-                for backend in BACKENDS:
-                    add(graph, gpus, algorithm, engine, backend)
+                for threads in forced(algorithm):
+                    add(graph, gpus, algorithm, engine, threads=threads)
             add(graph, gpus, algorithm, "groute")
     for algorithm in ALGORITHMS:
-        for backend in BACKENDS:
-            add("TX", 4, algorithm, backend=backend, variant="kill-worker",
+        add("TX", 4, algorithm, variant="kill-worker", chaos=True)
+        add("TX", 4, algorithm, variant="nodes=2x2", topology="nodes=2x2")
+        add("TX-sharded", 4, algorithm)
+        if algorithm in THREADED:
+            add("TX", 4, algorithm, variant="kill-worker", threads=True,
                 chaos=True)
-            add("TX", 4, algorithm, backend=backend, variant="nodes=2x2",
+            add("TX", 4, algorithm, variant="nodes=2x2", threads=True,
                 topology="nodes=2x2")
-            add("TX-sharded", 4, algorithm, backend=backend)
         add("TX", 4, algorithm, variant="no-amortize", amortize=False)
     return cells
 
@@ -77,19 +89,19 @@ CELLS = _cells()
 
 #: the cells tier-1 replays: every axis at least once, on TX
 SAMPLE = (
-    "TX@4 bfs gum shmem",
-    "TX@4 sssp bsp shmem",
-    "TX@4 wcc gunrock shmem",
-    "TX@4 dsssp gum shmem",
-    "TX@4 kcore bsp shmem",
-    "TX@4 pr gum shmem",
-    "TX@4 dpr gunrock serial",
-    "TX@4 sssp groute serial",
-    "TX@4 bfs gum shmem kill-worker",
-    "TX@4 wcc gum shmem nodes=2x2",
-    "TX-sharded@4 sssp gum shmem",
-    "TX-sharded@4 pr gum serial",
-    "TX@4 sssp gum serial no-amortize",
+    "TX@4 bfs gum threads",
+    "TX@4 sssp bsp threads",
+    "TX@4 wcc gunrock threads",
+    "TX@4 dsssp gum",
+    "TX@4 kcore bsp",
+    "TX@4 pr gum",
+    "TX@4 dpr gunrock",
+    "TX@4 sssp groute",
+    "TX@4 bfs gum kill-worker threads",
+    "TX@4 wcc gum nodes=2x2 threads",
+    "TX-sharded@4 sssp gum",
+    "TX-sharded@4 pr gum",
+    "TX@4 sssp gum no-amortize",
 )
 
 
@@ -113,6 +125,7 @@ def _load_graph(name: str, shard_root: pathlib.Path):
 def run_cell(name: str, shard_root: pathlib.Path) -> dict:
     """One cell's record entry, from a fresh run."""
     import repro
+    import repro.backend
     from repro.chaos import ChaosController, ChaosScenario
     from repro.core.arbitrator import GumConfig
 
@@ -122,7 +135,17 @@ def run_cell(name: str, shard_root: pathlib.Path) -> dict:
         spec["chaos"] = ChaosController(ChaosScenario.from_file(KILL_WORKER))
     if not spec.pop("amortize", True):
         spec["gum_config"] = GumConfig(amortize=False)
-    result = repro.run(graph, **spec)
+    threads = spec.pop("threads", False)
+    saved = repro.backend.PARALLEL_MIN_EDGES
+    if threads:
+        repro.backend.PARALLEL_MIN_EDGES = 0
+    try:
+        result = repro.run(graph, **spec)
+    finally:
+        repro.backend.PARALLEL_MIN_EDGES = saved
+    if threads:  # the forced path really ran every superstep
+        stats = result.backend_stats or {}
+        assert stats.get("threaded_steps") == result.num_iterations, name
     walls = "\n".join(repr(record.wall_seconds)
                       for record in result.iterations)
     values = np.ascontiguousarray(result.values)

@@ -19,9 +19,10 @@ import repro
 
 SOURCE = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
-#: packages whose ``__init__`` resolves its names lazily
-LAZY_PACKAGES = ("repro", "repro.core", "repro.runtime", "repro.graph",
-                 "repro.backend", "repro.obs", "repro.bench", "repro.runs")
+#: modules whose ``__all__`` must resolve: packages whose ``__init__``
+#: resolves its names lazily, and the plain ``repro.backend`` module
+EXPORTERS = ("repro", "repro.core", "repro.runtime", "repro.graph",
+             "repro.backend", "repro.obs", "repro.bench", "repro.runs")
 
 #: every subpackage must import cleanly when it is the first one loaded
 SUBPACKAGES = ("algorithms", "runtime", "obs", "core", "chaos", "backend",
@@ -81,7 +82,7 @@ def test_an_lp_solver_loads_scipy_when_it_solves(tmp_path):
     assert "scipy.optimize" in loaded
 
 
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
+@pytest.mark.parametrize("package", EXPORTERS)
 def test_every_exported_name_resolves_and_is_listed(package):
     module = __import__(package, fromlist=["__all__"])
     listed = dir(module)
