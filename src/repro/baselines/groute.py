@@ -204,32 +204,21 @@ class GrouteEngine:
         intra = owner[sources] == owner[graph.indices]
         return intra, ~intra
 
-    def _ring_comm_seconds(
-        self,
-        source_fragment: np.ndarray,
-        destination_fragment: np.ndarray,
-    ) -> float:
-        """Time for the edges' cross messages to traverse the ring.
+    def _ring_comm_seconds(self, messages: np.ndarray) -> float:
+        """Time for a round's cross messages to traverse the ring.
 
-        Takes the owning fragment of each edge's endpoints. Each
-        message travels the shorter arc between its endpoint ring
-        positions (an edge inside one fragment travels no link); the
-        round's communication time is the byte load of the most
+        ``messages[i, j]`` counts the messages from ring position ``i``
+        to ring position ``j``. Each message travels the shorter arc
+        between its endpoints (one inside a fragment travels no link);
+        the round's communication time is the byte load of the most
         congested ring link divided by that link's bandwidth.
         """
         n = len(self._ring)
-        if n <= 1 or source_fragment.size == 0:
+        if n <= 1 or not messages.any():
             return 0.0
-        position = np.empty(self._topology.num_gpus, dtype=np.int64)
-        for idx, gpu in enumerate(self._ring):
-            position[gpu] = idx
         # a message's route depends only on its endpoints' ring
-        # positions: histogram the messages over the n*n position pairs
-        # once, then route pairs instead of messages
-        messages = np.bincount(
-            position[source_fragment] * n + position[destination_fragment],
-            minlength=n * n,
-        )
+        # positions, so pairs are routed instead of messages
+        messages = messages.ravel()
         src_pos, dst_pos = np.divmod(np.arange(n * n), n)
         forward = (dst_pos - src_pos) % n
         backward = (src_pos - dst_pos) % n
@@ -359,11 +348,20 @@ class GrouteEngine:
         """Ring seconds and cross-fragment message count of pushing
         every out-edge of ``frontier``."""
         sources, destinations, __ = frontier.gather(graph)
-        source_fragment = partition.owner[sources]
-        destination_fragment = partition.owner[destinations]
+        owner = partition.owner
+        num_fragments = self._topology.num_gpus
+        # one fused (source, destination) fragment key per edge,
+        # counted into the fragment-by-fragment message matrix
+        keys = owner[sources]
+        keys *= num_fragments
+        keys += owner[destinations]
+        messages = np.bincount(
+            keys, minlength=num_fragments * num_fragments
+        ).reshape(num_fragments, num_fragments)
+        ring = self._ring
         return (
-            self._ring_comm_seconds(source_fragment, destination_fragment),
-            int(np.count_nonzero(source_fragment != destination_fragment)),
+            self._ring_comm_seconds(messages[np.ix_(ring, ring)]),
+            int(keys.size - np.trace(messages)),
         )
 
     def _round_record(

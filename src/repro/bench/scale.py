@@ -101,11 +101,11 @@ for _nodes, _gpn in ((1, 4), (2, 4), (4, 4)):
 
 @functools.lru_cache(maxsize=2)
 def _scale_graph(graph_scale: int, edge_factor: int):
-    """The shared rmat20-class input (chunked generation, cached)."""
+    """The shared rmat20-class input (cached)."""
     from repro.graph.generators import rmat
 
     return rmat(
-        graph_scale, edge_factor, seed=20, edge_batch=1 << 20,
+        graph_scale, edge_factor, seed=20,
         name=f"rmat{graph_scale}x{edge_factor}",
     )
 

@@ -198,6 +198,10 @@ def _expand_plan(d: int, degree: int) -> Tuple[tuple, ...]:
     return plan
 
 
+#: Rows :meth:`PolynomialSGDModel.edge_costs_seconds` designs at once:
+#: a degree-4 block is under 1 MiB whatever the batch.
+_PREDICT_BLOCK_ROWS = 512
+
 #: Rows expanded together: a block's gathered parent columns stay
 #: cache-resident (level-wise beats column-at-a-time below ~190 rows).
 _EXPAND_BLOCK_ROWS = 128
@@ -392,23 +396,30 @@ class PolynomialSGDModel(CostModel):
     def edge_costs_seconds(
         self, frontiers: Sequence[FrontierFeatures]
     ) -> List[float]:
-        """One design matrix for the decision, one dot per row.
+        """One design matrix per block of rows, one dot per row.
 
-        Every step of :meth:`_design` is elementwise, so the ``(F, N)``
+        Every step of :meth:`_design` is elementwise, so a block's
         design matrix holds exactly the rows single-frontier calls
-        build. The final product is *not* batched: ``(F, N) @ w`` is a
-        BLAS matrix-vector kernel whose summation order differs from
-        the dot product a ``(1, N) @ w`` reduces to (most rows differ
-        in the last bits), so each row takes its own ``row @ w``.
+        build, and the working set is one block's whatever the batch
+        (a run's audit is scored in one call). The final product is
+        *not* batched: ``(F, N) @ w`` is a BLAS matrix-vector kernel
+        whose summation order differs from the dot product a
+        ``(1, N) @ w`` reduces to (most rows differ in the last bits),
+        so each row takes its own ``row @ w``.
         """
         if self._weights is None:
             raise CostModelError("model used before fit")
         if not frontiers:
             return []
-        design = self._design(np.stack([f.vector() for f in frontiers]))
         weights = self._weights
-        raw = np.array([row @ weights for row in design])
-        return (np.maximum(raw, 0.01) / _NS).tolist()
+        raw = np.empty(len(frontiers))
+        for lo in range(0, raw.size, _PREDICT_BLOCK_ROWS):
+            block = frontiers[lo: lo + _PREDICT_BLOCK_ROWS]
+            design = self._design(np.stack([f.vector() for f in block]))
+            raw[lo: lo + len(block)] = [row @ weights for row in design]
+        np.maximum(raw, 0.01, out=raw)
+        raw /= _NS
+        return raw.tolist()
 
 
 class LinearSGDModel(PolynomialSGDModel):

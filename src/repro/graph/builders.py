@@ -106,10 +106,9 @@ def from_edge_arrays(
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             weights = weights[order]
-        src, dst = np.divmod(keys, num_vertices)
-    elif np.any(src[1:] < src[:-1]):
+        return _keys_csr(keys, num_vertices, weights, directed, name)
+    if np.any(src[1:] < src[:-1]):
         raise GraphError("sort=False needs ascending sources")
-
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
     return CSRGraph(indptr, dst, weights=weights, directed=directed, name=name)
@@ -185,10 +184,9 @@ def coalesce_duplicates(graph: CSRGraph, reduce: str = "min") -> CSRGraph:
 
     Unweighted graphs simply deduplicate the edge set.
     """
-    src, dst = graph.edge_array()
     return _distinct_edges(
-        src, dst, graph.weights, reduce, graph.num_vertices, graph.directed,
-        graph.name,
+        _edge_keys(graph), graph.weights, reduce, graph.num_vertices,
+        graph.directed, graph.name,
     )
 
 
@@ -198,35 +196,55 @@ def symmetrize(graph: CSRGraph, reduce: str = "min") -> CSRGraph:
     Duplicates created by the union are coalesced with ``reduce``. The
     result is flagged ``directed=False``.
     """
-    src, dst = graph.edge_array()
     weights = graph.weights
     if weights is not None:
         weights = np.concatenate([weights, weights])
     return _distinct_edges(
-        np.concatenate([src, dst]), np.concatenate([dst, src]), weights,
+        _with_twins(_edge_keys(graph), graph.num_vertices), weights,
         reduce, graph.num_vertices, False, graph.name,
     )
 
 
 def _simple_graph(
-    src: np.ndarray,
-    dst: np.ndarray,
+    keys: np.ndarray,
     num_vertices: int,
     name: str,
     undirected: bool = False,
 ) -> CSRGraph:
-    """The CSR of the distinct non-loop edges ``src -> dst``, one sort.
+    """The CSR of the distinct non-loop edges of fused ``keys``, one sort.
 
-    ``undirected`` adds every reverse twin first, which is what
-    :func:`symmetrize` of the directed result would give.
+    ``keys`` holds ``src * num_vertices + dst`` per drawn edge and is
+    consumed. ``undirected`` adds every reverse twin first, which is
+    what :func:`symmetrize` of the directed result would give.
     """
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
     if undirected:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        keys = _with_twins(keys, num_vertices)
     return _distinct_edges(
-        src, dst, None, "min", num_vertices, not undirected, name
+        keys, None, "min", num_vertices, not undirected, name, loops=False
     )
+
+
+def _edge_keys(graph: CSRGraph) -> np.ndarray:
+    """The fused key ``src * num_vertices + dst`` of every edge, in CSR
+    order."""
+    n = graph.num_vertices
+    keys = np.repeat(
+        np.arange(n, dtype=np.int64) * n, np.diff(graph.indptr)
+    )
+    keys += graph.indices
+    return keys
+
+
+def _with_twins(keys: np.ndarray, num_vertices: int) -> np.ndarray:
+    """``keys`` followed by the key of each edge's reverse twin."""
+    m = keys.size
+    out = np.empty(2 * m, dtype=np.int64)
+    forward, twins = out[:m], out[m:]
+    np.divmod(keys, num_vertices, out=(twins, forward))
+    forward *= num_vertices
+    twins += forward
+    forward[:] = keys
+    return out
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -238,27 +256,31 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _distinct_edges(
-    src: np.ndarray,
-    dst: np.ndarray,
+    keys: np.ndarray,
     weights: Optional[np.ndarray],
     reduce: str,
     num_vertices: int,
     directed: bool,
     name: str,
+    loops: bool = True,
 ) -> CSRGraph:
-    """The CSR of the distinct edges ``src -> dst``, by one sort.
+    """The CSR of the distinct edges of fused ``keys``, by one sort.
 
-    The sort is of the fused key ``src * num_vertices + dst``: a plain
-    one when unweighted (``np.unique`` hashes first, several times
-    slower), else a stable argsort, so parallel weights are combined
-    with ``reduce`` in their input order.
+    ``keys`` is consumed. Unweighted, it is sorted in place and the
+    first key of each run is kept (``np.unique`` hashes first, several
+    times slower); ``loops=False`` also drops self-loops, the keys
+    divisible by ``num_vertices + 1``. Weighted, one stable argsort
+    orders it, so parallel weights are combined with ``reduce`` in
+    their input order.
     """
     if reduce not in _REDUCE:
         raise GraphError(f"unknown reduce mode {reduce!r}")
-    keys = src * num_vertices + dst
     if weights is None:
         keys.sort()
-        keys = keys[_run_starts(keys)]
+        starts = _run_starts(keys)
+        if not loops:
+            starts &= keys % (num_vertices + 1) != 0
+        keys = keys[starts]
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -268,9 +290,24 @@ def _distinct_edges(
         sorted_weights = weights[order]
         weights = np.full(keys.size, identity)
         ufunc.at(weights, np.cumsum(starts) - 1, sorted_weights)
-    return from_edge_arrays(
-        *np.divmod(keys, num_vertices), num_vertices=num_vertices,
-        weights=weights, directed=directed, name=name, sort=False,
+    return _keys_csr(keys, num_vertices, weights, directed, name)
+
+
+def _keys_csr(
+    keys: np.ndarray,
+    num_vertices: int,
+    weights: Optional[np.ndarray],
+    directed: bool,
+    name: str,
+) -> CSRGraph:
+    """The CSR of sorted fused ``keys``, whose buffer it consumes:
+    ``indices = keys % n``, and ``indptr`` counts ``keys // n``."""
+    indices = keys % num_vertices
+    np.floor_divide(keys, num_vertices, out=keys)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_vertices), out=indptr[1:])
+    return CSRGraph(
+        indptr, indices, weights=weights, directed=directed, name=name
     )
 
 

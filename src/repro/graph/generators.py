@@ -57,6 +57,12 @@ def _rng_at(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+#: Edges :func:`rmat` draws per batch, which bounds its per-bit
+#: temporaries. Each batch continues its slice of the one-shot RNG
+#: stream, so the graph is bit-identical for any batch size.
+_EDGE_BATCH = 1 << 16
+
+
 def rmat(
     scale: int,
     edge_factor: int = 16,
@@ -66,7 +72,6 @@ def rmat(
     seed: Optional[int] = 0,
     undirected: bool = False,
     name: str = "rmat",
-    edge_batch: Optional[int] = None,
 ) -> CSRGraph:
     """Generate an R-MAT (recursive matrix) graph.
 
@@ -75,57 +80,51 @@ def rmat(
     producing the heavy-tailed degree distribution typical of social
     networks. Self-loops and duplicate edges are removed.
 
-    ``edge_batch`` bounds the per-bit temporary arrays: edges are drawn
-    in chunks of that size, with each chunk replaying its exact slice
-    of the one-shot RNG stream — the result is bit-identical to
-    ``edge_batch=None`` for the same seed (a scale-20 graph's working
-    set drops from several |E|-sized doubles to a few batch-sized
-    ones).
+    Edges are drawn in fixed-size batches, each replaying its slice of
+    the one-shot RNG stream, so the working set is one fused key per
+    edge plus a few batch-sized arrays, and the graph depends only on
+    the arguments.
     """
     if scale < 1 or scale > 30:
         raise GraphError("rmat scale must be in [1, 30]")
     if not (0 < a and 0 <= b and 0 <= c and a + b + c < 1):
         raise GraphError("rmat probabilities must satisfy a+b+c < 1")
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     n = 1 << scale
     m = edge_factor * n
-    if edge_batch is not None:
-        if edge_batch < 1:
-            raise GraphError("rmat edge_batch must be >= 1")
-        if seed is None:
-            raise GraphError(
-                "rmat edge_batch needs a concrete seed: chunked "
-                "generation replays slices of the seeded RNG stream"
-            )
-    elif seed is None:
-        seed = np.random.SeedSequence().entropy
-    batch = edge_batch or m
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
     # Probability of the column bit given the row bit.
     p_col_given_top = b / (a + b)
     p_col_given_bottom = (1 - a - b - c) / max(1e-12, 1 - a - b)
-    # Each bit of the vertex id is drawn independently per quadrant:
-    # bit ``b``'s row draws occupy stream positions [b*2m, b*2m+m) and
-    # its column draws [b*2m+m, (b+1)*2m), so chunk [start, stop) of
-    # either is just an advance() to the right offset
-    for start in range(0, m, batch):
-        stop = min(start + batch, m)
-        for bit in range(scale):
-            base = bit * 2 * m
-            r = _rng_at(seed, base + start).random(stop - start)
-            go_right = r >= a + b  # bottom half of the recursion square
-            r2 = _rng_at(seed, base + m + start).random(stop - start)
-            col_bit = np.where(
-                go_right, r2 < p_col_given_bottom, r2 < p_col_given_top
-            )
-            src[start:stop] |= go_right.astype(np.int64) << bit
-            dst[start:stop] |= col_bit.astype(np.int64) << bit
     # Permute ids so hubs are not clustered at id 0 (matters for the
     # locality-aware partitioner experiments).
     perm = _rng_at(seed, scale * 2 * m).permutation(n)
-    src = perm[src]
-    dst = perm[dst]
-    return _simple_graph(src, dst, n, name, undirected)
+    # Each bit of the vertex id is drawn independently per quadrant:
+    # bit ``b``'s row draws occupy stream positions [b*2m, b*2m+m) and
+    # its column draws [b*2m+m, (b+1)*2m), so one generator per stream
+    # hands each batch the next slice of it
+    streams = [
+        (_rng_at(seed, bit * 2 * m), _rng_at(seed, bit * 2 * m + m))
+        for bit in range(scale)
+    ]
+    keys = np.empty(m, dtype=np.int64)
+    for start in range(0, m, _EDGE_BATCH):
+        size = min(_EDGE_BATCH, m - start)
+        src = np.zeros(size, dtype=np.int64)
+        dst = np.zeros(size, dtype=np.int64)
+        for bit, (rows, cols) in enumerate(streams):
+            go_right = rows.random(size) >= a + b  # bottom half
+            r2 = cols.random(size)
+            col_bit = np.where(
+                go_right, r2 < p_col_given_bottom, r2 < p_col_given_top
+            )
+            src |= go_right.astype(np.int64) << bit
+            dst |= col_bit.astype(np.int64) << bit
+        batch = keys[start: start + size]
+        np.take(perm, src, out=batch)
+        batch *= n
+        batch += perm[dst]
+    return _simple_graph(keys, n, name, undirected)
 
 
 def erdos_renyi(
@@ -190,7 +189,8 @@ def grid_2d(
         rng = _rng(seed)
         keep = rng.random(src.size) >= drop_fraction
         src, dst = src[keep], dst[keep]
-    return _simple_graph(src, dst, rows * cols, name, undirected=True)
+    n = rows * cols
+    return _simple_graph(src * n + dst, n, name, undirected=True)
 
 
 def road_network(
@@ -235,7 +235,8 @@ def road_network(
         perm = rng.permutation(rows * cols)
         src = perm[src]
         dst = perm[dst]
-    return _simple_graph(src, dst, rows * cols, name, undirected=True)
+    n = rows * cols
+    return _simple_graph(src * n + dst, n, name, undirected=True)
 
 
 def web_graph(
@@ -273,17 +274,28 @@ def web_graph(
         ),
     )
     m = int(per_vertex.sum())
-    src = np.repeat(np.arange(num_vertices, dtype=np.int64), per_vertex)
+    # The draws' order and sizes fix the graph of a seed; each is
+    # folded into ``dst`` and dropped before the next.
     is_local = rng.random(m) < locality
-    offsets = rng.integers(1, window + 1, size=m, dtype=np.int64)
-    sign = np.where(rng.random(m) < 0.5, -1, 1)
-    local_dst = np.mod(src + sign * offsets, num_vertices)
+    dst = rng.integers(1, window + 1, size=m, dtype=np.int64)
+    np.negative(dst, out=dst, where=rng.random(m) < 0.5)
     # Zipf-ish global targets: squaring a uniform sample concentrates
     # mass on low ids, which act as the popular pages.
     u = rng.random(m)
-    global_dst = (u * u * num_vertices).astype(np.int64)
-    dst = np.where(is_local, local_dst, global_dst)
-    return _simple_graph(src, dst, num_vertices, name)
+    u *= u
+    u *= num_vertices
+    np.copyto(dst, u, casting="unsafe", where=~is_local)
+    del u
+    # local targets: the signed offset from the source, wrapped
+    # (``keys`` holds the sources until it becomes the fused keys)
+    keys = np.repeat(np.arange(num_vertices, dtype=np.int64), per_vertex)
+    np.add(dst, keys, out=dst, where=is_local)
+    np.mod(dst, num_vertices, out=dst, where=is_local)
+    del is_local
+    keys *= num_vertices
+    keys += dst
+    del dst
+    return _simple_graph(keys, num_vertices, name)
 
 
 def small_world(
@@ -312,7 +324,9 @@ def small_world(
     dst[rewired] = rng.integers(
         0, num_vertices, size=int(rewired.sum()), dtype=np.int64
     )
-    return _simple_graph(src, dst, num_vertices, name, undirected=True)
+    return _simple_graph(
+        src * num_vertices + dst, num_vertices, name, undirected=True
+    )
 
 
 def star(num_leaves: int, name: str = "star") -> CSRGraph:
@@ -383,9 +397,10 @@ def with_random_weights(
         ).astype(np.float64)
     else:
         weights = rng.uniform(low, high, size=graph.num_edges)
+    # the topology is read-only: share it rather than copy it
     return CSRGraph(
-        graph.indptr.copy(),
-        graph.indices.copy(),
+        graph.indptr,
+        graph.indices,
         weights=weights,
         directed=graph.directed,
         name=graph.name,

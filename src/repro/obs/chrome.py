@@ -123,8 +123,9 @@ def write_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": dict(meta or {}),
     }
+    # dumps, not dump: only the one-shot encoder is the C one
     with open(path, "w") as handle:
-        json.dump(payload, handle)
+        handle.write(json.dumps(payload))
     return path
 
 

@@ -17,6 +17,7 @@ from repro.graph import (
     web_graph,
     with_random_weights,
 )
+from repro.graph import generators
 from repro.graph.properties import degree_summary, pseudo_diameter
 
 
@@ -52,30 +53,32 @@ def test_rmat_param_validation():
         rmat(8, a=0.9, b=0.1, c=0.1)
 
 
+def _one_shot_rmat(monkeypatch, *args, **kwargs):
+    """``rmat`` drawn in one batch: one slice of each RNG stream."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "_EDGE_BATCH", 2**62)
+        return rmat(*args, **kwargs)
+
+
 @pytest.mark.parametrize("edge_batch", [1, 7, 1000, 2048, 10**9])
-def test_rmat_chunked_is_seed_identical(edge_batch):
+def test_rmat_chunked_is_seed_identical(monkeypatch, edge_batch):
     # chunked generation replays slices of the one-shot RNG stream,
     # so any batch size — including ones that don't divide |E| and
     # ones larger than |E| — must reproduce the graph bit-for-bit
-    one_shot = rmat(8, 8, seed=11)
-    chunked = rmat(8, 8, seed=11, edge_batch=edge_batch)
+    one_shot = _one_shot_rmat(monkeypatch, 8, 8, seed=11)
+    monkeypatch.setattr(generators, "_EDGE_BATCH", edge_batch)
+    chunked = rmat(8, 8, seed=11)
     assert chunked.num_edges == one_shot.num_edges
     assert np.array_equal(chunked.indptr, one_shot.indptr)
     assert np.array_equal(chunked.indices, one_shot.indices)
 
 
-def test_rmat_chunked_larger_graph_seed_identical():
-    one_shot = rmat(11, 16, seed=5)
-    chunked = rmat(11, 16, seed=5, edge_batch=4096)
+def test_rmat_chunked_larger_graph_seed_identical(monkeypatch):
+    one_shot = _one_shot_rmat(monkeypatch, 11, 16, seed=5)
+    monkeypatch.setattr(generators, "_EDGE_BATCH", 4096)
+    chunked = rmat(11, 16, seed=5)
     assert np.array_equal(chunked.indptr, one_shot.indptr)
     assert np.array_equal(chunked.indices, one_shot.indices)
-
-
-def test_rmat_chunked_validation():
-    with pytest.raises(GraphError, match="edge_batch"):
-        rmat(8, edge_batch=0)
-    with pytest.raises(GraphError, match="seed"):
-        rmat(8, seed=None, edge_batch=64)
 
 
 def test_erdos_renyi_exact_edges():

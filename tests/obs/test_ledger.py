@@ -13,6 +13,7 @@ The contract under test, end to end:
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,3 +456,48 @@ def test_registry_missing_ledger_is_an_error(tmp_path, skewed_graph,
     assert "ledger.json" not in registry.load_manifest(run_id)["files"]
     with pytest.raises(RunRegistryError):
         registry.load_ledger(run_id)
+
+
+class _ConstantDevice:
+    """Ground truth without a memo, so only ``score`` allocates."""
+
+    @staticmethod
+    def true_edge_cost(features):
+        return 2e-6
+
+
+def _score_transient_bytes(num_decisions):
+    """Peak bytes ``score`` holds above what it keeps, scoring
+    ``num_decisions`` eight-fragment decisions at once."""
+    audit = PredictionAudit(resolve_cost_model("default"), _ConstantDevice())
+    # held, as a ledger holds them, so what score keeps stays counted
+    records = [
+        audit.add([
+            (fragment, fragment, FrontierFeatures(
+                avg_in_degree=2.0 + decision, avg_out_degree=3.0,
+                in_degree_range=1.0 + fragment, out_degree_range=4.0,
+                gini=0.2, entropy=0.8, size=5, total_edges=15,
+            ))
+            for fragment in range(8)
+        ])
+        for decision in range(num_decisions)
+    ]
+    tracemalloc.start()
+    try:
+        audit.score()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(record.rmsre_online is not None for record in records)
+    return peak - current
+
+
+def test_audit_score_peak_does_not_grow_with_pending_samples():
+    # scoring a run's audit in one call predicts every sample; the
+    # design matrix (210 float64 columns at degree 4) is built in
+    # fixed-size row blocks, so 4x the samples leaves the transient
+    # peak where it was but for a few pointer-sized lists
+    small = _score_transient_bytes(500)
+    large = _score_transient_bytes(2000)
+    samples_added = (2000 - 500) * 8
+    assert large - small < 64 * samples_added, (small, large)
