@@ -35,7 +35,7 @@ otherwise runs the algorithm's serial step on the coordinator:
 
 The engine drives one session per run with three calls per superstep::
 
-    session.begin_iteration(fragment_frontiers)  # after the split
+    session.begin_iteration(table)  # after the split (a FragmentTable)
     session.message_count(frontier, aggregate, context)  # pricing
     session.step()                               # the algorithm superstep
 
@@ -53,13 +53,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.algorithms.minprop import MinPropagation, MinScatter
 from repro.graph.gather import distinct_vertices, gather_edges
-from repro.runtime.frontier import Frontier
+from repro.runtime.frontier import FragmentTable, Frontier
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -97,24 +97,21 @@ def count_messages(
 ) -> int:
     """Cross-worker message count from the memoized frontier gather.
 
-    One pass over the frontier's edges: endpoints are mapped vertex →
-    fragment (``owner``) → worker (``worker``) by indexing (never a
-    ``V``-long worker-of-vertex array, so a one-vertex tail superstep
-    costs its own edges) — the sources once per frontier vertex,
-    repeated over its out-edges as the gather lays them out. Under
-    ``aggregate`` the distinct remote destinations are counted with the
-    same bitmap kernel the algorithm step uses
-    (:func:`~repro.graph.gather.distinct_vertices`, ``seen`` being its
-    reusable all-``False`` bitmap).
+    Endpoints are mapped vertex → fragment (``owner``) → worker
+    (``worker``) by indexing, never through a ``V``-long array, so a
+    tail superstep costs its own edges: the sources once per frontier
+    vertex, repeated over its out-edges as the gather lays them out.
+    Under ``aggregate`` the distinct remote destinations are counted by
+    :func:`~repro.graph.gather.distinct_vertices`, the algorithm step's
+    bitmap kernel (``seen`` is its reusable all-``False`` bitmap).
     """
     __, destinations, __ = frontier.gather(graph)
     if destinations.size == 0:
         return 0
     vertices = frontier.vertices
-    source_worker = np.repeat(
+    cross = np.repeat(
         worker[owner[vertices]], graph.out_degrees(vertices)
-    )
-    cross = source_worker != worker[owner[destinations]]
+    ) != worker[owner[destinations]]
     if not aggregate:
         return int(np.count_nonzero(cross))
     # np.compress: ~3x faster than boolean-mask indexing here
@@ -153,13 +150,13 @@ class Session:
         self._futures: Optional[dict] = None
         self._results: Optional[dict] = None
 
-    def _takes_threads(self, fragment_frontiers: "Sequence[Frontier]") -> bool:
+    def _takes_threads(self, table: FragmentTable) -> bool:
         """The per-superstep rule of the module docstring."""
         if not self._threadable:
             return False
         if self._min_edges == 0:
             return True
-        edges = sum(f.work(self._graph) for f in fragment_frontiers)
+        edges = sum(table.work)
         return edges >= self._min_edges and usable_cpus() >= 2
 
     def _start(self) -> None:
@@ -189,9 +186,7 @@ class Session:
             "collect_seconds": 0.0,
         }
 
-    def begin_iteration(
-        self, fragment_frontiers: "Sequence[Frontier]"
-    ) -> None:
+    def begin_iteration(self, table: FragmentTable) -> None:
         """Choose the superstep's path from its distributed frontier.
 
         Called after the frontier split, before planning and pricing:
@@ -199,7 +194,7 @@ class Session:
         so the threads overlap with the scheduler's decision.
         """
         self._futures = self._results = None
-        if not self._takes_threads(fragment_frontiers):
+        if not self._takes_threads(table):
             return
         if self._pool is None:
             self._start()
@@ -209,7 +204,7 @@ class Session:
             fragment: self._pool.submit(
                 self._run_task, fragment, frontier.vertices, values
             )
-            for fragment, frontier in enumerate(fragment_frontiers)
+            for fragment, frontier in enumerate(table)
             if frontier.size
         }
         stats = self._stats
@@ -254,19 +249,16 @@ class Session:
         aggregate: bool,
         context: "RunContext",
     ) -> int:
-        """Messages crossing worker boundaries this superstep.
+        """Messages crossing worker boundaries this superstep: with
+        ``aggregate`` (early aggregation) one per distinct remote
+        destination, else one per cross edge.
 
-        With ``aggregate`` (early aggregation), one message per
-        distinct remote destination; otherwise one per cross edge. The
-        serial path runs :func:`count_messages`, memoized on the last
-        call: a frontier that stays active unchanged (PageRank's full
-        one) asks the same question every round, and the key is the
-        frontier object and the worker map's *value*, since OSteal
-        folds and a killed worker rewrite ``fragment_worker`` in place.
-        The thread path folds the same count from its tasks: fragments
-        partition the frontier's out-edges by source owner, so
-        cross-edge counts add and the remote distinct destinations
-        union.
+        The serial path runs :func:`count_messages`, memoized on the
+        last call (PageRank's full frontier asks the same question
+        every round) by the frontier object and the worker map's
+        *value*, which OSteal and a killed worker rewrite in place. The
+        thread path folds the same count from its tasks: cross-edge
+        counts add and remote distinct destinations union.
         """
         worker = context.fragment_worker
         if self._futures is None:

@@ -304,6 +304,94 @@ def _pricing_case():
     return lambda: engine._price_chunks(plan, features, context, n_gpus)
 
 
+def _tail_superstep_fixture(n_gpus: int = 8, n_steps: int = 64):
+    """Recorded USA/sssp@8 tail supersteps and the engine to replay them.
+
+    One GUM run records, per superstep past 70% of the run, the
+    frontier, the fragment->worker map the arbitrator settled on and
+    the realized ``(fragment, worker)`` edge matrix when FSteal fired.
+    Returns ``(engine, algorithm, context, session, hub_cache,
+    steps)``.
+    """
+    from types import SimpleNamespace
+
+    from repro.algorithms import make_algorithm
+    from repro.backend import Session
+    from repro.bench.workloads import pick_source, prepare_graph
+    from repro.core import GumConfig, GumScheduler
+    from repro.core.hubcache import HubCache
+    from repro.hardware import dgx1
+    from repro.partition.partitioners import make_partition
+    from repro.runtime.bsp import BSPEngine
+
+    graph = prepare_graph("USA", "sssp")
+    partition = make_partition("random", graph, n_gpus, seed=0)
+    recorded = []
+
+    class Recorder(GumScheduler):
+        def plan(self, iteration, fragment_frontiers, workloads, context):
+            plan = super().plan(iteration, fragment_frontiers, workloads,
+                                context)
+            quotas = None
+            if plan.fsteal_applied:
+                quotas = np.zeros((n_gpus, n_gpus), dtype=np.int64)
+                np.add.at(quotas, (plan.owner, plan.worker), plan.edges)
+            recorded.append((
+                np.sort(np.concatenate(
+                    [f.vertices for f in fragment_frontiers]
+                )),
+                context.fragment_worker.copy(), quotas,
+                list(plan.active_workers),
+            ))
+            return plan
+
+    config = GumConfig(cost_model="oracle")
+    engine = BSPEngine(dgx1(n_gpus), scheduler=Recorder(config), name="gum")
+    engine.run(graph, partition, "sssp", source=pick_source("USA"))
+    tail = recorded[int(len(recorded) * 0.7):]
+    steps = [tail[i * len(tail) // n_steps] for i in range(n_steps)]
+    algorithm = make_algorithm("sssp")
+    context = engine._open_context(graph, partition, algorithm)
+    session = Session(graph, partition, algorithm, SimpleNamespace())
+    hub_cache = HubCache(graph, config.t4_hub_in_degree)
+    return engine, algorithm, context, session, hub_cache, steps
+
+
+@bench_case("engine.superstep.tail", graph="USA", algorithm="sssp",
+            workers=8, supersteps=64,
+            unit="seconds per 64 tail supersteps of engine bookkeeping")
+def _tail_superstep_case():
+    """The engine's fixed cost per tail superstep: distribute,
+    realize/validate/price and the message count, without the kernel
+    and the decision. The ground-truth memo stays warm across calls,
+    so the pinned noise draws are not timed either."""
+    from types import SimpleNamespace
+
+    from repro.runtime.frontier import Frontier
+    from repro.runtime.scheduler import realize_plan
+
+    (engine, algorithm, context, session, hub_cache,
+     steps) = _tail_superstep_fixture()
+    graph, partition = context.graph, context.partition
+    num_workers = context.num_workers
+
+    def run():
+        for vertices, worker, quotas, active in steps:
+            frontier = Frontier.from_sorted(vertices)
+            context.fragment_worker[:] = worker
+            table, workloads = engine._distribute(
+                graph, partition, algorithm,
+                SimpleNamespace(frontier=frontier),
+            )
+            plan = realize_plan(context, table, workloads, quotas=quotas,
+                                hub_cache=hub_cache, active_workers=active)
+            engine._validate_plan(plan, workloads, num_workers, set())
+            engine._price_chunks(plan, table.features, context, num_workers)
+            engine._message_costs(context, frontier, active, session)
+
+    return run
+
+
 def _iteration_case(algorithm: str, iterations: int):
     def setup():
         from repro.bench.runner import Cell, run_cell
@@ -477,7 +565,7 @@ def _decision_fixture(amortize: bool):
     steps = []
     for vertices in levels:
         frags = Frontier(vertices).split_by_owner(
-            partition.owner, n_gpus
+            partition.owner, n_gpus, graph
         )
         loads = np.array(
             [f.work(graph) for f in frags], dtype=np.int64
@@ -900,13 +988,17 @@ def _backend_fixture(backend: str, workers: int = 4):
     finally:
         host.PARALLEL_MIN_EDGES = threshold
 
+    # the engine's split of the frontier, made once: the case times
+    # the session's superstep, not the fragment table
+    table = Frontier.from_sorted(active).split_by_owner(
+        partition.owner, workers, graph
+    )
+
     def superstep():
         state.values[:] = init_values
         frontier = Frontier.from_sorted(active)
         state.frontier = frontier
-        session.begin_iteration(
-            frontier.split_by_owner(partition.owner, workers)
-        )
+        session.begin_iteration(table)
         messages = session.message_count(frontier, True, context)
         return messages, session.step().size
 

@@ -43,7 +43,7 @@ from repro.core.reduction_tree import ReductionTree
 from repro.errors import EngineError
 from repro.hardware.microbench import measure_comm_cost_matrix
 from repro.obs.ledger import AuditRecord, Ledger, PredictionAudit
-from repro.runtime.frontier import Frontier
+from repro.runtime.frontier import FragmentTable, Frontier
 from repro.runtime.metrics import IterationRecord
 from repro.runtime.scheduler import (
     IterationPlan,
@@ -186,36 +186,26 @@ class _RunState:
 class _PredictionMemo:
     """One decision's view of the cost model, predictions shared.
 
-    OSteal's fingerprint coefficients, the FSteal cost matrix, and
-    (under a metrics registry) the prediction audit's per-decision
-    scoring all ask for ``g`` of the *same* per-fragment feature
-    objects within a single ``plan`` call. The first of them to ask
-    primes the memo: one batched
-    :meth:`~repro.core.costmodel.CostModel.edge_costs_seconds` over
-    every fragment of the decision with active edges (bit-identical to
-    single-frontier predictions by that method's contract), so the
-    others hit it. Scoped to one decision, so a refit model can never
-    serve stale values.
+    OSteal's fingerprint coefficients, the FSteal cost matrix and the
+    prediction audit's per-decision scoring all ask for ``g`` of the
+    same per-fragment features within one ``plan`` call. The first ask
+    predicts every fragment with active edges in one batched
+    :meth:`~repro.core.costmodel.CostModel.edge_costs_seconds`
+    (bit-identical to single predictions by that method's contract),
+    keyed by the features' value. Scoped to one decision, so a refit
+    model never serves stale values.
     """
 
     def __init__(self, model: CostModel, features: Sequence) -> None:
         self._model = model
         self._features = features
-        self._memo: Optional[Dict[int, float]] = None
-
-    def prime(self) -> None:
-        """Predict ``g`` for every live fragment of the decision."""
-        live = [f for f in self._features if f.total_edges != 0]
-        self._memo = dict(zip(
-            map(id, live), self._model.edge_costs_seconds(live)
-        ))
+        self._memo: Optional[Dict[object, float]] = None
 
     def edge_cost_seconds(self, features) -> float:
         if self._memo is None:
-            self.prime()
-        # the decision's own feature objects stay alive in
-        # ``_features``, so their ids cannot be recycled under the memo
-        value = self._memo.get(id(features))
+            live = [f for f in self._features if f.total_edges != 0]
+            self._memo = dict(zip(live, self._model.edge_costs_seconds(live)))
+        value = self._memo.get(features)
         if value is None:
             value = self._model.edge_cost_seconds(features)
         return value
@@ -421,19 +411,17 @@ class GumScheduler(Scheduler):
         something reads them (``state.audit``, which scores on read).
         """
         state = self._state
-        # memoized on the frontier objects: the engine prices the plan
-        # from these same features, so the scan happens exactly once
-        features = [
-            frontier.features(context.graph)
-            for frontier in fragment_frontiers
-        ]
+        # the superstep's table: the engine prices the plan from these
+        # same features, so the scan happens exactly once
+        table = FragmentTable.of(context.graph, fragment_frontiers)
+        features = table.features
         d = _Decision(
             iteration=iteration,
             workloads=workloads,
             features=features,
             cost_model=_PredictionMemo(self._cost_model, features),
             # feature extraction is a scan over active vertices (Exp-3)
-            overhead=2.5e-8 * int(sum(f.size for f in features)),
+            overhead=2.5e-8 * table.vertices.size,
         )
         if state.audit is not None:
             # the worker is read now: OSteal may re-own the fragment

@@ -10,14 +10,14 @@ edges), exactly as the paper requires for the FSteal overhead budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["FrontierFeatures", "frontier_features", "FEATURE_NAMES"]
+__all__ = ["FrontierFeatures", "frontier_features", "segment_features",
+           "FEATURE_NAMES"]
 
 #: Order of :meth:`FrontierFeatures.vector` entries.
 FEATURE_NAMES = (
@@ -30,14 +30,7 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FrontierFeatures:
-    """The metric-variable set ``W`` of Table I, for one frontier.
-
-    ``size`` and ``total_edges`` are carried along for workload
-    accounting but are not part of the regression feature vector.
-    """
-
+class _Fields(NamedTuple):
     avg_in_degree: float
     avg_out_degree: float
     in_degree_range: float
@@ -47,28 +40,26 @@ class FrontierFeatures:
     size: int
     total_edges: int
 
-    def vector(self) -> np.ndarray:
-        """The 6-entry feature vector in :data:`FEATURE_NAMES` order.
 
-        Built once and cached (the instance is immutable, and the
-        scheduler's audit, pricing, and fingerprinting all re-read it
-        every iteration); the returned array is marked read-only.
-        """
+class FrontierFeatures(_Fields):
+    """The metric-variable set ``W`` of Table I, for one frontier.
+
+    ``size`` and ``total_edges`` are carried along for workload
+    accounting but are not part of the regression feature vector.
+
+    An immutable named tuple: equal features compare and hash equal
+    field by field, in C, which is what the ground-truth and
+    prediction memos keyed on them pay every superstep.
+    """
+
+    def vector(self) -> np.ndarray:
+        """The 6-entry feature vector in :data:`FEATURE_NAMES` order,
+        built once (the audit and fingerprints re-read it), read-only."""
         cached = self.__dict__.get("_vector")
         if cached is None:
-            cached = np.array(
-                [
-                    self.avg_in_degree,
-                    self.avg_out_degree,
-                    self.in_degree_range,
-                    self.out_degree_range,
-                    self.gini,
-                    self.entropy,
-                ],
-                dtype=np.float64,
-            )
+            cached = np.array(self[:6], dtype=np.float64)
             cached.flags.writeable = False
-            object.__setattr__(self, "_vector", cached)
+            self.__dict__["_vector"] = cached
         return cached
 
     @staticmethod
@@ -84,108 +75,100 @@ def frontier_features(
 ) -> Union[FrontierFeatures, List[FrontierFeatures]]:
     """Compute :class:`FrontierFeatures` for a vertex subset.
 
-    With ``boundaries`` (``S + 1`` ascending offsets), ``vertices`` is
-    ``S`` subsets laid end to end — a frontier sorted by owning
-    fragment, ``boundaries[0] == 0`` and ``boundaries[-1] ==
-    len(vertices)`` — and the result is one :class:`FrontierFeatures`
-    per segment ``vertices[boundaries[i]:boundaries[i + 1]]``, all from
-    a single pass; without it the whole array is the one segment and its
-    features are returned bare. Either way every field is bit-identical
-    to evaluating the subset alone: sums, extrema and the Gini
-    rank-weighted sum are integer reductions (``reduceat``, exact in
-    any order), while the entropy terms — non-integer floats, whose
-    pairwise summation order depends on the operand count — are summed
-    per segment over that segment's own contiguous slice.
-
-    Complexity is O(|frontier|) plus one cached O(|E|) in-degree
-    computation per graph — the paper's "features can be collected with
-    a scan over active vertices rather than edges" (Exp-3).
+    With ``boundaries`` (``S + 1`` ascending offsets from 0 to
+    ``len(vertices)``), ``vertices`` is ``S`` subsets laid end to end
+    and the result is one :class:`FrontierFeatures` per segment, from
+    one :func:`segment_features` pass; without it, the features of the
+    whole array. O(|frontier|) plus one cached O(|E|) in-degree count
+    per graph: the paper's "scan over active vertices rather than
+    edges" (Exp-3).
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    if boundaries is None:
-        return _segment_features(
-            graph, vertices, np.array([0, vertices.size])
-        )[0]
-    return _segment_features(
-        graph, vertices, np.asarray(boundaries, dtype=np.int64)
+    bounds = (
+        [0, int(vertices.size)] if boundaries is None
+        else np.asarray(boundaries, dtype=np.int64).tolist()
     )
+    features = segment_features(
+        graph.out_degrees(vertices), graph.in_degrees()[vertices], bounds
+    )
+    return features[0] if boundaries is None else features
 
 
-def _segment_features(
-    graph: CSRGraph, vertices: np.ndarray, boundaries: np.ndarray
+def segment_features(
+    out_deg: np.ndarray, in_deg: np.ndarray, bounds: Sequence[int]
 ) -> List[FrontierFeatures]:
-    sizes = np.diff(boundaries)
-    result = [FrontierFeatures.empty()] * sizes.size
-    live = np.flatnonzero(sizes)
-    if live.size == 0:
+    """Table-I features of every segment of a degree table, one pass.
+
+    ``out_deg``/``in_deg`` are the degrees of vertex subsets laid end
+    to end, segment ``i`` being ``[bounds[i], bounds[i + 1])``. Every
+    field is bit-identical to evaluating a subset alone: sums, extrema
+    and the Gini rank-weighted sum are integer reductions (exact in any
+    order); the entropy terms are floats whose pairwise summation order
+    depends on the operand count, so each segment sums its own slice.
+    Per-segment scalars leave NumPy as lists once and combine in Python
+    floats (IEEE-identical to NumPy's ``+ - * /``); logarithms stay
+    NumPy's, which differs from :func:`math.log` in the last ulp.
+    """
+    sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
+    result = [_EMPTY] * len(sizes)
+    live = [index for index, size in enumerate(sizes) if size]
+    if not live:
         return result
-    out_deg = graph.out_degrees(vertices)
-    in_deg = graph.in_degrees()[vertices]
     # empty segments own no elements, so consecutive live starts
     # delimit exactly the live segments
-    starts = boundaries[live]
-    counts = sizes[live]
-    out_total = np.add.reduceat(out_deg, starts)
-    out_range = (
-        np.maximum.reduceat(out_deg, starts)
-        - np.minimum.reduceat(out_deg, starts)
-    )
-    in_range = (
-        np.maximum.reduceat(in_deg, starts)
-        - np.minimum.reduceat(in_deg, starts)
-    )
+    starts = [bounds[index] for index in live]
+    counts = [sizes[index] for index in live]
+    starts_at = np.array(starts)
+    positive = out_deg > 0
+    totals, in_totals, term_counts = np.add.reduceat(
+        np.array((out_deg, in_deg, positive), dtype=np.int64), starts_at,
+        axis=1,
+    ).tolist()
+    in_highs = np.maximum.reduceat(in_deg, starts_at).tolist()
+    in_lows = np.minimum.reduceat(in_deg, starts_at).tolist()
     # Gini: ascending degrees within each segment (one sort of a
-    # segment-major key), ranks from 1
+    # segment-major key, whose first and last entries are the segment's
+    # out-degree extrema); the global rank i + 1 exceeds the in-segment
+    # one by the segment start, so the rank-weighted sum is
+    # sum((i + 1) * d) - start * total, exactly, in integers
+    stride = int(out_deg.max()) + 1
     segment_key = np.repeat(
-        np.arange(live.size) * (int(out_deg.max()) + 1), counts
+        np.arange(0, len(live) * stride, stride), counts
     )
     ordered = np.sort(segment_key + out_deg) - segment_key
-    ranks = np.arange(1, vertices.size + 1) - np.repeat(starts, counts)
-    weighted = np.add.reduceat(ranks * ordered, starts)
-    totals = out_total.astype(np.float64)
-    has_edges = out_total > 0
-    gini = np.where(
-        has_edges,
-        2.0 * weighted / np.where(has_edges, counts * totals, 1.0)
-        - (counts + 1) / counts,
-        0.0,
-    )
-    # entropy: elementwise terms for all segments at once, then one
+    extrema = ordered[starts + [start + count - 1 for start, count
+                                in zip(starts, counts)]].tolist()
+    out_lows, out_highs = extrema[:len(live)], extrema[len(live):]
+    weighted = np.add.reduceat(
+        np.arange(1, out_deg.size + 1) * ordered, starts_at
+    ).tolist()
+    # entropy: elementwise terms for all segments at once (each
+    # positive degree over its segment's total), then one
     # contiguous-slice sum per segment (see the docstring)
-    positive = out_deg > 0
-    shares = out_deg[positive] / np.repeat(totals, counts)[positive]
+    shares = np.compress(positive, out_deg) / np.repeat(
+        np.array(totals, dtype=np.float64), term_counts
+    )
     terms = shares * np.log(shares)
-    term_ends = np.cumsum(
-        np.add.reduceat(positive, starts, dtype=np.int64)
-    )
-    fields = zip(
-        live.tolist(),
-        counts.tolist(),
-        out_total.tolist(),
-        (np.add.reduceat(in_deg, starts) / counts).tolist(),
-        (totals / counts).tolist(),
-        in_range.astype(np.float64).tolist(),
-        out_range.astype(np.float64).tolist(),
-        gini.tolist(),
-        term_ends.tolist(),
-    )
+    logs = np.log(np.array(counts, dtype=np.float64)).tolist()
+    add = np.add.reduce
     term_start = 0
-    for (index, size, edges, avg_in, avg_out, in_rng, out_rng, g,
-         term_end) in fields:
-        entropy = 0.0
-        if size > 1 and edges > 0:
-            entropy = float(
-                -terms[term_start:term_end].sum() / np.log(size)
-            )
+    for (index, start, size, edges, in_total, out_high, in_high, out_low,
+         in_low, weight, term_count, log_size) in zip(
+            live, starts, counts, totals, in_totals, out_highs, in_highs,
+            out_lows, in_lows, weighted, term_counts, logs):
+        gini = entropy = 0.0
+        if edges:
+            gini = (2.0 * (weight - start * edges) / (size * float(edges))
+                    - (size + 1) / size)
+        term_end = term_start + term_count
+        if size > 1 and edges:
+            entropy = -float(add(terms[term_start:term_end])) / log_size
         term_start = term_end
         result[index] = FrontierFeatures(
-            avg_in_degree=avg_in,
-            avg_out_degree=avg_out,
-            in_degree_range=in_rng,
-            out_degree_range=out_rng,
-            gini=g,
-            entropy=entropy,
-            size=size,
-            total_edges=edges,
+            in_total / size, edges / size, float(in_high - in_low),
+            float(out_high - out_low), gini, entropy, size, edges,
         )
     return result
+
+
+_EMPTY = FrontierFeatures.empty()

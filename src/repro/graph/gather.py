@@ -32,27 +32,17 @@ def expand_indices(
 ) -> np.ndarray:
     """Flatten ranges ``[starts[i], starts[i]+counts[i])`` into one array.
 
-    The standard cumsum trick: output positions where a new range
-    begins get a corrective jump, everything else increments by one.
+    Output position ``k`` of range ``i`` holds ``starts[i]`` plus its
+    offset into the range, ``k`` minus the range's first output
+    position: one ``arange`` plus each range's repeated shift.
     """
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    # positions where each range starts in the output
-    range_starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=range_starts[1:])
-    nonempty = counts > 0
-    first_positions = range_starts[nonempty]
-    out[first_positions] = starts[nonempty]
-    # corrective jumps: undo the previous range's final value + 1
-    if first_positions.size > 1:
-        prev_ends = (
-            starts[nonempty][:-1] + counts[nonempty][:-1]
-        )
-        out[first_positions[1:]] = starts[nonempty][1:] - prev_ends + 1
-        out[first_positions[0]] = starts[nonempty][0]
-    return np.cumsum(out)
+    out = np.arange(total, dtype=np.int64)
+    out += np.repeat(starts - (ends - counts), counts)
+    return out
 
 
 def gather_edge_positions(

@@ -24,7 +24,55 @@ import numpy as np
 from repro.graph.features import FrontierFeatures
 from repro.hardware.spec import GPUSpec
 
-__all__ = ["DeviceModel"]
+__all__ = ["DeviceModel", "first_uniform"]
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _state_hash_constants(count: int = 8) -> list:
+    """``SeedSequence.generate_state``'s (xor, multiply) hash constants,
+    one pair per 32-bit output word: they never depend on the data."""
+    pairs, constant = [], 0x8B51F9DD
+    for __ in range(count):
+        following = (constant * 0x58F38DED) & _M32
+        pairs.append((constant, following))
+        constant = following
+    return pairs
+
+
+_STATE_HASH = _state_hash_constants()
+
+
+def first_uniform(seed: int) -> float:
+    """``np.random.default_rng(seed).random()``, bit for bit, in about
+    two thirds of its time.
+
+    NumPy still mixes ``seed`` into the ``SeedSequence`` entropy pool
+    (its public ``pool``). The rest is fixed integer arithmetic, done
+    here in Python integers instead of building a ``Generator``:
+    ``generate_state`` hashes the pool into four 64-bit words, PCG64
+    seeds its 128-bit LCG from them (state, then ``(inc << 1) | 1``),
+    steps once and emits the XSL-RR output, whose top 53 bits scaled
+    by 2**-53 are the double. NumPy keeps a seed's stream stable across
+    releases; tests compare this with NumPy over thousands of seeds.
+    """
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = []
+    for index, (xor, multiply) in enumerate(_STATE_HASH):
+        value = ((pool[index & 3] ^ xor) * multiply) & _M32
+        words.append(value ^ (value >> 16))
+    initstate = (words[1] << 96 | words[0] << 64
+                 | words[3] << 32 | words[2])
+    inc = ((words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6])
+           << 1 | 1) & _M128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+    state = (state * _PCG_MULT + inc) & _M128
+    high, rotation = state >> 64, state >> 122
+    mixed = high ^ (state & _M64)
+    output = (mixed >> rotation | mixed << (64 - rotation)) & _M64
+    return (output >> 11) * (1.0 / 9007199254740992.0)
 
 
 class DeviceModel:
@@ -46,8 +94,11 @@ class DeviceModel:
         self._noise = float(noise_amplitude)
         # ground-truth memo keyed by features value (see true_edge_cost)
         self._cost_memo: Dict[FrontierFeatures, float] = {}
+        # pseudo-noise memo keyed by the generator seed (_pseudo_noise)
+        self._noise_memo: Dict[int, float] = {}
 
-    #: Ground-truth memo flush threshold (bounds a long run's memory).
+    #: Ground-truth and noise memo flush threshold (bounds a long
+    #: run's memory).
     _MEMO_BOUND = 4096
 
     @property
@@ -88,16 +139,30 @@ class DeviceModel:
         return float(1.0 + 0.18 * np.log1p(features.avg_in_degree))
 
     def _pseudo_noise(self, features: FrontierFeatures) -> float:
-        """Deterministic jitter in ``[1 - a, 1 + a]`` keyed on features."""
+        """Deterministic jitter in ``[1 - a, 1 + a]`` keyed on features.
+
+        The generator is seeded from ``hash()`` of the rounded average
+        degrees, the rounded Gini and the size, so distinct features
+        that share that seed share one draw (memoized on the seed,
+        bounded like the cost memo).
+        """
         if self._noise <= 0:
             return 1.0
-        vec = features.vector()
-        key = np.int64(
-            abs(hash((round(float(vec[0]), 6), round(float(vec[1]), 6),
-                      round(float(vec[4]), 6), features.size)))
-        )
-        rng = np.random.default_rng(int(key) % (2**63 - 1))
-        return float(1.0 + self._noise * (2.0 * rng.random() - 1.0))
+        seed = int(np.int64(abs(hash((
+            round(float(features.avg_in_degree), 6),
+            round(float(features.avg_out_degree), 6),
+            round(float(features.gini), 6), features.size,
+        ))))) % (2**63 - 1)
+        noise = self._noise_memo.get(seed)
+        if noise is None:
+            if len(self._noise_memo) >= self._MEMO_BOUND:
+                self._noise_memo.clear()
+            noise = self._noise_memo[seed] = self._draw_noise(seed)
+        return noise
+
+    def _draw_noise(self, seed: int) -> float:
+        """One generator draw from ``seed``, as jitter."""
+        return float(1.0 + self._noise * (2.0 * first_uniform(seed) - 1.0))
 
     # ------------------------------------------------------------------
     def true_edge_cost(self, features: FrontierFeatures) -> float:

@@ -20,7 +20,7 @@ quads bridged by doubled links, six lanes per GPU — which is the
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -162,6 +162,9 @@ class Topology:
         self._inter_lanes = inter
         self._bandwidth_cache: Optional[np.ndarray] = None
         self._ring_cache: Optional[List[int]] = None
+        #: aggregate_bandwidth by member tuple; the lane arrays are
+        #: write-protected, so an entry can never go stale
+        self._aggregate_cache: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -288,9 +291,13 @@ class Topology:
 
         The OSteal reduction tree keeps the *residual network with the
         largest aggregated bandwidth* (Section IV-A); this is the
-        quantity it maximizes.
+        quantity it maximizes. Memoized per member tuple: the engine
+        prices every superstep's message transfer with it.
         """
-        members = list(members)
+        members = tuple(members)
+        cached = self._aggregate_cache.get(members)
+        if cached is not None:
+            return cached
         total = 0.0
         for idx, i in enumerate(members):
             for j in members[idx + 1:]:
@@ -301,6 +308,7 @@ class Topology:
         for idx, u in enumerate(present):
             for v in present[idx + 1:]:
                 total += float(self._inter_lanes[u, v]) * IB_LANE_GBPS
+        self._aggregate_cache[members] = total
         return total
 
     # ------------------------------------------------------------------

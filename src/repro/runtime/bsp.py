@@ -46,7 +46,7 @@ from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.partition.base import Partition
 from repro.runtime.envelope import RunEnvelope
-from repro.runtime.frontier import Frontier
+from repro.runtime.frontier import FragmentTable, Frontier
 from repro.runtime.metrics import IterationRecord, RunResult, TimeBreakdown
 from repro.runtime.scheduler import (
     IterationPlan,
@@ -64,6 +64,16 @@ __all__ = ["EngineOptions", "BSPEngine"]
 #: Pull-mode threshold divisor of direction-optimized BFS: an
 #: iteration pulls when the frontier's out-edges exceed ``|E| / 8``.
 BFS_ALPHA = 8.0
+
+#: Session stat -> help of its ``backend.<stat>`` gauge.
+_BACKEND_GAUGES = (
+    ("workers", "worker threads driven by the execution backend"),
+    ("tasks", "work-chunk tasks dispatched to backend workers"),
+    ("startup_seconds", "host seconds starting the backend thread pool"),
+    ("dispatch_seconds", "host seconds handing tasks to backend workers"),
+    ("collect_seconds", "host seconds folding backend worker results"),
+)
+
 #: Global-to-local vertex id translation, charged per active frontier
 #: vertex into the ``overhead`` bucket.
 ID_CONVERSION_NS_PER_VERTEX = 2.0
@@ -267,40 +277,17 @@ class BSPEngine:
     def _publish_backend_metrics(self, stats: Dict[str, object]) -> None:
         """Register the session's host-side stats as gauges.
 
-        The worker/task/latency numbers used to live only on the JSON
-        summary; as registered metrics they reach every surface the
-        registry feeds — the snapshot, the Prometheus export, the live
-        stream's final snapshot, and the ``repro top`` backend panel.
+        As registered metrics they reach every surface the registry
+        feeds — the snapshot, the Prometheus export, the live stream's
+        final snapshot, and the ``repro top`` backend panel.
         """
-        gauges = {
-            "workers": (
-                "backend.workers",
-                "worker threads driven by the execution backend",
-            ),
-            "tasks": (
-                "backend.tasks",
-                "work-chunk tasks dispatched to backend workers",
-            ),
-            "startup_seconds": (
-                "backend.startup_seconds",
-                "host seconds starting the backend thread pool",
-            ),
-            "dispatch_seconds": (
-                "backend.dispatch_seconds",
-                "host seconds handing tasks to backend workers",
-            ),
-            "collect_seconds": (
-                "backend.collect_seconds",
-                "host seconds folding backend worker results",
-            ),
-        }
-        for key, (name, help) in gauges.items():
+        for key, help in _BACKEND_GAUGES:
             value = stats.get(key)
             if isinstance(value, bool) or not isinstance(
                 value, (int, float)
             ):
                 continue
-            self._metrics.gauge(name, help).set(float(value))
+            self._metrics.gauge(f"backend.{key}", help).set(float(value))
         shard = stats.get("shard_cache")
         if isinstance(shard, dict):
             # out-of-core runs: the residency high-water mark is the
@@ -379,18 +366,18 @@ class BSPEngine:
         execute, then the record the run envelope folds."""
         frontier: Frontier = state.frontier
         iteration = state.iteration
-        fragment_frontiers, workloads = self._distribute(
+        table, workloads = self._distribute(
             graph, partition, algorithm, state
         )
         # hand the distributed frontier to the session now, so a
         # threaded superstep overlaps with the plan and pricing
-        session.begin_iteration(fragment_frontiers)
-        plan = self._plan(iteration, fragment_frontiers, workloads, context)
-        # price from each owning fragment's memoized features (the
+        session.begin_iteration(table)
+        plan = self._plan(iteration, table, workloads, context)
+        # price from each owning fragment's features in the table (the
         # scheduler's own feature scan is not repeated)
         busy, compute_part, comm_part = self._price_chunks(
-            plan, [f.features(graph) for f in fragment_frontiers],
-            context, context.num_workers, iteration=iteration,
+            plan, table.features, context, context.num_workers,
+            iteration=iteration,
         )
         active = sorted(set(plan.active_workers))
         serialization, message_transfer = self._message_costs(
@@ -402,13 +389,19 @@ class BSPEngine:
         state.frontier = session.step()
 
         active_arr = np.asarray(active, dtype=np.int64)
+        busy_active = busy[active_arr]
+        stall_active = busy_active.max() - busy_active
         stall = np.zeros(context.num_workers)
-        stall[active_arr] = busy[active_arr].max() - busy[active_arr]
+        stall[active_arr] = stall_active
+        # float(add.reduce(x)) / n is np.mean's own arithmetic
+        total = np.add.reduce
         breakdown = TimeBreakdown(
-            compute=float(compute_part[active_arr].mean()),
-            communication=float(
-                comm_part[active_arr].mean() + stall[active_arr].mean()
-            ) + message_transfer,
+            compute=float(total(compute_part[active_arr])) / len(active),
+            communication=(
+                float(total(comm_part[active_arr])) / len(active)
+                + float(total(stall_active)) / len(active)
+                + message_transfer
+            ),
             serialization=serialization,
             sync=sync,
             overhead=(
@@ -435,35 +428,25 @@ class BSPEngine:
 
     def _distribute(
         self, graph: CSRGraph, partition: Partition, algorithm, state
-    ) -> tuple[list, np.ndarray]:
-        """Split the frontier over its data homes.
-
-        One segmented pass seeds every fragment's work and Table-I
-        features, which the plan and the pricing both read. Returns the
-        per-fragment frontiers and the edges each fragment processes.
+    ) -> tuple[FragmentTable, np.ndarray]:
+        """Split the frontier over its data homes: the superstep's
+        :class:`~repro.runtime.frontier.FragmentTable` (parts, work and
+        Table-I features from one pass), which the plan, its validation
+        and the pricing all read, and the edges each fragment processes.
         """
-        fragment_frontiers = state.frontier.split_by_owner(
+        table = state.frontier.split_by_owner(
             partition.owner, partition.num_fragments, graph
         )
-        workloads = np.array(
-            [f.work(graph) for f in fragment_frontiers], dtype=np.int64
-        )
-        return fragment_frontiers, self._effective_workloads(
+        workloads = np.array(table.work, dtype=np.int64)
+        return table, self._effective_workloads(
             graph, partition, algorithm, state, workloads
         )
 
-    def _plan(
-        self,
-        iteration: int,
-        fragment_frontiers: list,
-        workloads: np.ndarray,
-        context: RunContext,
-    ) -> IterationPlan:
+    def _plan(self, iteration: int, table: FragmentTable,
+              workloads: np.ndarray, context: RunContext) -> IterationPlan:
         """Ask the stealing arbitrator who processes what; check it."""
         wall_start = time.perf_counter()
-        plan = self._scheduler.plan(
-            iteration, fragment_frontiers, workloads, context
-        )
+        plan = self._scheduler.plan(iteration, table, workloads, context)
         plan.real_decision_seconds = max(
             plan.real_decision_seconds, time.perf_counter() - wall_start
         )
@@ -484,60 +467,63 @@ class BSPEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Price every chunk of the plan, vectorized over its columns.
 
-        Returns per-worker ``(busy, compute, comm)`` seconds. The math
-        is the per-chunk recurrence from the module docstring; the
-        ground-truth ``g*`` is evaluated once per *fragment* (it is a
-        deterministic function of the fragment's features), then
-        broadcast over that fragment's chunks. Pricing compute from the
-        owning fragment's features — the W_i granularity of the paper's
-        c_ij — keeps it identical across engines even when the
-        effective workload is decoupled from the frontier (pull-mode
-        BFS, near-far discounts).
+        Returns per-worker ``(busy, compute, comm)`` seconds, by the
+        per-chunk recurrence of the module docstring. ``g*`` is
+        evaluated once per *fragment*, from its features — the W_i of
+        the paper's c_ij — so compute prices identically across engines
+        even when the effective workload is decoupled from the frontier
+        (pull-mode BFS, near-far discounts).
         """
-        busy = np.zeros(num_workers)
-        compute_part = np.zeros(num_workers)
-        comm_part = np.zeros(num_workers)
-        rows = plan.edges != 0
-        if not rows.any():
-            return busy, compute_part, comm_part
-        owners = plan.owner[rows]
-        workers = plan.worker[rows]
-        edges = plan.edges[rows].astype(np.float64)
-        hub_edges = plan.hub_edges[rows].astype(np.float64)
-        migrate_bytes = (
-            (plan.stop[rows] - plan.start[rows]).astype(np.float64)
-            * config.BYTES_PER_VERTEX
-        )
+        owners, workers, edges = plan.owner, plan.worker, plan.edges
+        hub_edges, moved = plan.hub_edges, plan.stop - plan.start
+        rows = edges != 0
+        if not rows.all():
+            if not rows.any():
+                return (np.zeros(num_workers), np.zeros(num_workers),
+                        np.zeros(num_workers))
+            owners, workers, edges, hub_edges, moved = (
+                column[rows]
+                for column in (owners, workers, edges, hub_edges, moved)
+            )
+        edges = edges.astype(np.float64)
+        hub_edges = hub_edges.astype(np.float64)
         homes = context.fragment_home[owners]
         device = context.timing.device_model
-        edge_cost = np.array(
-            [device.true_edge_cost(f) for f in fragment_features]
-        )
-        compute = edges * edge_cost[owners]
+        edge_cost = [device.true_edge_cost(f) for f in fragment_features]
+        compute = edges * np.take(edge_cost, owners)
         per_edge = context.timing.comm_per_edge_matrix()
         comm = (
             (edges - hub_edges) * per_edge[homes, workers]
             + hub_edges * per_edge[workers, workers]
         )
         stolen = workers != homes
-        if np.any(stolen):
+        if stolen.any():
             # frontier-status migration: stolen vertex ids + values
             bandwidth_gbps = context.timing.topology \
                 .effective_bandwidth_matrix()[homes[stolen], workers[stolen]]
-            migrate_seconds = migrate_bytes[stolen] / (bandwidth_gbps * 1e9)
+            migrate_seconds = (
+                moved[stolen].astype(np.float64) * config.BYTES_PER_VERTEX
+                / (bandwidth_gbps * 1e9)
+            )
             comm[stolen] += migrate_seconds
-            if (self._chaos is not None
-                    and self._chaos.flaky_active(iteration)):
-                self._charge_flaky_retries(
-                    comm, np.flatnonzero(stolen), owners, workers,
-                    migrate_seconds, iteration,
+            chaos = self._chaos
+            if chaos is not None and chaos.flaky_active(iteration):
+                # every failed attempt retransmits and backs off: one
+                # seeded batch draw per distinct owner/worker pair,
+                # bit-identical to the per-chunk formulation
+                fails = chaos.failed_transfer_attempts_batch(
+                    iteration, owners[stolen], workers[stolen]
+                )
+                comm[stolen] += chaos.retry_seconds_batch(
+                    migrate_seconds, fails
                 )
         # one kernel launch per chunk: stolen chunks run in a separate
         # kernel (Section V, Step 4)
         compute = compute + context.timing.kernel_launch_seconds(1)
-        np.add.at(busy, workers, compute + comm)
-        np.add.at(compute_part, workers, compute)
-        np.add.at(comm_part, workers, comm)
+        # bincount accumulates row by row, as np.add.at does
+        busy = np.bincount(workers, compute + comm, num_workers)
+        compute_part = np.bincount(workers, compute, num_workers)
+        comm_part = np.bincount(workers, comm, num_workers)
         scale = (
             None if self._chaos is None
             else self._chaos.compute_scale(iteration)
@@ -548,35 +534,6 @@ class BSPEngine:
             busy = busy + compute_part * (scale - 1.0)
             compute_part = compute_part * scale
         return busy, compute_part, comm_part
-
-    def _charge_flaky_retries(
-        self,
-        comm: np.ndarray,
-        stolen_indices: np.ndarray,
-        owners: np.ndarray,
-        workers: np.ndarray,
-        migrate_seconds: np.ndarray,
-        iteration: int,
-    ) -> None:
-        """Charge retry-with-backoff time for failed steal transfers.
-
-        Each stolen chunk's migration fails a deterministic, seeded
-        number of times (bounded by the fault's ``max_retries``); every
-        failed attempt retransmits the payload and backs off. The chunk
-        always completes — chaos charges time, never corrupts state.
-
-        Vectorized over the stolen chunks (one batched draw per
-        distinct owner/worker pair instead of a Python loop per chunk);
-        draws, counters, and charged seconds are bit-identical to the
-        per-chunk formulation — the chaos determinism tests pin this.
-        """
-        chaos = self._chaos
-        fails = chaos.failed_transfer_attempts_batch(
-            iteration, owners[stolen_indices], workers[stolen_indices]
-        )
-        comm[stolen_indices] += chaos.retry_seconds_batch(
-            migrate_seconds, fails
-        )
 
     # ------------------------------------------------------------------
     # Hooks for engine models with algorithm-specific behaviour
@@ -648,13 +605,11 @@ class BSPEngine:
     ) -> tuple[float, float]:
         """Price cross-worker messages: (packing, link transfer).
 
-        Packing is the serialization bucket; the transfer itself rides
-        the aggregate NVLink bandwidth of the active group and lands in
-        the communication bucket. BSP systems may use every link
-        (unlike the Groute model's single ring). The message *count*
-        comes from the session — the identical number on either of its
-        paths, from the frontier's memoized gather or folded from the
-        fragment threads' partials.
+        Packing is the serialization bucket; the transfer rides the
+        aggregate NVLink bandwidth of the active group (BSP systems may
+        use every link, unlike Groute's single ring) and lands in the
+        communication bucket. The message count comes from the session,
+        the same number on either of its paths.
         """
         if frontier.size == 0:
             return 0.0, 0.0
@@ -688,7 +643,8 @@ class BSPEngine:
         """
         for role, ids, limit in (("worker", plan.worker, num_workers),
                                  ("owner", plan.owner, workloads.size)):
-            if ids.size and (ids.min() < 0 or ids.max() >= limit):
+            if ids.size and (np.minimum.reduce(ids) < 0
+                             or np.maximum.reduce(ids) >= limit):
                 bad = ids[(ids < 0) | (ids >= limit)][0]
                 raise EngineError(f"chunk {role} {bad} out of range")
         if dead_workers:

@@ -17,16 +17,22 @@ that stays active unchanged, like PageRank's full one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 # features imports nothing from runtime; cycle-safe
-from repro.graph.features import FrontierFeatures, frontier_features
+from repro.graph.features import (
+    FrontierFeatures,
+    frontier_features,
+    segment_features,
+)
 from repro.graph.gather import gather_edge_positions
 
-__all__ = ["Frontier"]
+__all__ = ["Frontier", "FragmentTable"]
 
 
 class Frontier:
@@ -47,11 +53,16 @@ class Frontier:
     @staticmethod
     def from_sorted(vertices: np.ndarray) -> "Frontier":
         """Wrap an already-sorted-unique array without re-sorting."""
-        frontier = Frontier.__new__(Frontier)
         array = np.ascontiguousarray(vertices, dtype=np.int64)
         array.setflags(write=False)
-        frontier._vertices = array
-        frontier._cache = {}
+        return Frontier._wrap(array)
+
+    @staticmethod
+    def _wrap(vertices: np.ndarray, memo: Optional[dict] = None) -> "Frontier":
+        """Wrap a read-only sorted-unique int64 array as is."""
+        frontier = Frontier.__new__(Frontier)
+        frontier._vertices = vertices
+        frontier._cache = {} if memo is None else memo
         return frontier
 
     @staticmethod
@@ -135,16 +146,8 @@ class Frontier:
         )
 
     def features(self, graph: CSRGraph) -> FrontierFeatures:
-        """Table-I features of this frontier, computed at most once.
-
-        The arbitrator prices FSteal coefficients from these and the
-        engine prices the resulting plan from the *same* objects. A
-        fragment frontier produced by ``split_by_owner(..., graph)``
-        arrives with this memo already seeded from the split's single
-        segmented pass — one feature scan per *superstep*, inside
-        Exp-3's overhead budget; any other frontier scans itself here,
-        as the one-segment case of the same function.
-        """
+        """Table-I features of this frontier, computed at most once (a
+        part of a :class:`FragmentTable` arrives with it seeded)."""
         return self._memo(
             "features", graph,
             lambda: frontier_features(graph, self._vertices),
@@ -219,45 +222,103 @@ class Frontier:
     ) -> List["Frontier"]:
         """Partition the frontier by an ownership array.
 
-        Returns one frontier per fragment; their disjoint union equals
-        ``self``. This produces the distributed frontier the engines
-        and stealing policies operate on.
-
-        The split sorts the frontier by owner anyway, so given the
-        ``graph`` every part's :meth:`work` and :meth:`features` memos
-        are seeded from one segmented pass over that sorted array
-        (:func:`~repro.graph.features.frontier_features` with
-        boundaries) instead of one scan per part later.
-
-        The parts are memoized on this frontier per (``graph``,
-        ``owner`` array, ``num_fragments``), so a frontier that lives
-        for many rounds (PageRank's full one) hands back the same part
-        objects, seeded memos included, every round.
+        Returns one frontier per fragment, their disjoint union being
+        ``self``: the distributed frontier the engines and stealing
+        policies operate on. Given the ``graph`` it is the superstep's
+        :class:`FragmentTable`. Memoized per (``graph``, ``owner``
+        array, ``num_fragments``), so a frontier that lives for many
+        rounds (PageRank's full one) hands back the same parts, seeded
+        memos included, every round.
         """
-        if self.size == 0:
-            return [Frontier.empty() for __ in range(num_fragments)]
         entry = self._cache.get("split")
         if (entry is not None and entry[0] is graph and entry[1] is owner
                 and entry[2] == num_fragments):
-            return list(entry[3])
+            return entry[3].copy()
         owners = owner[self._vertices]
         # stable: each owner's run keeps the frontier's ascending order
-        order = np.argsort(owners, kind="stable")
-        sorted_vertices = self._vertices[order]
-        boundaries = np.searchsorted(
-            owners[order], np.arange(num_fragments + 1)
+        ordered = self._vertices[np.argsort(owners, kind="stable")]
+        ordered.setflags(write=False)
+        bounds = [0, *accumulate(
+            np.bincount(owners, minlength=num_fragments).tolist()
+        )]
+        parts = (
+            FragmentTable(graph, ordered, bounds) if graph is not None
+            else [Frontier._wrap(ordered[start:stop])
+                  for start, stop in zip(bounds, bounds[1:])]
         )
-        parts = [
-            Frontier.from_sorted(
-                sorted_vertices[boundaries[i]: boundaries[i + 1]]
-            )
-            for i in range(num_fragments)
-        ]
-        if graph is not None:
-            for part, features in zip(parts, frontier_features(
-                graph, sorted_vertices, boundaries
-            )):
-                part._cache["work"] = (graph, features.total_edges)
-                part._cache["features"] = (graph, features)
         self._cache["split"] = (graph, owner, num_fragments, parts)
-        return list(parts)
+        return parts.copy()
+
+
+class FragmentTable(Sequence):
+    """One superstep's distributed frontier, one row per fragment.
+
+    A sequence of the fragment frontiers that also holds the columns
+    the plan, its validation, the pricing and the arbitrator read, all
+    from one pass over the owner-sorted frontier: ``vertices`` (the
+    parts end to end, part ``i`` being ``vertices[bounds[i]:bounds[i +
+    1]]``), ``bounds``, and every part's ``work`` and ``features``, as
+    Python lists. The part objects, their ``work``/``features`` memos
+    seeded, are made on first access (the engine reads only columns);
+    copies share columns and parts, which must not be mutated.
+    """
+
+    __slots__ = ("graph", "vertices", "bounds", "work", "features",
+                 "_degrees", "_shared")
+
+    def __init__(self, graph: CSRGraph, vertices: np.ndarray,
+                 bounds: List[int], parts=None) -> None:
+        self.graph, self.vertices, self.bounds = graph, vertices, bounds
+        self._degrees = graph.out_degrees(vertices)
+        self.features = segment_features(
+            self._degrees, graph.in_degrees()[vertices], bounds
+        )
+        self.work = [features.total_edges for features in self.features]
+        self._shared = {"parts": parts}
+        for part, features in zip(parts or (), self.features):
+            part._cache["work"] = (graph, features.total_edges)
+            part._cache["features"] = (graph, features)
+
+    @staticmethod
+    def of(graph: CSRGraph, parts: Sequence["Frontier"]) -> "FragmentTable":
+        """``parts`` as a table on ``graph`` (itself when it is one)."""
+        if isinstance(parts, FragmentTable) and parts.graph is graph:
+            return parts
+        vertices = np.concatenate(
+            [part.vertices for part in parts] or [np.empty(0, np.int64)]
+        )
+        vertices.setflags(write=False)
+        bounds = [0, *accumulate(part.size for part in parts)]
+        return FragmentTable(graph, vertices, bounds, list(parts))
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, index):
+        parts = self._shared["parts"]
+        if parts is None:  # the fragment frontiers, made once
+            graph, vertices, bounds = self.graph, self.vertices, self.bounds
+            parts = self._shared["parts"] = [
+                Frontier._wrap(vertices[start:stop], {
+                    "work": (graph, features.total_edges),
+                    "features": (graph, features),
+                })
+                for start, stop, features
+                in zip(bounds, bounds[1:], self.features)
+            ]
+        return parts[index]
+
+    def copy(self) -> "FragmentTable":
+        """Another table object over the same columns and parts."""
+        table = FragmentTable.__new__(FragmentTable)
+        for name in FragmentTable.__slots__:
+            setattr(table, name, getattr(self, name))
+        return table
+
+    def edge_prefix(self) -> np.ndarray:
+        """Inclusive running out-edge count over ``vertices``, the D of
+        Algorithm 1's SortedSearch, made on first use."""
+        prefix = self._shared.get("prefix")
+        if prefix is None:
+            prefix = self._shared["prefix"] = np.cumsum(self._degrees)
+        return prefix

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -30,7 +31,7 @@ from repro.hardware.timing import TimingModel
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.partition.base import Partition
-from repro.runtime.frontier import Frontier
+from repro.runtime.frontier import FragmentTable, Frontier
 from repro.runtime.metrics import IterationRecord
 
 if TYPE_CHECKING:  # chaos imports nothing from runtime, but keep it lazy
@@ -147,37 +148,47 @@ def select_vertices(
     worker, ascending: worker ``j`` processes
     ``frontier.vertices[start:stop]``.
     """
-    x_row = np.asarray(x_row, dtype=np.int64)
-    total = int(x_row.sum())
-    vertices = frontier.vertices
-    if vertices.size == 0:
-        if total != 0:
+    x_row = np.asarray(x_row, dtype=np.int64).tolist()
+    if frontier.size == 0:
+        if sum(x_row) != 0:
             raise SolverError("quota assigned to an empty frontier")
         return []
-    degrees = graph.out_degrees(vertices)
-    degree_prefix = np.cumsum(degrees)
-    if int(degree_prefix[-1]) != total:
-        raise SolverError(
-            f"quotas ({total}) do not match frontier edges "
-            f"({int(degree_prefix[-1])})"
-        )
-    # D = PrefixSum(out-degrees); F = PrefixSum(X_i); SortedSearch(F, D)
-    workers = np.flatnonzero(x_row > 0)
-    if workers.size == 0:
-        return []
-    boundaries = np.searchsorted(degree_prefix, np.cumsum(x_row)[workers],
-                                 side="left")
-    stops = np.minimum(boundaries + 1, vertices.size)
-    stops[-1] = vertices.size  # the last quota absorbs the remainder
-    starts = np.concatenate(([0], stops[:-1]))
-    edge_prefix = np.concatenate(([0], degree_prefix))
-    keep = stops > starts
-    starts, stops = starts[keep], stops[keep]
-    return list(zip(
-        workers[keep].tolist(),
-        (edge_prefix[stops] - edge_prefix[starts]).tolist(),
-        starts.tolist(), stops.tolist(),
-    ))
+    return _quota_spans(FragmentTable.of(graph, [frontier]), {0: x_row})[0]
+
+
+def _quota_spans(
+    table: FragmentTable, quotas: Dict[int, List[int]]
+) -> Dict[int, List[Tuple[int, int, int, int]]]:
+    """:func:`select_vertices` for many fragments of a table at once
+    (``quotas``: fragment -> its row of ``X``): D is the table's one
+    running edge count, and every fragment's cumulative quotas F,
+    offset by the edges before the fragment, share one SortedSearch."""
+    bounds, work = table.bounds, table.work
+    bases = [0, *accumulate(work)]
+    targets, receivers = [], {}
+    for fragment, x_row in quotas.items():
+        if sum(x_row) != work[fragment]:
+            raise SolverError(f"quotas ({sum(x_row)}) do not match "
+                              f"frontier edges ({work[fragment]})")
+        receivers[fragment] = [j for j, quota in enumerate(x_row) if quota > 0]
+        targets.extend(bases[fragment] + running for running, quota
+                       in zip(accumulate(x_row), x_row) if quota > 0)
+    prefix = table.edge_prefix()
+    found = np.searchsorted(prefix, targets, side="left")
+    hits = iter(zip(found.tolist(), prefix[found].tolist()))
+    spans = {}
+    for fragment, workers in receivers.items():
+        low, base = bounds[fragment], bases[fragment]
+        rows = spans[fragment] = []
+        start = start_edges = 0
+        for worker, (position, through) in zip(workers, hits):
+            stop, stop_edges = position - low + 1, through - base
+            if worker == workers[-1]:  # the last quota absorbs the rest
+                stop, stop_edges = bounds[fragment + 1] - low, work[fragment]
+            if stop > start:
+                rows.append((worker, stop_edges - start_edges, start, stop))
+            start, start_edges = stop, stop_edges
+    return spans
 
 
 def realize_plan(
@@ -190,43 +201,51 @@ def realize_plan(
 ) -> IterationPlan:
     """Realize a touched-edges matrix as the plan's chunk columns.
 
-    Without ``quotas`` every fragment with work is one owner-local row:
-    its whole frontier span on ``context.fragment_worker``, even when
-    the workload is decoupled from the frontier. With them, fragment
-    ``i``'s row of ``quotas`` is sliced by :func:`select_vertices` when
-    the workload is the frontier's out-edges, and otherwise (pull-mode
-    BFS scans the unvisited side) becomes quota-only rows with the
-    empty span ``(0, 0)``. ``hub_cache`` (anything with a
-    ``hub_edges(graph, vertices)`` probe) is consulted once per row
-    that runs away from its fragment's data home. ``fields`` are the
-    remaining :class:`IterationPlan` fields.
+    Without ``quotas`` every fragment with work is one row: its whole
+    span on ``context.fragment_worker``. With them, fragment ``i``'s
+    row of ``quotas`` is sliced by Algorithm 1 (:func:`select_vertices`,
+    all fragments in one search) when the workload is the frontier's
+    out-edges, else (pull-mode BFS) becomes quota-only rows with the
+    empty span ``(0, 0)``. ``hub_cache`` (a ``hub_edges(graph,
+    vertices)`` probe) is asked once per row away from its fragment's
+    data home. ``fields`` are the other :class:`IterationPlan` fields.
+    Fragments are read from the superstep's
+    :class:`~repro.runtime.frontier.FragmentTable`.
     """
     graph = context.graph
+    table = FragmentTable.of(graph, fragment_frontiers)
+    bounds, vertices = table.bounds, table.vertices
     homes = context.fragment_home.tolist()
     current = context.fragment_worker.tolist()
+    loads = workloads.tolist()
+    rows_of = quotas.tolist() if quotas is not None else None
+    sliced = {} if quotas is None else _quota_spans(table, {
+        fragment: rows_of[fragment] for fragment, load in enumerate(loads)
+        if bounds[fragment + 1] > bounds[fragment]
+        and table.work[fragment] == load
+    })
     rows = []
-    for fragment, (frontier, load) in enumerate(
-        zip(fragment_frontiers, workloads.tolist())
-    ):
+    for fragment, load in enumerate(loads):
+        low, high = bounds[fragment], bounds[fragment + 1]
         # a fragment can carry work despite an empty frontier (pull-mode
         # engines scan the unvisited side), so gate on workload too
-        if not frontier and load == 0:
+        if low == high and load == 0:
             continue
         if quotas is None:
-            spans = [(current[fragment], load, 0, frontier.size)]
-        elif frontier and frontier.work(graph) == load:
-            spans = select_vertices(graph, frontier, quotas[fragment])
+            spans = [(current[fragment], load, 0, high - low)]
+        elif fragment in sliced:
+            spans = sliced[fragment]
         else:
             spans = [(worker, quota, 0, 0) for worker, quota
-                     in enumerate(quotas[fragment].tolist()) if quota > 0]
+                     in enumerate(rows_of[fragment]) if quota > 0]
         for worker, edges, start, stop in spans:
             hub = 0
             if hub_cache is not None and worker != homes[fragment]:
-                hub = hub_cache.hub_edges(graph,
-                                          frontier.vertices[start:stop])
+                span = vertices[low + start: low + stop]
+                hub = hub_cache.hub_edges(graph, span)
             rows.append((fragment, worker, edges, hub, start, stop))
-    table = np.array(rows, dtype=np.int64).reshape(-1, 6).T.copy()
-    owner, worker, edges, hub_edges, start, stop = table
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T.copy()
+    owner, worker, edges, hub_edges, start, stop = columns
     return IterationPlan(owner=owner, worker=worker, edges=edges,
                          hub_edges=hub_edges, start=start, stop=stop,
                          **fields)

@@ -89,6 +89,19 @@ def test_pseudo_noise_is_pinned():
     )
 
 
+def test_first_uniform_is_numpys_first_draw():
+    """The noise draw's integer re-derivation of the first
+    ``Generator.random()``, over edge seeds (one and two entropy words,
+    the largest the noise key makes) and thousands of random ones."""
+    from repro.hardware.device import first_uniform
+
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 2] + np.random.default_rng(
+        5).integers(0, 2**63 - 1, size=3000).tolist()
+    assert [first_uniform(seed) for seed in seeds] == [
+        np.random.default_rng(seed).random() for seed in seeds
+    ]
+
+
 def test_empty_frontier_cost_is_base():
     device = DeviceModel()
     cost = device.true_edge_cost(FrontierFeatures.empty())
@@ -141,14 +154,38 @@ def test_memo_bound_clears_the_memo(monkeypatch):
 
 
 def test_gum_run_evaluates_each_distinct_features_once(monkeypatch):
-    """TX/bfs@4 prices 32 distinct fragment frontiers; each pays the
-    noise hash once however often the audit and pricing meet it."""
+    """TX/bfs@4 prices 32 distinct fragment frontiers with 28 distinct
+    noise keys; each key's seed pays the generator draw once however
+    often the audit and pricing meet it."""
     import repro
     from repro.graph import datasets
 
-    seen = _count_noise(monkeypatch)
+    seeds = []
+    draw = DeviceModel._draw_noise
+
+    def counting(self, seed):
+        seeds.append(seed)
+        return draw(self, seed)
+
+    monkeypatch.setattr(DeviceModel, "_draw_noise", counting)
     repro.run(datasets.load("TX"), "bfs", num_gpus=4)
-    assert len(seen) == len(set(seen)) == 32
+    assert len(seeds) == len(set(seeds)) == 28
+
+
+def test_features_sharing_a_noise_key_share_one_draw(monkeypatch):
+    seeds = []
+    draw = DeviceModel._draw_noise
+    monkeypatch.setattr(
+        DeviceModel, "_draw_noise",
+        lambda self, seed: seeds.append(seed) or draw(self, seed),
+    )
+    device = DeviceModel()
+    # entropy and the ranges are not part of the noise key
+    a = feats(gini=0.3, entropy=0.2)
+    b = feats(gini=0.3, entropy=0.7, out_range=5.0)
+    assert device._pseudo_noise(a) == device._pseudo_noise(b)
+    assert len(seeds) == 1
+    assert device.true_edge_cost(a) != device.true_edge_cost(b)
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,26 @@ def test_aggregate_bandwidth(topology8):
     assert topology8.aggregate_bandwidth([0]) == 0.0
 
 
+def test_aggregate_bandwidth_memo_answers_from_each_topologys_lanes(
+    topology8,
+):
+    group = [0, 1, 2, 3]
+    healthy = topology8.aggregate_bandwidth(group)
+    # the memo key is the member tuple: any sequence of the same ids
+    assert topology8.aggregate_bandwidth(tuple(group)) == healthy
+    assert topology8.aggregate_bandwidth(iter(group)) == healthy
+    # the lanes it was computed from cannot change under it ...
+    with pytest.raises(ValueError):
+        topology8.lane_matrix[0, 1] = 0
+    # ... and a degraded link is a new topology with its own memo
+    degraded = topology8.with_degraded_link(0, 1, lanes=0)
+    lost = topology8.lane_matrix[0, 1] * NVLINK_LANE_GBPS
+    assert degraded.aggregate_bandwidth(group) == pytest.approx(
+        healthy - lost
+    )
+    assert topology8.aggregate_bandwidth(group) == healthy
+
+
 def test_ring_topology_preset():
     ring = ring_topology(4, lanes=2)
     assert ring.find_ring() is not None

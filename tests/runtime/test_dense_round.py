@@ -34,21 +34,21 @@ def counted(monkeypatch):
     """Call counts of the full-frontier gather and owner split."""
     counts = {"gather": 0, "split_features": 0}
     gather = frontier_module.gather_edge_positions
-    features = frontier_module.frontier_features
+    features = frontier_module.segment_features
 
     def counting_gather(graph, vertices):
         counts["gather"] += 1
         return gather(graph, vertices)
 
-    def counting_features(graph, vertices, *boundaries):
-        # only split_by_owner passes segment boundaries
-        counts["split_features"] += bool(boundaries)
-        return features(graph, vertices, *boundaries)
+    def counting_features(out_deg, in_deg, bounds):
+        # only split_by_owner's fragment table scans segments
+        counts["split_features"] += 1
+        return features(out_deg, in_deg, bounds)
 
     numpy_proxy = _CountingNumpy()
     monkeypatch.setattr(frontier_module, "gather_edge_positions",
                         counting_gather)
-    monkeypatch.setattr(frontier_module, "frontier_features",
+    monkeypatch.setattr(frontier_module, "segment_features",
                         counting_features)
     monkeypatch.setattr(frontier_module, "np", numpy_proxy)
     return counts, numpy_proxy
