@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -83,16 +83,15 @@ class GASAlgorithm(abc.ABC):
         graph: CSRGraph,
         state: AlgorithmState,
         frontier: Frontier,
-        allowed_mask: np.ndarray,
+        allowed_mask: Optional[np.ndarray] = None,
     ) -> Frontier:
-        """One superstep restricted to edges allowed by a mask.
+        """One superstep of ``frontier`` over ``graph``'s edges, or only
+        those a per-edge boolean ``allowed_mask`` (CSR order) selects;
+        returns the vertices they activated.
 
-        Used by the asynchronous engine model: ``allowed_mask`` is a
-        per-edge boolean (CSR order) selecting intra-fragment edges.
-        Only meaningful for ``monotonic`` algorithms; the default
-        raises for the rest.
-
-        Returns the frontier of vertices activated by allowed edges.
+        The asynchronous engine model passes its intra- or
+        cross-fragment edge set as ``graph`` and no mask. Only
+        ``monotonic`` algorithms support it; the default raises.
         """
         raise NotImplementedError(
             f"{self.name} does not support masked local steps"

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import distinct_vertices
+from repro.graph.gather import distinct_vertices, gather_edge_positions
 from repro.runtime.frontier import Frontier
 
 __all__ = ["MinPropagation", "MinScatter"]
@@ -130,16 +130,17 @@ class MinPropagation(GASAlgorithm):
         graph: CSRGraph,
         state: AlgorithmState,
         frontier: Frontier,
-        allowed_mask: np.ndarray,
+        allowed_mask: Optional[np.ndarray] = None,
     ) -> Frontier:
-        """Relax only edges selected by ``allowed_mask`` (CSR order)."""
-        __, positions = frontier.edge_positions(graph)
-        keep = allowed_mask[positions]
+        """Relax the out-edges of ``frontier`` in ``graph`` that
+        ``allowed_mask`` (CSR order) selects; ``None`` selects all."""
         sources, destinations, weights = frontier.gather(graph)
-        return self._relax(
-            graph, state, sources[keep], destinations[keep],
-            None if weights is None else weights[keep],
-        )
+        if allowed_mask is not None:
+            __, positions = gather_edge_positions(graph, frontier.vertices)
+            keep = allowed_mask[positions]
+            sources, destinations = sources[keep], destinations[keep]
+            weights = None if weights is None else weights[keep]
+        return self._relax(graph, state, sources, destinations, weights)
 
     # ------------------------------------------------------------------
     def _initial_state(

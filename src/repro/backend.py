@@ -98,7 +98,8 @@ def count_messages(
     """Cross-worker message count from the memoized frontier gather.
 
     Endpoints are mapped vertex → fragment (``owner``) → worker
-    (``worker``) by indexing, never through a ``V``-long array, so a
+    (``worker``, narrowed to ``owner``'s dtype: a byte per edge up to
+    256 fragments) by indexing, never through a ``V``-long array, so a
     tail superstep costs its own edges: the sources once per frontier
     vertex, repeated over its out-edges as the gather lays them out.
     Under ``aggregate`` the distinct remote destinations are counted by
@@ -109,6 +110,7 @@ def count_messages(
     if destinations.size == 0:
         return 0
     vertices = frontier.vertices
+    worker = worker.astype(owner.dtype)
     cross = np.repeat(
         worker[owner[vertices]], graph.out_degrees(vertices)
     ) != worker[owner[destinations]]

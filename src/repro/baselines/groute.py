@@ -40,6 +40,7 @@ import numpy as np
 from repro import config as repro_config
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
+from repro.graph.gather import distinct_vertices
 from repro.hardware.spec import MachineSpec
 from repro.hardware.timing import TimingModel
 from repro.hardware.topology import Topology
@@ -168,10 +169,8 @@ class GrouteEngine:
         limit = max_iterations or self._max_rounds
         # monotone algorithms run local fixed points over the intra /
         # cross edge split; PageRank takes the synchronous path
-        masks = (
-            self._edge_masks(graph, partition) if algorithm.monotonic
-            else None
-        )
+        edge_sets = (self._edge_sets(graph, partition)
+                     if algorithm.monotonic else None)
         state = algorithm.init(graph, **params)
         envelope = RunEnvelope(
             "groute", algorithm, graph, self._topology.num_gpus, state,
@@ -179,30 +178,35 @@ class GrouteEngine:
         )
         with envelope.span():
             while state.frontier and envelope.rounds < limit:
-                if masks is None:
+                if edge_sets is None:
                     record = self._synchronous_round(
                         graph, partition, algorithm, state
                     )
                 else:
                     record = self._monotonic_round(
                         graph, partition, algorithm, state,
-                        envelope.rounds, *masks,
+                        envelope.rounds, *edge_sets,
                     )
                 envelope.fold(record)
         return envelope.close()
 
     # ------------------------------------------------------------------
-    def _edge_masks(
-        self, graph: CSRGraph, partition: Partition
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(intra, cross) boolean masks over CSR edge positions."""
-        sources = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64),
-            np.diff(graph.indptr),
-        )
-        owner = partition.owner
-        intra = owner[sources] == owner[graph.indices]
-        return intra, ~intra
+    @staticmethod
+    def _edge_sets(graph: CSRGraph, partition: Partition) -> tuple:
+        """(intra, cross): the intra- and cross-fragment edges as two
+        graphs over the same vertices in CSR order, split once per run."""
+        n = graph.num_vertices
+        sources = np.repeat(np.arange(n), np.diff(graph.indptr))
+        intra = partition.owner[sources] == partition.owner[graph.indices]
+        edge_sets = []
+        for keep in (intra, ~intra):
+            degrees = np.bincount(sources[keep], minlength=n)
+            edge_sets.append(CSRGraph(
+                np.concatenate(([0], np.cumsum(degrees))),
+                graph.indices[keep],
+                None if graph.weights is None else graph.weights[keep],
+            ))
+        return tuple(edge_sets)
 
     def _ring_comm_seconds(self, messages: np.ndarray) -> float:
         """Time for a round's cross messages to traverse the ring.
@@ -247,19 +251,17 @@ class GrouteEngine:
         algorithm,
         state,
         round_index: int,
-        intra_mask: np.ndarray,
-        cross_mask: np.ndarray,
+        intra: CSRGraph,
+        cross: CSRGraph,
     ) -> IterationRecord:
-        """One asynchronous round: local fixed points, then the ring."""
+        """One asynchronous round: local fixed points over ``intra``,
+        then ``cross`` over the ring. Virtual time reads ``graph``."""
         num_workers = self._topology.num_gpus
         round_frontier: Frontier = state.frontier
         busy = np.zeros(num_workers)
-        features = [
-            part.features(graph)
-            for part in round_frontier.split_by_owner(
-                partition.owner, num_workers, graph
-            )
-        ]
+        features = round_frontier.split_by_owner(
+            partition.owner, num_workers, graph
+        ).features
         # --- phase 1: local relaxation waves --------------------------
         # Weighted relaxation can speculate past the values remote
         # corrections will deliver (redundant work), so it runs under
@@ -281,28 +283,27 @@ class GrouteEngine:
             for fragment, part in enumerate(parts):
                 if part:
                     busy[fragment] += self._local_seconds(
-                        fragment,
-                        int(graph.out_degrees(part.vertices).sum()),
-                        features[fragment], launches=1,
+                        fragment, part.work(graph), features[fragment],
+                        launches=1,
                     )
             local_edges += frontier.work(graph)
-            frontier = algorithm.local_step(
-                graph, state, frontier, intra_mask
-            )
+            frontier = algorithm.local_step(intra, state, frontier, None)
             substep += 1
         deferred = frontier
         if deferred:
             # soft-priority cutoff: defer the rest to the next round
             updated_parts.append(deferred.vertices)
         # --- phase 2: push cross edges over the ring ------------------
-        all_updated = Frontier(np.concatenate(updated_parts))
+        all_updated = Frontier.from_sorted(distinct_vertices(
+            np.concatenate(updated_parts), graph.num_vertices
+        ))
         comm, cross_count = self._ring_exchange(
-            graph, partition, all_updated
+            cross, partition, all_updated
         )
         # the cross relaxations themselves run on the receiving side;
         # deferred local work resumes next round
         state.frontier = algorithm.local_step(
-            graph, state, all_updated, cross_mask
+            cross, state, all_updated, None
         ).union(deferred)
         return self._round_record(
             round_index, round_frontier.size, local_edges + cross_count,
@@ -346,13 +347,15 @@ class GrouteEngine:
         self, graph: CSRGraph, partition: Partition, frontier: Frontier
     ) -> tuple[float, int]:
         """Ring seconds and cross-fragment message count of pushing
-        every out-edge of ``frontier``."""
+        every out-edge of ``frontier`` in ``graph`` (or its cross set)."""
         sources, destinations, __ = frontier.gather(graph)
         owner = partition.owner
         num_fragments = self._topology.num_gpus
-        # one fused (source, destination) fragment key per edge,
-        # counted into the fragment-by-fragment message matrix
-        keys = owner[sources]
+        # one fused (source, destination) fragment key per edge, in a
+        # dtype that holds F * F keys, counted into the F x F matrix
+        keys = owner[sources].astype(
+            np.min_scalar_type(num_fragments * num_fragments - 1)
+        )
         keys *= num_fragments
         keys += owner[destinations]
         messages = np.bincount(

@@ -18,6 +18,7 @@ evaluation matrix runs on a laptop. Set ``REPRO_SCALE`` (see
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -51,10 +52,16 @@ def _s(n: int) -> int:
     return config.scaled(n)
 
 
+def _rmat_scale(scale: int) -> int:
+    """R-MAT scale grown with ``REPRO_SCALE``: ``2**scale`` vertices
+    times the nearest power of two to the factor (unchanged at 1)."""
+    return max(1, scale + round(math.log2(config.benchmark_scale())))
+
+
 def _social(scale: int, edge_factor: int, seed: int, skew: float = 0.57):
     def build() -> CSRGraph:
         return generators.rmat(
-            scale, edge_factor=edge_factor, a=skew,
+            _rmat_scale(scale), edge_factor=edge_factor, a=skew,
             b=(1 - skew) / 2.2, c=(1 - skew) / 2.2, seed=seed,
         )
 

@@ -31,8 +31,11 @@ class Partition:
     graph:
         The partitioned graph (kept by reference for edge accounting).
     owner:
-        ``int64`` array mapping every vertex to a fragment id in
-        ``[0, num_fragments)``.
+        Integer array mapping every vertex to a fragment id in
+        ``[0, num_fragments)``. It is stored in the narrowest unsigned
+        dtype that holds ``num_fragments - 1`` (``uint8`` up to 256
+        fragments): every per-edge owner lookup of a run then costs one
+        byte per edge instead of eight.
     num_fragments:
         Number of fragments (workers). Fragments may be empty.
     name:
@@ -46,7 +49,7 @@ class Partition:
         num_fragments: int,
         name: str = "partition",
     ) -> None:
-        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        owner = np.asarray(owner)
         if owner.shape != (graph.num_vertices,):
             raise PartitionError(
                 f"owner array has shape {owner.shape}, expected "
@@ -56,6 +59,8 @@ class Partition:
             raise PartitionError("need at least one fragment")
         if owner.size and (owner.min() < 0 or owner.max() >= num_fragments):
             raise PartitionError("owner ids out of range")
+        # the one place the owner dtype is decided
+        owner = owner.astype(np.min_scalar_type(num_fragments - 1))
         owner.setflags(write=False)
         self._graph = graph
         self._owner = owner

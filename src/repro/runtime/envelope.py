@@ -12,6 +12,7 @@ one engine's private bug.
 
 from __future__ import annotations
 
+import resource
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -51,6 +52,8 @@ class RunEnvelope:
         # emission is host-timed only when an observer is attached, so
         # a silent run reports exactly 0.0 observability seconds
         self._observed = tracer.enabled or metrics.enabled
+        #: minor page faults at open, read only for a registry to count
+        self._faults = _minor_faults() if metrics.enabled else None
         self._prev_group: Optional[int] = None
         #: virtual seconds charged so far (the clock the spans ride)
         self.virtual_clock = 0.0
@@ -107,4 +110,11 @@ class RunEnvelope:
         result.values = self._state.values
         result.converged = not self._state.frontier
         result.run_wall_seconds = time.perf_counter() - self._wall_start
+        if self._faults is not None:
+            self._metrics.counter("engine.minor_faults").inc(
+                _minor_faults() - self._faults)
         return result
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -153,33 +153,17 @@ class Frontier:
             lambda: frontier_features(graph, self._vertices),
         )
 
-    def edge_positions(
-        self, graph: CSRGraph
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Memoized :func:`gather_edge_positions` of this frontier.
-
-        Both the algorithm step and the engine's message-cost model
-        expand the same frontier; sharing the gather halves the
-        per-iteration adjacency traffic.
-        """
-        return self._memo(
-            "edge_positions", graph,
-            lambda: gather_edge_positions(graph, self._vertices),
-        )
-
     def gather(
         self, graph: CSRGraph
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Memoized flattened out-edges: (sources, destinations, weights)."""
+        """Memoized flattened out-edges: (sources, destinations,
+        weights). The CSR positions they were read at are dropped."""
 
         def compute():
-            sources, positions = self.edge_positions(graph)
-            destinations = graph.indices[positions]
-            weights = (
-                graph.weights[positions]
-                if graph.weights is not None else None
-            )
-            return sources, destinations, weights
+            sources, positions = gather_edge_positions(graph, self._vertices)
+            weights = graph.weights
+            return (sources, graph.indices[positions],
+                    None if weights is None else weights[positions])
 
         return self._memo("gather", graph, compute)
 

@@ -59,3 +59,16 @@ def test_spec_build_matches_load():
     built = spec.build()
     assert built.num_edges == datasets.load("CA").num_edges
     assert built.name == "CA"
+
+
+@pytest.mark.parametrize("scale, expected", [("1", 13), ("4", 15),
+                                             ("0.25", 11)])
+def test_social_rmat_scale_grows_with_repro_scale(monkeypatch, scale,
+                                                  expected):
+    # the R-MAT argument only: the graph itself is not built
+    calls = []
+    monkeypatch.setenv("REPRO_SCALE", scale)
+    monkeypatch.setattr(datasets.generators, "rmat",
+                        lambda scale, **kwargs: calls.append(scale))
+    datasets.DATASETS["LJ"].builder()
+    assert calls == [expected]

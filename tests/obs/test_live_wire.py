@@ -4,15 +4,17 @@
 :class:`~repro.obs.live.StreamingSink` lost its writer thread, from a
 healthy and a chaos TX/bfs@4 run streamed with ``--stream-every 10``;
 its ``metrics`` lines were regenerated when the registry dropped its
-per-superstep ``timeseries`` instruments (every other line unchanged).
+per-superstep ``timeseries`` instruments, and its final ``metrics``
+lines when the run envelope added ``engine.minor_faults`` (every other
+line unchanged).
 Each entry is one wire line, in order: its envelope kind, its span
 name, and a digest of everything else on the line — track, record
 kind, category, depth, virtual clock fields, attributes, and every
 snapshot key and value — so a change to what the stream carries, or
 to the order it carries it in, fails here. Host-clock content is
 masked before digesting: ``wall_start`` / ``wall_dur`` of host-timed
-spans, and the instruments that observe host seconds (their ``type``
-and ``count`` stay).
+spans, and the instruments that observe the host (their ``type`` and,
+for a histogram, ``count`` stay).
 
 An intended change to the wire regenerates the record::
 
@@ -41,8 +43,10 @@ RUNS = {
     ],
 }
 
-#: instruments fed from ``time.perf_counter`` — different every run
+#: instruments fed from the host (``time.perf_counter``, the process's
+#: page-fault count) — different every run
 HOST_CLOCK_INSTRUMENTS = frozenset({
+    "engine.minor_faults",
     "fsteal.solve_seconds",
     "osteal.solve_seconds",
     "scheduler.decision_seconds",
@@ -54,8 +58,8 @@ def _masked(event: dict) -> dict:
              if key not in ("wall_start", "wall_dur")}
     if "snapshot" in event:
         event["snapshot"] = {
-            name: ({"type": instrument["type"],
-                    "count": instrument["count"]}
+            name: ({key: instrument[key] for key in ("type", "count")
+                    if key in instrument}
                    if name in HOST_CLOCK_INSTRUMENTS else instrument)
             for name, instrument in event["snapshot"].items()
         }

@@ -76,3 +76,27 @@ def test_owner_readonly(tiny_graph):
 def test_validate_passes(tiny_graph):
     partition = make_partition(tiny_graph, [0, 1, 0, 1, 0, 1])
     partition.validate()  # must not raise
+
+
+@pytest.mark.parametrize("fragments, dtype", [
+    (1, np.uint8), (256, np.uint8), (257, np.uint16),
+])
+def test_owner_is_stored_in_the_narrowest_unsigned_dtype(
+        tiny_graph, fragments, dtype):
+    owner = np.full(tiny_graph.num_vertices, fragments - 1, dtype=np.int64)
+    partition = Partition(tiny_graph, owner, fragments)
+    assert partition.owner.dtype == dtype
+    assert partition.owner.tolist() == owner.tolist()
+    assert not partition.owner.flags.writeable
+    assert partition.fragment_sizes()[-1] == tiny_graph.num_vertices
+    assert partition.vertices_of(fragments - 1).size == \
+        tiny_graph.num_vertices
+
+
+def test_owner_range_is_checked_before_narrowing(tiny_graph):
+    # 256 and -1 would both wrap into a byte
+    for bad in (256, -1):
+        owner = np.zeros(tiny_graph.num_vertices, dtype=np.int64)
+        owner[0] = bad
+        with pytest.raises(PartitionError, match="out of range"):
+            Partition(tiny_graph, owner, 256)

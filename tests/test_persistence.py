@@ -100,3 +100,19 @@ def test_cost_model_bad_archive(tmp_path):
     np.savez(path, junk=np.zeros(3))
     with pytest.raises(CostModelError, match="bogus.npz"):
         load_artifact(path)
+
+
+def test_partition_saved_with_an_int64_owner_still_loads(
+        tmp_path, skewed_graph, skewed_partition):
+    # the archive layout of a partition whose owner map was int64
+    path = tmp_path / "wide.npz"
+    owner = skewed_partition.owner.astype(np.int64)
+    np.savez_compressed(
+        path, format_version=np.array([1]), owner=owner,
+        num_fragments=np.array([skewed_partition.num_fragments]),
+        name=np.array([skewed_partition.name]),
+    )
+    loaded = load_partition(path, skewed_graph)
+    assert loaded.owner.dtype == np.uint8
+    assert np.array_equal(loaded.owner, owner)
+    assert loaded.num_fragments == skewed_partition.num_fragments
