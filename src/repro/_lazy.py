@@ -12,15 +12,20 @@ A package states once which submodule each public name lives in::
 ``repro.errors`` and caches the value in the package namespace, so
 every later lookup is an ordinary attribute read. A name equal to its
 submodule's last component (``datasets`` above) is the submodule itself.
+
+A registry whose names a caller needs before any value (a parser's
+``choices``) is a :class:`LazyTable`: its keys are plain strings and a
+value is imported on its first lookup.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from typing import Callable, Dict, List, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["lazy_exports"]
+__all__ = ["LazyTable", "lazy_exports"]
 
 
 def lazy_exports(
@@ -48,3 +53,33 @@ def lazy_exports(
         return sorted(set(namespace) | set(where))
 
     return list(where), __getattr__, __dir__
+
+
+class LazyTable(Mapping):
+    """A read-only name -> object registry whose names are known at
+    import and whose values are imported on first lookup.
+
+    ``paths`` maps each name to ``"module:attribute"``; iterating,
+    ``len`` and ``in`` read the names only.
+    """
+
+    def __init__(self, paths: Dict[str, str]) -> None:
+        self._paths = dict(paths)
+        self._values: Dict[str, object] = {}
+
+    def __getitem__(self, name: str) -> object:
+        if name not in self._values:
+            module, _, attribute = self._paths[name].partition(":")
+            self._values[name] = getattr(
+                importlib.import_module(module), attribute
+            )
+        return self._values[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)

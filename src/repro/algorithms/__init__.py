@@ -1,26 +1,41 @@
 """Vertex programs: the paper's four (BFS, SSSP, WCC, PR) plus
-extensions (delta-PageRank, delta-stepping SSSP, k-core)."""
+extensions (delta-PageRank, delta-stepping SSSP, k-core).
 
-from typing import Dict, Type
+The registry's names are readable without importing any vertex
+program (the CLI's ``--algorithm`` choices); a class is imported when
+it is first looked up.
+"""
 
-from repro.algorithms.base import AlgorithmState, GASAlgorithm
-from repro.algorithms.bfs import BFS
-from repro.algorithms.sssp import SSSP
-from repro.algorithms.wcc import WCC
-from repro.algorithms.pagerank import DeltaPageRank, PageRank
-from repro.algorithms.delta_stepping import DeltaSteppingSSSP
-from repro.algorithms.kcore import KCore
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Mapping, Type
+
+from repro._lazy import LazyTable, lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.algorithms.base import GASAlgorithm
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.base": ("AlgorithmState", "GASAlgorithm"),
+    "repro.algorithms.bfs": ("BFS",),
+    "repro.algorithms.sssp": ("SSSP",),
+    "repro.algorithms.wcc": ("WCC",),
+    "repro.algorithms.pagerank": ("PageRank", "DeltaPageRank"),
+    "repro.algorithms.delta_stepping": ("DeltaSteppingSSSP",),
+    "repro.algorithms.kcore": ("KCore",),
+})
+__all__ += ["ALGORITHMS", "make_algorithm"]
 
 #: Registry keyed by the short names used throughout the benchmarks.
-ALGORITHMS: Dict[str, Type[GASAlgorithm]] = {
-    "bfs": BFS,
-    "sssp": SSSP,
-    "wcc": WCC,
-    "pr": PageRank,
-    "dpr": DeltaPageRank,
-    "dsssp": DeltaSteppingSSSP,
-    "kcore": KCore,
-}
+ALGORITHMS: Mapping[str, Type[GASAlgorithm]] = LazyTable({
+    "bfs": "repro.algorithms.bfs:BFS",
+    "sssp": "repro.algorithms.sssp:SSSP",
+    "wcc": "repro.algorithms.wcc:WCC",
+    "pr": "repro.algorithms.pagerank:PageRank",
+    "dpr": "repro.algorithms.pagerank:DeltaPageRank",
+    "dsssp": "repro.algorithms.delta_stepping:DeltaSteppingSSSP",
+    "kcore": "repro.algorithms.kcore:KCore",
+})
 
 
 def make_algorithm(name: str) -> GASAlgorithm:
@@ -31,18 +46,3 @@ def make_algorithm(name: str) -> GASAlgorithm:
         raise KeyError(
             f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}"
         ) from None
-
-
-__all__ = [
-    "AlgorithmState",
-    "GASAlgorithm",
-    "BFS",
-    "SSSP",
-    "WCC",
-    "PageRank",
-    "DeltaPageRank",
-    "DeltaSteppingSSSP",
-    "KCore",
-    "ALGORITHMS",
-    "make_algorithm",
-]

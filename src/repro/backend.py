@@ -90,7 +90,7 @@ def usable_cpus() -> int:
 def count_messages(
     graph: "CSRGraph",
     owner: np.ndarray,
-    worker: np.ndarray,
+    worker: Optional[np.ndarray],
     frontier: Frontier,
     aggregate: bool,
     seen: np.ndarray,
@@ -102,6 +102,8 @@ def count_messages(
     256 fragments) by indexing, never through a ``V``-long array, so a
     tail superstep costs its own edges: the sources once per frontier
     vertex, repeated over its out-edges as the gather lays them out.
+    ``worker=None`` is the identity map (no OSteal fold, no dead
+    worker): fragments are compared directly, with no worker lookup.
     Under ``aggregate`` the distinct remote destinations are counted by
     :func:`~repro.graph.gather.distinct_vertices`, the algorithm step's
     bitmap kernel (``seen`` is its reusable all-``False`` bitmap).
@@ -110,10 +112,11 @@ def count_messages(
     if destinations.size == 0:
         return 0
     vertices = frontier.vertices
-    worker = worker.astype(owner.dtype)
-    cross = np.repeat(
-        worker[owner[vertices]], graph.out_degrees(vertices)
-    ) != worker[owner[destinations]]
+    home, away = owner[vertices], owner[destinations]
+    if worker is not None:
+        worker = worker.astype(owner.dtype)
+        home, away = worker[home], worker[away]
+    cross = np.repeat(home, graph.out_degrees(vertices)) != away
     if not aggregate:
         return int(np.count_nonzero(cross))
     # np.compress: ~3x faster than boolean-mask indexing here
@@ -145,6 +148,10 @@ class Session:
         self._seen = np.zeros(graph.num_vertices, dtype=bool)
         #: (frontier, (aggregate, worker-map bytes), count), last call
         self._last_count: tuple = (None, None, 0)
+        #: the worker-map bytes of the identity map (fragment i on GPU i)
+        self._identity = np.arange(
+            partition.num_fragments, dtype=np.int64
+        ).tobytes()
         self._pool: "Optional[ThreadPoolExecutor]" = None
         self._scatters: list = []
         self._stats: dict = {}
@@ -258,7 +265,8 @@ class Session:
         The serial path runs :func:`count_messages`, memoized on the
         last call (PageRank's full frontier asks the same question
         every round) by the frontier object and the worker map's
-        *value*, which OSteal and a killed worker rewrite in place. The
+        *value*, which OSteal and a killed worker rewrite in place; the
+        same bytes tell it when the map is the identity. The
         thread path folds the same count from its tasks: cross-edge
         counts add and remote distinct destinations union.
         """
@@ -268,8 +276,9 @@ class Session:
             last = self._last_count
             if last[0] is not frontier or last[1] != key:
                 last = self._last_count = (frontier, key, count_messages(
-                    self._graph, self._partition.owner, worker, frontier,
-                    aggregate, self._seen,
+                    self._graph, self._partition.owner,
+                    None if key[1] == self._identity else worker,
+                    frontier, aggregate, self._seen,
                 ))
             return last[2]
         results = self._collect()

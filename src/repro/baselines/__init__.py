@@ -1,8 +1,10 @@
 """Baseline system models: Gunrock (BSP), Groute (async ring), and
 classic reactive work stealing (peek-and-grab)."""
 
-from repro.baselines.gunrock import GunrockEngine
-from repro.baselines.groute import GrouteEngine
-from repro.baselines.peeksteal import PeekStealScheduler
+from repro._lazy import lazy_exports
 
-__all__ = ["GunrockEngine", "GrouteEngine", "PeekStealScheduler"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.gunrock": ("GunrockEngine",),
+    "repro.baselines.groute": ("GrouteEngine",),
+    "repro.baselines.peeksteal": ("PeekStealScheduler",),
+})

@@ -10,15 +10,18 @@ the same inputs across systems, as the paper does.
 from __future__ import annotations
 
 import functools
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.algorithms import ALGORITHMS, make_algorithm
 from repro.errors import EngineError
-from repro.graph import datasets, symmetrize, with_random_weights
-from repro.graph.csr import CSRGraph
-from repro.partition import Partition, make_partition
+from repro.graph import datasets
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.csr import CSRGraph
+    from repro.partition import Partition
+
+# ENGINE_NAMES is read without running anything (the CLI's ``--engine``
+# choices), so the functions below import the graph stack they use.
 
 __all__ = [
     "prepare_graph",
@@ -43,6 +46,9 @@ def prepare_graph(abbr: str, algorithm: str) -> CSRGraph:
     weights in [1, 4]. Results are cached per (graph, algorithm-needs)
     pair so every engine sees the identical object.
     """
+    from repro.graph.builders import symmetrize
+    from repro.graph.generators import with_random_weights
+
     graph = datasets.load(abbr)
     algo = make_algorithm(algorithm)
     if algo.needs_symmetric and graph.directed:
@@ -59,6 +65,8 @@ def pick_source(abbr: str) -> int:
     Guaranteed non-isolated, same for every engine and GPU count —
     the paper fixes sources per graph for the same reason.
     """
+    import numpy as np
+
     graph = datasets.load(abbr)
     return int(np.argmax(graph.out_degrees()))
 
@@ -73,6 +81,8 @@ def cached_partition(
     seed: int = 0,
 ) -> Partition:
     """Build (and cache) a partition keyed by graph identity."""
+    from repro.partition.partitioners import make_partition
+
     key = (id(graph), num_fragments, partitioner, seed)
     if key not in _PARTITION_CACHE:
         _PARTITION_CACHE[key] = make_partition(

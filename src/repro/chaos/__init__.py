@@ -16,21 +16,12 @@ See ``docs/robustness.md`` for the fault model and
 ``examples/chaos_drill.py`` for an end-to-end walkthrough.
 """
 
-from repro.chaos.controller import ChaosController, FaultEvent
-from repro.chaos.fallback import FallbackSolver
-from repro.chaos.scenario import (
-    ChaosScenario,
-    FAULT_KINDS,
-    FaultSpec,
-    SCHEMA_VERSION,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosScenario",
-    "FaultSpec",
-    "FaultEvent",
-    "ChaosController",
-    "FallbackSolver",
-    "SCHEMA_VERSION",
-    "FAULT_KINDS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.scenario": (
+        "ChaosScenario", "FaultSpec", "SCHEMA_VERSION", "FAULT_KINDS",
+    ),
+    "repro.chaos.controller": ("ChaosController", "FaultEvent"),
+    "repro.chaos.fallback": ("FallbackSolver",),
+})

@@ -19,13 +19,15 @@ bit-identical to a run without the chaos layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.chaos.scenario import ChaosScenario, FaultSpec
 from repro.errors import DegradedModeError, FaultInjectionError
 from repro.hardware.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaos.scenario import ChaosScenario, FaultSpec
 
 __all__ = ["FaultEvent", "ChaosController"]
 
@@ -72,7 +74,11 @@ class ChaosController:
     """
 
     def __init__(self, scenario: Optional[ChaosScenario] = None) -> None:
-        self._scenario = scenario or ChaosScenario()
+        if not scenario:  # None, or a scenario with no faults
+            from repro.chaos.scenario import ChaosScenario
+
+            scenario = ChaosScenario()
+        self._scenario = scenario
         self._topology: Optional[Topology] = None
         self._base_topology: Optional[Topology] = None
         self.reset()

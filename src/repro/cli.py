@@ -36,7 +36,7 @@ from repro import __version__
 from repro.algorithms import ALGORITHMS
 from repro.bench.workloads import ENGINE_NAMES
 from repro.errors import ReproError
-from repro.graph import datasets
+from repro.graph.datasets import DATASETS
 from repro.partition.partitioners import PARTITIONERS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,9 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware import Topology
     from repro.runtime import RunResult
 
-# The parser needs only the choices lists above; every handler imports
-# what it runs, so ``--help``, argument errors and the reading verbs
-# (explain, replay, ...) never load the engine stack they do not use.
+# The parser needs only the registries' names above, which their
+# modules give without importing NumPy; every handler imports what it
+# runs, so ``--help``, argument errors and the reading verbs (explain,
+# replay, ...) never load the engine stack they do not use.
+# tests/test_ci_lint.py holds this file's module-level imports to an
+# allow-list.
 
 __all__ = ["main", "build_parser"]
 
@@ -55,7 +58,7 @@ __all__ = ["main", "build_parser"]
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     """Attach the shared workload arguments."""
     p.add_argument("--graph", required=True,
-                   choices=list(datasets.DATASETS))
+                   choices=list(DATASETS))
     p.add_argument("--algorithm", required=True,
                    choices=sorted(ALGORITHMS))
     p.add_argument("--gpus", type=int, default=8,
@@ -170,14 +173,15 @@ def _add_ref_arg(p: argparse.ArgumentParser, help: str,
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.graph.datasets import load
     from repro.graph.properties import degree_summary, pseudo_diameter
 
     print(f"{'abbr':5s} {'original':18s} {'domain':6s} "
           f"{'|V|':>8s} {'|E|':>9s} {'diam~':>6s} {'gini':>5s}")
-    for abbr, spec in datasets.DATASETS.items():
+    for abbr, spec in DATASETS.items():
         if args.domain and spec.domain != args.domain:
             continue
-        graph = datasets.load(abbr)
+        graph = load(abbr)
         summary = degree_summary(graph)
         print(f"{abbr:5s} {spec.original_name:18s} {spec.domain:6s} "
               f"{graph.num_vertices:8d} {graph.num_edges:9d} "
@@ -311,7 +315,6 @@ class _Request(NamedTuple):
 
 def _request_from_args(args: argparse.Namespace) -> _Request:
     """Resolve the ``_add_run_args`` options; ``args`` is only read."""
-    from repro.chaos import ChaosScenario
     from repro.core import GumConfig
     from repro.core.costmodel import resolve_cost_model
     from repro.hardware import parse_topology
@@ -320,6 +323,11 @@ def _request_from_args(args: argparse.Namespace) -> _Request:
         parse_topology(args.topology) if args.topology is not None
         else None
     )
+    scenario = None
+    if args.chaos:
+        from repro.chaos.scenario import ChaosScenario
+
+        scenario = ChaosScenario.from_file(args.chaos)
     return _Request(
         algorithm=args.algorithm,
         graph=args.graph,
@@ -335,9 +343,7 @@ def _request_from_args(args: argparse.Namespace) -> _Request:
             cost_model=resolve_cost_model(args.cost_model),
             amortize=not args.no_amortize,
         ),
-        scenario=(
-            ChaosScenario.from_file(args.chaos) if args.chaos else None
-        ),
+        scenario=scenario,
     )
 
 
@@ -392,24 +398,28 @@ def _observed_run(
     archived in ``registry`` (``None``: do not record).
     """
     from repro.bench.runner import Cell, run_cell
-    from repro.chaos import ChaosController
-    from repro.obs import (
-        ChromeTraceSink,
-        JsonlSink,
-        MetricsRegistry,
-        StreamingSink,
-        Tracer,
-        write_prom,
-    )
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import JsonlSink, Tracer
 
+    chaos = None
+    if request.scenario is not None:
+        from repro.chaos.controller import ChaosController
+
+        # fresh per engine: each engine of a ``compare`` replays the
+        # scenario from a clean schedule
+        chaos = ChaosController(request.scenario)
     meta = request.meta(engine)
     collected = MetricsRegistry() if (metrics or prom or stream) else None
     with Tracer(meta=meta) as tracer:
         if chrome:
+            from repro.obs.chrome import ChromeTraceSink
+
             tracer.add_sink(ChromeTraceSink(_trace_path(chrome), meta=meta))
         if jsonl:
             tracer.add_sink(JsonlSink(_trace_path(jsonl), meta=meta))
         if stream:
+            from repro.obs.live import StreamingSink
+
             tracer.add_sink(StreamingSink(
                 stream, meta=meta, metrics=collected,
                 snapshot_every=stream_every,
@@ -420,16 +430,15 @@ def _observed_run(
             gum_config=request.gum_config,
             tracer=tracer if tracer.sinks else None,
             metrics=collected,
-            # fresh per engine: each engine of a ``compare`` replays
-            # the scenario from a clean schedule
-            chaos=(ChaosController(request.scenario)
-                   if request.scenario is not None else None),
+            chaos=chaos,
             topology=request.topology,
         )
     observed = _Observed(
         result, collected.snapshot() if collected is not None else None
     )
     if prom:
+        from repro.obs.prom import write_prom
+
         write_prom(prom, observed.metrics)
     if registry is not None:
         observed.run_id = registry.record_result(

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import config as repro_config
-from repro.chaos.controller import SOLVER_TIMEOUT_SECONDS, FaultEvent
 from repro.core.costmodel import CostModel, model_label, resolve_cost_model
 from repro.core.fsteal import build_cost_matrix
 from repro.core.decision_cache import (
@@ -51,6 +50,9 @@ from repro.runtime.scheduler import (
     Scheduler,
     realize_plan,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaos.controller import FaultEvent
 
 __all__ = ["GumConfig", "GumScheduler"]
 
@@ -374,6 +376,8 @@ class GumScheduler(Scheduler):
         self._decide_osteal(d, context)
         self._decide_fsteal(d, context)
         if context.chaos is not None:
+            from repro.chaos.controller import SOLVER_TIMEOUT_SECONDS
+
             # each injected solver timeout burned the abandoned solve's
             # budget before a fallback backend could take over
             d.overhead += (

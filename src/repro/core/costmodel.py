@@ -47,6 +47,7 @@ from repro.documents import load_document
 from repro.errors import CostModelError, EngineError
 from repro.graph.features import FrontierFeatures
 from repro.hardware.device import DeviceModel
+from repro.obs.ledger import OnlineRMSRE
 
 __all__ = [
     "rmsre",
@@ -86,50 +87,6 @@ def rmsre(predicted: np.ndarray, actual: np.ndarray) -> float:
     if np.any(actual == 0):
         raise CostModelError("rmsre undefined for zero actuals")
     return float(np.sqrt(np.mean(((predicted - actual) / actual) ** 2)))
-
-
-class OnlineRMSRE:
-    """Streaming RMSRE over (predicted, actual) pairs.
-
-    The deployment-time counterpart of :func:`rmsre`: the arbitrator
-    feeds it one sample per fragment per iteration, so observability
-    can report how well the learned ``g`` tracks ground truth *during*
-    a run (Exp-7's accuracy/policy-quality link, live).
-    """
-
-    __slots__ = ("count", "skipped", "_sum_sq")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.skipped = 0
-        self._sum_sq = 0.0
-
-    def update(self, predicted: float, actual: float) -> None:
-        """Add one sample; non-positive actuals are counted as skipped.
-
-        A relative error against a zero (or negative) ground truth is
-        undefined, so such samples cannot enter the statistic — but
-        they are not silently lost: ``skipped`` counts them for the
-        run summary and the decision ledger.
-        """
-        if actual <= 0:
-            self.skipped += 1
-            return
-        self.count += 1
-        self._sum_sq += ((predicted - actual) / actual) ** 2
-
-    @property
-    def value(self) -> float:
-        """Current RMSRE (0.0 before any sample)."""
-        if self.count == 0:
-            return 0.0
-        return float(np.sqrt(self._sum_sq / self.count))
-
-    def __repr__(self) -> str:
-        return (
-            f"OnlineRMSRE(value={self.value:.4f}, n={self.count}, "
-            f"skipped={self.skipped})"
-        )
 
 
 @dataclass(frozen=True)

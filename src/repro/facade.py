@@ -19,7 +19,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.algorithms import GASAlgorithm, make_algorithm
-from repro.baselines import GrouteEngine, GunrockEngine, PeekStealScheduler
 from repro.core import GumConfig, GumEngine
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
@@ -165,6 +164,8 @@ def make_engine(
                 "fault injection requires a BSP-style engine; groute's "
                 "asynchronous runtime is not supported"
             )
+        from repro.baselines.groute import GrouteEngine
+
         return GrouteEngine(topology, **obs)
     obs.update(options=options, chaos=chaos)
     if name == "gum":
@@ -177,10 +178,16 @@ def make_engine(
         )
         return GumEngine(topology, config=config, **obs)
     if name == "gunrock":
+        from repro.baselines.gunrock import GunrockEngine
+
         return GunrockEngine(topology, **obs)
-    if name in ("bsp", "peeksteal"):
-        scheduler = PeekStealScheduler() if name == "peeksteal" else None
-        return BSPEngine(topology, scheduler=scheduler, name=name, **obs)
+    if name == "peeksteal":
+        from repro.baselines.peeksteal import PeekStealScheduler
+
+        return BSPEngine(topology, scheduler=PeekStealScheduler(),
+                         name=name, **obs)
+    if name == "bsp":
+        return BSPEngine(topology, name=name, **obs)
     raise EngineError(
         f"unknown engine {name!r}; known: gum, gunrock, groute, "
         "gum-nosteal, bsp, peeksteal"

@@ -20,12 +20,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro import config
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
-from repro.graph import generators
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.csr import CSRGraph
+
+# The registry is read without building a graph (the CLI's ``--graph``
+# choices), so each builder imports the generator it calls.
 
 __all__ = ["DatasetSpec", "DATASETS", "dataset_names", "load", "load_many"]
 
@@ -60,6 +64,8 @@ def _rmat_scale(scale: int) -> int:
 
 def _social(scale: int, edge_factor: int, seed: int, skew: float = 0.57):
     def build() -> CSRGraph:
+        from repro.graph import generators
+
         return generators.rmat(
             _rmat_scale(scale), edge_factor=edge_factor, a=skew,
             b=(1 - skew) / 2.2, c=(1 - skew) / 2.2, seed=seed,
@@ -70,6 +76,8 @@ def _social(scale: int, edge_factor: int, seed: int, skew: float = 0.57):
 
 def _web(n: int, out_degree: int, locality: float, window: int, seed: int):
     def build() -> CSRGraph:
+        from repro.graph import generators
+
         return generators.web_graph(
             _s(n), out_degree=out_degree, locality=locality,
             window=window, seed=seed,
@@ -84,6 +92,8 @@ def _road(rows: int, cols: int, seed: int):
     # Shortcuts are disabled — a handful of random long links would
     # collapse the diameter and with it the long-tail regime.
     def build() -> CSRGraph:
+        from repro.graph import generators
+
         factor = config.benchmark_scale()
         return generators.road_network(
             max(6, int(rows * factor)), cols, seed=seed,

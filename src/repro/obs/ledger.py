@@ -43,14 +43,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-import numpy as np
-
-from repro.core.costmodel import OnlineRMSRE
-from repro.core.decision_cache import bucketize
 from repro.errors import ReproError
 from repro.obs.metrics import quantile
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+# Reading a ledger back (``repro explain``) needs no NumPy; only the
+# recording side and export_samples import it.
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -60,6 +64,7 @@ __all__ = [
     "Ledger",
     "LedgerError",
     "LedgerSamples",
+    "OnlineRMSRE",
     "PredictionAudit",
     "counted_errors",
     "error_attribution",
@@ -106,10 +111,55 @@ class LedgerSamples(NamedTuple):
 def relative_error(predicted: float, actual: float) -> Optional[float]:
     """``(predicted - actual) / actual`` of one audit sample; ``None``
     for a non-positive actual, which every accuracy statistic skips
-    (the rule :class:`repro.core.costmodel.OnlineRMSRE` applies)."""
+    (the rule :class:`OnlineRMSRE` applies)."""
     if actual <= 0:
         return None
     return (predicted - actual) / actual
+
+
+class OnlineRMSRE:
+    """Streaming RMSRE over (predicted, actual) pairs.
+
+    The deployment-time counterpart of
+    :func:`repro.core.costmodel.rmsre`: the arbitrator
+    feeds it one sample per fragment per iteration, so observability
+    can report how well the learned ``g`` tracks ground truth *during*
+    a run (Exp-7's accuracy/policy-quality link, live).
+    """
+
+    __slots__ = ("count", "skipped", "_sum_sq")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.skipped = 0
+        self._sum_sq = 0.0
+
+    def update(self, predicted: float, actual: float) -> None:
+        """Add one sample; non-positive actuals are counted as skipped.
+
+        A relative error against a zero (or negative) ground truth is
+        undefined, so such samples cannot enter the statistic — but
+        they are not silently lost: ``skipped`` counts them for the
+        run summary and the decision ledger.
+        """
+        if actual <= 0:
+            self.skipped += 1
+            return
+        self.count += 1
+        self._sum_sq += ((predicted - actual) / actual) ** 2
+
+    @property
+    def value(self) -> float:
+        """Current RMSRE (0.0 before any sample)."""
+        if self.count == 0:
+            return 0.0
+        return math.sqrt(self._sum_sq / self.count)
+
+    def __repr__(self) -> str:
+        return (
+            f"OnlineRMSRE(value={self.value:.4f}, n={self.count}, "
+            f"skipped={self.skipped})"
+        )
 
 
 def counted_errors(
@@ -181,7 +231,7 @@ def reconstruct_rmsre(entries: Sequence[dict]) -> Optional[float]:
     """Replay the audit's online RMSRE from ledger entries alone.
 
     Feeds every sample, in recorded order, to the same
-    :class:`repro.core.costmodel.OnlineRMSRE` the audit folds, so
+    :class:`OnlineRMSRE` the audit folds, so
     the result is bit-identical to its final value. ``None`` when no
     sample was counted.
     """
@@ -424,6 +474,8 @@ class Ledger:
         self._open: Optional[_RawEntry] = None
         self._raw: List[_RawEntry] = []
         self._entries: Optional[List[dict]] = None
+        #: (entries, (samples, skipped), analytics) of the last fold
+        self._analytics: Optional[tuple] = None
         self._by_iteration: Dict[int, _RawEntry] = {}
 
     # --- recording protocol (called by the arbitrator) -----------------
@@ -438,6 +490,8 @@ class Ledger:
         entries materialize) so per-iteration recording does not pay
         for quantization.
         """
+        import numpy as np
+
         if isinstance(workloads, np.ndarray):
             workloads = workloads.tolist()
         self._open = _RawEntry(int(iteration), workloads, audit, fingerprint)
@@ -608,6 +662,8 @@ class Ledger:
         if inter_node_stolen:
             entry["inter_node_stolen_edges"] = int(inter_node_stolen)
         if raw.fingerprint is not None:
+            import numpy as np
+
             deferred.append((entry, np.concatenate(
                 [np.asarray(p, dtype=np.float64) for p in raw.fingerprint]
             )))
@@ -625,6 +681,10 @@ class Ledger:
         """
         if not pending:
             return
+        import numpy as np
+
+        from repro.core.decision_cache import bucketize
+
         tolerance = self.fingerprint_tolerance
         by_size: Dict[int, List[Tuple[dict, np.ndarray]]] = {}
         for item in pending:
@@ -704,6 +764,8 @@ class Ledger:
             raise LedgerError(
                 "ledger holds no positive-cost samples to export"
             )
+        import numpy as np
+
         features, costs, iterations, gpus = zip(*rows)
         return LedgerSamples(
             features=np.asarray(features, dtype=np.float64),
@@ -713,32 +775,48 @@ class Ledger:
         )
 
     def analytics(self) -> dict:
-        """Derived accuracy analytics over the whole run (JSON-ready)."""
+        """Derived accuracy analytics over the whole run (JSON-ready).
+
+        Folded once per state of the entries and the audit's counts, so
+        a recorded run's summary and its ``ledger.json`` share one fold;
+        until that state changes every call returns the same dict.
+        """
+        entries = self.entries
+        counts = (self.samples, self.skipped_samples)
+        last = self._analytics
+        if last is None or last[0] is not entries or last[1] != counts:
+            last = self._analytics = (
+                entries, counts, self._fold_analytics(entries, counts),
+            )
+        return last[2]
+
+    def _fold_analytics(self, entries: List[dict],
+                        counts: Tuple[int, int]) -> dict:
         by_fragment: Dict[int, List[float]] = {}
         by_gpu: Dict[int, List[float]] = {}
-        for entry in self.entries:
+        for entry in entries:
             for sample, rel in counted_errors(entry["samples"]):
                 by_fragment.setdefault(sample["fragment"], []).append(rel)
                 by_gpu.setdefault(sample["worker"], []).append(rel)
         errors = [
-            abs(entry["decision_error"]) for entry in self.entries
+            abs(entry["decision_error"]) for entry in entries
             if entry["decision_error"] is not None
         ]
         drift = [
-            abs(entry["drift_z"]) for entry in self.entries
+            abs(entry["drift_z"]) for entry in entries
             if entry["drift_z"] is not None
         ]
         return {
-            "iterations": [e["iteration"] for e in self.entries],
-            "rmsre_series": [e["rmsre_iteration"] for e in self.entries],
+            "iterations": [e["iteration"] for e in entries],
+            "rmsre_series": [e["rmsre_iteration"] for e in entries],
             "rmsre_online_series": [
-                e["rmsre_online"] for e in self.entries
+                e["rmsre_online"] for e in entries
             ],
-            "drift_z_series": [e["drift_z"] for e in self.entries],
+            "drift_z_series": [e["drift_z"] for e in entries],
             "max_model_drift": max(drift) if drift else 0.0,
-            "final_rmsre": reconstruct_rmsre(self.entries),
-            "samples": self.samples,
-            "skipped_samples": self.skipped_samples,
+            "final_rmsre": reconstruct_rmsre(entries),
+            "samples": counts[0],
+            "skipped_samples": counts[1],
             "cache_status_counts": self.cache_status_counts(),
             "decision_error": {
                 "p50": quantile(errors, 0.50),

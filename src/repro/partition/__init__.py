@@ -1,31 +1,15 @@
 """Edge-cut partitioning: structures, partitioners, quality metrics."""
 
-from repro.partition.base import Partition
-from repro.partition.partitioners import (
-    PARTITIONERS,
-    make_partition,
-    metis_like_partition,
-    random_partition,
-    segmented_partition,
-)
-from repro.partition.quality import (
-    PartitionQuality,
-    edge_balance,
-    edge_cut_fraction,
-    evaluate_partition,
-    replication_factor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Partition",
-    "random_partition",
-    "segmented_partition",
-    "metis_like_partition",
-    "make_partition",
-    "PARTITIONERS",
-    "PartitionQuality",
-    "evaluate_partition",
-    "edge_balance",
-    "edge_cut_fraction",
-    "replication_factor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.partition.base": ("Partition",),
+    "repro.partition.partitioners": (
+        "random_partition", "segmented_partition", "metis_like_partition",
+        "make_partition", "PARTITIONERS",
+    ),
+    "repro.partition.quality": (
+        "PartitionQuality", "evaluate_partition", "edge_balance",
+        "edge_cut_fraction", "replication_factor",
+    ),
+})

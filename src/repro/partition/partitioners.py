@@ -17,13 +17,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
-from repro.partition.base import Partition
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.csr import CSRGraph
+    from repro.partition.base import Partition
+
+# PARTITIONERS is read without partitioning anything (the CLI's
+# ``--partitioner`` choices), so each partitioner imports NumPy itself.
 
 __all__ = [
     "random_partition",
@@ -45,6 +48,10 @@ def random_partition(
     graph: CSRGraph, num_fragments: int, seed: Optional[int] = 0
 ) -> Partition:
     """Assign each vertex to a uniformly random fragment (seeded)."""
+    import numpy as np
+
+    from repro.partition.base import Partition
+
     _check_k(graph, num_fragments)
     rng = np.random.default_rng(seed)
     owner = rng.integers(
@@ -60,6 +67,10 @@ def segmented_partition(graph: CSRGraph, num_fragments: int) -> Partition:
     adjacent vertices stay together ("seq" locality) and every fragment
     owns about the same number of edges.
     """
+    import numpy as np
+
+    from repro.partition.base import Partition
+
     _check_k(graph, num_fragments)
     n = graph.num_vertices
     owner = np.zeros(n, dtype=np.int64)
@@ -97,6 +108,10 @@ def metis_like_partition(
     the neighboring fragment where most of their edges point, when the
     move reduces cut and respects the edge-balance slack.
     """
+    import numpy as np
+
+    from repro.partition.base import Partition
+
     _check_k(graph, num_fragments)
     n = graph.num_vertices
     if num_fragments == 1 or n == 0:

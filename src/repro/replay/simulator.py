@@ -44,17 +44,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.costmodel import (
-    CostModel,
-    OnlineRMSRE,
-    model_label,
-    resolve_cost_model,
-)
+from repro.core.costmodel import CostModel, model_label, resolve_cost_model
 from repro.errors import ReproError, TopologyError
 from repro.hardware.topology import Topology, parse_topology
 from repro.obs import analysis
 from repro.obs.ledger import (
     Ledger,
+    OnlineRMSRE,
     counted_errors,
     error_attribution,
     predicted_critical_seconds,

@@ -25,6 +25,7 @@ identical runs produce identical bytes and diffs are deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.metadata
 import json
@@ -34,18 +35,20 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro import __version__, config
 from repro.documents import load_document
 from repro.errors import RunRegistryError
 from repro.obs.ledger import LEDGER_SCHEMA
 from repro.obs.metrics import quantile
-from repro.obs.slo import slo_indicators
-from repro.runtime.metrics import RunResult
-from repro.runtime.trace import load_trace, save_trace, utilization_report
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.metrics import RunResult
+
+# Reading a recorded run (``explain``, ``runs list``) loads neither
+# NumPy nor the trace and SLO modules: the functions that record or
+# parse a run import them.
 
 __all__ = [
     "RUN_SCHEMA",
@@ -138,7 +141,15 @@ def workload_fingerprint(
 
 
 def provenance_fingerprint() -> Dict[str, str]:
-    """The provenance half: where these numbers came from."""
+    """The provenance half: where these numbers came from (read once
+    per process: the ``git`` call and the package metadata lookup)."""
+    return dict(_provenance())
+
+
+@functools.lru_cache(maxsize=1)
+def _provenance() -> Dict[str, str]:
+    import numpy as np
+
     try:
         scipy_version = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:  # pragma: no cover
@@ -164,6 +175,11 @@ def environment_info() -> Dict[str, str]:
 def result_summary(result: RunResult) -> dict:
     """JSON-friendly summary of a run: a manifest's ``summary`` block,
     and what the CLI prints under ``--json``."""
+    import numpy as np
+
+    from repro.obs.slo import slo_indicators
+    from repro.runtime.trace import utilization_report
+
     group_sizes = result.group_size_series()
     wall_ms = [rec.wall_seconds * 1e3 for rec in result.iterations]
     summary = {
@@ -258,6 +274,8 @@ class RunRegistry:
         ``summary`` is the run's :func:`result_summary` when the caller
         has already folded it (computed here otherwise).
         """
+        from repro.runtime.trace import save_trace
+
         files = [MANIFEST_NAME, TRACE_NAME]
         ledger = getattr(result, "ledger", None)
         if ledger is not None:
@@ -372,6 +390,11 @@ class RunRegistry:
             return path.parent
         if path.is_dir() and (path / MANIFEST_NAME).is_file():
             return path
+        # an exact id names its directory: no manifest is parsed here
+        # (a broken one fails when it is loaded, as a RunRegistryError)
+        if (ref not in ("latest", "last", "..") and path.name == ref
+                and (self._root / ref / MANIFEST_NAME).is_file()):
+            return self._root / ref
         manifests = self.manifests()
         if ref in ("latest", "last"):
             if not manifests:
@@ -406,6 +429,8 @@ class RunRegistry:
 
     def load_run_trace(self, ref: str) -> Tuple[Dict, List[Dict]]:
         """``(header, iteration_records)`` of a recorded run's trace."""
+        from repro.runtime.trace import load_trace
+
         run_dir = self.resolve(ref)
         trace_path = run_dir / TRACE_NAME
         if not trace_path.is_file():

@@ -68,7 +68,7 @@ def test_social_rmat_scale_grows_with_repro_scale(monkeypatch, scale,
     # the R-MAT argument only: the graph itself is not built
     calls = []
     monkeypatch.setenv("REPRO_SCALE", scale)
-    monkeypatch.setattr(datasets.generators, "rmat",
+    monkeypatch.setattr("repro.graph.generators.rmat",
                         lambda scale, **kwargs: calls.append(scale))
     datasets.DATASETS["LJ"].builder()
     assert calls == [expected]

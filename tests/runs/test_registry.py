@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro
 from repro.errors import RunRegistryError
 from repro.hardware import dgx1
 from repro.obs import MetricsRegistry, analyze
@@ -16,6 +17,8 @@ from repro.runs import (
     provenance_fingerprint,
     workload_fingerprint,
 )
+from repro.obs.ledger import Ledger
+from repro.runs import registry as registry_module
 from repro.runs.registry import WORKLOAD_KEYS
 from repro.runtime import BSPEngine
 
@@ -67,9 +70,40 @@ def test_provenance_records_git_and_versions():
     assert len(provenance["git_sha"]) == 40
 
 
+def test_provenance_is_read_once_per_process(monkeypatch):
+    calls = []
+    git_sha = registry_module._git_sha
+    monkeypatch.setattr(registry_module, "_git_sha",
+                        lambda: calls.append(1) or git_sha())
+    registry_module._provenance.cache_clear()
+    first = provenance_fingerprint()
+    first["git_sha"] = "edited by a caller"
+    assert provenance_fingerprint()["git_sha"] != "edited by a caller"
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------------------
 # Recording
 # ----------------------------------------------------------------------
+def test_recording_folds_the_ledger_analytics_once(
+        registry, skewed_graph, source, monkeypatch):
+    """The manifest's ledger summary and ledger.json share one fold."""
+    result = repro.run(skewed_graph, "bfs", num_gpus=4, source=source)
+    folds = []
+    fold = Ledger._fold_analytics
+    monkeypatch.setattr(Ledger, "_fold_analytics",
+                        lambda self, *args: folds.append(1)
+                        or fold(self, *args))
+    run_id = registry.record_result(result, workload_fingerprint(
+        engine="gum", algorithm="bfs", graph="skewed", num_gpus=4,
+    ))
+    assert len(folds) == 1
+    summary = registry.load_manifest(run_id)["summary"]["ledger"]
+    analytics = registry.load_ledger(run_id)["analytics"]
+    assert summary["samples"] == analytics["samples"] > 0
+    assert summary["final_rmsre"] == analytics["final_rmsre"]
+
+
 def test_record_writes_all_artifacts(registry, recorded, result):
     run_dir = registry.root / recorded
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -131,6 +165,28 @@ def test_resolve_unknown_and_ambiguous(registry, recorded, result,
     with pytest.raises(RunRegistryError, match="ambiguous"):
         # both ids share the engine/algorithm/graph slug
         registry.resolve("bsp-bfs-skewed")
+
+
+def test_resolve_an_exact_id_without_parsing_the_registry(
+        registry, result, workload, monkeypatch):
+    """An exact id is its directory; prefixes and ``latest`` scan the
+    manifests, which skip a broken one, and loading a broken manifest
+    by its exact id is a RunRegistryError."""
+    ids = [registry.record_result(result, workload) for __ in range(3)]
+    broken = registry.root / ids[1] / "manifest.json"
+    broken.write_text("{not json")
+    assert registry.resolve(ids[2][:-1]).name == ids[2]
+    assert registry.resolve("latest").name == ids[2]
+    with pytest.raises(RunRegistryError, match="malformed"):
+        registry.load_manifest(ids[1])
+
+    def scan():
+        raise AssertionError("an exact id parsed the registry")
+
+    monkeypatch.setattr(registry, "manifests", scan)
+    for run_id in ids:
+        assert registry.resolve(run_id) == registry.root / run_id
+    assert registry.load_manifest(ids[0])["id"] == ids[0]
 
 
 def test_empty_registry(registry):

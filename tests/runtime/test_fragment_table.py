@@ -231,4 +231,11 @@ def test_plan_pricing_and_messages_equal_the_reference_forms(
             seen,
         ) == naive_message_count(graph, owner, frontier, aggregate,
                                  context)
+    # the identity map (no fold, no dead worker) skips the worker lookups
+    context.fragment_worker[:] = np.arange(num_fragments)
+    for aggregate in (True, False):
+        assert count_messages(
+            graph, owner, None, frontier, aggregate, seen,
+        ) == naive_message_count(graph, owner, frontier, aggregate,
+                                 context)
     assert not seen.any()

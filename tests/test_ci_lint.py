@@ -266,23 +266,29 @@ def test_only_the_entry_point_imports_the_cli():
     assert offenders == []
 
 
-def _import_time_modules(tree):
-    """Top-level names of the modules a file imports when it is
-    loaded: everything outside function bodies and ``if
-    TYPE_CHECKING:`` blocks (class bodies run at import too)."""
+def _import_time_imports(tree):
+    """Dotted names of the modules a file imports when it is loaded:
+    everything outside function bodies and ``if TYPE_CHECKING:``
+    blocks (class bodies run at import too)."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.If) and ast.unparse(node.test).endswith(
                 "TYPE_CHECKING"):
-            yield from _import_time_modules(ast.Module(node.orelse, []))
+            yield from _import_time_imports(ast.Module(node.orelse, []))
             continue
         if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module.split(".")[0]
+            yield node.module
         else:
-            yield from _import_time_modules(node)
+            yield from _import_time_imports(node)
+
+
+def _import_time_modules(tree):
+    """Top-level names of :func:`_import_time_imports`."""
+    for name in _import_time_imports(tree):
+        yield name.split(".")[0]
 
 
 def test_scipy_is_imported_where_it_is_called():
@@ -309,6 +315,50 @@ def test_scipy_is_imported_where_it_is_called():
             sp = None
     """))
     assert list(_import_time_modules(fixture)) == ["typing", "scipy"]
+
+
+#: the repro modules ``cli.py`` may import at load time: the package
+#: (``__version__``), the errors, and the four name registries its
+#: parser reads, each of which gives its names without NumPy
+CLI_IMPORT_ALLOW = frozenset({
+    "repro", "repro.errors", "repro.algorithms", "repro.graph.datasets",
+    "repro.partition.partitioners", "repro.bench.workloads",
+})
+
+
+def _disallowed_cli_imports(tree):
+    """Load-time imports of ``tree`` that are neither standard library
+    nor on :data:`CLI_IMPORT_ALLOW`."""
+    return [
+        name for name in _import_time_imports(tree)
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and name != "__future__" and name not in CLI_IMPORT_ALLOW
+    ]
+
+
+def test_cli_imports_only_numpy_free_modules_at_load_time():
+    """``repro --help`` is the parser alone: ``cli.py`` imports the
+    engine, NumPy or any other heavy module inside the handler that
+    runs it (tests/test_imports.py checks the help path loads no
+    NumPy)."""
+    tree = ast.parse((REPO / "src" / "repro" / "cli.py").read_text())
+    assert _disallowed_cli_imports(tree) == []
+    fixture = ast.parse(textwrap.dedent("""
+        from __future__ import annotations
+        import json
+        from typing import TYPE_CHECKING
+        from repro.algorithms import ALGORITHMS
+        if TYPE_CHECKING:
+            from repro.core import GumConfig
+        def handler():
+            from repro.obs.ledger import Ledger
+        import numpy as np
+        from repro.graph import datasets
+        from repro.runtime.metrics import RunResult
+    """))
+    assert _disallowed_cli_imports(fixture) == [
+        "numpy", "repro.graph", "repro.runtime.metrics",
+    ]
 
 
 def test_nothing_imports_multiprocessing():

@@ -82,6 +82,26 @@ def test_cli_surface_matches_the_committed_snapshot():
     assert current == expected
 
 
+def test_parser_choices_are_the_registries_names():
+    """The parser reads each registry's names without importing what
+    they name; the lists are the registries' own, not copies."""
+    from repro.algorithms import ALGORITHMS
+    from repro.bench.workloads import ENGINE_NAMES
+    from repro.graph.datasets import DATASETS
+    from repro.partition.partitioners import PARTITIONERS
+
+    surface = dump_surface(build_parser())
+    for verb in ("run", "compare", "profile", "runs record"):
+        choices = {option: surface[f"repro {verb} --{option}"]["choices"]
+                   for option in ("algorithm", "graph", "partitioner")}
+        assert choices == {"algorithm": sorted(ALGORITHMS),
+                           "graph": list(DATASETS),
+                           "partitioner": sorted(PARTITIONERS)}
+    for verb in ("run", "profile", "runs record"):
+        engines = surface[f"repro {verb} --engine"]["choices"]
+        assert engines[:len(ENGINE_NAMES)] == list(ENGINE_NAMES)
+
+
 if __name__ == "__main__":  # pragma: no cover
     # one entry per line: a changed option is a one-line diff
     print("{\n" + ",\n".join(

@@ -2,8 +2,11 @@
 
 Cold start is import. ``import repro`` is a PEP 562 package that loads
 a submodule on first use, and SciPy is loaded only by the LP/MILP
-solvers that call it. Each case runs in a fresh interpreter and reads
-``sys.modules``.
+solvers that call it. Each CLI verb loads only what its handler runs:
+the parser reads the registries' names without NumPy, ``explain``
+reads a ledger without the engine, and a run loads no engine or fault
+injector it was not asked for. Each case runs in a fresh interpreter
+and reads ``sys.modules``.
 """
 
 import json
@@ -22,11 +25,17 @@ SOURCE = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 #: modules whose ``__all__`` must resolve: packages whose ``__init__``
 #: resolves its names lazily, and the plain ``repro.backend`` module
 EXPORTERS = ("repro", "repro.core", "repro.runtime", "repro.graph",
-             "repro.backend", "repro.obs", "repro.bench", "repro.runs")
+             "repro.backend", "repro.obs", "repro.bench", "repro.runs",
+             "repro.algorithms", "repro.partition", "repro.chaos",
+             "repro.baselines")
+
+#: the ``TX``/bfs@4 workload of the run budgets
+RUN = ["run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",
+       "--json"]
 
 #: every subpackage must import cleanly when it is the first one loaded
 SUBPACKAGES = ("algorithms", "runtime", "obs", "core", "chaos", "backend",
-               "graph", "runs", "replay", "bench")
+               "graph", "runs", "replay", "bench", "partition", "baselines")
 
 
 def loaded_after(code: str, cwd) -> set:
@@ -51,6 +60,44 @@ def loaded_after(code: str, cwd) -> set:
 
 def _roots(names: set) -> set:
     return {name.split(".")[0] for name in names}
+
+
+def _under(names: set, *packages: str) -> list:
+    """The loaded names that are one of ``packages`` or inside one."""
+    return sorted(name for name in names if any(
+        name == package or name.startswith(package + ".")
+        for package in packages
+    ))
+
+
+def test_help_loads_no_numpy_and_no_graph(tmp_path):
+    loaded = loaded_after(
+        "from repro.cli import main; main(['--help'])", tmp_path
+    )
+    assert "repro.cli" in loaded
+    assert _under(loaded, "numpy", "repro.graph.csr") == []
+
+
+def test_run_and_explain_load_only_what_they_run(tmp_path):
+    """A default gum run loads no baseline engine and, without
+    ``--chaos``, no fault scenario; ``explain`` on the run it recorded
+    reads the ledger without the engine stack or NumPy."""
+    loaded = loaded_after(
+        f"from repro.cli import main; assert main({RUN + ['--record']!r})"
+        " == 0", tmp_path,
+    )
+    assert "repro.core.gum" in loaded
+    assert _under(loaded, "repro.baselines.groute", "repro.baselines.gunrock",
+                  "repro.chaos.scenario") == []
+    loaded = loaded_after(
+        "from repro.cli import main; assert main(['explain', 'latest']) == 0",
+        tmp_path,
+    )
+    assert "repro.obs.ledger" in loaded
+    assert _under(loaded, "numpy", "repro.core.costmodel", "repro.core.milp",
+                  "repro.hardware", "repro.obs.slo") == []
+    # the package is the parser's name registry; no vertex program loads
+    assert _under(loaded, "repro.algorithms") == ["repro.algorithms"]
 
 
 def test_import_repro_loads_neither_numpy_nor_scipy(tmp_path):
