@@ -755,18 +755,17 @@ def _obs_populated_registry():
     return registry
 
 
-@bench_case("obs.emit.iteration", unit="seconds per streamed iteration",
-            note="span export + metrics publish + live stream emit")
+@bench_case("obs.emit.iteration", unit="seconds per traced iteration",
+            note="span export + metrics publish + JSONL trace write")
 def _obs_emit_iteration():
     import os
 
     from repro.obs.export import emit_iteration
-    from repro.obs.live import StreamingSink
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import JsonlSink, Tracer
 
     registry = MetricsRegistry()
-    sink = StreamingSink(open(os.devnull, "w"), metrics=registry)
+    sink = JsonlSink(os.devnull)
     tracer = Tracer(sinks=[sink])
     record = _obs_iteration_record()
 
@@ -777,64 +776,10 @@ def _obs_emit_iteration():
     return emit
 
 
-@bench_case("obs.stream.span", unit="seconds per streamed span line",
-            bench_threshold=1.0)
-def _obs_stream_span():
-    import os
-
-    from repro.obs.live import StreamingSink
-    from repro.obs.tracer import SpanRecord
-
-    # every ``superstep`` span is a heartbeat at this cadence, so each
-    # emit encodes and writes its own line: the unbatched worst case
-    sink = StreamingSink(open(os.devnull, "w"), snapshot_every=1)
-    record = SpanRecord(
-        name="superstep", track="coordinator", cat="superstep",
-        virtual_start=0.0071, virtual_dur=1.1e-4,
-        attrs={"iteration": 7, "frontier_size": 4096},
-    )
-    return lambda: sink.emit(record)
-
-
-@bench_case("obs.snapshot", unit="seconds per heartbeat snapshot",
+@bench_case("obs.snapshot", unit="seconds per metrics snapshot",
             bench_threshold=1.0)
 def _obs_snapshot():
     return _obs_populated_registry().snapshot
-
-
-@bench_case("obs.prom.render", unit="seconds per Prometheus render",
-            bench_threshold=1.0)
-def _obs_prom_render():
-    from repro.obs.prom import prom_text
-
-    snapshot = _obs_populated_registry().snapshot()
-    return lambda: prom_text(snapshot)
-
-
-@bench_case("obs.slo.check", unit="seconds per SLO policy evaluation")
-def _obs_slo_check():
-    from repro.obs.slo import evaluate, policy_from_dict
-
-    policy = policy_from_dict({
-        "schema": "repro-slo/1",
-        "rules": [
-            {"metric": "p99_iteration_ms", "max": 1.0},
-            {"metric": "max_stall_fraction", "max": 0.05},
-            {"metric": "min_gpu_utilization", "min": 0.5},
-            {"metric": "total_ms", "max": 100.0},
-            {"series": "wall_ms", "zscore_max": 6.0},
-        ],
-    })
-    summary = {
-        "total_ms": 26.0,
-        "stall_fraction": 0.004,
-        "per_gpu_utilization": [0.99, 0.0, 0.0, 1.0],
-    }
-    series = {
-        "iteration": list(range(200)),
-        "wall_ms": [0.18 + 0.0005 * (i % 7) for i in range(200)],
-    }
-    return lambda: evaluate(policy, summary, series)
 
 
 def _obs_ledger_features(truth_offset: int = 0):

@@ -15,11 +15,6 @@ Examples::
     python -m repro runs analyze latest --scale-gpu 0=0.5
     python -m repro runs diff benchmarks/reference/tx-bfs-4gpu latest
     python -m repro explain latest --iteration 3
-    python -m repro run --graph TX --algorithm bfs --stream live.jsonl
-    python -m repro top --stream live.jsonl
-    python -m repro top benchmarks/reference/tx-bfs-4gpu --no-ansi
-    python -m repro slo check benchmarks/reference/tx-bfs-4gpu \
-        --rules benchmarks/slo/reference.yaml
 """
 
 from __future__ import annotations
@@ -110,23 +105,6 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--metrics", action="store_true",
         help="collect and print the run's metrics snapshot",
-    )
-    p.add_argument(
-        "--stream", metavar="TARGET", default=None,
-        help="stream live telemetry as repro-live JSON lines to a "
-             "file path, fd://N, or unix://SOCKET (tail it with "
-             "'repro top --stream PATH --follow')",
-    )
-    p.add_argument(
-        "--stream-every", type=int, default=10, metavar="N",
-        help="metrics-snapshot cadence on the live stream, in "
-             "supersteps (default %(default)s; 0 disables "
-             "periodic snapshots)",
-    )
-    p.add_argument(
-        "--prom", metavar="PATH", default=None,
-        help="write the run's final metrics snapshot in Prometheus "
-             "text exposition format",
     )
 
 
@@ -270,11 +248,10 @@ class _Request(NamedTuple):
     """What ``run`` / ``compare`` / ``profile`` / ``runs record`` were
     asked to run, resolved once per invocation into plain values.
 
-    The cell, every trace and stream header and the recorded
-    fingerprint read ``num_gpus`` from here, so they cannot disagree
-    under ``--topology`` (which overrides ``--gpus``); every engine of
-    a ``compare`` shares the cost-model instance and the parsed
-    scenario.
+    The cell, every trace header and the recorded fingerprint read
+    ``num_gpus`` from here, so they cannot disagree under
+    ``--topology`` (which overrides ``--gpus``); every engine of a
+    ``compare`` shares the cost-model instance and the parsed scenario.
     """
 
     algorithm: str
@@ -287,7 +264,7 @@ class _Request(NamedTuple):
     scenario: Optional[ChaosScenario]
 
     def meta(self, engine: str) -> dict:
-        """Run-level annotations of every trace and stream header."""
+        """Run-level annotations of every trace header."""
         return {
             "engine": engine,
             "algorithm": self.algorithm,
@@ -380,22 +357,16 @@ def _observed_run(
     *,
     chrome: Optional[str] = None,
     jsonl: Optional[str] = None,
-    stream: Optional[str] = None,
-    stream_every: int = 10,
-    prom: Optional[str] = None,
     metrics: bool = False,
     registry=None,
 ) -> _Observed:
     """Run ``engine`` on the requested workload under the observers
     asked for.
 
-    ``stream`` is a live :class:`StreamingSink` target (path,
-    ``fd://N`` or ``unix://PATH``); it and ``prom`` imply ``metrics``
-    so there is a snapshot to render. The sinks are closed
-    whether the run returns or raises, so a failed run still leaves
-    its Chrome trace written and its stream ended; the error
-    propagates to ``main()`` and nothing is written to ``prom`` or
-    archived in ``registry`` (``None``: do not record).
+    The sinks are closed whether the run returns or raises, so a
+    failed run still leaves its Chrome trace written; the error
+    propagates to ``main()`` and nothing is archived in ``registry``
+    (``None``: do not record).
     """
     from repro.bench.runner import Cell, run_cell
     from repro.obs.metrics import MetricsRegistry
@@ -409,7 +380,7 @@ def _observed_run(
         # scenario from a clean schedule
         chaos = ChaosController(request.scenario)
     meta = request.meta(engine)
-    collected = MetricsRegistry() if (metrics or prom or stream) else None
+    collected = MetricsRegistry() if metrics else None
     with Tracer(meta=meta) as tracer:
         if chrome:
             from repro.obs.chrome import ChromeTraceSink
@@ -417,13 +388,6 @@ def _observed_run(
             tracer.add_sink(ChromeTraceSink(_trace_path(chrome), meta=meta))
         if jsonl:
             tracer.add_sink(JsonlSink(_trace_path(jsonl), meta=meta))
-        if stream:
-            from repro.obs.live import StreamingSink
-
-            tracer.add_sink(StreamingSink(
-                stream, meta=meta, metrics=collected,
-                snapshot_every=stream_every,
-            ))
         result = run_cell(
             Cell(engine, request.algorithm, request.graph,
                  request.num_gpus, request.partitioner),
@@ -436,10 +400,6 @@ def _observed_run(
     observed = _Observed(
         result, collected.snapshot() if collected is not None else None
     )
-    if prom:
-        from repro.obs.prom import write_prom
-
-        write_prom(prom, observed.metrics)
     if registry is not None:
         observed.run_id = registry.record_result(
             result, request.workload(engine), metrics=observed.metrics,
@@ -453,9 +413,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _request_from_args(args),
         args.engine,
         **_trace_sinks(args.trace),
-        stream=args.stream,
-        stream_every=args.stream_every,
-        prom=args.prom,
         metrics=args.metrics,
         registry=_registry_from_args(args) if args.record else None,
     )
@@ -480,10 +437,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  {bucket:13s}: {ms:10.2f} ms")
     if args.trace:
         print(f"  trace        : {args.trace}")
-    if args.stream:
-        print(f"  stream       : {args.stream}")
-    if args.prom:
-        print(f"  prometheus   : {args.prom}")
     if run_id:
         print(f"  recorded     : {run_id}")
     if args.metrics:
@@ -522,18 +475,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     request = _request_from_args(args)
     registry = _registry_from_args(args) if args.record else None
     for engine in engines:
-        stream = args.stream
-        if stream and not stream.startswith(("fd://", "unix://")):
-            # one stream file per engine; fd/socket targets are shared
-            # (the engines run sequentially, so events never interleave)
-            stream = _engine_trace_path(stream, engine)
         observed = _observed_run(
             request,
             engine,
             **_trace_sinks(_engine_trace_path(args.trace, engine)),
-            stream=stream,
-            stream_every=args.stream_every,
-            prom=_engine_trace_path(args.prom, engine),
             metrics=args.metrics,
             registry=registry,
         )
@@ -581,7 +526,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         args.engine,
         chrome=args.out,
         jsonl=args.jsonl,
-        prom=args.prom,
         metrics=True,
         registry=_registry_from_args(args) if args.record else None,
     )
@@ -591,8 +535,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     summary["trace"] = args.out
     if args.jsonl:
         summary["trace_jsonl"] = args.jsonl
-    if args.prom:
-        summary["prometheus"] = args.prom
     if run_id:
         summary["run_id"] = run_id
     if args.json:
@@ -662,11 +604,6 @@ def _register_profile(sub) -> None:
     p_profile.add_argument(
         "--timeline", action="store_true",
         help="also print the ASCII per-GPU timeline",
-    )
-    p_profile.add_argument(
-        "--prom", metavar="PATH", default=None,
-        help="also write the metrics snapshot in Prometheus text "
-             "exposition format",
     )
     _add_record_args(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
@@ -1235,163 +1172,6 @@ def _register_explain(sub) -> None:
     p_explain.set_defaults(func=_cmd_explain)
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Terminal dashboard: tail a live stream or replay a recorded run."""
-    from repro.obs.top import follow_stream, play_back
-
-    ansi = not args.no_ansi and sys.stdout.isatty()
-    if args.stream:
-        follow_stream(
-            args.stream,
-            sys.stdout.write,
-            follow=args.follow,
-            ansi=ansi,
-            timeout=args.timeout,
-            frames=args.frames,
-        )
-        return 0
-    if not args.ref:
-        raise ReproError(
-            "repro top needs a run reference to replay or "
-            "--stream PATH to tail"
-        )
-    header, records = _registry_from_args(args).load_run_trace(args.ref)
-    play_back(
-        header,
-        records,
-        sys.stdout.write,
-        speed=args.speed,
-        frames=args.frames,
-        ansi=ansi,
-    )
-    return 0
-
-
-def _register_top(sub) -> None:
-    p_top = sub.add_parser(
-        "top",
-        help="terminal dashboard: tail a live telemetry stream or "
-             "replay a recorded run",
-    )
-    _add_ref_arg(
-        p_top,
-        "recorded run to replay (id, prefix, 'latest', or a run "
-        "directory path); omit when tailing --stream",
-        optional=True,
-    )
-    p_top.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="tail a repro-live stream file instead of replaying a "
-             "recorded run",
-    )
-    p_top.add_argument(
-        "--follow", action="store_true",
-        help="with --stream: keep polling until the producer writes "
-             "its end event",
-    )
-    p_top.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="with --follow: stop waiting after this many seconds",
-    )
-    p_top.add_argument(
-        "--speed", type=float, default=0.0, metavar="X",
-        help="replay pacing as a multiple of virtual time "
-             "(default 0 = as fast as possible)",
-    )
-    p_top.add_argument(
-        "--frames", type=int, default=None, metavar="N",
-        help="cap the number of redrawn frames (for CI smoke tests)",
-    )
-    p_top.add_argument(
-        "--no-ansi", action="store_true",
-        help="print frames sequentially instead of clearing the screen",
-    )
-    _add_runs_dir_arg(p_top)
-    p_top.set_defaults(func=_cmd_top)
-
-
-def _slo_history(registry, manifest: dict) -> List[dict]:
-    """Prior comparable run summaries (same workload, oldest first)."""
-    workload = manifest.get("fingerprint", {}).get("workload")
-    created = manifest.get("created_unix", float("inf"))
-    run_id = manifest.get("id")
-    history = []
-    for other in registry.manifests():
-        if other.get("id") == run_id or other.get("kind") != "run":
-            continue
-        if other.get("fingerprint", {}).get("workload") != workload:
-            continue
-        if other.get("created_unix", 0.0) >= created:
-            continue
-        history.append(other.get("summary") or {})
-    return history
-
-
-def _cmd_slo_check(args: argparse.Namespace) -> int:
-    """Evaluate a rule file against a recorded run; exit 1 on violation."""
-    from repro.obs.prom import write_prom
-    from repro.obs.slo import evaluate, load_policy, slo_series
-
-    policy = load_policy(args.rules)
-    registry = _registry_from_args(args)
-    manifest = registry.load_manifest(args.ref)
-    summary = manifest.get("summary") or {}
-    try:
-        series = slo_series(registry.load_run_trace(args.ref))
-    except ReproError:
-        series = {}  # rules needing series degrade per-rule
-    report = evaluate(
-        policy,
-        summary,
-        series,
-        history=_slo_history(registry, manifest),
-        subject=str(manifest.get("id") or args.ref),
-    )
-    for line in report.lines():
-        print(line)
-    if args.report:
-        path = Path(_trace_path(args.report))
-        path.write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report: {path}")
-    if args.prom:
-        write_prom(args.prom, manifest.get("metrics") or {})
-        print(f"prometheus: {args.prom}")
-    return report.exit_code
-
-
-def _register_slo(sub) -> None:
-    p_slo = sub.add_parser(
-        "slo",
-        help="service-level objectives: check runs against "
-             "repro-slo/1 rule files",
-    )
-    slo_sub = p_slo.add_subparsers(dest="slo_command", required=True)
-    p_slo_check = slo_sub.add_parser(
-        "check",
-        help="evaluate a rule file against a recorded run; exit 1 on "
-             "violation",
-    )
-    _add_ref_arg(p_slo_check, _LATEST_REF_HELP, optional=True,
-                 default="latest")
-    p_slo_check.add_argument(
-        "--rules", required=True, metavar="RULES.yaml",
-        help="repro-slo/1 rule file (YAML or JSON)",
-    )
-    p_slo_check.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the full report as JSON",
-    )
-    p_slo_check.add_argument(
-        "--prom", metavar="PATH", default=None,
-        help="also write the run's archived metrics snapshot in "
-             "Prometheus text format",
-    )
-    _add_runs_dir_arg(p_slo_check)
-    p_slo_check.set_defaults(func=_cmd_slo_check)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser: one registrar per verb, each
     next to the handler it dispatches to."""
@@ -1407,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         _register_datasets, _register_topology, _register_calibration,
         _register_run, _register_compare, _register_profile,
         _register_bench, _register_costmodel, _register_replay,
-        _register_runs, _register_explain, _register_top, _register_slo,
+        _register_runs, _register_explain,
     ):
         register(sub)
     return parser

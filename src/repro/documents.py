@@ -15,10 +15,10 @@ from typing import List, Type
 
 from repro.errors import ReproError
 
-__all__ = ["load_document", "load_json", "load_json_lines", "read_text"]
+__all__ = ["load_document", "load_json", "load_json_lines"]
 
 
-def read_text(path, error_cls: Type[ReproError], what: str) -> str:
+def _read_text(path, error_cls: Type[ReproError], what: str) -> str:
     """The text stored at ``path``; unreadable or binary is ``error_cls``."""
     try:
         with open(path) as handle:
@@ -44,23 +44,18 @@ def load_json(path, error_cls: Type[ReproError], what: str):
     raises ``error_cls`` naming the path, never a raw
     ``OSError``/``ValueError``.
     """
-    return _parse(read_text(path, error_cls, what), path, error_cls, what)
+    return _parse(_read_text(path, error_cls, what), path, error_cls, what)
 
 
 def load_json_lines(
-    path, error_cls: Type[ReproError], what: str,
-    drop_partial_tail: bool = False,
+    path, error_cls: Type[ReproError], what: str
 ) -> List[dict]:
     """The objects of the JSON-lines file at ``path``, blank lines skipped.
 
     Failures raise ``error_cls`` with ``path:lineno``.
-    ``drop_partial_tail`` ignores a final line that has no newline yet
-    — the producer of a live stream may still be writing it.
     """
-    lines = read_text(path, error_cls, what).split("\n")
-    if drop_partial_tail:
-        lines = lines[:-1]
     objects: List[dict] = []
+    lines = _read_text(path, error_cls, what).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

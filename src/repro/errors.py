@@ -75,13 +75,3 @@ class TraceFormatError(ReproError, ValueError):
     Also a :class:`ValueError` so callers that predate the dedicated
     type keep working.
     """
-
-
-class SloConfigError(ReproError):
-    """An SLO rule file is malformed or semantically invalid.
-
-    Raised for unknown schemas, rules that mix the bound/series/history
-    shapes, and out-of-range parameters (``ewma_alpha``, ``history``).
-    Rule *violations* are never exceptions — they are report outcomes
-    and an exit code.
-    """

@@ -38,14 +38,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.analysis": (
         "CriticalPathReport", "ReplayReport", "WhatIf", "analyze", "replay",
     ),
-    "repro.obs.live": ("StreamingSink", "read_stream_events"),
     "repro.obs.ledger": (
         "LEDGER_SCHEMA", "Ledger", "LedgerError", "explain_lines",
         "reconstruct_rmsre",
-    ),
-    "repro.obs.prom": ("prom_text", "write_prom"),
-    "repro.obs.slo": (
-        "SloPolicy", "SloReport", "evaluate", "load_policy", "slo_indicators",
-        "slo_series",
     ),
 })

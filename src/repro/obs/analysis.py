@@ -223,9 +223,8 @@ def iteration_costs(
 
     The result is itself an accepted source (parsed costs pass through
     untouched), so a command parses its trace once and hands the pair
-    to :func:`analyze`, :func:`replay`, :func:`repro.replay.replay_run`
-    and the dashboard playback alike. Anything malformed in a record
-    is a :class:`TraceFormatError`.
+    to :func:`analyze`, :func:`replay` and :func:`repro.replay.replay_run`
+    alike. Anything malformed in a record is a :class:`TraceFormatError`.
     """
     header, records = _normalize(source)
     costs = []

@@ -76,8 +76,7 @@ __all__ = [
 
 LEDGER_SCHEMA = "repro-ledger/1"
 
-#: EWMA smoothing factor of the drift detector (matches the SLO
-#: engine's series rules).
+#: EWMA smoothing factor of the drift detector.
 DRIFT_ALPHA = 0.3
 
 #: Iterations before the drift z-score starts reporting (the EWMA
@@ -830,7 +829,7 @@ class Ledger:
         }
 
     def summary(self) -> dict:
-        """Compact block for ``result_summary`` / SLO indicators."""
+        """Compact block for ``result_summary``."""
         analytics = self.analytics()
         counts = analytics["cache_status_counts"]
         return {

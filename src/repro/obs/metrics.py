@@ -206,10 +206,6 @@ class Histogram:
         """Arithmetic mean of the samples seen so far."""
         return self.sum / self.count if self.count else None
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Approximate ``q``-quantile from the retained sample buffer."""
-        return quantile(self._samples, q)
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-friendly state (sorted buckets, plain scalars)."""
         ordered = sorted(self._samples)  # one sort for all quantiles
@@ -281,19 +277,6 @@ class MetricsRegistry:
         instruments = self._instruments
         return {name: instruments[name].snapshot() for name in self.names()}
 
-    def collect(self, prefix: str) -> Dict[str, Dict[str, object]]:
-        """Snapshots of the instruments whose name starts with ``prefix``.
-
-        The cheap way for report code to pull one subsystem's metrics
-        (e.g. every ``decision.*`` counter) without walking the full
-        registry snapshot.
-        """
-        return {
-            name: self._instruments[name].snapshot()
-            for name in self.names()
-            if name.startswith(prefix)
-        }
-
 
 class _NullInstrument:
     """Discards every update; satisfies all three instrument APIs."""
@@ -315,9 +298,6 @@ class _NullInstrument:
         pass
 
     def value(self, **labels):
-        return None
-
-    def quantile(self, q: float) -> Optional[float]:
         return None
 
     def total(self) -> float:

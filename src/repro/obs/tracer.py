@@ -278,7 +278,7 @@ class Tracer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """Close on every exit path: a run that raises still leaves
-        its trace written and its live stream ended."""
+        its trace written."""
         self.close()
 
 

@@ -93,17 +93,6 @@ RUN_METRICS = (
                note="fault injection"),
     MetricSpec("chaos.transfer_retries", gated=False,
                note="fault injection"),
-    # SLO indicators: informational here (the hard gate is `repro slo
-    # check` against a rule file); absent on pre-SLO manifests
-    MetricSpec("slo.p50_iteration_ms", gated=False, note="SLO indicator"),
-    MetricSpec("slo.p90_iteration_ms", gated=False, note="SLO indicator"),
-    MetricSpec("slo.p99_iteration_ms", gated=False, note="SLO indicator"),
-    MetricSpec("slo.min_gpu_utilization", gated=False,
-               note="SLO indicator"),
-    MetricSpec("slo.max_stall_fraction", gated=False,
-               note="SLO indicator"),
-    MetricSpec("slo.chaos_recovery_iterations", gated=False,
-               note="SLO indicator"),
     MetricSpec("obs_overhead_pct", gated=False,
                note="host clock; machine-dependent"),
     # decision-ledger analytics: absent on pre-ledger manifests and on

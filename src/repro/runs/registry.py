@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import RunResult
 
 # Reading a recorded run (``explain``, ``runs list``) loads neither
-# NumPy nor the trace and SLO modules: the functions that record or
+# NumPy nor the trace module: the functions that record or
 # parse a run import them.
 
 __all__ = [
@@ -177,7 +177,6 @@ def result_summary(result: RunResult) -> dict:
     and what the CLI prints under ``--json``."""
     import numpy as np
 
-    from repro.obs.slo import slo_indicators
     from repro.runtime.trace import utilization_report
 
     group_sizes = result.group_size_series()
@@ -227,12 +226,8 @@ def result_summary(result: RunResult) -> dict:
     ledger = getattr(result, "ledger", None)
     if ledger is not None:
         # prediction-audit rollup (entry/sample counts, final RMSRE,
-        # drift, cache mix) — the SLO indicators below read it
+        # drift, cache mix)
         summary["ledger"] = ledger.summary()
-    summary["slo"] = slo_indicators(summary, {
-        "wall_ms": wall_ms,
-        "iteration": [rec.iteration for rec in result.iterations],
-    })
     return summary
 
 

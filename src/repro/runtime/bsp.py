@@ -278,8 +278,7 @@ class BSPEngine:
         """Register the session's host-side stats as gauges.
 
         As registered metrics they reach every surface the registry
-        feeds — the snapshot, the Prometheus export, the live stream's
-        final snapshot, and the ``repro top`` backend panel.
+        feeds: the ``--metrics`` snapshot and the recorded manifest.
         """
         for key, help in _BACKEND_GAUGES:
             value = stats.get(key)

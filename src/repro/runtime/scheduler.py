@@ -284,7 +284,7 @@ class Scheduler(abc.ABC):
         The base implementation publishes the scheduler's own decision
         latency — host seconds spent inside :meth:`plan` — to the run's
         metrics registry, so every policy (static or stateful) shows up
-        in the live telemetry stream with the same instruments.
+        in the metrics snapshot with the same instruments.
         Stateful overrides should call ``super().observe(...)`` to keep
         emitting them.
         """

@@ -38,7 +38,6 @@ from repro.obs.ledger import (
     predicted_critical_seconds,
     reconstruct_rmsre,
 )
-from repro.obs.slo import slo_indicators, slo_series
 from repro.runs import result_summary
 
 
@@ -381,7 +380,7 @@ def test_export_samples_raises_when_empty():
 
 
 # ---------------------------------------------------------------------------
-# surfaces: summary, SLO indicators, explain
+# surfaces: summary, explain
 
 
 def test_result_summary_carries_ledger_block(recorded):
@@ -390,19 +389,6 @@ def test_result_summary_carries_ledger_block(recorded):
     assert led["entries"] == recorded.num_iterations
     assert led["final_rmsre"] == recorded.ledger.final_rmsre
     json.dumps(summary)  # must stay strictly JSON-serializable
-
-
-def test_slo_indicators_expose_drift(recorded):
-    summary = result_summary(recorded)
-    indicators = slo_indicators(summary, slo_series(recorded))
-    assert indicators["max_model_drift"] == \
-        recorded.ledger.summary()["max_model_drift"]
-    assert indicators["max_decision_error_p99"] == \
-        recorded.ledger.summary()["decision_error_p99"]
-    # pre-ledger manifests degrade to None, not KeyError
-    bare = slo_indicators({"stall_fraction": 0.1}, {})
-    assert bare["max_model_drift"] is None
-    assert bare["max_decision_error_p99"] is None
 
 
 def test_explain_reports_bit_identical_rmsre(recorded):

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ReproError, TraceFormatError
 from repro.hardware import dgx1
 from repro.obs import result_to_spans
-from repro.obs.slo import slo_series
+from repro.obs.analysis import iteration_costs
 from repro.runtime import BSPEngine
 from repro.runtime.metrics import (
     IterationRecord,
@@ -221,10 +221,10 @@ def test_empty_run_exports_cleanly(tmp_path):
 
 
 def test_empty_run_timeseries():
-    series = slo_series(_empty_result())
-    assert len(series) == 11
-    assert all(values == [] for values in series.values())
-    json.dumps(series)
+    header, costs = iteration_costs(_empty_result())
+    assert header["num_gpus"] == 4
+    assert costs == []
+    json.dumps(header)
 
 
 def test_load_truncated_tail_rejected(tmp_path, result):

@@ -164,32 +164,6 @@ def test_removed_cli_verb_is_flagged(tmp_path):
     assert "'repro costmodel bench'" in violations[1][2]
 
 
-def test_yaml_reading_job_needs_an_extra_that_installs_pyyaml(tmp_path):
-    assert check_ci.yaml_extras() == {"dev", "slo"}
-    job = """
-        jobs:
-          gate:
-            runs-on: ubuntu-latest
-            timeout-minutes: 10
-            steps:
-              - uses: actions/checkout@v4
-              - uses: ./.github/actions/setup-repro
-                with:
-                  python-version: "3.11"{extras}
-              - run: |
-                  python -m repro slo check benchmarks/reference/tx-bfs-4gpu \\
-                    --rules benchmarks/slo/reference.yaml
-    """
-    bare = _check(job.format(extras=""), tmp_path)
-    assert [v[1] for v in bare] == ["gate"]
-    assert "PyYAML" in bare[0][2]
-    for extras in ("slo", "dev"):
-        with_extra = job.format(
-            extras=f"\n                  extras: {extras}"
-        )
-        assert _check(with_extra, tmp_path) == []
-
-
 def test_unparseable_workflow_is_a_violation(tmp_path):
     file = tmp_path / "broken.yml"
     file.write_text("jobs: [this: {is: not\n")
@@ -446,8 +420,8 @@ def test_cli_has_one_observed_run_path():
     ]
     assert len(closes) + len(managed) == 1
     built = [called(c) for c in calls]
-    for once in ("Tracer", "StreamingSink", "JsonlSink",
-                 "ChromeTraceSink", "record_result"):
+    for once in ("Tracer", "JsonlSink", "ChromeTraceSink",
+                 "record_result"):
         assert built.count(once) == 1, once
     stores = [
         ast.unparse(target)
@@ -462,7 +436,7 @@ def test_cli_has_one_observed_run_path():
 
 def test_obs_is_single_threaded_with_one_snapshot_formatter():
     """Nothing under ``repro.obs`` starts a thread or owns a queue (the
-    live stream writes on the engine thread, inside ``obs_seconds``),
+    trace sinks write on the engine thread, inside ``obs_seconds``),
     and each instrument kind's snapshot shape — a dict with a
     ``"type"`` key — is written in that instrument's ``snapshot`` and
     nowhere else."""

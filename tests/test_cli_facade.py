@@ -233,13 +233,12 @@ def _header_num_gpus(path):
     text = path.read_text()
     if path.suffix == ".json":  # Chrome trace_event
         return json.loads(text)["otherData"]["num_gpus"]
-    # repro-trace / repro-live: the header is the first line
+    # repro-trace: the header is the first line
     return json.loads(text.splitlines()[0])["num_gpus"]
 
 
 @pytest.mark.parametrize("argv, artifacts", [
-    (["run", "--trace", "t.jsonl", "--stream", "s.live"],
-     ["t.jsonl", "s.live"]),
+    (["run", "--trace", "t.jsonl"], ["t.jsonl"]),
     (["profile", "--out", "t.json", "--jsonl", "t.jsonl"],
      ["t.json", "t.jsonl"]),
     (["compare", "--trace", "t.jsonl"],
@@ -249,7 +248,7 @@ def test_cli_topology_sets_num_gpus_in_every_header(
     argv, artifacts, tmp_path, capsys, monkeypatch
 ):
     """``--topology nodes=2x2`` overrides the ``--gpus`` default of 8:
-    the summary, every trace and stream header and the recorded
+    the summary, every trace header and the recorded
     fingerprint all say 4."""
     monkeypatch.chdir(tmp_path)
     code = main(argv + [

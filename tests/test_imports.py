@@ -7,6 +7,10 @@ the parser reads the registries' names without NumPy, ``explain``
 reads a ledger without the engine, and a run loads no engine or fault
 injector it was not asked for. Each case runs in a fresh interpreter
 and reads ``sys.modules``.
+
+The same module sets also give each verb's loaded-source budget: with
+no bytecode on disk a cold process compiles every line it imports, so
+the line count is a cold-start cost that reads the same on every host.
 """
 
 import json
@@ -33,6 +37,13 @@ EXPORTERS = ("repro", "repro.core", "repro.runtime", "repro.graph",
 RUN = ["run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",
        "--json"]
 
+#: source lines of the ``repro`` modules loaded by each verb, at most:
+#: a change may lower a number freely; raising one needs a reason in
+#: CHANGES.md. ``run`` is ``RUN + ["--record"]``; ``explain`` and
+#: ``replay`` read the run it recorded.
+LOADED_LINES = {"help": 2121, "run": 14595, "explain": 4166,
+                "replay": 9204}
+
 #: every subpackage must import cleanly when it is the first one loaded
 SUBPACKAGES = ("algorithms", "runtime", "obs", "core", "chaos", "backend",
                "graph", "runs", "replay", "bench", "partition", "baselines")
@@ -58,6 +69,37 @@ def loaded_after(code: str, cwd) -> set:
     return {name for name in names if not name.startswith("_")}
 
 
+@pytest.fixture(scope="module")
+def verb_modules(tmp_path_factory) -> dict:
+    """``{verb: loaded module names}`` of the gated verbs, in order,
+    in one scratch directory (so ``latest`` is the recorded run)."""
+    cwd = tmp_path_factory.mktemp("verbs")
+    argvs = {
+        "help": ["--help"],
+        "run": RUN + ["--record"],
+        "explain": ["explain", "latest"],
+        "replay": ["replay", "latest", "--check"],
+    }
+    return {
+        # --help leaves through SystemExit before the assert
+        verb: loaded_after(
+            f"from repro.cli import main; assert main({argv!r}) == 0", cwd
+        )
+        for verb, argv in argvs.items()
+    }
+
+
+def source_lines(names: set) -> int:
+    """Source lines of the ``repro`` modules among ``names``."""
+    total = 0
+    for name in _under(names, "repro"):
+        path = pathlib.Path(SOURCE).joinpath(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else \
+            path.with_suffix(".py")
+        total += len(path.read_text().splitlines())
+    return total
+
+
 def _roots(names: set) -> set:
     return {name.split(".")[0] for name in names}
 
@@ -70,34 +112,35 @@ def _under(names: set, *packages: str) -> list:
     ))
 
 
-def test_help_loads_no_numpy_and_no_graph(tmp_path):
-    loaded = loaded_after(
-        "from repro.cli import main; main(['--help'])", tmp_path
-    )
+def test_help_loads_no_numpy_and_no_graph(verb_modules):
+    loaded = verb_modules["help"]
     assert "repro.cli" in loaded
     assert _under(loaded, "numpy", "repro.graph.csr") == []
 
 
-def test_run_and_explain_load_only_what_they_run(tmp_path):
+def test_run_and_explain_load_only_what_they_run(verb_modules):
     """A default gum run loads no baseline engine and, without
     ``--chaos``, no fault scenario; ``explain`` on the run it recorded
     reads the ledger without the engine stack or NumPy."""
-    loaded = loaded_after(
-        f"from repro.cli import main; assert main({RUN + ['--record']!r})"
-        " == 0", tmp_path,
-    )
+    loaded = verb_modules["run"]
     assert "repro.core.gum" in loaded
     assert _under(loaded, "repro.baselines.groute", "repro.baselines.gunrock",
                   "repro.chaos.scenario") == []
-    loaded = loaded_after(
-        "from repro.cli import main; assert main(['explain', 'latest']) == 0",
-        tmp_path,
-    )
+    loaded = verb_modules["explain"]
     assert "repro.obs.ledger" in loaded
     assert _under(loaded, "numpy", "repro.core.costmodel", "repro.core.milp",
-                  "repro.hardware", "repro.obs.slo") == []
+                  "repro.hardware") == []
     # the package is the parser's name registry; no vertex program loads
     assert _under(loaded, "repro.algorithms") == ["repro.algorithms"]
+
+
+@pytest.mark.parametrize("verb", sorted(LOADED_LINES))
+def test_each_verb_loads_within_its_source_line_budget(verb, verb_modules):
+    lines = source_lines(verb_modules[verb])
+    assert lines <= LOADED_LINES[verb], (
+        f"{verb} loads {lines} repro source lines, budget "
+        f"{LOADED_LINES[verb]}"
+    )
 
 
 def test_import_repro_loads_neither_numpy_nor_scipy(tmp_path):

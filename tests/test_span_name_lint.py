@@ -1,7 +1,8 @@
 """The telemetry-name lint guard (tools/check_span_names.py).
 
-Span and metric names are a public contract — `repro top`, SLO rule
-files, and Prometheus scrapes all key off them. The checker forces
+Span and metric names are a public contract — trace viewers, `runs
+analyze`, `replay` and recorded manifests all key off them. The
+checker forces
 every literal name emitted by the library to appear backticked in
 docs/observability.md's name tables, and every span-table row to be
 emitted by some span call; these tests prove it detects the failure

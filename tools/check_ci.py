@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Keep the CI workflows on the shared rails.
 
-Four failure modes creep into GitHub Actions workflows as jobs are
+Three failure modes creep into GitHub Actions workflows as jobs are
 copy-pasted and then drift:
 
 * a job without ``timeout-minutes`` hangs for GitHub's six-hour
@@ -14,18 +14,13 @@ copy-pasted and then drift:
   the fifth;
 * a step that still runs ``python -m repro <verb>`` after the verb was
   folded into another one only fails once the job runs, on someone
-  else's PR;
-* a step that reads a ``.yaml`` rule file in a job that installed no
-  extra providing PyYAML passes on a developer's machine and exits 2
-  on a clean runner.
+  else's PR.
 
 This checker parses every workflow under ``.github/workflows`` and
 requires each job to declare ``timeout-minutes``, each job that
-defines steps to invoke the composite action, every
+defines steps to invoke the composite action, and every
 ``python -m repro ...`` invocation in a ``run:`` script to name
-subcommands ``repro.cli.build_parser()`` defines, and every job with
-a YAML-reading step to pass ``setup-repro`` an ``extras`` group that
-``pyproject.toml`` says installs PyYAML. ``reusable-workflow``
+subcommands ``repro.cli.build_parser()`` defines. ``reusable-workflow``
 jobs (``uses:`` at the job level, no ``steps``) only need the
 timeout where GitHub allows one, so they are exempt from the action
 requirement.
@@ -44,11 +39,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 import yaml
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli
-    import tomli as tomllib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -73,35 +63,6 @@ def _setup_steps(job: dict) -> List[dict]:
         if isinstance(step, dict) and isinstance(step.get("uses"), str)
         and step["uses"].split("@")[0] == SETUP_ACTION
     ]
-
-
-@functools.lru_cache(maxsize=None)
-def yaml_extras() -> frozenset:
-    """The ``pyproject.toml`` extras groups that install PyYAML."""
-    project = tomllib.loads((REPO / "pyproject.toml").read_text())
-    return frozenset(
-        extra
-        for extra, requirements
-        in project["project"]["optional-dependencies"].items()
-        if any(re.match(r"pyyaml\b", r, re.IGNORECASE)
-               for r in requirements)
-    )
-
-
-#: a ``run:`` script that names a YAML file (an SLO rule file): the
-#: command it hands the file to will ``import yaml``
-_READS_YAML = re.compile(r"\S\.ya?ml\b")
-
-
-def _job_installs_yaml(job: dict) -> bool:
-    """True when the setup action is given a PyYAML-providing extra."""
-    return any(
-        yaml_extras() & {
-            extra.strip() for extra in
-            str((step.get("with") or {}).get("extras", "")).split(",")
-        }
-        for step in _setup_steps(job)
-    )
 
 
 def _subcommands(
@@ -190,13 +151,6 @@ def check_workflow(path: pathlib.Path) -> List[Violation]:
                     f"runs {command!r}, which is not a subcommand "
                     "repro.cli.build_parser() defines",
                 ))
-        if (any(_READS_YAML.search(s) for s in scripts)
-                and not _job_installs_yaml(job)):
-            violations.append((
-                path, name,
-                "reads a YAML file but passes setup-repro no extras "
-                f"group that installs PyYAML ({sorted(yaml_extras())})",
-            ))
     return violations
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Keep docs/observability.md's telemetry vocabulary complete.
 
-Dashboards, SLO rule files, and ``repro top`` all key off span and
-metric *names*. A name that ships without appearing in the docs' name
-tables is telemetry nobody can discover — and a renamed span silently
-breaks every saved rule file that referenced the old name. This
+Trace viewers, ``runs analyze``, ``replay`` and recorded manifests
+all key off span and metric *names*. A name that ships without
+appearing in the docs' name tables is telemetry nobody can discover —
+and a renamed span silently breaks every reader of the old name. This
 checker walks the library source for emission call sites
 (``tracer.span/virtual_span/instant``, ``SpanRecord(name=...)`` and
 ``metrics.counter/gauge/histogram``) whose name argument is
