@@ -11,7 +11,10 @@ GPUs, and checks the three promises of ``repro.chaos``:
    fragments re-homed, degraded links reroute steal traffic, solver
    timeouts fall through the backend chain.
 3. **Chaos is deterministic** — replaying the same scenario yields the
-   same virtual time, bit for bit.
+   same virtual time, bit for bit. A scenario that fails by design
+   (``solver-exhausted.json`` exhausts the solver fallback chain) must
+   fail the same way twice: the same ``SolverError`` at the same
+   iteration.
 
 This script doubles as the CI ``chaos-smoke`` validation driver.
 
@@ -28,8 +31,21 @@ import numpy as np
 import repro
 from repro.algorithms.validate import reference_bfs
 from repro.bench.runner import Cell, run_cell
+from repro.errors import SolverError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
+
+
+def faulted_run(scenario, graph: str, algorithm: str, gpus: int):
+    """One run under ``scenario``: its result, or — for a scenario that
+    fails by design — the ``SolverError`` message and the iteration the
+    run stopped in."""
+    controller = repro.ChaosController(scenario)
+    try:
+        return run_cell(Cell("gum", algorithm, graph, num_gpus=gpus),
+                        chaos=controller)
+    except SolverError as exc:
+        return str(exc), controller.iteration
 
 
 def drill(scenario_path: Path, graph: str = "TX", algorithm: str = "bfs",
@@ -44,11 +60,17 @@ def drill(scenario_path: Path, graph: str = "TX", algorithm: str = "bfs",
     healthy = run_cell(Cell("gum", algorithm, graph, num_gpus=gpus))
 
     # the faulted run, twice, to demonstrate determinism
-    results = [
-        run_cell(Cell("gum", algorithm, graph, num_gpus=gpus),
-                 chaos=repro.ChaosController(scenario))
-        for _ in range(2)
-    ]
+    results = [faulted_run(scenario, graph, algorithm, gpus)
+               for _ in range(2)]
+    if isinstance(results[0], tuple) or isinstance(results[1], tuple):
+        # an expected failure is an outcome too: the same error at the
+        # same iteration, every time
+        assert results[0] == results[1], \
+            f"a failing scenario must fail the same way twice: {results}"
+        message, iteration = results[0]
+        print(f"  fails by design at iteration {iteration}, twice: "
+              f"SolverError: {message}")
+        return
     faulted = results[0]
     assert faulted.total_seconds == results[1].total_seconds, \
         "chaos must be deterministic"
@@ -80,7 +102,7 @@ def drill(scenario_path: Path, graph: str = "TX", algorithm: str = "bfs",
     print("  output validated against the scipy reference oracle")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scenario", metavar="PATH", default=None,
@@ -89,7 +111,7 @@ def main() -> int:
     parser.add_argument("--graph", default="TX")
     parser.add_argument("--algorithm", default="bfs")
     parser.add_argument("--gpus", type=int, default=4)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     paths = (
         [Path(args.scenario)]

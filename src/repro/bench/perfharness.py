@@ -304,57 +304,48 @@ def _pricing_case():
     return lambda: engine._price_chunks(plan, features, context, n_gpus)
 
 
-def _tail_superstep_fixture(n_gpus: int = 8, n_steps: int = 64):
-    """Recorded USA/sssp@8 tail supersteps and the engine to replay them.
+def _tail_recording(n_gpus: int = 8):
+    """One GUM run of USA/sssp@8, recorded superstep by superstep.
 
-    One GUM run records, per superstep past 70% of the run, the
-    frontier, the fragment->worker map the arbitrator settled on and
-    the realized ``(fragment, worker)`` edge matrix when FSteal fired.
-    Returns ``(engine, algorithm, context, session, hub_cache,
-    steps)``.
+    Per superstep: the iteration, the fragment table the engine handed
+    ``plan`` (features computed), the workloads, the fragment->worker
+    map before the decision, the realized ``(fragment, worker)`` edge
+    matrix when FSteal fired, the active workers and, once the
+    superstep ran, its record. Returns ``(engine, config, steps,
+    (graph, partition))``.
     """
-    from types import SimpleNamespace
-
-    from repro.algorithms import make_algorithm
-    from repro.backend import Session
     from repro.bench.workloads import pick_source, prepare_graph
     from repro.core import GumConfig, GumScheduler
-    from repro.core.hubcache import HubCache
     from repro.hardware import dgx1
     from repro.partition.partitioners import make_partition
     from repro.runtime.bsp import BSPEngine
 
     graph = prepare_graph("USA", "sssp")
     partition = make_partition("random", graph, n_gpus, seed=0)
-    recorded = []
+    steps = []
 
     class Recorder(GumScheduler):
         def plan(self, iteration, fragment_frontiers, workloads, context):
+            worker = context.fragment_worker.copy()
             plan = super().plan(iteration, fragment_frontiers, workloads,
                                 context)
             quotas = None
             if plan.fsteal_applied:
                 quotas = np.zeros((n_gpus, n_gpus), dtype=np.int64)
                 np.add.at(quotas, (plan.owner, plan.worker), plan.edges)
-            recorded.append((
-                np.sort(np.concatenate(
-                    [f.vertices for f in fragment_frontiers]
-                )),
-                context.fragment_worker.copy(), quotas,
-                list(plan.active_workers),
-            ))
+            steps.append([iteration, fragment_frontiers, workloads.copy(),
+                          worker, context.fragment_worker.copy(), quotas,
+                          list(plan.active_workers), None])
             return plan
+
+        def observe(self, record, context):
+            steps[-1][-1] = record
+            super().observe(record, context)
 
     config = GumConfig(cost_model="oracle")
     engine = BSPEngine(dgx1(n_gpus), scheduler=Recorder(config), name="gum")
     engine.run(graph, partition, "sssp", source=pick_source("USA"))
-    tail = recorded[int(len(recorded) * 0.7):]
-    steps = [tail[i * len(tail) // n_steps] for i in range(n_steps)]
-    algorithm = make_algorithm("sssp")
-    context = engine._open_context(graph, partition, algorithm)
-    session = Session(graph, partition, algorithm, SimpleNamespace())
-    hub_cache = HubCache(graph, config.t4_hub_in_degree)
-    return engine, algorithm, context, session, hub_cache, steps
+    return engine, config, steps, (graph, partition)
 
 
 @bench_case("engine.superstep.tail", graph="USA", algorithm="sssp",
@@ -363,16 +354,26 @@ def _tail_superstep_fixture(n_gpus: int = 8, n_steps: int = 64):
 def _tail_superstep_case():
     """The engine's fixed cost per tail superstep: distribute,
     realize/validate/price and the message count, without the kernel
-    and the decision. The ground-truth memo stays warm across calls,
-    so the pinned noise draws are not timed either."""
+    and the decision, over 64 recorded supersteps past 70% of the run.
+    The ground-truth memo stays warm across calls, so the pinned noise
+    draws are not timed either."""
     from types import SimpleNamespace
 
+    from repro.algorithms import make_algorithm
+    from repro.backend import Session
+    from repro.core.hubcache import HubCache
     from repro.runtime.frontier import Frontier
     from repro.runtime.scheduler import realize_plan
 
-    (engine, algorithm, context, session, hub_cache,
-     steps) = _tail_superstep_fixture()
-    graph, partition = context.graph, context.partition
+    engine, config, recorded, (graph, partition) = _tail_recording()
+    tail = recorded[int(len(recorded) * 0.7):]
+    steps = [(np.sort(step[1].vertices), *step[4:7]) for step in (
+        tail[i * len(tail) // 64] for i in range(64)
+    )]
+    algorithm = make_algorithm("sssp")
+    context = engine._open_context(graph, partition, algorithm)
+    session = Session(graph, partition, algorithm, SimpleNamespace())
+    hub_cache = HubCache(graph, config.t4_hub_in_degree)
     num_workers = context.num_workers
 
     def run():
@@ -388,6 +389,32 @@ def _tail_superstep_case():
             engine._validate_plan(plan, workloads, num_workers, set())
             engine._price_chunks(plan, table.features, context, num_workers)
             engine._message_costs(context, frontier, active, session)
+
+    return run
+
+
+@bench_case("decision.plan.tail", graph="USA", algorithm="sssp",
+            workers=8, first_superstep=50,
+            unit="seconds per replay of the tail's arbitrator decisions")
+def _tail_plan_case():
+    """``GumScheduler.plan`` over every superstep of USA/sssp@8 from 50
+    on — the long tail where the decision is most of the host time.
+    Each call starts a fresh run state and feeds every decision the
+    recorded ownership and, after it, the recorded iteration."""
+    from repro.algorithms import make_algorithm
+    from repro.core import GumScheduler
+
+    engine, config, recorded, (graph, partition) = _tail_recording()
+    context = engine._open_context(graph, partition, make_algorithm("sssp"))
+    scheduler = GumScheduler(config)
+
+    def run():
+        scheduler.begin_run(context)
+        for step in recorded[50:]:
+            iteration, table, workloads, worker = step[:4]
+            context.fragment_worker[:] = worker
+            scheduler.plan(iteration, table, workloads, context)
+            scheduler.observe(step[-1], context)
 
     return run
 

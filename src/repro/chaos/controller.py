@@ -104,6 +104,11 @@ class ChaosController:
         return self._topology is not self._base_topology
 
     @property
+    def iteration(self) -> int:
+        """The iteration :meth:`advance` last reached (-1 before any)."""
+        return self._iteration
+
+    @property
     def dead_workers(self) -> Set[int]:
         """Workers killed so far (monotone within a run)."""
         return set(self._dead)
@@ -370,6 +375,10 @@ class ChaosController:
             self._new_timeout_charges += 1
             return True
         return False
+
+    def solver_timeout_armed(self) -> bool:
+        """Whether some solver-timeout token still has charges left."""
+        return any(token["remaining"] > 0 for token in self._timeout_tokens)
 
     def note_solver_fallback(self) -> None:
         """Record that a fallback backend had to take over a solve."""

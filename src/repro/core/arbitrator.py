@@ -114,10 +114,11 @@ class GumConfig:
         one ``repro-ledger/1`` entry per arbitrator decision with the
         quantized inputs, the chosen plan, cache status, and the
         predicted-vs-measured cost audit. A decision stores references
-        only; the audit is scored when read (every decision under a
-        metrics registry, else once at ``finish_run``). Entries hold
-        virtual-clock and model quantities only, so recording never
-        perturbs simulated time; ``repro explain`` renders the result.
+        only; the audit is scored once, when read (at ``finish_run``
+        under a metrics registry, else by the ledger's first reader).
+        Entries hold virtual-clock and model quantities only, so
+        recording never perturbs simulated time; ``repro explain``
+        renders the result.
     """
 
     fsteal: bool = True
@@ -169,6 +170,8 @@ class _RunState:
     osteal_backoff: int = 0
     # --- decision amortization ---------------------------------------
     plan_cache: Optional[PlanCache] = None
+    # fingerprints FSteal declined: one that misses again is solved
+    declined: LruDict = field(default_factory=lambda: LruDict(64))
     warm_assignment: Optional[np.ndarray] = None
     warm_accepts: int = 0
     # per-fingerprint z(m) memos: cycling tail frontiers each keep
@@ -180,7 +183,6 @@ class _RunState:
     osteal_z_evaluated: int = 0
     # --- decision ledger ----------------------------------------------
     ledger: Optional[Ledger] = None
-    ledger_instruments: Optional[tuple] = None
     # the prediction audit, when anything reads it (ledger or metrics)
     audit: Optional[PredictionAudit] = None
 
@@ -188,10 +190,10 @@ class _RunState:
 class _PredictionMemo:
     """One decision's view of the cost model, predictions shared.
 
-    OSteal's fingerprint coefficients, the FSteal cost matrix and the
-    prediction audit's per-decision scoring all ask for ``g`` of the
-    same per-fragment features within one ``plan`` call. The first ask
-    predicts every fragment with active edges in one batched
+    OSteal's fingerprint coefficients and the FSteal cost matrices all
+    ask for ``g`` of the same per-fragment features within one ``plan``
+    call. The first ask predicts every fragment with active edges in
+    one batched
     :meth:`~repro.core.costmodel.CostModel.edge_costs_seconds`
     (bit-identical to single predictions by that method's contract),
     keyed by the features' value. Scoped to one decision, so a refit
@@ -212,9 +214,6 @@ class _PredictionMemo:
             value = self._model.edge_cost_seconds(features)
         return value
 
-    def edge_costs_seconds(self, features: Sequence) -> List[float]:
-        return [self.edge_cost_seconds(f) for f in features]
-
 
 @dataclass(slots=True)
 class _Decision:
@@ -222,7 +221,8 @@ class _Decision:
 
     ``solution`` is the ``X`` that gets realized (``None`` means
     owner-local processing); ``solved`` is what FSteal priced before
-    the gate, kept so the ledger can show a rejected plan.
+    the gate, kept so the ledger can show a rejected plan (``bound``
+    instead, when FSteal declined to solve).
     ``audit`` and the host-clock ``*_host_seconds`` fields exist for
     :meth:`GumScheduler._record` alone.
     """
@@ -241,13 +241,14 @@ class _Decision:
     fsteal_host_seconds: Optional[float] = None
     fsteal_overhead: float = 0.0
     static_makespan: Optional[float] = None
+    bound: Optional[float] = None
     gain: Optional[float] = None
     stolen_edges: int = 0
     migrated: int = 0
     inter_node_stolen: int = 0
 
 
-#: Run-summary key -> live counter name of each amortization counter.
+#: Run-summary key -> registry counter name of each amortization counter.
 _DECISION_COUNTERS = {
     "warm_accepts": "decision.warm.accepts",
     "osteal_z_reused": "decision.osteal.z_reused",
@@ -496,8 +497,9 @@ class GumScheduler(Scheduler):
             # processing, even when OSteal just enumerated an X
             d.solution = None
             return
-        costs = None
-        if d.solution is None:
+        num_workers = context.num_workers
+        gated = d.solution is None
+        if gated:
             with context.tracer.span(
                 "gum.fsteal.milp", track="coordinator", cat="fsteal",
                 iteration=d.iteration,
@@ -505,37 +507,49 @@ class GumScheduler(Scheduler):
                                type(state.solver).__name__),
             ) as span:
                 solve_started = time.perf_counter()
-                costs = state.tree.restrict(build_cost_matrix(
-                    state.comm_cost,
-                    d.features,
-                    d.cost_model,
-                    context.fragment_home,
-                    allowed_workers=state.active,
-                ), context.fragment_home)
-                d.solution = self._solve(FStealProblem(costs, d.workloads))
-                span.set(
-                    objective=d.solution.objective,
-                    solver=d.solution.solver,
-                    warm_started=d.solution.warm_started,
+                problem = FStealProblem(state.tree.restrict(
+                    build_cost_matrix(
+                        state.comm_cost,
+                        d.features,
+                        d.cost_model,
+                        context.fragment_home,
+                        allowed_workers=state.active,
+                    ), context.fragment_home,
+                ), d.workloads)
+                d.static_makespan = self._static_makespan(
+                    problem.rows, d.workloads, context.fragment_worker
                 )
+                d.fsteal_overhead = self._modeled_fsteal_seconds(num_workers)
+                # declining skips a solver call, and an armed chaos
+                # solver timeout is consumed per call: never while one is
+                chaos = context.chaos
+                armed = chaos is not None and chaos.solver_timeout_armed()
+                d.solution = self._solve(problem, None if armed else d)
+                if d.solution is None:
+                    span.set(declined=True, bound=d.bound)
+                else:
+                    span.set(
+                        objective=d.solution.objective,
+                        solver=d.solution.solver,
+                        warm_started=d.solution.warm_started,
+                    )
                 d.fsteal_host_seconds = time.perf_counter() - solve_started
         d.solved = d.solution
         modeled = (
             self._modeled_fsteal_cache_seconds
-            if d.solved.solver == "plan-cache"
+            if d.solved is not None and d.solved.solver == "plan-cache"
             else self._modeled_fsteal_seconds
         )
-        d.fsteal_overhead = modeled(context.num_workers)
+        d.fsteal_overhead = modeled(num_workers)
         d.overhead += d.fsteal_overhead
         # cost-based gate (Example 5's spirit, made quantitative):
         # commit only when the predicted makespan gain covers the
-        # decision overhead — near-balanced iterations stay put
-        if costs is not None:
-            d.static_makespan = self._static_makespan(
-                costs, d.workloads, context.fragment_worker
-            )
-            d.gain = d.static_makespan - d.solved.objective
-            if d.gain <= d.fsteal_overhead:
+        # decision overhead — near-balanced iterations stay put. A
+        # declined decision is the gate's rejection, proven unsolved.
+        if gated:
+            if d.solved is not None:
+                d.gain = d.static_makespan - d.solved.objective
+            if d.solved is None or d.gain <= d.fsteal_overhead:
                 d.solution = None
 
     # --- stage 5: the one place observers are fed ---------------------
@@ -572,16 +586,19 @@ class GumScheduler(Scheduler):
                     estimated_kernel=d.osteal.estimated_kernel,
                     p_estimate=state.p_estimate,
                 )
-            if d.solved is not None:
+            solved = d.solved
+            if solved is not None or d.bound is not None:
                 ledger.record_fsteal(
-                    solver=d.solved.solver,
-                    cache_status=self._cache_status(d.solved),
-                    objective=d.solved.objective,
-                    warm_started=d.solved.warm_started,
+                    solver=state.solver.name if solved is None
+                    else solved.solver,
+                    cache_status=self._cache_status(solved),
+                    objective=None if solved is None else solved.objective,
+                    warm_started=solved is not None and solved.warm_started,
                     static_makespan=d.static_makespan,
                     gain=d.gain,
                     modeled_overhead=d.fsteal_overhead,
                     rejected_by_gate=d.solution is None,
+                    lower_bound=d.bound,
                 )
             ledger.commit(
                 group_size=state.group_size,
@@ -600,23 +617,11 @@ class GumScheduler(Scheduler):
         topology = self._state.tree.topology
         nodes = topology.node_assignment.tolist()
         if metrics is not None:
-            pairs = metrics.counter(
-                "steal.edges_by_pair",
-                "edges stolen, labelled by (home GPU, executing GPU)",
-            )
-            remote = metrics.counter(
-                "hubcache.remote_edges",
-                "stolen edges that would cross NVLink without caching",
-            )
-            hub_hits = metrics.counter(
-                "hubcache.hit_edges",
-                "stolen edges served from the local hub cache",
-            )
+            pairs = metrics.counter("steal.edges_by_pair")
+            remote = metrics.counter("hubcache.remote_edges")
+            hub_hits = metrics.counter("hubcache.hit_edges")
             if topology.num_nodes > 1:
-                inter_node = metrics.counter(
-                    "steal.inter_node_edges",
-                    "stolen edges crossing the inter-node fabric",
-                )
+                inter_node = metrics.counter("steal.inter_node_edges")
         for home, worker, edges, hub, moved in plan.stolen_rows(
             context.fragment_home
         ):
@@ -633,73 +638,62 @@ class GumScheduler(Scheduler):
                     inter_node.inc(edges)
 
     def _publish_metrics(self, metrics, d: _Decision) -> None:
-        """Mirror one recorded decision into the live registry."""
-        state = self._state
-        # scored through the decision's memo: the predictions OSteal
-        # and FSteal already paid for are not batched a second time
-        audit = state.audit.score(d.cost_model)
-        online = audit.online
-        if online.count:
-            metrics.gauge(
-                "costmodel.rmsre_online",
-                "running RMSRE of the learned g vs ground truth",
-            ).set(online.value)
-            metrics.gauge("costmodel.samples").set(online.count)
-            metrics.gauge(
-                "costmodel.samples_skipped",
-                "RMSRE updates dropped for non-positive actual cost",
-            ).set(online.skipped)
+        """Mirror one recorded decision into the live registry (the
+        audit's gauges are set once, at :meth:`finish_run`)."""
         if d.osteal is not None:
             metrics.counter("osteal.evaluations").inc()
-            metrics.histogram(
-                "osteal.solve_seconds",
-                "host wall time of Algorithm 2 enumerations",
-            ).observe(d.osteal_host_seconds)
+            metrics.histogram("osteal.solve_seconds").observe(
+                d.osteal_host_seconds
+            )
             if d.osteal.group_size != d.prev_group_size:
                 metrics.counter("osteal.group_changes").inc()
         if d.fsteal_host_seconds is not None:
-            metrics.histogram(
-                "fsteal.solve_seconds",
-                "host wall time of the FSteal MILP",
-            ).observe(d.fsteal_host_seconds)
-        if d.gain is not None:
-            metrics.histogram(
-                "fsteal.makespan_gain_seconds",
-                "predicted static-minus-stolen makespan gap",
-            ).observe(d.gain)
+            metrics.histogram("fsteal.solve_seconds").observe(
+                d.fsteal_host_seconds
+            )
+        if d.static_makespan is not None:
+            if d.gain is not None:
+                metrics.histogram("fsteal.makespan_gain_seconds").observe(
+                    d.gain
+                )
             if d.solution is None:
                 metrics.counter("fsteal.rejected_by_gate").inc()
-        if self._config.amortize:
-            counters = self._counters()
-            for key, name in _DECISION_COUNTERS.items():
-                _raise_counter(metrics.counter(name), counters[key])
-        if state.ledger is not None:
-            self._publish_ledger_metrics(metrics, state.ledger, audit)
 
     # --- decision amortization ----------------------------------------
-    def _solve(self, problem: FStealProblem) -> FStealSolution:
+    def _solve(
+        self, problem: FStealProblem, decision: Optional[_Decision] = None
+    ) -> Optional[FStealSolution]:
         """Solve one FSteal instance, amortized unless in exact mode.
 
         Order of attack: (1) plan cache — a fingerprint hit returns the
         repaired, re-validated previous plan priced against the *live*
-        costs (``solver="plan-cache"``); (2) warm-started solve — the
-        previous iteration's assignment, repaired to the current
-        workloads, seeds the configured solver; the result is cached
-        for the next iteration either way.
+        costs (``solver="plan-cache"``); (2) on a miss for the gated
+        ``decision``, decline when no solve could pass its gate
+        (returns ``None``, see :meth:`_declines`) — unless the same
+        fingerprint was declined before: a recurring instance is
+        solved and cached, for its repeats to hit; (3) warm-started
+        solve — the previous iteration's assignment, repaired to the
+        current workloads, seeds the configured solver; the result is
+        cached for the next iteration either way.
         """
         state = self._state
         cache = state.plan_cache
         if cache is None:
             return state.solver.solve(problem)
-        key = cache.fingerprint(problem.costs, problem.workloads)
+        key = cache.fingerprint(problem.costs, problem.workloads,
+                                sorted(set().union(*problem.allowed)))
         cached = cache.fetch(key, problem)
         if cached is not None:
-            state.warm_assignment = cached
+            state.warm_assignment = np.array(cached, dtype=np.int64)
             return FStealSolution(
-                assignment=cached,
+                assignment=state.warm_assignment,
                 objective=problem.objective(cached),
                 solver="plan-cache",
             )
+        if (decision is not None and key not in state.declined
+                and self._declines(problem, decision)):
+            state.declined.put(key, True)
+            return None
         warm = None
         if state.warm_assignment is not None:
             warm = repair_assignment(state.warm_assignment, problem)
@@ -709,6 +703,18 @@ class GumScheduler(Scheduler):
         cache.store(key, solution.assignment)
         state.warm_assignment = solution.assignment
         return solution
+
+    @staticmethod
+    def _declines(problem: FStealProblem, d: _Decision) -> bool:
+        """Whether no solve of ``problem`` can pass ``d``'s gain gate:
+        every objective is at least the certified
+        :meth:`~repro.core.milp.FStealProblem.lower_bound`, so the gain
+        is at most ``static - bound``. Records the bound on ``d``."""
+        bound = problem.lower_bound()
+        if d.static_makespan - bound > d.fsteal_overhead:
+            return False
+        d.bound = bound
+        return True
 
     def _candidate_sizes(self, context: RunContext) -> range:
         """Group sizes Algorithm 2 may pick: ``1..`` surviving workers."""
@@ -725,18 +731,13 @@ class GumScheduler(Scheduler):
             # z(m) reuse is sound only while the decision inputs are
             # the same up to tolerance: fingerprint the workload
             # vector, the per-fragment cost-model coefficients, and the
-            # sync estimate.
+            # sync estimate, quantized in one pass.
             tol = AMORTIZE_TOLERANCE
-            g_values = np.array([
+            fp = quantize(d.workloads.tolist() + [
                 0.0 if f.total_edges == 0
                 else d.cost_model.edge_cost_seconds(f)
                 for f in d.features
-            ])
-            fp = (
-                quantize(np.asarray(d.workloads, dtype=np.float64), tol),
-                quantize(g_values, tol),
-                quantize(np.array([state.p_estimate]), tol),
-            )
+            ] + [state.p_estimate], tol)
             if (state.osteal_last_fp is not None
                     and fp != state.osteal_last_fp):
                 state.osteal_invalidations += 1
@@ -804,62 +805,49 @@ class GumScheduler(Scheduler):
         return parts
 
     @staticmethod
-    def _cache_status(solution: FStealSolution) -> str:
-        """Ledger taxonomy of one FSteal solve: live/warm/cached."""
+    def _cache_status(solution: Optional[FStealSolution]) -> str:
+        """Ledger taxonomy of one FSteal decision: live/warm/cached, or
+        declined when there was no solve."""
+        if solution is None:
+            return "declined"
         if solution.solver == "plan-cache":
             return "cached"
         if solution.warm_started:
             return "warm"
         return "live"
 
-    def _publish_ledger_metrics(self, metrics, ledger: Ledger,
-                                audit: PredictionAudit) -> None:
-        """Mirror ledger accuracy state into the live registry."""
-        state = self._state
-        instruments = state.ledger_instruments
-        if instruments is None:
-            # resolve the registry handles once per run — publishing
-            # runs every iteration and name lookups are not free
-            instruments = state.ledger_instruments = (
-                metrics.counter(
-                    "ledger.samples",
-                    "prediction-audit samples recorded by the "
-                    "decision ledger",
-                ),
-                metrics.counter(
-                    "ledger.skipped_samples",
-                    "audit samples dropped for non-positive "
-                    "measured cost",
-                ),
-                metrics.gauge(
-                    "ledger.entries",
-                    "decisions recorded in the ledger",
-                ),
-                metrics.gauge(
-                    "ledger.drift_z",
-                    "EWMA drift z-score of the cost model's "
-                    "prediction error",
-                ),
-            )
-        samples, skipped, entries, drift = instruments
-        _raise_counter(samples, audit.online.count)
-        _raise_counter(skipped, audit.online.skipped)
-        entries.set(ledger.num_entries)
-        drift.set(audit.last_z)
-
     def finish_run(self, context: RunContext) -> Optional[Dict[str, float]]:
-        """Decision-amortization summary, surfaced on the run result."""
-        del context
+        """Decision-amortization summary, surfaced on the run result.
+
+        With a registry attached, the amortization counters and the
+        prediction audit's gauges are published here, once (the audit
+        is scored when first read).
+        """
         state = self._state
         if state is None:
             return None
-        stats: Dict[str, float] = {
-            "amortize": bool(self._config.amortize),
-            **self._counters(),
-        }
-        if state.ledger is not None:
-            state.ledger.seal()
-        return stats
+        counters = self._counters()
+        metrics = context.metrics
+        if metrics.enabled and self._config.amortize:
+            for key, name in _DECISION_COUNTERS.items():
+                _raise_counter(metrics.counter(name), counters[key])
+        if metrics.enabled and state.audit is not None:
+            online = state.audit.score().online
+            if online.count:
+                metrics.gauge("costmodel.rmsre_online").set(online.value)
+                metrics.gauge("costmodel.samples").set(online.count)
+                metrics.gauge("costmodel.samples_skipped").set(
+                    online.skipped
+                )
+            ledger = state.ledger
+            if ledger is not None and ledger.num_entries:
+                _raise_counter(metrics.counter("ledger.samples"),
+                               online.count)
+                _raise_counter(metrics.counter("ledger.skipped_samples"),
+                               online.skipped)
+                metrics.gauge("ledger.entries").set(ledger.num_entries)
+                metrics.gauge("ledger.drift_z").set(state.audit.last_z)
+        return {"amortize": bool(self._config.amortize), **counters}
 
     # ------------------------------------------------------------------
     def observe(self, record: IterationRecord, context: RunContext) -> None:
@@ -968,28 +956,31 @@ class GumScheduler(Scheduler):
 
     @staticmethod
     def _static_makespan(
-        costs: np.ndarray, workloads: np.ndarray, fragment_worker: np.ndarray
+        costs, workloads: np.ndarray, fragment_worker: np.ndarray
     ) -> float:
-        """Makespan of the no-steal assignment under the same costs."""
-        num_workers = costs.shape[1]
-        finish = np.zeros(num_workers)
-        for fragment, load in enumerate(workloads.tolist()):
-            if load == 0:
-                continue
-            worker = int(fragment_worker[fragment])
-            finish[worker] += costs[fragment, worker] * load
-        return float(finish.max()) if num_workers else 0.0
+        """Makespan of the no-steal assignment under the same costs
+        (``costs`` as rows, or an array)."""
+        finish = [0.0] * (len(costs[0]) if len(costs) else 0)
+        for row, load, worker in zip(
+            costs, workloads.tolist(), fragment_worker.tolist()
+        ):
+            if load:
+                finish[worker] += row[worker] * load
+        return float(max(finish)) if finish else 0.0
 
     def _fsteal_triggered(
         self, workloads: np.ndarray, context: RunContext, state: _RunState
     ) -> bool:
-        per_worker = np.zeros(context.num_workers, dtype=np.int64)
-        np.add.at(per_worker, context.fragment_worker, workloads)
-        active_loads = per_worker[state.active]
-        if active_loads.size <= 1:
+        per_worker = [0] * context.num_workers
+        for worker, load in zip(
+            context.fragment_worker.tolist(), workloads.tolist()
+        ):
+            per_worker[worker] += load
+        active_loads = [per_worker[j] for j in state.active]
+        if len(active_loads) <= 1:
             return False
-        heaviest = int(active_loads.max())
-        gap = heaviest - int(active_loads.min())
+        heaviest = max(active_loads)
+        gap = heaviest - min(active_loads)
         return (
             heaviest >= self._config.t1_min_edges
             and gap >= self._config.t2_imbalance_edges

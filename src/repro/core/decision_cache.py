@@ -48,7 +48,6 @@ from repro.core.milp import FStealProblem
 from repro.errors import SolverError
 
 __all__ = [
-    "bucketize",
     "quantize",
     "plan_fingerprint",
     "repair_assignment",
@@ -61,7 +60,7 @@ _ZERO_BUCKET = -(2**62)
 _INF_BUCKET = 2**62
 
 
-def quantize(values: np.ndarray, tolerance: float) -> bytes:
+def quantize(values, tolerance: float) -> bytes:
     """Log-bucket a nonnegative vector into a hashable fingerprint.
 
     Two vectors quantize identically when every entry falls in the
@@ -78,30 +77,16 @@ def quantize(values: np.ndarray, tolerance: float) -> bytes:
     quantized feature-vector identity, so "same cached decision"
     and "same ledger fingerprint" mean the same thing.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    values = np.asarray(values, dtype=np.float64).ravel()
     if tolerance <= 0.0:
         return values.tobytes()
-    return bucketize(values, tolerance).tobytes()
-
-
-def bucketize(values: np.ndarray, tolerance: float) -> np.ndarray:
-    """The bucket indices behind :func:`quantize`, shape-preserving.
-
-    The elementwise mapping (sentinels for zero/``inf``, log-bucket
-    otherwise) applied to an array of any shape — each row of a
-    bucketized matrix serializes to exactly the bytes ``quantize``
-    would produce for that row, which is how the decision ledger
-    resolves a whole run's fingerprints in one vectorized pass.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    buckets = np.full(values.shape, _ZERO_BUCKET, dtype=np.int64)
-    buckets[np.isinf(values)] = _INF_BUCKET
-    finite_pos = (values > 0) & np.isfinite(values)
-    if np.any(finite_pos):
+    buckets = np.where(np.isinf(values), _INF_BUCKET, _ZERO_BUCKET)
+    finite_pos = (values > 0) & (values < math.inf)
+    if finite_pos.any():
         buckets[finite_pos] = np.round(
             np.log(values[finite_pos]) / math.log1p(tolerance)
-        ).astype(np.int64)
-    return buckets
+        )
+    return buckets.tobytes()
 
 
 def plan_fingerprint(
@@ -114,75 +99,65 @@ def plan_fingerprint(
 
     Covers the per-fragment workload vector, the active-worker set
     (derived from the finite cost columns when not given), and the
-    cost coefficients, each quantized with ``tolerance``. The matrix
-    shape is included so transposed/reshaped instances can never
-    collide.
+    cost coefficients, each quantized with ``tolerance`` — in one pass
+    over both vectors, which the key splits again. The matrix shape is
+    included so transposed/reshaped instances can never collide.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if active is None:
-        active_key = tuple(
-            np.flatnonzero(np.isfinite(costs).any(axis=0)).tolist()
-        )
-    else:
-        active_key = tuple(int(j) for j in active)
-    return (
-        costs.shape,
-        active_key,
-        quantize(np.asarray(workloads, dtype=np.float64), tolerance),
-        quantize(costs, tolerance),
-    )
+        active = np.flatnonzero(np.isfinite(costs).any(axis=0)).tolist()
+    split = 8 * len(workloads)  # bytes of the workloads' int64 buckets
+    both = quantize(np.concatenate(
+        (np.asarray(workloads, dtype=np.float64), costs.ravel())
+    ), tolerance)
+    return (costs.shape, tuple(int(j) for j in active),
+            both[:split], both[split:])
 
 
 def repair_assignment(
-    assignment: np.ndarray,
+    assignment,
     problem: FStealProblem,
-) -> Optional[np.ndarray]:
+) -> Optional[list]:
     """Rescale a previous assignment to the current problem, or ``None``.
 
     Work parked on now-forbidden workers (evicted by OSteal) is pulled
     back, then every fragment row is rescaled to its current workload
     by largest-remainder apportionment over the allowed workers —
     preserving the old plan's *shape* (the relative split the solver
-    chose) while conserving the new ``l_i`` exactly. Returns ``None``
-    when the shapes mismatch or some fragment has no allowed worker
-    left; callers must still run
-    :meth:`FStealProblem.validate_assignment` on the result (the
-    cache does) before trusting it.
+    chose) while conserving the new ``l_i`` exactly. Returns fresh
+    integer rows, or ``None`` when the shapes mismatch or a count is
+    negative; callers must still run
+    :meth:`FStealProblem.validate_assignment` on the result (the cache
+    does) before trusting it.
     """
-    costs, workloads = problem.costs, problem.workloads
+    n_work = problem.num_workers
     assignment = np.asarray(assignment)
-    if assignment.shape != costs.shape or np.any(assignment < 0):
+    if assignment.shape != problem.costs.shape or (assignment < 0).any():
         return None
-    allowed = np.isfinite(costs)
-    out = assignment.astype(np.int64, copy=True)
-    out[~allowed] = 0
-    row_sums = out.sum(axis=1)
-    if np.array_equal(row_sums, workloads):
-        return out
-    for i in np.flatnonzero(row_sums != workloads).tolist():
-        target = int(workloads[i])
-        if target == 0:
-            out[i] = 0
-            continue
-        total = int(row_sums[i])
-        if total == 0:
-            # the old plan had nothing here: seed the cheapest worker
-            candidates = np.flatnonzero(allowed[i])
-            if candidates.size == 0:
-                return None
-            cheapest = candidates[int(np.argmin(costs[i, candidates]))]
-            out[i] = 0
-            out[i, cheapest] = target
-            continue
-        exact = out[i] * (target / total)
-        floor = np.floor(exact).astype(np.int64)
-        deficit = target - int(floor.sum())
-        if deficit > 0:
-            remainders = exact - floor
-            remainders[~allowed[i]] = -1.0
-            top = np.argsort(-remainders, kind="stable")[:deficit]
-            floor[top] += 1
-        out[i] = floor
+    # work parked on forbidden workers is pulled back
+    out = np.where(np.isfinite(problem.costs), assignment, 0).astype(
+        np.int64
+    ).tolist()
+    for kept, row, cols, target in zip(
+        out, problem.rows, problem.allowed, problem.loads
+    ):
+        total = sum(kept)
+        if total != target:
+            ratio = target / total if total else 0.0
+            exact = [x * ratio for x in kept]
+            kept[:] = [math.floor(x) for x in exact]
+            if not total:
+                # the old plan had nothing here: seed the cheapest worker
+                kept[min(cols, key=row.__getitem__)] = target
+            deficit = target - sum(kept)
+            if deficit > 0:
+                # largest remainders first, ties to the lower column,
+                # forbidden cells last
+                ranked = sorted(range(n_work), key=lambda j: (
+                    kept[j] - exact[j] if j in cols else 1.0
+                ))
+                for j in ranked[:deficit]:
+                    kept[j] += 1
     return out
 
 
@@ -230,10 +205,6 @@ class LruDict:
         """Drop ``key`` if present (not counted as an eviction)."""
         self._entries.pop(key, None)
 
-    def clear(self) -> None:
-        """Drop every entry (not counted as evictions)."""
-        self._entries.clear()
-
     def __contains__(self, key) -> bool:
         return key in self._entries
 
@@ -271,8 +242,9 @@ class PlanCache:
 
     def fetch(
         self, key: Tuple, problem: FStealProblem
-    ) -> Optional[np.ndarray]:
-        """A repaired, validated assignment for ``key`` — or ``None``."""
+    ) -> Optional[list]:
+        """A repaired, validated assignment (integer rows) for ``key``
+        — or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -298,10 +270,6 @@ class PlanCache:
         self._entries.put(
             key, np.asarray(assignment, dtype=np.int64).copy()
         )
-
-    def clear(self) -> None:
-        """Drop every cached plan (counters are kept)."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -10,6 +10,7 @@ the engine's one realizer,
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,21 +50,24 @@ def build_cost_matrix(
         The two-level multi-node policy is applied on top by
         :meth:`~repro.core.reduction_tree.ReductionTree.restrict`.
     """
-    num_fragments = len(fragment_features)
     num_workers = comm_cost.shape[1]
-    costs = np.full((num_fragments, num_workers), np.inf)
     allowed = (
-        np.asarray(sorted(allowed_workers), dtype=np.int64)
-        if allowed_workers is not None
-        else np.arange(num_workers, dtype=np.int64)
+        sorted(allowed_workers) if allowed_workers is not None
+        else range(num_workers)
     )
-    if allowed.size == 0:
+    if not allowed:
         raise SolverError("no allowed workers")
-    for i, features in enumerate(fragment_features):
+    comm = comm_cost.tolist()  # few cells: floats beat fancy indexing
+    rows = []
+    for features, home in zip(fragment_features, fragment_home.tolist()):
+        home_row = comm[home]
+        row = [math.inf] * num_workers
         if features.total_edges == 0:
-            costs[i, allowed] = comm_cost[int(fragment_home[i]), allowed]
-            continue
-        g_i = cost_model.edge_cost_seconds(features)
-        home = int(fragment_home[i])
-        costs[i, allowed] = comm_cost[home, allowed] + g_i
-    return costs
+            for j in allowed:
+                row[j] = home_row[j]
+        else:
+            g_i = cost_model.edge_cost_seconds(features)
+            for j in allowed:
+                row[j] = home_row[j] + g_i
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), num_workers)

@@ -51,12 +51,8 @@ class HubCache:
         out_degrees = graph.out_degrees()
         self._cached_edges = int(out_degrees[self._bitmap].sum())
         self._metrics = metrics or NULL_METRICS
-        self._metrics.gauge(
-            "hubcache.num_hubs", "vertices replicated on every GPU"
-        ).set(self.num_hubs)
-        self._metrics.gauge(
-            "hubcache.cached_edges", "adjacency entries replicated per GPU"
-        ).set(self._cached_edges)
+        self._metrics.gauge("hubcache.num_hubs").set(self.num_hubs)
+        self._metrics.gauge("hubcache.cached_edges").set(self._cached_edges)
 
     @property
     def threshold(self) -> int:
@@ -86,9 +82,7 @@ class HubCache:
         """Edges of ``vertices`` servable from the local cache."""
         vertices = np.asarray(vertices, dtype=np.int64)
         if self._metrics.enabled:
-            self._metrics.counter(
-                "hubcache.lookups", "hub-bitmap probes by the arbitrator"
-            ).inc()
+            self._metrics.counter("hubcache.lookups").inc()
         if vertices.size == 0:
             return 0
         hubs = vertices[self._bitmap[vertices]]
@@ -96,9 +90,7 @@ class HubCache:
             return 0
         served = int(graph.out_degrees(hubs).sum())
         if self._metrics.enabled:
-            self._metrics.counter(
-                "hubcache.hit_vertices", "frontier vertices found cached"
-            ).inc(hubs.size)
+            self._metrics.counter("hubcache.hit_vertices").inc(hubs.size)
         return served
 
     def __repr__(self) -> str:

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
 import numpy as np
@@ -60,10 +61,18 @@ class FStealProblem:
     ``costs[i, j]`` = seconds per edge for worker ``j`` on fragment
     ``i``'s edges (``inf`` forbids the pairing — evicted workers);
     ``workloads[i]`` = ``l_i``.
+
+    ``rows``/``loads``/``allowed`` (each row's finite columns) hold the
+    same as Python lists: on these few-by-few matrices NumPy scalar
+    indexing costs more than the arithmetic, so only the LP/MILP
+    backends read the arrays.
     """
 
     costs: np.ndarray
     workloads: np.ndarray
+    rows: list = field(init=False, repr=False, compare=False)
+    loads: list = field(init=False, repr=False, compare=False)
+    allowed: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         costs = np.asarray(self.costs, dtype=np.float64)
@@ -72,18 +81,25 @@ class FStealProblem:
             raise SolverError("costs must be a 2-D matrix")
         if workloads.shape != (costs.shape[0],):
             raise SolverError("workloads must have one entry per fragment")
-        if np.any(workloads < 0):
+        rows = costs.tolist()
+        loads = workloads.tolist()
+        if loads and min(loads) < 0:
             raise SolverError("workloads cannot be negative")
-        finite = np.isfinite(costs)
-        if np.any((costs < 0) & finite):
+        inf = math.inf  # -inf < c < inf: math.isfinite without a call
+        allowed = [[j for j, c in enumerate(row) if -inf < c < inf]
+                   for row in rows]
+        if (costs < 0).any() and any(
+            row[j] < 0 for row, cols in zip(rows, allowed) for j in cols
+        ):
             raise SolverError("costs cannot be negative")
-        needs_worker = workloads > 0
-        if np.any(needs_worker & ~finite.any(axis=1)):
+        if any(load > 0 and not cols for load, cols in zip(loads, allowed)):
             raise SolverError(
                 "some fragment with work has no allowed worker"
             )
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "workloads", workloads)
+        for name, value in (("costs", costs), ("workloads", workloads),
+                            ("rows", rows), ("loads", loads),
+                            ("allowed", allowed)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_fragments(self) -> int:
@@ -95,24 +111,75 @@ class FStealProblem:
         """Number of candidate workers (columns)."""
         return self.costs.shape[1]
 
-    def objective(self, assignment: np.ndarray) -> float:
-        """``max_j sum_i c_ij x_ij`` for a given assignment."""
-        costs = np.where(np.isfinite(self.costs), self.costs, 0.0)
-        loads = (costs * assignment).sum(axis=0)
-        return float(loads.max()) if loads.size else 0.0
+    def objective(self, assignment) -> float:
+        """``max_j sum_i c_ij x_ij`` for an assignment (array or rows),
+        bit-identical to NumPy's ``sum(axis=0)``: row by row, except a
+        lone column, which NumPy sums pairwise."""
+        held = _as_rows(assignment)
+        loads = _column_loads(self.rows, self.allowed, held,
+                              self.num_workers)
+        if len(loads) == 1:
+            return float(np.sum([
+                row[0] * x[0] if cols else 0.0
+                for row, cols, x in zip(self.rows, self.allowed, held)
+            ]))
+        return max(loads) if loads else 0.0
 
-    def validate_assignment(self, assignment: np.ndarray) -> None:
-        """Raise unless the assignment is feasible."""
-        assignment = np.asarray(assignment)
-        if assignment.shape != self.costs.shape:
-            raise SolverError("assignment has wrong shape")
-        if np.any(assignment < 0):
+    def lower_bound(self) -> float:
+        """``sum_i l_i * min_j c_ij / m`` over the ``m`` workers with a
+        finite column: no makespan beats the cheapest total spread
+        evenly. Scaled down by ``4 (n + 2) eps``, past the float sums'
+        rounding, so no assignment's float objective is below it."""
+        total = 0.0
+        usable = set()
+        for row, cols, load in zip(self.rows, self.allowed, self.loads):
+            usable.update(cols)
+            if load:
+                total += load * min(row[j] for j in cols)
+        if not total:
+            return 0.0
+        shrink = 1.0 - 4.0 * (len(self.rows) + 2) * sys.float_info.epsilon
+        return total / len(usable) * shrink
+
+    def validate_assignment(self, assignment) -> None:
+        """Raise unless the assignment (an array or rows) is feasible."""
+        n_work = self.num_workers
+        if isinstance(assignment, np.ndarray):
+            if assignment.shape != self.costs.shape:
+                raise SolverError("assignment has wrong shape")
+            held = assignment.tolist()
+        else:
+            held = assignment
+            if len(held) != len(self.rows) or not {n_work}.issuperset(
+                map(len, held)
+            ):
+                raise SolverError("assignment has wrong shape")
+        if n_work and held and min(map(min, held)) < 0:
             raise SolverError("negative assignment")
-        if not np.array_equal(assignment.sum(axis=1), self.workloads):
+        if list(map(sum, held)) != self.loads:
             raise SolverError("assignment does not conserve workloads")
-        forbidden = ~np.isfinite(self.costs)
-        if np.any(assignment[forbidden] > 0):
-            raise SolverError("assignment uses a forbidden worker")
+        # nothing is negative: a row's allowed cells hold all of it
+        # exactly when its forbidden cells hold nothing
+        for x, cols, load in zip(held, self.allowed, self.loads):
+            if len(cols) < n_work and sum(map(x.__getitem__, cols)) != load:
+                raise SolverError("assignment uses a forbidden worker")
+
+
+def _as_rows(assignment) -> list:
+    """An assignment as rows (arrays are converted)."""
+    is_array = isinstance(assignment, np.ndarray)
+    return assignment.tolist() if is_array else assignment
+
+
+def _column_loads(costs: list, finite: list, assignment: list,
+                  n_work: int) -> list:
+    """``sum_i c_ij x_ij`` per worker over the allowed cells, row by row
+    (the values of NumPy's ``sum(axis=0)`` over two or more columns)."""
+    loads = [0.0] * n_work
+    for row, cols, held in zip(costs, finite, assignment):
+        for j in cols:
+            loads[j] += row[j] * held[j]
+    return loads
 
 
 @dataclass(frozen=True)
@@ -154,31 +221,39 @@ class FStealSolver(abc.ABC):
     def _finish(
         self,
         problem: FStealProblem,
-        assignment: np.ndarray,
+        assignment,
         warm_started: bool = False,
     ) -> FStealSolution:
-        assignment = np.rint(assignment).astype(np.int64)
-        problem.validate_assignment(assignment)
+        """Validate and price an assignment: an LP/MILP array (rounded
+        here) or the greedy search's integer rows."""
+        if isinstance(assignment, np.ndarray):
+            assignment = np.rint(assignment).astype(np.int64)
+            held = assignment.tolist()
+        else:
+            held = assignment
+            assignment = np.array(held, dtype=np.int64)
+        problem.validate_assignment(held)
         return FStealSolution(
             assignment=assignment,
-            objective=problem.objective(assignment),
+            objective=problem.objective(held),
             solver=self.name,
             warm_started=warm_started,
         )
 
     @staticmethod
     def _usable_warm_start(
-        problem: FStealProblem, warm_start: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """The warm start as a validated int64 matrix, or ``None``."""
+        problem: FStealProblem, warm_start
+    ) -> Optional[list]:
+        """The warm start as fresh integer rows once validated, or
+        ``None``."""
         if warm_start is None:
             return None
-        warm = np.asarray(warm_start)
+        held = _as_rows(warm_start)
         try:
-            problem.validate_assignment(warm)
+            problem.validate_assignment(held)
         except SolverError:
             return None
-        return warm.astype(np.int64, copy=True)
+        return [[int(value) for value in x] for x in held]
 
 
 def _no_work_solution(problem: FStealProblem, name: str) -> FStealSolution:
@@ -228,12 +303,9 @@ class GreedySolver(FStealSolver):
         so every assignment and objective is bit-identical to it.
         """
         n_frag, n_work = problem.num_fragments, problem.num_workers
-        if problem.workloads.sum() == 0:
+        costs, loads, finite = problem.rows, problem.loads, problem.allowed
+        if not any(loads):
             return _no_work_solution(problem, self.name)
-        costs = problem.costs.tolist()
-        loads = problem.workloads.tolist()
-        finite = [[j for j, c in enumerate(row) if math.isfinite(c)]
-                  for row in costs]
         seeds = [[min(cols, key=row.__getitem__) if cols else 0
                   for row, cols in zip(costs, finite)]]
         if n_frag <= n_work and all(
@@ -253,7 +325,7 @@ class GreedySolver(FStealSolver):
                 assignment[i][j] = load
                 finish[j] += costs[i][j] * load
             self._refine(costs, finite, assignment, finish)
-            objective = max(_column_loads(costs, finite, assignment))
+            objective = max(_column_loads(costs, finite, assignment, n_work))
             if objective < best_objective:
                 best, best_objective = assignment, objective
         assert best is not None  # seeds is never empty
@@ -263,14 +335,12 @@ class GreedySolver(FStealSolver):
         warm_won = False
         warm = self._usable_warm_start(problem, warm_start)
         if warm is not None:
-            warm = warm.tolist()
-            finish = _column_loads(costs, finite, warm)
+            finish = _column_loads(costs, finite, warm, n_work)
             self._refine(costs, finite, warm, finish)
-            objective = max(_column_loads(costs, finite, warm))
+            objective = max(_column_loads(costs, finite, warm, n_work))
             if objective < best_objective:
                 best, best_objective, warm_won = warm, objective, True
-        return self._finish(problem, np.array(best, dtype=np.int64),
-                            warm_started=warm_won)
+        return self._finish(problem, best, warm_started=warm_won)
 
     def _refine(
         self,
@@ -321,18 +391,6 @@ class GreedySolver(FStealSolver):
             assignment[i][j] += move
             finish[straggler] -= costs[i][straggler] * move
             finish[j] += costs[i][j] * move
-
-
-def _column_loads(costs: list, finite: list, assignment: list) -> list:
-    """``sum_i c_ij x_ij`` per worker over the allowed cells, row by row
-    (the values of :meth:`FStealProblem.objective`'s ``sum(axis=0)``;
-    NumPy sums a lone column pairwise, but with one worker every
-    candidate is the same assignment)."""
-    loads = [0.0] * len(costs[0])
-    for row, cols, held in zip(costs, finite, assignment):
-        for j in cols:
-            loads[j] += row[j] * held[j]
-    return loads
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +599,7 @@ class LPRoundingSolver(FStealSolver):
     ) -> FStealSolution:
         """Return a feasible integral solution."""
         del warm_start  # exact relaxation: nothing to seed
-        if problem.workloads.sum() == 0:
+        if not any(problem.loads):
             return _no_work_solution(problem, self.name)
         fractional, __, __ = _lp_relaxation(
             problem, workspace=self._workspace
@@ -572,7 +630,7 @@ class BranchAndBoundSolver(FStealSolver):
         warm_start: Optional[np.ndarray] = None,
     ) -> FStealSolution:
         """Return a feasible integral solution."""
-        if problem.workloads.sum() == 0:
+        if not any(problem.loads):
             return _no_work_solution(problem, self.name)
         fractional, lp_value, __ = _lp_relaxation(
             problem, workspace=self._workspace
@@ -636,7 +694,7 @@ class HiGHSSolver(FStealSolver):
     ) -> FStealSolution:
         """Return a feasible integral solution."""
         del warm_start  # scipy.optimize.milp cannot inject incumbents
-        if problem.workloads.sum() == 0:
+        if not any(problem.loads):
             return _no_work_solution(problem, self.name)
         from scipy.optimize import Bounds, LinearConstraint, milp
 

@@ -57,7 +57,6 @@ class OStealDecision:
     estimated_cost: float  # z(m) + p*m, seconds
     estimated_kernel: float  # z(m) alone
     fsteal: FStealSolution  # the X realizing z(m)
-    costs: np.ndarray  # the cost matrix used (inf outside the group)
     evaluated_sizes: int = 0  # fresh z(m) solves this call
     reused_sizes: int = 0  # z(m) served from the cross-iteration cache
 
@@ -132,7 +131,7 @@ def plan_osteal(
     if solve is None:
         solve = solver.solve
 
-    def solve_size(m: int) -> tuple[FStealSolution, np.ndarray]:
+    def solve_size(m: int) -> FStealSolution:
         costs = tree.restrict(build_cost_matrix(
             comm_cost,
             fragment_features,
@@ -140,7 +139,7 @@ def plan_osteal(
             fragment_home,
             allowed_workers=tree.active_workers(m),
         ), fragment_home)
-        return solve(FStealProblem(costs, workloads)), costs
+        return solve(FStealProblem(costs, workloads))
 
     if search == "scan":
         return _scan(tree, sizes, solve_size, p_estimate, tracer)
@@ -168,7 +167,7 @@ def _scan(
                      cat="osteal", candidates=len(sizes),
                      search="scan") as span:
         for m in sizes:
-            solution, costs = solve_size(m)
+            solution = solve_size(m)
             total = solution.objective + p_estimate * m
             if estimates is not None:
                 estimates[f"m={m}"] = total
@@ -180,7 +179,6 @@ def _scan(
                     estimated_cost=total,
                     estimated_kernel=solution.objective,
                     fsteal=solution,
-                    costs=costs,
                     evaluated_sizes=len(sizes),
                 )
         assert best is not None  # sizes is never empty
@@ -209,7 +207,7 @@ def _bracket(
     """
     order = sorted(set(int(m) for m in sizes))
     zvals: dict = {}  # m -> z(m), this call
-    solutions: dict = {}  # m -> (FStealSolution, costs), fresh only
+    solutions: dict = {}  # m -> FStealSolution, fresh only
     counts = {"evaluated": 0, "reused": 0}
 
     def z_of(m: int) -> float:
@@ -219,9 +217,8 @@ def _bracket(
             counts["reused"] += 1
             zvals[m] = float(z_cache[m])
             return zvals[m]
-        solution, costs = solve_size(m)
+        solution = solutions[m] = solve_size(m)
         counts["evaluated"] += 1
-        solutions[m] = (solution, costs)
         zvals[m] = float(solution.objective)
         if z_cache is not None:
             z_cache[m] = zvals[m]
@@ -256,13 +253,12 @@ def _bracket(
         # the walk may have priced the winner from the cache alone:
         # materialize a real plan for it against the live workloads
         if chosen not in solutions:
-            solution, costs = solve_size(chosen)
+            solution = solutions[chosen] = solve_size(chosen)
             counts["evaluated"] += 1
-            solutions[chosen] = (solution, costs)
             zvals[chosen] = float(solution.objective)
             if z_cache is not None:
                 z_cache[chosen] = zvals[chosen]
-        solution, costs = solutions[chosen]
+        solution = solutions[chosen]
         if estimates is not None:
             estimates.update(
                 {f"m={m}": z + p_estimate * m for m, z in zvals.items()}
@@ -276,7 +272,6 @@ def _bracket(
         estimated_cost=float(solution.objective) + p_estimate * chosen,
         estimated_kernel=float(solution.objective),
         fsteal=solution,
-        costs=costs,
         evaluated_sizes=counts["evaluated"],
         reused_sizes=counts["reused"],
     )

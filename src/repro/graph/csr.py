@@ -567,26 +567,11 @@ class ShardedCSRGraph:
         self._m_loads = self._m_hits = self._m_evictions = None
         self._m_resident = self._m_peak = None
         if metrics is not None and getattr(metrics, "enabled", False):
-            self._m_loads = metrics.counter(
-                "shard_cache.loads",
-                "CSR shards materialized from disk",
-            )
-            self._m_hits = metrics.counter(
-                "shard_cache.hits",
-                "shard-cache lookups served from resident shards",
-            )
-            self._m_evictions = metrics.counter(
-                "shard_cache.evictions",
-                "shards evicted to respect the resident-byte budget",
-            )
-            self._m_resident = metrics.gauge(
-                "shard_cache.resident_bytes",
-                "bytes of CSR shards currently resident",
-            )
-            self._m_peak = metrics.gauge(
-                "shard_cache.peak_resident_bytes",
-                "high-water resident bytes of the shard cache",
-            )
+            self._m_loads = metrics.counter("shard_cache.loads")
+            self._m_hits = metrics.counter("shard_cache.hits")
+            self._m_evictions = metrics.counter("shard_cache.evictions")
+            self._m_resident = metrics.gauge("shard_cache.resident_bytes")
+            self._m_peak = metrics.gauge("shard_cache.peak_resident_bytes")
 
     # ------------------------------------------------------------------
     # Basic properties (CSRGraph surface)

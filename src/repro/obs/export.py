@@ -163,10 +163,7 @@ class _IterationInstruments:
         self.registry = metrics
         self.iterations = metrics.counter("engine.iterations")
         self.frontier_edges = metrics.counter("engine.frontier_edges")
-        self.buckets = metrics.counter(
-            "engine.bucket_seconds",
-            "virtual seconds per Figure-6 cost bucket",
-        )
+        self.buckets = metrics.counter("engine.bucket_seconds")
         # (label key, TimeBreakdown attribute) pairs — the as_dict()
         # buckets minus the derived "total", with the label tuples
         # prebuilt so the per-superstep loop is pure dict updates

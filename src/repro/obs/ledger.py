@@ -4,7 +4,8 @@ The paper's Exp-7 links cost-model accuracy to steal-policy quality,
 but an aggregate RMSRE cannot say *which* decision the model got wrong.
 This module records one entry per arbitrator decision — the quantized
 feature vector it saw, the candidate set it weighed, the plan it chose,
-the plan-cache status (``live``/``warm``/``cached``), the predicted
+the plan-cache status (``live``/``warm``/``cached``, or ``declined``
+when a certified bound proved the gate would reject), the predicted
 virtual cost, and the measured cost back-filled when the iteration
 completes — plus derived analytics: per-iteration and online RMSRE
 timeseries, EWMA drift detection on the prediction error, and
@@ -26,9 +27,10 @@ equality on every render.
 The prediction audit of a run is one :class:`PredictionAudit` the
 arbitrator's run state owns and the ledger and the ``costmodel.*`` /
 ``ledger.*`` gauges share: a decision appends references only, and
-the first read after it (the gauges when a registry is attached,
-``finish_run``, :attr:`Ledger.entries` / :attr:`Ledger.samples` /
-:meth:`Ledger.as_dict`) scores everything pending in one batch.
+the first read (the arbitrator's ``finish_run`` when a registry is
+attached, else :attr:`Ledger.entries` / :attr:`Ledger.samples` /
+:attr:`Ledger.final_rmsre` / :meth:`Ledger.as_dict`) scores the whole
+run in one batch. A run nothing reads is never scored.
 
 The fold over audit samples lives here once, for every reader of a
 recorded run (analytics, ``from_dict``, ``repro explain``,
@@ -276,18 +278,12 @@ class PredictionAudit:
         self._pending.append(AuditRecord(refs))
         return self._pending[-1]
 
-    def score(self, model=None) -> "PredictionAudit":
-        """Score and fold every pending record, in the order added.
-
-        ``model`` stands in for the audit's own model when the caller
-        holds the same predictions already (the arbitrator passes the
-        decision's prediction memo); it must agree with it bit for bit.
-        """
+    def score(self) -> "PredictionAudit":
+        """Score and fold every pending record, in the order added."""
         pending, self._pending = self._pending, []
         if not pending:
             return self
-        model = self.model if model is None else model
-        predicted = iter(model.edge_costs_seconds([
+        predicted = iter(self.model.edge_costs_seconds([
             ref[2] for record in pending for ref in record.samples
         ]))
         truth = self.device.true_edge_cost
@@ -344,7 +340,7 @@ _OSTEAL = (
     ("p_estimate", float),
 )
 _FSTEAL = (
-    ("solver", str), ("cache_status", str), ("objective", float),
+    ("solver", str), ("cache_status", str), ("objective", _opt_float),
     ("warm_started", bool), ("static_makespan", _opt_float),
     ("gain", _opt_float), ("modeled_overhead", float),
     ("rejected_by_gate", bool),
@@ -416,6 +412,7 @@ def _checked_entry(entry, position: int) -> dict:
     return dict(entry)
 
 
+@dataclass(slots=True)
 class _RawEntry:
     """One iteration's recording, exactly as the arbitrator handed it.
 
@@ -426,21 +423,14 @@ class _RawEntry:
     entry's :class:`AuditRecord`.
     """
 
-    __slots__ = (
-        "iteration", "workloads", "audit", "fingerprint", "osteal",
-        "fsteal", "commit_args", "measured",
-    )
-
-    def __init__(self, iteration: int, workloads, audit: AuditRecord,
-                 fingerprint) -> None:
-        self.iteration = iteration
-        self.workloads = workloads
-        self.audit = audit
-        self.fingerprint = fingerprint
-        self.osteal = None
-        self.fsteal = None
-        self.commit_args: Optional[tuple] = None
-        self.measured: Optional[tuple] = None
+    iteration: int
+    workloads: list
+    audit: AuditRecord
+    fingerprint: Optional[list]
+    osteal: Optional[tuple] = None
+    fsteal: Optional[tuple] = None
+    commit_args: Optional[tuple] = None
+    measured: Optional[tuple] = None
 
 
 class Ledger:
@@ -450,12 +440,12 @@ class Ledger:
     :meth:`begin`, the ``record_*`` calls, :meth:`commit` — inside its
     ``plan`` hook, back-fills the measured cost from ``observe`` via
     :meth:`backfill`, attributes injected faults via
-    :meth:`record_fault`, and stamps the audit's final RMSRE with
-    :meth:`seal` so post-hoc reconstruction can be verified.
+    :meth:`record_fault`; :attr:`final_rmsre`, scored when read, is
+    what post-hoc reconstruction is verified against.
 
     Recording appends raw tuples; the audit scoring, the schema dicts
-    and the deferred fingerprint quantization happen on the first read
-    of :attr:`entries`, which keeps the in-run recording cost inside
+    and the fingerprint quantization happen on the first read of
+    :attr:`entries`, which keeps the in-run recording cost inside
     the observability budget the ``obs.ledger_overhead`` benches pin.
     Non-positive actuals stay in the entries, counted by ``skipped``.
     """
@@ -468,7 +458,8 @@ class Ledger:
         self.amortize = bool(amortize)
         self.fingerprint_tolerance = float(fingerprint_tolerance)
         self.faults: List[dict] = []
-        self.final_rmsre: Optional[float] = None
+        self._loaded = False
+        self._stored_rmsre: Optional[float] = None
         self._audit = PredictionAudit() if audit is None else audit
         self._open: Optional[_RawEntry] = None
         self._raw: List[_RawEntry] = []
@@ -485,9 +476,8 @@ class Ledger:
 
         ``audit`` is the decision's record in the ledger's audit.
         ``fingerprint`` is the decision's raw input vectors; they are
-        concatenated and log-bucketed lazily (all at once, when the
-        entries materialize) so per-iteration recording does not pay
-        for quantization.
+        concatenated and log-bucketed when the entries materialize, so
+        per-iteration recording does not pay for quantization.
         """
         import numpy as np
 
@@ -510,18 +500,21 @@ class Ledger:
         )
 
     def record_fsteal(self, solver: str, cache_status: str,
-                      objective: float, warm_started: bool,
+                      objective: Optional[float], warm_started: bool,
                       static_makespan: Optional[float],
                       gain: Optional[float],
                       modeled_overhead: float,
-                      rejected_by_gate: bool) -> None:
-        """The Algorithm-1 solve: chosen plan, cache status, gate."""
+                      rejected_by_gate: bool,
+                      lower_bound: Optional[float] = None) -> None:
+        """The Algorithm-1 solve: chosen plan, cache status, gate; a
+        ``declined`` one has no objective or gain, only its bound."""
         entry = self._open
         if entry is None:
             return
         entry.fsteal = (
             solver, cache_status, objective, warm_started,
             static_makespan, gain, modeled_overhead, rejected_by_gate,
+            lower_bound,
         )
 
     def commit(self, group_size: int, active_workers: Sequence[int],
@@ -572,11 +565,15 @@ class Ledger:
             "heir": None if heir is None else int(heir),
         })
 
-    def seal(self) -> None:
-        """Score the audit and stamp its final online RMSRE, which
-        post-hoc readers verify :func:`reconstruct_rmsre` against."""
+    @property
+    def final_rmsre(self) -> Optional[float]:
+        """The audit's final online RMSRE, which post-hoc readers verify
+        :func:`reconstruct_rmsre` against: scored when read on a
+        recorded run, as stored on a loaded one."""
+        if self._loaded:
+            return self._stored_rmsre
         online = self._audit.score().online
-        self.final_rmsre = online.value if online.count else None
+        return online.value if online.count else None
 
     # --- materialization -----------------------------------------------
     @property
@@ -589,17 +586,10 @@ class Ledger:
         """
         if self._entries is None:
             self._audit.score()
-            entries = []
-            deferred: List[Tuple[dict, np.ndarray]] = []
-            for raw in self._raw:
-                entries.append(self._materialize(raw, deferred))
-            self._quantize_fingerprints(deferred)
-            self._entries = entries
+            self._entries = [self._materialize(raw) for raw in self._raw]
         return self._entries
 
-    def _materialize(
-        self, raw: _RawEntry, deferred: List[Tuple[dict, np.ndarray]]
-    ) -> dict:
+    def _materialize(self, raw: _RawEntry) -> dict:
         """Schema dict of one raw entry (same arithmetic, same order,
         whatever the batches the audit was scored in — the bit-identity
         the determinism tests pin)."""
@@ -623,6 +613,8 @@ class Ledger:
             sq_sum += rel * rel
             sq_n += 1
         fsteal = _typed(_FSTEAL, raw.fsteal)
+        if fsteal is not None and raw.fsteal[-1] is not None:
+            fsteal["lower_bound"] = float(raw.fsteal[-1])
         measured = _typed(_MEASURED, raw.measured)
         decision_error = None
         if measured is not None and predicted_seconds is not None:
@@ -633,9 +625,17 @@ class Ledger:
                 )
         (group_size, active_workers, fsteal_applied, stolen_edges,
          migrated_vertices, inter_node_stolen) = raw.commit_args
+        fingerprint = None
+        if raw.fingerprint is not None:
+            import numpy as np
+
+            from repro.core.decision_cache import quantize
+
+            fingerprint = quantize(np.concatenate(raw.fingerprint),
+                                   self.fingerprint_tolerance).hex()
         entry = {
             "iteration": raw.iteration,
-            "fingerprint": None,
+            "fingerprint": fingerprint,
             "workloads": [int(w) for w in raw.workloads],
             "osteal": _typed(_OSTEAL, raw.osteal),
             "fsteal": fsteal,
@@ -660,44 +660,7 @@ class Ledger:
         }
         if inter_node_stolen:
             entry["inter_node_stolen_edges"] = int(inter_node_stolen)
-        if raw.fingerprint is not None:
-            import numpy as np
-
-            deferred.append((entry, np.concatenate(
-                [np.asarray(p, dtype=np.float64) for p in raw.fingerprint]
-            )))
         return entry
-
-    def _quantize_fingerprints(
-        self, pending: List[Tuple[dict, np.ndarray]]
-    ) -> None:
-        """Quantize every deferred fingerprint vector in one pass.
-
-        Stacks same-length vectors (one run keeps a fixed fragment
-        count, so normally a single stack) and log-buckets them with
-        :func:`repro.core.decision_cache.bucketize` — each resolved hex
-        string is byte-identical to quantizing that vector alone.
-        """
-        if not pending:
-            return
-        import numpy as np
-
-        from repro.core.decision_cache import bucketize
-
-        tolerance = self.fingerprint_tolerance
-        by_size: Dict[int, List[Tuple[dict, np.ndarray]]] = {}
-        for item in pending:
-            by_size.setdefault(item[1].size, []).append(item)
-        for group in by_size.values():
-            if tolerance <= 0.0:
-                for entry, vec in group:
-                    entry["fingerprint"] = vec.tobytes().hex()
-                continue
-            buckets = bucketize(
-                np.stack([vec for _, vec in group]), tolerance
-            )
-            for (entry, _), row in zip(group, buckets):
-                entry["fingerprint"] = row.tobytes().hex()
 
     # --- queries --------------------------------------------------------
     @property
@@ -888,7 +851,8 @@ class Ledger:
             dict(_checked(fault, _FAULT_KEYS, f"ledger fault {position}"))
             for position, fault in enumerate(faults)
         ]
-        ledger.final_rmsre = payload.get("final_rmsre")
+        ledger._loaded = True
+        ledger._stored_rmsre = payload.get("final_rmsre")
         ledger._audit.online = _replay_online(ledger.entries)
         return ledger
 
@@ -927,7 +891,13 @@ def _entry_line(entry: dict) -> str:
         )
     fsteal = entry["fsteal"]
     if fsteal is not None:
-        if fsteal["rejected_by_gate"]:
+        if fsteal["cache_status"] == "declined":
+            verdict = (
+                f"unsolved: bound {_fmt_seconds(fsteal.get('lower_bound'))}"
+                f" leaves no gain over overhead "
+                f"{_fmt_seconds(fsteal['modeled_overhead'])}"
+            )
+        elif fsteal["rejected_by_gate"]:
             verdict = (
                 f"rejected by gate (gain {_fmt_seconds(fsteal['gain'])} "
                 f"<= overhead "
@@ -995,7 +965,9 @@ def explain_lines(ledger: Ledger,
         f"  samples: {analytics['samples']} counted, "
         f"{analytics['skipped_samples']} skipped (non-positive actual)",
         f"  fsteal solves: {counts['live']} live, {counts['warm']} warm, "
-        f"{counts['cached']} cached",
+        f"{counts['cached']} cached; "
+        f"{sum(e['cache_status'] == 'declined' for e in ledger.entries)} "
+        f"declined before solving",
     ]
     reconstructed = analytics["final_rmsre"]
     if ledger.final_rmsre is not None and reconstructed is not None:

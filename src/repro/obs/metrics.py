@@ -75,9 +75,8 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
 
     def inc(self, value: float = 1.0, **labels) -> None:
@@ -130,9 +129,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._value: Optional[float] = None
 
     def set(self, value: float) -> None:
@@ -167,9 +165,8 @@ class Histogram:
     #: Sample-buffer cap before deterministic stride doubling.
     SAMPLE_CAP = 4096
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.count = 0
         self.sum = 0.0
         self.min: Optional[float] = None
@@ -244,10 +241,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
-    def _get(self, cls, name: str, help: str):
+    def _get(self, cls, name: str):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = cls(name, help)
+            instrument = cls(name)
             self._instruments[name] = instrument
         elif not isinstance(instrument, cls):
             raise TypeError(
@@ -256,17 +253,17 @@ class MetricsRegistry:
             )
         return instrument
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create a counter."""
-        return self._get(Counter, name, help)
+        return self._get(Counter, name)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Get or create a gauge."""
-        return self._get(Gauge, name, help)
+        return self._get(Gauge, name)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create a histogram."""
-        return self._get(Histogram, name, help)
+        return self._get(Histogram, name)
 
     def names(self) -> List[str]:
         """Registered instrument names, sorted."""
@@ -315,15 +312,15 @@ class NullMetrics(MetricsRegistry):
 
     enabled = False
 
-    def counter(self, name: str, help: str = ""):  # type: ignore[override]
+    def counter(self, name: str):  # type: ignore[override]
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str, help: str = ""):  # type: ignore[override]
+    def gauge(self, name: str):  # type: ignore[override]
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, help: str = ""):  # type: ignore[override]
+    def histogram(self, name: str):  # type: ignore[override]
         """Return the shared no-op instrument."""
         return _NULL_INSTRUMENT
 

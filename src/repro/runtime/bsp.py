@@ -291,14 +291,12 @@ class BSPEngine:
         if isinstance(shard, dict):
             # out-of-core runs: the residency high-water mark is the
             # number the scale.* budget gate scores
-            self._metrics.gauge(
-                "shard_cache.resident_bytes",
-                "bytes of CSR shards currently resident",
-            ).set(float(shard.get("resident_bytes", 0)))
-            self._metrics.gauge(
-                "shard_cache.peak_resident_bytes",
-                "high-water resident bytes of the shard cache",
-            ).set(float(shard.get("peak_resident_bytes", 0)))
+            self._metrics.gauge("shard_cache.resident_bytes").set(
+                float(shard.get("resident_bytes", 0))
+            )
+            self._metrics.gauge("shard_cache.peak_resident_bytes").set(
+                float(shard.get("peak_resident_bytes", 0))
+            )
 
     # ------------------------------------------------------------------
     def _apply_faults(
@@ -344,9 +342,7 @@ class BSPEngine:
                         **event.as_dict(),
                     )
                 if self._metrics.enabled:
-                    self._metrics.counter(
-                        "chaos.faults", "injected faults by kind",
-                    ).inc(kind=event.kind)
+                    self._metrics.counter("chaos.faults").inc(kind=event.kind)
                 obs_seconds += time.perf_counter() - obs_start
             self._scheduler.on_fault(event, context)
         return obs_seconds

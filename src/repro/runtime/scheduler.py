@@ -290,10 +290,9 @@ class Scheduler(abc.ABC):
         """
         metrics = context.metrics
         if metrics is not None and metrics.enabled:
-            metrics.histogram(
-                "scheduler.decision_seconds",
-                "host seconds per plan() decision",
-            ).observe(record.real_decision_seconds)
+            metrics.histogram("scheduler.decision_seconds").observe(
+                record.real_decision_seconds
+            )
 
     def on_fault(self, event: "FaultEvent", context: RunContext) -> None:
         """React to an injected fault before the iteration is planned.

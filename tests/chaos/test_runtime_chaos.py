@@ -136,3 +136,24 @@ def test_chaos_works_on_the_static_baselines(skewed_graph, source):
                        num_gpus=4, source=source, chaos=chaos)
     assert np.array_equal(slowed.values, baseline.values)
     assert slowed.total_seconds > baseline.total_seconds
+
+
+def test_exhausted_solver_chain_fails_at_its_first_stealing_decision(
+    scenario_dir,
+):
+    """``solver-exhausted.json`` raises at iteration 1, as it always has.
+
+    A decision FSteal declines before solving makes no solver call, so
+    it would not consume a timeout token: the arbitrator never declines
+    while one is armed.
+    """
+    from repro.bench.runner import Cell, run_cell
+    from repro.errors import SolverError
+
+    chaos = ChaosController(
+        ChaosScenario.from_file(scenario_dir / "solver-exhausted.json")
+    )
+    with pytest.raises(SolverError, match="all solver backends failed"):
+        run_cell(Cell("gum", "bfs", "TX", num_gpus=4), chaos=chaos)
+    assert chaos.iteration == 1
+    assert chaos.stats()["solver_timeouts"] == 2

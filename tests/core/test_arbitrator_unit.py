@@ -229,3 +229,33 @@ def test_observers_never_steer():
     watched, alone = plans(True), plans(False)
     assert len(watched) > 100
     assert watched == alone
+
+
+def test_a_declined_fingerprint_is_solved_and_cached_when_it_recurs():
+    """GM/pr@8's FSteal instances repeat bit for bit. The first one is
+    declined (no solve could pass the gate); when its fingerprint misses
+    again it is solved and cached, so every later repeat hits the plan
+    cache as it did before declines existed."""
+    from repro.bench.workloads import algorithm_params
+    from repro.obs.ledger import Ledger, explain_lines
+
+    graph = prepare_graph("GM", "pr")
+    result = GumEngine(dgx1(8)).run(
+        graph, random_partition(graph, 8, seed=0), "pr",
+        **algorithm_params("pr", "GM"),
+    )
+    entries = [e for e in result.ledger.entries if e["fsteal"] is not None]
+    statuses = [e["cache_status"] for e in entries]
+    assert statuses[:2] == ["declined", "live"]
+    assert set(statuses[2:]) == {"cached"}
+    declined = entries[0]["fsteal"]
+    assert declined["objective"] is None and declined["gain"] is None
+    assert declined["rejected_by_gate"] and not entries[0]["fsteal_applied"]
+    assert (declined["static_makespan"] - declined["lower_bound"]
+            <= declined["modeled_overhead"])
+    assert "lower_bound" not in entries[1]["fsteal"]
+    loaded = Ledger.from_dict(result.ledger.as_dict())
+    assert loaded.entries == result.ledger.entries
+    story = "\n".join(explain_lines(loaded))
+    assert "fsteal declined via greedy, objective -, unsolved: bound" in story
+    assert "1 declined before solving" in story

@@ -9,7 +9,7 @@ from repro.obs import MetricsRegistry, NULL_METRICS
 
 def test_counter_labels_and_total():
     registry = MetricsRegistry()
-    counter = registry.counter("steal.edges_by_pair", "per (home, worker)")
+    counter = registry.counter("steal.edges_by_pair")
     counter.inc(10, home=0, worker=3)
     counter.inc(5, home=0, worker=3)
     counter.inc(2, home=1, worker=0)

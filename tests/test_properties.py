@@ -172,6 +172,66 @@ def test_fsteal_solvers_feasible_and_bounded(problem):
     assert lp.objective <= static_objective + rounding_slack + 1e-15
 
 
+@st.composite
+def decline_instances(draw, max_n=6):
+    """FSteal instances shaped like the arbitrator's gated decisions:
+    whole ``inf`` columns (evicted workers), zero-load rows, a single
+    usable worker, and uniform instances that greedy balances onto the
+    bound exactly; plus a no-steal owner per fragment and an overhead.
+    """
+    n_frag = draw(st.integers(1, max_n))
+    n_work = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(["random", "one-worker", "uniform"]))
+    if shape == "uniform":
+        # equal loads on equal costs, one fragment per worker: the
+        # diagonal seed already sits on the bound
+        n_work = n_frag
+        cost = draw(st.floats(min_value=0.1, max_value=5.0)) * 1e-9
+        costs = np.full((n_frag, n_work), cost)
+        loads = np.full(n_frag, draw(st.integers(0, 5000)))
+    else:
+        cells = draw(st.lists(st.floats(min_value=0.1, max_value=5.0),
+                              min_size=n_frag * n_work,
+                              max_size=n_frag * n_work))
+        costs = 1e-9 * np.asarray(cells).reshape(n_frag, n_work)
+        usable = (
+            [draw(st.integers(0, n_work - 1))] if shape == "one-worker"
+            else draw(st.lists(st.integers(0, n_work - 1), min_size=1,
+                               max_size=n_work, unique=True))
+        )
+        costs[:, [j for j in range(n_work) if j not in usable]] = np.inf
+        loads = np.asarray(draw(st.lists(
+            st.integers(0, 5000), min_size=n_frag, max_size=n_frag
+        )))
+        zero = draw(st.lists(st.booleans(), min_size=n_frag,
+                             max_size=n_frag))
+        loads[np.asarray(zero)] = 0
+    problem = FStealProblem(costs, loads.astype(np.int64))
+    owner = np.asarray([draw(st.sampled_from(cols))
+                        for cols in problem.allowed], dtype=np.int64)
+    overhead = draw(st.floats(min_value=0.0, max_value=2e-5))
+    return problem, owner, overhead
+
+
+@given(decline_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_declined_solve_is_one_the_gate_rejects(instance):
+    """The certified bound never beats a solve, so an instance the
+    arbitrator declines is one whose solve the gain gate rejects."""
+    from repro.core import GumScheduler, HiGHSSolver
+
+    problem, owner, overhead = instance
+    bound = problem.lower_bound()
+    greedy = GreedySolver().solve(problem)
+    assert bound <= greedy.objective
+    assert bound <= HiGHSSolver().solve(problem).objective
+    static = GumScheduler._static_makespan(
+        problem.rows, problem.workloads, owner
+    )
+    if static - bound <= overhead:  # declined
+        assert static - greedy.objective <= overhead  # gate rejects
+
+
 @given(st.integers(0, 10_000), st.integers(0, 3))
 @settings(max_examples=30, deadline=None)
 def test_select_vertices_conserves(total_seed, split_seed):
