@@ -201,18 +201,19 @@ def naive_polynomial_expand(matrix, degree):
 
 
 def naive_edge_costs(model, frontiers):
-    """The legacy audit loop over a polynomial model: one frontier at
-    a time through the model's own preprocessing, the plain expansion,
-    and a ``(1, N) @ w`` product (which reduces as a dot)."""
+    """The plain audit loop over a polynomial model: one frontier at a
+    time through the model's own squash and feature standardization,
+    the plain expansion, and the row's products with the folded
+    weights summed along the row."""
+    from repro.core.costmodel import _squash
+
+    weights = model._folded_weights()
     costs = []
     for features in frontiers:
         row = features.vector()[None, :]
-        scaled = np.clip(
-            model._scaler.transform(model._squash(row)), -4.0, 4.0
+        scaled = np.clip(model._scaler.transform(_squash(row)), -4.0, 4.0)
+        raw = np.add.reduce(
+            naive_polynomial_expand(scaled, model._degree) * weights, axis=1
         )
-        design = model._design_scaler.transform(
-            naive_polynomial_expand(scaled, model._degree)
-        )
-        raw = design @ model._weights
         costs.append(float((np.maximum(raw, 0.01) / 1e9)[0]))
     return costs

@@ -834,10 +834,12 @@ class _ObsLedgerTruth:
         return [1.0e-6 * (1.0 + 0.01 * (f.avg_in_degree - 4.0))
                 for f in frontiers]
 
-    def true_edge_cost(self, features):
-        return self.edge_costs_seconds([features])[0] * (
-            1.0 + 0.001 * (features.size - 1024)
-        )
+    def edge_costs(self, frontiers):
+        return [
+            predicted * (1.0 + 0.001 * (features.size - 1024))
+            for predicted, features
+            in zip(self.edge_costs_seconds(frontiers), frontiers)
+        ]
 
 
 def _obs_ledger_recorder():

@@ -787,22 +787,20 @@ class GumScheduler(Scheduler):
     @staticmethod
     def _ledger_fingerprint(
         features: Sequence, workloads: np.ndarray
-    ) -> Optional[list]:
+    ) -> Optional[tuple]:
         """Raw snapshot of this decision's inputs, for fingerprinting.
 
-        The frontier feature vectors plus workloads, handed to the
-        ledger as a list of parts — it concatenates and log-buckets
-        them lazily with the same quantization the plan cache keys on,
-        so two decisions with the same resolved fingerprint saw the
-        same problem up to the amortization tolerance. (The feature
-        vectors are the frontiers' cached copies and never mutate; the
-        workload vector is copied here because the engine reuses it.)
+        The frontier features plus workloads, handed to the ledger as
+        references — it builds the vectors, concatenates and
+        log-buckets them lazily with the same quantization the plan
+        cache keys on, so two decisions with the same resolved
+        fingerprint saw the same problem up to the amortization
+        tolerance. (The features are immutable tuples; the workload
+        vector is copied, as a list, because the engine reuses it.)
         """
         if not features:
             return None
-        parts = [f.vector() for f in features]
-        parts.append(np.array(workloads, dtype=np.float64))
-        return parts
+        return features, workloads.tolist()
 
     @staticmethod
     def _cache_status(solution: Optional[FStealSolution]) -> str:

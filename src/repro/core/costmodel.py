@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import abc
 import functools
-import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -190,6 +190,20 @@ def _polynomial_expand(matrix: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
+def _squash(rows: np.ndarray) -> np.ndarray:
+    """``sign(x) * log1p(|x|)`` of every entry of feature rows.
+
+    Log-compresses the heavy-tailed degree features: degree ranges span
+    four orders of magnitude, and raising raw z-scores to the 4th power
+    would blow SGD up, so features are squashed before standardization
+    (and clipped after). Evaluated entry by entry with libm's
+    :func:`math.log1p`, so every host and SIMD level gets the same bits.
+    """
+    logs = np.fromiter(map(math.log1p, np.abs(rows).ravel().tolist()),
+                       np.float64, rows.size).reshape(rows.shape)
+    return np.where(rows < 0, -logs, logs)
+
+
 # ----------------------------------------------------------------------
 class CostModel(abc.ABC):
     """Estimator of per-edge compute cost from frontier features."""
@@ -267,30 +281,44 @@ class PolynomialSGDModel(CostModel):
         self._scaler = _Standardizer()
         self._design_scaler = _Standardizer()
         self._weights: Optional[np.ndarray] = None
+        #: (weights, folded weights): see _folded_weights
+        self._folded: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if degree == 1:
             self.name = "linear"
 
-    @staticmethod
-    def _squash(features: np.ndarray) -> np.ndarray:
-        """Log-compress the heavy-tailed degree features.
-
-        Degree ranges span four orders of magnitude; raising raw
-        z-scores to the 4th power would blow SGD up, so features are
-        squashed before standardization and clipped after.
-        """
-        return np.sign(features) * np.log1p(np.abs(features))
-
-    def _design(self, features: np.ndarray, fitting: bool = False) -> np.ndarray:
-        squashed = self._squash(features)
+    def _basis(self, rows: np.ndarray, fitting: bool = False) -> np.ndarray:
+        """The polynomial basis of feature rows, before the design
+        standardizer: squashed, standardized, clipped, expanded."""
+        squashed = _squash(rows)
         if fitting:
             self._scaler.fit(squashed)
         scaled = np.clip(self._scaler.transform(squashed), -4.0, 4.0)
-        design = _polynomial_expand(scaled, self._degree)
-        if fitting:
-            self._design_scaler.fit(design)
-            self._design_scaler.std[0] = 1.0  # keep the bias column
-            self._design_scaler.mean[0] = 0.0
+        return _polynomial_expand(scaled, self._degree)
+
+    def _design(self, features: np.ndarray) -> np.ndarray:
+        """The standardized design matrix SGD fits, fitting both
+        standardizers."""
+        design = self._basis(features, fitting=True)
+        self._design_scaler.fit(design)
+        self._design_scaler.std[0] = 1.0  # keep the bias column
+        self._design_scaler.mean[0] = 0.0
         return self._design_scaler.transform(design)
+
+    def _folded_weights(self) -> np.ndarray:
+        """The weights with the design standardizer folded in, made
+        once per model: ``w / sigma``, and the constant column (whose
+        basis entry is exactly 1) also carries the bias
+        ``-mu . w / sigma``, summed exactly (:func:`math.fsum`)."""
+        weights = self._weights
+        if weights is None:
+            raise CostModelError("model used before fit")
+        if self._folded is None or self._folded[0] is not weights:
+            folded = weights / self._design_scaler.std
+            folded[0] -= math.fsum(
+                (self._design_scaler.mean * folded).tolist()
+            )
+            self._folded = (weights, folded)
+        return self._folded[1]
 
     def fit(self, features: np.ndarray, costs: np.ndarray) -> FitReport:
         """Mini-batch SGD on the RMSRE objective (Equation 3).
@@ -304,7 +332,7 @@ class PolynomialSGDModel(CostModel):
         """
         features, costs = self._check_training_set(features, costs)
         start = time.perf_counter()
-        design = self._design(features, fitting=True)
+        design = self._design(features)
         target = costs * _NS
         normalized = design / target[:, None]
         column_scale = normalized.std(axis=0)
@@ -343,40 +371,40 @@ class PolynomialSGDModel(CostModel):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict per-edge costs (seconds) for feature rows."""
-        if self._weights is None:
-            raise CostModelError("model used before fit")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        raw = self._design(features) @ self._weights
-        # costs are physically positive; clamp runaway extrapolations
-        return np.maximum(raw, 0.01) / _NS
+        return self._predict_rows(
+            np.atleast_2d(np.asarray(features, dtype=np.float64))
+        )
 
     def edge_costs_seconds(
         self, frontiers: Sequence[FrontierFeatures]
     ) -> List[float]:
-        """One design matrix per block of rows, one dot per row.
+        """:meth:`predict` of every frontier's feature row at once."""
+        rows = np.array([f[:6] for f in frontiers], dtype=np.float64)
+        return self._predict_rows(rows.reshape(-1, 6)).tolist()
 
-        Every step of :meth:`_design` is elementwise, so a block's
-        design matrix holds exactly the rows single-frontier calls
-        build, and the working set is one block's whatever the batch
-        (a run's audit is scored in one call). The final product is
-        *not* batched: ``(F, N) @ w`` is a BLAS matrix-vector kernel
-        whose summation order differs from the dot product a
-        ``(1, N) @ w`` reduces to (most rows differ in the last bits),
-        so each row takes its own ``row @ w``.
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Per-edge seconds of feature rows, one block at a time.
+
+        Every step is elementwise (the squash, the feature
+        standardization, the clip, the expansion, the product with the
+        folded weights) except the last: one sum of each row's products
+        along the
+        contiguous axis, whose pairwise order depends on the row length
+        only. So a row's prediction is the same bits in any batch, and
+        no BLAS kernel (whose summation order depends on the batch
+        shape and the CPU) is involved.
         """
-        if self._weights is None:
-            raise CostModelError("model used before fit")
-        if not frontiers:
-            return []
-        weights = self._weights
-        raw = np.empty(len(frontiers))
+        weights = self._folded_weights()
+        raw = np.empty(rows.shape[0])
         for lo in range(0, raw.size, _PREDICT_BLOCK_ROWS):
-            block = frontiers[lo: lo + _PREDICT_BLOCK_ROWS]
-            design = self._design(np.stack([f.vector() for f in block]))
-            raw[lo: lo + len(block)] = [row @ weights for row in design]
+            block = rows[lo: lo + _PREDICT_BLOCK_ROWS]
+            terms = self._basis(block)
+            np.add.reduce(np.multiply(terms, weights, out=terms), axis=1,
+                          out=raw[lo: lo + len(block)])
+        # costs are physically positive; clamp runaway extrapolations
         np.maximum(raw, 0.01, out=raw)
         raw /= _NS
-        return raw.tolist()
+        return raw
 
 
 class LinearSGDModel(PolynomialSGDModel):
@@ -550,8 +578,7 @@ class KernelRidgeModel(CostModel):
         degree range land far from every support vector and the kernel
         collapses to its prior — catastrophic extrapolation.
         """
-        squashed = np.sign(features) * np.log1p(np.abs(features))
-        return self._scaler.transform(squashed)
+        return self._scaler.transform(_squash(features))
 
     def fit(self, features: np.ndarray, costs: np.ndarray) -> FitReport:
         """Train on feature rows and per-edge costs (seconds)."""
@@ -565,7 +592,7 @@ class KernelRidgeModel(CostModel):
             sub_x, sub_y = features[keep], costs[keep]
         else:
             sub_x, sub_y = features, costs
-        self._scaler.fit(np.sign(sub_x) * np.log1p(np.abs(sub_x)))
+        self._scaler.fit(_squash(sub_x))
         scaled = self._preprocess(sub_x)
         # median heuristic for the RBF width
         sample = scaled[rng.choice(scaled.shape[0],
@@ -643,21 +670,19 @@ class OracleCostModel(CostModel):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict per-edge costs (seconds) for feature rows."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        out = np.empty(features.shape[0])
-        for row in range(features.shape[0]):
-            f = features[row]
-            out[row] = self._device.true_edge_cost(
-                FrontierFeatures(
-                    avg_in_degree=f[0], avg_out_degree=f[1],
-                    in_degree_range=f[2], out_degree_range=f[3],
-                    gini=f[4], entropy=f[5], size=1, total_edges=1,
-                )
-            )
-        return out
+        rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        return np.array(self._device.edge_costs([
+            FrontierFeatures(*row, size=1, total_edges=1)
+            for row in rows.tolist()
+        ]))
 
     def edge_cost_seconds(self, features: FrontierFeatures) -> float:
         return self._device.true_edge_cost(features)
+
+    def edge_costs_seconds(
+        self, frontiers: Sequence[FrontierFeatures]
+    ) -> List[float]:
+        return self._device.edge_costs(frontiers)
 
 
 #: Table V's model families, by name.
@@ -783,6 +808,8 @@ def model_from_params(family: str, params: dict) -> CostModel:
 
 
 def _params_digest(family: str, params: dict) -> str:
+    import hashlib  # one digest per artifact: not worth a load-time import
+
     payload = json.dumps(
         {"family": family, "parameters": params}, sort_keys=True
     )

@@ -45,7 +45,7 @@ from repro.core.costmodel import (
 from repro.errors import CostModelError, ReproError
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
-from repro.graph.features import frontier_features
+from repro.graph.features import FrontierFeatures, frontier_features
 from repro.hardware.device import DeviceModel
 from repro.obs.ledger import Ledger
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -88,8 +88,7 @@ def collect_training_data(
     including its measurement pseudo-noise.
     """
     device = device or DeviceModel()
-    rows: List[np.ndarray] = []
-    targets: List[float] = []
+    frontiers: List[FrontierFeatures] = []
     for graph in graphs:
         weighted = (
             graph
@@ -107,14 +106,15 @@ def collect_training_data(
                 for fragment in per_fragment:
                     if not fragment:
                         continue
-                    feats = frontier_features(weighted, fragment.vertices)
-                    rows.append(feats.vector())
-                    targets.append(device.true_edge_cost(feats))
+                    frontiers.append(
+                        frontier_features(weighted, fragment.vertices)
+                    )
                 state.frontier = algorithm.step(weighted, state)
                 state.iteration += 1
-    if not rows:
+    if not frontiers:
         raise CostModelError("training corpus produced no samples")
-    return np.stack(rows), np.asarray(targets)
+    return (np.array([f[:6] for f in frontiers], dtype=np.float64),
+            np.asarray(device.edge_costs(frontiers)))
 
 
 def default_training_corpus(seed: int = 7) -> List[CSRGraph]:

@@ -48,13 +48,13 @@ class FrontierFeatures(_Fields):
     accounting but are not part of the regression feature vector.
 
     An immutable named tuple: equal features compare and hash equal
-    field by field, in C, which is what the ground-truth and
-    prediction memos keyed on them pay every superstep.
+    field by field, in C, which is what the prediction memo keyed on
+    them pays every superstep.
     """
 
     def vector(self) -> np.ndarray:
         """The 6-entry feature vector in :data:`FEATURE_NAMES` order,
-        built once (the audit and fingerprints re-read it), read-only."""
+        built once (the ledger's samples re-read it), read-only."""
         cached = self.__dict__.get("_vector")
         if cached is None:
             cached = np.array(self[:6], dtype=np.float64)

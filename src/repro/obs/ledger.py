@@ -256,8 +256,8 @@ class PredictionAudit:
 
     :meth:`score`, which every reader calls first, predicts everything
     pending with one ``model.edge_costs_seconds`` (bit-identical to
-    single predictions by that method's contract), takes
-    ``device.true_edge_cost`` of each, and folds the running
+    single predictions by that method's contract) and one
+    ``device.edge_costs`` (each frontier's own), and folds the running
     :class:`OnlineRMSRE` and the EWMA drift z in decision order, so a
     batch one decision wide and one batch per run agree bit for bit.
     """
@@ -283,15 +283,14 @@ class PredictionAudit:
         pending, self._pending = self._pending, []
         if not pending:
             return self
-        predicted = iter(self.model.edge_costs_seconds([
-            ref[2] for record in pending for ref in record.samples
-        ]))
-        truth = self.device.true_edge_cost
+        features = [ref[2] for record in pending for ref in record.samples]
+        predicted = iter(self.model.edge_costs_seconds(features))
+        truth = iter(self.device.edge_costs(features))
         online = self.online
         for record in pending:
             record.samples = [
-                (fragment, worker, features, next(predicted), truth(features))
-                for fragment, worker, features in record.samples
+                (fragment, worker, feats, next(predicted), next(truth))
+                for fragment, worker, feats in record.samples
             ]
             signed, counted = 0.0, 0
             for sample in record.samples:
@@ -426,7 +425,7 @@ class _RawEntry:
     iteration: int
     workloads: list
     audit: AuditRecord
-    fingerprint: Optional[list]
+    fingerprint: Optional[tuple]
     osteal: Optional[tuple] = None
     fsteal: Optional[tuple] = None
     commit_args: Optional[tuple] = None
@@ -471,13 +470,13 @@ class Ledger:
     # --- recording protocol (called by the arbitrator) -----------------
     def begin(self, iteration: int, workloads: Sequence[int],
               audit: AuditRecord,
-              fingerprint: Optional[Sequence[np.ndarray]] = None) -> None:
+              fingerprint: Optional[tuple] = None) -> None:
         """Open this iteration's entry (quantized inputs snapshot).
 
         ``audit`` is the decision's record in the ledger's audit.
-        ``fingerprint`` is the decision's raw input vectors; they are
-        concatenated and log-bucketed when the entries materialize, so
-        per-iteration recording does not pay for quantization.
+        ``fingerprint`` is ``(fragment features, workload list)``; their
+        vector is built and log-bucketed when the entries materialize,
+        so per-iteration recording does not pay for quantization.
         """
         import numpy as np
 
@@ -627,12 +626,12 @@ class Ledger:
          migrated_vertices, inter_node_stolen) = raw.commit_args
         fingerprint = None
         if raw.fingerprint is not None:
-            import numpy as np
-
             from repro.core.decision_cache import quantize
 
-            fingerprint = quantize(np.concatenate(raw.fingerprint),
-                                   self.fingerprint_tolerance).hex()
+            features, workloads = raw.fingerprint
+            tolerance = self.fingerprint_tolerance
+            fingerprint = quantize([x for f in features for x in f[:6]]
+                                   + workloads, tolerance).hex()
         entry = {
             "iteration": raw.iteration,
             "fingerprint": fingerprint,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib.metadata
 import json
 import platform
 import shutil
@@ -148,6 +147,7 @@ def provenance_fingerprint() -> Dict[str, str]:
 
 @functools.lru_cache(maxsize=1)
 def _provenance() -> Dict[str, str]:
+    import importlib.metadata  # ~15 ms (email, socket): only read here
     import numpy as np
 
     try:

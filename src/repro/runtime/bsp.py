@@ -483,8 +483,7 @@ class BSPEngine:
         edges = edges.astype(np.float64)
         hub_edges = hub_edges.astype(np.float64)
         homes = context.fragment_home[owners]
-        device = context.timing.device_model
-        edge_cost = [device.true_edge_cost(f) for f in fragment_features]
+        edge_cost = context.timing.device_model.edge_costs(fragment_features)
         compute = edges * np.take(edge_cost, owners)
         per_edge = context.timing.comm_per_edge_matrix()
         comm = (

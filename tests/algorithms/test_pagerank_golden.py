@@ -37,40 +37,40 @@ SCENARIO = (
 )
 
 GOLDEN = {
-    'pr/gum/in-core/amortize/gpus8': ('297.29604068259164', 17, '341431a91bf7cbc7'),
-    'pr/gum/in-core/amortize/nodes=2x4': ('311.49267793621027', 17, '341431a91bf7cbc7'),
-    'pr/gum/in-core/exact/gpus8': ('299.66404068259163', 17, '341431a91bf7cbc7'),
-    'pr/gum/in-core/exact/nodes=2x4': ('313.86067793621027', 17, '341431a91bf7cbc7'),
-    'pr/gum/sharded/amortize/gpus8': ('297.29604068259164', 17, '341431a91bf7cbc7'),
-    'pr/gum/sharded/amortize/nodes=2x4': ('311.49267793621027', 17, '341431a91bf7cbc7'),
-    'pr/gum/sharded/exact/gpus8': ('299.66404068259163', 17, '341431a91bf7cbc7'),
-    'pr/gum/sharded/exact/nodes=2x4': ('313.86067793621027', 17, '341431a91bf7cbc7'),
-    'pr/gunrock/in-core/gpus8': ('409.1038210499838', 17, '341431a91bf7cbc7'),
-    'pr/gunrock/in-core/nodes=2x4': ('409.3004028681656', 17, '341431a91bf7cbc7'),
-    'pr/gunrock/sharded/gpus8': ('409.1038210499838', 17, '341431a91bf7cbc7'),
-    'pr/gunrock/sharded/nodes=2x4': ('409.3004028681656', 17, '341431a91bf7cbc7'),
-    'pr/bsp/in-core/gpus8': ('409.1038210499838', 17, '341431a91bf7cbc7'),
-    'pr/bsp/in-core/nodes=2x4': ('409.3004028681656', 17, '341431a91bf7cbc7'),
-    'pr/bsp/sharded/gpus8': ('409.1038210499838', 17, '341431a91bf7cbc7'),
-    'pr/bsp/sharded/nodes=2x4': ('409.3004028681656', 17, '341431a91bf7cbc7'),
-    'pr/gum/in-core/amortize/gpus8/kill-worker': ('357.0330276981689', 17, '341431a91bf7cbc7'),
-    'dpr/gum/in-core/amortize/gpus8': ('885.6317136048584', 82, '4e643e234c1a5371'),
-    'dpr/gum/in-core/amortize/nodes=2x4': ('937.8769776038826', 82, '4e643e234c1a5371'),
-    'dpr/gum/in-core/exact/gpus8': ('892.3448954327456', 82, '4e643e234c1a5371'),
-    'dpr/gum/in-core/exact/nodes=2x4': ('902.4443609047316', 82, '4e643e234c1a5371'),
-    'dpr/gum/sharded/amortize/gpus8': ('885.6317136048584', 82, '4e643e234c1a5371'),
-    'dpr/gum/sharded/amortize/nodes=2x4': ('937.8769776038826', 82, '4e643e234c1a5371'),
-    'dpr/gum/sharded/exact/gpus8': ('892.3448954327456', 82, '4e643e234c1a5371'),
-    'dpr/gum/sharded/exact/nodes=2x4': ('902.4443609047316', 82, '4e643e234c1a5371'),
-    'dpr/gunrock/in-core/gpus8': ('1273.3524876614865', 82, '4e643e234c1a5371'),
-    'dpr/gunrock/in-core/nodes=2x4': ('1274.1073876614864', 82, '4e643e234c1a5371'),
-    'dpr/gunrock/sharded/gpus8': ('1273.3524876614865', 82, '4e643e234c1a5371'),
-    'dpr/gunrock/sharded/nodes=2x4': ('1274.1073876614864', 82, '4e643e234c1a5371'),
-    'dpr/bsp/in-core/gpus8': ('1273.3524876614865', 82, '4e643e234c1a5371'),
-    'dpr/bsp/in-core/nodes=2x4': ('1274.1073876614864', 82, '4e643e234c1a5371'),
-    'dpr/bsp/sharded/gpus8': ('1273.3524876614865', 82, '4e643e234c1a5371'),
-    'dpr/bsp/sharded/nodes=2x4': ('1274.1073876614864', 82, '4e643e234c1a5371'),
-    'dpr/gum/in-core/amortize/gpus8/kill-worker': ('1103.0304953309937', 82, '4e643e234c1a5371'),
+    'pr/gum/in-core/amortize/gpus8': ('291.67281618533866', 17, '341431a91bf7cbc7'),
+    'pr/gum/in-core/amortize/nodes=2x4': ('292.653766882052', 17, '341431a91bf7cbc7'),
+    'pr/gum/in-core/exact/gpus8': ('294.0408161853386', 17, '341431a91bf7cbc7'),
+    'pr/gum/in-core/exact/nodes=2x4': ('295.021766882052', 17, '341431a91bf7cbc7'),
+    'pr/gum/sharded/amortize/gpus8': ('291.67281618533866', 17, '341431a91bf7cbc7'),
+    'pr/gum/sharded/amortize/nodes=2x4': ('292.653766882052', 17, '341431a91bf7cbc7'),
+    'pr/gum/sharded/exact/gpus8': ('294.0408161853386', 17, '341431a91bf7cbc7'),
+    'pr/gum/sharded/exact/nodes=2x4': ('295.021766882052', 17, '341431a91bf7cbc7'),
+    'pr/gunrock/in-core/gpus8': ('413.12689074497473', 17, '341431a91bf7cbc7'),
+    'pr/gunrock/in-core/nodes=2x4': ('413.32347256315654', 17, '341431a91bf7cbc7'),
+    'pr/gunrock/sharded/gpus8': ('413.12689074497473', 17, '341431a91bf7cbc7'),
+    'pr/gunrock/sharded/nodes=2x4': ('413.32347256315654', 17, '341431a91bf7cbc7'),
+    'pr/bsp/in-core/gpus8': ('413.12689074497473', 17, '341431a91bf7cbc7'),
+    'pr/bsp/in-core/nodes=2x4': ('413.32347256315654', 17, '341431a91bf7cbc7'),
+    'pr/bsp/sharded/gpus8': ('413.12689074497473', 17, '341431a91bf7cbc7'),
+    'pr/bsp/sharded/nodes=2x4': ('413.32347256315654', 17, '341431a91bf7cbc7'),
+    'pr/gum/in-core/amortize/gpus8/kill-worker': ('357.10898599778244', 17, '341431a91bf7cbc7'),
+    'dpr/gum/in-core/amortize/gpus8': ('885.3118390116199', 82, '4e643e234c1a5371'),
+    'dpr/gum/in-core/amortize/nodes=2x4': ('898.7492623102171', 82, '4e643e234c1a5371'),
+    'dpr/gum/in-core/exact/gpus8': ('896.44494252092', 82, '4e643e234c1a5371'),
+    'dpr/gum/in-core/exact/nodes=2x4': ('922.4950170749462', 82, '4e643e234c1a5371'),
+    'dpr/gum/sharded/amortize/gpus8': ('885.3118390116199', 82, '4e643e234c1a5371'),
+    'dpr/gum/sharded/amortize/nodes=2x4': ('898.7492623102171', 82, '4e643e234c1a5371'),
+    'dpr/gum/sharded/exact/gpus8': ('896.44494252092', 82, '4e643e234c1a5371'),
+    'dpr/gum/sharded/exact/nodes=2x4': ('922.4950170749462', 82, '4e643e234c1a5371'),
+    'dpr/gunrock/in-core/gpus8': ('1268.873724826544', 82, '4e643e234c1a5371'),
+    'dpr/gunrock/in-core/nodes=2x4': ('1269.6286248265437', 82, '4e643e234c1a5371'),
+    'dpr/gunrock/sharded/gpus8': ('1268.873724826544', 82, '4e643e234c1a5371'),
+    'dpr/gunrock/sharded/nodes=2x4': ('1269.6286248265437', 82, '4e643e234c1a5371'),
+    'dpr/bsp/in-core/gpus8': ('1268.873724826544', 82, '4e643e234c1a5371'),
+    'dpr/bsp/in-core/nodes=2x4': ('1269.6286248265437', 82, '4e643e234c1a5371'),
+    'dpr/bsp/sharded/gpus8': ('1268.873724826544', 82, '4e643e234c1a5371'),
+    'dpr/bsp/sharded/nodes=2x4': ('1269.6286248265437', 82, '4e643e234c1a5371'),
+    'dpr/gum/in-core/amortize/gpus8/kill-worker': ('1079.9321717301314', 82, '4e643e234c1a5371'),
 }
 
 

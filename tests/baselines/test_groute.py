@@ -139,7 +139,7 @@ def test_ring_load_pinned_on_cf_wcc():
 
     result = repro.run(prepare_graph("CF", "wcc"), "wcc", engine="groute",
                        num_gpus=8, seed=0)
-    assert result.total_ms == 8924.428545225062
+    assert result.total_ms == 8765.087123214358
     assert result.num_iterations == 4
 
 

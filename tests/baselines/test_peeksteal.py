@@ -164,8 +164,8 @@ def test_survives_a_killed_worker(algorithm):
 
 
 @pytest.mark.parametrize("graph, algorithm, gpus, total_ms", [
-    ("TX", "bfs", 4, "60.27915202855632"),
-    ("CF", "pr", 8, "19403.526253220738"),
+    pytest.param("TX", "bfs", 4, "60.26256343316962", id="TX-bfs-4"),
+    pytest.param("CF", "pr", 8, "19355.24240082218", id="CF-pr-8"),
 ])
 def test_healthy_virtual_time_is_pinned(graph, algorithm, gpus, total_ms):
     """Seeding the queues from ``fragment_worker`` and leaving dead

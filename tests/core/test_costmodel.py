@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import main as cli_main
@@ -356,25 +357,60 @@ def test_batched_edge_costs_equal_single_row_for_every_resolvable_model(
 
 
 def test_batch_takes_per_row_dots_because_matvec_rounds_differently():
-    """Why ``PolynomialSGDModel.edge_costs_seconds`` loops ``row @ w``.
+    """Why ``PolynomialSGDModel`` reduces each row along its own axis.
 
-    A single-row prediction's ``(1, N) @ w`` reduces as a dot product,
-    and so does ``design[i] @ w`` — bit-identical. ``(F, N) @ w`` runs
-    a matrix-vector kernel whose summation order is free to differ (it
-    does on most rows under OpenBLAS), which would move FSteal's
-    coefficients and the ledger's RMSRE in the last bits.
+    A prediction is one elementwise product with the folded weights,
+    summed along the row: the pairwise order depends on the row length
+    only, so a block's rows are the bits single rows give.
+    ``(F, N) @ w`` runs a BLAS matrix-vector kernel whose summation
+    order is free to differ with the batch and the CPU, which would
+    move FSteal's coefficients and the ledger's RMSRE in the last bits.
     """
     model = pretrained_default()
     rows = np.random.default_rng(4).uniform(0.0, 300.0, size=(512, 6))
-    design = model._design(rows)
-    weights = model._weights
-    single = [float((design[i:i + 1] @ weights)[0]) for i in range(512)]
-    per_row = [float(design[i] @ weights) for i in range(512)]
+    basis = model._basis(rows)
+    weights = model._folded_weights()
+    single = [float(np.add.reduce(model._basis(rows[i:i + 1]) * weights,
+                                  axis=1)[0]) for i in range(512)]
+    per_row = np.add.reduce(basis * weights, axis=1).tolist()
     assert per_row == single
     # the batched product agrees numerically — it is only not the same
     # bits, so it cannot stand in for the audit's predictions
-    np.testing.assert_allclose(design @ weights, single,
+    np.testing.assert_allclose(basis @ weights, single,
                                rtol=1e-7, atol=1e-7)
+
+
+def test_folded_weights_predict_the_standardized_design():
+    """Folding the design standardizer into the weights is the same
+    model: ``w . (phi - mu) / sigma`` up to rounding."""
+    model = pretrained_default()
+    rows = np.random.default_rng(5).uniform(0.0, 300.0, size=(64, 6))
+    basis = model._basis(rows)
+    scaler = model._design_scaler
+    standardized = ((basis - scaler.mean) / scaler.std) @ model._weights
+    np.testing.assert_allclose(
+        model.predict(rows),
+        np.maximum(standardized, 0.01) / 1e9, rtol=1e-9,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_batch_prediction_is_single_rows_at_every_batch_size(size, seed):
+    """Batches of 1-600 rows (across the 512-row block) predict every
+    row bit for bit as a one-row call does."""
+    model = pretrained_default()
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([
+        rng.gamma(1.0, 8.0, size), rng.gamma(1.0, 8.0, size),
+        rng.gamma(1.0, 400.0, size), rng.gamma(1.0, 400.0, size),
+        rng.random(size), rng.random(size),
+    ])
+    frontiers = [FrontierFeatures(*row, size=2, total_edges=2)
+                 for row in rows.tolist()]
+    single = [model.edge_cost_seconds(f) for f in frontiers]
+    assert model.edge_costs_seconds(frontiers) == single
+    assert model.predict(rows).tolist() == single
 
 
 @pytest.mark.parametrize("rows", [1, 8, 128, 129])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import config
 from repro.graph.features import FrontierFeatures
@@ -14,6 +16,7 @@ from repro.hardware import (
     measure_comm_cost_matrix,
     single_gpu,
 )
+from repro.hardware.device import noise_key
 
 
 def feats(gini=0.0, entropy=0.0, avg_out=4.0, out_range=0.0,
@@ -59,47 +62,105 @@ def test_noise_is_bounded():
         assert abs(noisy_cost / clean_cost - 1.0) <= 0.05 + 1e-9
 
 
-#: ``(features, jitter)`` captured with CPython 3.11; the first is the
-#: first fragment frontier TX/bfs@4 prices
+#: ``(features, noise key, jitter)``: zero, tiny and huge degrees, Gini
+#: 0 and 1, size 1 and a size beyond 32 bits; the first is the first
+#: fragment frontier TX/bfs@4 prices
 NOISE_PINS = [
-    (feats(size=1, edges=4), 1.0237917439442747),
+    (feats(size=1, edges=4),
+     0xF9642CDB4F371A0E, 1.0284510881543547),
+    (feats(avg_in=0.0, avg_out=0.0, size=1, edges=0),
+     0x5692161D100B05E5, 0.9902899960763194),
+    (feats(avg_in=4e-7, avg_out=6e-7, size=1, edges=1),
+     0xC75BE07A863A390D, 1.016724740786352),
+    (feats(avg_in=1e13, avg_out=2.5e14, out_range=1e15, size=1, edges=1),
+     0x34711F27013C57FD, 0.9822910659993742),
+    (feats(gini=1.0, entropy=1.0, size=1, edges=4),
+     0x024EA70F165F0FB2, 0.9705407585821215),
     (feats(gini=0.2, entropy=0.5, out_range=2.0, in_range=2.0, size=50,
-           edges=200), 1.0254100653302998),
-    (feats(gini=0.4, entropy=0.5), 1.0155047670854949),
+           edges=200),
+     0x7B8542774619CEAE, 0.9989501278373483),
+    (feats(gini=0.4, entropy=0.5),
+     0xDBEA81573223A05F, 1.0215428209565),
     (FrontierFeatures(12.5, 37.25, 900.0, 1500.0, 0.83, 0.61, 12345,
-                      460000), 1.007402868020185),
-    (feats(avg_in=1.0, avg_out=1.0, size=1, edges=1), 0.991159574043775),
+                      460000),
+     0x42576BEFBB950E03, 0.9855487868897534),
+    (feats(avg_in=1.0, avg_out=1.0, size=2**40, edges=2**41),
+     0xB6DCF320659F562C, 1.0128585355039261),
 ]
 
 
 def test_pseudo_noise_is_pinned():
-    """The ground-truth jitter seeds a generator from ``hash()`` of a
-    float tuple; every golden in the suite depends on it."""
+    """The ground-truth jitter is integer arithmetic on the rounded
+    features; every golden in the suite depends on these bits."""
     device = DeviceModel()
     drifted = [
-        (features, device._pseudo_noise(features), expected)
-        for features, expected in NOISE_PINS
-        if device._pseudo_noise(features) != expected
+        (features, hex(noise_key(features)), device._pseudo_noise(features))
+        for features, key, jitter in NOISE_PINS
+        if (noise_key(features), device._pseudo_noise(features))
+        != (key, jitter)
     ]
     assert drifted == [], (
-        "DeviceModel._pseudo_noise drifted from its pinned values "
-        "(features, got, pinned): this interpreter's hash() of a float "
-        "tuple differs from CPython 3.11's, so every ground-truth cost "
-        f"and every golden built on one will differ too: {drifted}"
+        "DeviceModel's noise key drifted from its pinned values "
+        f"(features, key, jitter): {drifted}"
     )
 
 
-def test_first_uniform_is_numpys_first_draw():
-    """The noise draw's integer re-derivation of the first
-    ``Generator.random()``, over edge seeds (one and two entropy words,
-    the largest the noise key makes) and thousands of random ones."""
-    from repro.hardware.device import first_uniform
+def test_noise_key_mixes_with_splitmix64():
+    """The finalizer is splitmix64's: seeded with 0, its first output
+    is the published 0xE220A8397B1DCDAF."""
+    from repro.hardware.device import _GAMMA, _mix64
 
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 2] + np.random.default_rng(
-        5).integers(0, 2**63 - 1, size=3000).tolist()
-    assert [first_uniform(seed) for seed in seeds] == [
-        np.random.default_rng(seed).random() for seed in seeds
-    ]
+    assert _mix64(_GAMMA) == 0xE220A8397B1DCDAF
+
+
+def test_device_model_calls_no_numpy():
+    """``g*`` is libm and integer arithmetic: no NumPy loop, whose
+    transcendentals differ in the last bit between SIMD levels, may
+    enter the ground truth, scalar or array."""
+    import ast
+    import inspect
+
+    import repro.hardware.device as device_module
+
+    tree = ast.parse(inspect.getsource(device_module))
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in (node.names if isinstance(node, ast.Import)
+                      else [ast.alias(node.module or "")])
+    }
+    assert imported.isdisjoint({"numpy", "scipy"}), imported
+    calls = {
+        node.func.value.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    }
+    assert "math" in calls and calls.isdisjoint({"np", "numpy"}), calls
+
+
+_FEATURES = st.builds(
+    FrontierFeatures,
+    avg_in_degree=st.floats(0.0, 1e7), avg_out_degree=st.floats(0.0, 1e7),
+    in_degree_range=st.floats(0.0, 1e8),
+    out_degree_range=st.floats(0.0, 1e8),
+    gini=st.floats(0.0, 1.0), entropy=st.floats(0.0, 1.0),
+    size=st.integers(1, 2**40), total_edges=st.integers(0, 2**41),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FEATURES, max_size=70))
+def test_table_costs_equal_per_feature_costs(frontiers):
+    """One list evaluation (a superstep's table, an audit, a corpus)
+    is each frontier's own ``g*``, in any batch and order."""
+    device = DeviceModel()
+    costs = device.edge_costs(frontiers)
+    assert costs == [device.true_edge_cost(f) for f in frontiers]
+    assert device.edge_costs(frontiers[::-1]) == costs[::-1]
+    assert all(cost > 0 for cost in costs)
 
 
 def test_empty_frontier_cost_is_base():
@@ -115,77 +176,19 @@ def test_oracle_callable():
     assert oracle(f) == device.true_edge_cost(f)
 
 
-def _count_noise(monkeypatch) -> list:
-    """The features of every ``_pseudo_noise`` evaluation, in order."""
-    seen = []
-    original = DeviceModel._pseudo_noise
-
-    def counting(self, features):
-        seen.append(features)
-        return original(self, features)
-
-    monkeypatch.setattr(DeviceModel, "_pseudo_noise", counting)
-    return seen
-
-
-def test_equal_features_share_one_evaluation(monkeypatch):
-    seen = _count_noise(monkeypatch)
-    device = DeviceModel()
-    a, b = feats(gini=0.4, entropy=0.5), feats(gini=0.4, entropy=0.5)
-    assert a is not b
-    assert device.true_edge_cost(a) == device.true_edge_cost(b)
-    assert seen == [a]
-
-
-def test_memo_bound_clears_the_memo(monkeypatch):
-    seen = _count_noise(monkeypatch)
-    device = DeviceModel()
-    bound = DeviceModel._MEMO_BOUND
-    assert bound == 4096
-    first = feats(size=1)
-    for size in range(1, bound + 1):
-        device.true_edge_cost(feats(size=size))
-    device.true_edge_cost(first)
-    assert len(seen) == bound
-    device.true_edge_cost(feats(size=bound + 1))  # full: cleared first
-    assert len(device._cost_memo) == 1
-    device.true_edge_cost(first)
-    assert len(seen) == bound + 2
-
-
-def test_gum_run_evaluates_each_distinct_features_once(monkeypatch):
-    """TX/bfs@4 prices 32 distinct fragment frontiers with 28 distinct
-    noise keys; each key's seed pays the generator draw once however
-    often the audit and pricing meet it."""
-    import repro
-    from repro.graph import datasets
-
-    seeds = []
-    draw = DeviceModel._draw_noise
-
-    def counting(self, seed):
-        seeds.append(seed)
-        return draw(self, seed)
-
-    monkeypatch.setattr(DeviceModel, "_draw_noise", counting)
-    repro.run(datasets.load("TX"), "bfs", num_gpus=4)
-    assert len(seeds) == len(set(seeds)) == 28
-
-
-def test_features_sharing_a_noise_key_share_one_draw(monkeypatch):
-    seeds = []
-    draw = DeviceModel._draw_noise
-    monkeypatch.setattr(
-        DeviceModel, "_draw_noise",
-        lambda self, seed: seeds.append(seed) or draw(self, seed),
-    )
+def test_features_sharing_a_noise_key_share_one_draw():
     device = DeviceModel()
     # entropy and the ranges are not part of the noise key
     a = feats(gini=0.3, entropy=0.2)
     b = feats(gini=0.3, entropy=0.7, out_range=5.0)
+    assert noise_key(a) == noise_key(b)
     assert device._pseudo_noise(a) == device._pseudo_noise(b)
-    assert len(seeds) == 1
     assert device.true_edge_cost(a) != device.true_edge_cost(b)
+    # the rounded fields and the size are
+    assert len({noise_key(feats(gini=0.3, size=size))
+                for size in range(1, 65)}) == 64
+    assert noise_key(feats(gini=0.3)) != noise_key(feats(gini=0.300001))
+    assert noise_key(feats(gini=0.3)) == noise_key(feats(gini=0.3000004))
 
 
 # ----------------------------------------------------------------------

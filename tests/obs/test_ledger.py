@@ -321,8 +321,9 @@ class _FixedModel:
     def edge_costs_seconds(frontiers):
         return [1e-6] * len(frontiers)
 
-    def true_edge_cost(self, features):
-        return 0.0 if features is self.free else 2e-6
+    def edge_costs(self, frontiers):
+        return [0.0 if features is self.free else 2e-6
+                for features in frontiers]
 
 
 def test_ledger_counts_skipped_samples():
@@ -448,8 +449,8 @@ class _ConstantDevice:
     """Ground truth without a memo, so only ``score`` allocates."""
 
     @staticmethod
-    def true_edge_cost(features):
-        return 2e-6
+    def edge_costs(frontiers):
+        return [2e-6] * len(frontiers)
 
 
 def _score_transient_bytes(num_decisions):

@@ -13,7 +13,10 @@ records the run's ``repr(total_ms)``, its iteration count, a digest
 of every iteration's ``repr(wall_seconds)``, a digest of the final
 vertex values, and, for GUM, a digest of the decision ledger as
 ``ledger.json`` stores it. Every field is virtual time or a computed
-value, so the record is the same on every host.
+value, and the ground truth and the learned prediction use neither a
+CPU-dispatched NumPy transcendental nor BLAS, so the record is the
+same on every host (CI replays it at NumPy's baseline SIMD dispatch
+too).
 
 Tier-1 replays :data:`SAMPLE`; the whole matrix replays with::
 
@@ -28,15 +31,19 @@ explanation::
 
 import hashlib
 import json
+import os
 import pathlib
+import platform
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
 
-RECORD = pathlib.Path(__file__).with_name("behaviour_golden.json")
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+HERE = pathlib.Path(__file__).resolve().parent
+RECORD = HERE / "behaviour_golden.json"
+ROOT = HERE.parent
 KILL_WORKER = ROOT / "benchmarks" / "scenarios" / "kill-worker.json"
 
 ALGORITHMS = ("bfs", "sssp", "wcc", "dsssp", "kcore", "pr", "dpr")
@@ -186,6 +193,30 @@ def test_the_record_covers_exactly_the_matrix():
 @pytest.mark.parametrize("name", SAMPLE)
 def test_cell_matches_the_committed_record(name, shard_root):
     assert run_cell(name, shard_root) == load_record()[name]
+
+
+#: NumPy dispatches to its baseline SIMD level with these disabled
+#: (none is a baseline feature of any x86-64 build)
+BASELINE_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the dispatch features named are x86-64's")
+def test_a_virtual_time_cell_holds_at_baseline_simd_dispatch(tmp_path):
+    """CF@8 dpr bsp prices its walls through every transcendental of
+    the ground truth; a fresh interpreter at NumPy's baseline dispatch
+    must record what the committed (default-dispatch) record holds."""
+    name = "CF@8 dpr bsp"
+    code = (f"import json, pathlib, sys; sys.path.insert(0, {str(HERE)!r}); "
+            "import test_behaviour_golden as golden; "
+            f"print(json.dumps(golden.run_cell({name!r}, "
+            f"pathlib.Path({str(tmp_path)!r}))))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == load_record()[name]
 
 
 def main(argv) -> int:
