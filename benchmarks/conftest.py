@@ -9,7 +9,10 @@ paper. Conventions:
   simulator;
 * the rendered artifact (the paper-style table/series) is printed and
   also written to ``benchmarks/results/<name>.txt`` so it survives
-  pytest's output capture;
+  pytest's output capture. The written file holds only what is
+  deterministic given the seed, so a regeneration that changes it is
+  a change to the reproduction (CI diffs it); host-time columns of the
+  simulator itself are printed only;
 * graph sizes honor ``REPRO_SCALE`` (see ``repro.config``).
 """
 
@@ -22,12 +25,18 @@ from repro.core import GumConfig
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def emit(name: str, text: str) -> str:
-    """Print an artifact and persist it under ``benchmarks/results``."""
+def emit(name: str, text: str, host: str = "") -> str:
+    """Print an artifact and persist it under ``benchmarks/results``.
+
+    ``host`` holds the host-time measurements that go with ``text``;
+    they differ from run to run, so they are printed and never written.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n===== {name} =====\n{text}\n(written to {path})")
+    if host:
+        print(f"----- {name}: host time (not written) -----\n{host}")
     return text
 
 

@@ -1,9 +1,10 @@
 """Table IV (Exp-3/4) — the cost of the stealing machinery itself.
 
 Report each mechanism's decision cost (virtual ms charged to the
-overhead bucket, plus the *actual* wall time of the Python decision
-code, which is a property of this simulator, not of the modelled
-GPUs) and the ratio of time saved to overhead paid. The paper's
+overhead bucket) and the ratio of time saved to overhead paid. The
+*actual* wall time of the Python decision code is a property of this
+simulator, not of the modelled GPUs, so it is printed beside the table
+and not written into it. The paper's
 ratios: FSteal 19-38x, OSteal 5-32x on uk-2002/webbase.
 
 Substitution note: at our scale the uk-2002 stand-in converges in a
@@ -37,9 +38,9 @@ def _run_overhead(gum_config):
     lines = [
         "Table IV: work-stealing overhead (SSSP)",
         "",
-        "mechanism  graph  GPUs  overhead(ms)  real_py(ms)  saved(ms)"
-        "   ratio",
+        "mechanism  graph  GPUs  overhead(ms)  saved(ms)   ratio",
     ]
+    host = ["mechanism  graph  GPUs  real_py(ms)"]
     ratios = {}
     for mechanism in ("fsteal", "osteal"):
         graphs = FSTEAL_GRAPHS if mechanism == "fsteal" else OSTEAL_GRAPHS
@@ -71,20 +72,23 @@ def _run_overhead(gum_config):
                 lines.append(
                     f"{mechanism:9s}  {graph:5s}  {gpus:4d}  "
                     f"{cost * 1e3:12.3f}  "
-                    f"{on.real_decision_seconds * 1e3:11.1f}  "
                     f"{saved * 1e3:9.2f}  {ratio:6.1f}x"
+                )
+                host.append(
+                    f"{mechanism:9s}  {graph:5s}  {gpus:4d}  "
+                    f"{on.real_decision_seconds * 1e3:11.1f}"
                 )
     lines.append("")
     lines.append("(paper ratios: FSteal 19-38x, OSteal 5-32x; overhead "
                  "<= 17 ms / 6 ms)")
-    return "\n".join(lines), ratios
+    return "\n".join(lines), "\n".join(host), ratios
 
 
 def test_table4_overhead(benchmark, gum_config):
-    text, ratios = benchmark.pedantic(
+    text, host, ratios = benchmark.pedantic(
         _run_overhead, args=(gum_config,), rounds=1, iterations=1
     )
-    emit("table4_overhead", text)
+    emit("table4_overhead", text, host)
     # stealing must pay for itself by a comfortable margin at 8 GPUs
     assert ratios[("fsteal", "SW", 8)] > 3.0
     assert ratios[("osteal", "USA", 8)] > 3.0

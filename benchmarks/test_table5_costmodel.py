@@ -1,8 +1,8 @@
 """Table V (Exp-7) — cost-model accuracy and its effect on performance.
 
 Trains the four learning families on the running-log corpus (the
-paper's 624-graph corpus, at laptop scale), reports held-out RMSRE and
-training time, then replays FSteal-driven SSSP with each learned ``g``
+paper's 624-graph corpus, at laptop scale), reports held-out RMSRE
+(training time is printed beside the table: it is host time), then replays FSteal-driven SSSP with each learned ``g``
 vs the exact oracle to measure the performance retained ("slowdown" in
 the paper's terminology: oracle-time / model-time, 1.0 = as good as
 exact costs).
@@ -38,12 +38,13 @@ def _run_table5():
         gum_config=GumConfig(cost_model="oracle"),
     )
     lines = [
-        "Table V: accuracy and training time of the cost model",
+        "Table V: accuracy of the cost model and the performance it keeps",
         f"  (training corpus: {costs.size} samples from "
         f"{len(default_training_corpus())} graphs x 4 algorithms)",
         "",
-        "model        RMSRE(test)  train_time(s)  perf_vs_oracle",
+        "model        RMSRE(test)  perf_vs_oracle",
     ]
+    host = ["model        train_time(s)"]
     metrics = {}
     for name in ("linear", "polynomial", "svr", "tree"):
         model = MODEL_FAMILIES[name]()
@@ -55,22 +56,20 @@ def _run_table5():
         )
         retained = oracle.total_seconds / replay.total_seconds
         metrics[name] = (test_rmsre, report.train_seconds, retained)
-        lines.append(
-            f"{name:12s}  {test_rmsre:10.3f}  {report.train_seconds:13.1f}"
-            f"  {retained:14.2f}"
-        )
+        lines.append(f"{name:12s}  {test_rmsre:10.3f}  {retained:14.2f}")
+        host.append(f"{name:12s}  {report.train_seconds:13.1f}")
     lines += [
         "",
         "(paper: linear 26.7 / poly 0.33 / SVR 0.21 / tree 0.42 RMSRE;"
         " slowdown 0.54 / 0.93 / 0.94 / 0.88)",
     ]
-    return "\n".join(lines), metrics
+    return "\n".join(lines), "\n".join(host), metrics
 
 
 def test_table5_costmodel(benchmark):
-    text, metrics = benchmark.pedantic(_run_table5, rounds=1,
-                                       iterations=1)
-    emit("table5_costmodel", text)
+    text, host, metrics = benchmark.pedantic(_run_table5, rounds=1,
+                                             iterations=1)
+    emit("table5_costmodel", text, host)
     # linear is clearly the worst model; polynomial is much better
     assert metrics["linear"][0] > 2.0 * metrics["polynomial"][0]
     # sophisticated models retain most of the oracle's performance

@@ -75,26 +75,10 @@ class PageRank(GASAlgorithm):
         rank = state.values
         contrib = np.where(aux["dangling"], 0.0, rank / np.maximum(out_deg, 1))
         # Dense round: every edge carries its source's contribution.
-        iter_shards = getattr(graph, "iter_edge_shards", None)
-        if iter_shards is not None:
-            # out-of-core graph: stream the edge scan shard by shard.
-            # np.add.at accumulates element-by-element in edge order,
-            # so consecutive per-shard applications are bit-identical
-            # to one pass over the concatenated arrays.
-            sums = np.zeros(n)
-            for v_start, v_stop, __, indices, __w in iter_shards():
-                sources = np.repeat(
-                    np.arange(v_start, v_stop, dtype=np.int64),
-                    np.diff(graph.indptr[v_start: v_stop + 1]),
-                )
-                np.add.at(sums, indices, contrib[sources])
-        else:
-            # bincount adds in edge order from 0.0, as np.add.at does:
-            # the same bits
-            sources, destinations, __ = state.frontier.gather(graph)
-            sums = np.bincount(
-                destinations, weights=contrib[sources], minlength=n
-            )
+        sources, destinations, __ = state.frontier.gather(graph)
+        sums = np.bincount(
+            destinations, weights=contrib[sources], minlength=n
+        )
         if aux["redistribute"]:
             dangling_mass = float(rank[aux["dangling"]].sum())
             sums = sums + dangling_mass / max(1, n)

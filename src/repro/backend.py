@@ -27,9 +27,6 @@ otherwise runs the algorithm's serial step on the coordinator:
 * the algorithm is a ``MinPropagation`` (PageRank's floating-point
   *sums*, delta-stepping's buckets and k-core's peeling are no
   min-relax);
-* the graph is in-core (an out-of-core graph's shard cache is not
-  thread-safe, and a reopening per thread would hold a resident budget
-  of its own);
 * the frontier has at least :data:`PARALLEL_MIN_EDGES` out-edges;
 * the process may run on two CPUs or more.
 
@@ -140,10 +137,7 @@ class Session:
         self._algorithm = algorithm
         self._state = state
         self._min_edges = PARALLEL_MIN_EDGES
-        self._threadable = (
-            isinstance(algorithm, MinPropagation)
-            and getattr(graph, "cache_stats", None) is None
-        )
+        self._threadable = isinstance(algorithm, MinPropagation)
         #: distinct_vertices' reusable bitmap, one per run
         self._seen = np.zeros(graph.num_vertices, dtype=bool)
         #: (frontier, (aggregate, worker-map bytes), count), last call
@@ -312,12 +306,8 @@ class Session:
         ))
 
     def stats(self) -> Optional[dict]:
-        """Host-side statistics: the shard cache's counters for an
-        out-of-core graph, the thread path's coordination overhead once
-        a superstep threaded, else ``None``."""
-        cache_stats = getattr(self._graph, "cache_stats", None)
-        if cache_stats is not None:
-            return {"backend": "serial", "shard_cache": cache_stats()}
+        """Host-side statistics: the thread path's coordination
+        overhead once a superstep threaded, else ``None``."""
         return dict(self._stats) if self._stats else None
 
     def close(self) -> None:

@@ -17,16 +17,15 @@ plus the violations it found in them, and comes in two kinds:
   this host's numpy throughput", not absolute nanoseconds.
 * **measured** cases (``timed=False``) run once and return their own
   report entry with the ``violations`` of their invariants: the
-  out-of-core ``scale.*`` family (:mod:`repro.bench.scale`) and the
   ``costmodel.*`` / ``replay.*`` feedback-loop family
   (:mod:`repro.bench.costmodel_bench`). They run whole workloads
-  (seconds to minutes), so they are ``on_demand``: only a ``--filter``
-  naming them runs them.
+  (seconds), so they are ``on_demand``: only a ``--filter`` naming
+  them runs them.
 
 ``run_suite`` produces a machine-readable report (schema
 ``repro-bench/1``); ``compare_reports`` gates it: every case's own
-violations, its declared ``deterministic`` fields against the
-committed baseline, and timing regressions behind a noise guard.
+violations, and timing regressions against the committed baseline
+behind a noise guard.
 
 CLI: ``python -m repro bench`` (see ``docs/performance.md``).
 """
@@ -47,7 +46,6 @@ from repro.errors import ReproError
 __all__ = [
     "SCHEMA",
     "DEFAULT_THRESHOLD",
-    "VIRTUAL_TOLERANCE",
     "BenchCase",
     "BenchTiming",
     "Regression",
@@ -69,11 +67,6 @@ SCHEMA = "repro-bench/1"
 #: Fail the gate when a normalized score regresses by more than this.
 DEFAULT_THRESHOLD = 0.30
 
-#: Relative band of a case's ``deterministic`` fields. They are
-#: virtual-clock quantities, so the band only guards float
-#: printing/platform noise, not real variance.
-VIRTUAL_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -86,11 +79,9 @@ class BenchCase:
     measurements, the ``violations`` found in them (a list of
     strings), and optionally a one-line ``summary`` for the table.
 
-    ``meta`` travels into the report. The harness reads three keys:
-    ``bench_threshold`` widens a noisy case's timing band,
-    ``deterministic`` lists entry fields that must match the baseline
-    within :data:`VIRTUAL_TOLERANCE`, and ``on_demand`` keeps a case
-    out of unfiltered runs.
+    ``meta`` travels into the report. The harness reads two keys:
+    ``bench_threshold`` widens a noisy case's timing band, and
+    ``on_demand`` keeps a case out of unfiltered runs.
     """
 
     name: str
@@ -1085,12 +1076,10 @@ def compare_reports(
 ) -> List[Regression]:
     """Gate failures of ``current``, by itself and against ``baseline``.
 
-    Three checks per case. Its own ``violations`` always fail. Cases
+    Two checks per case. Its own ``violations`` always fail. Cases
     present only on one side are otherwise ignored (new benchmarks
-    must be committable without a flag day). Fields the case declares
-    ``deterministic`` must match the baseline within
-    :data:`VIRTUAL_TOLERANCE`; measured wall-clock fields are
-    host-local and are never compared across reports. A timed case
+    must be committable without a flag day). A measured case's fields
+    are never compared across reports. A timed case
     regresses only when BOTH its machine-normalized score AND its raw
     per-call seconds exceed the baseline by more than ``threshold``:
     the score ratio transfers the committed baseline across hosts of
@@ -1112,17 +1101,6 @@ def compare_reports(
         base = baseline["benchmarks"].get(name)
         if base is None:
             continue
-        meta = entry.get("meta", {})
-        for key in meta.get("deterministic", ()):
-            expected = _baseline_value(base, name, key)
-            if abs(entry[key] - expected) > VIRTUAL_TOLERANCE * max(
-                abs(expected), 1e-30
-            ):
-                failures.append(Regression(
-                    name,
-                    f"{key} {entry[key]!r} deviates from the "
-                    f"committed baseline {expected!r}",
-                ))
         if "score" not in entry:
             continue
         base_score = _baseline_value(base, name, "score")
@@ -1132,7 +1110,9 @@ def compare_reports(
         )
         # A case may widen its own band via ``bench_threshold`` meta
         # (e.g. BLAS-bound cases with large run-to-run variance).
-        bar = max(threshold, float(meta.get("bench_threshold", 0.0)))
+        bar = max(threshold, float(
+            entry.get("meta", {}).get("bench_threshold", 0.0)
+        ))
         if ratio > 1.0 + bar and raw_ratio > 1.0 + bar:
             failures.append(Regression(
                 name,
@@ -1157,8 +1137,8 @@ def confirm_regressions(
     regression reproduces on a fresh measurement (including a fresh
     calibration run); a noise spike almost never does.  The gate
     therefore re-runs only the offending timed cases and confirms each
-    regression before failing. Violations and deterministic-field
-    mismatches are not noise and pass through untouched.
+    regression before failing. Violations are not noise and pass
+    through untouched.
     """
     confirmed = [reg for reg in regressions if not reg.timing]
     noisy = [reg.name for reg in regressions if reg.timing]
@@ -1229,6 +1209,6 @@ def format_regressions(regressions: Sequence[Regression]) -> str:
     return "\n".join(lines)
 
 
-# The measured families register themselves on import; they import this
+# The measured family registers itself on import; it imports this
 # module's registry, so this must stay the last statement.
-from repro.bench import costmodel_bench, scale  # noqa: E402,F401
+from repro.bench import costmodel_bench  # noqa: E402,F401

@@ -613,8 +613,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Run benchmark cases; gate them against the baseline.
 
     Exit code 1 means a case reported a violation of its own
-    invariants, drifted on a deterministic field, or (timed cases)
-    regressed by more than the threshold on its machine-normalized
+    invariants or (timed cases) regressed by more than the threshold on its machine-normalized
     score (see ``docs/performance.md`` for the normalization and how
     to refresh a committed baseline).
     """
@@ -680,7 +679,7 @@ def _register_bench(sub) -> None:
     p_bench = sub.add_parser(
         "bench",
         help="run benchmark cases (the hot-path microbenchmarks; "
-             "scale.*, costmodel.*, replay.* via --filter) and gate "
+             "costmodel.*, replay.* via --filter) and gate "
              "them against the committed baseline",
     )
     p_bench.add_argument(

@@ -8,7 +8,7 @@ Public surface of the graph subpackage::
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.graph.csr": ("CSRGraph", "ShardedCSRGraph"),
+    "repro.graph.csr": ("CSRGraph",),
     "repro.graph.builders": (
         "from_edges", "from_edge_arrays", "symmetrize", "remove_self_loops",
         "coalesce_duplicates", "load_edge_list", "load_matrix_market",
@@ -33,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.graph.gather": ("gather_edges", "gather_edge_positions"),
     "repro.graph.io_npz": (
-        "save_graph", "load_graph", "save_graph_sharded",
-        "open_graph_sharded", "save_partition", "load_partition",
+        "save_graph", "load_graph", "save_partition", "load_partition",
     ),
 })

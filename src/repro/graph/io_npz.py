@@ -2,65 +2,34 @@
 
 Text edge lists are interchangeable but slow; these round-trips store
 the validated CSR arrays directly, making dataset caching across
-processes cheap. Format: one ``.npz`` per object (compressed by
-default) with a ``format_version`` guard.
-
-Two out-of-core paths are layered on top:
-
-* :func:`load_graph` accepts ``mmap_mode`` — the CSR arrays of an
-  *uncompressed* archive (``save_graph(..., compress=False)``) are
-  memory-mapped straight out of the zip container instead of being
-  read into RAM. NumPy's own ``np.load`` silently ignores
-  ``mmap_mode`` for ``.npz``, so the member offsets are resolved here
-  and handed to ``np.memmap`` directly.
-* :func:`save_graph_sharded` / :func:`open_graph_sharded` split a
-  graph into contiguous vertex-range shards (one uncompressed ``.npz``
-  each) that :class:`~repro.graph.csr.ShardedCSRGraph` materializes
-  on demand under a resident-byte budget.
+processes cheap. Format: one compressed ``.npz`` per object with a
+``format_version`` guard.
 """
 
 from __future__ import annotations
 
-import struct
-import zipfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-from numpy.lib import format as npy_format
 
 from repro.errors import GraphError, PartitionError
-from repro.graph.csr import CSRGraph, ShardedCSRGraph
+from repro.graph.csr import CSRGraph
 from repro.partition.base import Partition
 
 __all__ = [
     "save_graph",
     "load_graph",
-    "save_graph_sharded",
-    "open_graph_sharded",
     "save_partition",
     "load_partition",
 ]
 
 _GRAPH_VERSION = 1
 _PARTITION_VERSION = 1
-_SHARDED_VERSION = 1
-
-#: file names inside a sharded-graph directory
-_META_FILE = "meta.npz"
-_INDPTR_FILE = "indptr.npz"
-_SHARD_PATTERN = "shard-{:05d}.npz"
 
 
-def save_graph(
-    graph: CSRGraph, path: Union[str, Path], compress: bool = True
-) -> None:
-    """Write a graph as an ``.npz`` archive.
-
-    ``compress=False`` stores the members verbatim (zip ``STORED``),
-    which makes the archive eligible for zero-copy memory mapping via
-    ``load_graph(path, mmap_mode="r")``.
-    """
+def save_graph(graph: CSRGraph, path: Union[str, Path]) -> None:
+    """Write a graph as a compressed ``.npz`` archive."""
     arrays = {
         "format_version": np.array([_GRAPH_VERSION]),
         "indptr": graph.indptr,
@@ -70,63 +39,11 @@ def save_graph(
     }
     if graph.weights is not None:
         arrays["weights"] = graph.weights
-    if compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
+    np.savez_compressed(path, **arrays)
 
 
-def _npz_member_memmap(path: Path, member: str) -> np.ndarray:
-    """Memory-map one array member of an *uncompressed* ``.npz``.
-
-    ``np.load(..., mmap_mode=...)`` silently ignores the mapping
-    request for zip archives, so the member's data offset is resolved
-    by hand: zip directory entry -> local file header -> npy header ->
-    ``np.memmap`` at the payload offset.
-    """
-    with zipfile.ZipFile(path) as archive:
-        try:
-            info = archive.getinfo(member)
-        except KeyError:
-            raise GraphError(f"{path}: no member {member!r}") from None
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise GraphError(
-                f"{path}: member {member!r} is compressed; memory "
-                f"mapping needs an archive written with compress=False"
-            )
-        header_offset = info.header_offset
-    with open(path, "rb") as fh:
-        fh.seek(header_offset)
-        local_header = fh.read(30)
-        if local_header[:4] != b"PK\x03\x04":
-            raise GraphError(f"{path}: corrupt zip local header")
-        name_len, extra_len = struct.unpack("<HH", local_header[26:30])
-        fh.seek(header_offset + 30 + name_len + extra_len)
-        version = npy_format.read_magic(fh)
-        read_header = getattr(
-            npy_format, "read_array_header_%d_%d" % version
-        )
-        shape, fortran_order, dtype = read_header(fh)
-        if fortran_order:
-            raise GraphError(f"{path}: {member!r} is Fortran-ordered")
-        offset = fh.tell()
-    return np.memmap(path, dtype=dtype, mode="r", shape=shape,
-                     offset=offset)
-
-
-def load_graph(
-    path: Union[str, Path], mmap_mode: Optional[str] = None
-) -> CSRGraph:
-    """Read a graph written by :func:`save_graph`.
-
-    With ``mmap_mode="r"`` the CSR arrays are memory-mapped from the
-    archive (no copy, demand-paged); the archive must have been saved
-    with ``compress=False``.
-    """
-    if mmap_mode is not None and mmap_mode != "r":
-        raise GraphError(
-            f"unsupported mmap_mode {mmap_mode!r}; only 'r' is supported"
-        )
+def load_graph(path: Union[str, Path]) -> CSRGraph:
+    """Read a graph written by :func:`save_graph`."""
     with np.load(path, allow_pickle=False) as data:
         if "format_version" not in data:
             raise GraphError(f"{path}: not a repro graph archive")
@@ -135,132 +52,13 @@ def load_graph(
             raise GraphError(
                 f"{path}: unsupported graph format version {version}"
             )
-        directed = bool(int(data["directed"][0]))
-        name = str(data["name"][0])
-        weighted = "weights" in data
-        if mmap_mode is None:
-            weights = data["weights"] if weighted else None
-            return CSRGraph(
-                data["indptr"],
-                data["indices"],
-                weights=weights,
-                directed=directed,
-                name=name,
-            )
-    path = Path(path)
-    return CSRGraph(
-        _npz_member_memmap(path, "indptr.npy"),
-        _npz_member_memmap(path, "indices.npy"),
-        weights=(
-            _npz_member_memmap(path, "weights.npy") if weighted else None
-        ),
-        directed=directed,
-        name=name,
-    )
-
-
-def save_graph_sharded(
-    graph: CSRGraph, path: Union[str, Path], num_shards: int = 4
-) -> Path:
-    """Write a graph as a directory of per-shard ``.npz`` files.
-
-    Shards cover contiguous vertex ranges chosen so each holds roughly
-    ``|E| / num_shards`` edges (a vertex's adjacency list is never
-    split, so a hub-heavy range can merge neighboring shards). The
-    global ``indptr`` plus a small metadata archive stay alongside;
-    shard members are stored uncompressed so
-    :func:`open_graph_sharded` can memory-map them.
-    """
-    if num_shards < 1:
-        raise GraphError(f"num_shards must be >= 1, got {num_shards}")
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    indptr = graph.indptr
-    targets = (
-        graph.num_edges * np.arange(1, num_shards, dtype=np.int64)
-    ) // num_shards
-    cuts = np.searchsorted(indptr, targets, side="left")
-    vertex_starts = np.unique(np.concatenate((
-        np.array([0], dtype=np.int64),
-        cuts.astype(np.int64),
-        np.array([graph.num_vertices], dtype=np.int64),
-    )))
-    if vertex_starts.size < 2:  # empty graph: one empty shard
-        vertex_starts = np.array([0, graph.num_vertices], dtype=np.int64)
-    edge_starts = indptr[vertex_starts]
-    np.savez_compressed(
-        path / _META_FILE,
-        format_version=np.array([_SHARDED_VERSION]),
-        num_vertices=np.array([graph.num_vertices]),
-        num_edges=np.array([graph.num_edges]),
-        directed=np.array([1 if graph.directed else 0]),
-        weighted=np.array([1 if graph.weights is not None else 0]),
-        name=np.array([graph.name]),
-        vertex_starts=vertex_starts,
-        edge_starts=edge_starts,
-    )
-    np.savez(path / _INDPTR_FILE, indptr=indptr)
-    for shard in range(vertex_starts.size - 1):
-        lo, hi = int(edge_starts[shard]), int(edge_starts[shard + 1])
-        arrays = {"indices": graph.indices[lo:hi]}
-        if graph.weights is not None:
-            arrays["weights"] = graph.weights[lo:hi]
-        np.savez(path / _SHARD_PATTERN.format(shard), **arrays)
-    return path
-
-
-def open_graph_sharded(
-    path: Union[str, Path],
-    resident_bytes: int = 256 << 20,
-    metrics=None,
-) -> ShardedCSRGraph:
-    """Open a directory written by :func:`save_graph_sharded`.
-
-    Only the global ``indptr`` is loaded eagerly; shard payloads are
-    materialized on first touch through an LRU cache bounded by
-    ``resident_bytes`` (see :class:`~repro.graph.csr.ShardedCSRGraph`).
-    ``metrics`` optionally receives the cache's load/hit/eviction
-    counters.
-    """
-    path = Path(path)
-    meta_path = path / _META_FILE
-    if not meta_path.exists():
-        raise GraphError(f"{path}: not a sharded graph directory")
-    with np.load(meta_path, allow_pickle=False) as meta:
-        if "format_version" not in meta:
-            raise GraphError(f"{path}: not a sharded graph directory")
-        version = int(meta["format_version"][0])
-        if version != _SHARDED_VERSION:
-            raise GraphError(
-                f"{path}: unsupported sharded format version {version}"
-            )
-        vertex_starts = np.array(meta["vertex_starts"], dtype=np.int64)
-        edge_starts = np.array(meta["edge_starts"], dtype=np.int64)
-        weighted = bool(int(meta["weighted"][0]))
-        directed = bool(int(meta["directed"][0]))
-        name = str(meta["name"][0])
-    with np.load(path / _INDPTR_FILE, allow_pickle=False) as data:
-        indptr = np.array(data["indptr"], dtype=np.int64)
-
-    def loader(shard: int, field: str) -> np.ndarray:
-        mapped = _npz_member_memmap(
-            path / _SHARD_PATTERN.format(shard), field + ".npy"
+        return CSRGraph(
+            data["indptr"],
+            data["indices"],
+            weights=data["weights"] if "weights" in data else None,
+            directed=bool(int(data["directed"][0])),
+            name=str(data["name"][0]),
         )
-        return np.array(mapped)  # one sequential read; mapping closes
-
-    graph = ShardedCSRGraph(
-        indptr,
-        loader,
-        vertex_starts,
-        edge_starts,
-        weighted=weighted,
-        directed=directed,
-        name=name,
-        resident_bytes=resident_bytes,
-        metrics=metrics,
-    )
-    graph.source_path = str(path)
-    return graph
 
 
 def save_partition(partition: Partition, path: Union[str, Path]) -> None:

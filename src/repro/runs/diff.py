@@ -290,20 +290,14 @@ def _diff_bench_kind(
 def _bench_metrics(entry: Dict) -> Dict[str, tuple]:
     """``{key: (value, note)}`` one bench report entry contributes.
 
-    A timed case diffs its score; a measured one the fields it declares
-    deterministic plus how many of its invariants it violated.
+    A timed case diffs its score; a measured one how many of its
+    invariants it violated.
     """
     if "score" in entry:
         return {"score": (float(entry["score"]),
                           "machine-normalized score")}
-    metrics = {
-        key: (float(entry[key]), "deterministic")
-        for key in entry.get("meta", {}).get("deterministic", ())
-        if key in entry
-    }
-    metrics["violations"] = (float(len(entry.get("violations", ()))),
-                             "invariant violations")
-    return metrics
+    return {"violations": (float(len(entry.get("violations", ()))),
+                           "invariant violations")}
 
 
 def diff_manifests(

@@ -287,16 +287,6 @@ class BSPEngine:
             ):
                 continue
             self._metrics.gauge(f"backend.{key}", help).set(float(value))
-        shard = stats.get("shard_cache")
-        if isinstance(shard, dict):
-            # out-of-core runs: the residency high-water mark is the
-            # number the scale.* budget gate scores
-            self._metrics.gauge("shard_cache.resident_bytes").set(
-                float(shard.get("resident_bytes", 0))
-            )
-            self._metrics.gauge("shard_cache.peak_resident_bytes").set(
-                float(shard.get("peak_resident_bytes", 0))
-            )
 
     # ------------------------------------------------------------------
     def _apply_faults(

@@ -182,3 +182,24 @@ class TestParseTopology:
     def test_rejects_gpu_count_mismatch(self):
         with pytest.raises(TopologyError, match="num_gpus=6"):
             parse_topology("nodes=2x4", num_gpus=6)
+
+
+def test_two_level_stealing_crosses_nodes_and_the_ledger_agrees():
+    """On two 4-GPU nodes GUM steals across the node boundary, and the
+    ``steal.inter_node_edges`` counter is the ledger's per-decision
+    ``inter_node_stolen_edges`` summed."""
+    import repro
+    from repro.bench import pick_source, prepare_graph
+    from repro.obs import MetricsRegistry
+
+    graph = prepare_graph("TX", "bfs")
+    registry = MetricsRegistry()
+    result = repro.run(graph, "bfs", engine="gum", num_gpus=8,
+                       topology="nodes=2x4", metrics=registry,
+                       source=pick_source("TX"))
+    stolen = registry.counter("steal.inter_node_edges").total()
+    assert stolen > 0
+    assert stolen == sum(
+        entry.get("inter_node_stolen_edges", 0)
+        for entry in result.ledger.entries
+    )

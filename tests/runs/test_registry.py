@@ -318,20 +318,19 @@ def test_diff_bench_kind_uses_perfharness_guards(registry):
     # identical bench reports are clean
     assert diff_manifests(registry.load_manifest(base_id),
                           registry.load_manifest(base_id)).ok
-    # a measured case diffs on its deterministic fields and violations
-    report["benchmarks"]["scale.x"] = {
-        "virtual_ms_per_edge": 1e-3,
-        "wall_seconds_per_shard_load": 1e-3,
-        "violations": [], "meta": {
-            "deterministic": ["virtual_ms_per_edge"]}}
+    # a measured case diffs on its violations only: its other fields
+    # are host-local measurements
+    report["benchmarks"]["replay.x"] = {
+        "wall_seconds": 1.0, "violations": [], "meta": {}}
     base_id = registry.record_bench(report)
     drifted = copy.deepcopy(report)
-    drifted["benchmarks"]["scale.x"]["virtual_ms_per_edge"] = 1.1e-3
-    drifted["benchmarks"]["scale.x"]["violations"] = ["lost identity"]
+    drifted["benchmarks"]["replay.x"]["wall_seconds"] = 9.0
+    drifted["benchmarks"]["replay.x"]["violations"] = ["lost identity"]
     diff = diff_manifests(registry.load_manifest(base_id), registry.
                           load_manifest(registry.record_bench(drifted)))
-    assert [d.name for d in diff.regressions] == [
-        "bench.scale.x.virtual_ms_per_edge", "bench.scale.x.violations",
+    assert [d.name for d in diff.regressions] == ["bench.replay.x.violations"]
+    assert [d.name for d in diff.deltas] == [
+        "bench.fast.score", "bench.replay.x.violations",
     ]
 
 

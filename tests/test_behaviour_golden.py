@@ -3,8 +3,8 @@
 ``tests/behaviour_golden.json`` holds one line per cell of a fixed
 run matrix: every registered algorithm on the ``gum``, ``bsp`` and
 ``gunrock`` engines, on TX at 4 GPUs and CF at 8; ``groute``; the
-``kill-worker`` scenario; the ``nodes=2x2`` topology; a sharded graph
-behind a one-shard cache; and GUM with decision amortization off.
+``kill-worker`` scenario; the ``nodes=2x2`` topology; and GUM with
+decision amortization off.
 Cells run under the session's own per-superstep rule; a ``threads``
 cell forces every superstep of a min-propagation algorithm onto the
 thread path (``repro.backend.PARALLEL_MIN_EDGES`` = 0) and must record
@@ -36,7 +36,6 @@ import pathlib
 import platform
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 import pytest
@@ -82,7 +81,6 @@ def _cells() -> dict:
     for algorithm in ALGORITHMS:
         add("TX", 4, algorithm, variant="kill-worker", chaos=True)
         add("TX", 4, algorithm, variant="nodes=2x2", topology="nodes=2x2")
-        add("TX-sharded", 4, algorithm)
         if algorithm in THREADED:
             add("TX", 4, algorithm, variant="kill-worker", threads=True,
                 chaos=True)
@@ -94,7 +92,8 @@ def _cells() -> dict:
 
 CELLS = _cells()
 
-#: the cells tier-1 replays: every axis at least once, on TX
+#: the cells tier-1 replays: every axis at least once, on TX, and
+#: PageRank's dense rounds on CF
 SAMPLE = (
     "TX@4 bfs gum threads",
     "TX@4 sssp bsp threads",
@@ -106,8 +105,8 @@ SAMPLE = (
     "TX@4 sssp groute",
     "TX@4 bfs gum kill-worker threads",
     "TX@4 wcc gum nodes=2x2 threads",
-    "TX-sharded@4 sssp gum",
-    "TX-sharded@4 pr gum",
+    "TX@4 sssp gum",
+    "CF@8 pr gum",
     "TX@4 sssp gum no-amortize",
 )
 
@@ -116,28 +115,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _load_graph(name: str, shard_root: pathlib.Path):
-    """A named dataset, or TX saved as shards behind a one-shard
-    cache (a budget of one byte evicts before every load)."""
-    from repro.graph import datasets, open_graph_sharded, save_graph_sharded
-
-    if name != "TX-sharded":
-        return datasets.load(name)
-    path = shard_root / "TX.shards"
-    if not path.exists():
-        save_graph_sharded(datasets.load("TX"), path, num_shards=4)
-    return open_graph_sharded(path, resident_bytes=1)
-
-
-def run_cell(name: str, shard_root: pathlib.Path) -> dict:
+def run_cell(name: str) -> dict:
     """One cell's record entry, from a fresh run."""
     import repro
     import repro.backend
     from repro.chaos import ChaosController, ChaosScenario
     from repro.core.arbitrator import GumConfig
+    from repro.graph import datasets
 
     spec = dict(CELLS[name])
-    graph = _load_graph(spec.pop("graph"), shard_root)
+    graph = datasets.load(spec.pop("graph"))
     if spec.pop("chaos", False):
         spec["chaos"] = ChaosController(ChaosScenario.from_file(KILL_WORKER))
     if not spec.pop("amortize", True):
@@ -180,19 +167,14 @@ def render(record: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-@pytest.fixture(scope="module")
-def shard_root(tmp_path_factory):
-    return tmp_path_factory.mktemp("golden")
-
-
 def test_the_record_covers_exactly_the_matrix():
     assert list(load_record()) == list(CELLS)
     assert set(SAMPLE) <= set(CELLS)
 
 
 @pytest.mark.parametrize("name", SAMPLE)
-def test_cell_matches_the_committed_record(name, shard_root):
-    assert run_cell(name, shard_root) == load_record()[name]
+def test_cell_matches_the_committed_record(name):
+    assert run_cell(name) == load_record()[name]
 
 
 #: NumPy dispatches to its baseline SIMD level with these disabled
@@ -202,15 +184,14 @@ BASELINE_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the dispatch features named are x86-64's")
-def test_a_virtual_time_cell_holds_at_baseline_simd_dispatch(tmp_path):
+def test_a_virtual_time_cell_holds_at_baseline_simd_dispatch():
     """CF@8 dpr bsp prices its walls through every transcendental of
     the ground truth; a fresh interpreter at NumPy's baseline dispatch
     must record what the committed (default-dispatch) record holds."""
     name = "CF@8 dpr bsp"
-    code = (f"import json, pathlib, sys; sys.path.insert(0, {str(HERE)!r}); "
+    code = (f"import json, sys; sys.path.insert(0, {str(HERE)!r}); "
             "import test_behaviour_golden as golden; "
-            f"print(json.dumps(golden.run_cell({name!r}, "
-            f"pathlib.Path({str(tmp_path)!r}))))")
+            f"print(json.dumps(golden.run_cell({name!r})))")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
                PYTHONPATH=os.pathsep.join(
                    [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -220,20 +201,16 @@ def test_a_virtual_time_cell_holds_at_baseline_simd_dispatch(tmp_path):
 
 
 def main(argv) -> int:
-    with tempfile.TemporaryDirectory() as scratch:
-        root = pathlib.Path(scratch)
-        if argv != ["--all"]:
-            sys.stdout.write(render(
-                {name: run_cell(name, root) for name in CELLS}
-            ))
-            return 0
-        record, differ = load_record(), 0
-        for name in CELLS:
-            actual = run_cell(name, root)
-            if actual != record.get(name):
-                differ += 1
-                print(f"{name}: expected {record.get(name)}, got {actual}")
-        return 1 if differ else 0
+    if argv != ["--all"]:
+        sys.stdout.write(render({name: run_cell(name) for name in CELLS}))
+        return 0
+    record, differ = load_record(), 0
+    for name in CELLS:
+        actual = run_cell(name)
+        if actual != record.get(name):
+            differ += 1
+            print(f"{name}: expected {record.get(name)}, got {actual}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ def test_both_violations_report_separately(tmp_path):
 
 
 def test_bench_is_the_only_bench_verb():
-    # scale.* and costmodel.* are `repro bench` case families now
+    # the retired `repro scale` and `repro costmodel bench` verbs stay gone
     from repro.cli import build_parser
 
     verbs = check_ci._subcommands(build_parser())
