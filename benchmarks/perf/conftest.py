@@ -111,9 +111,8 @@ def naive_price_chunks(engine, plan, fragment_features, context,
     busy = np.zeros(num_workers)
     compute_part = np.zeros(num_workers)
     comm_part = np.zeros(num_workers)
-    rows = zip(plan.owner.tolist(), plan.worker.tolist(),
-               plan.edges.tolist(), plan.hub_edges.tolist(),
-               plan.start.tolist(), plan.stop.tolist())
+    rows = zip(plan.owner, plan.worker, plan.edges, plan.hub_edges,
+               plan.start, plan.stop)
     for owner, worker, edges, hub_edges, start, stop in rows:
         if edges == 0:
             continue

@@ -94,26 +94,25 @@ def count_messages(
 ) -> int:
     """Cross-worker message count from the memoized frontier gather.
 
-    Endpoints are mapped vertex → fragment (``owner``) → worker
-    (``worker``, narrowed to ``owner``'s dtype: a byte per edge up to
-    256 fragments) by indexing, never through a ``V``-long array, so a
-    tail superstep costs its own edges: the sources once per frontier
-    vertex, repeated over its out-edges as the gather lays them out.
-    ``worker=None`` is the identity map (no OSteal fold, no dead
-    worker): fragments are compared directly, with no worker lookup.
+    Both endpoints of every gathered edge (the gather's ``sources``
+    and ``destinations``) are mapped vertex → fragment (``owner``) →
+    worker (``worker``, narrowed to ``owner``'s dtype: a byte per edge
+    up to 256 fragments) by indexing, never through a ``V``-long
+    array, so a tail superstep costs its own edges. ``worker=None`` is
+    the identity map (no OSteal fold, no dead worker): fragments are
+    compared directly, with no worker lookup.
     Under ``aggregate`` the distinct remote destinations are counted by
     :func:`~repro.graph.gather.distinct_vertices`, the algorithm step's
     bitmap kernel (``seen`` is its reusable all-``False`` bitmap).
     """
-    __, destinations, __ = frontier.gather(graph)
+    sources, destinations, __ = frontier.gather(graph)
     if destinations.size == 0:
         return 0
-    vertices = frontier.vertices
-    home, away = owner[vertices], owner[destinations]
+    home, away = owner[sources], owner[destinations]
     if worker is not None:
         worker = worker.astype(owner.dtype)
         home, away = worker[home], worker[away]
-    cross = np.repeat(home, graph.out_degrees(vertices)) != away
+    cross = home != away
     if not aggregate:
         return int(np.count_nonzero(cross))
     # np.compress: ~3x faster than boolean-mask indexing here

@@ -347,20 +347,6 @@ class ChaosController:
         backoff = RETRY_BACKOFF_SECONDS * (2.0 ** fails - 1.0)
         return fails * transfer_seconds + backoff
 
-    @staticmethod
-    def retry_seconds_batch(
-        transfer_seconds: np.ndarray, fails: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`retry_seconds` (same IEEE operations)."""
-        fails = np.asarray(fails, dtype=np.float64)
-        backoff = RETRY_BACKOFF_SECONDS * (2.0 ** fails - 1.0)
-        return np.where(
-            fails > 0,
-            fails * np.asarray(transfer_seconds, dtype=np.float64)
-            + backoff,
-            0.0,
-        )
-
     # ------------------------------------------------------------------
     def solver_times_out(self, solver_name: str) -> bool:
         """Consume one timeout token matching ``solver_name``, if any."""

@@ -315,10 +315,9 @@ class GumScheduler(Scheduler):
             from repro.chaos.fallback import FallbackSolver
 
             solver = FallbackSolver(self._solver, context.chaos)
-        # one audit per run, shared by the ledger and the gauges; the
-        # device model outlives timing swaps, so it is read once
+        # one audit per run, shared by the ledger and the gauges
         audit = (
-            PredictionAudit(self._cost_model, context.timing.device_model)
+            PredictionAudit(self._cost_model)
             if self._config.ledger or context.metrics.enabled else None
         )
         self._state = _RunState(
@@ -429,12 +428,14 @@ class GumScheduler(Scheduler):
             overhead=2.5e-8 * table.vertices.size,
         )
         if state.audit is not None:
-            # the worker is read now: OSteal may re-own the fragment
+            # the worker is read now: OSteal may re-own the fragment;
+            # the truth is the table's g* column, which pricing reads
             d.audit = state.audit.add([
-                (fragment, worker, feats)
-                for fragment, (feats, load, worker) in enumerate(zip(
+                (fragment, worker, feats, actual)
+                for fragment, (feats, load, worker, actual) in enumerate(zip(
                     features, workloads.tolist(),
                     context.fragment_worker.tolist(),
+                    table.edge_costs(context.timing.device_model),
                 ))
                 if load and feats.total_edges
             ])
@@ -859,13 +860,11 @@ class GumScheduler(Scheduler):
             observed_p = record.breakdown.sync / record.num_active
             state.p_estimate = 0.5 * state.p_estimate + 0.5 * observed_p
         if state.ledger is not None:
-            busy = np.asarray(record.busy_seconds, dtype=np.float64)
+            busy = record.busy_seconds
             state.ledger.backfill(
                 record.iteration,
                 wall_seconds=record.wall_seconds,
-                critical_busy_seconds=(
-                    float(busy.max()) if busy.size else 0.0
-                ),
+                critical_busy_seconds=float(max(busy)) if len(busy) else 0.0,
                 compute_seconds=record.breakdown.compute,
                 num_active=record.num_active,
             )

@@ -79,37 +79,6 @@ class DeviceModel:
         """The device spec this model describes."""
         return self._gpu
 
-    # ------------------------------------------------------------------
-    def contention_factor(self, features: FrontierFeatures) -> float:
-        """Atomic-contention multiplier (hot destinations serialize).
-
-        Grows with degree skew (Gini) and, jointly, with how spread the
-        destinations are (entropy x gini interaction): skew alone hurts
-        only if updates actually collide. A smooth regime shift around
-        gini ~ 0.55 models the transition into serialized atomics on
-        hub vertices.
-        """
-        g = features.gini
-        regime = 1.0 + 0.9 / (1.0 + math.exp(-12.0 * (g - 0.55)))
-        return (1.0 + 2.2 * g * g + 1.1 * g * features.entropy) * regime
-
-    def coalescing_factor(self, features: FrontierFeatures) -> float:
-        """Memory-irregularity multiplier (cache / coalescing misses).
-
-        Wide out-degree ranges mean warps mix short and long adjacency
-        lists; large average degrees amortize lookup overhead slightly
-        (log term).
-        """
-        spread = math.sqrt(features.out_degree_range) / (
-            features.avg_out_degree + 10.0
-        )
-        amortize = 1.0 + 0.30 * math.log1p(features.avg_out_degree)
-        return amortize + 0.7 * spread
-
-    def gather_factor(self, features: FrontierFeatures) -> float:
-        """In-edge-side multiplier: pulling from high in-degree regions."""
-        return 1.0 + 0.18 * math.log1p(features.avg_in_degree)
-
     def _pseudo_noise(self, features: FrontierFeatures) -> float:
         """Deterministic jitter in ``[1 - a, 1 + a]``: the top 53 bits
         of :func:`noise_key` as a uniform draw in ``[0, 1)``."""
@@ -128,17 +97,35 @@ class DeviceModel:
         This is what the simulated GPU "actually takes"; the engine
         charges it to the virtual clock and logs it as the regression
         target for cost-model training. Each frontier's cost depends on
-        its own features only.
+        its own features only: the product of three multipliers and
+        the jitter.
+
+        * *Contention* (hot destinations serialize atomics): grows with
+          degree skew (Gini) and, jointly, with how spread the
+          destinations are (entropy x gini) — skew alone hurts only if
+          updates collide — with a smooth regime shift around gini ~
+          0.55 into serialized atomics on hub vertices.
+        * *Coalescing* (cache / coalescing misses): wide out-degree
+          ranges mix short and long adjacency lists in a warp; large
+          average degrees amortize lookup overhead slightly (log term).
+        * *Gather*: pulling from high in-degree regions.
         """
         base = self._gpu.base_edge_cost_ns
-        return [
-            base * 1e-9 if features.total_edges == 0 else
-            base * (self.contention_factor(features)
-                    * self.coalescing_factor(features)
-                    * self.gather_factor(features))
-            * self._pseudo_noise(features) * 1e-9
-            for features in frontiers
-        ]
+        jitter = self._pseudo_noise
+        costs = []
+        for f in frontiers:
+            avg_in, avg_out, __, out_range, g, entropy, __, edges = f
+            if edges == 0:
+                costs.append(base * 1e-9)
+                continue
+            regime = 1.0 + 0.9 / (1.0 + math.exp(-12.0 * (g - 0.55)))
+            contention = (1.0 + 2.2 * g * g + 1.1 * g * entropy) * regime
+            coalescing = (1.0 + 0.30 * math.log1p(avg_out)
+                          + 0.7 * (math.sqrt(out_range) / (avg_out + 10.0)))
+            gather = 1.0 + 0.18 * math.log1p(avg_in)
+            costs.append(base * (contention * coalescing * gather)
+                         * jitter(f) * 1e-9)
+        return costs
 
     def true_edge_cost(self, features: FrontierFeatures) -> float:
         """:meth:`edge_costs` of one frontier."""

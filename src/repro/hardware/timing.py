@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro import config
 from repro.graph.features import FrontierFeatures
 from repro.hardware.device import DeviceModel
@@ -53,9 +51,9 @@ class TimingModel:
         self._machine = machine or MachineSpec(gpu=topology.gpu)
         self._device = device_model or DeviceModel(self._machine.gpu)
         # seconds per edge moved between each pair (bytes / bandwidth)
-        eff = topology.effective_bandwidth_matrix()
-        self._comm_per_edge = config.BYTES_PER_EDGE / (eff * 1e9)
-        self._comm_per_edge.setflags(write=False)
+        # and the effective bandwidths in bytes/s, as nested lists
+        rate = topology.effective_bandwidth_matrix() * 1e9
+        self._rows = ((config.BYTES_PER_EDGE / rate).tolist(), rate.tolist())
 
     # ------------------------------------------------------------------
     @property
@@ -87,11 +85,13 @@ class TimingModel:
 
         ``owner == worker`` prices local HBM access.
         """
-        return float(self._comm_per_edge[owner, worker])
+        return self._rows[0][owner][worker]
 
-    def comm_per_edge_matrix(self) -> np.ndarray:
-        """Full matrix of :meth:`comm_seconds_per_edge`."""
-        return self._comm_per_edge
+    def pricing_rows(self) -> tuple:
+        """``(comm seconds per edge, effective bytes/s)`` of every pair
+        as nested lists, made once per model (what the engine's chunk
+        pricing indexes)."""
+        return self._rows
 
     # ------------------------------------------------------------------
     # Synchronization & serialization (the LT ingredients)

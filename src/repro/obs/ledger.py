@@ -243,8 +243,8 @@ def reconstruct_rmsre(entries: Sequence[dict]) -> Optional[float]:
 @dataclass(slots=True)
 class AuditRecord:
     """One decision's share of the audit: ``(fragment, worker,
-    features)`` references until scored, then ``(..., predicted,
-    actual)`` samples and the fold's state right after them."""
+    features, actual)`` references until scored, then ``(..., features,
+    predicted, actual)`` samples and the fold's state after them."""
 
     samples: List[tuple]
     rmsre_online: Optional[float] = None
@@ -254,17 +254,17 @@ class AuditRecord:
 class PredictionAudit:
     """The run's prediction audit: references now, scored when read.
 
-    :meth:`score`, which every reader calls first, predicts everything
-    pending with one ``model.edge_costs_seconds`` (bit-identical to
-    single predictions by that method's contract) and one
-    ``device.edge_costs`` (each frontier's own), and folds the running
+    A reference carries its ground truth (the superstep's ``g*``,
+    which the engine's pricing reads too). :meth:`score`, which every
+    reader calls first, predicts everything pending with one
+    ``model.edge_costs_seconds`` (bit-identical to single predictions
+    by that method's contract) and folds the running
     :class:`OnlineRMSRE` and the EWMA drift z in decision order, so a
     batch one decision wide and one batch per run agree bit for bit.
     """
 
-    def __init__(self, model=None, device=None) -> None:
+    def __init__(self, model=None) -> None:
         self.model = model
-        self.device = device
         self.online = OnlineRMSRE()
         self.last_z = 0.0
         self._pending: List[AuditRecord] = []
@@ -274,7 +274,7 @@ class PredictionAudit:
         self._drift_n = 0
 
     def add(self, refs: List[tuple]) -> AuditRecord:
-        """Append one decision's ``(fragment, worker, features)``."""
+        """Append one decision's ``(fragment, worker, features, g*)``."""
         self._pending.append(AuditRecord(refs))
         return self._pending[-1]
 
@@ -285,12 +285,11 @@ class PredictionAudit:
             return self
         features = [ref[2] for record in pending for ref in record.samples]
         predicted = iter(self.model.edge_costs_seconds(features))
-        truth = iter(self.device.edge_costs(features))
         online = self.online
         for record in pending:
             record.samples = [
-                (fragment, worker, feats, next(predicted), next(truth))
-                for fragment, worker, feats in record.samples
+                (fragment, worker, feats, next(predicted), actual)
+                for fragment, worker, feats, actual in record.samples
             ]
             signed, counted = 0.0, 0
             for sample in record.samples:

@@ -241,10 +241,11 @@ class FragmentTable(Sequence):
     the plan, its validation, the pricing and the arbitrator read, all
     from one pass over the owner-sorted frontier: ``vertices`` (the
     parts end to end, part ``i`` being ``vertices[bounds[i]:bounds[i +
-    1]]``), ``bounds``, and every part's ``work`` and ``features``, as
-    Python lists. The part objects, their ``work``/``features`` memos
-    seeded, are made on first access (the engine reads only columns);
-    copies share columns and parts, which must not be mutated.
+    1]]``), ``bounds``, and every part's ``work``, ``features`` and
+    (:meth:`edge_costs`) ``g*``, as Python lists. The part objects,
+    their ``work``/``features`` memos seeded, are made on first access
+    (the engine reads only columns); copies share columns and parts,
+    which must not be mutated.
     """
 
     __slots__ = ("graph", "vertices", "bounds", "work", "features",
@@ -298,6 +299,15 @@ class FragmentTable(Sequence):
         for name in FragmentTable.__slots__:
             setattr(table, name, getattr(self, name))
         return table
+
+    def edge_costs(self, device) -> List[float]:
+        """``device.edge_costs(features)``, the ``g*`` column, made on
+        first use and shared by the pricing, the audit and copies."""
+        memo = self._shared.get("g*")
+        if memo is None or memo[0] is not device:
+            memo = self._shared["g*"] = device, device.edge_costs(
+                self.features)
+        return memo[1]
 
     def edge_prefix(self) -> np.ndarray:
         """Inclusive running out-edge count over ``vertices``, the D of

@@ -41,16 +41,13 @@ __all__ = ["IterationPlan", "RunContext", "Scheduler", "StaticScheduler",
            "realize_plan", "select_vertices"]
 
 
-def _column() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class IterationPlan:
     """Complete work assignment for one superstep.
 
-    The chunks are parallel int64 columns, one row per chunk, in
-    fragment-major order (worker ascending within a fragment). A row
+    The chunks are parallel lists of ints, one row per chunk (at most
+    fragments x workers), in fragment-major order (worker ascending
+    within a fragment). A row
     is one fragment's frontier slice on one worker: ``owner`` is the
     fragment whose memory holds the adjacency data (the ``i`` of the
     paper's ``c_ij``), ``worker`` the GPU running the kernel (the
@@ -62,12 +59,12 @@ class IterationPlan:
     """
 
     active_workers: List[int]
-    owner: np.ndarray = field(default_factory=_column)
-    worker: np.ndarray = field(default_factory=_column)
-    edges: np.ndarray = field(default_factory=_column)
-    hub_edges: np.ndarray = field(default_factory=_column)
-    start: np.ndarray = field(default_factory=_column)
-    stop: np.ndarray = field(default_factory=_column)
+    owner: List[int] = field(default_factory=list)
+    worker: List[int] = field(default_factory=list)
+    edges: List[int] = field(default_factory=list)
+    hub_edges: List[int] = field(default_factory=list)
+    start: List[int] = field(default_factory=list)
+    stop: List[int] = field(default_factory=list)
     decision_seconds: float = 0.0
     real_decision_seconds: float = 0.0
     fsteal_applied: bool = False
@@ -84,10 +81,8 @@ class IterationPlan:
         return [
             (homes[owner], worker, edges, hub, stop - start)
             for owner, worker, edges, hub, start, stop in zip(
-                self.owner.tolist(), self.worker.tolist(),
-                self.edges.tolist(), self.hub_edges.tolist(),
-                self.start.tolist(), self.stop.tolist(),
-            )
+                self.owner, self.worker, self.edges, self.hub_edges,
+                self.start, self.stop)
             if worker != homes[owner]
         ]
 
@@ -244,8 +239,8 @@ def realize_plan(
                 span = vertices[low + start: low + stop]
                 hub = hub_cache.hub_edges(graph, span)
             rows.append((fragment, worker, edges, hub, start, stop))
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T.copy()
-    owner, worker, edges, hub_edges, start, stop = columns
+    owner, worker, edges, hub_edges, start, stop = map(
+        list, zip(*rows) if rows else [()] * 6)
     return IterationPlan(owner=owner, worker=worker, edges=edges,
                          hub_edges=hub_edges, start=start, stop=stop,
                          **fields)

@@ -91,17 +91,17 @@ def test_partition_roundtrip():
 def test_iteration_plan_roundtrip():
     plan = IterationPlan(
         active_workers=[1, 2],
-        owner=np.array([1]), worker=np.array([2]), edges=np.array([7]),
-        hub_edges=np.array([2]), start=np.array([3]), stop=np.array([5]),
+        owner=[1], worker=[2], edges=[7], hub_edges=[2], start=[3],
+        stop=[5],
         decision_seconds=1e-6, fsteal_applied=True,
         osteal_group_size=2, stolen_edges=7,
     )
     clone = roundtrip(plan)
     assert clone.active_workers == [1, 2]
     assert clone.fsteal_applied and clone.osteal_group_size == 2
-    assert (clone.owner.tolist(), clone.worker.tolist()) == ([1], [2])
-    assert (clone.start.tolist(), clone.stop.tolist()) == ([3], [5])
-    assert (clone.edges.tolist(), clone.hub_edges.tolist()) == ([7], [2])
+    assert (clone.owner, clone.worker) == ([1], [2])
+    assert (clone.start, clone.stop) == ([3], [5])
+    assert (clone.edges, clone.hub_edges) == ([7], [2])
 
 
 def test_algorithm_state_roundtrip():

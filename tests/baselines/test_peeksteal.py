@@ -131,8 +131,7 @@ def test_blind_to_topology(skewed_weighted, source):
             scheduler.plan(0, fragments, workloads, context)
         )
     signatures = [
-        sorted(zip(plan.owner.tolist(), plan.worker.tolist(),
-                   plan.edges.tolist()))
+        sorted(zip(plan.owner, plan.worker, plan.edges))
         for plan in plans
     ]
     assert signatures[0] == signatures[1] == signatures[2]

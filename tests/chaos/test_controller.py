@@ -167,7 +167,7 @@ def test_flaky_outside_window_is_free():
 
 
 def test_flaky_batch_matches_scalar_bitwise():
-    """The vectorized draw is the scalar draw: fails, costs, counters."""
+    """The vectorized draw is the scalar draw: fails and counters."""
     specs = (
         FaultSpec("flaky_transfers", 0,
                   {"duration": 10, "rate": 0.6, "max_retries": 4}),
@@ -177,24 +177,17 @@ def test_flaky_batch_matches_scalar_bitwise():
     rng = np.random.default_rng(3)
     owners = rng.integers(0, 4, size=200)
     workers = rng.integers(0, 4, size=200)
-    seconds = rng.random(200) * 1e-3
 
     scalar = bound(*specs, seed=7)
     scalar_fails = np.array([
         scalar.failed_transfer_attempts(2, int(o), int(w))
         for o, w in zip(owners, workers)
     ])
-    scalar_cost = np.array([
-        scalar.retry_seconds(float(t), int(f))
-        for t, f in zip(seconds, scalar_fails)
-    ])
 
     batch = bound(*specs, seed=7)
     batch_fails = batch.failed_transfer_attempts_batch(2, owners, workers)
-    batch_cost = batch.retry_seconds_batch(seconds, batch_fails)
 
     assert np.array_equal(scalar_fails, batch_fails)
-    assert np.array_equal(scalar_cost, batch_cost)  # bitwise
     assert scalar.stats() == batch.stats()
     assert batch.stats()["transfer_retries"] > 0
 

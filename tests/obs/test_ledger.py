@@ -336,9 +336,11 @@ def test_ledger_counts_skipped_samples():
         for edges in (5, 6)
     )
     truth = _FixedModel(free)
-    audit = PredictionAudit(truth, truth)
+    audit = PredictionAudit(truth)
     ledger = Ledger(audit=audit)
-    ledger.begin(0, [5, 6], audit.add([(0, 0, counted), (1, 1, free)]))
+    actual = truth.edge_costs([counted, free])
+    ledger.begin(0, [5, 6], audit.add([(0, 0, counted, actual[0]),
+                                       (1, 1, free, actual[1])]))
     ledger.commit(group_size=2, active_workers=[0, 1],
                   fsteal_applied=False, stolen_edges=0,
                   migrated_vertices=0)
@@ -445,18 +447,10 @@ def test_registry_missing_ledger_is_an_error(tmp_path, skewed_graph,
         registry.load_ledger(run_id)
 
 
-class _ConstantDevice:
-    """Ground truth without a memo, so only ``score`` allocates."""
-
-    @staticmethod
-    def edge_costs(frontiers):
-        return [2e-6] * len(frontiers)
-
-
 def _score_transient_bytes(num_decisions):
     """Peak bytes ``score`` holds above what it keeps, scoring
     ``num_decisions`` eight-fragment decisions at once."""
-    audit = PredictionAudit(resolve_cost_model("default"), _ConstantDevice())
+    audit = PredictionAudit(resolve_cost_model("default"))
     # held, as a ledger holds them, so what score keeps stays counted
     records = [
         audit.add([
@@ -464,7 +458,7 @@ def _score_transient_bytes(num_decisions):
                 avg_in_degree=2.0 + decision, avg_out_degree=3.0,
                 in_degree_range=1.0 + fragment, out_degree_range=4.0,
                 gini=0.2, entropy=0.8, size=5, total_edges=15,
-            ))
+            ), 2e-6)
             for fragment in range(8)
         ])
         for decision in range(num_decisions)

@@ -34,9 +34,9 @@ def test_static_plan_identity(skewed_graph, skewed_partition, context):
     plan = StaticScheduler().plan(0, fragments, workloads, context)
     assert plan.active_workers == list(range(8))
     assert not plan.fsteal_applied
-    assert np.array_equal(plan.owner, plan.worker)
-    assert np.array_equal(plan.edges, workloads[plan.owner])
-    assert not plan.hub_edges.any()
+    assert plan.owner == plan.worker
+    assert plan.edges == workloads[plan.owner].tolist()
+    assert not any(plan.hub_edges)
 
 
 def test_static_plan_skips_empty_fragments(skewed_graph,
@@ -48,7 +48,7 @@ def test_static_plan_skips_empty_fragments(skewed_graph,
     )
     workloads = np.array([f.work(skewed_graph) for f in fragments])
     plan = StaticScheduler().plan(0, fragments, workloads, context)
-    owners = set(plan.owner.tolist())
+    owners = set(plan.owner)
     assert owners == {3} or owners == set()  # degree-0 target possible
     # everyone still synchronizes (the LT problem!)
     assert plan.active_workers == list(range(8))
@@ -63,7 +63,8 @@ def test_static_plan_respects_reassigned_ownership(
     fragments = make_frontiers(skewed_graph, skewed_partition, frontier)
     workloads = np.array([f.work(skewed_graph) for f in fragments])
     plan = StaticScheduler().plan(0, fragments, workloads, context)
-    assert np.all(plan.worker[plan.owner == 5] == 2)
+    assert {worker for owner, worker in zip(plan.owner, plan.worker)
+            if owner == 5} == {2}
 
 
 def test_static_plan_emits_pull_mode_chunks(skewed_graph,
@@ -72,8 +73,8 @@ def test_static_plan_emits_pull_mode_chunks(skewed_graph,
     fragments = [Frontier.empty() for __ in range(8)]
     workloads = np.array([10, 0, 0, 5, 0, 0, 0, 0], dtype=np.int64)
     plan = StaticScheduler().plan(0, fragments, workloads, context)
-    assert set(plan.owner.tolist()) == {0, 3}
-    assert not (plan.stop - plan.start).any()
+    assert set(plan.owner) == {0, 3}
+    assert plan.start == plan.stop
 
 
 def test_run_context_num_workers(context):
