@@ -55,7 +55,9 @@ def test_pricing_speedup():
         lambda: naive_price_chunks(
             engine, plan, features, context, n_gpus
         ),
-        lambda: engine._price_chunks(plan, features, context, n_gpus),
+        lambda: engine._price_chunks(
+            plan, context.timing.device_model.edge_costs(features),
+            context, n_gpus),
     )
     print(f"\nchunk pricing speedup: {ratio:.1f}x")
     assert ratio >= SPEEDUP_FLOOR
