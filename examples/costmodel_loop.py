@@ -3,10 +3,10 @@
 
 Run a workload under the shipped cost model and record it, harvest the
 run's own decision ledger into a training corpus, fit candidate model
-families with held-out RMSRE against the shipped baseline, validate by
-replaying the recording (bit-identical under the original model,
-per-iteration error attribution under the fitted one), then rerun the
-workload with the fitted artifact plugged in.
+families with held-out RMSRE against the shipped baseline, check the
+recording, then close the loop: ``replay_run`` re-executes the recorded
+workload with the fitted artifact plugged in and reports what its
+decisions changed.
 
 Run:  python examples/costmodel_loop.py
 """
@@ -14,8 +14,8 @@ Run:  python examples/costmodel_loop.py
 import tempfile
 from pathlib import Path
 
-import repro
-from repro.core.costmodel import load_artifact, save_artifact
+from repro.bench.runner import Cell, run_cell
+from repro.core.costmodel import save_artifact
 from repro.core.costmodel_fit import fit_candidates, harvest
 from repro.replay import format_replay_result, replay_run
 from repro.runs import RunRegistry, workload_fingerprint
@@ -26,10 +26,11 @@ def main() -> None:
     registry = RunRegistry(workdir / "runs")
 
     # --- 1. run under the shipped model and record -------------------
-    graph = repro.datasets.load("TX")
-    baseline = repro.run(graph, "pr", num_gpus=8)
+    # run_cell is the path `repro run` takes, so the fingerprint below
+    # names exactly this run and a replay can re-execute it
+    baseline = run_cell(Cell("gum", "pr", "TX", 8))
     run_id = registry.record_result(baseline, workload_fingerprint(
-        engine="gum", algorithm="pr", graph=graph.name, num_gpus=8,
+        engine="gum", algorithm="pr", graph="TX", num_gpus=8,
     ))
     print(f"recorded {run_id}: {baseline.total_ms:.2f} virtual ms, "
           f"online RMSRE {baseline.ledger.final_rmsre:.4f}\n")
@@ -56,24 +57,15 @@ def main() -> None:
           f"(family={artifact['family']}, "
           f"digest={artifact['digest'][:8]})\n")
 
-    # --- 4. validate by replay ---------------------------------------
+    # --- 4. the recording checks against itself ----------------------
     pinned = replay_run(registry, run_id)
-    assert pinned.bit_identical  # the original model reproduces itself
+    assert pinned.bit_identical
     print(format_replay_result(pinned))
-    print()
-    what_if = replay_run(registry, run_id,
-                         cost_model=str(artifact_path))
-    print(format_replay_result(what_if))
 
-    # --- 5. close the loop: rerun under the fitted model -------------
-    refit = repro.run(graph, "pr", num_gpus=8,
-                      cost_model=load_artifact(artifact_path))
-    delta = baseline.total_ms - refit.total_ms
-    print(f"\nrerun under {refit.ledger.model}: "
-          f"{baseline.total_ms:.2f} -> {refit.total_ms:.2f} virtual ms "
-          f"({delta:+.2f} ms), online RMSRE "
-          f"{baseline.ledger.final_rmsre:.4f} -> "
-          f"{refit.ledger.final_rmsre:.4f}")
+    # --- 5. close the loop: re-execute under the fitted model --------
+    refit = replay_run(registry, run_id, cost_model=str(artifact_path))
+    print()
+    print(format_replay_result(refit))
 
 
 if __name__ == "__main__":

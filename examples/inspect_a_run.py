@@ -4,8 +4,9 @@
 Walks the full observability loop on a small graph: run delta-stepping
 SSSP and k-core (extension algorithms beyond the paper's four), render
 the per-GPU timeline as ASCII art (the Figure-1 view), attribute the
-end-to-end time along the critical path, ask what-if questions, then
-archive the run in a registry and diff it against itself.
+end-to-end time along the critical path, archive the run in a
+registry, then answer a what-if by re-executing: the same run without
+FSteal, diffed against the recording.
 
 Run:  python examples/inspect_a_run.py
 """
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.obs import WhatIf, analyze, replay
-from repro.obs.analysis import format_replay, format_report
+from repro.obs import analyze
+from repro.obs.analysis import format_report
 from repro.runs import RunRegistry, diff_manifests, format_diff, \
     workload_fingerprint
 from repro.runtime import render_timeline, utilization_report
@@ -51,16 +52,6 @@ def main() -> None:
     print(format_report(attribution))
     bucket_sum = sum(attribution.buckets_ms.values())
     assert abs(bucket_sum - attribution.total_ms) < 1e-6 * bucket_sum
-    # the no-op replay invariant: re-simulating changes nothing
-    noop = replay(plain)
-    assert noop.total_ms == noop.baseline_ms and noop.delta_ms == 0.0
-
-    # --- what-if: speed up the dominant straggler ---------------------
-    straggler = attribution.dominant_straggler()
-    if straggler is not None:
-        faster = replay(plain, WhatIf(gpu_compute_scale={straggler: 0.5}))
-        print(format_replay(faster))
-    print(format_replay(replay(plain, WhatIf(zero_decision_overhead=True))))
 
     # --- archive the run and diff it against itself -------------------
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +70,21 @@ def main() -> None:
         # the archived trace analyzes identically to the live result
         archived = analyze(registry.load_run_trace(run_id))
         assert abs(archived.total_ms - plain.total_ms) < 1e-6 * plain.total_ms
+
+        # what if FSteal were off? Runs are deterministic, so run it:
+        # the fingerprint records the toggle, hence --force
+        no_fsteal = repro.GumEngine(
+            repro.dgx1(8), config=repro.GumConfig(fsteal=False),
+        ).run(graph, partition, "sssp", source=source)
+        other = registry.load_manifest(registry.record_result(
+            no_fsteal,
+            workload_fingerprint(engine="gum", algorithm="sssp",
+                                 graph="CA", num_gpus=8, fsteal=False),
+        ))
+        print(f"\nwhat if FSteal were off: {plain.total_ms:.2f} -> "
+              f"{no_fsteal.total_ms:.2f} virtual ms")
+        print(format_diff(diff_manifests(manifest, other, force=True),
+                          verbose=False))
 
     # --- k-core (extension algorithm) ----------------------------------
     social = repro.datasets.load("OR")

@@ -1,6 +1,6 @@
-"""The ``costmodel.*`` / ``replay.*`` bench family: the refit feedback loop.
+"""The ``costmodel.*`` bench family: the refit feedback loop.
 
-Three measured, self-gating cases back the refit loop's acceptance
+Two measured, self-gating cases back the refit loop's acceptance
 criteria, all deterministic — virtual-clock and model quantities only,
 so the gates hold on any host:
 
@@ -14,12 +14,9 @@ so the gates hold on any host:
   the two committed reference runs. Gate: the winning family's k-fold
   held-out RMSRE beats the shipped polynomial evaluated on the same
   folds (the ``repro costmodel fit --from-runs`` CI assertion).
-* ``replay.bit_identity`` — ``repro replay`` of both reference runs
-  under their original model. Gate: bit-identical virtual-time totals
-  and all four byte-level invariants.
 
-``repro bench --filter costmodel --filter replay`` runs them (CI
-writes ``BENCH_costmodel.json``) and exits 1 on any violation.
+``repro bench --filter costmodel`` runs them (CI writes
+``BENCH_costmodel.json``) and exits 1 on any violation.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from repro.core.costmodel import (
 
 __all__ = ["REFERENCE_RUNS"]
 
-#: The committed reference recordings the fit/replay cases feed on.
+#: The committed reference recordings the fit case feeds on.
 REFERENCE_RUNS = (
     "benchmarks/reference/tx-bfs-4gpu",
     "benchmarks/reference/tx-sssp-4gpu",
@@ -132,42 +129,9 @@ def _case_fit_reference() -> dict:
     return result
 
 
-def _case_replay_bit_identity() -> dict:
-    """Replay under the original model reproduces the recordings."""
-    from repro.replay import replay_run
-
-    registry = _registry()
-    runs = []
-    violations = []
-    for ref in REFERENCE_RUNS:
-        outcome = replay_run(registry, ref)
-        runs.append({
-            "ref": ref,
-            "recorded_total_ms": float(outcome.recorded_total_ms),
-            "replayed_total_ms": float(outcome.replayed_total_ms),
-            "bit_identical": bool(outcome.bit_identical),
-            "checks": {
-                k: bool(v) for k, v in outcome.checks.items()
-            },
-        })
-        if not outcome.bit_identical:
-            failed = [k for k, v in outcome.checks.items() if not v]
-            violations.append(
-                f"replay of {ref} under the original model is not "
-                f"bit-identical (failed: {failed or 'total mismatch'})"
-            )
-    summary = ", ".join(
-        f"{run['ref'].rsplit('/', 1)[-1]}="
-        f"{'ok' if run['bit_identical'] else 'FAIL'}"
-        for run in runs
-    )
-    return {"runs": runs, "violations": violations, "summary": summary}
-
-
 for _name, _case in (
     ("costmodel.refit_loop", _case_refit_loop),
     ("costmodel.fit_reference", _case_fit_reference),
-    ("replay.bit_identity", _case_replay_bit_identity),
 ):
     BENCH_CASES[_name] = BenchCase(
         name=_name, setup=lambda case=_case: case,

@@ -17,7 +17,7 @@ plus the violations it found in them, and comes in two kinds:
   this host's numpy throughput", not absolute nanoseconds.
 * **measured** cases (``timed=False``) run once and return their own
   report entry with the ``violations`` of their invariants: the
-  ``costmodel.*`` / ``replay.*`` feedback-loop family
+  ``costmodel.*`` feedback-loop family
   (:mod:`repro.bench.costmodel_bench`). They run whole workloads
   (seconds), so they are ``on_demand``: only a ``--filter`` naming
   them runs them.

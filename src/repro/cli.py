@@ -12,7 +12,8 @@ Examples::
         --out run.trace.json
     python -m repro run --graph TX --algorithm bfs --record
     python -m repro runs list
-    python -m repro runs analyze latest --scale-gpu 0=0.5
+    python -m repro runs analyze latest
+    python -m repro replay latest --cost-model uniform
     python -m repro runs diff benchmarks/reference/tx-bfs-4gpu latest
     python -m repro explain latest --iteration 3
 """
@@ -25,7 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 from repro import __version__
 from repro.algorithms import ALGORITHMS
@@ -287,6 +288,9 @@ class _Request(NamedTuple):
             chaos=(self.scenario.name if self.scenario is not None
                    else "none"),
             topology=self.topology_spec or "default",
+            fsteal=config.fsteal,
+            osteal=config.osteal,
+            hub_cache=config.hub_cache,
         )
 
 
@@ -679,7 +683,7 @@ def _register_bench(sub) -> None:
     p_bench = sub.add_parser(
         "bench",
         help="run benchmark cases (the hot-path microbenchmarks; "
-             "costmodel.*, replay.* via --filter) and gate "
+             "costmodel.* via --filter) and gate "
              "them against the committed baseline",
     )
     p_bench.add_argument(
@@ -839,7 +843,7 @@ def _register_costmodel(sub) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded run, optionally under modified physics."""
+    """Check a recorded run, or re-execute it under an override."""
     from repro.replay import format_replay_result, replay_run
 
     result = replay_run(
@@ -862,9 +866,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _register_replay(sub) -> None:
     p_replay = sub.add_parser(
         "replay",
-        help="replay a recorded run's decision sequence, optionally "
-             "under a different cost model or topology, with "
-             "per-iteration error attribution",
+        help="check a recorded run against itself, or re-execute its "
+             "workload under a different cost model or topology",
     )
     _add_ref_arg(
         p_replay,
@@ -873,20 +876,22 @@ def _register_replay(sub) -> None:
     )
     p_replay.add_argument(
         "--cost-model", metavar="NAME|PATH", default=None,
-        help="replay under this model instead of the recorded one: "
-             "'default', 'uniform', or a repro-costmodel/1 artifact "
-             "path; omit for the original model (bit-identical)",
+        help="re-execute the recorded workload under this model: "
+             "'default', 'oracle', 'uniform', or a repro-costmodel/1 "
+             "artifact path; omit both overrides to check the "
+             "recording without re-executing",
     )
     p_replay.add_argument(
         "--topology", metavar="SPEC", default=None,
-        help="rescale the recorded communication time under this "
-             "machine shape ('dgx1' or 'nodes=NxG'; worker count must "
-             "match the recording)",
+        help="re-execute the recorded workload on this machine shape "
+             "('dgx1' or 'nodes=NxG'; the GPU count must match the "
+             "recording)",
     )
     p_replay.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless the replay is bit-identical to the "
-             "recording (original model, no overrides)",
+        help="exit 1 unless the recording passes its checks and, "
+             "under an override, the re-execution reproduces its "
+             "total and every decision",
     )
     p_replay.add_argument("--json", action="store_true")
     _add_runs_dir_arg(p_replay)
@@ -975,75 +980,27 @@ def _register_runs_show(runs_sub) -> None:
     p_show.set_defaults(func=_cmd_runs_show)
 
 
-def _gpu_scale_pair(text: str) -> Tuple[int, float]:
-    """Parse a ``GPU=FACTOR`` what-if operand (``0=0.5``)."""
-    key, sep, value = text.replace(":", "=").partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(
-            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
-        )
-    try:
-        return int(key), float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected GPU=FACTOR (e.g. 0=0.5), got {text!r}"
-        ) from exc
-
-
 def _cmd_runs_analyze(args: argparse.Namespace) -> int:
-    """Critical-path attribution (and optional what-if) of a run."""
+    """Critical-path attribution of a recorded run."""
     from repro.obs import analysis
 
-    source = analysis.iteration_costs(
+    report = analysis.analyze(
         _registry_from_args(args).load_run_trace(args.ref)
     )
-    whatif = analysis.WhatIf(
-        gpu_compute_scale=dict(args.scale_gpu or []),
-        compute_scale=args.scale_compute,
-        zero_decision_overhead=args.zero_overhead,
-        drop_fsteal=args.drop_fsteal,
-    )
-    report = analysis.analyze(source)
-    payload = {"analysis": report.as_dict()}
-    if not whatif.is_noop():
-        outcome = analysis.replay(source, whatif)
-        payload["whatif"] = outcome.as_dict()
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"analysis": report.as_dict()}, indent=2,
+                         sort_keys=True))
         return 0
     print(analysis.format_report(report))
-    if not whatif.is_noop():
-        print(analysis.format_replay(outcome))
     return 0
 
 
 def _register_runs_analyze(runs_sub) -> None:
     p_analyze = runs_sub.add_parser(
         "analyze",
-        help="critical-path attribution and what-if replay of a "
-             "recorded run",
+        help="critical-path attribution of a recorded run",
     )
     _add_ref_arg(p_analyze, "run reference (see 'runs show')")
-    p_analyze.add_argument(
-        "--scale-gpu", action="append", metavar="GPU=FACTOR",
-        type=_gpu_scale_pair, default=None,
-        help="what-if: scale GPU's compute time by FACTOR "
-             "(repeatable; 0=0.5 halves gpu0's compute)",
-    )
-    p_analyze.add_argument(
-        "--scale-compute", type=float, default=1.0, metavar="FACTOR",
-        help="what-if: scale every GPU's compute time by FACTOR",
-    )
-    p_analyze.add_argument(
-        "--zero-overhead", action="store_true",
-        help="what-if: zero the coordinator's decision overhead "
-             "(free solver)",
-    )
-    p_analyze.add_argument(
-        "--drop-fsteal", action="store_true",
-        help="what-if: charge stolen edges back to each superstep's "
-             "straggler (undo FSteal, first-order)",
-    )
     p_analyze.add_argument("--json", action="store_true")
     _add_runs_dir_arg(p_analyze)
     p_analyze.set_defaults(func=_cmd_runs_analyze)

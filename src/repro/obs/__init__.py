@@ -35,9 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ChromeTraceSink", "chrome_trace_events", "write_chrome_trace",
     ),
     "repro.obs.export": ("iteration_spans", "result_to_spans", "emit_iteration"),
-    "repro.obs.analysis": (
-        "CriticalPathReport", "ReplayReport", "WhatIf", "analyze", "replay",
-    ),
+    "repro.obs.analysis": ("CriticalPathReport", "analyze"),
     "repro.obs.ledger": (
         "LEDGER_SCHEMA", "Ledger", "LedgerError", "explain_lines",
         "reconstruct_rmsre",

@@ -1,4 +1,4 @@
-"""Trace analytics: critical path, attribution, what-if.
+"""Trace analytics: critical path and attribution.
 
 The paper's whole argument is an *attribution* argument — which GPU
 straggles each superstep (Figures 1/8), how much the coordinator's
@@ -10,19 +10,14 @@ is a BSP step: per-GPU ``busy`` spans fan into a barrier, followed by
 a coordinator tail (message transfer, serialization, sync, and
 decision overhead) that gates the next superstep.
 
-* :func:`analyze` computes the virtual-time **critical path** — each
-  superstep's straggler plus its coordinator tail, summed — and
-  attributes end-to-end time per iteration to
-  ``{compute, communication, stall, coordinator}`` buckets that sum to
-  ``result.total_ms`` exactly, naming the **straggler GPU** of every
-  superstep;
-* :func:`replay` re-simulates the supersteps under a :class:`WhatIf`
-  scenario (scale GPU *i*'s compute by *x*, zero the decision
-  overhead, drop FSteal's rebalancing) with scaled durations. A no-op
-  scenario reproduces the original end-to-end time exactly — the
-  invariant the test suite pins.
+:func:`analyze` computes the virtual-time **critical path** — each
+superstep's straggler plus its coordinator tail, summed — and
+attributes end-to-end time per iteration to
+``{compute, communication, stall, coordinator}`` buckets that sum to
+``result.total_ms`` exactly, naming the **straggler GPU** of every
+superstep.
 
-Both accept a ``RunResult``, a ``(header, records)`` pair from
+It accepts a ``RunResult``, a ``(header, records)`` pair from
 :func:`repro.runtime.trace.load_trace`, or a bare list of iteration
 records, so archived runs in the registry analyze identically to live
 ones. Durations are milliseconds throughout, matching ``total_ms``.
@@ -31,7 +26,7 @@ ones. Durations are milliseconds throughout, matching ``total_ms``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,14 +37,9 @@ from repro.runtime.trace import trace_records
 __all__ = [
     "IterationCost",
     "CriticalPathReport",
-    "WhatIf",
-    "ReplayReport",
     "iteration_costs",
     "analyze",
-    "replay",
-    "replay_walls",
     "format_report",
-    "format_replay",
 ]
 
 #: Aggregate attribution bucket names, in reporting order.
@@ -116,13 +106,9 @@ class IterationCost:
     critical_ms: float
     straggler: Optional[int]
     mean_busy_ms: float
-    breakdown_ms: Dict[str, float]
     attribution_ms: Dict[str, float]
     fsteal: bool = False
     stolen_edges: int = 0
-    frontier_edges: int = 0
-    frontier_size: int = 0
-    group_size: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view."""
@@ -206,13 +192,9 @@ def _iteration_cost(record: Dict, position: int) -> IterationCost:
         critical_ms=critical,
         straggler=straggler,
         mean_busy_ms=mean_busy,
-        breakdown_ms=breakdown,
         attribution_ms=attribution,
         fsteal=bool(record.get("fsteal", False)),
         stolen_edges=int(record.get("stolen_edges", 0) or 0),
-        frontier_edges=int(record.get("frontier_edges", 0) or 0),
-        frontier_size=int(record.get("frontier_size", 0) or 0),
-        group_size=record.get("group_size"),
     )
 
 
@@ -223,8 +205,7 @@ def iteration_costs(
 
     The result is itself an accepted source (parsed costs pass through
     untouched), so a command parses its trace once and hands the pair
-    to :func:`analyze`, :func:`replay` and :func:`repro.replay.replay_run`
-    alike. Anything malformed in a record is a :class:`TraceFormatError`.
+    to :func:`analyze` and :func:`repro.replay.replay_run` alike. Anything malformed in a record is a :class:`TraceFormatError`.
     """
     header, records = _normalize(source)
     costs = []
@@ -350,197 +331,6 @@ def analyze(source: AnalysisSource) -> CriticalPathReport:
 
 
 # ----------------------------------------------------------------------
-# What-if replay
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WhatIf:
-    """A hypothetical to re-simulate the supersteps under.
-
-    Attributes
-    ----------
-    gpu_compute_scale:
-        Per-GPU compute scale factors, e.g. ``{3: 0.5}`` asks "what if
-        GPU 3 computed twice as fast". Only the compute share of the
-        GPU's busy time scales; its communication share is preserved
-        (the share is the superstep's mean compute fraction, the finest
-        split the trace carries).
-    compute_scale:
-        Like ``gpu_compute_scale`` but applied to every GPU.
-    zero_decision_overhead:
-        Zero the coordinator's per-superstep decision overhead — the
-        "what if the solver were free" Table IV hypothetical.
-    drop_fsteal:
-        Undo FSteal's rebalancing: in supersteps where FSteal applied,
-        the stolen edges are charged back to the superstep's straggler
-        at the group's mean cost per edge — a first-order estimate of
-        the un-balanced critical path.
-    """
-
-    gpu_compute_scale: Mapping[int, float] = field(default_factory=dict)
-    compute_scale: float = 1.0
-    zero_decision_overhead: bool = False
-    drop_fsteal: bool = False
-
-    def is_noop(self) -> bool:
-        """True when the scenario changes nothing."""
-        return (
-            not self.zero_decision_overhead
-            and not self.drop_fsteal
-            and self.compute_scale == 1.0
-            and all(x == 1.0 for x in self.gpu_compute_scale.values())
-        )
-
-    def describe(self) -> str:
-        """Human-readable scenario label."""
-        parts = []
-        for gpu, x in sorted(self.gpu_compute_scale.items()):
-            parts.append(f"gpu{gpu} compute x{x:g}")
-        if self.compute_scale != 1.0:
-            parts.append(f"all compute x{self.compute_scale:g}")
-        if self.zero_decision_overhead:
-            parts.append("decision overhead = 0")
-        if self.drop_fsteal:
-            parts.append("FSteal dropped")
-        return ", ".join(parts) if parts else "no-op"
-
-
-@dataclass
-class ReplayReport:
-    """Outcome of re-simulating a run under a :class:`WhatIf`."""
-
-    scenario: WhatIf
-    baseline_ms: float
-    total_ms: float
-    wall_ms_series: List[float]
-
-    @property
-    def delta_ms(self) -> float:
-        """Predicted change in end-to-end time."""
-        return self.total_ms - self.baseline_ms
-
-    @property
-    def speedup(self) -> float:
-        """Baseline over replayed time (>1 means the scenario helps)."""
-        return self.baseline_ms / self.total_ms if self.total_ms else 1.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly view."""
-        return {
-            "scenario": self.scenario.describe(),
-            "baseline_ms": float(self.baseline_ms),
-            "total_ms": float(self.total_ms),
-            "delta_ms": float(self.delta_ms),
-            "speedup": float(self.speedup),
-            "wall_ms_series": [float(w) for w in self.wall_ms_series],
-        }
-
-
-def replay_walls(
-    costs: Sequence[IterationCost],
-    deltas: Sequence[Sequence[float]],
-    floors: Optional[Sequence[float]] = None,
-) -> List[float]:
-    """The anchoring rule of every replay, written once.
-
-    ``deltas`` holds one per-superstep series of wall-time deltas (ms)
-    per hypothetical: ``wall'(k) = wall(k) + sum_h deltas[h][k]``,
-    never below ``floors[k]`` (default zero). The recorded wall is the
-    anchor, so deltas that are all ``0.0`` reproduce it bit for bit —
-    the no-op invariant :func:`replay` and
-    :func:`repro.replay.replay_run` both pin.
-    """
-    walls = []
-    for k, cost in enumerate(costs):
-        wall = cost.wall_ms
-        for series in deltas:
-            wall = wall + series[k]
-        walls.append(max(wall, floors[k] if floors else 0.0))
-    return walls
-
-
-def _scale_compute(cost: IterationCost, whatif: WhatIf) -> np.ndarray:
-    """Per-GPU busy time under the scenario's compute scales."""
-    scales = dict(whatif.gpu_compute_scale)
-    if whatif.compute_scale != 1.0:
-        for gpu in cost.active:
-            scales[gpu] = scales.get(gpu, 1.0) * whatif.compute_scale
-    scales = {gpu: x for gpu, x in scales.items() if x != 1.0}
-    if not scales:
-        return cost.busy_ms
-    busy = cost.busy_ms.copy()
-    if cost.mean_busy_ms > 0:
-        # only the compute share of busy scales; the trace carries
-        # the group's mean compute fraction, so use that
-        compute = cost.breakdown_ms.get("compute", cost.mean_busy_ms)
-        fraction = min(max(compute / cost.mean_busy_ms, 0.0), 1.0)
-        for gpu, x in scales.items():
-            if 0 <= gpu < busy.size:
-                busy[gpu] *= 1.0 + (x - 1.0) * fraction
-    return busy
-
-
-def _undo_fsteal(cost: IterationCost, busy: np.ndarray) -> np.ndarray:
-    """``busy`` with FSteal's stolen edges charged back to the
-    straggler at the group's mean cost per edge."""
-    if not (cost.fsteal and cost.stolen_edges):
-        return busy
-    busy = busy.copy()
-    if cost.frontier_edges > 0 and cost.straggler is not None:
-        per_edge = float(busy[cost.active].sum()) / cost.frontier_edges
-        busy[cost.straggler] += cost.stolen_edges * per_edge
-    return busy
-
-
-def _whatif_critical(cost: IterationCost, whatif: WhatIf) -> float:
-    """The superstep's barrier (max busy over the active group) under
-    the scenario; the recorded one when nothing touches busy."""
-    busy = _scale_compute(cost, whatif)
-    if whatif.drop_fsteal:
-        busy = _undo_fsteal(cost, busy)
-    if busy is cost.busy_ms or not cost.active:
-        return cost.critical_ms
-    return float(busy[np.asarray(cost.active)].max())
-
-
-def replay(source: AnalysisSource,
-           whatif: Optional[WhatIf] = None) -> ReplayReport:
-    """Re-simulate the run's supersteps with scaled durations.
-
-    Per superstep the replay recomputes the barrier time (max scaled
-    busy over the active group) and shifts the recorded wall time by
-    the barrier delta; the coordinator tail rides along unchanged
-    unless the scenario zeroes the decision overhead, and then never
-    shrinks below the barrier. A no-op scenario therefore returns the
-    original per-superstep walls bit-exactly.
-    """
-    whatif = whatif or WhatIf()
-    __, costs = iteration_costs(source)
-    barriers = [_whatif_critical(cost, whatif) for cost in costs]
-    deltas = [[
-        barrier - cost.critical_ms
-        for barrier, cost in zip(barriers, costs)
-    ]]
-    if whatif.zero_decision_overhead:
-        deltas.append([
-            -float(cost.breakdown_ms.get("overhead", 0.0))
-            for cost in costs
-        ])
-    walls = replay_walls(
-        costs, deltas,
-        floors=barriers if whatif.zero_decision_overhead else None,
-    )
-    baseline = 0.0
-    for cost in costs:
-        baseline += cost.wall_ms
-    return ReplayReport(
-        scenario=whatif,
-        baseline_ms=baseline,
-        total_ms=float(sum(walls)),
-        wall_ms_series=walls,
-    )
-
-
-# ----------------------------------------------------------------------
 # Formatting
 # ----------------------------------------------------------------------
 def format_report(report: CriticalPathReport) -> str:
@@ -570,12 +360,3 @@ def format_report(report: CriticalPathReport) -> str:
                     f"{marker}"
                 )
     return "\n".join(lines)
-
-
-def format_replay(result: ReplayReport) -> str:
-    """Human-readable what-if outcome."""
-    return (
-        f"what-if [{result.scenario.describe()}]: "
-        f"{result.baseline_ms:.2f} ms -> {result.total_ms:.2f} ms "
-        f"({result.delta_ms:+.2f} ms, {result.speedup:.2f}x)"
-    )

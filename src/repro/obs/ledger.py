@@ -163,39 +163,26 @@ class OnlineRMSRE:
         )
 
 
-def counted_errors(
-    samples: Sequence[dict], predictions: Optional[Sequence[float]] = None
-) -> Iterator[Tuple[dict, float]]:
+def counted_errors(samples: Sequence[dict]) -> Iterator[Tuple[dict, float]]:
     """``(sample, relative error)`` of every counted sample, in feed
-    order; ``predictions`` (aligned with ``samples``) substitutes a
-    candidate model's for the stored ones."""
-    for position, sample in enumerate(samples):
-        rel = relative_error(
-            sample["predicted"] if predictions is None
-            else float(predictions[position]),
-            sample["actual"],
-        )
+    order."""
+    for sample in samples:
+        rel = relative_error(sample["predicted"], sample["actual"])
         if rel is not None:
             yield sample, rel
 
 
-def predicted_critical_seconds(
-    samples: Sequence[dict], predictions: Optional[Sequence[float]] = None
-) -> Optional[float]:
+def predicted_critical_seconds(samples: Sequence[dict]) -> Optional[float]:
     """Max over per-worker sums of ``predicted * edges``: the model's
     predicted critical compute under the ownership it was consulted
     with. The stored predictions reproduce an entry's
-    ``predicted_seconds`` bit for bit; ``predictions`` substitutes a
-    candidate model's."""
+    ``predicted_seconds`` bit for bit."""
     per_worker: Dict[int, float] = {}
-    for position, sample in enumerate(samples):
-        predicted = (
-            sample["predicted"] if predictions is None
-            else float(predictions[position])
-        )
+    for sample in samples:
         worker = sample["worker"]
         per_worker[worker] = (
-            per_worker.get(worker, 0.0) + predicted * sample["edges"]
+            per_worker.get(worker, 0.0)
+            + sample["predicted"] * sample["edges"]
         )
     if not per_worker:
         return None

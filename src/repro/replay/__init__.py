@@ -1,28 +1,18 @@
-"""Trace replay: re-execute recorded runs under modified models.
-
-See :mod:`repro.replay.simulator` for the semantics. The headline
-invariant: replaying a recorded run under its *original* cost model is
-bit-identical to the recording in virtual-time totals — the
-``repro replay --check`` gate CI runs against the committed reference
-runs.
-"""
+"""Replay a recorded run: check it, or re-execute it under an override
+(see :mod:`repro.replay.simulator`)."""
 
 from repro.replay.simulator import (
     REPLAY_SCHEMA,
     ReplayError,
-    ReplayIteration,
     ReplayRunResult,
     format_replay_result,
     replay_run,
-    resolve_replay_model,
 )
 
 __all__ = [
     "REPLAY_SCHEMA",
     "ReplayError",
-    "ReplayIteration",
     "ReplayRunResult",
     "format_replay_result",
     "replay_run",
-    "resolve_replay_model",
 ]

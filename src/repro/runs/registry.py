@@ -107,6 +107,9 @@ def workload_fingerprint(
     amortize: bool = True,
     chaos: str = "none",
     topology: str = "default",
+    fsteal: bool = True,
+    osteal: bool = True,
+    hub_cache: bool = True,
 ) -> Dict[str, object]:
     """The identity half of a run fingerprint (diff precondition).
 
@@ -118,7 +121,9 @@ def workload_fingerprint(
     cluster selector (``nodes=2x4``) changes virtual time, so it joins
     the fingerprint, but the default single-node shape omits the key
     to stay comparable with manifests recorded before multi-node
-    support existed.
+    support existed. The stealing toggles ``fsteal``, ``osteal`` and
+    ``hub_cache`` follow the same rule: each is recorded only when it
+    is off, so ``run --no-fsteal`` is a workload of its own.
     """
     fingerprint: Dict[str, object] = {
         "engine": str(engine),
@@ -136,6 +141,10 @@ def workload_fingerprint(
         fingerprint["chaos"] = str(chaos)
     if str(topology) != "default":
         fingerprint["topology"] = str(topology)
+    for name, enabled in (("fsteal", fsteal), ("osteal", osteal),
+                          ("hub_cache", hub_cache)):
+        if not enabled:
+            fingerprint[name] = False
     return fingerprint
 
 

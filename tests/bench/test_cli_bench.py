@@ -14,7 +14,7 @@ def test_bench_list_cases(capsys):
     assert names == sorted(names)
     assert set(names) == set(perfharness.BENCH_CASES)
     # the measured family is listed next to the timed cases ...
-    for family in ("costmodel.refit_loop", "replay.bit_identity"):
+    for family in ("costmodel.refit_loop", "costmodel.fit_reference"):
         assert family in names
     # ... but an unfiltered run is exactly the timed set the committed
     # hot-path baseline was recorded over

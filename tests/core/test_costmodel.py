@@ -35,7 +35,6 @@ from repro.core.costmodel import (
 from repro.errors import CostModelError, EngineError
 from repro.graph import rmat, road_network, web_graph
 from repro.graph.features import FrontierFeatures
-from repro.replay import resolve_replay_model
 from repro.runs import RunRegistry
 
 
@@ -275,8 +274,7 @@ def test_resolver_names_and_instances():
         ["default", "oracle", "uniform"]
 
 
-@pytest.mark.parametrize("resolve",
-                         [resolve_cost_model, resolve_replay_model])
+@pytest.mark.parametrize("resolve", [resolve_cost_model])
 def test_one_error_for_one_mistake(resolve, tmp_path):
     # a path-looking operand that does not exist says so ...
     for operand in (str(tmp_path / "model.jsno"), "model.jsno"):

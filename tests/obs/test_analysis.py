@@ -1,4 +1,4 @@
-"""Unit tests for critical-path attribution and what-if replay."""
+"""Unit tests for critical-path attribution."""
 
 import json
 
@@ -7,14 +7,7 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.hardware import dgx1
-from repro.obs.analysis import (
-    ATTRIBUTION_BUCKETS,
-    WhatIf,
-    analyze,
-    format_replay,
-    format_report,
-    replay,
-)
+from repro.obs.analysis import ATTRIBUTION_BUCKETS, analyze, format_report
 from repro.runtime import BSPEngine
 from repro.runtime.trace import load_trace, save_trace
 
@@ -137,81 +130,6 @@ def test_analyze_empty_run():
 
 
 # ----------------------------------------------------------------------
-# What-if replay
-# ----------------------------------------------------------------------
-def test_noop_replay_is_exact(result):
-    outcome = replay(result, WhatIf())
-    # acceptance criterion: scale factor 1.0 reproduces the original
-    # end-to-end time *exactly*: every per-superstep wall is unchanged
-    # bit-for-bit, so the replayed total equals the trace's baseline
-    # (result.total_ms sums the same walls bucket-major, which may
-    # differ in the last float bit — hence the approx there)
-    assert outcome.wall_ms_series == [
-        rec.wall_seconds * 1e3 for rec in result.iterations
-    ]
-    assert outcome.total_ms == outcome.baseline_ms
-    assert outcome.delta_ms == 0.0
-    assert outcome.speedup == 1.0
-    assert outcome.total_ms == pytest.approx(result.total_ms, rel=1e-12)
-
-
-def test_noop_scale_factors_are_noop(result):
-    scenario = WhatIf(gpu_compute_scale={0: 1.0}, compute_scale=1.0)
-    assert scenario.is_noop()
-    outcome = replay(result, scenario)
-    assert outcome.total_ms == outcome.baseline_ms
-
-
-def test_scale_straggler_down_speeds_up():
-    source = (_header(), _records())
-    outcome = replay(source, WhatIf(gpu_compute_scale={1: 0.5}))
-    # iteration 0: compute fraction = 1.5/2.0; busy1 3.0 -> 1.875,
-    # still the straggler, wall 4.0 -> 2.875. iteration 1: gpu0
-    # stays critical, wall unchanged.
-    assert outcome.baseline_ms == pytest.approx(7.0)
-    assert outcome.total_ms == pytest.approx(5.875)
-    assert outcome.speedup > 1.0
-
-
-def test_scale_up_slows_down():
-    source = (_header(), _records())
-    outcome = replay(source, WhatIf(compute_scale=2.0))
-    assert outcome.total_ms > outcome.baseline_ms
-
-
-def test_zero_decision_overhead():
-    source = (_header(), _records())
-    outcome = replay(source, WhatIf(zero_decision_overhead=True))
-    # exactly the two 0.3 ms overhead charges disappear
-    assert outcome.total_ms == pytest.approx(7.0 - 0.6)
-    assert outcome.wall_ms_series[0] >= 3.0  # never below the barrier
-
-
-def test_drop_fsteal_charges_straggler():
-    source = (_header(), _records())
-    outcome = replay(source, WhatIf(drop_fsteal=True))
-    # iteration 1: 50 stolen edges at (3.0 ms / 200 edges) land back
-    # on gpu0 -> critical 2.75, wall 3.75; iteration 0 untouched
-    assert outcome.wall_ms_series[0] == pytest.approx(4.0)
-    assert outcome.wall_ms_series[1] == pytest.approx(3.75)
-    assert outcome.total_ms > outcome.baseline_ms
-
-
-def test_whatif_describe():
-    assert WhatIf().describe() == "no-op"
-    text = WhatIf(gpu_compute_scale={2: 0.5},
-                  zero_decision_overhead=True).describe()
-    assert "gpu2 compute x0.5" in text
-    assert "decision overhead" in text
-
-
-def test_replay_report_as_dict(result):
-    payload = replay(result, WhatIf(compute_scale=0.5)).as_dict()
-    json.dumps(payload)
-    assert payload["speedup"] >= 1.0
-
-
-# ----------------------------------------------------------------------
 # Malformed input
 # ----------------------------------------------------------------------
 def test_analyze_rejects_non_trace():
@@ -259,8 +177,3 @@ def test_format_report_and_replay():
     for bucket in ATTRIBUTION_BUCKETS:
         assert bucket in text
     assert "dominant" in text
-    replay_text = format_replay(
-        replay(source, WhatIf(zero_decision_overhead=True))
-    )
-    assert "what-if" in replay_text
-    assert "->" in replay_text

@@ -53,24 +53,27 @@ def test_runs_analyze(runs_dir, capsys):
     assert "attribution" in out
 
 
-def test_runs_analyze_whatif_json(runs_dir, capsys):
+def test_runs_analyze_json(runs_dir, capsys):
     code = main([
         "runs", "analyze", "latest", "--runs-dir", str(runs_dir),
-        "--scale-gpu", "0=0.5", "--zero-overhead", "--json",
+        "--json",
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     buckets = payload["analysis"]["buckets_ms"]
     total = payload["analysis"]["total_ms"]
     assert sum(buckets.values()) == pytest.approx(total, rel=0.01)
-    assert payload["whatif"]["total_ms"] < payload["whatif"]["baseline_ms"]
-    assert "gpu0 compute x0.5" in payload["whatif"]["scenario"]
+    assert set(payload) == {"analysis"}
 
 
-def test_runs_analyze_bad_scale_operand(runs_dir):
-    with pytest.raises(SystemExit):
-        main(["runs", "analyze", "latest", "--runs-dir", str(runs_dir),
-              "--scale-gpu", "bogus"])
+def test_runs_analyze_has_no_estimated_whatifs(runs_dir):
+    # what-ifs are re-executions now: run --no-fsteal, or --chaos with
+    # a slow_worker scenario, then runs diff --force
+    for flag in ("--scale-gpu", "--scale-compute", "--zero-overhead",
+                 "--drop-fsteal"):
+        with pytest.raises(SystemExit):
+            main(["runs", "analyze", "latest", "--runs-dir",
+                  str(runs_dir), flag])
 
 
 def test_runs_diff_self_is_clean(runs_dir, capsys):
@@ -97,6 +100,29 @@ def test_runs_diff_flags_regression(runs_dir, tmp_path, capsys):
                  "--runs-dir", str(runs_dir)])
     assert code == 1
     assert "REGRESSED" in capsys.readouterr().out
+
+
+def test_runs_diff_refuses_a_no_fsteal_run_as_the_same_workload(
+        tmp_path, capsys):
+    run_dirs = []
+    for name, flags in (("default", []), ("no-fsteal", ["--no-fsteal"])):
+        root = tmp_path / name
+        assert main(["run", "--graph", "TX", "--algorithm", "bfs",
+                     "--gpus", "4", *flags, "--record",
+                     "--runs-dir", str(root)]) == 0
+        run_dirs += [p for p in root.iterdir()
+                     if (p / "manifest.json").is_file()]
+    base, current = run_dirs
+    workloads = [json.loads((p / "manifest.json").read_text())
+                 ["fingerprint"]["workload"] for p in (base, current)]
+    # only the disabled toggle is recorded, so a default run's
+    # fingerprint keeps the keys it always had
+    assert "fsteal" not in workloads[0]
+    assert workloads[1] == dict(workloads[0], fsteal=False)
+    capsys.readouterr()
+    assert main(["runs", "diff", str(base), str(current),
+                 "--runs-dir", str(tmp_path)]) == 2
+    assert "fsteal" in capsys.readouterr().err
 
 
 def test_runs_diff_incommensurable_exits_2(runs_dir, tmp_path, capsys):

@@ -48,13 +48,19 @@ def _run_dir_with_binary_trace(path):
     return str(path)
 
 
-def _run_dir_with(path, edit_ledger=None, edit_trace_record=None):
+def _run_dir_with(path, edit_ledger=None, edit_trace_record=None,
+                  edit_workload=None):
     """A copy of the reference run with one JSON value damaged.
 
     ``edit_ledger`` mutates the parsed ``ledger.json``;
-    ``edit_trace_record`` the first superstep record of ``trace.jsonl``.
+    ``edit_trace_record`` the first superstep record of ``trace.jsonl``;
+    ``edit_workload`` the manifest's workload fingerprint.
     """
     shutil.copytree(REFERENCE_RUN, path)
+    if edit_workload is not None:
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit_workload(manifest["fingerprint"]["workload"])
+        (path / "manifest.json").write_text(json.dumps(manifest))
     if edit_ledger is not None:
         ledger = json.loads((path / "ledger.json").read_text())
         edit_ledger(ledger)
@@ -191,6 +197,25 @@ CASES = [
     ]),
     ("replay-malformed-busy", lambda d: [
         "replay", _run_dir_with(d / "run", edit_trace_record=_bad_busy),
+        "--runs-dir", str(d),
+    ]),
+    # fingerprint fields a re-execution cannot honour
+    ("replay-reexecute-chaos-recording", lambda d: [
+        "replay", _run_dir_with(
+            d / "run", edit_workload=lambda w: w.update(chaos="slow-worker")
+        ),
+        "--cost-model", "default", "--runs-dir", str(d),
+    ]),
+    ("replay-reexecute-artifact-label-topology-only", lambda d: [
+        "replay", _run_dir_with(
+            d / "run",
+            edit_workload=lambda w: w.update(
+                cost_model="artifact:tree@0123abcd"),
+        ),
+        "--topology", "dgx1", "--runs-dir", str(d),
+    ]),
+    ("replay-reexecute-gpu-count-mismatch", lambda d: [
+        "replay", REFERENCE_RUN, "--topology", "nodes=2x4",
         "--runs-dir", str(d),
     ]),
     ("explain-iteration-miss", lambda d: [

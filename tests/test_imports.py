@@ -42,7 +42,7 @@ RUN = ["run", "--graph", "TX", "--algorithm", "bfs", "--gpus", "4",
 #: CHANGES.md. ``run`` is ``RUN + ["--record"]``; ``explain`` and
 #: ``replay`` read the run it recorded.
 LOADED_LINES = {"help": 2119, "run": 13973, "explain": 4131,
-                "replay": 8605}
+                "replay": 5528}
 
 #: every subpackage must import cleanly when it is the first one loaded
 SUBPACKAGES = ("algorithms", "runtime", "obs", "core", "chaos", "backend",
